@@ -97,6 +97,10 @@ class Algebra:
     ``mul_table[i, j]`` holds the coordinates of ``b_i * b_j``.  The
     distinguished idempotents are basis elements; ``idempotent_indices[v]``
     is the basis index of the v-th one.
+
+    ``_projectives`` is the per-algebra memo of
+    :func:`gluecat.modules.projective_module`, filled lazily, one entry
+    per vertex.
     """
 
     def __init__(
@@ -117,6 +121,7 @@ class Algebra:
         self.idempotent_indices = list(idempotent_indices)
         self.name = name or f"algebra(dim={self.dim})"
         self._opposite: Algebra | None = None
+        self._projectives: dict[int, tuple] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")
         if validate:

@@ -47,10 +47,7 @@ __all__ = [
     "stalk_complex",
     "zero_complex",
     "shift",
-    "shift_map",
     "cone",
-    "cone_inclusion",
-    "cone_projection",
     "homology_dims",
     "dual_complex",
     "dual_chain_map",
@@ -273,13 +270,6 @@ def shift(x: BoundedComplex, k: int) -> BoundedComplex:
     )
 
 
-def shift_map(f: ChainMap, k: int, shifted_source: BoundedComplex | None = None, shifted_target: BoundedComplex | None = None) -> ChainMap:
-    src = shifted_source if shifted_source is not None else shift(f.source, k)
-    tgt = shifted_target if shifted_target is not None else shift(f.target, k)
-    comps = {n - k: f.comp(n) for n in f.comps}
-    return ChainMap(src, tgt, comps)
-
-
 def identity_map(x: BoundedComplex) -> ChainMap:
     return ChainMap(x, x, {n: x.field.identity(x.term(n).dim) for n in x.degrees()})
 
@@ -354,31 +344,6 @@ def cone(f: ChainMap, name: str = "") -> BoundedComplex:
         injective_terms=x.injective_terms and y.injective_terms,
         name=name or f"cone({x.name}->{y.name})",
     )
-
-
-def cone_inclusion(f: ChainMap, c: BoundedComplex) -> ChainMap:
-    """Y -> cone(f)."""
-    y = f.target
-    comps = {}
-    for n in c.degrees():
-        m = y.field.zeros(y.term(n).dim, c.term(n).dim)
-        x1 = f.source.term(n + 1).dim
-        if y.term(n).dim:
-            m[:, x1:] = y.field.identity(y.term(n).dim)
-        comps[n] = m
-    return ChainMap(y, c, comps)
-
-
-def cone_projection(f: ChainMap, c: BoundedComplex, shifted_source: BoundedComplex) -> ChainMap:
-    """cone(f) -> X[1]."""
-    comps = {}
-    for n in c.degrees():
-        x1 = f.source.term(n + 1).dim
-        m = f.field.zeros(c.term(n).dim, shifted_source.term(n).dim)
-        if x1:
-            m[:x1, :] = f.field.identity(x1)
-        comps[n] = m
-    return ChainMap(c, shifted_source, comps)
 
 
 def homology_dims(x: BoundedComplex) -> dict[int, int]:
@@ -576,7 +541,15 @@ class DerivedContext:
 
     Caching by object identity keeps every presentation chosen exactly
     once per session, which both speeds things up and lets adjunction
-    formulas rely on literal reuse of replacement complexes.
+    formulas rely on literal reuse of replacement complexes.  Data that
+    depends only on an algebra lives on the algebra instead: the
+    indecomposable projectives e_v A are memoised there by
+    :func:`gluecat.modules.projective_module` and shared read-only.
+
+    Lifts that share a source and a quasi-isomorphism are solved together
+    by :meth:`lift_many_through_qis`, one elimination for all of them; the
+    Serre Gram matrices in :mod:`gluecat.serre` lift a whole basis that
+    way.
     """
 
     def __init__(self, resolution_cap: int = 24):
@@ -731,13 +704,28 @@ class DerivedContext:
         have projective terms.  Solved as one global linear system over
         the degreewise module-hom spaces.
         """
-        if f.source is not p or f.target is not s.target:
-            raise ValueError("lift_through_qis: mismatched complexes")
+        return self.lift_many_through_qis(p, [f], s)[0]
+
+    def lift_many_through_qis(
+        self, p: BoundedComplex, fs: list[ChainMap], s: ChainMap
+    ) -> list[tuple[ChainMap, Homotopy]]:
+        """:meth:`lift_through_qis` for every map in ``fs``, in one solve.
+
+        The system depends only on p and s, so it is assembled once and
+        eliminated once with one right-hand side per map.  Pivots are
+        chosen among the coefficient columns only, so each solution
+        column is exactly the single-map solution.
+        """
         y, x = s.source, s.target
+        for f in fs:
+            if f.source is not p or f.target is not x:
+                raise ValueError("lift_through_qis: mismatched complexes")
         fld = p.field
         degs = list(p.degrees())
         if not degs:
-            return zero_map(p, y), Homotopy(p, x, {})
+            return [(zero_map(p, y), Homotopy(p, x, {})) for _ in fs]
+        if not fs:
+            return []
         g_bases = {n: self.module_hom_basis(p.term(n), y.term(n)) for n in degs}
         h_bases = {n: self.module_hom_basis(p.term(n), x.term(n - 1)) for n in degs}
         cols: list[tuple[str, int, int]] = []
@@ -751,7 +739,7 @@ class DerivedContext:
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
 
-        def add_equation(size: int, contribs, target_flat):
+        def add_equation(size: int, contribs, targets):
             block = fld.zeros(size, n_cols)
             for (kind, n, mats, sign) in contribs:
                 bases = g_bases[n] if kind == "g" else h_bases[n]
@@ -762,7 +750,7 @@ class DerivedContext:
                     col = col_index[(kind, n, k)]
                     block[:, col] = (sign * val.reshape(-1)) % fld.p
             rows.append(block)
-            rhs.append(target_flat % fld.p)
+            rhs.append(targets % fld.p)
 
         # chain-map equations: g^n d_y^n - d_p^n g^{n+1} = 0
         for n in range(min(degs) - 1, max(degs) + 1):
@@ -774,7 +762,7 @@ class DerivedContext:
                 contribs.append(("g", n, [(y.diff(n), "r")], 1))
             if (n + 1) in g_bases and g_bases[n + 1]:
                 contribs.append(("g", n + 1, [(p.diff(n), "l")], -1))
-            add_equation(size, contribs, np.zeros(size, dtype=np.int64))
+            add_equation(size, contribs, fld.zeros(size, len(fs)))
 
         # homotopy equations: g^n s^n + d_p^n h^{n+1} + h^n d_x^{n-1} = f^n
         for n in degs:
@@ -788,32 +776,37 @@ class DerivedContext:
                 contribs.append(("h", n + 1, [(p.diff(n), "l")], 1))
             if h_bases[n]:
                 contribs.append(("h", n, [(x.diff(n - 1), "r")], 1))
-            add_equation(size, contribs, f.comp(n).reshape(-1))
+            add_equation(size, contribs, np.stack([f.comp(n).reshape(-1) for f in fs], axis=1))
 
         if rows:
-            big = np.concatenate(rows, axis=0)
-            vec = np.concatenate(rhs)
-            sol = fld.solve(big, vec)
+            sol = fld.solve_matrix(np.concatenate(rows, axis=0), np.concatenate(rhs, axis=0))
         else:
-            sol = np.zeros(n_cols, dtype=np.int64)
+            sol = fld.zeros(n_cols, len(fs))
         if sol is None:
             raise LiftSystemInconsistentError(
                 "no lift exists: source not K-projective or map not a qis"
             )
+
+        def expand(kind, n, bases, shape):
+            # (maps, rows, cols): the combination of ``bases`` for every map
+            if not bases:
+                return np.zeros((len(fs),) + shape, dtype=np.int64)
+            first = col_index[(kind, n, 0)]
+            coeffs = sol[first:first + len(bases)].T
+            return np.tensordot(coeffs, np.stack(bases), axes=1) % fld.p
+
         g_comps = {}
         h_comps = {}
         for n in degs:
-            gm = fld.zeros(p.term(n).dim, y.term(n).dim)
-            for k, b in enumerate(g_bases[n]):
-                gm = fld.add(gm, (int(sol[col_index[("g", n, k)]]) * b) % fld.p)
-            g_comps[n] = gm
-            hm = fld.zeros(p.term(n).dim, x.term(n - 1).dim)
-            for k, b in enumerate(h_bases[n]):
-                hm = fld.add(hm, (int(sol[col_index[("h", n, k)]]) * b) % fld.p)
-            h_comps[n] = hm
-        g = ChainMap(p, y, g_comps)
-        h = Homotopy(p, x, h_comps)
-        return g, h
+            g_comps[n] = expand("g", n, g_bases[n], (p.term(n).dim, y.term(n).dim))
+            h_comps[n] = expand("h", n, h_bases[n], (p.term(n).dim, x.term(n - 1).dim))
+        return [
+            (
+                ChainMap(p, y, {n: g_comps[n][t] for n in degs}),
+                Homotopy(p, x, {n: h_comps[n][t] for n in degs}),
+            )
+            for t in range(len(fs))
+        ]
 
     # -- hom complexes and spaces --------------------------------------
 
@@ -831,9 +824,6 @@ class DerivedContext:
 
     def derived_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
         return self.hom_space(x, y).degreewise_dims()
-
-    def derived_hom_dim(self, x: BoundedComplex, y: BoundedComplex, n: int) -> int:
-        return self.degreewise_dim(x, y, n)
 
     def degreewise_dim(self, x: BoundedComplex, y: BoundedComplex, n: int) -> int:
         return self.hom_space(x, y).degreewise_dims().get(n, 0)

@@ -67,12 +67,6 @@ class PrimeField:
         v[i] = 1
         return v
 
-    def random_matrix(self, rng, r: int, c: int) -> np.ndarray:
-        return np.array(
-            [[rng.randrange(self.p) for _ in range(c)] for _ in range(r)],
-            dtype=np.int64,
-        ).reshape(r, c)
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -84,8 +78,10 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # entries < p, p**2 * inner_dim stays far below 2**63 for the
-        # sizes this package ever sees
+        # exact only while (p-1)**2 * k < 2**63, k the inner dimension:
+        # entries lie in [0, p) and int64 accumulates k products before
+        # the reduction.  The vectorised Nakayama supertrace in
+        # gluecat.serre relies on this with k up to dim(term) * dim(A).
         return (a @ b) % self.p
 
     def mul_chain(self, *ms) -> np.ndarray:

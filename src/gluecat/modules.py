@@ -144,9 +144,6 @@ class Bimodule:
     def field(self) -> PrimeField:
         return self.left_algebra.field
 
-    def left_operator(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("i,imn->mn", coords % self.field.p, self.left_action) % self.field.p
-
     def as_right_module(self, name: str = "") -> RightModule:
         return RightModule(self.right_algebra, self.right_action, name=name or self.name)
 
@@ -230,7 +227,21 @@ def _restricted_action(a: Algebra, rows: np.ndarray, operators) -> np.ndarray:
 
 
 def projective_module(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.ndarray]:
-    """P_v = e_v A.  Returns (module, basis rows in A-coords, generator coords)."""
+    """P_v = e_v A.  Returns (module, basis rows in A-coords, generator coords).
+
+    Built once per (algebra, vertex) and memoised on the algebra, so every
+    caller shares the same tuple; its arrays are read-only.
+    """
+    hit = a._projectives.get(v)
+    if hit is None:
+        hit = _build_projective(a, v)
+        for arr in (hit[0].action, hit[1], hit[2]):
+            arr.setflags(write=False)
+        a._projectives[v] = hit
+    return hit
+
+
+def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.ndarray]:
     fld = a.field
     ev = a.idempotent_vector(v)
     rows = fld.image_basis(a.left_mult_operator(ev))
@@ -358,12 +369,6 @@ class TensorResult:
         for r in range(self.m_dim):
             k[r, r * self.w_dim:(r + 1) * self.w_dim] = w_coords
         return fld.matmul(k, self.pi)
-
-    def insert_left(self, v_coords: np.ndarray) -> np.ndarray:
-        """Matrix of w |-> class(v ⊗ w) for a fixed element v."""
-        fld = self.module.field
-        k = np.kron(v_coords.reshape(1, -1), np.eye(self.w_dim, dtype=np.int64))
-        return fld.matmul(k % fld.p, self.pi)
 
 
 def tensor_over(m: RightModule, w: Bimodule, name: str = "") -> TensorResult:

@@ -5,6 +5,14 @@ with quasi-inverse along the duality route; the outer categories get the
 induced functors built from the recollement, together with explicit
 duality pairings assembled from the Nakayama trace, the primitive
 adjunctions and fully-faithful transport.
+
+Each pairing's Gram matrix is built in one pass.  The supertrace
+functionals of the traced complex are computed once per matrix, from the
+projectives memoised on the algebra.  Every basis map on the side that
+needs lifting is lifted in one batched solve
+(:meth:`DerivedContext.lift_many_through_qis`).  Entry (i, j) then
+factors into an i-part and a j-part per degree, so the whole matrix is
+one exact GF(p) product per degree.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from .complexes import (
     DerivedContext,
     Mor,
     compose_maps,
-    dual_chain_map,
     homology_dims,
 )
 from .modules import TensorResult, nakayama_bimodule, projective_module
@@ -126,22 +133,36 @@ def _trace_functionals(a: Algebra, summ, tens: TensorResult) -> list[np.ndarray]
     tensor class at the summand's vertex idempotent."""
     fld = a.field
     u_rows = _stacked_inclusions(a, summ)
-    da_dim = a.dim
     q_dim = tens.module.dim
+    # section[q] indexed by (term coordinate r, D(A) coordinate rho)
+    sec = tens.section.reshape(q_dim, tens.m_dim, a.dim)
     out = []
     for s, v in enumerate(summ.vertices):
         start = summ.offsets[s]
         stop = start + projective_module(a, v)[0].dim
-        t_vec = np.zeros(q_dim, dtype=np.int64)
-        for q in range(q_dim):
-            rep = tens.section[q]
-            acc = 0
-            for idx in np.nonzero(rep)[0]:
-                r, rho = divmod(int(idx), da_dim)
-                if start <= r < stop:
-                    acc += int(rep[idx]) * int(u_rows[r, rho])
-            t_vec[q] = acc % fld.p
-        out.append(t_vec)
+        out.append(
+            fld.matmul(sec[:, start:stop].reshape(q_dim, -1), u_rows[start:stop].reshape(-1))
+        )
+    return out
+
+
+def _supertrace_factors(
+    p: BoundedComplex, tensors: dict[int, TensorResult]
+) -> dict[int, tuple[int, np.ndarray, np.ndarray]]:
+    """Per degree n, ``(sign, gens, funcs)`` with the supertrace of a chain
+    map c equal to  sum_n sign * sum_s gens[s] @ c^n @ funcs[s].
+
+    The sign (-1)^n is forced by homotopy invariance; ``gens`` stacks the
+    summand generators of p^n and ``funcs`` their trace functionals.
+    """
+    a = p.algebra
+    out = {}
+    for n in p.degrees():
+        if n not in tensors or tensors[n].module.dim == 0:
+            continue
+        summ = p.summand(n)
+        funcs = _trace_functionals(a, summ, tensors[n])
+        out[n] = (1 if n % 2 == 0 else -1, np.stack(summ.gens), np.stack(funcs))
     return out
 
 
@@ -154,51 +175,77 @@ def nakayama_supertrace(
     trace evaluates the Nakayama component of each summand generator at
     its vertex idempotent.
     """
-    a = p.algebra
-    fld = a.field
+    fld = p.field
     total = 0
-    for n in p.degrees():
-        if n not in tensors or tensors[n].module.dim == 0:
-            continue
-        summ = p.summand(n)
-        t_vecs = _trace_functionals(a, summ, tensors[n])
-        comp = c.comp(n)
-        sign = 1 if n % 2 == 0 else -1
-        for s, gen in enumerate(summ.gens):
-            img = fld.matmul(gen.reshape(1, -1), comp)[0]
-            total = (total + sign * int(img @ t_vecs[s])) % fld.p
+    for n, (sign, gens, funcs) in _supertrace_factors(p, tensors).items():
+        total += sign * int(np.trace(fld.mul_chain(gens, c.comp(n), funcs.T)))
     return total % fld.p
 
 
-def _pair_right_value(ctx: DerivedContext, t_functor, xp: BoundedComplex, yp: BoundedComplex, f: Mor, g: Mor) -> int:
-    """Trace pairing of f in Hom(x', y') against g in Hom(y', T x')."""
+def _trace_gram(fld, factors, lefts: list[dict], rights: list[dict]) -> np.ndarray:
+    """Supertraces of every product: entry (i, j) traces the chain map
+    with components ``lefts[i][n] @ rights[j][n]``, for ``factors`` from
+    :func:`_supertrace_factors`; both lists are non-empty."""
+    gram = fld.zeros(len(lefts), len(rights))
+    for n, (sign, gens, funcs) in factors.items():
+        # sum_s (gens L)[s, k] (R funcs^T)[k, s], flattened over (s, k)
+        ls = np.stack([fld.matmul(gens, left[n]).reshape(-1) for left in lefts])
+        rs = np.stack([fld.matmul(right[n], funcs.T).T.reshape(-1) for right in rights])
+        gram = (gram + sign * fld.matmul(ls, rs.T)) % fld.p
+    return gram
+
+
+def _right_gram(ctx: DerivedContext, t_functor, xp: BoundedComplex, yp: BoundedComplex, fs: list[Mor], gs: list[Mor]) -> np.ndarray:
+    """Trace pairing of each f in Hom(x', y') against each g in Hom(y', T x').
+
+    Entry (i, j) is the supertrace of ell_i then g_j, where ell_i lifts f_i
+    through the replacement of y'; the lifts depend on f alone, so they
+    are solved together.
+    """
+    fld = xp.field
+    if not fs or not gs:
+        return fld.zeros(len(fs), len(gs))
     tx = t_functor.apply(xp)
     aux = t_functor.aux(xp)
-    f_hat = ctx.hom_space(xp, yp).normalize(f)
-    g_hat = ctx.hom_space(yp, tx).normalize(g)
-    rep_y = ctx.replacement(yp)
-    ell, _ = ctx.lift_through_qis(aux["rep"].p, f_hat, rep_y.qis)
-    c = compose_maps(ell, g_hat)
-    return nakayama_supertrace(aux["rep"].p, aux["tensors"], c)
+    hs_f, hs_g = ctx.hom_space(xp, yp), ctx.hom_space(yp, tx)
+    p = aux["rep"].p
+    lifts = ctx.lift_many_through_qis(
+        p, [hs_f.normalize(f) for f in fs], ctx.replacement(yp).qis
+    )
+    factors = _supertrace_factors(p, aux["tensors"])
+    lefts = [{n: ell.comp(n) for n in factors} for ell, _ in lifts]
+    rights = [{n: hs_g.normalize(g).comp(n) for n in factors} for g in gs]
+    return _trace_gram(fld, factors, lefts, rights)
 
 
-def _pair_left_value(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedComplex, f: Mor, h: Mor) -> int:
-    """Trace pairing of f in Hom(x', y') against h in Hom(T~ y', x')."""
+def _left_gram(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedComplex, fs: list[Mor], hs: list[Mor]) -> np.ndarray:
+    """Trace pairing of each f in Hom(x', y') against each h in Hom(T~ y', x').
+
+    Entry (i, j) is the supertrace of qis then D(sigma^-1 ell_j f_i), with
+    ell_j lifting h_j through the replacement of x'; componentwise that is
+    qis^n f_i^{-n,T} ell_j^{-n,T} sigma^-1^{-n,T}, split between an
+    f-factor and an h-factor.
+    """
+    fld = xp.field
+    if not fs or not hs:
+        return fld.zeros(len(fs), len(hs))
     ty = tt_functor.apply(yp)
     aux = tt_functor.aux(yp)
     rep_ty = ctx.replacement(ty)
     if rep_ty.sigma_inv is None:
         raise SingularPairingError("T~ output should have projective terms")
-    f_hat = ctx.hom_space(xp, yp).normalize(f)
-    h_hat = ctx.hom_space(ty, xp).normalize(h)
-    rep_x = ctx.replacement(xp)
-    ell, _ = ctx.lift_through_qis(rep_ty.p, h_hat, rep_x.qis)
+    hs_f, hs_h = ctx.hom_space(xp, yp), ctx.hom_space(ty, xp)
+    lifts = ctx.lift_many_through_qis(
+        rep_ty.p, [hs_h.normalize(h) for h in hs], ctx.replacement(xp).qis
+    )
     sigma_inv = ChainMap(ty, rep_ty.p, dict(rep_ty.sigma_inv))
-    c = compose_maps(compose_maps(sigma_inv, ell), f_hat)  # ty -> yp
-    dy = ctx.dual(yp)
-    dc = dual_chain_map(c, dual_source=aux["pre"], dual_target=dy)
-    z = compose_maps(aux["rep"].qis, dc)
-    return nakayama_supertrace(aux["rep"].p, aux["tensors"], z)
+    p, qis = aux["rep"].p, aux["rep"].qis
+    factors = _supertrace_factors(p, aux["tensors"])
+    f_hats = [hs_f.normalize(f) for f in fs]
+    lefts = [{n: fld.matmul(qis.comp(n), f.comp(-n).T) for n in factors} for f in f_hats]
+    moved = [compose_maps(sigma_inv, ell) for ell, _ in lifts]  # ty -> rep of x'
+    rights = [{n: c.comp(-n).T for n in factors} for c in moved]
+    return _trace_gram(fld, factors, lefts, rights)
 
 
 def _witness(kind, xn, yn, gram, fld) -> PairingWitness:
@@ -221,10 +268,7 @@ def serre_pairing(sd: SerreData, x: BoundedComplex, y: BoundedComplex, x_name="x
             f"dim Hom(x,y)={hs_f.dim} but dim Hom(y,Tx)={hs_g.dim}"
         )
     fld = x.field
-    gram = fld.zeros(hs_f.dim, hs_g.dim)
-    for i, f in enumerate(hs_f.basis_mors()):
-        for j, g in enumerate(hs_g.basis_mors()):
-            gram[i, j] = _pair_right_value(ctx, t, x, y, f, g)
+    gram = _right_gram(ctx, t, x, y, hs_f.basis_mors(), hs_g.basis_mors())
     w = _witness("right", x_name, y_name, gram, fld)
     if not w.invertible:
         raise SingularPairingError("right Serre pairing is degenerate")
@@ -243,10 +287,7 @@ def serre_left_pairing(sd: SerreData, x: BoundedComplex, y: BoundedComplex, x_na
             f"dim Hom(x,y)={hs_f.dim} but dim Hom(T~y,x)={hs_h.dim}"
         )
     fld = x.field
-    gram = fld.zeros(hs_f.dim, hs_h.dim)
-    for i, f in enumerate(hs_f.basis_mors()):
-        for j, h in enumerate(hs_h.basis_mors()):
-            gram[i, j] = _pair_left_value(ctx, tt, x, y, f, h)
+    gram = _left_gram(ctx, tt, x, y, hs_f.basis_mors(), hs_h.basis_mors())
     w = _witness("left", x_name, y_name, gram, fld)
     if not w.invertible:
         raise SingularPairingError("left Serre pairing is degenerate")
@@ -285,12 +326,9 @@ def induced_right_pairing(sd: SerreData, which: str, x: BoundedComplex, y: Bound
     ex, ey = emb.apply(x), emb.apply(y)
     mid = t.apply(ex)  # T(emb x); which-pipeline continues with the right adjoint
     fld = x.field
-    gram = fld.zeros(hs_f.dim, hs_g.dim)
-    for j, g in enumerate(hs_g.basis_mors()):
-        moved = adj.backward(y, mid, g)  # Hom(emb y, T emb x)
-        for i, f in enumerate(hs_f.basis_mors()):
-            tf = emb.apply_mor(f)
-            gram[i, j] = _pair_right_value(ctx, t, ex, ey, tf, moved)
+    moved = [adj.backward(y, mid, g) for g in hs_g.basis_mors()]  # Hom(emb y, T emb x)
+    tfs = [emb.apply_mor(f) for f in hs_f.basis_mors()]
+    gram = _right_gram(ctx, t, ex, ey, tfs, moved)
     w = _witness("right", x_name, y_name, gram, fld)
     if not w.invertible:
         raise SingularPairingError(f"induced {which}-pairing is degenerate")
@@ -319,12 +357,9 @@ def induced_left_pairing(sd: SerreData, which: str, x: BoundedComplex, y: Bounde
     ex, ey = emb.apply(x), emb.apply(y)
     mid = tt.apply(ey)
     fld = x.field
-    gram = fld.zeros(hs_f.dim, hs_h.dim)
-    for j, h in enumerate(hs_h.basis_mors()):
-        moved = adj.forward(mid, x, h)  # Hom(T~ emb y, emb-target x)
-        for i, f in enumerate(hs_f.basis_mors()):
-            tf = emb.apply_mor(f)
-            gram[i, j] = _pair_left_value(ctx, tt, ex, ey, tf, moved)
+    moved = [adj.forward(mid, x, h) for h in hs_h.basis_mors()]  # Hom(T~ emb y, emb-target x)
+    tfs = [emb.apply_mor(f) for f in hs_f.basis_mors()]
+    gram = _left_gram(ctx, tt, ex, ey, tfs, moved)
     w = _witness("left", x_name, y_name, gram, fld)
     if not w.invertible:
         raise SingularPairingError(f"induced {which}-pairing is degenerate")
@@ -468,10 +503,3 @@ def intrinsic_nakayama_crosscheck(
             )
         )
     return VerificationReport(label, cells, {"projectives": alg.n_idempotents})
-
-
-def induced_serre(sd: SerreData, which: str, x: BoundedComplex) -> BoundedComplex:
-    """Evaluate one of the induced functors S, S~, U, U~."""
-    if which not in INDUCED_EXPRS:
-        raise ValueError(f"which must be one of {sorted(INDUCED_EXPRS)}")
-    return sd.serre_apply(which, x)

@@ -12,6 +12,7 @@ from gluecat.complexes import (
     euler_characteristic,
     homology_dims,
     identity_map,
+    scale_map,
     shift,
     stalk_complex,
     zero_complex,
@@ -205,6 +206,53 @@ def test_lift_zero_map(ctx, alg_a2):
     assert g.is_zero() or not np.any(
         np.concatenate([g.comp(n).reshape(-1) for n in rep.p.degrees()])
     )
+
+
+def _same_lift(batched, single):
+    (g_b, h_b), (g_s, h_s) = batched, single
+    lo = min(g_s.source.lo, g_s.target.lo) - 1
+    hi = max(g_s.source.hi, g_s.target.hi) + 1
+    for n in range(lo, hi + 1):
+        assert np.array_equal(g_b.comp(n), g_s.comp(n))
+        assert np.array_equal(h_b.comp(n), h_s.comp(n))
+
+
+def test_batched_lift_equals_single_lifts(ctx, alg_a2, alg_a3):
+    cases = []
+    for alg, v in ((alg_a2, 1), (alg_a3, 1), (alg_a3, 2)):
+        s = stalk_complex(simple_module(alg, v))
+        rep = ctx.replacement(s)
+        fs = [rep.qis, zero_map(rep.p, s), scale_map(rep.qis, 3)]
+        cases.append((rep.p, fs, identity_map(s)))
+        cases.append((rep.p, [compose_maps(rep.qis, identity_map(s)) for _ in range(2)], rep.qis))
+    # a two-term complex over A3, replaced by splitting off its bottom term
+    p2 = projective_module(alg_a3, 1)[0]
+    s2 = simple_module(alg_a3, 1)
+    x = BoundedComplex(alg_a3, {-1: p2, 0: s2}, {-1: hom_basis_matrices(p2, s2)[0]})
+    rep = ctx.replacement(x)
+    cases.append((rep.p, [rep.qis, zero_map(rep.p, x)], rep.qis))
+    for p, fs, s in cases:
+        batched = ctx.lift_many_through_qis(p, fs, s)
+        assert len(batched) == len(fs)
+        for f, lift in zip(fs, batched):
+            _same_lift(lift, ctx.lift_through_qis(p, f, s))
+
+
+def test_batched_lift_empty_batch(ctx, alg_a2):
+    s2 = stalk_complex(simple_module(alg_a2, 1))
+    rep = ctx.replacement(s2)
+    assert ctx.lift_many_through_qis(rep.p, [], identity_map(s2)) == []
+
+
+def test_batched_lift_from_complex_without_degrees(ctx, alg_a2):
+    s2 = stalk_complex(simple_module(alg_a2, 1))
+    p = zero_complex(alg_a2)
+    fs = [zero_map(p, s2), zero_map(p, s2)]
+    batched = ctx.lift_many_through_qis(p, fs, identity_map(s2))
+    assert len(batched) == 2
+    for f, lift in zip(fs, batched):
+        assert lift[0].target is s2 and lift[0].is_zero()
+        _same_lift(lift, ctx.lift_through_qis(p, f, identity_map(s2)))
 
 
 def test_lift_augmentation_through_itself(ctx, alg_a2):

@@ -52,6 +52,17 @@ def test_projective_dims_sum_to_algebra_dim(alg_a3):
     assert sum(i.dim for i in injectives(alg_a3)) == alg_a3.dim
 
 
+def test_projective_module_is_memoised_read_only(alg_a3):
+    first = projective_module(alg_a3, 1)
+    again = projective_module(alg_a3, 1)
+    assert all(a is b for a, b in zip(first, again))
+    mod, rows, gen = first
+    for arr in (mod.action, rows, gen):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    assert projectives(alg_a3)[1] is mod
+
+
 def test_injectives_are_duals_over_opposite(alg_a2):
     i2 = injective_module(alg_a2, 1)
     assert i2.algebra is alg_a2

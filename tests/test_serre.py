@@ -25,6 +25,7 @@ from gluecat.serre import (
     serre_axiom_check,
     serre_left_pairing,
     serre_pairing,
+    SingularPairingError,
 )
 
 
@@ -233,3 +234,37 @@ def test_serre_axioms_empty_menu_vacuous(sd_f1):
     report = serre_axiom_check(sd_f1, "T", [], seed=31)
     assert report.cells[0].verdict == "pass"
     assert "vacuous" in report.cells[0].note
+
+
+# ----------------------------------------------------------------------
+# batched Gram matrices against the entry-by-entry oracle
+# ----------------------------------------------------------------------
+
+
+_PAIRINGS = {
+    "T": lambda sd, x, y: serre_pairing(sd, x, y),
+    "T~": lambda sd, x, y: serre_left_pairing(sd, x, y),
+    "S": lambda sd, x, y: induced_right_pairing(sd, "S", x, y),
+    "S~": lambda sd, x, y: induced_left_pairing(sd, "S~", x, y),
+    "U": lambda sd, x, y: induced_right_pairing(sd, "U", x, y),
+    "U~": lambda sd, x, y: induced_left_pairing(sd, "U~", x, y),
+}
+
+
+@pytest.mark.parametrize("fixture", ["sd_f1", "sd_f2"])
+@pytest.mark.parametrize("which,tag", [("T", "A"), ("T~", "A"), ("S", "B"), ("S~", "B"), ("U", "C"), ("U~", "C")])
+def test_batched_gram_matches_entrywise_oracle(request, fixture, which, tag):
+    from oracles import gram_entrywise
+
+    sd = request.getfixturevalue(fixture)
+    menu = default_menu(sd.rec, tag)
+    compared = 0
+    for _, x in menu:
+        for _, y in menu:
+            try:
+                w = _PAIRINGS[which](sd, x, y)
+            except SingularPairingError:
+                continue  # Hom dimensions differ in degree 0: no Gram matrix
+            assert np.array_equal(w.gram, gram_entrywise(sd, which, x, y))
+            compared += w.dim > 0
+    assert compared > 0
