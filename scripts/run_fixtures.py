@@ -8,46 +8,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gluecat.algebra import Quiver, path_algebra
-from gluecat.field import PrimeField
-from gluecat.recollement import build_recollement, default_menus, original_diagram, verify_axioms
-from gluecat.reflect import assemble_reflected, verify_reflected
-from gluecat.serre import attach_serre, intrinsic_nakayama_crosscheck, serre_axiom_check
-
-FIXTURES = {
-    "F1 (A2, e at sink)": (2, ((0, 1),), [1]),
-    "F2 (A3, e at sink)": (3, ((0, 1), (1, 2)), [2]),
-    "F3 (Kronecker, e at sink)": (2, ((0, 1), (0, 1)), [1]),
-}
+from gluecat.cli import run_suite
+from gluecat.scenarios import fixture_scenario, parse_scenario
 
 
 def main():
-    seed = 17
     rows = []
-    for label, (n, arrows, e) in FIXTURES.items():
+    for name in ("F1", "F2", "F3"):
+        data = fixture_scenario(name)
         t0 = time.monotonic()
-        algebra = path_algebra(Quiver(n, arrows), PrimeField(32003))
-        rec = build_recollement(algebra, e, seed=seed)
-        sd = attach_serre(rec)
-        menus = default_menus(rec)
-        reports = [verify_axioms(original_diagram(rec), menus, seed=seed)]
-        for variant in ("upper", "lower"):
-            reports.append(verify_reflected(assemble_reflected(rec, sd, variant), menus, seed=seed))
-        for which, tag in (("T", "A"), ("S", "B"), ("U", "C")):
-            budget = 4 if which == "T" else None
-            reports.append(serre_axiom_check(sd, which, menus[tag], seed=seed, pairing_pairs=budget))
-        for which in ("S", "U"):
-            reports.append(intrinsic_nakayama_crosscheck(sd, which, seed=seed))
+        reports = run_suite(parse_scenario(data))
         elapsed = time.monotonic() - t0
-        for rep in reports:
-            c = rep.counts()
-            rows.append((label, rep.diagram, c["pass"], c["fail"], c["not-certified"]))
-        rows.append((label, "TOTAL", sum(r[2] for r in rows if r[0] == label),
-                     sum(r[3] for r in rows if r[0] == label),
-                     sum(r[4] for r in rows if r[0] == label)))
-        print(f"{label}: verified in {elapsed:.1f}s "
-              f"(gl.dim {rec.global_dimensions}, dims A/B/C = "
-              f"{rec.algebra.dim}/{rec.quotient_algebra.dim}/{rec.corner_algebra.dim})")
+        counts = [rep.counts() for rep in reports]
+        for rep, c in zip(reports, counts):
+            rows.append((name, rep.diagram, c["pass"], c["fail"], c["not-certified"]))
+        rows.append((name, "TOTAL", *(sum(c[k] for c in counts) for k in ("pass", "fail", "not-certified"))))
+        print(f"{name}: verified in {elapsed:.1f}s "
+              f"(quiver {data['quiver']}, e_vertices {data['e_vertices']})")
     print()
     print(f"{'fixture':<28} {'suite':<18} {'pass':>6} {'fail':>6} {'inconcl':>8}")
     for label, diagram, ok, bad, inc in rows:

@@ -26,12 +26,13 @@ from .modules import GlobalDimensionExceedsCapError, ResolutionExceedsCapError
 from .recollement import (
     FunctorExpr,
     NotStratifyingError,
+    VerificationReport,
     build_recollement,
     default_menu,
     original_diagram,
     verify_axioms,
 )
-from .reflect import NEW_ADJOINT_EXPRS, assemble_reflected, verify_reflected
+from .reflect import NEW_ADJOINT_EXPRS, assemble_reflected
 from .scenarios import Scenario, ScenarioError, load_scenario
 from .serre import INDUCED_EXPRS, attach_serre, intrinsic_nakayama_crosscheck, serre_axiom_check
 
@@ -69,6 +70,35 @@ def _build_workbench(scn: Scenario):
     )
     sd = attach_serre(rec)
     return rec, sd
+
+
+def run_suite(scn: Scenario) -> list[VerificationReport]:
+    """Build the workbench of a scenario and run every suite of ``verify``.
+
+    Reports come in a fixed order: one per requested diagram variant,
+    then the Serre suites of T, S and U, then the Nakayama cross-checks
+    of S and U.  Scenario and set-up errors propagate to the caller.
+    """
+    rec, sd = _build_workbench(scn)
+    menus = _resolve_menus(rec, scn)
+    seed, attempts = scn.seed, scn.attempts
+    reports = []
+    for variant in scn.variants:
+        if variant == "original":
+            diagram = original_diagram(rec)
+        else:
+            diagram = assemble_reflected(rec, sd, variant).diagram
+        reports.append(
+            verify_axioms(diagram, menus, seed=seed, attempts=attempts, matrix_pairs=scn.matrix_pairs)
+        )
+    for which, tag in (("T", "A"), ("S", "B"), ("U", "C")):
+        budget = scn.matrix_pairs if which == "T" else None
+        reports.append(
+            serre_axiom_check(sd, which, menus[tag], seed=seed, attempts=attempts, pairing_pairs=budget)
+        )
+    for which in ("S", "U"):
+        reports.append(intrinsic_nakayama_crosscheck(sd, which, seed=seed, attempts=attempts))
+    return reports
 
 
 def _resolve_menus(rec, scn: Scenario):
@@ -126,44 +156,10 @@ def _report_payload(scn: Scenario, reports):
 def cmd_verify(args) -> int:
     try:
         scn = load_scenario(args.scenario)
-        rec, sd = _build_workbench(scn)
-        menus = _resolve_menus(rec, scn)
+        reports = run_suite(scn)
     except _SETUP_ERRORS as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-    reports = []
-    for variant in scn.variants:
-        if variant == "original":
-            reports.append(
-                verify_axioms(
-                    original_diagram(rec),
-                    menus,
-                    seed=scn.seed,
-                    attempts=scn.attempts,
-                    matrix_pairs=scn.matrix_pairs,
-                )
-            )
-        else:
-            rr = assemble_reflected(rec, sd, variant)
-            reports.append(
-                verify_reflected(
-                    rr,
-                    menus,
-                    seed=scn.seed,
-                    attempts=scn.attempts,
-                    matrix_pairs=scn.matrix_pairs,
-                )
-            )
-    for which, tag in (("T", "A"), ("S", "B"), ("U", "C")):
-        budget = scn.matrix_pairs if which == "T" else None
-        reports.append(
-            serre_axiom_check(
-                sd, which, menus[tag], seed=scn.seed, attempts=scn.attempts, pairing_pairs=budget
-            )
-        )
-    for which in ("S", "U"):
-        reports.append(intrinsic_nakayama_crosscheck(sd, which, seed=scn.seed, attempts=scn.attempts))
 
     payload = _report_payload(scn, reports)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -132,9 +132,6 @@ class BoundedComplex:
             return self.diffs[n]
         return self.field.zeros(self.term(n).dim, self.term(n + 1).dim)
 
-    def total_dim(self) -> int:
-        return sum(t.dim for t in self.terms.values())
-
     def has_summand_data(self) -> bool:
         return self.summands is not None and all(n in self.summands for n in self.degrees())
 
@@ -381,105 +378,6 @@ def projective_resolution(m: RightModule, cap: int) -> tuple[BoundedComplex, Cha
     return p, aug
 
 
-def minimize_projective(p: BoundedComplex) -> BoundedComplex:
-    """Strip contractible summand pairs from a complex of decomposed
-    projectives (Gaussian elimination on invertible differential blocks).
-
-    Purely an optimization pass: the result is homotopy equivalent to the
-    input and nothing downstream ever requires it.
-    """
-    if not p.has_summand_data():
-        raise ValueError("minimize_projective needs summand data")
-    fld = p.field
-
-    def block(summ, k):
-        start = summ.offsets[k]
-        stop = summ.offsets[k + 1] if k + 1 < len(summ.offsets) else None
-        return start, stop
-
-    current = p
-    while True:
-        found = None
-        for n in range(current.lo, current.hi):
-            s_sum = current.summand(n)
-            t_sum = current.summand(n + 1)
-            d = current.diff(n)
-            for si, sv in enumerate(s_sum.vertices):
-                s0, s1 = block(s_sum, si)
-                s1 = s1 if s1 is not None else current.term(n).dim
-                for ti, tv in enumerate(t_sum.vertices):
-                    if sv != tv:
-                        continue
-                    t0, t1 = block(t_sum, ti)
-                    t1 = t1 if t1 is not None else current.term(n + 1).dim
-                    phi = d[s0:s1, t0:t1]
-                    if phi.shape[0] != phi.shape[1] or phi.size == 0:
-                        continue
-                    if fld.rank(phi) == phi.shape[0]:
-                        found = (n, si, s0, s1, ti, t0, t1, phi)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return current
-        n, si, s0, s1, ti, t0, t1, phi = found
-        inv = fld.inv(phi)
-        d = current.diff(n)
-        keep_rows = [r for r in range(current.term(n).dim) if not (s0 <= r < s1)]
-        keep_cols = [c for c in range(current.term(n + 1).dim) if not (t0 <= c < t1)]
-        gamma = d[keep_rows][:, t0:t1]
-        beta = d[s0:s1][:, keep_cols]
-        delta = d[keep_rows][:, keep_cols]
-        new_dn = fld.sub(delta, fld.mul_chain(gamma, inv, beta))
-
-        def drop_summand(summ, idx, removed_width, removed_offset):
-            verts = [v for k, v in enumerate(summ.vertices) if k != idx]
-            offs, gens = [], []
-            for k, off in enumerate(summ.offsets):
-                if k == idx:
-                    continue
-                offs.append(off - removed_width if off > removed_offset else off)
-            for k, g in enumerate(summ.gens):
-                if k == idx:
-                    continue
-                gens.append(np.delete(g, range(removed_offset, removed_offset + removed_width)))
-            return ProjSummands(verts, offs, gens)
-
-        def rebuild_term(summ):
-            from .modules import projective_module as _pm
-
-            parts = [_pm(current.algebra, v)[0] for v in summ.vertices]
-            return direct_sum(parts)[0] if parts else zero_module(current.algebra)
-
-        terms = {}
-        summands = {}
-        for m in current.degrees():
-            if m == n:
-                summands[m] = drop_summand(current.summand(m), si, s1 - s0, s0)
-                terms[m] = rebuild_term(summands[m])
-            elif m == n + 1:
-                summands[m] = drop_summand(current.summand(m), ti, t1 - t0, t0)
-                terms[m] = rebuild_term(summands[m])
-            else:
-                summands[m] = current.summand(m)
-                terms[m] = current.term(m)
-        diffs = {}
-        for m in range(current.lo, current.hi):
-            if m == n:
-                diffs[m] = new_dn
-            elif m == n - 1:
-                diffs[m] = current.diff(m)[:, keep_rows]
-            elif m == n + 1:
-                diffs[m] = current.diff(m)[keep_cols, :]
-            else:
-                diffs[m] = current.diff(m)
-        current = BoundedComplex(
-            current.algebra, terms, diffs, summands=summands, name=f"min({p.name})"
-        )
-
-
 # ----------------------------------------------------------------------
 # duality
 # ----------------------------------------------------------------------
@@ -535,15 +433,48 @@ class DerivedIsoCertificate:
     def certified(self) -> bool:
         return self.status == "certified"
 
+    @property
+    def verdict(self) -> str:
+        """Cell verdict: "pass" when certified, "fail" when the homology
+        already rules an isomorphism out, "not-certified" otherwise."""
+        if self.certified:
+            return "pass"
+        return "fail" if self.status == "not-isomorphic" else "not-certified"
+
+
+class _IdentityMemo:
+    """Values built once per tuple of key objects, keyed by identity.
+
+    ``get(keys, build)`` returns ``build(*keys)``, computed on the first
+    request only.  Each entry pins its key objects, so their ids cannot
+    be reused while the memo lives, and the first value built for a key
+    is the one kept.  Builds may re-enter the memo with other keys.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: dict[tuple[int, ...], tuple] = {}
+
+    def get(self, keys: tuple, build):
+        ident = tuple(map(id, keys))
+        hit = self._entries.get(ident)
+        if hit is None:
+            hit = self._entries.setdefault(ident, (keys, build(*keys)))
+        return hit[1]
+
 
 class DerivedContext:
-    """Caches for replacements, hom bases and hom spaces.
+    """Replacements, duals, module hom bases and hom spaces, each built
+    once per input.
 
-    Caching by object identity keeps every presentation chosen exactly
-    once per session, which both speeds things up and lets adjunction
-    formulas rely on literal reuse of replacement complexes.  Data that
-    depends only on an algebra lives on the algebra instead: the
-    indecomposable projectives e_v A are memoised there by
+    Each kind is kept in an :class:`_IdentityMemo`, keyed by the identity
+    of its inputs; the functor outputs and the composite adjunction
+    matrices use the same memo.  Every presentation is therefore chosen
+    exactly once per session, and adjunction formulas may rely on
+    ``replacement(x)`` returning the literal same complex each time.
+    Data that depends only on an algebra lives on the algebra instead:
+    the indecomposable projectives e_v A are memoised there by
     :func:`gluecat.modules.projective_module` and shared read-only.
 
     Lifts that share a source and a quasi-isomorphism are solved together
@@ -554,21 +485,15 @@ class DerivedContext:
 
     def __init__(self, resolution_cap: int = 24):
         self.resolution_cap = resolution_cap
-        self._replacements: dict[int, tuple[BoundedComplex, Replacement]] = {}
-        self._hom_bases: dict[tuple[int, int], tuple] = {}
-        self._hom_spaces: dict[tuple[int, int], tuple] = {}
-        self._dual_cache: dict[int, tuple[BoundedComplex, BoundedComplex]] = {}
+        self._replacements = _IdentityMemo()
+        self._hom_bases = _IdentityMemo()
+        self._hom_spaces = _IdentityMemo()
+        self._duals = _IdentityMemo()
 
     # -- module hom bases ------------------------------------------------
 
     def module_hom_basis(self, m: RightModule, n: RightModule) -> list[np.ndarray]:
-        key = (id(m), id(n))
-        hit = self._hom_bases.get(key)
-        if hit is not None:
-            return hit[2]
-        basis = hom_basis_matrices(m, n)
-        self._hom_bases[key] = (m, n, basis)
-        return basis
+        return self._hom_bases.get((m, n), hom_basis_matrices)
 
     def hom_coords(self, m: RightModule, n: RightModule, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a module hom in the cached basis."""
@@ -587,22 +512,12 @@ class DerivedContext:
     # -- duality ---------------------------------------------------------
 
     def dual(self, x: BoundedComplex) -> BoundedComplex:
-        hit = self._dual_cache.get(id(x))
-        if hit is not None:
-            return hit[1]
-        d = dual_complex(x)
-        self._dual_cache[id(x)] = (x, d)
-        return d
+        return self._duals.get((x,), dual_complex)
 
     # -- replacement ------------------------------------------------------
 
     def replacement(self, x: BoundedComplex) -> Replacement:
-        hit = self._replacements.get(id(x))
-        if hit is not None:
-            return hit[1]
-        rep = self._build_replacement(x)
-        self._replacements[id(x)] = (x, rep)
-        return rep
+        return self._replacements.get((x,), self._build_replacement)
 
     def _build_replacement(self, x: BoundedComplex) -> Replacement:
         a = x.algebra
@@ -814,13 +729,10 @@ class DerivedContext:
         return HomComplex(self, p, y)
 
     def hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
-        key = (id(x), id(y))
-        hit = self._hom_spaces.get(key)
-        if hit is not None:
-            return hit[2]
-        hs = HomSpace(self, x, y)
-        self._hom_spaces[key] = (x, y, hs)
-        return hs
+        return self._hom_spaces.get((x, y), self._build_hom_space)
+
+    def _build_hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
+        return HomSpace(self, x, y)
 
     def derived_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
         return self.hom_space(x, y).degreewise_dims()

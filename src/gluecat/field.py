@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PrimeField", "is_prime"]
+__all__ = ["PrimeField", "is_prime", "P_LIMIT"]
+
+# Characteristics must lie below 2**16: then (p-1)**2 < 2**32, and int64
+# products stay exact for every inner dimension below 2**31.
+P_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -38,6 +42,8 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
+        if p >= P_LIMIT:
+            raise ValueError(f"characteristic {p} is not below 2**16")
         self.p = p
 
     def __repr__(self):
@@ -78,10 +84,11 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # exact only while (p-1)**2 * k < 2**63, k the inner dimension:
-        # entries lie in [0, p) and int64 accumulates k products before
-        # the reduction.  The vectorised Nakayama supertrace in
-        # gluecat.serre relies on this with k up to dim(term) * dim(A).
+        # exact for every inner dimension k < 2**31: entries lie in
+        # [0, p) with p < 2**16, so int64 accumulates k products of at
+        # most (p-1)**2 < 2**32 before the reduction.  The vectorised
+        # Nakayama supertrace in gluecat.serre relies on this with k up
+        # to dim(term) * dim(A).
         return (a @ b) % self.p
 
     def mul_chain(self, *ms) -> np.ndarray:

@@ -19,6 +19,7 @@ chosen bases.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -40,6 +41,7 @@ from .complexes import (
     ChainMap,
     DerivedContext,
     Mor,
+    _IdentityMemo,
     add_maps,
     compose_maps,
     cone,
@@ -127,19 +129,13 @@ class Functor:
 
     def __init__(self, ctx: DerivedContext):
         self.ctx = ctx
-        self._cache: dict[int, tuple] = {}
+        self._outputs = _IdentityMemo()   # x -> (output, aux data)
 
     def apply(self, x: BoundedComplex) -> BoundedComplex:
-        hit = self._cache.get(id(x))
-        if hit is not None:
-            return hit[1]
-        out, aux = self._apply(x)
-        self._cache[id(x)] = (x, out, aux)
-        return out
+        return self._outputs.get((x,), self._apply)[0]
 
     def aux(self, x: BoundedComplex):
-        self.apply(x)
-        return self._cache[id(x)][2]
+        return self._outputs.get((x,), self._apply)[1]
 
     def _apply(self, x):
         raise NotImplementedError
@@ -343,6 +339,13 @@ class Recollement:
 
     def functor(self, name: str) -> Functor:
         return self.registry[name]
+
+    def degree_window(self, menu: list[tuple[str, BoundedComplex]]) -> range:
+        """Degrees checked for derived Hom between objects of ``menu``:
+        |n| <= (widest span) + (largest global dimension) + 2."""
+        span = max((x.hi - x.lo for _, x in menu if not x.is_zero()), default=0)
+        w = span + max(self.global_dimensions.values()) + 2
+        return range(-w, w + 1)
 
     def apply_expr(self, expr: FunctorExpr, x: BoundedComplex) -> BoundedComplex:
         expr.signature(self.registry)
@@ -568,14 +571,6 @@ class AdjunctionProvider:
         return self.backward(gy, y, ident)
 
 
-def _insert_unit_map(tensors, complex_src, complex_dst, unit_coords, fld):
-    comps = {}
-    for n in complex_src.degrees():
-        if n in tensors:
-            comps[n] = tensors[n].insert_right(unit_coords)
-    return comps
-
-
 class StarPullbackAdjunction(AdjunctionProvider):
     """(i^*, i_*):  Hom_B(X (x)^L B, Y') ~= Hom_A(X, res Y')."""
 
@@ -689,6 +684,8 @@ class ShriekPullbackAdjunction(AdjunctionProvider):
         n_eA = rec.eA_rows.shape[0]
         comps = {}
         for d in fn.degrees():
+            if d not in gx_aux["tensors"]:
+                continue  # x vanishes in degree d; component is zero
             tens = aux["tensors"][d]          # R_n (x) eA at degree d
             xtens = gx_aux["tensors"][d]      # x (x) Ae at degree d
             xdim = x.term(d).dim
@@ -835,6 +832,8 @@ class StarPushAdjunction(AdjunctionProvider):
         rep_d = aux["rep"]
         nu_comps = {}
         for m in pre.degrees():
+            if -m not in jx_aux["tensors"]:
+                continue  # x vanishes in degree -m; component is zero
             tens = tensors[m]
             q = rep_d.qis.comp(m)  # R_{D(j^* x)}^m -> dual coords of (x (x) Ae)^{-m}
             dim_x = x.term(-m).dim
@@ -875,6 +874,8 @@ class StarPushAdjunction(AdjunctionProvider):
         fld = x.field
         mu_comps = {}
         for d in j_gn.degrees():
+            if -d not in aux["tensors"]:
+                continue  # R_{Dn} vanishes in degree -d; component is zero
             tens = j_gn_aux["tensors"][d]      # (j_* n) (x) Ae at degree d
             ptens = aux["tensors"][-d]          # R_{Dn} (x) flip(Ae) at degree -d
             r_dim = rep_dn.p.term(-d).dim
@@ -947,9 +948,6 @@ class PipelineFunctor:
     expr: FunctorExpr
     label: str
 
-    def signature(self):
-        return self.expr.signature(self.rec.registry)
-
     def apply(self, x: BoundedComplex) -> BoundedComplex:
         return self.rec.apply_expr(self.expr, x)
 
@@ -986,9 +984,6 @@ class DiagramSpec:
     quot_left: PipelineFunctor
     quot_right: PipelineFunctor
     pairs: dict[str, AdjointPair] = dc_field(default_factory=dict)
-
-    def pair_list(self):
-        return [self.pairs[k] for k in ("P1", "P2", "P3", "P4")]
 
 
 def original_diagram(rec: Recollement, providers: dict[str, AdjunctionProvider] | None = None) -> DiagramSpec:
@@ -1114,14 +1109,6 @@ class VerificationReport:
             out[c.verdict] = out.get(c.verdict, 0) + 1
         return out
 
-    @property
-    def all_pass(self):
-        return all(c.verdict == "pass" for c in self.cells)
-
-    @property
-    def has_fail(self):
-        return any(c.verdict == "fail" for c in self.cells)
-
 
 # ----------------------------------------------------------------------
 # the axiom verifier
@@ -1130,10 +1117,6 @@ class VerificationReport:
 
 def _window_dims(dims: dict[int, int], window: range) -> dict[int, int]:
     return {n: dims.get(n, 0) for n in window if dims.get(n, 0)}
-
-
-def _dims_outside(dims: dict[int, int], window: range) -> bool:
-    return any(n not in window for n in dims)
 
 
 def verify_axioms(
@@ -1157,14 +1140,19 @@ def verify_axioms(
     menu_a = menus["A"]
     menu_s = menus[diagram.s_tag]
     menu_u = menus[diagram.u_tag]
+    window = rec.degree_window(menu_a + menu_s + menu_u)
 
-    span = max(
-        (x.hi - x.lo for _, x in menu_a + menu_s + menu_u if not x.is_zero()),
-        default=0,
-    )
-    gl = max(rec.global_dimensions.values())
-    w = span + gl + 2
-    window = range(-w, w + 1)
+    @contextmanager
+    def guard(axiom, objects, expected, note):
+        """Run one check; an exception in it becomes a failing cell that
+        names the exception type and message."""
+        try:
+            yield
+        except Exception as exc:
+            cells.append(
+                Cell(axiom, diagram.label, objects, expected,
+                     f"error: {type(exc).__name__}: {exc}", "fail", note)
+            )
 
     if not (menu_a and menu_s and menu_u):
         cells.append(
@@ -1208,7 +1196,8 @@ def verify_axioms(
         # explicit matrices on a deterministic sample, nonzero pairs first
         scored.sort(key=lambda t: (not t[0], t[1], t[3]))
         for (_, xn, x, yn, y) in scored[:matrix_pairs]:
-            try:
+            objects = f"{pair.label} x={xn} y={yn}"
+            with guard("R1.1", objects, "invertible adjunction matrix", "matrix"):
                 fwd = pair.provider.forward_matrix(x, y)
                 bwd = pair.provider.backward_matrix(x, y)
                 fld = x.field
@@ -1220,22 +1209,10 @@ def verify_axioms(
                     Cell(
                         "R1.1",
                         diagram.label,
-                        f"{pair.label} x={xn} y={yn}",
+                        objects,
                         "invertible adjunction matrix",
                         f"dims {fwd.shape}, mutually inverse: {inv_ok}",
                         "pass" if inv_ok else "fail",
-                        "matrix",
-                    )
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                cells.append(
-                    Cell(
-                        "R1.1",
-                        diagram.label,
-                        f"{pair.label} x={xn} y={yn}",
-                        "invertible adjunction matrix",
-                        f"error: {exc}",
-                        "fail",
                         "matrix",
                     )
                 )
@@ -1288,7 +1265,7 @@ def verify_axioms(
                 )
             continue
         for on, o in menu:
-            try:
+            with guard("R1.3", f"{label} at {on}", "derived iso", kind):
                 mor = pair.provider.counit(o) if kind == "counit" else pair.provider.unit(o)
                 cert = ctx.certificate_for_map(mor.map)
                 verdict = "pass" if cert.certified else "fail"
@@ -1304,10 +1281,6 @@ def verify_axioms(
                         certificate=cert.status,
                     )
                 )
-            except Exception as exc:  # pragma: no cover - defensive
-                cells.append(
-                    Cell("R1.3", diagram.label, f"{label} at {on}", "derived iso", f"error: {exc}", "fail")
-                )
 
     # ---- R1.4: the two gluing triangles ---------------------------------
     tri = [
@@ -1322,7 +1295,7 @@ def verify_axioms(
                 )
             continue
         for xn, x in menu_a:
-            try:
+            with guard(axiom, f"X={xn}", "triangle", "cone vs third vertex"):
                 eps = pair.provider.counit(x)
                 third = outerF.apply(outerG.apply(x))
                 cone_cx = cone(eps.map)
@@ -1340,7 +1313,6 @@ def verify_axioms(
                     )
                     continue
                 cert = ctx.derived_iso_certificate(cone_cx, third, seed=seed, attempts=attempts)
-                verdict = "pass" if cert.certified else ("fail" if cert.status == "not-isomorphic" else "not-certified")
                 cells.append(
                     Cell(
                         axiom,
@@ -1348,14 +1320,10 @@ def verify_axioms(
                         f"X={xn}",
                         homology_dims(third),
                         homology_dims(cone_cx),
-                        verdict,
+                        cert.verdict,
                         "cone vs third vertex",
                         certificate=cert.status,
                     )
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                cells.append(
-                    Cell(axiom, diagram.label, f"X={xn}", "triangle", f"error: {exc}", "fail")
                 )
 
     # ---- kernels match essential images ---------------------------------
@@ -1375,20 +1343,21 @@ def verify_axioms(
                     Cell("EssIm", diagram.label, f"X={xn}", "counit iso", "no adjunction witness", "not-certified", note)
                 )
                 continue
-            eps = pair.provider.counit(x)
-            cert = ctx.certificate_for_map(eps.map)
-            cells.append(
-                Cell(
-                    "EssIm",
-                    diagram.label,
-                    f"X={xn}",
-                    "counit is a derived iso",
-                    {"cone_homology": cert.cone_homology},
-                    "pass" if cert.certified else "fail",
-                    note,
-                    certificate=cert.status,
+            with guard("EssIm", f"X={xn}", "counit is a derived iso", note):
+                eps = pair.provider.counit(x)
+                cert = ctx.certificate_for_map(eps.map)
+                cells.append(
+                    Cell(
+                        "EssIm",
+                        diagram.label,
+                        f"X={xn}",
+                        "counit is a derived iso",
+                        {"cone_homology": cert.cone_homology},
+                        "pass" if cert.certified else "fail",
+                        note,
+                        certificate=cert.status,
+                    )
                 )
-            )
 
     coverage = {
         "menus": {

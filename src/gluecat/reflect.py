@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import BoundedComplex, Mor
+from .complexes import BoundedComplex, Mor, _IdentityMemo
 from .recollement import (
     AdjointPair,
     AdjunctionProvider,
@@ -75,7 +75,7 @@ class CompositeAdjunction(AdjunctionProvider):
         self.g_expr = g_expr
         self.x_tag = x_tag
         self.y_tag = y_tag
-        self._matrices: dict[tuple[int, int], tuple] = {}
+        self._matrices = _IdentityMemo()   # (x, y) -> (forward, backward)
 
     def F_apply(self, x):
         return self.rec.apply_expr(self.f_expr, x)
@@ -92,22 +92,17 @@ class CompositeAdjunction(AdjunctionProvider):
     def _chain_matrix(self, x, y) -> np.ndarray:
         raise NotImplementedError
 
+    def _matrix_pair(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        m = self._chain_matrix(x, y)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"{self.name}: adjunction matrix not square: {m.shape}")
+        return m, (x.field.inv(m) if m.size else m)
+
     def forward_matrix(self, x, y) -> np.ndarray:
-        key = (id(x), id(y))
-        hit = self._matrices.get(key)
-        if hit is None:
-            m = self._chain_matrix(x, y)
-            fld = x.field
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"{self.name}: adjunction matrix not square: {m.shape}")
-            inv = fld.inv(m) if m.size else m.reshape(m.shape)
-            hit = (x, y, m, inv)
-            self._matrices[key] = hit
-        return hit[2]
+        return self._matrices.get((x, y), self._matrix_pair)[0]
 
     def backward_matrix(self, x, y) -> np.ndarray:
-        self.forward_matrix(x, y)
-        return self._matrices[(id(x), id(y))][3]
+        return self._matrices.get((x, y), self._matrix_pair)[1]
 
     def forward(self, x, y, mor: Mor) -> Mor:
         lhs = self.ctx.hom_space(self.F_apply(x), y)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .field import is_prime
+from .field import P_LIMIT, is_prime
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario", "fixture_scenario"]
 
@@ -58,6 +58,8 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     if not is_prime(p):
         raise ScenarioError(f"characteristic {p} is not prime")
+    if p >= P_LIMIT:
+        raise ScenarioError(f"characteristic {p} is not below 2**16")
     if n < 1:
         raise ScenarioError("quiver needs at least one vertex")
     for (s, t) in arrows_1:

@@ -404,10 +404,7 @@ def serre_axiom_check(
             [Cell("S.a", label, "(empty menu)", {}, {}, "pass", "vacuous: empty test menu")],
             {"warning": "empty menu"},
         )
-    span = max((o.hi - o.lo for _, o in menu if not o.is_zero()), default=0)
-    gl = max(rec.global_dimensions.values())
-    w = span + gl + 2
-    window = range(-w, w + 1)
+    window = rec.degree_window(menu)
 
     pair_list = [(xn, x, yn, y) for xn, x in menu for yn, y in menu]
     gram_budget = len(pair_list) if pairing_pairs is None else pairing_pairs
@@ -453,15 +450,13 @@ def serre_axiom_check(
     for xn, x in menu:
         ffx = sd.serre_apply(ft_name, sd.serre_apply(f_name, x))
         cert = ctx.derived_iso_certificate(ffx, x, seed=seed, attempts=attempts)
-        verdict = "pass" if cert.certified else ("fail" if cert.status == "not-isomorphic" else "not-certified")
         cells.append(
-            Cell("S.autoeq", label, f"F~Fx vs x at {xn}", homology_dims(x), homology_dims(ffx), verdict, "quasi-inverse", certificate=cert.status)
+            Cell("S.autoeq", label, f"F~Fx vs x at {xn}", homology_dims(x), homology_dims(ffx), cert.verdict, "quasi-inverse", certificate=cert.status)
         )
         fxf = sd.serre_apply(f_name, sd.serre_apply(ft_name, x))
         cert2 = ctx.derived_iso_certificate(fxf, x, seed=seed + 1, attempts=attempts)
-        verdict2 = "pass" if cert2.certified else ("fail" if cert2.status == "not-isomorphic" else "not-certified")
         cells.append(
-            Cell("S.autoeq", label, f"FF~x vs x at {xn}", homology_dims(x), homology_dims(fxf), verdict2, "quasi-inverse", certificate=cert2.status)
+            Cell("S.autoeq", label, f"FF~x vs x at {xn}", homology_dims(x), homology_dims(fxf), cert2.verdict, "quasi-inverse", certificate=cert2.status)
         )
 
     coverage = {"menu": [n for n, _ in menu], "window": [window.start, window.stop - 1]}
@@ -489,7 +484,6 @@ def intrinsic_nakayama_crosscheck(
         lhs = sd.serre_apply(which, x)
         rhs = intrinsic.apply(x)
         cert = ctx.derived_iso_certificate(lhs, rhs, seed=seed + v, attempts=attempts)
-        verdict = "pass" if cert.certified else ("fail" if cert.status == "not-isomorphic" else "not-certified")
         cells.append(
             Cell(
                 "S.nakayama",
@@ -497,7 +491,7 @@ def intrinsic_nakayama_crosscheck(
                 f"P{v + 1}",
                 homology_dims(rhs),
                 homology_dims(lhs),
-                verdict,
+                cert.verdict,
                 "induced vs intrinsic",
                 certificate=cert.status,
             )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gluecat.cli import main
+from gluecat.cli import main, run_suite
 from gluecat.scenarios import ScenarioError, fixture_scenario, parse_scenario
 
 
@@ -29,6 +29,22 @@ def test_parse_rejects_bad_vertices():
     data["e_vertices"] = [3]
     with pytest.raises(ScenarioError):
         parse_scenario(data)
+
+
+def test_parse_bounds_characteristic_below_2_16():
+    data = fixture_scenario("F1")
+    data["p"] = 65537
+    with pytest.raises(ScenarioError):
+        parse_scenario(data)
+    data["p"] = 65521
+    assert parse_scenario(data).p == 65521
+
+
+def test_verify_characteristic_above_bound_exits_three(tmp_path, f1_data):
+    data = dict(f1_data)
+    data["p"] = 65537
+    scn = _write_scenario(tmp_path, data)
+    assert main(["verify", scn, "--report", str(tmp_path / "r.json"), "--quiet"]) == 3
 
 
 def test_parse_converts_to_zero_based():
@@ -136,3 +152,23 @@ def test_verify_exit_one_on_failing_cells(tmp_path, f1_data, monkeypatch):
     scn = _write_scenario(tmp_path, data)
     code = main(["verify", scn, "--report", str(tmp_path / "r.json"), "--quiet"])
     assert code == 1
+
+
+def test_verify_two_vertex_idempotent_exits_zero(tmp_path, capsys):
+    # A3 with e = e2 + e3: the adjunction formulas meet degrees where one
+    # of the complexes is zero
+    data = {"p": 32003, "quiver": {"vertices": 3, "arrows": [[1, 2], [2, 3]]},
+            "e_vertices": [2, 3], "seed": 17}
+    scn = _write_scenario(tmp_path, data)
+    code = main(["verify", scn, "--report", str(tmp_path / "r.json"), "--quiet"])
+    assert code == 0, capsys.readouterr().out
+
+
+def test_run_suite_report_order(f1_data):
+    data = dict(f1_data)
+    data["variants"] = ["original", "lower"]
+    reports = run_suite(parse_scenario(data))
+    assert [r.diagram for r in reports] == [
+        "original", "lower", "serre-T", "serre-S", "serre-U",
+        "serre-S-nakayama", "serre-U-nakayama",
+    ]

@@ -181,8 +181,14 @@ def test_replacement_mixed_complex(ctx, alg_a3):
 
 
 def test_replacement_is_cached(ctx, alg_a2):
-    x = stalk_complex(simple_module(alg_a2, 1))
+    s2 = simple_module(alg_a2, 1)
+    x, twin = stalk_complex(s2), stalk_complex(s2)
     assert ctx.replacement(x) is ctx.replacement(x)
+    # keyed by identity: an equal but distinct complex gets its own entry
+    assert ctx.replacement(twin) is not ctx.replacement(x)
+    assert ctx.hom_space(x, twin) is ctx.hom_space(x, twin)
+    assert ctx.dual(x) is ctx.dual(x)
+    assert ctx.module_hom_basis(s2, s2) is ctx.module_hom_basis(s2, s2)
 
 
 # ----------------------------------------------------------------------
@@ -377,71 +383,3 @@ def test_certificate_acyclic_pair(ctx, alg_a2):
     cert = ctx.derived_iso_certificate(x, y, seed=1)
     assert cert.certified
 
-
-# ----------------------------------------------------------------------
-# minimalization pass
-# ----------------------------------------------------------------------
-
-
-def test_minimize_kills_contractible_complex(ctx, alg_a3):
-    from gluecat.complexes import minimize_projective
-
-    p3 = stalk_complex(projective_module(alg_a3, 2)[0])
-    c = cone(identity_map(p3))
-    rep = ctx.replacement(c)
-    small = minimize_projective(rep.p)
-    assert small.total_dim() == 0
-
-
-def test_minimize_preserves_homology(ctx, alg_a3):
-    from gluecat.complexes import minimize_projective
-
-    s3 = stalk_complex(simple_module(alg_a3, 2))
-    rep = ctx.replacement(s3)
-    small = minimize_projective(rep.p)
-    assert homology_dims(small) == homology_dims(rep.p)
-    # a minimal resolution admits no further cancellation
-    assert small.total_dim() <= rep.p.total_dim()
-
-
-def test_minimize_on_padded_resolution(ctx, alg_a2):
-    from gluecat.complexes import minimize_projective
-    from gluecat.modules import projective_module as pm
-
-    # pad the minimal resolution of S2 with a contractible P1 -> P1 summand
-    s2 = stalk_complex(simple_module(alg_a2, 1))
-    rep = ctx.replacement(s2)
-    p1 = pm(alg_a2, 0)[0]
-    fld = alg_a2.field
-    from gluecat.complexes import BoundedComplex, ProjSummands
-    from gluecat.modules import direct_sum
-
-    t_lo, _ = direct_sum([rep.p.term(-1), p1])
-    t_hi, _ = direct_sum([rep.p.term(0), p1])
-    d = fld.zeros(t_lo.dim, t_hi.dim)
-    d[: rep.p.term(-1).dim, : rep.p.term(0).dim] = rep.p.diff(-1)
-    d[rep.p.term(-1).dim:, rep.p.term(0).dim:] = fld.identity(p1.dim)
-    old_lo, old_hi = rep.p.summand(-1), rep.p.summand(0)
-    gen = pm(alg_a2, 0)[2]
-    pad = BoundedComplex(
-        alg_a2,
-        {-1: t_lo, 0: t_hi},
-        {-1: d},
-        summands={
-            -1: ProjSummands(
-                old_lo.vertices + [0],
-                old_lo.offsets + [rep.p.term(-1).dim],
-                [np.concatenate([g, np.zeros(p1.dim, dtype=np.int64)]) for g in old_lo.gens]
-                + [np.concatenate([np.zeros(rep.p.term(-1).dim, dtype=np.int64), gen])],
-            ),
-            0: ProjSummands(
-                old_hi.vertices + [0],
-                old_hi.offsets + [rep.p.term(0).dim],
-                [np.concatenate([g, np.zeros(p1.dim, dtype=np.int64)]) for g in old_hi.gens]
-                + [np.concatenate([np.zeros(rep.p.term(0).dim, dtype=np.int64), gen])],
-            ),
-        },
-    )
-    small = minimize_projective(pad)
-    assert homology_dims(small) == homology_dims(rep.p)
-    assert small.total_dim() == rep.p.total_dim()

@@ -17,6 +17,21 @@ def test_rejects_composite_characteristic():
     assert is_prime(2) and is_prime(32003)
 
 
+def test_characteristic_is_bounded_below_2_16():
+    with pytest.raises(ValueError):
+        PrimeField(65537)
+    assert PrimeField(65521).p == 65521
+
+
+def test_matmul_exact_at_largest_characteristic():
+    # (p-1)**2 summed over a long inner dimension, against Python ints
+    p = 65521
+    k = 4096
+    a = np.full((1, k), p - 1, dtype=np.int64)
+    b = np.full((k, 1), p - 1, dtype=np.int64)
+    assert int(PrimeField(p).matmul(a, b)[0, 0]) == (k * (p - 1) ** 2) % p
+
+
 def test_rref_identity(f):
     eye = f.identity(2)
     r, pivots, rank = f.rref(eye)

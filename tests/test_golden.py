@@ -3,7 +3,8 @@
 The benchmark's ``perfbench/golden.json`` records the SHA-256 of the
 seed-17 ``verify`` report of each fixture.  A change that is meant to
 keep behaviour (a refactor or an optimisation) must leave these digests
-unchanged.  Only F1 runs here; F2 and F3 are checked by the benchmark.
+unchanged.  All three fixtures run here; F3, the Kronecker quiver, is
+the only one with parallel arrows.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from gluecat.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["F1"])
+@pytest.mark.parametrize("name", ["F1", "F2", "F3"])
 def test_verify_report_matches_golden_digest(tmp_path, capsys, name):
     scenario = json.loads((PERFBENCH / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
     scenario["seed"] = 17

@@ -40,6 +40,20 @@ def rec_f3():
     return build_recollement(a, [1], seed=17)
 
 
+# with |e| >= 2 some adjunction formulas meet degrees where one of the two
+# complexes is zero; those components are zero, not a lookup error
+@pytest.fixture(scope="module")
+def rec_a3_e12():
+    a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(32003))
+    return build_recollement(a, [0, 1], seed=17)
+
+
+@pytest.fixture(scope="module")
+def rec_a4_e34():
+    a = path_algebra(Quiver(4, ((0, 1), (1, 2), (2, 3))), PrimeField(32003))
+    return build_recollement(a, [2, 3], seed=17)
+
+
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
@@ -267,7 +281,7 @@ def test_triangle_cone_matches_third_vertex(rec_f1):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fixture_name", ["rec_f1", "rec_f2", "rec_f3"])
+@pytest.mark.parametrize("fixture_name", ["rec_f1", "rec_f2", "rec_f3", "rec_a3_e12", "rec_a4_e34"])
 def test_original_recollement_axioms(request, fixture_name):
     rec = request.getfixturevalue(fixture_name)
     diagram = original_diagram(rec)
@@ -277,6 +291,30 @@ def test_original_recollement_axioms(request, fixture_name):
     report = verify_axioms(diagram, menus, seed=11)
     bad = [c for c in report.cells if c.verdict != "pass"]
     assert not bad, [f"{c.axiom} {c.objects} {c.note}: {c.actual}" for c in bad[:8]]
+
+
+@pytest.mark.parametrize(
+    "pair, method, axioms",
+    [
+        ("(i^*, i_*)", "forward_matrix", {"R1.1"}),
+        ("(i^*, i_*)", "counit", {"R1.3"}),
+        ("(i_*, i^!)", "counit", {"R1.4a", "EssIm"}),
+    ],
+)
+def test_cell_guard_turns_exceptions_into_failing_cells(rec_f1, pair, method, axioms):
+    providers = primitive_adjunctions(rec_f1)
+
+    def broken(*args):
+        raise ZeroDivisionError("broken witness")
+
+    setattr(providers[pair], method, broken)
+    report = verify_axioms(original_diagram(rec_f1, providers), default_menus(rec_f1), seed=11)
+    errors = [c for c in report.cells if str(c.actual).startswith("error: ")]
+    assert {c.axiom for c in errors} == axioms
+    for c in errors:
+        assert c.verdict == "fail"
+        assert c.actual == "error: ZeroDivisionError: broken witness"
+    assert len(errors) == report.counts()["fail"]
 
 
 def test_corrupted_diagram_fails_r11(rec_f2):
