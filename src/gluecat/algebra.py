@@ -98,9 +98,16 @@ class Algebra:
     distinguished idempotents are basis elements; ``idempotent_indices[v]``
     is the basis index of the v-th one.
 
-    ``_projectives`` is the per-algebra memo of
-    :func:`gluecat.modules.projective_module`, filled lazily, one entry
-    per vertex.
+    The algebra owns the memos of the module constructions over it, all
+    filled lazily by :mod:`gluecat.modules` and shared read-only:
+
+    - ``_projectives``: :func:`~gluecat.modules.projective_module`, one
+      entry per vertex;
+    - ``_hom_bases``: :func:`~gluecat.modules.hom_basis_matrices`, keyed
+      by the action tensors (shape and bytes) of both modules;
+    - ``_covers``: :func:`~gluecat.modules.projective_cover`, keyed by
+      the action tensor of the covered module;
+    - ``_zero``: the one :func:`~gluecat.modules.zero_module`.
     """
 
     def __init__(
@@ -122,6 +129,9 @@ class Algebra:
         self.name = name or f"algebra(dim={self.dim})"
         self._opposite: Algebra | None = None
         self._projectives: dict[int, tuple] = {}
+        self._hom_bases: dict[tuple, tuple] = {}
+        self._covers: dict[tuple, object] = {}
+        self._zero: dict[None, object] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")
         if validate:

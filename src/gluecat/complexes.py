@@ -25,6 +25,7 @@ from .modules import (
     Cover,
     RightModule,
     TensorResult,
+    _hom_entry,
     direct_sum,
     hom_basis_matrices,
     k_dual,
@@ -465,17 +466,23 @@ class _IdentityMemo:
 
 
 class DerivedContext:
-    """Replacements, duals, module hom bases and hom spaces, each built
-    once per input.
+    """Replacements, duals and hom spaces, each built once per input.
 
-    Each kind is kept in an :class:`_IdentityMemo`, keyed by the identity
-    of its inputs; the functor outputs and the composite adjunction
-    matrices use the same memo.  Every presentation is therefore chosen
-    exactly once per session, and adjunction formulas may rely on
-    ``replacement(x)`` returning the literal same complex each time.
-    Data that depends only on an algebra lives on the algebra instead:
-    the indecomposable projectives e_v A are memoised there by
-    :func:`gluecat.modules.projective_module` and shared read-only.
+    The cache rule: complexes by identity, module-level constructions by
+    content.
+
+    - Replacements, duals and hom spaces are kept in an
+      :class:`_IdentityMemo`, keyed by the identity of their input
+      complexes; the functor outputs and the composite adjunction
+      matrices use the same memo.  Every presentation is therefore
+      chosen exactly once per session, and adjunction formulas may rely
+      on ``replacement(x)`` returning the literal same complex each time.
+    - Module hom bases, projective covers, tensor products and the zero
+      module are pure functions of the action matrices, and content-equal
+      modules are built all the time.  :mod:`gluecat.modules` memoises
+      them by content on the object that owns the data (the algebra, or
+      the bimodule for tensors) and shares them read-only, so
+      :meth:`module_hom_basis` only forwards.
 
     Lifts that share a source and a quasi-isomorphism are solved together
     by :meth:`lift_many_through_qis`, one elimination for all of them; the
@@ -486,28 +493,31 @@ class DerivedContext:
     def __init__(self, resolution_cap: int = 24):
         self.resolution_cap = resolution_cap
         self._replacements = _IdentityMemo()
-        self._hom_bases = _IdentityMemo()
         self._hom_spaces = _IdentityMemo()
         self._duals = _IdentityMemo()
 
     # -- module hom bases ------------------------------------------------
 
     def module_hom_basis(self, m: RightModule, n: RightModule) -> list[np.ndarray]:
-        return self._hom_bases.get((m, n), hom_basis_matrices)
+        return hom_basis_matrices(m, n)
 
     def hom_coords(self, m: RightModule, n: RightModule, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a module hom in the cached basis."""
-        basis = self.module_hom_basis(m, n)
+        """Coordinates of a module hom in the cached basis.
+
+        They are the hom's entries at the basis's free columns; the
+        product with the basis must give the hom back.
+        """
+        basis, flat, free_cols = _hom_entry(m, n)
         fld = m.field
         if not basis:
             if np.any(mat):
                 raise ValueError("hom_coords: nonzero map in zero hom space")
             return fld.zeros(1, 0)[0]
-        flat = np.stack([b.reshape(-1) for b in basis])
-        coords = fld.coords_in_rows(flat, mat.reshape(1, -1))
-        if coords is None:
+        vec = mat.reshape(flat.shape[1]) % fld.p
+        coords = vec[free_cols]
+        if not np.array_equal(fld.matmul(coords, flat), vec):
             raise ValueError("hom_coords: matrix is not a module hom")
-        return coords[0]
+        return coords
 
     # -- duality ---------------------------------------------------------
 
@@ -784,7 +794,8 @@ class DerivedContext:
     def derived_iso_certificate(
         self, x: BoundedComplex, y: BoundedComplex, seed: int, attempts: int = 64
     ) -> DerivedIsoCertificate:
-        if homology_dims(x) != homology_dims(y):
+        hx = homology_dims(x)
+        if hx != homology_dims(y):
             return DerivedIsoCertificate("not-isomorphic", None, None, 0)
         px = self.replacement(x).p
         py = self.replacement(y).p
@@ -792,7 +803,7 @@ class DerivedContext:
             cert = self.certificate_for_map(identity_map(px))
             if cert.certified:
                 return cert
-        if not homology_dims(x):
+        if not hx:
             # both acyclic: the zero map is an isomorphism in the derived category
             return self.certificate_for_map(zero_map(px, py))
         hc = self.hom_complex(px, py)

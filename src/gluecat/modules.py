@@ -11,7 +11,7 @@ left-action order, ``lam(x*y) == lam(y) @ lam(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -116,7 +116,11 @@ class ModuleHom:
 
 
 class Bimodule:
-    """Commuting left/right actions; the left matrices compose reversed."""
+    """Commuting left/right actions; the left matrices compose reversed.
+
+    ``_tensors`` is the memo of :func:`tensor_over` for this bimodule,
+    keyed by the content of the module tensored with it.
+    """
 
     def __init__(
         self,
@@ -134,6 +138,7 @@ class Bimodule:
         self.right_action = np.asarray(right_action, dtype=np.int64) % p
         self.dim = int(self.right_action.shape[1]) if self.right_action.size else int(self.right_action.shape[1])
         self.name = name or f"bimodule(dim={self.dim})"
+        self._tensors: dict[tuple, TensorResult] = {}
         if validate:
             self.validate()
 
@@ -186,12 +191,51 @@ class Bimodule:
 
 
 # ----------------------------------------------------------------------
+# content-keyed memos
+# ----------------------------------------------------------------------
+
+
+def _read_only(obj):
+    """Clear the write flag of every array reachable from ``obj``."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _read_only(item)
+    elif isinstance(obj, RightModule):
+        obj.action.setflags(write=False)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _read_only(getattr(obj, f.name))
+
+
+def _memo(table: dict, key, build):
+    """``table[key]``, built by ``build()`` on the first request.
+
+    The value is made read-only before it is stored, so every caller can
+    share it.  Keys are exact (a vertex, or the shapes and bytes of action
+    tensors), never digests, so a hit means the inputs are equal.
+    """
+    hit = table.get(key)
+    if hit is None:
+        hit = build()
+        _read_only(hit)
+        table[key] = hit
+    return hit
+
+
+def _content(m: RightModule) -> tuple:
+    return m.action.shape, m.action.tobytes()
+
+
+# ----------------------------------------------------------------------
 # basic constructors
 # ----------------------------------------------------------------------
 
 
 def zero_module(a: Algebra) -> RightModule:
-    return RightModule(a, np.zeros((a.dim, 0, 0), dtype=np.int64), name="0")
+    """The zero module of ``a``; one shared object per algebra."""
+    return _memo(a._zero, None, lambda: RightModule(a, np.zeros((a.dim, 0, 0), dtype=np.int64), name="0"))
 
 
 def regular_module(a: Algebra) -> RightModule:
@@ -232,13 +276,7 @@ def projective_module(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.n
     Built once per (algebra, vertex) and memoised on the algebra, so every
     caller shares the same tuple; its arrays are read-only.
     """
-    hit = a._projectives.get(v)
-    if hit is None:
-        hit = _build_projective(a, v)
-        for arr in (hit[0].action, hit[1], hit[2]):
-            arr.setflags(write=False)
-        a._projectives[v] = hit
-    return hit
+    return _memo(a._projectives, v, lambda: _build_projective(a, v))
 
 
 def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.ndarray]:
@@ -317,11 +355,27 @@ def submodule_from_rows(m: RightModule, rows: np.ndarray, name: str = "") -> tup
 
 
 def hom_basis_matrices(m: RightModule, n: RightModule) -> list[np.ndarray]:
+    """Basis of Hom_A(M, N) as read-only matrices, shared by every caller
+    that asks with the same pair of action tensors."""
+    return _hom_entry(m, n)[0]
+
+
+def _hom_entry(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """``(basis, flat, free_cols)`` of Hom_A(M, N), memoised on the algebra.
+
+    ``flat`` stacks the basis matrices as rows.  Row k is a kernel basis
+    vector, so it has a 1 at ``free_cols[k]`` and a 0 at every other
+    free column: the coordinates of a hom are its entries there.
+    """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis: modules over different algebras")
+    return _memo(m.algebra._hom_bases, _content(m) + _content(n), lambda: _build_hom(m, n))
+
+
+def _build_hom(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     fld = m.field
     if m.dim == 0 or n.dim == 0:
-        return []
+        return [], fld.zeros(0, m.dim * n.dim), np.zeros(0, dtype=np.intp)
     blocks = []
     eye_m = np.eye(m.dim, dtype=np.int64)
     eye_n = np.eye(n.dim, dtype=np.int64)
@@ -331,7 +385,10 @@ def hom_basis_matrices(m: RightModule, n: RightModule) -> list[np.ndarray]:
         )
     system = np.concatenate(blocks, axis=0)
     kern = fld.kernel_basis(system)
-    return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])]
+    # the row of free column c is zero right of c: besides c it fills
+    # only pivot columns left of c, as an rref row is zero left of its pivot
+    free = np.array([np.flatnonzero(row)[-1] for row in kern], dtype=np.intp)
+    return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])], kern, free
 
 
 def hom_basis(m: RightModule, n: RightModule) -> list[ModuleHom]:
@@ -372,11 +429,19 @@ class TensorResult:
 
 
 def tensor_over(m: RightModule, w: Bimodule, name: str = "") -> TensorResult:
-    """Quotient of M (x)_k W by the relations (v a) ⊗ x - v ⊗ (a x)."""
+    """Quotient of M (x)_k W by the relations (v a) ⊗ x - v ⊗ (a x).
+
+    Memoised on ``w`` by the content of M and ``name``; the shared result
+    is read-only and its module keeps the name of the first build.
+    """
     if m.algebra is not w.left_algebra:
         raise ValueError(
             f"tensor_over: module over {m.algebra.name} but bimodule is left-{w.left_algebra.name}"
         )
+    return _memo(w._tensors, _content(m) + (name,), lambda: _build_tensor(m, w, name))
+
+
+def _build_tensor(m: RightModule, w: Bimodule, name: str) -> TensorResult:
     fld = m.field
     amb = m.dim * w.dim
     if amb == 0:
@@ -448,7 +513,13 @@ def projective_cover(m: RightModule) -> Cover:
 
     Valid for the basic algebras produced by :mod:`gluecat.algebra`,
     where the radical is spanned by the non-idempotent basis elements.
+    Memoised on the algebra by the content of M; the shared cover is
+    read-only and its module keeps the name of the first build.
     """
+    return _memo(m.algebra._covers, _content(m), lambda: _build_cover(m))
+
+
+def _build_cover(m: RightModule) -> Cover:
     a = m.algebra
     fld = m.field
     if m.dim == 0:

@@ -348,7 +348,6 @@ class Recollement:
         return range(-w, w + 1)
 
     def apply_expr(self, expr: FunctorExpr, x: BoundedComplex) -> BoundedComplex:
-        expr.signature(self.registry)
         if x.algebra is not self.algebra_of(expr.signature(self.registry)[0]):
             raise TagMismatchError(
                 f"object over {x.algebra.name} fed to {expr.steps}"
@@ -1299,14 +1298,15 @@ def verify_axioms(
                 eps = pair.provider.counit(x)
                 third = outerF.apply(outerG.apply(x))
                 cone_cx = cone(eps.map)
-                if homology_dims(cone_cx) != homology_dims(third):
+                h_cone, h_third = homology_dims(cone_cx), homology_dims(third)
+                if h_cone != h_third:
                     cells.append(
                         Cell(
                             axiom,
                             diagram.label,
                             f"X={xn}",
-                            homology_dims(third),
-                            homology_dims(cone_cx),
+                            h_third,
+                            h_cone,
                             "fail",
                             "cone homology mismatch",
                         )
@@ -1318,8 +1318,8 @@ def verify_axioms(
                         axiom,
                         diagram.label,
                         f"X={xn}",
-                        homology_dims(third),
-                        homology_dims(cone_cx),
+                        h_third,
+                        h_cone,
                         cert.verdict,
                         "cone vs third vertex",
                         certificate=cert.status,

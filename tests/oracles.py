@@ -5,9 +5,13 @@ touching the package's algebra or module machinery, so expected values
 are computed along a second path.  The Gram oracle at the end is the
 entry-by-entry reference for the batched Serre pairings: it evaluates
 each Gram entry on its own, with one lift and one supertrace per entry.
+``hom_coords_by_elimination`` is the reference for hom coordinates: it
+solves for them in the hom basis by Gaussian elimination.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def enumerate_paths(n_vertices: int, arrows: list[tuple[int, int]]):
@@ -60,6 +64,27 @@ def paths_between_sets(n_vertices, arrows, sources, targets):
         for p in enumerate_paths(n_vertices, arrows)
         if p[1] in set(sources) and p[2] in set(targets)
     ]
+
+
+# ----------------------------------------------------------------------
+# hom coordinates by elimination
+# ----------------------------------------------------------------------
+
+
+def hom_coords_by_elimination(fld, basis, mat):
+    """Coordinates of ``mat`` in the hom basis, by one linear solve.
+
+    Raises ValueError when ``mat`` is not in the span of the basis.
+    """
+    if not basis:
+        if np.any(mat):
+            raise ValueError("hom_coords: nonzero map in zero hom space")
+        return fld.zeros(1, 0)[0]
+    flat = np.stack([b.reshape(-1) for b in basis])
+    coords = fld.coords_in_rows(flat, mat.reshape(1, -1))
+    if coords is None:
+        raise ValueError("hom_coords: matrix is not a module hom")
+    return coords[0]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ from gluecat.complexes import (
     zero_complex,
     zero_map,
 )
+from gluecat.algebra import Quiver, path_algebra
+from gluecat.field import PrimeField
 from gluecat.modules import (
+    RightModule,
     ext_dims,
     hom_basis_matrices,
     nakayama_bimodule,
@@ -26,7 +29,11 @@ from gluecat.modules import (
     simple_module,
     simples,
     projectives,
+    regular_module,
 )
+from gluecat.recollement import build_recollement, default_menus
+
+from oracles import hom_coords_by_elimination
 
 
 @pytest.fixture()
@@ -189,6 +196,71 @@ def test_replacement_is_cached(ctx, alg_a2):
     assert ctx.hom_space(x, twin) is ctx.hom_space(x, twin)
     assert ctx.dual(x) is ctx.dual(x)
     assert ctx.module_hom_basis(s2, s2) is ctx.module_hom_basis(s2, s2)
+
+
+def _replaced_menu_terms(rec):
+    """Content-distinct terms of the replaced default-menu objects, per algebra."""
+    out = {}
+    for menu in default_menus(rec).values():
+        for _, x in menu:
+            p = rec.ctx.replacement(x).p
+            terms = out.setdefault(id(p.algebra), {})
+            for n in p.degrees():
+                m = p.term(n)
+                terms.setdefault(m.action.tobytes(), m)
+    return [list(terms.values()) for terms in out.values()]
+
+
+@pytest.mark.parametrize("quiver,e", [(((0, 1),), [1]), (((0, 1), (1, 2)), [2])], ids=["F1", "F2"])
+def test_hom_coords_match_elimination_oracle(quiver, e):
+    fld = PrimeField(32003)
+    rec = build_recollement(path_algebra(Quiver(len(quiver) + 1, quiver), fld), e, seed=17)
+    ctx = rec.ctx
+    rng = np.random.default_rng(5)
+    pairs = non_homs = 0
+    for terms in _replaced_menu_terms(rec):
+        for m in terms:
+            for n in terms:
+                basis = ctx.module_hom_basis(m, n)
+                for _ in range(3):
+                    coeffs = rng.integers(0, fld.p, size=len(basis))
+                    mat = sum((int(c) * b for c, b in zip(coeffs, basis)), fld.zeros(m.dim, n.dim)) % fld.p
+                    got = ctx.hom_coords(m, n, mat)
+                    assert np.array_equal(got, hom_coords_by_elimination(fld, basis, mat))
+                    assert np.array_equal(got, coeffs)
+                pairs += 1
+                # the first matrix unit outside the span is not a module hom
+                for k in range(m.dim * n.dim):
+                    unit = fld.unit_row(m.dim * n.dim, k).reshape(m.dim, n.dim)
+                    try:
+                        hom_coords_by_elimination(fld, basis, unit)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=str(exc)):
+                            ctx.hom_coords(m, n, unit)
+                        non_homs += 1
+                        break
+    assert pairs >= 10 and non_homs >= 5
+
+
+def test_hom_coords_in_a_twisted_basis(ctx, alg_a3):
+    # conjugating the regular module by a random change of basis gives hom
+    # basis matrices with many distinct entries
+    fld = alg_a3.field
+    reg = regular_module(alg_a3)
+    rng = np.random.default_rng(11)
+    g = fld.matrix(rng.integers(0, fld.p, size=(reg.dim, reg.dim)))
+    g_inv = fld.inv(g)
+    twisted = RightModule(alg_a3, np.stack([fld.mul_chain(g_inv, op, g) for op in reg.action]))
+    for m, n in [(twisted, twisted), (reg, twisted), (twisted, reg)]:
+        basis = ctx.module_hom_basis(m, n)
+        assert len(basis) == alg_a3.dim
+        coeffs = rng.integers(0, fld.p, size=len(basis))
+        mat = sum((int(c) * b for c, b in zip(coeffs, basis)), fld.zeros(m.dim, n.dim)) % fld.p
+        got = ctx.hom_coords(m, n, mat)
+        assert np.array_equal(got, coeffs)
+        assert np.array_equal(got, hom_coords_by_elimination(fld, basis, mat))
+        with pytest.raises(ValueError, match="not a module hom"):
+            ctx.hom_coords(m, n, fld.identity(m.dim) if m is not n else g)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,10 @@ seed-17 ``verify`` report of each fixture.  A change that is meant to
 keep behaviour (a refactor or an optimisation) must leave these digests
 unchanged.  All three fixtures run here; F3, the Kronecker quiver, is
 the only one with parallel arrows.
+
+It also records the digest of the original-diagram cells of the larger
+scenarios.  A3 e={2} and D4 (arrows into the centre, e = centre) run
+here; D4 is the only shape with a branching vertex.
 """
 
 import hashlib
@@ -13,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from gluecat import PrimeField, build_recollement, default_menus, original_diagram, path_algebra, verify_axioms
+from gluecat.algebra import Quiver
 from gluecat.cli import main
+from gluecat.scenarios import load_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,3 +36,17 @@ def test_verify_report_matches_golden_digest(tmp_path, capsys, name):
     golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == golden["verify-fixtures"][name]["report_sha256"]
+
+
+@pytest.mark.parametrize("name", ["A3-e2", "D4-centre"])
+def test_original_diagram_cells_match_golden_digest(name):
+    scn = load_scenario(str(PERFBENCH / "scenarios" / f"{name}.json"))
+    assert scn.seed == 17
+    algebra = path_algebra(Quiver(scn.vertices, tuple(scn.arrows)), PrimeField(scn.p))
+    rec = build_recollement(algebra, scn.e_vertices, gldim_cap=scn.gldim_cap, seed=scn.seed, attempts=scn.attempts)
+    report = verify_axioms(original_diagram(rec), default_menus(rec), seed=scn.seed,
+                           attempts=scn.attempts, matrix_pairs=scn.matrix_pairs)
+    cells = [c.to_dict() for c in report.sorted_cells()]
+    digest = hashlib.sha256(json.dumps(cells, sort_keys=True).encode()).hexdigest()
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    assert digest == golden["original-large"][name]["cells_sha256"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gluecat.algebra import Quiver, opposite, path_algebra
+from gluecat.complexes import stalk_complex
 from gluecat.modules import (
     ext_dims,
     global_dimension,
@@ -61,6 +62,64 @@ def test_projective_module_is_memoised_read_only(alg_a3):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
     assert projectives(alg_a3)[1] is mod
+
+
+def _twins(a, v):
+    """Two distinct module objects with equal action tensors."""
+    first, second = simple_module(a, v), simple_module(a, v)
+    assert first is not second
+    assert first.action.tobytes() == second.action.tobytes()
+    return first, second
+
+
+def _assert_read_only(arrays):
+    for arr in arrays:
+        assert not arr.flags.writeable
+        if arr.size:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+
+
+def test_module_constructions_are_shared_by_content(alg_a3):
+    s2, twin = _twins(alg_a3, 1)
+    p2, _, _ = projective_module(alg_a3, 1)
+    w = nakayama_bimodule(alg_a3)
+    assert hom_basis_matrices(p2, s2) is hom_basis_matrices(p2, twin)
+    assert hom_basis_matrices(s2, s2) is hom_basis_matrices(twin, twin)
+    assert projective_cover(s2) is projective_cover(twin)
+    assert tensor_over(s2, w) is tensor_over(twin, w)
+    # the name is part of the tensor key
+    assert tensor_over(s2, w, name="x") is not tensor_over(s2, w)
+
+
+def test_shared_module_constructions_are_read_only(alg_a3):
+    s2, _ = _twins(alg_a3, 1)
+    p2, _, _ = projective_module(alg_a3, 1)
+    basis = hom_basis_matrices(p2, s2)
+    cov = projective_cover(s2)
+    tens = tensor_over(s2, nakayama_bimodule(alg_a3))
+    assert basis
+    _assert_read_only(basis)
+    _assert_read_only([cov.module.action, cov.surjection, *cov.gen_coords])
+    _assert_read_only([tens.module.action, tens.pi, tens.section])
+
+
+def test_module_memos_are_per_algebra(alg_a3):
+    aop = opposite(alg_a3)
+    s, s_op = simple_module(alg_a3, 1), simple_module(aop, 1)
+    assert s.action.tobytes() == s_op.action.tobytes()
+    assert hom_basis_matrices(s, s) is not hom_basis_matrices(s_op, s_op)
+    assert projective_cover(s).module.algebra is alg_a3
+    assert projective_cover(s_op).module.algebra is aop
+    assert zero_module(alg_a3) is not zero_module(aop)
+
+
+def test_zero_module_is_one_object_per_algebra(alg_a3):
+    z = zero_module(alg_a3)
+    assert zero_module(alg_a3) is z
+    assert z.dim == 0 and z.algebra is alg_a3
+    x = stalk_complex(simple_module(alg_a3, 0))
+    assert x.term(-3) is z and x.term(2) is z
 
 
 def test_injectives_are_duals_over_opposite(alg_a2):

@@ -154,6 +154,13 @@ def test_tag_mismatch_rejected(rec_f1):
         FunctorExpr(("i_*", "j_!")).signature(rec_f1.registry)
 
 
+def test_apply_expr_rejects_ill_typed_composite(rec_f1):
+    # the signature check runs before any step is applied
+    b_reg = stalk_complex(regular_module(rec_f1.quotient_algebra))
+    with pytest.raises(TagMismatchError, match="step j_! expects C input"):
+        rec_f1.apply_expr(FunctorExpr(("i_*", "j_!")), b_reg)
+
+
 def test_ishriek_and_jstar_compose(rec_f2):
     # j^* i_* = 0 on the regular B-module
     b_reg = stalk_complex(regular_module(rec_f2.quotient_algebra))
