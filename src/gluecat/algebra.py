@@ -28,6 +28,7 @@ __all__ = [
     "opposite",
     "corner",
     "idempotent_quotient",
+    "ideal_span",
 ]
 
 
@@ -148,12 +149,28 @@ class Algebra:
         return np.einsum("i,j,ijk->k", x, y, self.mul_table) % self.field.p
 
     def right_mult_operator(self, y: np.ndarray) -> np.ndarray:
-        """R(y) with x*y == x @ R(y).  R is multiplicative."""
-        return np.einsum("j,ijk->ik", y, self.mul_table) % self.field.p
+        """R(y) with x*y == x @ R(y).  R is multiplicative.
+
+        A stack of coordinate rows gives the stack of their operators.
+        """
+        return np.einsum("...j,ijk->...ik", y, self.mul_table) % self.field.p
 
     def left_mult_operator(self, x: np.ndarray) -> np.ndarray:
-        """L(x) with x*y == y @ L(x).  L(xy) == L(y) @ L(x)."""
-        return np.einsum("i,ijk->jk", x, self.mul_table) % self.field.p
+        """L(x) with x*y == y @ L(x).  L(xy) == L(y) @ L(x).
+
+        A stack of coordinate rows gives the stack of their operators.
+        """
+        return np.einsum("...i,ijk->...jk", x, self.mul_table) % self.field.p
+
+    @property
+    def right_operators(self) -> np.ndarray:
+        """R(b_i) for every basis element, stacked: a view of ``mul_table``."""
+        return np.swapaxes(self.mul_table, 0, 1)
+
+    @property
+    def left_operators(self) -> np.ndarray:
+        """L(b_i) for every basis element, stacked: ``mul_table`` itself."""
+        return self.mul_table
 
     def basis_vector(self, i: int) -> np.ndarray:
         return self.field.unit_row(self.dim, i)
@@ -188,28 +205,29 @@ class Algebra:
         p = self.field.p
         d = self.dim
         # associativity on all basis triples
-        left = np.einsum("ijm,mkl->ijkl", self.mul_table, self.mul_table) % p
-        right = np.einsum("jkm,iml->ijkl", self.mul_table, self.mul_table) % p
-        if not np.array_equal(left, right):
+        flat = self.mul_table.reshape(d * d, d)
+        left = (flat @ self.mul_table.reshape(d, d * d)) % p  # [ij, kl]: (b_i b_j) b_k
+        right = np.matmul(flat, self.mul_table) % p  # [i, jk, l]: b_i (b_j b_k)
+        if not np.array_equal(left.reshape(d, d, d, d), right.reshape(d, d, d, d)):
             raise ValueError(f"{self.name}: associativity fails")
-        # unit laws
-        for i in range(d):
-            b = self.basis_vector(i)
-            if not np.array_equal(self.multiply(self.unit, b), b):
+        # unit laws: row i of each side is 1 * b_i and b_i * 1
+        eye = np.eye(d, dtype=np.int64)
+        bad_left = np.any(np.einsum("j,jik->ik", self.unit, self.mul_table) % p != eye, axis=1)
+        bad_right = np.any(np.einsum("j,ijk->ik", self.unit, self.mul_table) % p != eye, axis=1)
+        bad = np.flatnonzero(bad_left | bad_right)
+        if bad.size:
+            i = int(bad[0])
+            if bad_left[i]:
                 raise ValueError(f"{self.name}: 1 * b_{i} != b_{i}")
-            if not np.array_equal(self.multiply(b, self.unit), b):
-                raise ValueError(f"{self.name}: b_{i} * 1 != b_{i}")
+            raise ValueError(f"{self.name}: b_{i} * 1 != b_{i}")
         # idempotent family: orthogonal, idempotent, sums to 1
-        total = np.zeros(d, dtype=np.int64)
-        for v, iv in enumerate(self.idempotent_indices):
-            ev = self.basis_vector(iv)
-            total = (total + ev) % p
-            for w, iw in enumerate(self.idempotent_indices):
-                ew = self.basis_vector(iw)
-                prod = self.multiply(ev, ew)
-                expect = ev if v == w else np.zeros(d, dtype=np.int64)
-                if not np.array_equal(prod, expect):
-                    raise ValueError(f"{self.name}: idempotent family not orthogonal")
+        idx = np.asarray(self.idempotent_indices, dtype=np.intp)
+        n = idx.size
+        expect = np.zeros((n, n, d), dtype=np.int64)
+        expect[np.arange(n), np.arange(n), idx] = 1
+        if not np.array_equal(self.mul_table[np.ix_(idx, idx)], expect):
+            raise ValueError(f"{self.name}: idempotent family not orthogonal")
+        total = np.bincount(idx, minlength=d) % p
         if not np.array_equal(total, self.unit):
             raise ValueError(f"{self.name}: idempotents do not sum to 1")
 
@@ -315,14 +333,12 @@ def corner(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray]:
     trunc = fld.matmul(a.right_mult_operator(e), a.left_mult_operator(e))
     basis = fld.image_basis(trunc)
     c_dim = basis.shape[0]
-    mul = np.zeros((c_dim, c_dim, c_dim), dtype=np.int64)
-    for i in range(c_dim):
-        for j in range(c_dim):
-            prod = a.multiply(basis[i], basis[j])
-            coords = fld.coords_in_rows(basis, prod.reshape(1, -1))
-            if coords is None:
-                raise ValueError("corner: eAe is not closed under products")
-            mul[i, j] = coords[0]
+    # [i, j] is basis[i] * basis[j]; all of them in one solve
+    prods = fld.matmul(basis, a.left_mult_operator(basis))
+    coords = fld.coords_in_rows(basis, prods.reshape(c_dim * c_dim, a.dim))
+    if coords is None:
+        raise ValueError("corner: eAe is not closed under products")
+    mul = coords.reshape(c_dim, c_dim, c_dim)
     unit_coords = fld.coords_in_rows(basis, e.reshape(1, -1))
     if unit_coords is None:
         raise ValueError("corner: e not in computed basis span")
@@ -351,6 +367,16 @@ def corner(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray]:
     return c, basis
 
 
+def ideal_span(a: Algebra, e_vertices) -> np.ndarray:
+    """Rows spanning the two-sided ideal AeA: the products x e_v b_j for
+    every basis vector x, chosen vertex v and basis element b_j, ordered
+    by (v, j, x)."""
+    fld = a.field
+    vs = sorted(set(e_vertices))
+    rv = a.right_mult_operator(np.eye(a.dim, dtype=np.int64)[[a.idempotent_indices[v] for v in vs]])
+    return fld.matmul(rv[:, None], a.right_operators).reshape(-1, a.dim)
+
+
 def idempotent_quotient(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray, np.ndarray]:
     """Quotient B = A / AeA.
 
@@ -360,22 +386,12 @@ def idempotent_quotient(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray, np
     """
     fld = a.field
     vs = _validate_e_vertices(a, e_vertices)
-    rows = []
-    for v in vs:
-        rv = a.right_mult_operator(a.idempotent_vector(v))
-        for j in range(a.dim):
-            rows.append(fld.matmul(rv, a.right_mult_operator(a.basis_vector(j))))
-    span = np.concatenate(rows, axis=0)
+    span = ideal_span(a, vs)
     if fld.rank(span) == a.dim:
         raise IdealIsWholeAlgebraError("AeA is the whole algebra; quotient is zero")
     pi, sigma, keep = fld.quotient_maps(span, a.dim)
-    b_dim = len(keep)
-    mul = np.zeros((b_dim, b_dim, b_dim), dtype=np.int64)
-    for i in range(b_dim):
-        for j in range(b_dim):
-            mul[i, j] = fld.matmul(
-                a.multiply(sigma[i], sigma[j]).reshape(1, -1), pi
-            )[0]
+    # [i, j] is the class of sigma[i] * sigma[j]
+    mul = fld.matmul(fld.matmul(sigma, a.left_mult_operator(sigma)), pi)
     unit = fld.matmul(a.unit.reshape(1, -1), pi)[0]
     idem_indices = []
     non_e = [v for v in range(a.n_idempotents) if v not in vs]

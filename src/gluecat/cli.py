@@ -1,7 +1,7 @@
 """Batch front end.
 
     gluecat verify <scenario.json> [--report out.json] [--quiet]
-    gluecat apply <scenario.json> <functor> <object> [--quiet]
+    gluecat apply <scenario.json> <functor> <object>
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 inconclusive
 cells only (certificates not found), 3 invalid scenario or unknown
@@ -224,7 +224,6 @@ def main(argv=None) -> int:
     p_apply.add_argument("scenario")
     p_apply.add_argument("functor")
     p_apply.add_argument("object")
-    p_apply.add_argument("--quiet", action="store_true")
     p_apply.set_defaults(func=cmd_apply)
 
     args = parser.parse_args(argv)

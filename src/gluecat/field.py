@@ -151,6 +151,15 @@ class PrimeField:
         r, _, rk = self.rref(m)
         return r[:rk]
 
+    def row_rank_profile(self, m: np.ndarray) -> list[int]:
+        """Indices of the rows of ``m`` independent of the rows before them.
+
+        These are the rows a greedy left-to-right scan would keep; they
+        are the pivot columns of ``rref(m.T)``, so one elimination finds
+        them all.
+        """
+        return self.rref(m.T)[1]
+
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Rows spanning the right null space  {v : m @ v == 0}."""
         rows, cols = m.shape

@@ -35,6 +35,7 @@ __all__ = [
     "simples",
     "direct_sum",
     "submodule_from_rows",
+    "sub_bimodule",
     "hom_basis",
     "k_dual",
     "k_dual_hom",
@@ -89,9 +90,7 @@ class RightModule:
             return
         if not np.array_equal(self.operator(a.unit), self.field.identity(self.dim)):
             raise ValueError(f"{self.name}: unit does not act as identity")
-        lhs = np.einsum("ijk,kmn->ijmn", a.mul_table, self.action) % p
-        rhs = np.einsum("imt,jtn->ijmn", self.action, self.action) % p
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(_act_on_products(a, self.action), _products(self.action, self.action, p)):
             raise ValueError(f"{self.name}: action is not multiplicative")
 
 
@@ -107,12 +106,11 @@ class ModuleHom:
             raise ValueError("hom matrix shape mismatch")
 
     def validate(self):
-        f = self.matrix
-        for i in range(self.source.algebra.dim):
-            lhs = self.source.field.matmul(self.source.action[i], f)
-            rhs = self.source.field.matmul(f, self.target.action[i])
-            if not np.array_equal(lhs, rhs):
-                raise ValueError("hom does not intertwine the actions")
+        fld = self.source.field
+        lhs = fld.matmul(self.source.action, self.matrix)
+        rhs = fld.matmul(self.matrix, self.target.action)
+        if not np.array_equal(lhs, rhs):
+            raise ValueError("hom does not intertwine the actions")
 
 
 class Bimodule:
@@ -173,21 +171,28 @@ class Bimodule:
             raise ValueError(f"{self.name}: left unit fails")
         if not np.array_equal(np.einsum("i,imn->mn", ra.unit, self.right_action) % p, ident):
             raise ValueError(f"{self.name}: right unit fails")
+        lam, rho = self.left_action, self.right_action
         # right action multiplicative
-        lhs = np.einsum("ijk,kmn->ijmn", ra.mul_table, self.right_action) % p
-        rhs = np.einsum("imt,jtn->ijmn", self.right_action, self.right_action) % p
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(_act_on_products(ra, rho), _products(rho, rho, p)):
             raise ValueError(f"{self.name}: right action not multiplicative")
         # left action anti-multiplicative: lam(b_i b_j) == lam(b_j) @ lam(b_i)
-        lhs = np.einsum("ijk,kmn->ijmn", la.mul_table, self.left_action) % p
-        rhs = np.einsum("jmt,itn->ijmn", self.left_action, self.left_action) % p
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(_act_on_products(la, lam), _products(lam, lam, p).swapaxes(0, 1)):
             raise ValueError(f"{self.name}: left action not anti-multiplicative")
-        # the two actions commute
-        lhs = np.einsum("imt,jtn->ijmn", self.left_action, self.right_action) % p
-        rhs = np.einsum("jmt,itn->ijmn", self.right_action, self.left_action) % p
-        if not np.array_equal(lhs, rhs):
+        # the two actions commute: lam(x) @ rho(y) == rho(y) @ lam(x)
+        if not np.array_equal(_products(lam, rho, p), _products(rho, lam, p).swapaxes(0, 1)):
             raise ValueError(f"{self.name}: actions do not commute")
+
+
+def _act_on_products(a: Algebra, action: np.ndarray) -> np.ndarray:
+    """``[i, j]`` is the action matrix of ``b_i * b_j``: one product."""
+    d, m = action.shape[0], action.shape[1]
+    flat = a.mul_table.reshape(d * d, d) @ action.reshape(d, m * m)
+    return (flat % a.field.p).reshape(d, d, m, m)
+
+
+def _products(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """``[i, j]`` is ``x[i] @ y[j]`` for two stacks of square matrices."""
+    return np.matmul(x[:, None], y[None, :]) % p
 
 
 # ----------------------------------------------------------------------
@@ -239,14 +244,11 @@ def zero_module(a: Algebra) -> RightModule:
 
 
 def regular_module(a: Algebra) -> RightModule:
-    action = np.stack([a.right_mult_operator(a.basis_vector(i)) for i in range(a.dim)])
-    return RightModule(a, action, name=f"{a.name} (regular)")
+    return RightModule(a, a.right_operators, name=f"{a.name} (regular)")
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
-    right = np.stack([a.right_mult_operator(a.basis_vector(i)) for i in range(a.dim)])
-    left = np.stack([a.left_mult_operator(a.basis_vector(i)) for i in range(a.dim)])
-    return Bimodule(a, a, left, right, name=f"{a.name} (bimodule)")
+    return Bimodule(a, a, a.left_operators, a.right_operators, name=f"{a.name} (bimodule)")
 
 
 def simple_module(a: Algebra, v: int) -> RightModule:
@@ -255,19 +257,19 @@ def simple_module(a: Algebra, v: int) -> RightModule:
     return RightModule(a, action, name=f"S{v + 1}")
 
 
-def _restricted_action(a: Algebra, rows: np.ndarray, operators) -> np.ndarray:
-    """Action of each basis element on the span of ``rows``."""
+def _restricted_action(a: Algebra, rows: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Action of each operator of the ``(k, n, n)`` stack on the span of
+    the independent ``rows``, as a ``(k, r, r)`` stack.
+
+    All ``k * r`` images are expressed in the rows by one solve.
+    """
     fld = a.field
-    mats = []
-    for i in range(a.dim):
-        img = fld.matmul(rows, operators(i))
-        coords = fld.coords_in_rows(rows, img)
-        if coords is None:
-            raise ValueError("subspace is not stable under the action")
-        mats.append(coords)
-    if rows.shape[0] == 0:
-        return np.zeros((a.dim, 0, 0), dtype=np.int64)
-    return np.stack(mats)
+    k, r = operators.shape[0], rows.shape[0]
+    images = fld.matmul(rows, operators).reshape(k * r, rows.shape[1])
+    coords = fld.coords_in_rows(rows, images)
+    if coords is None:
+        raise ValueError("subspace is not stable under the action")
+    return coords.reshape(k, r, r)
 
 
 def projective_module(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.ndarray]:
@@ -285,7 +287,7 @@ def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.n
     rows = fld.image_basis(a.left_mult_operator(ev))
     mod = RightModule(
         a,
-        _restricted_action(a, rows, lambda i: a.right_mult_operator(a.basis_vector(i))),
+        _restricted_action(a, rows, a.right_operators),
         name=f"P{v + 1}",
     )
     gen = fld.coords_in_rows(rows, ev.reshape(1, -1))
@@ -302,7 +304,7 @@ def injective_module(a: Algebra, v: int) -> RightModule:
     aop = opposite(a)
     left_as_op = RightModule(
         aop,
-        _restricted_action(aop, rows, lambda i: a.left_mult_operator(a.basis_vector(i))),
+        _restricted_action(aop, rows, a.left_operators),
         name=f"Ae{v + 1} (over op)",
     )
     out = k_dual(left_as_op)
@@ -343,10 +345,29 @@ def submodule_from_rows(m: RightModule, rows: np.ndarray, name: str = "") -> tup
     """Submodule spanned by the (independent) rows; returns (module, inclusion)."""
     sub = RightModule(
         m.algebra,
-        _restricted_action(m.algebra, rows, lambda i: m.action[i]),
+        _restricted_action(m.algebra, rows, m.action),
         name=name or f"sub({m.name})",
     )
     return sub, rows
+
+
+def sub_bimodule(
+    left_algebra: Algebra,
+    right_algebra: Algebra,
+    rows: np.ndarray,
+    left_ops: np.ndarray,
+    right_ops: np.ndarray,
+    name: str = "",
+) -> Bimodule:
+    """Sub-bimodule spanned by the (independent) rows, restricting the
+    ambient left and right operator stacks."""
+    return Bimodule(
+        left_algebra,
+        right_algebra,
+        _restricted_action(left_algebra, rows, left_ops),
+        _restricted_action(right_algebra, rows, right_ops),
+        name=name,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -376,19 +397,21 @@ def _build_hom(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.nda
     fld = m.field
     if m.dim == 0 or n.dim == 0:
         return [], fld.zeros(0, m.dim * n.dim), np.zeros(0, dtype=np.intp)
-    blocks = []
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    eye_n = np.eye(n.dim, dtype=np.int64)
-    for i in range(m.algebra.dim):
-        blocks.append(
-            (np.kron(m.action[i], eye_n) - np.kron(eye_m, n.action[i].T)) % fld.p
-        )
-    system = np.concatenate(blocks, axis=0)
-    kern = fld.kernel_basis(system)
+    kern = fld.kernel_basis(_hom_system(m, n))
     # the row of free column c is zero right of c: besides c it fills
     # only pivot columns left of c, as an rref row is zero left of its pivot
     free = np.array([np.flatnonzero(row)[-1] for row in kern], dtype=np.intp)
     return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])], kern, free
+
+
+def _hom_system(m: RightModule, n: RightModule) -> np.ndarray:
+    """Rows ``M_i (x) 1 - 1 (x) N_i^T`` for every basis element b_i,
+    stacked: the vectorised f with ``M_i f == f N_i`` are its kernel."""
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    eye_n = np.eye(n.dim, dtype=np.int64)
+    blocks = np.einsum("iac,bd->iabcd", m.action, eye_n) - np.einsum("ac,idb->iabcd", eye_m, n.action)
+    amb = m.dim * n.dim
+    return blocks.reshape(m.algebra.dim * amb, amb) % m.field.p
 
 
 def hom_basis(m: RightModule, n: RightModule) -> list[ModuleHom]:
@@ -422,10 +445,8 @@ class TensorResult:
     def insert_right(self, w_coords: np.ndarray) -> np.ndarray:
         """Matrix of v |-> class(v ⊗ w) for a fixed element w."""
         fld = self.module.field
-        k = np.zeros((self.m_dim, self.m_dim * self.w_dim), dtype=np.int64)
-        for r in range(self.m_dim):
-            k[r, r * self.w_dim:(r + 1) * self.w_dim] = w_coords
-        return fld.matmul(k, self.pi)
+        pi = self.pi.reshape(self.m_dim, self.w_dim, self.pi.shape[1])
+        return fld.matmul(w_coords, pi)
 
 
 def tensor_over(m: RightModule, w: Bimodule, name: str = "") -> TensorResult:
@@ -447,27 +468,28 @@ def _build_tensor(m: RightModule, w: Bimodule, name: str) -> TensorResult:
     if amb == 0:
         res = zero_module(w.right_algebra)
         return TensorResult(res, fld.zeros(amb, 0), fld.zeros(0, amb), m.dim, w.dim)
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    eye_w = np.eye(w.dim, dtype=np.int64)
-    rel_blocks = [
-        (np.kron(m.action[i], eye_w) - np.kron(eye_m, w.left_action[i])) % fld.p
-        for i in range(m.algebra.dim)
-    ]
-    relations = np.concatenate(rel_blocks, axis=0)
-    pi, sigma, _ = fld.quotient_maps(relations, amb)
+    pi, sigma, keep = fld.quotient_maps(_tensor_relations(m, w), amb)
     q = pi.shape[1]
     ra = w.right_algebra
     if q == 0:
         mod = zero_module(ra)
     else:
-        action = np.stack(
-            [
-                fld.mul_chain(sigma, np.kron(eye_m, w.right_action[i]) % fld.p, pi)
-                for i in range(ra.dim)
-            ]
-        )
+        # sigma (1 (x) W_i) pi: sigma keeps the rows ``keep``, and row
+        # (a, b) of (1 (x) W_i) pi is W_i[b] applied to the block a of pi
+        blocks = fld.matmul(w.right_action[:, None], pi.reshape(m.dim, w.dim, q))
+        action = blocks.reshape(ra.dim, amb, q)[:, keep]
         mod = RightModule(ra, action, name=name or f"{m.name}⊗{w.name}")
     return TensorResult(mod, pi, sigma, m.dim, w.dim)
+
+
+def _tensor_relations(m: RightModule, w: Bimodule) -> np.ndarray:
+    """Rows ``M_i (x) 1 - 1 (x) W_i`` for every basis element b_i, stacked:
+    the relations (v b_i) (x) x - v (x) (b_i x) of M (x) W."""
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    eye_w = np.eye(w.dim, dtype=np.int64)
+    blocks = np.einsum("iac,bd->iabcd", m.action, eye_w) - np.einsum("ac,ibd->iabcd", eye_m, w.left_action)
+    amb = m.dim * w.dim
+    return blocks.reshape(m.algebra.dim * amb, amb) % m.field.p
 
 
 def tensor_hom(f: np.ndarray, src: TensorResult, dst: TensorResult) -> np.ndarray:
@@ -475,8 +497,9 @@ def tensor_hom(f: np.ndarray, src: TensorResult, dst: TensorResult) -> np.ndarra
     fld = src.module.field
     if src.module.dim == 0 or dst.module.dim == 0:
         return fld.zeros(src.module.dim, dst.module.dim)
-    eye_w = np.eye(src.w_dim, dtype=np.int64)
-    return fld.mul_chain(src.section, np.kron(f, eye_w) % fld.p, dst.pi)
+    # (f (x) 1) dst.pi is f applied to dst.pi with its rows grouped by M'
+    moved = fld.matmul(f, dst.pi.reshape(dst.m_dim, dst.w_dim * dst.module.dim))
+    return fld.matmul(src.section, moved.reshape(src.m_dim * src.w_dim, dst.module.dim))
 
 
 def nakayama_bimodule(a: Algebra) -> Bimodule:
@@ -485,12 +508,8 @@ def nakayama_bimodule(a: Algebra) -> Bimodule:
     As a right module this is the dual of the left regular module, so
     projectives tensor to injectives.
     """
-    right = np.stack(
-        [a.left_mult_operator(a.basis_vector(i)).T for i in range(a.dim)]
-    )
-    left = np.stack(
-        [a.right_mult_operator(a.basis_vector(i)).T for i in range(a.dim)]
-    )
+    right = np.swapaxes(a.left_operators, 1, 2)
+    left = np.swapaxes(a.right_operators, 1, 2)
     return Bimodule(a, a, left, right, name=f"D({a.name})")
 
 
@@ -532,18 +551,15 @@ def _build_cover(m: RightModule) -> Cover:
     pi_top, _, _ = fld.quotient_maps(rad_rows, m.dim)
     top_dim = pi_top.shape[1]
 
-    chosen: list[tuple[int, np.ndarray]] = []  # (vertex, generator row in M)
-    covered = fld.zeros(0, top_dim)
-    for v in range(a.n_idempotents):
-        weight_rows = fld.image_basis(m.operator(a.idempotent_vector(v)))
-        for row in weight_rows:
-            cand = fld.matmul(row.reshape(1, -1), pi_top)
-            stacked = np.concatenate([covered, cand], axis=0)
-            if fld.rank(stacked) > covered.shape[0]:
-                covered = fld.image_basis(stacked)
-                chosen.append((v, row))
-    if covered.shape[0] != top_dim:
+    # candidate generators: a basis of each weight space M e_v, in vertex
+    # order; keep those whose image in the top is new
+    weight = [fld.image_basis(m.action[iv]) for iv in a.idempotent_indices]
+    vertex_of = np.repeat(np.arange(a.n_idempotents), [w.shape[0] for w in weight])
+    cands = np.concatenate(weight, axis=0)
+    keep = fld.row_rank_profile(fld.matmul(cands, pi_top))
+    if len(keep) != top_dim:
         raise ValueError("projective cover: generators do not span the top")
+    chosen = [(int(vertex_of[k]), cands[k]) for k in keep]
 
     summands = [v for (v, _) in chosen]
     parts = [projective_module(a, v) for v in summands]
@@ -554,11 +570,8 @@ def _build_cover(m: RightModule) -> Cover:
     surj = fld.zeros(p_mod.dim, m.dim)
     gens = []
     for k, ((v, gen_row), (pm, rows, gen)) in enumerate(zip(chosen, parts)):
-        for r in range(pm.dim):
-            # image of the r-th basis path u: generator * u
-            surj[offsets[k] + r] = fld.matmul(
-                gen_row.reshape(1, -1), m.operator(rows[r])
-            )[0]
+        # row r is the generator times the r-th basis path of P_v
+        surj[offsets[k]:offsets[k] + pm.dim] = fld.matmul(rows, fld.matmul(gen_row, m.action))
         full = np.zeros(p_mod.dim, dtype=np.int64)
         full[offsets[k]:offsets[k] + pm.dim] = gen
         gens.append(full)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import Algebra, corner, idempotent_quotient, opposite
+from .algebra import Algebra, corner, ideal_span, idempotent_quotient, opposite
 from .field import PrimeField
 from .modules import (
     Bimodule,
@@ -34,6 +34,7 @@ from .modules import (
     projectives,
     regular_module,
     simples,
+    sub_bimodule,
     submodule_from_rows,
 )
 from .complexes import (
@@ -364,21 +365,6 @@ class Recollement:
         return cur
 
 
-def _sub_bimodule(a: Algebra, rows: np.ndarray, left_ops, right_ops, left_alg, right_alg, name):
-    fld = a.field
-    left = (
-        np.stack([fld.coords_in_rows(rows, fld.matmul(rows, op)) for op in left_ops])
-        if len(left_ops)
-        else np.zeros((0, rows.shape[0], rows.shape[0]), dtype=np.int64)
-    )
-    right = (
-        np.stack([fld.coords_in_rows(rows, fld.matmul(rows, op)) for op in right_ops])
-        if len(right_ops)
-        else np.zeros((0, rows.shape[0], rows.shape[0]), dtype=np.int64)
-    )
-    return Bimodule(left_alg, right_alg, left, right, name=name)
-
-
 def build_recollement(
     a: Algebra,
     e_vertices,
@@ -397,35 +383,15 @@ def build_recollement(
 
     eA_rows = fld.image_basis(a.left_mult_operator(e))
     Ae_rows = fld.image_basis(a.right_mult_operator(e))
-    eA = _sub_bimodule(
-        a,
-        eA_rows,
-        [a.left_mult_operator(corner_rows[i]) for i in range(c.dim)],
-        [a.right_mult_operator(a.basis_vector(i)) for i in range(a.dim)],
-        c,
-        a,
-        "eA",
+    eA = sub_bimodule(
+        c, a, eA_rows, a.left_mult_operator(corner_rows), a.right_operators, "eA"
     )
-    Ae = _sub_bimodule(
-        a,
-        Ae_rows,
-        [a.left_mult_operator(a.basis_vector(i)) for i in range(a.dim)],
-        [a.right_mult_operator(corner_rows[i]) for i in range(c.dim)],
-        a,
-        c,
-        "Ae",
+    Ae = sub_bimodule(
+        a, c, Ae_rows, a.left_operators, a.right_mult_operator(corner_rows), "Ae"
     )
     # B as a bimodule on both sides of the projection
-    b_right_via_pi = np.stack(
-        [b.right_mult_operator(projection[i]) for i in range(a.dim)]
-    )
-    b_left_via_pi = np.stack(
-        [b.left_mult_operator(projection[i]) for i in range(a.dim)]
-    )
-    b_left_reg = np.stack([b.left_mult_operator(b.basis_vector(i)) for i in range(b.dim)])
-    b_right_reg = np.stack([b.right_mult_operator(b.basis_vector(i)) for i in range(b.dim)])
-    B_ba = Bimodule(b, a, b_left_reg, b_right_via_pi, name="B (B|A)")
-    B_ab = Bimodule(a, b, b_left_via_pi, b_right_reg, name="B (A|B)")
+    B_ba = Bimodule(b, a, b.left_operators, b.right_mult_operator(projection), name="B (B|A)")
+    B_ab = Bimodule(a, b, b.left_mult_operator(projection), b.right_operators, name="B (A|B)")
 
     e_in_eA = fld.coords_in_rows(eA_rows, e.reshape(1, -1))[0]
     e_in_Ae = fld.coords_in_rows(Ae_rows, e.reshape(1, -1))[0]
@@ -437,12 +403,7 @@ def build_recollement(
     }
 
     # ideal AeA as a right submodule of A
-    rows = []
-    for v in sorted(set(e_vertices)):
-        rv = a.right_mult_operator(a.idempotent_vector(v))
-        for j in range(a.dim):
-            rows.append(fld.matmul(rv, a.right_mult_operator(a.basis_vector(j))))
-    ideal_rows = fld.image_basis(np.concatenate(rows, axis=0))
+    ideal_rows = fld.image_basis(ideal_span(a, e_vertices))
 
     # stratifying condition: Ae (x)^L_{eAe} eA ~= AeA concentrated in degree 0
     ae_as_c = Ae.as_right_module(name="Ae (right C)")

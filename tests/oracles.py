@@ -6,7 +6,10 @@ are computed along a second path.  The Gram oracle at the end is the
 entry-by-entry reference for the batched Serre pairings: it evaluates
 each Gram entry on its own, with one lift and one supertrace per entry.
 ``hom_coords_by_elimination`` is the reference for hom coordinates: it
-solves for them in the hom basis by Gaussian elimination.
+solves for them in the hom basis by Gaussian elimination.  The
+per-element module kernels below are the references for the batched
+module set-up: one solve per algebra basis element, ``np.kron`` relation
+systems, and generators chosen by a greedy rank test per candidate.
 """
 
 from __future__ import annotations
@@ -169,3 +172,149 @@ def gram_entrywise(sd, which: str, x, y):
         for j, g in enumerate(others):
             gram[i, j] = value(ctx, functor, xp, yp, f, g)
     return gram
+
+
+# ----------------------------------------------------------------------
+# per-element module kernels
+# ----------------------------------------------------------------------
+
+
+def restricted_action_loop(fld, rows, operator, k):
+    """Action of ``operator(i)``, i < k, on the span of ``rows``: one
+    solve per operator."""
+    mats = []
+    for i in range(k):
+        img = fld.matmul(rows, operator(i))
+        coords = fld.coords_in_rows(rows, img)
+        if coords is None:
+            raise ValueError("subspace is not stable under the action")
+        mats.append(coords)
+    if rows.shape[0] == 0:
+        return np.zeros((k, 0, 0), dtype=np.int64)
+    return np.stack(mats)
+
+
+def corner_table_loop(a, basis):
+    """Structure constants of the span of ``basis`` (closed under the
+    product), one product and one solve per pair of basis rows."""
+    fld = a.field
+    c = basis.shape[0]
+    mul = np.zeros((c, c, c), dtype=np.int64)
+    for i in range(c):
+        for j in range(c):
+            prod = a.multiply(basis[i], basis[j])
+            mul[i, j] = fld.coords_in_rows(basis, prod.reshape(1, -1))[0]
+    return mul
+
+
+def hom_system_kron(m, n):
+    """Blocks ``kron(M_i, 1) - kron(1, N_i^T)``, stacked."""
+    p = m.field.p
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    eye_n = np.eye(n.dim, dtype=np.int64)
+    return np.concatenate(
+        [(np.kron(m.action[i], eye_n) - np.kron(eye_m, n.action[i].T)) % p for i in range(m.algebra.dim)],
+        axis=0,
+    )
+
+
+def tensor_relations_kron(m, w):
+    """Blocks ``kron(M_i, 1) - kron(1, W_i)`` (left action of W), stacked."""
+    p = m.field.p
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    eye_w = np.eye(w.dim, dtype=np.int64)
+    return np.concatenate(
+        [(np.kron(m.action[i], eye_w) - np.kron(eye_m, w.left_action[i])) % p for i in range(m.algebra.dim)],
+        axis=0,
+    )
+
+
+def tensor_action_kron(t, w):
+    """Right action on ``t.module`` as ``sigma kron(1, W_i) pi`` per i."""
+    fld = w.field
+    eye_m = np.eye(t.m_dim, dtype=np.int64)
+    return np.stack(
+        [
+            fld.mul_chain(t.section, np.kron(eye_m, w.right_action[i]) % fld.p, t.pi)
+            for i in range(w.right_algebra.dim)
+        ]
+    )
+
+
+def tensor_hom_kron(f, src, dst):
+    """``sigma_src kron(f, 1) pi_dst``."""
+    fld = src.module.field
+    eye_w = np.eye(src.w_dim, dtype=np.int64)
+    return fld.mul_chain(src.section, np.kron(f, eye_w) % fld.p, dst.pi)
+
+
+def insert_right_loop(t, w_coords):
+    """Matrix of v |-> class(v (x) w), written out block by block."""
+    fld = t.module.field
+    k = np.zeros((t.m_dim, t.m_dim * t.w_dim), dtype=np.int64)
+    for r in range(t.m_dim):
+        k[r, r * t.w_dim:(r + 1) * t.w_dim] = w_coords
+    return fld.matmul(k, t.pi)
+
+
+def greedy_independent_rows(fld, m):
+    """Indices of the rows of ``m`` that raise the rank of the rows kept
+    so far: one rank test per row."""
+    kept = []
+    current = fld.zeros(0, m.shape[1])
+    for i, row in enumerate(m):
+        stacked = np.concatenate([current, row.reshape(1, -1)], axis=0)
+        if fld.rank(stacked) > current.shape[0]:
+            current = fld.image_basis(stacked)
+            kept.append(i)
+    return kept
+
+
+def cover_greedy(m):
+    """``(summand vertices, surjection)`` of the projective cover of M:
+    candidates tested one at a time, one action matrix per basis path."""
+    from gluecat.modules import projective_module
+
+    a, fld = m.algebra, m.field
+    rad_idx = a.radical_basis_indices()
+    rad_rows = (
+        np.concatenate([m.action[i] for i in rad_idx], axis=0) if rad_idx else fld.zeros(0, m.dim)
+    )
+    pi_top, _, _ = fld.quotient_maps(rad_rows, m.dim)
+    chosen = []
+    covered = fld.zeros(0, pi_top.shape[1])
+    for v in range(a.n_idempotents):
+        for row in fld.image_basis(m.operator(a.idempotent_vector(v))):
+            stacked = np.concatenate([covered, fld.matmul(row.reshape(1, -1), pi_top)], axis=0)
+            if fld.rank(stacked) > covered.shape[0]:
+                covered = fld.image_basis(stacked)
+                chosen.append((v, row))
+    blocks = []
+    for v, gen_row in chosen:
+        _, rows, _ = projective_module(a, v)
+        for r in range(rows.shape[0]):
+            blocks.append(fld.matmul(gen_row.reshape(1, -1), m.operator(rows[r])))
+    surj = np.concatenate(blocks, axis=0) if blocks else fld.zeros(0, m.dim)
+    return [v for v, _ in chosen], surj
+
+
+def ideal_rows_loop(a, e_vertices):
+    """Rows ``R(e_v) R(b_j)`` spanning AeA, one product per (v, j)."""
+    fld = a.field
+    rows = []
+    for v in sorted(set(e_vertices)):
+        rv = a.right_mult_operator(a.idempotent_vector(v))
+        for j in range(a.dim):
+            rows.append(fld.matmul(rv, a.right_mult_operator(a.basis_vector(j))))
+    return np.concatenate(rows, axis=0)
+
+
+def quotient_table_loop(a, sigma, pi):
+    """Structure constants of A/I from coset representatives, per pair."""
+    fld = a.field
+    q = sigma.shape[0]
+    mul = np.zeros((q, q, q), dtype=np.int64)
+    for i in range(q):
+        for j in range(q):
+            mul[i, j] = fld.matmul(a.multiply(sigma[i], sigma[j]).reshape(1, -1), pi)[0]
+    return mul
