@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import Algebra, corner, ideal_span, idempotent_quotient, opposite
+from .algebra import Algebra, corner, ideal_span, idempotent_quotient
 from .field import PrimeField
 from .modules import (
     Bimodule,
