@@ -108,6 +108,13 @@ class Algebra:
       by the action tensors (shape and bytes) of both modules;
     - ``_covers``: :func:`~gluecat.modules.projective_cover`, keyed by
       the action tensor of the covered module;
+    - ``_generators``: the generators besides the idempotents, split by
+      vertex (:func:`~gluecat.modules._generators`), built once;
+    - ``_weights``: a basis of each module adapted to its vertex
+      grading (:func:`~gluecat.modules._weights`), keyed by the action
+      tensor;
+    - ``_valid``: the action tensors (shape and bytes) of the modules
+      that passed :meth:`~gluecat.modules.RightModule.validate`;
     - ``_zero``: the one :func:`~gluecat.modules.zero_module`.
     """
 
@@ -132,6 +139,9 @@ class Algebra:
         self._projectives: dict[int, tuple] = {}
         self._hom_bases: dict[tuple, tuple] = {}
         self._covers: dict[tuple, object] = {}
+        self._generators: dict[None, tuple] = {}
+        self._weights: dict[tuple, object] = {}
+        self._valid: set[tuple] = set()
         self._zero: dict[None, object] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")

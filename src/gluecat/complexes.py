@@ -13,6 +13,7 @@ exploit.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -74,6 +75,16 @@ class ProjSummands:
     gens: list[np.ndarray]  # generator coordinates inside the term
 
 
+@functools.lru_cache(maxsize=None)
+def _empty(rows: int, cols: int) -> np.ndarray:
+    """The zero matrix of a shape with no entries, shared and read-only."""
+    if rows and cols:
+        raise ValueError(f"a ({rows}, {cols}) matrix has entries")
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 class BoundedComplex:
     def __init__(
         self,
@@ -86,11 +97,12 @@ class BoundedComplex:
         validate: bool = True,
     ):
         self.algebra = algebra
+        self._zero = zero_module(algebra)
         live = sorted(n for n, m in terms.items() if m.dim > 0)
         if live:
             self.lo, self.hi = live[0], live[-1]
             self.terms = {
-                n: terms[n] if n in terms else zero_module(algebra)
+                n: terms[n] if n in terms else self._zero
                 for n in range(self.lo, self.hi + 1)
             }
         else:
@@ -127,12 +139,12 @@ class BoundedComplex:
     def term(self, n: int) -> RightModule:
         if self.lo <= n <= self.hi:
             return self.terms[n]
-        return zero_module(self.algebra)
+        return self._zero
 
     def diff(self, n: int) -> np.ndarray:
         if self.lo <= n < self.hi:
             return self.diffs[n]
-        return self.field.zeros(self.term(n).dim, self.term(n + 1).dim)
+        return _empty(self.term(n).dim, self.term(n + 1).dim)
 
     def has_summand_data(self) -> bool:
         return self.summands is not None and all(n in self.summands for n in self.degrees())
@@ -195,7 +207,8 @@ class ChainMap:
     def comp(self, n: int) -> np.ndarray:
         if n in self.comps:
             return self.comps[n]
-        return self.field.zeros(self.source.term(n).dim, self.target.term(n).dim)
+        # a degree without a component has a zero term on one side
+        return _empty(self.source.term(n).dim, self.target.term(n).dim)
 
     def is_zero(self) -> bool:
         return all(not np.any(c) for c in self.comps.values())

@@ -70,7 +70,12 @@ class RightModule:
         self.dim = int(self.action.shape[1])
         self.name = name or f"module(dim={self.dim})"
         if validate:
-            self.validate()
+            # each content is checked once per algebra; a failure is never
+            # recorded, so malformed content raises on every construction
+            key = _content(self)
+            if key not in algebra._valid:
+                self.validate()
+                algebra._valid.add(key)
 
     def __repr__(self):
         return f"<{self.name} over {self.algebra.name}>"
@@ -190,6 +195,13 @@ def _act_on_products(a: Algebra, action: np.ndarray) -> np.ndarray:
     return (flat % a.field.p).reshape(d, d, m, m)
 
 
+def _operators(coords: np.ndarray, action: np.ndarray, p: int) -> np.ndarray:
+    """Action matrices of the algebra elements whose coordinates are the
+    rows of ``coords``, from the stack of basis action matrices."""
+    d, m, n = action.shape
+    return ((coords @ action.reshape(d, m * n)) % p).reshape(-1, m, n)
+
+
 def _products(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """``[i, j]`` is ``x[i] @ y[j]`` for two stacks of square matrices."""
     return np.matmul(x[:, None], y[None, :]) % p
@@ -231,6 +243,75 @@ def _memo(table: dict, key, build):
 
 def _content(m: RightModule) -> tuple:
     return m.action.shape, m.action.tobytes()
+
+
+def _generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gens, src, tgt)``: generators of ``a`` besides the idempotents.
+
+    They are the nonzero parts e_s g e_t of a lift g of a basis of
+    rad/rad^2; row k of ``gens`` holds the coordinates of a part, which
+    maps M e_s into M e_t in every right module M, with s = ``src[k]``
+    and t = ``tgt[k]``.  For kQ these are the arrows; for eAe they can
+    be paths through vertices outside e.  Built once per algebra.
+    """
+    return _memo(a._generators, None, lambda: _build_generators(a))
+
+
+def _build_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    fld = a.field
+    rad = a.radical_basis_indices()
+    # rad^2 is spanned by the products of radical basis elements; the
+    # radical basis elements independent of rad^2 and of those before
+    # them lift a basis of rad/rad^2
+    squares = a.mul_table[np.ix_(rad, rad)].reshape(-1, a.dim)
+    rad_rows = np.eye(a.dim, dtype=np.int64)[rad]
+    keep = fld.row_rank_profile(np.concatenate([squares, rad_rows]))
+    lift = rad_rows[[k - squares.shape[0] for k in keep if k >= squares.shape[0]]]
+    # [g, s, t] is e_s * g * e_t
+    idem = np.eye(a.dim, dtype=np.int64)[a.idempotent_indices]
+    left = np.einsum("gi,sij->gsj", lift, a.left_mult_operator(idem)) % fld.p
+    parts = np.einsum("gsj,tjk->gstk", left, a.right_mult_operator(idem)) % fld.p
+    g, src, tgt = np.nonzero(parts.any(axis=3))
+    return parts[g, src, tgt], src, tgt
+
+
+@dataclass
+class _Weights:
+    """A basis Q of M adapted to M = (+)_v M e_v, built once per content.
+
+    ``basis`` stacks a basis of each M e_v in vertex order, with
+    ``sizes`` and ``offsets`` giving the blocks, and ``inverse`` is
+    Q^-1.  ``blocks[k]`` is the block of Q M_g Q^-1 from M e_s to M e_t
+    for the k-th generator part g: s -> t of :func:`_generators`.
+    """
+
+    basis: np.ndarray
+    inverse: np.ndarray
+    sizes: np.ndarray
+    offsets: np.ndarray
+    blocks: list[np.ndarray]
+
+
+def _weights(m: RightModule) -> _Weights:
+    return _memo(m.algebra._weights, _content(m), lambda: _build_weights(m))
+
+
+def _build_weights(m: RightModule) -> _Weights:
+    a, fld = m.algebra, m.field
+    rows, cols, pivots = [], [], []
+    for iv in a.idempotent_indices:
+        # e_v acts as the projection onto M e_v: its rref rows are a basis
+        # of M e_v, and its columns at their pivots give coordinates in it
+        r, piv, rank = fld.rref(m.action[iv])
+        rows.append(r[:rank])
+        cols.append(m.action[iv][:, piv])
+        pivots.append(piv)
+    sizes = np.array([len(piv) for piv in pivots], dtype=np.intp)
+    gens, src, tgt = _generators(a)
+    acts = _operators(gens, m.action, fld.p)
+    blocks = [fld.matmul(rows[s], acts[k])[:, pivots[t]] for k, (s, t) in enumerate(zip(src, tgt))]
+    offsets = np.cumsum(sizes) - sizes
+    return _Weights(np.concatenate(rows), np.concatenate(cols, axis=1), sizes, offsets, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -395,23 +476,55 @@ def _hom_entry(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.nda
 
 def _build_hom(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     fld = m.field
-    if m.dim == 0 or n.dim == 0:
-        return [], fld.zeros(0, m.dim * n.dim), np.zeros(0, dtype=np.intp)
-    kern = fld.kernel_basis(_hom_system(m, n))
-    # the row of free column c is zero right of c: besides c it fills
-    # only pivot columns left of c, as an rref row is zero left of its pivot
-    free = np.array([np.flatnonzero(row)[-1] for row in kern], dtype=np.intp)
-    return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])], kern, free
-
-
-def _hom_system(m: RightModule, n: RightModule) -> np.ndarray:
-    """Rows ``M_i (x) 1 - 1 (x) N_i^T`` for every basis element b_i,
-    stacked: the vectorised f with ``M_i f == f N_i`` are its kernel."""
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    eye_n = np.eye(n.dim, dtype=np.int64)
-    blocks = np.einsum("iac,bd->iabcd", m.action, eye_n) - np.einsum("ac,idb->iabcd", eye_m, n.action)
     amb = m.dim * n.dim
-    return blocks.reshape(m.algebra.dim * amb, amb) % m.field.p
+    if amb == 0:
+        return [], fld.zeros(0, amb), np.zeros(0, dtype=np.intp)
+    wm, wn = _weights(m), _weights(n)
+    cells = np.concatenate([[0], np.cumsum(wm.sizes * wn.sizes)])
+    graded = fld.kernel_basis(_graded_hom_system(m, n))
+    k = graded.shape[0]
+    # f = Q_M^-1 diag(f_v) Q_N in the coordinates of M and N
+    diag = np.zeros((k, m.dim, n.dim), dtype=np.int64)
+    for v, (mv, nv) in enumerate(zip(wm.sizes, wn.sizes)):
+        om, on = wm.offsets[v], wn.offsets[v]
+        diag[:, om:om + mv, on:on + nv] = graded[:, cells[v]:cells[v + 1]].reshape(k, mv, nv)
+    homs = fld.matmul(fld.matmul(wm.inverse, diag), wn.basis).reshape(k, amb)
+    # The basis with a 1 at each free column and 0 at the others is the
+    # rref of the hom space on the reversed columns: it depends on the
+    # space alone, so it is the kernel basis of the dense (dim A * m * n)
+    # system.  Columns that vanish on the whole space stay zero.
+    support = np.flatnonzero(homs.any(axis=0))[::-1]
+    rows, pivots, _ = fld.rref(homs[:, support])
+    flat = fld.zeros(k, amb)
+    flat[:, support] = rows[::-1]
+    free = support[pivots[::-1]]
+    return [flat[i].reshape(m.dim, n.dim) for i in range(k)], flat, free
+
+
+def _graded_hom_system(m: RightModule, n: RightModule) -> np.ndarray:
+    """The equations of Hom_A(M, N) in the weight bases of M and N.
+
+    A hom is block-diagonal by vertex, so the unknowns are one block f_v
+    of size ``m_v * n_v`` per vertex, in vertex order.  It commutes with
+    the algebra once it commutes with each generator g: s -> t, whose
+    equations form one block ``M_g f_t - f_s N_g`` of ``m_s * n_t`` rows.
+    """
+    fld = m.field
+    wm, wn = _weights(m), _weights(n)
+    _, src, tgt = _generators(m.algebra)
+    cells = np.concatenate([[0], np.cumsum(wm.sizes * wn.sizes)])
+    eqs = np.concatenate([[0], np.cumsum(wm.sizes[src] * wn.sizes[tgt])])
+    out = fld.zeros(int(eqs[-1]), int(cells[-1]))
+    for g, (s, t) in enumerate(zip(src, tgt)):
+        ms, mt, ns, nt = wm.sizes[s], wm.sizes[t], wn.sizes[s], wn.sizes[t]
+        rows = slice(eqs[g], eqs[g + 1])
+        # (M_g f_t)[a, b] = sum_c M_g[a, c] f_t[c, b]
+        left = np.einsum("ac,bd->abcd", wm.blocks[g], np.eye(nt, dtype=np.int64))
+        out[rows, cells[t]:cells[t + 1]] += left.reshape(ms * nt, mt * nt)
+        # (f_s N_g)[a, b] = sum_d f_s[a, d] N_g[d, b]
+        right = np.einsum("ac,db->abcd", np.eye(ms, dtype=np.int64), wn.blocks[g])
+        out[rows, cells[s]:cells[s + 1]] -= right.reshape(ms * nt, ms * ns)
+    return out % fld.p
 
 
 def hom_basis(m: RightModule, n: RightModule) -> list[ModuleHom]:
@@ -483,13 +596,22 @@ def _build_tensor(m: RightModule, w: Bimodule, name: str) -> TensorResult:
 
 
 def _tensor_relations(m: RightModule, w: Bimodule) -> np.ndarray:
-    """Rows ``M_i (x) 1 - 1 (x) W_i`` for every basis element b_i, stacked:
-    the relations (v b_i) (x) x - v (x) (b_i x) of M (x) W."""
+    """Rows ``M_x (x) 1 - 1 (x) W_x`` for x over the idempotents and the
+    generators, stacked: the relations (v x) (x) y - v (x) (x y) of M (x) W.
+
+    The relations of a product x x' lie in the span of those of x and x',
+    so these rows span the relations of every basis element.
+    """
+    p = m.field.p
+    a = m.algebra
+    xs = np.concatenate([np.eye(a.dim, dtype=np.int64)[a.idempotent_indices], _generators(a)[0]])
+    mx = _operators(xs, m.action, p)
+    wx = _operators(xs, w.left_action, p)
     eye_m = np.eye(m.dim, dtype=np.int64)
     eye_w = np.eye(w.dim, dtype=np.int64)
-    blocks = np.einsum("iac,bd->iabcd", m.action, eye_w) - np.einsum("ac,ibd->iabcd", eye_m, w.left_action)
+    blocks = np.einsum("iac,bd->iabcd", mx, eye_w) - np.einsum("ac,ibd->iabcd", eye_m, wx)
     amb = m.dim * w.dim
-    return blocks.reshape(m.algebra.dim * amb, amb) % m.field.p
+    return blocks.reshape(xs.shape[0] * amb, amb) % p
 
 
 def tensor_hom(f: np.ndarray, src: TensorResult, dst: TensorResult) -> np.ndarray:
@@ -553,9 +675,9 @@ def _build_cover(m: RightModule) -> Cover:
 
     # candidate generators: a basis of each weight space M e_v, in vertex
     # order; keep those whose image in the top is new
-    weight = [fld.image_basis(m.action[iv]) for iv in a.idempotent_indices]
-    vertex_of = np.repeat(np.arange(a.n_idempotents), [w.shape[0] for w in weight])
-    cands = np.concatenate(weight, axis=0)
+    weights = _weights(m)
+    vertex_of = np.repeat(np.arange(a.n_idempotents), weights.sizes)
+    cands = weights.basis
     keep = fld.row_rank_profile(fld.matmul(cands, pi_top))
     if len(keep) != top_dim:
         raise ValueError("projective cover: generators do not span the top")

@@ -46,15 +46,46 @@ class Scenario:
     raw: dict = dc_field(default_factory=dict)
 
 
+def _integer(value, what: str, low: int | None = None) -> int:
+    """``value`` if it is a JSON integer (a bool is not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ScenarioError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def _field(data: dict, key: str, kind: type, what: str):
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def parse_scenario(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError("malformed scenario: not a JSON object")
     try:
-        p = int(data["p"])
-        quiver = data["quiver"]
-        n = int(quiver["vertices"])
-        arrows_1 = [tuple(int(v) for v in arr) for arr in quiver.get("arrows", [])]
-        e_1 = [int(v) for v in data["e_vertices"]]
-        seed = int(data.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        p = _integer(data["p"], "p")
+        quiver = _field(data, "quiver", dict, "quiver")
+        n = _integer(quiver["vertices"], "quiver vertices")
+        arrows_1 = []
+        for arr in quiver.get("arrows", []):
+            if not isinstance(arr, list) or len(arr) != 2:
+                raise ScenarioError(f"an arrow must be a pair of vertices, got {arr!r}")
+            arrows_1.append(tuple(_integer(v, "arrow vertex") for v in arr))
+        e_1 = [_integer(v, "e-vertex") for v in _field(data, "e_vertices", list, "e_vertices")]
+        seed = _integer(data.get("seed", 0), "seed")
+        caps = data.get("caps", {})
+        if not isinstance(caps, dict):
+            raise ScenarioError(f"caps must be a JSON object, got {caps!r}")
+        gldim_cap = _integer(caps.get("gldim", 12), "caps gldim", low=1)
+        attempts = _integer(caps.get("attempts", 64), "caps attempts", low=0)
+        matrix_pairs = _integer(data.get("matrix_pairs", 4), "matrix_pairs", low=0)
+        variants = data.get("variants", ["original", "upper", "lower"])
+        if not isinstance(variants, list):
+            raise ScenarioError(f"variants must be a JSON list, got {variants!r}")
+    except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     if not is_prime(p):
         raise ScenarioError(f"characteristic {p} is not prime")
@@ -72,8 +103,6 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(f"e-vertex {v} out of range 1..{n}")
     if len(set(e_1)) >= n:
         raise ScenarioError("e_vertices must be a proper subset of the vertices")
-    caps = data.get("caps", {})
-    variants = list(data.get("variants", ["original", "upper", "lower"]))
     for v in variants:
         if v not in ("original", "upper", "lower"):
             raise ScenarioError(f"unknown variant {v!r}")
@@ -84,11 +113,11 @@ def parse_scenario(data: dict) -> Scenario:
         arrows=[(s - 1, t - 1) for (s, t) in arrows_1],
         e_vertices=sorted(v - 1 for v in set(e_1)),
         seed=seed,
-        gldim_cap=int(caps.get("gldim", 12)),
-        attempts=int(caps.get("attempts", 64)),
+        gldim_cap=gldim_cap,
+        attempts=attempts,
         menu=menu,
-        variants=variants,
-        matrix_pairs=int(data.get("matrix_pairs", 4)),
+        variants=list(variants),
+        matrix_pairs=matrix_pairs,
         raw=data,
     )
 

@@ -207,6 +207,28 @@ def corner_table_loop(a, basis):
     return mul
 
 
+def hom_system_dense(m, n):
+    """Rows ``M_i (x) 1 - 1 (x) N_i^T`` for every basis element b_i,
+    stacked: the vectorised f with ``M_i f == f N_i`` are its kernel.
+    The dense ``(dim A * m * n) x (m * n)`` reference for hom bases."""
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    eye_n = np.eye(n.dim, dtype=np.int64)
+    blocks = np.einsum("iac,bd->iabcd", m.action, eye_n) - np.einsum("ac,idb->iabcd", eye_m, n.action)
+    amb = m.dim * n.dim
+    return blocks.reshape(m.algebra.dim * amb, amb) % m.field.p
+
+
+def hom_entry_dense(m, n):
+    """``(basis, flat, free_cols)`` of Hom_A(M, N) from the kernel of the
+    dense system: the kernel basis with a 1 at each free column."""
+    fld = m.field
+    if m.dim == 0 or n.dim == 0:
+        return [], fld.zeros(0, m.dim * n.dim), np.zeros(0, dtype=np.intp)
+    kern = fld.kernel_basis(hom_system_dense(m, n))
+    free = np.array([np.flatnonzero(row)[-1] for row in kern], dtype=np.intp)
+    return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])], kern, free
+
+
 def hom_system_kron(m, n):
     """Blocks ``kron(M_i, 1) - kron(1, N_i^T)``, stacked."""
     p = m.field.p
@@ -218,13 +240,22 @@ def hom_system_kron(m, n):
     )
 
 
-def tensor_relations_kron(m, w):
-    """Blocks ``kron(M_i, 1) - kron(1, W_i)`` (left action of W), stacked."""
+def tensor_relations_kron(m, w, elements=None):
+    """Blocks ``kron(M_x, 1) - kron(1, W_x)`` (left action of W), stacked,
+    for x over the rows of ``elements``.  By default these are the
+    idempotents and then the generators of the algebra; the identity
+    matrix gives the relations of every basis element."""
+    from gluecat.modules import _generators
+
+    a = m.algebra
+    if elements is None:
+        elements = np.concatenate([np.eye(a.dim, dtype=np.int64)[a.idempotent_indices], _generators(a)[0]])
     p = m.field.p
     eye_m = np.eye(m.dim, dtype=np.int64)
     eye_w = np.eye(w.dim, dtype=np.int64)
     return np.concatenate(
-        [(np.kron(m.action[i], eye_w) - np.kron(eye_m, w.left_action[i])) % p for i in range(m.algebra.dim)],
+        [(np.kron(m.operator(x), eye_w) - np.kron(eye_m, np.einsum("i,imn->mn", x, w.left_action))) % p
+         for x in elements],
         axis=0,
     )
 

@@ -6,18 +6,32 @@ cover generators by one rank profile.  The references in
 :mod:`oracles` are the per-element routes; the results must agree
 exactly, on the projectives, injectives, simples and syzygies of F1-F3,
 A4 and D4 and of their opposites.
+
+Hom bases come from the vertex-graded system, one unknown block per
+vertex and one equation block per generator; they must equal the kernel
+basis of the dense ``(dim A * m * n) x (m * n)`` system bit for bit,
+also over corners, quotients and in bases that do not respect the
+vertex grading.  Tensor relations keep the rows of the idempotents and
+generators only; their quotient maps must equal those of the relations
+of every basis element.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluecat.algebra import IdealIsWholeAlgebraError, Quiver, corner, ideal_span, idempotent_quotient, opposite, path_algebra
+from gluecat.algebra import Algebra, IdealIsWholeAlgebraError, Quiver, corner, ideal_span, idempotent_quotient, opposite, path_algebra
 from gluecat.field import PrimeField
 from gluecat.modules import (
-    _hom_system,
+    RightModule,
+    _generators,
+    _graded_hom_system,
+    _hom_entry,
     _tensor_relations,
+    direct_sum,
     hom_basis_matrices,
     injective_module,
     injectives,
@@ -37,6 +51,8 @@ from oracles import (
     corner_table_loop,
     cover_greedy,
     greedy_independent_rows,
+    hom_entry_dense,
+    hom_system_dense as _hom_system,
     hom_system_kron,
     ideal_rows_loop,
     insert_right_loop,
@@ -217,3 +233,195 @@ def test_row_rank_profile_matches_greedy_scan(data):
 def test_row_rank_profile_of_empty_and_zero_matrices(shape):
     fld = PrimeField(7)
     assert fld.row_rank_profile(np.zeros(shape, dtype=np.int64)) == []
+
+
+# ----------------------------------------------------------------------
+# vertex-graded hom and generator relations
+# ----------------------------------------------------------------------
+
+
+def _same_entry(m, n):
+    basis, flat, free = _hom_entry(m, n)
+    d_basis, d_flat, d_free = hom_entry_dense(m, n)
+    assert len(basis) == len(d_basis)
+    assert all(np.array_equal(b, d) for b, d in zip(basis, d_basis))
+    assert np.array_equal(flat, d_flat) and flat.shape == d_flat.shape
+    assert np.array_equal(free, d_free)
+
+
+def _subalgebras(a):
+    """The corner and, where it is nonzero, the quotient algebra of every
+    proper vertex subset."""
+    out = []
+    for vs in _vertex_sets(a):
+        out.append(corner(a, vs)[0])
+        try:
+            out.append(idempotent_quotient(a, vs)[0])
+        except IdealIsWholeAlgebraError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_hom_entries_match_dense_kernel(case):
+    mods = _family(_algebra(case))
+    for m in mods:
+        for n in mods:
+            _same_entry(m, n)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_corner_and_quotient_hom_entries_match_dense_kernel(case):
+    for b in _subalgebras(_algebra(case)):
+        mods = _family(b)
+        for m in mods:
+            for n in mods:
+                _same_entry(m, n)
+
+
+def test_corner_generators_include_paths_through_other_vertices():
+    # A3 with e = e1 + e3: eAe has the path 1 -> 2 -> 3 as its one generator
+    a = _algebra("F2")
+    c, incl = corner(a, [0, 2])
+    gens, src, tgt = _generators(c)
+    assert gens.shape[0] == 1
+    path = a.field.matmul(gens, incl)[0]
+    assert path.sum() == 1 and a.labels[int(np.flatnonzero(path)[0])] == "ba"
+    assert (c.labels[c.idempotent_indices[src[0]]], c.labels[c.idempotent_indices[tgt[0]]]) == ("e3", "e1")
+
+
+def _mixed_basis_algebra():
+    """A3 in a basis whose radical elements are not vertex-homogeneous:
+    the arrow a: 1 -> 2 is replaced by a + b, with b: 2 -> 3."""
+    a = _algebra("F2")
+    fld = a.field
+    t = np.eye(a.dim, dtype=np.int64)
+    t[a.labels.index("a"), a.labels.index("b")] = 1
+    t_inv = fld.inv(t)
+    mul = np.einsum("ik,jl,klm,mn->ijn", t, t, a.mul_table, t_inv) % fld.p
+    labels = ["a+b" if x == "a" else x for x in a.labels]
+    return Algebra(fld, labels, mul, fld.matmul(a.unit, t_inv), a.idempotent_indices, name="A3 (mixed basis)")
+
+
+def test_generators_split_a_mixed_lift_into_vertex_parts():
+    b = _mixed_basis_algebra()
+    gens, src, tgt = _generators(b)
+    for g, s, t in zip(gens, src, tgt):
+        assert np.array_equal(b.multiply(b.multiply(b.idempotent_vector(s), g), b.idempotent_vector(t)), g)
+    # a + b splits into a = e2 a e1 and b = e3 b e2; b itself is the second lift
+    assert [(int(s), int(t)) for s, t in zip(src, tgt)] == [(1, 0), (2, 1), (2, 1)]
+    mods = _family(b)
+    for m in mods:
+        if m.dim:
+            _same_quotient(m, nakayama_bimodule(b))
+        for n in mods:
+            _same_entry(m, n)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_path_algebra_generators_are_the_arrows(case):
+    # the arrow a: u -> v is e_v a e_u, so it maps M e_v into M e_u
+    q = QUIVERS[case.removesuffix("^op")]
+    a = _algebra(case)
+    gens, src, tgt = _generators(a)
+    arrows = sorted(q.arrows) if not case.endswith("^op") else sorted((v, u) for (u, v) in q.arrows)
+    got = []
+    for g, s, t in zip(gens, src, tgt):
+        assert sorted(g) == [0] * (a.dim - 1) + [1]
+        i = int(np.flatnonzero(g)[0])
+        assert i not in a.idempotent_indices and i < a.n_idempotents + len(q.arrows)
+        got.append((int(t), int(s)))
+    assert sorted(got) == arrows
+
+
+def test_hom_entries_in_a_twisted_basis_match_dense_kernel():
+    # conjugating the regular module by a random change of basis gives a
+    # module whose basis does not respect the vertex grading
+    a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(32003))
+    fld = a.field
+    reg, _ = direct_sum(projectives(a))
+    g = fld.matrix(np.random.default_rng(11).integers(0, fld.p, size=(reg.dim, reg.dim)))
+    twisted = RightModule(a, np.stack([fld.mul_chain(fld.inv(g), op, g) for op in reg.action]))
+    for m, n in [(twisted, twisted), (reg, twisted), (twisted, reg)] + [(twisted, s) for s in simples(a)]:
+        _same_entry(m, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _algebra_over(case, p):
+    a = path_algebra(QUIVERS[case.removesuffix("^op")], PrimeField(p))
+    return opposite(a) if case.endswith("^op") else a
+
+
+@st.composite
+def _twisted_pairs(draw):
+    """A module of one of the families, in a random basis, and a second
+    module of the same family, over GF(p) for p in {2, 3, 32003}."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    case = draw(st.sampled_from(CASES))
+    a = _algebra_over(case, p)
+    mods = [m for m in _family(a) if m.dim]
+    m = mods[draw(st.integers(0, len(mods) - 1))]
+    n = mods[draw(st.integers(0, len(mods) - 1))]
+    d = m.dim
+    # an invertible change of basis: a permuted product of unitriangular matrices
+    lower = np.tril(np.array(draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))).reshape(d, d), -1)
+    upper = np.triu(np.array(draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))).reshape(d, d), 1)
+    perm = np.eye(d, dtype=np.int64)[list(draw(st.permutations(range(d))))]
+    fld = a.field
+    g = fld.mul_chain(perm, lower + np.eye(d, dtype=np.int64), upper + np.eye(d, dtype=np.int64))
+    twisted = RightModule(a, np.stack([fld.mul_chain(fld.inv(g), op, g) for op in m.action]))
+    return twisted, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_pairs())
+def test_hom_entries_after_random_base_change_match_dense_kernel(pair):
+    twisted, n = pair
+    for m, k in [(twisted, n), (n, twisted), (twisted, twisted)]:
+        _same_entry(m, k)
+
+
+def _same_quotient(m, w):
+    amb = m.dim * w.dim
+    fld = m.field
+    dense = tensor_relations_kron(m, w, np.eye(m.algebra.dim, dtype=np.int64))
+    pi, sigma, keep = fld.quotient_maps(_tensor_relations(m, w), amb)
+    d_pi, d_sigma, d_keep = fld.quotient_maps(dense, amb)
+    assert np.array_equal(pi, d_pi) and np.array_equal(sigma, d_sigma) and keep == d_keep
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tensor_quotients_match_relations_of_every_basis_element(case):
+    a = _algebra(case)
+    fld = a.field
+    for w in (nakayama_bimodule(a), regular_bimodule(a)):
+        for m in _family(a):
+            if m.dim:
+                _same_quotient(m, w)
+    for vs in _vertex_sets(a):
+        c, incl = corner(a, vs)
+        e = a.idempotent_sum(vs)
+        ea = sub_bimodule(c, a, fld.image_basis(a.left_mult_operator(e)), a.left_mult_operator(incl), a.right_operators)
+        for m in _family(c):
+            if m.dim:
+                _same_quotient(m, ea)
+
+
+# E6: 1 -> 2 -> 3 -> 4 -> 5 and 6 -> 3
+E6 = Quiver(6, ((0, 1), (1, 2), (2, 3), (3, 4), (5, 2)))
+
+
+def test_e6_graded_system_has_one_block_per_vertex_and_per_arrow():
+    a = path_algebra(E6, PrimeField(32003))
+    m, _ = direct_sum(projectives(a) + injectives(a))
+    n, _ = direct_sum(injectives(a) + simples(a) + projectives(a))
+    fld = a.field
+    m_v = [fld.rank(m.action[i]) for i in a.idempotent_indices]
+    n_v = [fld.rank(n.action[i]) for i in a.idempotent_indices]
+    system = _graded_hom_system(m, n)
+    # the arrow a: u -> v is e_v a e_u, so its block is M_a f_u - f_v N_a
+    assert system.shape == (sum(m_v[v] * n_v[u] for (u, v) in E6.arrows), sum(x * y for x, y in zip(m_v, n_v)))
+    assert system.shape[1] < m.dim * n.dim // 5
+    assert len(hom_basis_matrices(m, n)) == sum(len(hom_basis_matrices(x, y))
+                                                for x in projectives(a) + injectives(a)
+                                                for y in injectives(a) + simples(a) + projectives(a))

@@ -172,3 +172,44 @@ def test_run_suite_report_order(f1_data):
         "original", "lower", "serre-T", "serre-S", "serre-U",
         "serre-S-nakayama", "serre-U-nakayama",
     ]
+
+
+# Malformed scenarios: every one exits 3 with a message, never with a
+# traceback or a silently coerced value.  Integer fields must be JSON
+# integers (a bool is not one); caps gldim >= 1, attempts >= 0,
+# matrix_pairs >= 0, and each arrow is a pair.
+MALFORMED = {
+    "caps not an object": ("caps", 3),
+    "gldim a string": ("caps", {"gldim": "x"}),
+    "gldim negative": ("caps", {"gldim": -1}),
+    "gldim zero": ("caps", {"gldim": 0}),
+    "attempts negative": ("caps", {"attempts": -5}),
+    "attempts a float": ("caps", {"attempts": 2.5}),
+    "matrix_pairs a string": ("matrix_pairs", "abc"),
+    "matrix_pairs negative": ("matrix_pairs", -3),
+    "p a float": ("p", 3.7),
+    "e-vertex a float": ("e_vertices", [1.5]),
+    "e-vertex a bool": ("e_vertices", [True]),
+    "arrow of one vertex": ("quiver", {"vertices": 2, "arrows": [[1]]}),
+    "arrow of three vertices": ("quiver", {"vertices": 2, "arrows": [[1, 2, 2]]}),
+    "vertex count a float": ("quiver", {"vertices": 2.0, "arrows": [[1, 2]]}),
+    "seed a float": ("seed", 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_malformed_scenario_exits_three(tmp_path, f1_data, capsys, case):
+    key, value = MALFORMED[case]
+    data = dict(f1_data, variants=["original"])
+    data[key] = value
+    with pytest.raises(ScenarioError):
+        parse_scenario(data)
+    scn = _write_scenario(tmp_path, data)
+    assert main(["verify", scn, "--report", str(tmp_path / "r.json"), "--quiet"]) == 3
+    assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_parse_accepts_the_bounds_of_each_integer_field(f1_data):
+    data = dict(f1_data, caps={"gldim": 1, "attempts": 0}, matrix_pairs=0, seed=-4)
+    scn = parse_scenario(data)
+    assert (scn.gldim_cap, scn.attempts, scn.matrix_pairs, scn.seed) == (1, 0, 0, -4)

@@ -30,6 +30,7 @@ from gluecat.modules import (
     simples,
     projectives,
     regular_module,
+    zero_module,
 )
 from gluecat.recollement import build_recollement, default_menus
 
@@ -140,6 +141,23 @@ def test_dual_chain_map_commutes(alg_a2):
 # ----------------------------------------------------------------------
 # projective replacement
 # ----------------------------------------------------------------------
+
+
+def test_out_of_range_accessors_share_read_only_zeros(alg_a2, monkeypatch):
+    import gluecat.complexes as complexes
+
+    x = stalk_complex(simple_module(alg_a2, 0))
+    f = identity_map(x)
+    calls = []
+    monkeypatch.setattr(complexes, "zero_module", lambda a: calls.append(a) or zero_module(a))
+    assert x.term(3) is x.term(-3) is zero_module(alg_a2)
+    assert not calls
+    empties = [x.diff(0), x.diff(-1), f.comp(2), f.comp(-2)]
+    assert [e.shape for e in empties] == [(1, 0), (0, 1), (0, 0), (0, 0)]
+    assert x.diff(0) is x.diff(0) and f.comp(2) is f.comp(-2)
+    for e in empties:
+        with pytest.raises(ValueError, match="read-only"):
+            e[...] = 1
 
 
 def test_replacement_of_projective_complex_is_iso(ctx, alg_a3):

@@ -108,6 +108,29 @@ def test_module_rejects_non_multiplicative_action():
     _raises("bad: action is not multiplicative", lambda: RightModule(a, _bad_scalar_action(a), name="bad"))
 
 
+def test_module_rejects_malformed_action_on_every_construction():
+    a = _a2()
+    for _ in range(2):
+        _raises("bad: action is not multiplicative", lambda: RightModule(a, _bad_scalar_action(a), name="bad"))
+    assert not a._valid
+
+
+def test_module_content_is_checked_once_per_algebra(monkeypatch):
+    import gluecat.modules as modules
+
+    calls = []
+    check = modules._act_on_products
+    monkeypatch.setattr(modules, "_act_on_products", lambda *args: calls.append(args) or check(*args))
+    a = _a2()
+    s1 = simple_module(a, 0)
+    RightModule(a, s1.action.copy(), name="again")
+    assert len(calls) == 1
+    simple_module(a, 1)
+    assert len(calls) == 2
+    simple_module(_a2(), 0)
+    assert len(calls) == 3
+
+
 # ----------------------------------------------------------------------
 # Bimodule
 # ----------------------------------------------------------------------
