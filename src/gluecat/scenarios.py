@@ -55,8 +55,8 @@ def _integer(value, what: str, low: int | None = None) -> int:
     return value
 
 
-def _field(data: dict, key: str, kind: type, what: str):
-    value = data[key]
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a JSON value of the Python type ``kind``."""
     if not isinstance(value, kind):
         raise ScenarioError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
     return value
@@ -67,24 +67,20 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("malformed scenario: not a JSON object")
     try:
         p = _integer(data["p"], "p")
-        quiver = _field(data, "quiver", dict, "quiver")
+        quiver = _typed(data["quiver"], dict, "quiver")
         n = _integer(quiver["vertices"], "quiver vertices")
         arrows_1 = []
         for arr in quiver.get("arrows", []):
             if not isinstance(arr, list) or len(arr) != 2:
                 raise ScenarioError(f"an arrow must be a pair of vertices, got {arr!r}")
             arrows_1.append(tuple(_integer(v, "arrow vertex") for v in arr))
-        e_1 = [_integer(v, "e-vertex") for v in _field(data, "e_vertices", list, "e_vertices")]
+        e_1 = [_integer(v, "e-vertex") for v in _typed(data["e_vertices"], list, "e_vertices")]
         seed = _integer(data.get("seed", 0), "seed")
-        caps = data.get("caps", {})
-        if not isinstance(caps, dict):
-            raise ScenarioError(f"caps must be a JSON object, got {caps!r}")
+        caps = _typed(data.get("caps", {}), dict, "caps")
         gldim_cap = _integer(caps.get("gldim", 12), "caps gldim", low=1)
         attempts = _integer(caps.get("attempts", 64), "caps attempts", low=0)
         matrix_pairs = _integer(data.get("matrix_pairs", 4), "matrix_pairs", low=0)
-        variants = data.get("variants", ["original", "upper", "lower"])
-        if not isinstance(variants, list):
-            raise ScenarioError(f"variants must be a JSON list, got {variants!r}")
+        variants = _typed(data.get("variants", ["original", "upper", "lower"]), list, "variants")
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     if not is_prime(p):
