@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Run the full verification suite on the three canonical quivers and
-print a summary table with timings."""
+print a summary table with timings.
+
+Per fixture it also prints, for replacements, hom spaces and lifts, how
+many were built against how many were asked for, as counted by the
+content memos of the derived context.
+"""
 
 import sys
 import time
@@ -9,15 +14,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gluecat.cli import run_suite
+from gluecat.complexes import DerivedContext
 from gluecat.scenarios import fixture_scenario, parse_scenario
+
+MEMOS = ("replacement", "hom_space", "lift")
 
 
 def main():
     rows = []
     for name in ("F1", "F2", "F3"):
         data = fixture_scenario(name)
+        ctx = DerivedContext()
         t0 = time.monotonic()
-        reports = run_suite(parse_scenario(data))
+        reports = run_suite(parse_scenario(data), ctx)
         elapsed = time.monotonic() - t0
         counts = [rep.counts() for rep in reports]
         for rep, c in zip(reports, counts):
@@ -25,6 +34,9 @@ def main():
         rows.append((name, "TOTAL", *(sum(c[k] for c in counts) for k in ("pass", "fail", "not-certified"))))
         print(f"{name}: verified in {elapsed:.1f}s "
               f"(quiver {data['quiver']}, e_vertices {data['e_vertices']})")
+        memo = ctx.memo_counts()
+        print("    built/requested: " + ", ".join(
+            f"{kind} {memo[kind][0]}/{memo[kind][1]}" for kind in MEMOS))
     print()
     print(f"{'fixture':<28} {'suite':<18} {'pass':>6} {'fail':>6} {'inconcl':>8}")
     for label, diagram, ok, bad, inc in rows:

@@ -113,8 +113,14 @@ class Algebra:
     - ``_weights``: a basis of each module adapted to its vertex
       grading (:func:`~gluecat.modules._weights`), keyed by the action
       tensor;
-    - ``_valid``: the action tensors (shape and bytes) of the modules
-      that passed :meth:`~gluecat.modules.RightModule.validate`;
+    - ``_valid``: the content keys of the objects over this algebra
+      that passed their validator: modules
+      (:meth:`~gluecat.modules.RightModule.validate`, keyed by the action
+      tensor), complexes (:meth:`~gluecat.complexes.BoundedComplex.validate`)
+      and chain maps (:meth:`~gluecat.complexes.ChainMap.validate`, filed
+      under the algebra of the source), each by its ``key``, mapped to
+      itself so that content-equal objects share one key.  A failure is
+      never recorded, so malformed content raises on every construction;
     - ``_zero``: the one :func:`~gluecat.modules.zero_module`.
     """
 
@@ -141,7 +147,7 @@ class Algebra:
         self._covers: dict[tuple, object] = {}
         self._generators: dict[None, tuple] = {}
         self._weights: dict[tuple, object] = {}
-        self._valid: set[tuple] = set()
+        self._valid: dict[tuple, tuple] = {}
         self._zero: dict[None, object] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")

@@ -20,7 +20,7 @@ from .algebra import (
     Quiver,
     path_algebra,
 )
-from .complexes import homology_dims
+from .complexes import DerivedContext, homology_dims
 from .field import PrimeField
 from .modules import GlobalDimensionExceedsCapError, ResolutionExceedsCapError
 from .recollement import (
@@ -57,13 +57,14 @@ _SETUP_ERRORS = (
 )
 
 
-def _build_workbench(scn: Scenario):
+def _build_workbench(scn: Scenario, ctx: DerivedContext | None = None):
     field = PrimeField(scn.p)
     quiver = Quiver(scn.vertices, tuple(scn.arrows))
     algebra = path_algebra(quiver, field)
     rec = build_recollement(
         algebra,
         scn.e_vertices,
+        ctx=ctx,
         gldim_cap=scn.gldim_cap,
         seed=scn.seed,
         attempts=max(scn.attempts, 1),
@@ -72,14 +73,16 @@ def _build_workbench(scn: Scenario):
     return rec, sd
 
 
-def run_suite(scn: Scenario) -> list[VerificationReport]:
+def run_suite(scn: Scenario, ctx: DerivedContext | None = None) -> list[VerificationReport]:
     """Build the workbench of a scenario and run every suite of ``verify``.
 
     Reports come in a fixed order: one per requested diagram variant,
     then the Serre suites of T, S and U, then the Nakayama cross-checks
     of S and U.  Scenario and set-up errors propagate to the caller.
+    ``ctx`` is the derived context to work in, a fresh one by default;
+    pass one to read its memo counts afterwards.
     """
-    rec, sd = _build_workbench(scn)
+    rec, sd = _build_workbench(scn, ctx)
     menus = _resolve_menus(rec, scn)
     seed, attempts = scn.seed, scn.attempts
     reports = []

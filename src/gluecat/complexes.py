@@ -13,6 +13,7 @@ exploit.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .modules import (
     RightModule,
     TensorResult,
     _hom_entry,
+    _validate_once,
     direct_sum,
     hom_basis_matrices,
     k_dual,
@@ -76,16 +78,24 @@ class ProjSummands:
 
 
 @functools.lru_cache(maxsize=None)
-def _empty(rows: int, cols: int) -> np.ndarray:
-    """The zero matrix of a shape with no entries, shared and read-only."""
-    if rows and cols:
-        raise ValueError(f"a ({rows}, {cols}) matrix has entries")
-    out = np.zeros((rows, cols), dtype=np.int64)
-    out.setflags(write=False)
-    return out
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    """The zero matrix of a shape, shared and read-only.
+
+    It is a broadcast of one zero, so it holds no memory of its own.
+    """
+    return np.broadcast_to(np.zeros((), dtype=np.int64), (rows, cols))
 
 
 class BoundedComplex:
+    """A bounded cochain complex of right modules over one algebra.
+
+    ``key`` is its exact content: the algebra's identity, ``lo``/``hi``,
+    and the shape and bytes of every term action and differential.  The
+    differentials are read-only (so are the term actions), so the key
+    cannot go stale.  The name, the summand data and ``injective_terms``
+    are not content.
+    """
+
     def __init__(
         self,
         algebra: Algebra,
@@ -113,7 +123,9 @@ class BoundedComplex:
             d = diffs.get(n)
             if d is None:
                 d = algebra.field.zeros(self.term(n).dim, self.term(n + 1).dim)
-            self.diffs[n] = np.asarray(d, dtype=np.int64) % algebra.field.p
+            d = np.asarray(d, dtype=np.int64) % algebra.field.p
+            d.setflags(write=False)
+            self.diffs[n] = d
         self.summands = None
         if summands is not None and live:
             self.summands = {n: summands[n] for n in range(self.lo, self.hi + 1) if n in summands}
@@ -121,8 +133,17 @@ class BoundedComplex:
             self.summands = {}
         self.injective_terms = injective_terms
         self.name = name or "complex"
+        self.key = (
+            id(algebra),
+            self.lo,
+            self.hi,
+            tuple(m.key for m in self.terms.values()),
+            tuple((d.shape, d.tobytes()) for d in self.diffs.values()),
+        )
         if validate:
-            self.validate()
+            if any(m.algebra is not algebra for m in self.terms.values()):
+                self.validate()  # the key does not see term algebras
+            _validate_once(self, algebra)
 
     # ------------------------------------------------------------------
 
@@ -144,7 +165,7 @@ class BoundedComplex:
     def diff(self, n: int) -> np.ndarray:
         if self.lo <= n < self.hi:
             return self.diffs[n]
-        return _empty(self.term(n).dim, self.term(n + 1).dim)
+        return _zeros(self.term(n).dim, self.term(n + 1).dim)
 
     def has_summand_data(self) -> bool:
         return self.summands is not None and all(n in self.summands for n in self.degrees())
@@ -181,24 +202,40 @@ class BoundedComplex:
 
 
 class ChainMap:
+    """A chain map; ``comps`` holds its nonzero components only.
+
+    ``key`` is its exact content: the keys of source and target, and the
+    degree, shape and bytes of each stored component, which are
+    read-only.
+    """
+
     def __init__(self, source: BoundedComplex, target: BoundedComplex, comps: dict[int, np.ndarray], validate: bool = True):
         self.source = source
         self.target = target
         self.comps = {}
-        lo = min(source.lo, target.lo) if not (source.is_zero() and target.is_zero()) else 0
-        hi = max(source.hi, target.hi) if not (source.is_zero() and target.is_zero()) else -1
-        for n in range(lo, hi + 1):
-            c = comps.get(n)
-            sdim, tdim = source.term(n).dim, target.term(n).dim
-            if c is None:
-                c = source.field.zeros(sdim, tdim)
-            c = np.asarray(c, dtype=np.int64) % source.field.p
-            if c.shape != (sdim, tdim):
+        p = source.field.p
+        for n, c in sorted(comps.items()):
+            c = np.asarray(c, dtype=np.int64) % p
+            if c.shape != (source.term(n).dim, target.term(n).dim):
                 raise ValueError(f"chain map component {n} has wrong shape")
-            if sdim and tdim:
+            if c.any():
+                c.setflags(write=False)
                 self.comps[n] = c
+        self.key = (
+            source.key,
+            target.key,
+            tuple((n, c.shape, c.tobytes()) for n, c in self.comps.items()),
+        )
         if validate:
-            self.validate()
+            _validate_once(self, source.algebra)
+
+    def _moved(self, source: BoundedComplex, target: BoundedComplex) -> "ChainMap":
+        """The same components between complexes content-equal to
+        ``self.source`` and ``self.target``: the content, so the check,
+        is the same."""
+        out = copy.copy(self)
+        out.source, out.target = source, target
+        return out
 
     @property
     def field(self) -> PrimeField:
@@ -207,11 +244,10 @@ class ChainMap:
     def comp(self, n: int) -> np.ndarray:
         if n in self.comps:
             return self.comps[n]
-        # a degree without a component has a zero term on one side
-        return _empty(self.source.term(n).dim, self.target.term(n).dim)
+        return _zeros(self.source.term(n).dim, self.target.term(n).dim)
 
     def is_zero(self) -> bool:
-        return all(not np.any(c) for c in self.comps.values())
+        return not self.comps
 
     def validate(self):
         fld = self.field
@@ -294,9 +330,7 @@ def compose_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """First f, then g (matrix product order)."""
     if f.target is not g.source:
         raise ValueError("compose_maps: middle complexes differ")
-    comps = {}
-    for n in set(f.comps) | set(g.comps):
-        comps[n] = f.field.matmul(f.comp(n), g.comp(n))
+    comps = {n: f.field.matmul(f.comps[n], g.comps[n]) for n in f.comps.keys() & g.comps.keys()}
     return ChainMap(f.source, g.target, comps)
 
 
@@ -360,12 +394,19 @@ def cone(f: ChainMap, name: str = "") -> BoundedComplex:
 
 def homology_dims(x: BoundedComplex) -> dict[int, int]:
     """Nonzero homology dimensions per degree."""
-    fld = x.field
+    return _homology(x.field, {n: x.term(n).dim for n in x.degrees()}, x.diff)
+
+
+def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
+    """Nonzero ``dims[n] - rank d^n - rank d^{n-1}``, over consecutive
+    degrees ``dims``; each differential is ranked once."""
+    if not dims:
+        return {}
+    lo = min(dims)
+    ranks = {n: fld.rank(diff(n)) for n in range(lo - 1, lo + len(dims))}
     out = {}
-    for n in x.degrees():
-        r_out = fld.rank(x.diff(n))
-        r_in = fld.rank(x.diff(n - 1))
-        h = x.term(n).dim - r_out - r_in
+    for n, dim in dims.items():
+        h = dim - ranks[n] - ranks[n - 1]
         if h:
             out[n] = h
     return out
@@ -436,6 +477,11 @@ class Replacement:
     qis: ChainMap                      # p -> x
     sigma_inv: dict[int, np.ndarray] | None  # present when qis is an iso
 
+    def _moved(self, x: BoundedComplex) -> "Replacement":
+        """The replacement of a complex content-equal to ``qis.target``:
+        the same ``p``, with the qis onto ``x``."""
+        return Replacement(self.p, self.qis._moved(self.p, x), self.sigma_inv)
+
 
 @dataclass
 class DerivedIsoCertificate:
@@ -479,36 +525,114 @@ class _IdentityMemo:
         return hit[1]
 
 
+class _ContentMemo:
+    """Values built once per content of their key objects.
+
+    The key objects are complexes and chain maps, and their ``key`` is
+    exact content, never a digest, so a hit means the inputs are equal.
+    ``share(objs, build, rebind)`` returns ``build(*objs)`` to the first
+    objects of a content; other objects of that content get
+    ``rebind(value, *objs)``, the stored value moved onto the caller's
+    objects, so every ``is`` check downstream still holds.  ``get`` also
+    remembers, in an :class:`_IdentityMemo`, what each tuple of objects
+    got, and hands the identical value out again.  Entries pin their
+    objects, so ids cannot be reused while the memo lives.  Builds may
+    re-enter the memo.
+
+    ``builds`` counts the contents built, ``requests`` the values asked
+    for.
+    """
+
+    __slots__ = ("_first", "_given", "requests")
+
+    def __init__(self):
+        self._first: dict[tuple, tuple] = {}    # content -> (objs, value)
+        self._given = _IdentityMemo()
+        self.requests = 0
+
+    @property
+    def builds(self) -> int:
+        return len(self._first)
+
+    def get(self, objs: tuple, build, rebind):
+        self.requests += 1
+        return self._given.get(objs, lambda *objs: self._value(objs, build, rebind))
+
+    def share(self, objs: tuple, build, rebind):
+        self.requests += 1
+        return self._value(objs, build, rebind)
+
+    def _value(self, objs: tuple, build, rebind):
+        key = tuple(o.key for o in objs)
+        first = self._first.get(key)
+        if first is None:
+            first = self._first.setdefault(key, (objs, build(*objs)))
+        owners, value = first
+        if any(a is not b for a, b in zip(owners, objs)):
+            value = rebind(value, *objs)
+        return value
+
+
+def _same(value, *objs):
+    return value
+
+
+def _moved_lifts(lifts, p: BoundedComplex, s: ChainMap, *fs: ChainMap):
+    y, x = s.source, s.target
+    return [(g._moved(p, y), Homotopy(p, x, h.comps)) for g, h in lifts]
+
+
 class DerivedContext:
-    """Replacements, duals and hom spaces, each built once per input.
+    """Replacements, hom spaces and lifts, each built once per content.
 
-    The cache rule: complexes by identity, module-level constructions by
-    content.
+    The cache rule: every derived construction is keyed by the content
+    of its inputs, as module constructions are.
 
-    - Replacements, duals and hom spaces are kept in an
-      :class:`_IdentityMemo`, keyed by the identity of their input
-      complexes; the functor outputs and the composite adjunction
-      matrices use the same memo.  Every presentation is therefore
-      chosen exactly once per session, and adjunction formulas may rely
-      on ``replacement(x)`` returning the literal same complex each time.
+    - ``replacement``, ``hom_space``, ``derived_hom_dims`` and
+      ``lift_many_through_qis`` keep a :class:`_ContentMemo` keyed by
+      the exact ``key`` of their input complexes and chain maps.  An
+      input equal to an earlier one but not identical gets the earlier
+      value moved onto its own objects: the replacement shares the
+      complex ``p`` and its ``qis`` targets the caller's ``x``; a hom
+      space shares its matrices but carries the caller's ``x``, ``y`` and
+      ``p``; lifted maps sit on the caller's ``p``, ``y`` and ``x``.  The
+      same objects get the identical value on every request, so
+      adjunction formulas may rely on ``replacement(x).p`` being one
+      complex per content.
+    - ``dual``, the functor outputs and the composite adjunction matrices
+      stay in an :class:`_IdentityMemo`, keyed by the identity of their
+      inputs: the dual-route functors rename their dual outputs in place.
     - Module hom bases, projective covers, tensor products and the zero
-      module are pure functions of the action matrices, and content-equal
-      modules are built all the time.  :mod:`gluecat.modules` memoises
-      them by content on the object that owns the data (the algebra, or
-      the bimodule for tensors) and shares them read-only, so
-      :meth:`module_hom_basis` only forwards.
+      module are memoised by content in :mod:`gluecat.modules`, on the
+      object that owns the data (the algebra, or the bimodule for
+      tensors), so :meth:`module_hom_basis` only forwards.
+    - Complexes and chain maps validate once per content per algebra
+      (``Algebra._valid``), as modules do.
 
-    Lifts that share a source and a quasi-isomorphism are solved together
-    by :meth:`lift_many_through_qis`, one elimination for all of them; the
+    Every memoised value is shared, so its arrays are read-only.  Lifts
+    that share a source and a quasi-isomorphism are solved together by
+    :meth:`lift_many_through_qis`, one elimination for all of them; the
     Serre Gram matrices in :mod:`gluecat.serre` lift a whole basis that
     way.
     """
 
     def __init__(self, resolution_cap: int = 24):
         self.resolution_cap = resolution_cap
-        self._replacements = _IdentityMemo()
-        self._hom_spaces = _IdentityMemo()
+        self._replacements = _ContentMemo()
+        self._hom_spaces = _ContentMemo()
+        self._hom_dims = _ContentMemo()
+        self._lifts = _ContentMemo()
         self._duals = _IdentityMemo()
+
+    def memo_counts(self) -> dict[str, tuple[int, int]]:
+        """``(builds, requests)`` of each content memo."""
+        memos = {
+            "replacement": self._replacements,
+            "hom_space": self._hom_spaces,
+            "derived_hom_dims": self._hom_dims,
+            "lift": self._lifts,
+        }
+        return {name: (m.builds, m.requests) for name, m in memos.items()}
 
     # -- module hom bases ------------------------------------------------
 
@@ -541,7 +665,7 @@ class DerivedContext:
     # -- replacement ------------------------------------------------------
 
     def replacement(self, x: BoundedComplex) -> Replacement:
-        return self._replacements.get((x,), self._build_replacement)
+        return self._replacements.get((x,), self._build_replacement, Replacement._moved)
 
     def _build_replacement(self, x: BoundedComplex) -> Replacement:
         a = x.algebra
@@ -609,8 +733,10 @@ class DerivedContext:
             name=f"trunc({x.name})",
         )
         g = ChainMap(bottom, upper, {lo + 1: x.diff(lo)})
-        rep_b = self.replacement(bottom)
-        rep_u = self.replacement(upper)
+        # the two pieces are built here and dropped after: shared by
+        # content, but not remembered by identity
+        rep_b = self._replacements.share((bottom,), self._build_replacement, Replacement._moved)
+        rep_u = self._replacements.share((upper,), self._build_replacement, Replacement._moved)
         f_map = compose_maps(rep_b.qis, g)
         lifted, htp = self.lift_through_qis(rep_b.p, f_map, rep_u.qis)
         p = cone(lifted, name=f"P({x.name})")
@@ -653,12 +779,18 @@ class DerivedContext:
         The system depends only on p and s, so it is assembled once and
         eliminated once with one right-hand side per map.  Pivots are
         chosen among the coefficient columns only, so each solution
-        column is exactly the single-map solution.
+        column is exactly the single-map solution.  The lifts are solved
+        once per content of ``(p, s, fs)``.
         """
-        y, x = s.source, s.target
         for f in fs:
-            if f.source is not p or f.target is not x:
+            if f.source is not p or f.target is not s.target:
                 raise ValueError("lift_through_qis: mismatched complexes")
+        return self._lifts.share((p, s, *fs), self._solve_lifts, _moved_lifts)
+
+    def _solve_lifts(
+        self, p: BoundedComplex, s: ChainMap, *fs: ChainMap
+    ) -> list[tuple[ChainMap, Homotopy]]:
+        y, x = s.source, s.target
         fld = p.field
         degs = list(p.degrees())
         if not degs:
@@ -753,16 +885,17 @@ class DerivedContext:
         return HomComplex(self, p, y)
 
     def hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
-        return self._hom_spaces.get((x, y), self._build_hom_space)
-
-    def _build_hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
-        return HomSpace(self, x, y)
+        return self._hom_spaces.get((x, y), functools.partial(HomSpace, self), HomSpace._moved)
 
     def derived_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
-        return self.hom_space(x, y).degreewise_dims()
+        """Nonzero dim Hom_D(x, y[n]) per degree n."""
+        return dict(self._hom_dims.get((x, y), self._build_hom_dims, _same))
+
+    def _build_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
+        return self.hom_complex(self.replacement(x).p, y).homology_dims()
 
     def degreewise_dim(self, x: BoundedComplex, y: BoundedComplex, n: int) -> int:
-        return self.hom_space(x, y).degreewise_dims().get(n, 0)
+        return self.derived_hom_dims(x, y).get(n, 0)
 
     # -- tensors --------------------------------------------------------
 
@@ -879,6 +1012,14 @@ class HomComplex:
         self.diffs = {}
         for n in range(self.lo, self.hi):
             self.diffs[n] = self._differential(n)
+            self.diffs[n].setflags(write=False)
+
+    def _moved(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
+        """The same matrices, between complexes content-equal to
+        ``self.p`` and ``self.y``."""
+        out = copy.copy(self)
+        out.p, out.y = p, y
+        return out
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -924,15 +1065,10 @@ class HomComplex:
     def diff(self, n: int) -> np.ndarray:
         if n in self.diffs:
             return self.diffs[n]
-        return self.fld.zeros(self.dim(n), self.dim(n + 1))
+        return _zeros(self.dim(n), self.dim(n + 1))
 
     def homology_dims(self) -> dict[int, int]:
-        out = {}
-        for n in range(self.lo, self.hi + 1):
-            h = self.dim(n) - self.fld.rank(self.diff(n)) - self.fld.rank(self.diff(n - 1))
-            if h:
-                out[n] = h
-        return out
+        return _homology(self.fld, self.dims, self.diff)
 
     def cycle_space(self, n: int) -> np.ndarray:
         if self.dim(n) == 0:
@@ -1019,9 +1155,18 @@ class HomSpace:
         self.boundaries = bnd
         self.h_reps = cyc[[k - bnd.shape[0] for k in profile if k >= bnd.shape[0]]]
         self.dim = self.h_reps.shape[0]
+        bnd.setflags(write=False)
+        self.h_reps.setflags(write=False)
 
-    def degreewise_dims(self) -> dict[int, int]:
-        return self.hc.homology_dims()
+    def _moved(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
+        """The same basis, for complexes content-equal to ``self.x`` and
+        ``self.y``: on the replacement of ``x`` and the hom complex into
+        ``y``."""
+        out = copy.copy(self)
+        rep = self.ctx.replacement(x)
+        out.x, out.y, out.p, out.p_qis = x, y, rep.p, rep.qis
+        out.hc = self.hc._moved(rep.p, y)
+        return out
 
     def basis_maps(self) -> list[ChainMap]:
         return [self.hc.vector_to_chain_map(0, row) for row in self.h_reps]

@@ -58,7 +58,12 @@ class GlobalDimensionExceedsCapError(RuntimeError):
 
 
 class RightModule:
-    """Right module via one action matrix per algebra basis element."""
+    """Right module via one action matrix per algebra basis element.
+
+    ``key`` is the exact content of the module (shape and bytes of the
+    action tensor), the key of every module memo; the action is made
+    read-only so the key stays true.
+    """
 
     def __init__(self, algebra: Algebra, action: np.ndarray, name: str = "", validate: bool = True):
         self.algebra = algebra
@@ -69,13 +74,10 @@ class RightModule:
             raise ValueError("action matrices must be square")
         self.dim = int(self.action.shape[1])
         self.name = name or f"module(dim={self.dim})"
+        self.action.setflags(write=False)
+        self.key = (self.action.shape, self.action.tobytes())
         if validate:
-            # each content is checked once per algebra; a failure is never
-            # recorded, so malformed content raises on every construction
-            key = _content(self)
-            if key not in algebra._valid:
-                self.validate()
-                algebra._valid.add(key)
+            _validate_once(self, algebra)
 
     def __repr__(self):
         return f"<{self.name} over {self.algebra.name}>"
@@ -97,6 +99,21 @@ class RightModule:
             raise ValueError(f"{self.name}: unit does not act as identity")
         if not np.array_equal(_act_on_products(a, self.action), _products(self.action, self.action, p)):
             raise ValueError(f"{self.name}: action is not multiplicative")
+
+
+def _validate_once(obj, algebra: Algebra) -> None:
+    """``obj.validate()``, run once per content ``obj.key`` per algebra.
+
+    A failure is never recorded, so malformed content raises on every
+    construction.  An object whose content passed before takes over the
+    stored key, so content-equal objects share one copy of its bytes.
+    """
+    known = algebra._valid.get(obj.key)
+    if known is None:
+        obj.validate()
+        algebra._valid[obj.key] = obj.key
+    else:
+        obj.key = known
 
 
 @dataclass
@@ -213,14 +230,15 @@ def _products(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 
 def _read_only(obj):
-    """Clear the write flag of every array reachable from ``obj``."""
+    """Clear the write flag of every array reachable from ``obj``.
+
+    A :class:`RightModule` freezes its own action when it is built.
+    """
     if isinstance(obj, np.ndarray):
         obj.setflags(write=False)
     elif isinstance(obj, (list, tuple)):
         for item in obj:
             _read_only(item)
-    elif isinstance(obj, RightModule):
-        obj.action.setflags(write=False)
     elif is_dataclass(obj):
         for f in fields(obj):
             _read_only(getattr(obj, f.name))
@@ -239,10 +257,6 @@ def _memo(table: dict, key, build):
         _read_only(hit)
         table[key] = hit
     return hit
-
-
-def _content(m: RightModule) -> tuple:
-    return m.action.shape, m.action.tobytes()
 
 
 def _generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,7 +307,7 @@ class _Weights:
 
 
 def _weights(m: RightModule) -> _Weights:
-    return _memo(m.algebra._weights, _content(m), lambda: _build_weights(m))
+    return _memo(m.algebra._weights, m.key, lambda: _build_weights(m))
 
 
 def _build_weights(m: RightModule) -> _Weights:
@@ -471,7 +485,7 @@ def _hom_entry(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.nda
     """
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis: modules over different algebras")
-    return _memo(m.algebra._hom_bases, _content(m) + _content(n), lambda: _build_hom(m, n))
+    return _memo(m.algebra._hom_bases, m.key + n.key, lambda: _build_hom(m, n))
 
 
 def _build_hom(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -572,7 +586,7 @@ def tensor_over(m: RightModule, w: Bimodule, name: str = "") -> TensorResult:
         raise ValueError(
             f"tensor_over: module over {m.algebra.name} but bimodule is left-{w.left_algebra.name}"
         )
-    return _memo(w._tensors, _content(m) + (name,), lambda: _build_tensor(m, w, name))
+    return _memo(w._tensors, m.key + (name,), lambda: _build_tensor(m, w, name))
 
 
 def _build_tensor(m: RightModule, w: Bimodule, name: str) -> TensorResult:
@@ -657,7 +671,7 @@ def projective_cover(m: RightModule) -> Cover:
     Memoised on the algebra by the content of M; the shared cover is
     read-only and its module keeps the name of the first build.
     """
-    return _memo(m.algebra._covers, _content(m), lambda: _build_cover(m))
+    return _memo(m.algebra._covers, m.key, lambda: _build_cover(m))
 
 
 def _build_cover(m: RightModule) -> Cover:

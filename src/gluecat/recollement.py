@@ -19,6 +19,7 @@ chosen bases.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
@@ -1044,6 +1045,26 @@ class Cell:
         return out
 
 
+@contextmanager
+def _cell_guard(cells: list[Cell], diagram: str, axiom: str, objects: str, expected, note: str):
+    """Run the checks of one cell; an exception in them becomes a cell
+    that names the exception type and message.
+
+    A ``MemoryError`` says nothing about the mathematics, so its cell is
+    inconclusive ("not-certified"); any other exception fails the cell.
+    """
+    try:
+        yield
+    except MemoryError as exc:
+        cells.append(
+            Cell(axiom, diagram, objects, expected, f"error: MemoryError: {exc}", "not-certified", note)
+        )
+    except Exception as exc:
+        cells.append(
+            Cell(axiom, diagram, objects, expected, f"error: {type(exc).__name__}: {exc}", "fail", note)
+        )
+
+
 def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
@@ -1102,17 +1123,7 @@ def verify_axioms(
     menu_u = menus[diagram.u_tag]
     window = rec.degree_window(menu_a + menu_s + menu_u)
 
-    @contextmanager
-    def guard(axiom, objects, expected, note):
-        """Run one check; an exception in it becomes a failing cell that
-        names the exception type and message."""
-        try:
-            yield
-        except Exception as exc:
-            cells.append(
-                Cell(axiom, diagram.label, objects, expected,
-                     f"error: {type(exc).__name__}: {exc}", "fail", note)
-            )
+    guard = functools.partial(_cell_guard, cells, diagram.label)
 
     if not (menu_a and menu_s and menu_u):
         cells.append(
@@ -1132,25 +1143,25 @@ def verify_axioms(
         xs, ys = pair_tests[key]
         scored = []
         for xn, x in xs:
-            fx = pair.F.apply(x)
             for yn, y in ys:
-                gy = pair.G.apply(y)
-                lhs = ctx.derived_hom_dims(fx, y)
-                rhs = ctx.derived_hom_dims(x, gy)
-                ok = _window_dims(lhs, window) == _window_dims(rhs, window)
-                verdict = "pass" if ok else "fail"
-                cells.append(
-                    Cell(
-                        "R1.1",
-                        diagram.label,
-                        f"{pair.label} x={xn} y={yn}",
-                        _window_dims(rhs, window),
-                        _window_dims(lhs, window),
-                        verdict,
-                        "dims",
+                objects = f"{pair.label} x={xn} y={yn}"
+                with guard("R1.1", objects, "equal derived Hom dimensions", "dims"):
+                    lhs = ctx.derived_hom_dims(pair.F.apply(x), y)
+                    rhs = ctx.derived_hom_dims(x, pair.G.apply(y))
+                    ok = _window_dims(lhs, window) == _window_dims(rhs, window)
+                    verdict = "pass" if ok else "fail"
+                    cells.append(
+                        Cell(
+                            "R1.1",
+                            diagram.label,
+                            objects,
+                            _window_dims(rhs, window),
+                            _window_dims(lhs, window),
+                            verdict,
+                            "dims",
+                        )
                     )
-                )
-                scored.append((lhs.get(0, 0) > 0, xn, x, yn, y))
+                    scored.append((lhs.get(0, 0) > 0, xn, x, yn, y))
         if pair.provider is None:
             continue
         # explicit matrices on a deterministic sample, nonzero pairs first
@@ -1179,37 +1190,30 @@ def verify_axioms(
         # naturality squares on the first sampled pair
         if naturality_samples and scored:
             _, xn, x, yn, y = scored[0]
-            ok, note = _check_naturality(ctx, pair, xs, ys, x, y)
-            cells.append(
-                Cell(
-                    "R1.1",
-                    diagram.label,
-                    f"{pair.label} x={xn} y={yn}",
-                    "commuting naturality squares",
-                    note,
-                    "pass" if ok else "fail",
-                    "naturality",
+            objects = f"{pair.label} x={xn} y={yn}"
+            with guard("R1.1", objects, "commuting naturality squares", "naturality"):
+                ok, note = _check_naturality(ctx, pair, xs, ys, x, y)
+                cells.append(
+                    Cell(
+                        "R1.1",
+                        diagram.label,
+                        objects,
+                        "commuting naturality squares",
+                        note,
+                        "pass" if ok else "fail",
+                        "naturality",
+                    )
                 )
-            )
 
     # ---- R1.2: vanishing composites ------------------------------------
-    for yn, y in menu_s:
-        out = diagram.quot.apply(diagram.emb.apply(y))
-        hd = homology_dims(out)
-        cells.append(
-            Cell("R1.2", diagram.label, f"quot∘emb {yn}", {}, hd, "pass" if hd == {} else "fail")
-        )
+    vanishing = [("R1.2", f"quot∘emb {yn}", (diagram.emb, diagram.quot), y) for yn, y in menu_s]
     for nn, n in menu_u:
-        out = diagram.emb_left.apply(diagram.quot_left.apply(n))
-        hd = homology_dims(out)
-        cells.append(
-            Cell("R1.2c1", diagram.label, f"emb_left∘quot_left {nn}", {}, hd, "pass" if hd == {} else "fail")
-        )
-        out = diagram.emb_right.apply(diagram.quot_right.apply(n))
-        hd = homology_dims(out)
-        cells.append(
-            Cell("R1.2c2", diagram.label, f"emb_right∘quot_right {nn}", {}, hd, "pass" if hd == {} else "fail")
-        )
+        vanishing.append(("R1.2c1", f"emb_left∘quot_left {nn}", (diagram.quot_left, diagram.emb_left), n))
+        vanishing.append(("R1.2c2", f"emb_right∘quot_right {nn}", (diagram.quot_right, diagram.emb_right), n))
+    for axiom, objects, (first, second), obj in vanishing:
+        with guard(axiom, objects, {}, ""):
+            hd = homology_dims(second.apply(first.apply(obj)))
+            cells.append(Cell(axiom, diagram.label, objects, {}, hd, "pass" if hd == {} else "fail"))
 
     # ---- R1.3: fully faithful embeddings --------------------------------
     r13 = [
@@ -1297,14 +1301,14 @@ def verify_axioms(
     ]
     for killer, pair, note in essim_checks:
         for xn, x in menu_a:
-            if homology_dims(killer.apply(x)) != {}:
-                continue
-            if pair.provider is None:
-                cells.append(
-                    Cell("EssIm", diagram.label, f"X={xn}", "counit iso", "no adjunction witness", "not-certified", note)
-                )
-                continue
             with guard("EssIm", f"X={xn}", "counit is a derived iso", note):
+                if homology_dims(killer.apply(x)) != {}:
+                    continue
+                if pair.provider is None:
+                    cells.append(
+                        Cell("EssIm", diagram.label, f"X={xn}", "counit iso", "no adjunction witness", "not-certified", note)
+                    )
+                    continue
                 eps = pair.provider.counit(x)
                 cert = ctx.certificate_for_map(eps.map)
                 cells.append(

@@ -17,6 +17,7 @@ one exact GF(p) product per degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .recollement import (
     FunctorExpr,
     Recollement,
     VerificationReport,
+    _cell_guard,
     primitive_adjunctions,
 )
 
@@ -410,54 +412,56 @@ def serre_axiom_check(
     gram_budget = len(pair_list) if pairing_pairs is None else pairing_pairs
     gram_done = 0
 
+    guard = functools.partial(_cell_guard, cells, label)
     for xn, x, yn, y in pair_list:
-        fx = sd.serre_apply(f_name, x)
-        fty = sd.serre_apply(ft_name, y)
-        dims_xy = ctx.derived_hom_dims(x, y)
-        dims_y_fx = ctx.derived_hom_dims(y, fx)
-        dims_fty_x = ctx.derived_hom_dims(fty, x)
-        ok_a = _serre_dim_check(ctx, dims_xy, dims_y_fx, window, mirrored=True)
-        cells.append(
-            Cell("S.a", label, f"x={xn} y={yn}", dims_xy, dims_y_fx, "pass" if ok_a else "fail", "dim Hom(x,y) vs Hom(y,Fx)")
-        )
-        ok_b = _serre_dim_check(ctx, dims_xy, dims_fty_x, window, mirrored=True)
-        cells.append(
-            Cell("S.b", label, f"x={xn} y={yn}", dims_xy, dims_fty_x, "pass" if ok_b else "fail", "dim Hom(x,y) vs Hom(F~y,x)")
-        )
-        fy = sd.serre_apply(f_name, y)
-        dims_ff = ctx.derived_hom_dims(fx, fy)
-        ok_c = _serre_dim_check(ctx, dims_xy, dims_ff, window, mirrored=False)
-        cells.append(
-            Cell("S.c", label, f"x={xn} y={yn}", dims_xy, dims_ff, "pass" if ok_c else "fail", "fully faithful at dimension level")
-        )
+        objects = f"x={xn} y={yn}"
+        ok_a = False
+        note = "dim Hom(x,y) vs Hom(y,Fx)"
+        with guard("S.a", objects, "mirrored dimensions", note):
+            dims_xy = ctx.derived_hom_dims(x, y)
+            dims_y_fx = ctx.derived_hom_dims(y, sd.serre_apply(f_name, x))
+            ok_a = _serre_dim_check(ctx, dims_xy, dims_y_fx, window, mirrored=True)
+            cells.append(Cell("S.a", label, objects, dims_xy, dims_y_fx, "pass" if ok_a else "fail", note))
+        note = "dim Hom(x,y) vs Hom(F~y,x)"
+        with guard("S.b", objects, "mirrored dimensions", note):
+            dims_xy = ctx.derived_hom_dims(x, y)
+            dims_fty_x = ctx.derived_hom_dims(sd.serre_apply(ft_name, y), x)
+            ok_b = _serre_dim_check(ctx, dims_xy, dims_fty_x, window, mirrored=True)
+            cells.append(Cell("S.b", label, objects, dims_xy, dims_fty_x, "pass" if ok_b else "fail", note))
+        note = "fully faithful at dimension level"
+        with guard("S.c", objects, "equal dimensions", note):
+            dims_xy = ctx.derived_hom_dims(x, y)
+            dims_ff = ctx.derived_hom_dims(sd.serre_apply(f_name, x), sd.serre_apply(f_name, y))
+            ok_c = _serre_dim_check(ctx, dims_xy, dims_ff, window, mirrored=False)
+            cells.append(Cell("S.c", label, objects, dims_xy, dims_ff, "pass" if ok_c else "fail", note))
         if ok_a and gram_done < gram_budget:
             gram_done += 1
-            try:
-                if which == "T":
-                    wit = serre_pairing(sd, x, y, xn, yn)
-                    wit_l = serre_left_pairing(sd, x, y, xn, yn)
-                else:
-                    wit = induced_right_pairing(sd, f_name, x, y, xn, yn)
-                    wit_l = induced_left_pairing(sd, ft_name, x, y, xn, yn)
-                cells.append(
-                    Cell("S.gram", label, f"x={xn} y={yn}", "invertible Gram matrices", f"dims {wit.dim}/{wit_l.dim}", "pass", "right+left pairings")
-                )
-            except SingularPairingError as exc:
-                cells.append(
-                    Cell("S.gram", label, f"x={xn} y={yn}", "invertible Gram matrices", str(exc), "fail")
-                )
+            with guard("S.gram", objects, "invertible Gram matrices", "right+left pairings"):
+                try:
+                    if which == "T":
+                        wit = serre_pairing(sd, x, y, xn, yn)
+                        wit_l = serre_left_pairing(sd, x, y, xn, yn)
+                    else:
+                        wit = induced_right_pairing(sd, f_name, x, y, xn, yn)
+                        wit_l = induced_left_pairing(sd, ft_name, x, y, xn, yn)
+                    cells.append(
+                        Cell("S.gram", label, objects, "invertible Gram matrices", f"dims {wit.dim}/{wit_l.dim}", "pass", "right+left pairings")
+                    )
+                except SingularPairingError as exc:
+                    cells.append(
+                        Cell("S.gram", label, objects, "invertible Gram matrices", str(exc), "fail")
+                    )
 
+    autoeq = [(f_name, ft_name, "F~Fx", 0), (ft_name, f_name, "FF~x", 1)]
     for xn, x in menu:
-        ffx = sd.serre_apply(ft_name, sd.serre_apply(f_name, x))
-        cert = ctx.derived_iso_certificate(ffx, x, seed=seed, attempts=attempts)
-        cells.append(
-            Cell("S.autoeq", label, f"F~Fx vs x at {xn}", homology_dims(x), homology_dims(ffx), cert.verdict, "quasi-inverse", certificate=cert.status)
-        )
-        fxf = sd.serre_apply(f_name, sd.serre_apply(ft_name, x))
-        cert2 = ctx.derived_iso_certificate(fxf, x, seed=seed + 1, attempts=attempts)
-        cells.append(
-            Cell("S.autoeq", label, f"FF~x vs x at {xn}", homology_dims(x), homology_dims(fxf), cert2.verdict, "quasi-inverse", certificate=cert2.status)
-        )
+        for first, second, shown, offset in autoeq:
+            objects = f"{shown} vs x at {xn}"
+            with guard("S.autoeq", objects, "derived iso", "quasi-inverse"):
+                fx = sd.serre_apply(second, sd.serre_apply(first, x))
+                cert = ctx.derived_iso_certificate(fx, x, seed=seed + offset, attempts=attempts)
+                cells.append(
+                    Cell("S.autoeq", label, objects, homology_dims(x), homology_dims(fx), cert.verdict, "quasi-inverse", certificate=cert.status)
+                )
 
     coverage = {"menu": [n for n, _ in menu], "window": [window.start, window.stop - 1]}
     return VerificationReport(label, cells, coverage)
@@ -480,20 +484,21 @@ def intrinsic_nakayama_crosscheck(
     cells = []
     label = f"serre-{which}-nakayama"
     for v, p in enumerate(projectives(alg)):
-        x = stalk_complex(p, name=f"{tag}:P{v + 1}")
-        lhs = sd.serre_apply(which, x)
-        rhs = intrinsic.apply(x)
-        cert = ctx.derived_iso_certificate(lhs, rhs, seed=seed + v, attempts=attempts)
-        cells.append(
-            Cell(
-                "S.nakayama",
-                label,
-                f"P{v + 1}",
-                homology_dims(rhs),
-                homology_dims(lhs),
-                cert.verdict,
-                "induced vs intrinsic",
-                certificate=cert.status,
+        with _cell_guard(cells, label, "S.nakayama", f"P{v + 1}", "derived iso", "induced vs intrinsic"):
+            x = stalk_complex(p, name=f"{tag}:P{v + 1}")
+            lhs = sd.serre_apply(which, x)
+            rhs = intrinsic.apply(x)
+            cert = ctx.derived_iso_certificate(lhs, rhs, seed=seed + v, attempts=attempts)
+            cells.append(
+                Cell(
+                    "S.nakayama",
+                    label,
+                    f"P{v + 1}",
+                    homology_dims(rhs),
+                    homology_dims(lhs),
+                    cert.verdict,
+                    "induced vs intrinsic",
+                    certificate=cert.status,
+                )
             )
-        )
     return VerificationReport(label, cells, {"projectives": alg.n_idempotents})

@@ -154,6 +154,26 @@ def test_verify_exit_one_on_failing_cells(tmp_path, f1_data, monkeypatch):
     assert code == 1
 
 
+def test_verify_memory_error_in_a_cell_exits_two(tmp_path, f1_data, monkeypatch, capsys):
+    import gluecat.serre as serre_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 974 MiB")
+
+    monkeypatch.setattr(serre_mod, "serre_pairing", exhausted)
+    data = dict(f1_data)
+    data["variants"] = ["original"]
+    scn = _write_scenario(tmp_path, data)
+    report = tmp_path / "r.json"
+    code = main(["verify", scn, "--report", str(report), "--quiet"])
+    assert code == 2
+    assert "RESULT: INCONCLUSIVE" in capsys.readouterr().out
+    cells = json.loads(report.read_text())["cells"]
+    hit = [c for c in cells if c["actual"] == "error: MemoryError: Unable to allocate 974 MiB"]
+    assert hit and {c["axiom"] for c in hit} == {"S.gram"}
+    assert all(c["verdict"] == "not-certified" for c in hit)
+
+
 def test_verify_two_vertex_idempotent_exits_zero(tmp_path, capsys):
     # A3 with e = e2 + e3: the adjunction formulas meet degrees where one
     # of the complexes is zero

@@ -209,11 +209,119 @@ def test_replacement_is_cached(ctx, alg_a2):
     s2 = simple_module(alg_a2, 1)
     x, twin = stalk_complex(s2), stalk_complex(s2)
     assert ctx.replacement(x) is ctx.replacement(x)
-    # keyed by identity: an equal but distinct complex gets its own entry
+    # an equal but distinct complex gets its own qis onto itself
     assert ctx.replacement(twin) is not ctx.replacement(x)
     assert ctx.hom_space(x, twin) is ctx.hom_space(x, twin)
     assert ctx.dual(x) is ctx.dual(x)
     assert ctx.module_hom_basis(s2, s2) is ctx.module_hom_basis(s2, s2)
+
+
+def _twins(alg):
+    """Pairs of distinct, content-equal complexes: a stalk that is
+    resolved, and a two-term complex that is replaced by splitting."""
+    p2, s2 = projective_module(alg, 1)[0], simple_module(alg, 1)
+    d = hom_basis_matrices(p2, s2)[0]
+    return [
+        (stalk_complex(s2), stalk_complex(s2, name="twin")),
+        (BoundedComplex(alg, {-1: p2, 0: s2}, {-1: d}), BoundedComplex(alg, {-1: p2, 0: s2}, {-1: d.copy()})),
+    ]
+
+
+def test_content_equal_complexes_share_the_replacement(ctx, alg_a3):
+    for x, twin in _twins(alg_a3):
+        assert x is not twin and x.key == twin.key
+        rep, rep_twin = ctx.replacement(x), ctx.replacement(twin)
+        assert rep_twin.p is rep.p
+        assert rep.qis.target is x and rep_twin.qis.target is twin
+        assert rep_twin.qis.source is rep.p
+        assert rep_twin.qis.key == rep.qis.key
+        assert ctx.replacement(twin) is rep_twin
+    assert ctx.memo_counts()["replacement"][0] < ctx.memo_counts()["replacement"][1]
+
+
+def test_hom_space_hit_lands_on_the_callers_objects(ctx, alg_a3):
+    x, x2 = _twins(alg_a3)[0]
+    hs, hs2 = ctx.hom_space(x, x), ctx.hom_space(x, x2)
+    assert hs.dim == 1
+    assert hs2 is not hs and hs2.h_reps is hs.h_reps and hs2.hc.diffs is hs.hc.diffs
+    assert (hs2.x, hs2.y, hs2.hc.y) == (x, x2, x2)
+    assert hs2.p is hs.p is ctx.replacement(x).p
+    assert hs2.p_qis is ctx.replacement(x).qis
+    for m in hs2.basis_maps():
+        assert m.source is hs2.p and m.target is x2
+    mor = hs2.basis_mors()[0]
+    assert mor.x is x and mor.y is x2
+    assert list(hs2.coords_of(mor)) == [1]
+    hs3 = ctx.hom_space(x2, x)
+    assert (hs3.x, hs3.y, hs3.p_qis.target) == (x2, x, x2)
+    assert ctx.derived_hom_dims(x2, x) == ctx.derived_hom_dims(x, x2) == {0: 1}
+
+
+def test_lift_hit_lands_on_the_callers_objects(ctx, alg_a3):
+    x, x2 = _twins(alg_a3)[1]
+    rep = ctx.replacement(x)
+    g, h = ctx.lift_through_qis(rep.p, rep.qis, rep.qis)
+    builds = ctx.memo_counts()["lift"][0]
+    # a content-equal source, target and qis, all distinct objects
+    p2 = BoundedComplex(alg_a3, dict(rep.p.terms), dict(rep.p.diffs))
+    s2 = ChainMap(p2, x2, rep.qis.comps)
+    g2, h2 = ctx.lift_through_qis(p2, ChainMap(p2, x2, rep.qis.comps), s2)
+    assert ctx.memo_counts()["lift"][0] == builds
+    assert g2.source is p2 and g2.target is p2 and g2.key == g.key
+    assert h2.source is p2 and h2.target is x2
+    assert h2.comps.keys() == h.comps.keys()
+    assert all(np.array_equal(h2.comps[n], h.comps[n]) for n in h.comps)
+
+
+def test_keyed_arrays_refuse_writes(ctx, alg_a3):
+    x = _twins(alg_a3)[1][0]
+    rep = ctx.replacement(x)
+    arrays = [x.diffs[-1], x.term(0).action, *rep.qis.comps.values(), *rep.p.diffs.values()]
+    hs = ctx.hom_space(x, x)
+    arrays += [hs.h_reps, hs.boundaries, *hs.hc.diffs.values()]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 1
+
+
+def test_every_memoised_complex_and_chain_map_is_valid_after_f1():
+    # each content is validated once when built; here every complex and
+    # chain map the F1 suite left in the memos is checked again in full
+    from gluecat.cli import run_suite
+    from gluecat.complexes import HomSpace, Replacement
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    ctx = DerivedContext()
+    run_suite(parse_scenario(fixture_scenario("F1")), ctx)
+    found = {}
+    memos = (ctx._replacements, ctx._hom_spaces, ctx._hom_dims, ctx._lifts)
+    for memo in memos:
+        for objs, value in [*memo._first.values(), *memo._given._entries.values()]:
+            items = list(objs)
+            if isinstance(value, Replacement):
+                items += [value.p, value.qis]
+            elif isinstance(value, HomSpace):
+                items += [value.p, value.p_qis, *value.basis_maps()]
+            elif isinstance(value, list):
+                items += [g for g, _ in value]
+            found.update((id(o), o) for o in items if isinstance(o, (BoundedComplex, ChainMap)))
+    kinds = {type(o) for o in found.values()}
+    assert kinds == {BoundedComplex, ChainMap}
+    for obj in found.values():
+        obj.validate()
+
+
+def test_replacements_are_built_once_per_content_on_f1(monkeypatch):
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    built = []
+    build = DerivedContext._build_replacement
+    monkeypatch.setattr(
+        DerivedContext, "_build_replacement", lambda self, x: built.append(x.key) or build(self, x)
+    )
+    run_suite(parse_scenario(fixture_scenario("F1")))
+    assert built and len(built) == len(set(built))
 
 
 def _replaced_menu_terms(rec):

@@ -324,6 +324,23 @@ def test_cell_guard_turns_exceptions_into_failing_cells(rec_f1, pair, method, ax
     assert len(errors) == report.counts()["fail"]
 
 
+def test_cell_guard_makes_a_memory_error_inconclusive(rec_f1):
+    # running out of memory says nothing about the mathematics
+    providers = primitive_adjunctions(rec_f1)
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 3.12 GiB")
+
+    providers["(i^*, i_*)"].forward_matrix = exhausted
+    report = verify_axioms(original_diagram(rec_f1, providers), default_menus(rec_f1), seed=11)
+    errors = [c for c in report.cells if str(c.actual).startswith("error: ")]
+    assert errors and {c.note for c in errors} == {"matrix"}
+    for c in errors:
+        assert c.verdict == "not-certified"
+        assert c.actual == "error: MemoryError: Unable to allocate 3.12 GiB"
+    assert report.counts()["fail"] == 0
+
+
 def test_corrupted_diagram_fails_r11(rec_f2):
     # swap i^* and i^! (keeping dimension-only checks) and expect an
     # R1.1 dimension mismatch somewhere on the menu

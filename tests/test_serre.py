@@ -230,6 +230,35 @@ def test_serre_axioms_outer_categories_f1(sd_f1, which, tag):
     assert not bad, [f"{c.axiom} {c.objects}: {c.note}" for c in bad[:6]]
 
 
+def _exhausted(*args, **kwargs):
+    raise MemoryError("Unable to allocate 974 MiB")
+
+
+def test_serre_cell_guard_makes_a_memory_error_inconclusive(sd_f1, monkeypatch):
+    menu = default_menu(sd_f1.rec, "A")
+    ctx = sd_f1.ctx
+    victim = menu[0][1]
+    dims = ctx.derived_hom_dims
+    monkeypatch.setattr(
+        ctx, "derived_hom_dims", lambda x, y: _exhausted() if x is y is victim else dims(x, y)
+    )
+    report = serre_axiom_check(sd_f1, "T", menu, seed=31, pairing_pairs=4)
+    bad = [c for c in report.cells if c.verdict != "pass"]
+    assert {(c.axiom, c.objects) for c in bad} == {(a, "x=P1 y=P1") for a in ("S.a", "S.b", "S.c")}
+    for c in bad:
+        assert c.verdict == "not-certified"
+        assert c.actual == "error: MemoryError: Unable to allocate 974 MiB"
+
+
+def test_nakayama_cell_guard_makes_a_memory_error_inconclusive(sd_f1, monkeypatch):
+    monkeypatch.setattr(sd_f1.ctx, "derived_iso_certificate", _exhausted)
+    report = intrinsic_nakayama_crosscheck(sd_f1, "S", seed=17)
+    assert report.cells
+    for c in report.cells:
+        assert c.verdict == "not-certified"
+        assert c.actual == "error: MemoryError: Unable to allocate 974 MiB"
+
+
 def test_serre_axioms_empty_menu_vacuous(sd_f1):
     report = serre_axiom_check(sd_f1, "T", [], seed=31)
     assert report.cells[0].verdict == "pass"

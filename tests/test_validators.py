@@ -2,7 +2,9 @@
 
 The checks of ``Algebra``, ``RightModule`` and ``Bimodule`` run as whole
 array comparisons; these inputs break exactly one law each, so every
-check is seen to fire with its own message.
+check is seen to fire with its own message.  Modules, complexes and
+chain maps validate once per content per algebra, so their malformed
+inputs are built twice: a failure must never be recorded.
 """
 
 import re
@@ -123,8 +125,9 @@ def test_module_content_is_checked_once_per_algebra(monkeypatch):
     monkeypatch.setattr(modules, "_act_on_products", lambda *args: calls.append(args) or check(*args))
     a = _a2()
     s1 = simple_module(a, 0)
-    RightModule(a, s1.action.copy(), name="again")
+    again = RightModule(a, s1.action.copy(), name="again")
     assert len(calls) == 1
+    assert again.key is s1.key
     simple_module(a, 1)
     assert len(calls) == 2
     simple_module(_a2(), 0)
@@ -199,3 +202,66 @@ def test_chain_map_check_sees_a_component_next_to_a_zero_term():
     y = BoundedComplex(a, {0: s1, 1: s1}, {0: np.eye(1, dtype=np.int64)})
     with pytest.raises(ValueError, match="chain map does not commute with d at degree 0"):
         ChainMap(x, y, {0: np.eye(1, dtype=np.int64)})
+
+
+def test_chain_map_check_sees_a_component_given_only_above():
+    # only f^1 is given; f^0 d^0 == 0 but d^0 f^1 != 0, so degree 0 must
+    # be checked although the map has no component there
+    a = _a2()
+    s1 = simple_module(a, 0)
+    x = BoundedComplex(a, {0: s1, 1: s1}, {0: np.eye(1, dtype=np.int64)})
+    with pytest.raises(ValueError, match="chain map does not commute with d at degree 0"):
+        ChainMap(x, x, {1: np.eye(1, dtype=np.int64)})
+
+
+def test_chain_map_rejects_malformed_content_on_every_construction():
+    a = _a2()
+    s1 = simple_module(a, 0)
+    x = BoundedComplex(a, {0: s1, 1: s1}, {0: np.eye(1, dtype=np.int64)})
+    for _ in range(2):
+        _raises("chain map does not commute with d at degree 0", lambda: ChainMap(x, x, {0: np.eye(1, dtype=np.int64)}))
+    _raises("chain map component 0 has wrong shape", lambda: ChainMap(x, x, {0: np.eye(2, dtype=np.int64)}))
+
+
+# ----------------------------------------------------------------------
+# BoundedComplex
+# ----------------------------------------------------------------------
+
+
+def _complex_cases():
+    a = _a2()
+    s1, s2 = simple_module(a, 0), simple_module(a, 1)
+    one = np.eye(1, dtype=np.int64)
+    return {
+        "bad: term 1 over wrong algebra": (a, {0: s1, 1: simple_module(_a2(), 0)}, {}),
+        "bad: differential 0 has wrong shape": (a, {0: s1, 1: s1}, {0: np.eye(2, dtype=np.int64)}),
+        "bad: differential 0 not A-linear": (a, {0: s1, 1: s2}, {0: one}),
+        "bad: d∘d != 0 at degree 0": (a, {0: s1, 1: s1, 2: s1}, {0: one, 1: one}),
+    }
+
+
+@pytest.mark.parametrize("message", list(_complex_cases()))
+def test_complex_rejects_malformed_content_on_every_construction(message):
+    a, terms, diffs = _complex_cases()[message]
+    for _ in range(2):
+        _raises(message, lambda: BoundedComplex(a, terms, diffs, name="bad"))
+    assert not any(len(key) == 5 for key in a._valid)
+
+
+def test_complex_and_chain_map_content_is_checked_once_per_algebra(monkeypatch):
+    calls = []
+    for cls in (BoundedComplex, ChainMap):
+        check = cls.validate
+        monkeypatch.setattr(cls, "validate", lambda self, check=check: calls.append(type(self)) or check(self))
+    a = _a2()
+    s1 = simple_module(a, 0)
+    one = np.eye(1, dtype=np.int64)
+    x = BoundedComplex(a, {0: s1, 1: s1}, {0: one})
+    twin = BoundedComplex(a, {0: s1, 1: s1}, {0: one}, name="twin")
+    f = ChainMap(x, twin, {0: one, 1: one})
+    assert ChainMap(twin, x, {0: one, 1: one}).key is f.key
+    assert twin.key is x.key
+    assert calls == [BoundedComplex, ChainMap]
+    b = _a2()
+    BoundedComplex(b, {0: simple_module(b, 0), 1: simple_module(b, 0)}, {0: one})
+    assert calls == [BoundedComplex, ChainMap, BoundedComplex]
