@@ -11,7 +11,7 @@ from .algebra import Quiver, path_algebra, opposite, corner, idempotent_quotient
 from .complexes import BoundedComplex, ChainMap, DerivedContext, stalk_complex
 from .recollement import build_recollement, default_menus, original_diagram, verify_axioms
 from .serre import attach_serre, serre_axiom_check
-from .reflect import assemble_reflected, verify_reflected
+from .reflect import assemble_reflected
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,5 @@ __all__ = [
     "attach_serre",
     "serre_axiom_check",
     "assemble_reflected",
-    "verify_reflected",
     "__version__",
 ]

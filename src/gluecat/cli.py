@@ -3,9 +3,17 @@
     gluecat verify <scenario.json> [--report out.json] [--quiet]
     gluecat apply <scenario.json> <functor> <object>
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 inconclusive
-cells only (certificates not found), 3 invalid scenario or unknown
-functor/object.
+Exit codes:
+
+    0  every cell passed
+    1  at least one check failed
+    2  no failures, but some cells were inconclusive: a certificate
+       search found nothing, or a check ran out of memory (MemoryError)
+    3  invalid scenario: composite characteristic, a characteristic
+       p >= 2^16, cyclic quiver, e at every vertex, non-stratifying
+       idempotent, resolution cap exceeded, unknown functor or object
+    4  unexpected error (a bug, or a fault such as an unwritable report
+       path); stderr then carries one JSON line {"error": type, "message": text}
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INVALID = 3
+EXIT_ERROR = 4
 
 _FUNCTOR_ALIASES = {
     "T̃": "T~",
@@ -230,7 +239,11 @@ def main(argv=None) -> int:
     p_apply.set_defaults(func=cmd_apply)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ __all__ = [
     "compose_maps",
     "add_maps",
     "scale_map",
+    "present_class",
 ]
 
 
@@ -416,24 +417,6 @@ def euler_characteristic(x: BoundedComplex) -> int:
     return sum(((-1) ** n) * d for n, d in ((m, x.term(m).dim) for m in x.degrees()))
 
 
-def projective_resolution(m: RightModule, cap: int) -> tuple[BoundedComplex, ChainMap]:
-    """Resolution of a module as a complex in degrees [-length, 0],
-    together with the augmentation quasi-isomorphism onto the stalk."""
-    res = resolution_data(m, cap)
-    terms = {}
-    diffs = {}
-    summands = {}
-    for k, cov in enumerate(res.covers):
-        terms[-k] = cov.module
-        summands[-k] = ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
-    for k in range(1, len(res.covers)):
-        diffs[-k] = res.diffs[k - 1]
-    p = BoundedComplex(m.algebra, terms, diffs, summands=summands, name=f"res({m.name})")
-    target = stalk_complex(m)
-    aug = ChainMap(p, target, {0: res.augmentation} if res.covers else {})
-    return p, aug
-
-
 # ----------------------------------------------------------------------
 # duality
 # ----------------------------------------------------------------------
@@ -601,7 +584,11 @@ class DerivedContext:
       complex per content.
     - ``dual``, the functor outputs and the composite adjunction matrices
       stay in an :class:`_IdentityMemo`, keyed by the identity of their
-      inputs: the dual-route functors rename their dual outputs in place.
+      inputs: a content hit there would have to move the value onto the
+      caller's input (a functor output together with its replacement and
+      tensors), and no such rule is written for them.  Nothing mutates
+      a memoised value; the dual-route functors build their outputs
+      afresh.
     - Module hom bases, projective covers, tensor products and the zero
       module are memoised by content in :mod:`gluecat.modules`, on the
       object that owns the data (the algebra, or the bimodule for
@@ -893,9 +880,6 @@ class DerivedContext:
 
     def _build_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
         return self.hom_complex(self.replacement(x).p, y).homology_dims()
-
-    def degreewise_dim(self, x: BoundedComplex, y: BoundedComplex, n: int) -> int:
-        return self.derived_hom_dims(x, y).get(n, 0)
 
     # -- tensors --------------------------------------------------------
 
@@ -1196,13 +1180,29 @@ class HomSpace:
         """Re-present a class as a chain map self.p -> y."""
         if mor.x is not self.x or mor.y is not self.y:
             raise ValueError("coords_of: morphism belongs to a different hom space")
-        m = mor.map
-        if m.source is self.p:
-            return m
-        if mor.src_qis.source is not m.source:
+        if mor.map.source is self.p:
+            return mor.map
+        if mor.src_qis.source is not mor.map.source:
             raise ValueError("Mor: src_qis does not match the carrier")
-        if m.source is self.x:
-            return compose_maps(self.p_qis, m)
-        # lift the canonical identification p ≃ x through the carrier's qis
-        ell, _ = self.ctx.lift_through_qis(self.p, self.p_qis, mor.src_qis)
-        return compose_maps(ell, m)
+        return present_class(self.ctx, mor, via=self.p_qis)
+
+
+def present_class(ctx: DerivedContext, mor: Mor, via: ChainMap | None = None) -> ChainMap:
+    """The class of ``mor`` as a chain map out of ``replacement(mor.x).p``.
+
+    With ``via``, a map p' -> mor.x, it is the class of ``via`` followed
+    by ``mor``, as a chain map out of p'.  A carrier on ``mor.x`` is
+    precomposed with ``via``; any other carrier first lifts ``via``
+    through its qis.  Without ``via`` it is the replacement's qis, and a
+    carrier already on the replacement is returned as it is.
+    """
+    m = mor.map
+    if via is None:
+        rep = ctx.replacement(mor.x)
+        if m.source is rep.p:
+            return m
+        via = rep.qis
+    if m.source is mor.x:
+        return compose_maps(via, m)
+    ell, _ = ctx.lift_through_qis(via.source, via, mor.src_qis)
+    return compose_maps(ell, m)

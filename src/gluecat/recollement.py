@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import Algebra, corner, ideal_span, idempotent_quotient
-from .field import PrimeField
 from .modules import (
     Bimodule,
     RightModule,
@@ -48,8 +47,10 @@ from .complexes import (
     compose_maps,
     cone,
     dual_chain_map,
+    dual_complex,
     homology_dims,
     identity_map,
+    present_class,
     scale_map,
     shift,
     stalk_complex,
@@ -71,6 +72,9 @@ __all__ = [
     "verify_axioms",
     "default_menu",
     "original_diagram",
+    "NEW_ADJOINT_EXPRS",
+    "DIAGRAM_LAYOUTS",
+    "layout_diagram",
 ]
 
 
@@ -144,26 +148,6 @@ class Functor:
 
     def apply_mor(self, mor: Mor) -> Mor:
         raise NotImplementedError
-
-    # -- helpers ---------------------------------------------------------
-
-    def _present_between_replacements(self, mor: Mor) -> ChainMap:
-        """Chain map R_x -> R_y carrying the class of ``mor``."""
-        ctx = self.ctx
-        rep_x = ctx.replacement(mor.x)
-        rep_y = ctx.replacement(mor.y)
-        m = mor.map
-        if m.source is rep_x.p:
-            m1 = m
-        elif m.source is mor.x:
-            m1 = compose_maps(rep_x.qis, m)
-        else:
-            ell, _ = ctx.lift_through_qis(rep_x.p, rep_x.qis, mor.src_qis)
-            m1 = compose_maps(ell, m)
-        if m1.target is rep_y.p:
-            return m1
-        g, _ = ctx.lift_through_qis(rep_x.p, m1, rep_y.qis)
-        return g
 
 
 class RestrictionFunctor(Functor):
@@ -244,9 +228,13 @@ class DerivedTensorFunctor(Functor):
         return out, {"rep": rep, "tensors": tensors}
 
     def apply_mor(self, mor: Mor) -> Mor:
+        ctx = self.ctx
         fx, fy = self.apply(mor.x), self.apply(mor.y)
-        g = self._present_between_replacements(mor)
-        new_map = self.ctx.tensor_map(
+        g = present_class(ctx, mor)  # R_x -> y
+        rep_y = ctx.replacement(mor.y)
+        if g.target is not rep_y.p:
+            g, _ = ctx.lift_through_qis(g.source, g, rep_y.qis)  # R_x -> R_y
+        new_map = ctx.tensor_map(
             g, self.aux(mor.x)["tensors"], self.aux(mor.y)["tensors"], fx, fy
         )
         return Mor(fx, fy, new_map, identity_map(fx))
@@ -267,16 +255,15 @@ class DualDerivedTensorFunctor(Functor):
         dx = ctx.dual(x)
         rep = ctx.replacement(dx)
         pre, tensors = ctx.termwise_tensor(rep.p, self.w, name=f"pre{self.name}({x.name})")
-        out = ctx.dual(pre)
+        out = dual_complex(pre, name=f"{self.name}({x.name})")
         out.injective_terms = self.injective_output
-        out.name = f"{self.name}({x.name})"
         return out, {"dual_input": dx, "rep": rep, "pre": pre, "tensors": tensors}
 
     def dual_presentation(self, mor: Mor) -> ChainMap:
         """Chain map R_{Dy} -> R_{Dx} carrying the dual class D(mor)."""
         ctx = self.ctx
         rep_x = ctx.replacement(mor.x)
-        m_hat = self._present_between_rep_and_target(mor)
+        m_hat = present_class(ctx, mor)
         dx, dy = ctx.dual(mor.x), ctx.dual(mor.y)
         rep_dx, rep_dy = ctx.replacement(dx), ctx.replacement(dy)
         d_rx = ctx.dual(rep_x.p)
@@ -286,17 +273,6 @@ class DualDerivedTensorFunctor(Functor):
         f = compose_maps(rep_dy.qis, dm)  # R_{Dy} -> D(R_x)
         g, _ = ctx.lift_through_qis(rep_dy.p, f, s)
         return g
-
-    def _present_between_rep_and_target(self, mor: Mor) -> ChainMap:
-        ctx = self.ctx
-        rep_x = ctx.replacement(mor.x)
-        m = mor.map
-        if m.source is rep_x.p:
-            return m
-        if m.source is mor.x:
-            return compose_maps(rep_x.qis, m)
-        ell, _ = ctx.lift_through_qis(rep_x.p, rep_x.qis, mor.src_qis)
-        return compose_maps(ell, m)
 
     def apply_mor(self, mor: Mor) -> Mor:
         ctx = self.ctx
@@ -462,29 +438,28 @@ def build_recollement(
 
 
 class AdjunctionProvider:
-    """Explicit Hom(Fx, y) ~= Hom(x, Gy) at the level of chosen bases."""
+    """Explicit Hom(Fx, y) ~= Hom(x, Gy) at the level of chosen bases,
+    for the functor expressions ``f_expr`` -| ``g_expr``."""
 
     name = "?"
 
-    def __init__(self, rec: Recollement):
+    def __init__(self, rec: Recollement, f_expr: FunctorExpr, g_expr: FunctorExpr):
         self.rec = rec
         self.ctx = rec.ctx
-
-    # category tags of the test objects
-    x_tag = "?"
-    y_tag = "?"
+        self.f_expr = f_expr
+        self.g_expr = g_expr
 
     def F_apply(self, x):
-        raise NotImplementedError
+        return self.rec.apply_expr(self.f_expr, x)
 
     def G_apply(self, y):
-        raise NotImplementedError
+        return self.rec.apply_expr(self.g_expr, y)
 
     def F_mor(self, mor):
-        raise NotImplementedError
+        return self.rec.apply_expr_mor(self.f_expr, mor)
 
     def G_mor(self, mor):
-        raise NotImplementedError
+        return self.rec.apply_expr_mor(self.g_expr, mor)
 
     def forward(self, x, y, mor: Mor) -> Mor:
         raise NotImplementedError
@@ -502,22 +477,17 @@ class AdjunctionProvider:
 
     def forward_matrix(self, x, y) -> np.ndarray:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
-        fld = self.ctx_field(x)
-        m = fld.zeros(lhs.dim, rhs.dim)
+        m = x.field.zeros(lhs.dim, rhs.dim)
         for i, mor in enumerate(lhs.basis_mors()):
             m[i] = rhs.coords_of(self.forward(x, y, mor))
         return m
 
     def backward_matrix(self, x, y) -> np.ndarray:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
-        fld = self.ctx_field(x)
-        m = fld.zeros(rhs.dim, lhs.dim)
+        m = x.field.zeros(rhs.dim, lhs.dim)
         for j, mor in enumerate(rhs.basis_mors()):
             m[j] = lhs.coords_of(self.backward(x, y, mor))
         return m
-
-    def ctx_field(self, x) -> PrimeField:
-        return x.field
 
     def unit(self, x) -> Mor:
         """x -> G F x as the forward image of the identity."""
@@ -536,19 +506,6 @@ class StarPullbackAdjunction(AdjunctionProvider):
     """(i^*, i_*):  Hom_B(X (x)^L B, Y') ~= Hom_A(X, res Y')."""
 
     name = "(i^*, i_*)"
-    x_tag, y_tag = "A", "B"
-
-    def F_apply(self, x):
-        return self.rec.functor("i^*").apply(x)
-
-    def G_apply(self, y):
-        return self.rec.functor("i_*").apply(y)
-
-    def F_mor(self, mor):
-        return self.rec.functor("i^*").apply_mor(mor)
-
-    def G_mor(self, mor):
-        return self.rec.functor("i_*").apply_mor(mor)
 
     def forward(self, x, y, mor):
         ctx, rec = self.ctx, self.rec
@@ -596,19 +553,6 @@ class ShriekPullbackAdjunction(AdjunctionProvider):
     """(j_!, j^*):  Hom_A(N (x)^L eA, X) ~= Hom_C(N, X e)."""
 
     name = "(j_!, j^*)"
-    x_tag, y_tag = "C", "A"
-
-    def F_apply(self, x):
-        return self.rec.functor("j_!").apply(x)
-
-    def G_apply(self, y):
-        return self.rec.functor("j^*").apply(y)
-
-    def F_mor(self, mor):
-        return self.rec.functor("j_!").apply_mor(mor)
-
-    def G_mor(self, mor):
-        return self.rec.functor("j^*").apply_mor(mor)
 
     def forward(self, n_obj, x, mor):
         ctx, rec = self.ctx, self.rec
@@ -683,19 +627,6 @@ class PushShriekAdjunction(AdjunctionProvider):
     """(i_*, i^!):  Hom_A(i_* Y', X) ~= Hom_B(Y', i^! X)."""
 
     name = "(i_*, i^!)"
-    x_tag, y_tag = "B", "A"
-
-    def F_apply(self, x):
-        return self.rec.functor("i_*").apply(x)
-
-    def G_apply(self, y):
-        return self.rec.functor("i^!").apply(y)
-
-    def F_mor(self, mor):
-        return self.rec.functor("i_*").apply_mor(mor)
-
-    def G_mor(self, mor):
-        return self.rec.functor("i^!").apply_mor(mor)
 
     def _unit(self, yp) -> ChainMap:
         """y' -> i^! i_* y' via the evaluation pairing."""
@@ -766,19 +697,6 @@ class StarPushAdjunction(AdjunctionProvider):
     """(j^*, j_*):  Hom_C(X e, N) ~= Hom_A(X, j_* N)."""
 
     name = "(j^*, j_*)"
-    x_tag, y_tag = "A", "C"
-
-    def F_apply(self, x):
-        return self.rec.functor("j^*").apply(x)
-
-    def G_apply(self, y):
-        return self.rec.functor("j_*").apply(y)
-
-    def F_mor(self, mor):
-        return self.rec.functor("j^*").apply_mor(mor)
-
-    def G_mor(self, mor):
-        return self.rec.functor("j_*").apply_mor(mor)
 
     def _unit(self, x) -> ChainMap:
         """x -> j_* j^* x."""
@@ -859,12 +777,13 @@ class StarPushAdjunction(AdjunctionProvider):
 
 
 def primitive_adjunctions(rec: Recollement) -> dict[str, AdjunctionProvider]:
-    return {
-        "(i^*, i_*)": StarPullbackAdjunction(rec),
-        "(i_*, i^!)": PushShriekAdjunction(rec),
-        "(j_!, j^*)": ShriekPullbackAdjunction(rec),
-        "(j^*, j_*)": StarPushAdjunction(rec),
-    }
+    rows = (
+        (StarPullbackAdjunction, "i^*", "i_*"),
+        (PushShriekAdjunction, "i_*", "i^!"),
+        (ShriekPullbackAdjunction, "j_!", "j^*"),
+        (StarPushAdjunction, "j^*", "j_*"),
+    )
+    return {cls.name: cls(rec, FunctorExpr((f,)), FunctorExpr((g,))) for cls, f, g in rows}
 
 
 # ----------------------------------------------------------------------
@@ -877,11 +796,7 @@ def compose_mor(ctx: DerivedContext, m1: Mor, m2: Mor) -> Mor:
     if m1.y is not m2.x:
         raise ValueError("compose_mor: middle objects differ")
     hs = ctx.hom_space(m1.x, m1.y)
-    a = hs.normalize(m1)
-    if m2.map.source is m1.y:
-        return Mor(m1.x, m2.y, compose_maps(a, m2.map), hs.p_qis)
-    ell, _ = ctx.lift_through_qis(hs.p, a, m2.src_qis)
-    return Mor(m1.x, m2.y, compose_maps(ell, m2.map), hs.p_qis)
+    return Mor(m1.x, m2.y, present_class(ctx, m2, via=hs.normalize(m1)), hs.p_qis)
 
 
 def mor_from_coords(hs, coords: np.ndarray) -> Mor:
@@ -947,25 +862,55 @@ class DiagramSpec:
     pairs: dict[str, AdjointPair] = dc_field(default_factory=dict)
 
 
+# expanded five-step primitive compositions of the four new adjoints,
+# in application order
+NEW_ADJOINT_EXPRS = {
+    "i_!": FunctorExpr(("i_*", "T", "i^!", "i_*", "T~")),
+    "j^?": FunctorExpr(("T", "j^*", "j_*", "T~", "j^*")),
+    "i_?": FunctorExpr(("i_*", "T~", "i^*", "i_*", "T")),
+    "j^!": FunctorExpr(("T~", "j^*", "j_!", "T", "j^*")),
+}
+
+POSITIONS = ("emb", "emb_left", "emb_right", "quot", "quot_left", "quot_right")
+
+# diagram label -> (s_tag, u_tag, the functor in each of POSITIONS)
+DIAGRAM_LAYOUTS = {
+    "original": ("B", "C", ("i_*", "i^*", "i^!", "j^*", "j_!", "j_*")),
+    "upper": ("C", "B", ("j_!", "j^?", "j^*", "i^*", "i_!", "i_*")),
+    "lower": ("C", "B", ("j_*", "j^*", "j^!", "i^!", "i_*", "i_?")),
+}
+
+# the positions of each adjoint pair (F, G); its provider is the one
+# named "(F, G)"
+PAIR_POSITIONS = {
+    "P1": ("emb_left", "emb"),
+    "P2": ("emb", "emb_right"),
+    "P3": ("quot_left", "quot"),
+    "P4": ("quot", "quot_right"),
+}
+
+
+def layout_diagram(
+    rec: Recollement, label: str, providers: dict[str, AdjunctionProvider]
+) -> DiagramSpec:
+    """The diagram ``label`` of :data:`DIAGRAM_LAYOUTS`, each adjoint pair
+    witnessed by its provider in ``providers`` (or by none)."""
+    s_tag, u_tag, names = DIAGRAM_LAYOUTS[label]
+    funcs = {
+        pos: PipelineFunctor(rec, NEW_ADJOINT_EXPRS.get(name, FunctorExpr((name,))), name)
+        for pos, name in zip(POSITIONS, names)
+    }
+    pairs = {}
+    for key, (f, g) in PAIR_POSITIONS.items():
+        pair_label = f"({funcs[f].label}, {funcs[g].label})"
+        pairs[key] = AdjointPair(pair_label, funcs[f], funcs[g], providers.get(pair_label))
+    return DiagramSpec(label, rec, s_tag, u_tag, pairs=pairs, **funcs)
+
+
 def original_diagram(rec: Recollement, providers: dict[str, AdjunctionProvider] | None = None) -> DiagramSpec:
     if providers is None:
         providers = primitive_adjunctions(rec)
-    pf = lambda steps, label: PipelineFunctor(rec, FunctorExpr(tuple(steps)), label)
-    emb = pf(["i_*"], "i_*")
-    emb_left = pf(["i^*"], "i^*")
-    emb_right = pf(["i^!"], "i^!")
-    quot = pf(["j^*"], "j^*")
-    quot_left = pf(["j_!"], "j_!")
-    quot_right = pf(["j_*"], "j_*")
-    pairs = {
-        "P1": AdjointPair("(i^*, i_*)", emb_left, emb, providers.get("(i^*, i_*)")),
-        "P2": AdjointPair("(i_*, i^!)", emb, emb_right, providers.get("(i_*, i^!)")),
-        "P3": AdjointPair("(j_!, j^*)", quot_left, quot, providers.get("(j_!, j^*)")),
-        "P4": AdjointPair("(j^*, j_*)", quot, quot_right, providers.get("(j^*, j_*)")),
-    }
-    return DiagramSpec(
-        "original", rec, "B", "C", emb, emb_left, emb_right, quot, quot_left, quot_right, pairs
-    )
+    return layout_diagram(rec, "original", providers)
 
 
 # ----------------------------------------------------------------------
@@ -1380,35 +1325,3 @@ def _check_naturality(ctx, pair: AdjointPair, xs, ys, x, y):
     if not notes:
         notes.append("no nonzero test morphisms available")
     return True, "; ".join(notes)
-
-
-# ----------------------------------------------------------------------
-# convenience entry points
-# ----------------------------------------------------------------------
-
-
-def primitive_adjunction_iso(rec: Recollement, pair: str, x: BoundedComplex, y: BoundedComplex) -> np.ndarray:
-    """Invertible matrix Hom(Fx, y) -> Hom(x, Gy) in the chosen bases.
-
-    ``pair`` is one of "(i^*, i_*)", "(i_*, i^!)", "(j_!, j^*)",
-    "(j^*, j_*)".
-    """
-    provider = primitive_adjunctions(rec)[pair]
-    fwd = provider.forward_matrix(x, y)
-    bwd = provider.backward_matrix(x, y)
-    fld = x.field
-    if fwd.size and not np.array_equal(fld.matmul(fwd, bwd), fld.identity(fwd.shape[0])):
-        raise RuntimeError(f"{pair}: forward and backward witnesses disagree")
-    return fwd
-
-
-def unit_counit(rec: Recollement, pair: str, x: BoundedComplex, kind: str = "unit") -> Mor:
-    """Unit x -> GFx or counit FGx -> x of a primitive adjunction, as an
-    explicit chain-map class (the image of the identity under the
-    adjunction isomorphism)."""
-    provider = primitive_adjunctions(rec)[pair]
-    if kind == "unit":
-        return provider.unit(x)
-    if kind == "counit":
-        return provider.counit(x)
-    raise ValueError("kind must be 'unit' or 'counit'")

@@ -19,75 +19,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import BoundedComplex, Mor, _IdentityMemo
+from .complexes import Mor, _IdentityMemo
 from .recollement import (
-    AdjointPair,
+    NEW_ADJOINT_EXPRS,
     AdjunctionProvider,
     DiagramSpec,
     FunctorExpr,
-    PipelineFunctor,
     Recollement,
-    VerificationReport,
+    layout_diagram,
     mor_from_coords,
-    verify_axioms,
 )
-from .serre import (
-    SerreData,
-    induced_left_pairing,
-    induced_right_pairing,
-    serre_left_pairing,
-    serre_pairing,
-)
+from .serre import SerreData, serre_left_pairing, serre_pairing
 
 __all__ = [
     "NEW_ADJOINT_EXPRS",
-    "new_adjoint_pipeline",
     "CompositeAdjunction",
     "composite_adjunctions",
     "ReflectedRecollement",
     "assemble_reflected",
-    "verify_reflected",
 ]
-
-
-# expanded five-step primitive compositions, in application order
-NEW_ADJOINT_EXPRS = {
-    "i_!": FunctorExpr(("i_*", "T", "i^!", "i_*", "T~")),
-    "j^?": FunctorExpr(("T", "j^*", "j_*", "T~", "j^*")),
-    "i_?": FunctorExpr(("i_*", "T~", "i^*", "i_*", "T")),
-    "j^!": FunctorExpr(("T~", "j^*", "j_!", "T", "j^*")),
-}
-
-
-def new_adjoint_pipeline(which: str) -> FunctorExpr:
-    return NEW_ADJOINT_EXPRS[which]
 
 
 class CompositeAdjunction(AdjunctionProvider):
     """Adjunction witness assembled from two Serre pairings and one
     primitive adjunction matrix."""
 
-    def __init__(self, sd: SerreData, name: str, f_expr: FunctorExpr, g_expr: FunctorExpr, x_tag: str, y_tag: str):
-        super().__init__(sd.rec)
+    def __init__(self, sd: SerreData, name: str, f_expr: FunctorExpr, g_expr: FunctorExpr):
+        super().__init__(sd.rec, f_expr, g_expr)
         self.sd = sd
         self.name = name
-        self.f_expr = f_expr
-        self.g_expr = g_expr
-        self.x_tag = x_tag
-        self.y_tag = y_tag
         self._matrices = _IdentityMemo()   # (x, y) -> (forward, backward)
-
-    def F_apply(self, x):
-        return self.rec.apply_expr(self.f_expr, x)
-
-    def G_apply(self, y):
-        return self.rec.apply_expr(self.g_expr, y)
-
-    def F_mor(self, mor):
-        return self.rec.apply_expr_mor(self.f_expr, mor)
-
-    def G_mor(self, mor):
-        return self.rec.apply_expr_mor(self.g_expr, mor)
 
     def _chain_matrix(self, x, y) -> np.ndarray:
         raise NotImplementedError
@@ -129,17 +90,17 @@ class LowerShriekStarAdjunction(CompositeAdjunction):
     """(i_!, i^*):  Hom_A(i_! x, y) ~= Hom_B(x, i^* y)."""
 
     def __init__(self, sd: SerreData):
-        super().__init__(sd, "(i_!, i^*)", NEW_ADJOINT_EXPRS["i_!"], FunctorExpr(("i^*",)), "B", "A")
+        super().__init__(sd, "(i_!, i^*)", NEW_ADJOINT_EXPRS["i_!"], FunctorExpr(("i^*",)))
 
     def _chain_matrix(self, x, y):
-        rec, sd, ctx = self.rec, self.sd, self.ctx
+        rec, sd = self.rec, self.sd
         fld = x.field
-        sx = rec.apply_expr(FunctorExpr(("i_*", "T", "i^!")), x)   # S x
+        sx = sd.serre_apply("S", x)
         z = rec.functor("i_*").apply(sx)                            # i_* S x
         iy = rec.functor("i^*").apply(y)
-        g1 = _left_gram(sd, "T", y, z)
+        g1 = serre_left_pairing(sd, "T~", y, z).gram
         f1 = sd.adjunctions["(i^*, i_*)"].forward_matrix(y, sx)
-        g2 = _right_gram(sd, "S", x, iy)
+        g2 = serre_pairing(sd, "S", x, iy).gram
         return fld.mul_chain(g1.T, f1.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
 
 
@@ -147,17 +108,17 @@ class QuestionShriekAdjunction(CompositeAdjunction):
     """(j^?, j_!):  Hom_C(j^? x, n) ~= Hom_A(x, j_! n)."""
 
     def __init__(self, sd: SerreData):
-        super().__init__(sd, "(j^?, j_!)", NEW_ADJOINT_EXPRS["j^?"], FunctorExpr(("j_!",)), "A", "C")
+        super().__init__(sd, "(j^?, j_!)", NEW_ADJOINT_EXPRS["j^?"], FunctorExpr(("j_!",)))
 
     def _chain_matrix(self, x, n_obj):
-        rec, sd, ctx = self.rec, self.sd, self.ctx
+        rec, sd = self.rec, self.sd
         fld = x.field
         tx = rec.functor("T").apply(x)
         w = rec.functor("j^*").apply(tx)                             # j^* T x
         jn = rec.functor("j_!").apply(n_obj)
-        g1 = _left_gram(sd, "U~", n_obj, w)
+        g1 = serre_left_pairing(sd, "U~", n_obj, w).gram
         f2 = sd.adjunctions["(j_!, j^*)"].forward_matrix(n_obj, tx)
-        g2 = _right_gram(sd, "T", x, jn)
+        g2 = serre_pairing(sd, "T", x, jn).gram
         return fld.mul_chain(g1.T, f2.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
 
 
@@ -165,18 +126,18 @@ class ShriekQuestionAdjunction(CompositeAdjunction):
     """(i^!, i_?):  Hom_B(i^! x, y) ~= Hom_A(x, i_? y)  (x over A)."""
 
     def __init__(self, sd: SerreData):
-        super().__init__(sd, "(i^!, i_?)", FunctorExpr(("i^!",)), NEW_ADJOINT_EXPRS["i_?"], "A", "B")
+        super().__init__(sd, "(i^!, i_?)", FunctorExpr(("i^!",)), NEW_ADJOINT_EXPRS["i_?"])
 
     def _chain_matrix(self, x, y):
         # built in the backward direction Hom_A(x, i_? y) -> Hom_B(i^! x, y)
         rec, sd = self.rec, self.sd
         fld = x.field
-        sty = rec.apply_expr(FunctorExpr(("i_*", "T~", "i^*")), y)   # S~ y
+        sty = sd.serre_apply("S~", y)
         zp = rec.functor("i_*").apply(sty)                            # i_* S~ y
         ix = rec.functor("i^!").apply(x)
-        g1 = _right_gram(sd, "T", zp, x)
+        g1 = serre_pairing(sd, "T", zp, x).gram
         f3 = sd.adjunctions["(i_*, i^!)"].backward_matrix(sty, x)
-        g2 = _left_gram(sd, "S~", ix, y)
+        g2 = serre_left_pairing(sd, "S~", ix, y).gram
         back = fld.mul_chain(g1.T, f3.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[0], 0)
         return fld.inv(back) if back.size else back.T.copy()
 
@@ -185,7 +146,7 @@ class StarShriekUpAdjunction(CompositeAdjunction):
     """(j_*, j^!):  Hom_A(j_* n, y) ~= Hom_C(n, j^! y)."""
 
     def __init__(self, sd: SerreData):
-        super().__init__(sd, "(j_*, j^!)", FunctorExpr(("j_*",)), NEW_ADJOINT_EXPRS["j^!"], "C", "A")
+        super().__init__(sd, "(j_*, j^!)", FunctorExpr(("j_*",)), NEW_ADJOINT_EXPRS["j^!"])
 
     def _chain_matrix(self, n_obj, y):
         rec, sd = self.rec, self.sd
@@ -193,24 +154,12 @@ class StarShriekUpAdjunction(CompositeAdjunction):
         tty = rec.functor("T~").apply(y)
         wp = rec.functor("j^*").apply(tty)                            # j^* T~ y
         jn = rec.functor("j_*").apply(n_obj)
-        g1 = _left_gram(sd, "T", jn, y)
+        g1 = serre_left_pairing(sd, "T~", jn, y).gram
         f4 = sd.adjunctions["(j^*, j_*)"].forward_matrix(tty, n_obj)
-        g2 = _right_gram(sd, "U", wp, n_obj)
+        g2 = serre_pairing(sd, "U", wp, n_obj).gram
         if not g2.size:
             return fld.zeros(g1.shape[0], 0)
         return fld.mul_chain(g1, f4.T, fld.inv(g2).T)
-
-
-def _right_gram(sd: SerreData, which: str, x, y) -> np.ndarray:
-    if which == "T":
-        return serre_pairing(sd, x, y).gram
-    return induced_right_pairing(sd, which, x, y).gram
-
-
-def _left_gram(sd: SerreData, which: str, x, y) -> np.ndarray:
-    if which == "T":
-        return serre_left_pairing(sd, x, y).gram
-    return induced_left_pairing(sd, which, x, y).gram
 
 
 def composite_adjunctions(sd: SerreData) -> dict[str, CompositeAdjunction]:
@@ -223,7 +172,7 @@ def composite_adjunctions(sd: SerreData) -> dict[str, CompositeAdjunction]:
 
 
 # ----------------------------------------------------------------------
-# assembly and verification of the two reflected diagrams
+# assembly of the two reflected diagrams
 # ----------------------------------------------------------------------
 
 
@@ -241,65 +190,10 @@ def assemble_reflected(rec: Recollement, sd: SerreData, variant: str) -> Reflect
     Upper variant: (j_!, j^?, j^*) embeds the corner category and
     (i^*, i_!, i_*) projects onto the quotient category; the lower
     variant is the dual assembly (j_*, j^*, j^!) and (i^!, i_*, i_?).
+    The positions are the rows of :data:`DIAGRAM_LAYOUTS`; the
+    reflected diagrams are verified by :func:`verify_axioms`.
     """
-    comp = composite_adjunctions(sd)
-    prim = sd.adjunctions
-    pf = lambda steps, label: PipelineFunctor(rec, FunctorExpr(tuple(steps)), label)
-    if variant == "upper":
-        emb = pf(["j_!"], "j_!")
-        emb_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["j^?"], "j^?")
-        emb_right = pf(["j^*"], "j^*")
-        quot = pf(["i^*"], "i^*")
-        quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_!"], "i_!")
-        quot_right = pf(["i_*"], "i_*")
-        pairs = {
-            "P1": AdjointPair("(j^?, j_!)", emb_left, emb, comp["(j^?, j_!)"]),
-            "P2": AdjointPair("(j_!, j^*)", emb, emb_right, prim["(j_!, j^*)"]),
-            "P3": AdjointPair("(i_!, i^*)", quot_left, quot, comp["(i_!, i^*)"]),
-            "P4": AdjointPair("(i^*, i_*)", quot, quot_right, prim["(i^*, i_*)"]),
-        }
-        diagram = DiagramSpec(
-            "upper", rec, "C", "B", emb, emb_left, emb_right, quot, quot_left, quot_right, pairs
-        )
-    elif variant == "lower":
-        emb = pf(["j_*"], "j_*")
-        emb_left = pf(["j^*"], "j^*")
-        emb_right = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["j^!"], "j^!")
-        quot = pf(["i^!"], "i^!")
-        quot_left = pf(["i_*"], "i_*")
-        quot_right = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
-        pairs = {
-            "P1": AdjointPair("(j^*, j_*)", emb_left, emb, prim["(j^*, j_*)"]),
-            "P2": AdjointPair("(j_*, j^!)", emb, emb_right, comp["(j_*, j^!)"]),
-            "P3": AdjointPair("(i_*, i^!)", quot_left, quot, prim["(i_*, i^!)"]),
-            "P4": AdjointPair("(i^!, i_?)", quot, quot_right, comp["(i^!, i_?)"]),
-        }
-        diagram = DiagramSpec(
-            "lower", rec, "C", "B", emb, emb_left, emb_right, quot, quot_left, quot_right, pairs
-        )
-    else:
+    if variant not in ("upper", "lower"):
         raise ValueError("variant must be 'upper' or 'lower'")
-    return ReflectedRecollement(variant, rec, sd, diagram)
-
-
-def verify_reflected(
-    rr: ReflectedRecollement,
-    menus: dict[str, list[tuple[str, BoundedComplex]]],
-    seed: int,
-    attempts: int = 64,
-    matrix_pairs: int = 4,
-) -> VerificationReport:
-    return verify_axioms(
-        rr.diagram, menus, seed=seed, attempts=attempts, matrix_pairs=matrix_pairs
-    )
-
-
-def composite_adjunction_iso(sd: SerreData, pair: str, x: BoundedComplex, y: BoundedComplex) -> np.ndarray:
-    """Invertible adjunction matrix for one of the four new adjoint pairs.
-
-    ``pair`` is one of "(i_!, i^*)", "(j^?, j_!)", "(i^!, i_?)",
-    "(j_*, j^!)"; the matrix realizes Hom(Fx, y) -> Hom(x, Gy) in the
-    chosen hom-space bases.
-    """
-    provider = composite_adjunctions(sd)[pair]
-    return provider.forward_matrix(x, y)
+    providers = {**sd.adjunctions, **composite_adjunctions(sd)}
+    return ReflectedRecollement(variant, rec, sd, layout_diagram(rec, variant, providers))

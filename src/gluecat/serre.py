@@ -51,8 +51,7 @@ __all__ = [
     "attach_serre",
     "serre_pairing",
     "serre_left_pairing",
-    "induced_right_pairing",
-    "induced_left_pairing",
+    "PAIRING_ROUTES",
     "serre_axiom_check",
     "INDUCED_EXPRS",
 ]
@@ -69,15 +68,7 @@ class PairingWitness:
     y_name: str
     dim: int
     gram: np.ndarray
-
-    @property
-    def invertible(self) -> bool:
-        if self.dim == 0:
-            return True
-        fld_rank = self._rank
-        return fld_rank == self.dim
-
-    _rank: int = 0
+    invertible: bool
 
 
 INDUCED_EXPRS = {
@@ -250,74 +241,45 @@ def _left_gram(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedC
     return _trace_gram(fld, factors, lefts, rights)
 
 
-def _witness(kind, xn, yn, gram, fld) -> PairingWitness:
-    w = PairingWitness(kind, xn, yn, gram.shape[0], gram)
-    w._rank = fld.rank(gram) if gram.size else 0
-    if gram.shape[0] == gram.shape[1] == 0:
-        w._rank = 0
-    return w
+# which -> (embedding, adjunction) of each pairing's proof chain: the
+# adjunction moves the outer factor of the induced functor off, and the
+# embedding carries the pairing up to the trace pairing of T or T~.
+# T and T~ pair by the trace itself: their embedding is the identity.
+PAIRING_ROUTES = {
+    "T": (None, None),
+    "S": ("i_*", "(i_*, i^!)"),
+    "U": ("j_!", "(j_!, j^*)"),
+    "T~": (None, None),
+    "S~": ("i_*", "(i^*, i_*)"),
+    "U~": ("j_*", "(j^*, j_*)"),
+}
 
 
-def serre_pairing(sd: SerreData, x: BoundedComplex, y: BoundedComplex, x_name="x", y_name="y") -> PairingWitness:
-    """Right Serre pairing Hom(x, y) x Hom(y, Tx) -> k on D^b(A)."""
-    ctx = sd.ctx
-    t = sd.rec.functor("T")
-    tx = t.apply(x)
-    hs_f = ctx.hom_space(x, y)
-    hs_g = ctx.hom_space(y, tx)
-    if hs_f.dim != hs_g.dim:
-        raise SingularPairingError(
-            f"dim Hom(x,y)={hs_f.dim} but dim Hom(y,Tx)={hs_g.dim}"
-        )
-    fld = x.field
-    gram = _right_gram(ctx, t, x, y, hs_f.basis_mors(), hs_g.basis_mors())
-    w = _witness("right", x_name, y_name, gram, fld)
+def _witness(kind, which, xn, yn, gram, fld) -> PairingWitness:
+    dim = gram.shape[0]
+    w = PairingWitness(kind, xn, yn, dim, gram, dim == 0 or fld.rank(gram) == dim)
     if not w.invertible:
-        raise SingularPairingError("right Serre pairing is degenerate")
+        if which in ("T", "T~"):
+            raise SingularPairingError(f"{kind} Serre pairing is degenerate")
+        raise SingularPairingError(f"induced {which}-pairing is degenerate")
     return w
 
 
-def serre_left_pairing(sd: SerreData, x: BoundedComplex, y: BoundedComplex, x_name="x", y_name="y") -> PairingWitness:
-    """Left Serre pairing Hom(x, y) x Hom(T~y, x) -> k on D^b(A)."""
-    ctx = sd.ctx
-    tt = sd.rec.functor("T~")
-    ty = tt.apply(y)
-    hs_f = ctx.hom_space(x, y)
-    hs_h = ctx.hom_space(ty, x)
-    if hs_f.dim != hs_h.dim:
-        raise SingularPairingError(
-            f"dim Hom(x,y)={hs_f.dim} but dim Hom(T~y,x)={hs_h.dim}"
-        )
-    fld = x.field
-    gram = _left_gram(ctx, tt, x, y, hs_f.basis_mors(), hs_h.basis_mors())
-    w = _witness("left", x_name, y_name, gram, fld)
-    if not w.invertible:
-        raise SingularPairingError("left Serre pairing is degenerate")
-    return w
+def serre_pairing(
+    sd: SerreData, which: str, x: BoundedComplex, y: BoundedComplex, x_name="x", y_name="y"
+) -> PairingWitness:
+    """Right Serre pairing Hom(x,y) x Hom(y, Fx) -> k for F = T on A,
+    S on B or U on C.
 
-
-# ----------------------------------------------------------------------
-# induced pairings on the outer categories  (the printed proof chains)
-# ----------------------------------------------------------------------
-
-
-def induced_right_pairing(sd: SerreData, which: str, x: BoundedComplex, y: BoundedComplex, x_name="x", y_name="y") -> PairingWitness:
-    """Pairing Hom(x,y) x Hom(y, Fx) for F = S on B or F = U on C.
-
-    Assembled exactly as in the existence proof: move the right adjoint
-    off via the primitive adjunction, apply the Nakayama trace upstairs,
-    and transport along the fully faithful embedding.
+    For S and U it is assembled exactly as in the existence proof: move
+    the right adjoint off via the primitive adjunction, apply the
+    Nakayama trace upstairs, and transport along the fully faithful
+    embedding.
     """
+    if which not in ("T", "S", "U"):
+        raise ValueError("which must be 'T', 'S' or 'U'")
     rec, ctx = sd.rec, sd.ctx
     t = rec.functor("T")
-    if which == "S":
-        emb = rec.functor("i_*")
-        adj = sd.adjunctions["(i_*, i^!)"]
-    elif which == "U":
-        emb = rec.functor("j_!")
-        adj = sd.adjunctions["(j_!, j^*)"]
-    else:
-        raise ValueError("which must be 'S' or 'U'")
     fx = sd.serre_apply(which, x)
     hs_f = ctx.hom_space(x, y)
     hs_g = ctx.hom_space(y, fx)
@@ -325,30 +287,28 @@ def induced_right_pairing(sd: SerreData, which: str, x: BoundedComplex, y: Bound
         raise SingularPairingError(
             f"dim Hom(x,y)={hs_f.dim} but dim Hom(y,{which}x)={hs_g.dim}"
         )
-    ex, ey = emb.apply(x), emb.apply(y)
-    mid = t.apply(ex)  # T(emb x); which-pipeline continues with the right adjoint
-    fld = x.field
-    moved = [adj.backward(y, mid, g) for g in hs_g.basis_mors()]  # Hom(emb y, T emb x)
-    tfs = [emb.apply_mor(f) for f in hs_f.basis_mors()]
-    gram = _right_gram(ctx, t, ex, ey, tfs, moved)
-    w = _witness("right", x_name, y_name, gram, fld)
-    if not w.invertible:
-        raise SingularPairingError(f"induced {which}-pairing is degenerate")
-    return w
+    fs, gs = hs_f.basis_mors(), hs_g.basis_mors()
+    xp, yp = x, y
+    emb_name, adj_name = PAIRING_ROUTES[which]
+    if emb_name is not None:
+        emb, adj = rec.functor(emb_name), sd.adjunctions[adj_name]
+        xp, yp = emb.apply(x), emb.apply(y)
+        mid = t.apply(xp)  # T(emb x); F continues with the right adjoint
+        gs = [adj.backward(y, mid, g) for g in gs]  # Hom(emb y, T emb x)
+        fs = [emb.apply_mor(f) for f in fs]
+    gram = _right_gram(ctx, t, xp, yp, fs, gs)
+    return _witness("right", which, x_name, y_name, gram, x.field)
 
 
-def induced_left_pairing(sd: SerreData, which: str, x: BoundedComplex, y: BoundedComplex, x_name="x", y_name="y") -> PairingWitness:
-    """Pairing Hom(x,y) x Hom(F~y, x) for F~ = S~ on B or U~ on C."""
+def serre_left_pairing(
+    sd: SerreData, which: str, x: BoundedComplex, y: BoundedComplex, x_name="x", y_name="y"
+) -> PairingWitness:
+    """Left Serre pairing Hom(x,y) x Hom(F~y, x) -> k for F~ = T~ on A,
+    S~ on B or U~ on C."""
+    if which not in ("T~", "S~", "U~"):
+        raise ValueError("which must be 'T~', 'S~' or 'U~'")
     rec, ctx = sd.rec, sd.ctx
     tt = rec.functor("T~")
-    if which == "S~":
-        emb = rec.functor("i_*")
-        adj = sd.adjunctions["(i^*, i_*)"]
-    elif which == "U~":
-        emb = rec.functor("j_*")
-        adj = sd.adjunctions["(j^*, j_*)"]
-    else:
-        raise ValueError("which must be 'S~' or 'U~'")
     fy = sd.serre_apply(which, y)
     hs_f = ctx.hom_space(x, y)
     hs_h = ctx.hom_space(fy, x)
@@ -356,16 +316,17 @@ def induced_left_pairing(sd: SerreData, which: str, x: BoundedComplex, y: Bounde
         raise SingularPairingError(
             f"dim Hom(x,y)={hs_f.dim} but dim Hom({which}y,x)={hs_h.dim}"
         )
-    ex, ey = emb.apply(x), emb.apply(y)
-    mid = tt.apply(ey)
-    fld = x.field
-    moved = [adj.forward(mid, x, h) for h in hs_h.basis_mors()]  # Hom(T~ emb y, emb-target x)
-    tfs = [emb.apply_mor(f) for f in hs_f.basis_mors()]
-    gram = _left_gram(ctx, tt, ex, ey, tfs, moved)
-    w = _witness("left", x_name, y_name, gram, fld)
-    if not w.invertible:
-        raise SingularPairingError(f"induced {which}-pairing is degenerate")
-    return w
+    fs, hs = hs_f.basis_mors(), hs_h.basis_mors()
+    xp, yp = x, y
+    emb_name, adj_name = PAIRING_ROUTES[which]
+    if emb_name is not None:
+        emb, adj = rec.functor(emb_name), sd.adjunctions[adj_name]
+        xp, yp = emb.apply(x), emb.apply(y)
+        mid = tt.apply(yp)
+        hs = [adj.forward(mid, x, h) for h in hs]  # Hom(T~ emb y, emb-target x)
+        fs = [emb.apply_mor(f) for f in fs]
+    gram = _left_gram(ctx, tt, xp, yp, fs, hs)
+    return _witness("left", which, x_name, y_name, gram, x.field)
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +334,7 @@ def induced_left_pairing(sd: SerreData, which: str, x: BoundedComplex, y: Bounde
 # ----------------------------------------------------------------------
 
 
-def _serre_dim_check(ctx, dims_f, dims_g, window, mirrored: bool) -> bool:
+def _serre_dim_check(dims_f, dims_g, window, mirrored: bool) -> bool:
     for n in window:
         lhs = dims_f.get(n, 0)
         rhs = dims_g.get(-n, 0) if mirrored else dims_g.get(n, 0)
@@ -420,30 +381,26 @@ def serre_axiom_check(
         with guard("S.a", objects, "mirrored dimensions", note):
             dims_xy = ctx.derived_hom_dims(x, y)
             dims_y_fx = ctx.derived_hom_dims(y, sd.serre_apply(f_name, x))
-            ok_a = _serre_dim_check(ctx, dims_xy, dims_y_fx, window, mirrored=True)
+            ok_a = _serre_dim_check(dims_xy, dims_y_fx, window, mirrored=True)
             cells.append(Cell("S.a", label, objects, dims_xy, dims_y_fx, "pass" if ok_a else "fail", note))
         note = "dim Hom(x,y) vs Hom(F~y,x)"
         with guard("S.b", objects, "mirrored dimensions", note):
             dims_xy = ctx.derived_hom_dims(x, y)
             dims_fty_x = ctx.derived_hom_dims(sd.serre_apply(ft_name, y), x)
-            ok_b = _serre_dim_check(ctx, dims_xy, dims_fty_x, window, mirrored=True)
+            ok_b = _serre_dim_check(dims_xy, dims_fty_x, window, mirrored=True)
             cells.append(Cell("S.b", label, objects, dims_xy, dims_fty_x, "pass" if ok_b else "fail", note))
         note = "fully faithful at dimension level"
         with guard("S.c", objects, "equal dimensions", note):
             dims_xy = ctx.derived_hom_dims(x, y)
             dims_ff = ctx.derived_hom_dims(sd.serre_apply(f_name, x), sd.serre_apply(f_name, y))
-            ok_c = _serre_dim_check(ctx, dims_xy, dims_ff, window, mirrored=False)
+            ok_c = _serre_dim_check(dims_xy, dims_ff, window, mirrored=False)
             cells.append(Cell("S.c", label, objects, dims_xy, dims_ff, "pass" if ok_c else "fail", note))
         if ok_a and gram_done < gram_budget:
             gram_done += 1
             with guard("S.gram", objects, "invertible Gram matrices", "right+left pairings"):
                 try:
-                    if which == "T":
-                        wit = serre_pairing(sd, x, y, xn, yn)
-                        wit_l = serre_left_pairing(sd, x, y, xn, yn)
-                    else:
-                        wit = induced_right_pairing(sd, f_name, x, y, xn, yn)
-                        wit_l = induced_left_pairing(sd, ft_name, x, y, xn, yn)
+                    wit = serre_pairing(sd, f_name, x, y, xn, yn)
+                    wit_l = serre_left_pairing(sd, ft_name, x, y, xn, yn)
                     cells.append(
                         Cell("S.gram", label, objects, "invertible Gram matrices", f"dims {wit.dim}/{wit_l.dim}", "pass", "right+left pairings")
                     )

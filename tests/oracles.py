@@ -132,10 +132,8 @@ def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
 def gram_entrywise(sd, which: str, x, y):
     """Gram matrix of one Serre pairing on (x, y), one entry at a time.
 
-    ``which`` names the functor F of the pairing: "T" and "T~" give
-    :func:`serre_pairing` and :func:`serre_left_pairing`, "S" and "U"
-    :func:`induced_right_pairing`, "S~" and "U~"
-    :func:`induced_left_pairing`.
+    ``which`` names the functor F of the pairing: "T", "S" and "U" give
+    :func:`serre_pairing`, "T~", "S~" and "U~" :func:`serre_left_pairing`.
     """
     rec, ctx = sd.rec, sd.ctx
     fs = ctx.hom_space(x, y).basis_mors()

@@ -25,7 +25,6 @@ from gluecat.reflect import (
     NEW_ADJOINT_EXPRS,
     assemble_reflected,
     composite_adjunctions,
-    verify_reflected,
 )
 from gluecat.scenarios import fixture_scenario
 from gluecat.serre import attach_serre, intrinsic_nakayama_crosscheck, serre_axiom_check
@@ -149,7 +148,7 @@ def test_criterion_4_reflected_recollements(workbenches):
         start = time.monotonic()
         for variant in ("upper", "lower"):
             rr = assemble_reflected(rec, sd, variant)
-            report = verify_reflected(rr, menus, seed=17)
+            report = verify_axioms(rr.diagram, menus, seed=17)
             bad = [c for c in report.cells if c.verdict != "pass"]
             essim = [c for c in report.cells if c.axiom == "EssIm"]
             if bad:
@@ -204,7 +203,7 @@ def test_criterion_6_negative_controls(workbenches):
     rr.diagram.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
     rr.diagram.pairs["P3"].F = rr.diagram.quot_left
     rr.diagram.pairs["P3"].provider = None
-    report2 = verify_reflected(rr, menus, seed=17)
+    report2 = verify_axioms(rr.diagram, menus, seed=17)
     fails_2 = [c for c in report2.cells if c.axiom == "R1.1" and c.verdict == "fail"]
     ok = bool(fails_1) and bool(fails_2)
     assert _verdict(

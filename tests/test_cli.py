@@ -174,6 +174,42 @@ def test_verify_memory_error_in_a_cell_exits_two(tmp_path, f1_data, monkeypatch,
     assert all(c["verdict"] == "not-certified" for c in hit)
 
 
+def _error_record(capsys) -> dict:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
+def test_verify_report_path_a_directory_exits_four(tmp_path, f1_data, capsys):
+    data = dict(f1_data, variants=["original"])
+    scn = _write_scenario(tmp_path, data)
+    assert main(["verify", scn, "--report", str(tmp_path), "--quiet"]) == 4
+    assert _error_record(capsys)["error"] == "IsADirectoryError"
+
+
+def _broken(*args, **kwargs):
+    raise RuntimeError("broken on purpose")
+
+
+def test_verify_unexpected_error_exits_four(tmp_path, f1_data, monkeypatch, capsys):
+    import gluecat.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_suite", _broken)
+    scn = _write_scenario(tmp_path, f1_data)
+    assert main(["verify", scn, "--report", str(tmp_path / "r.json"), "--quiet"]) == 4
+    assert _error_record(capsys) == {"error": "RuntimeError", "message": "broken on purpose"}
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_apply_unexpected_error_exits_four(tmp_path, f1_data, monkeypatch, capsys):
+    from gluecat.recollement import Recollement
+
+    monkeypatch.setattr(Recollement, "apply_expr", _broken)
+    scn = _write_scenario(tmp_path, f1_data)
+    assert main(["apply", scn, "T", "P1"]) == 4
+    assert _error_record(capsys) == {"error": "RuntimeError", "message": "broken on purpose"}
+
+
 def test_verify_two_vertex_idempotent_exits_zero(tmp_path, capsys):
     # A3 with e = e2 + e3: the adjunction formulas meet degrees where one
     # of the complexes is zero

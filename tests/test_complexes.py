@@ -512,7 +512,7 @@ def test_derived_hom_identity_class(ctx, alg_a3):
     for x in _stalks(alg_a3):
         if x.is_zero():
             continue
-        assert ctx.degreewise_dim(x, x, 0) >= 1
+        assert ctx.derived_hom_dims(x, x).get(0, 0) >= 1
 
 
 def test_derived_hom_projective_pair(ctx, alg_a2):

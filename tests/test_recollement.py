@@ -353,32 +353,49 @@ def test_corrupted_diagram_fails_r11(rec_f2):
     assert r11_fail
 
 
-def test_convenience_wrappers(rec_f1):
-    from gluecat.recollement import primitive_adjunction_iso, unit_counit
-    from gluecat.complexes import projective_resolution
-
+def test_primitive_witnesses_and_stalk_resolution(rec_f1):
     a = rec_f1.algebra
+    fld = a.field
+    providers = primitive_adjunctions(rec_f1)
     c_reg = stalk_complex(regular_module(rec_f1.corner_algebra), name="C")
     p2 = stalk_complex(projective_module(a, 1)[0], name="P2")
-    m = primitive_adjunction_iso(rec_f1, "(j_!, j^*)", c_reg, p2)
+    prov = providers["(j_!, j^*)"]
+    m = prov.forward_matrix(c_reg, p2)
     assert m.shape == (1, 1) and m[0, 0] != 0
-    eta = unit_counit(rec_f1, "(i^*, i_*)", stalk_complex(projective_module(a, 0)[0]), "unit")
+    assert np.array_equal(fld.matmul(m, prov.backward_matrix(c_reg, p2)), fld.identity(1))
+    eta = providers["(i^*, i_*)"].unit(stalk_complex(projective_module(a, 0)[0]))
     assert eta.map is not None
-    s2 = simple_module(a, 1)
-    res, aug = projective_resolution(s2, cap=4)
-    assert res.lo == -1 and res.hi == 0
-    aug.validate()
+    rep = rec_f1.ctx.replacement(stalk_complex(simple_module(a, 1)))
+    assert rep.p.lo == -1 and rep.p.hi == 0
+    rep.qis.validate()
 
 
-def test_composite_iso_wrapper(rec_f1):
-    from gluecat.reflect import composite_adjunction_iso
+def test_composite_adjunction_matrix_f1(rec_f1):
+    from gluecat.reflect import composite_adjunctions
     from gluecat.serre import attach_serre
 
     sd = attach_serre(rec_f1)
     b_reg = stalk_complex(regular_module(rec_f1.quotient_algebra), name="B")
     p1 = stalk_complex(projective_module(rec_f1.algebra, 0)[0], name="P1")
-    m = composite_adjunction_iso(sd, "(i_!, i^*)", b_reg, p1)
+    m = composite_adjunctions(sd)["(i_!, i^*)"].forward_matrix(b_reg, p1)
     assert m.shape == (1, 1) and m[0, 0] != 0
+
+
+def test_dual_route_leaves_the_memoised_dual_alone(rec_f1):
+    from gluecat.serre import attach_serre
+
+    attach_serre(rec_f1)
+    ctx = rec_f1.ctx
+    for name, tag in (("i^!", "A"), ("j_*", "C"), ("T~", "A")):
+        functor = rec_f1.functor(name)
+        x = default_menus(rec_f1)[tag][0][1]
+        out = functor.apply(x)
+        pre = functor.aux(x)["pre"]
+        assert ctx.dual(pre) is not out
+        assert ctx.dual(pre).name == f"D({pre.name})"
+        assert not ctx.dual(pre).injective_terms
+        assert out.name == f"{name}({x.name})"
+        assert out.injective_terms == functor.injective_output
 
 
 def test_triangle_euler_additivity(rec_f1):

@@ -5,14 +5,14 @@ from gluecat.algebra import Quiver, path_algebra
 from gluecat.complexes import homology_dims, stalk_complex
 from gluecat.field import PrimeField
 from gluecat.modules import projective_module, regular_module, simple_module
-from gluecat.recollement import FunctorExpr, build_recollement, default_menus
-from gluecat.reflect import (
-    NEW_ADJOINT_EXPRS,
-    assemble_reflected,
-    composite_adjunctions,
-    new_adjoint_pipeline,
-    verify_reflected,
+from gluecat.recollement import (
+    FunctorExpr,
+    build_recollement,
+    default_menus,
+    original_diagram,
+    verify_axioms,
 )
+from gluecat.reflect import NEW_ADJOINT_EXPRS, assemble_reflected, composite_adjunctions
 from gluecat.serre import attach_serre
 
 
@@ -35,10 +35,10 @@ def setup_f2():
 
 
 def test_new_adjoint_pipelines_expand_as_printed():
-    assert new_adjoint_pipeline("i_!").steps == ("i_*", "T", "i^!", "i_*", "T~")
-    assert new_adjoint_pipeline("j^?").steps == ("T", "j^*", "j_*", "T~", "j^*")
-    assert new_adjoint_pipeline("i_?").steps == ("i_*", "T~", "i^*", "i_*", "T")
-    assert new_adjoint_pipeline("j^!").steps == ("T~", "j^*", "j_!", "T", "j^*")
+    assert NEW_ADJOINT_EXPRS["i_!"].steps == ("i_*", "T", "i^!", "i_*", "T~")
+    assert NEW_ADJOINT_EXPRS["j^?"].steps == ("T", "j^*", "j_*", "T~", "j^*")
+    assert NEW_ADJOINT_EXPRS["i_?"].steps == ("i_*", "T~", "i^*", "i_*", "T")
+    assert NEW_ADJOINT_EXPRS["j^!"].steps == ("T~", "j^*", "j_!", "T", "j^*")
 
 
 def test_pipeline_signatures(setup_f1):
@@ -116,6 +116,21 @@ def test_composite_matrices_mutually_inverse_f1(setup_f1):
             assert np.array_equal(fld.matmul(fwd, bwd), fld.identity(fwd.shape[0]))
 
 
+@pytest.mark.parametrize("label", ["original", "upper", "lower"])
+def test_layout_pairs_match_their_providers(setup_f1, label):
+    rec, sd = setup_f1
+    if label == "original":
+        diagram = original_diagram(rec)
+    else:
+        diagram = assemble_reflected(rec, sd, label).diagram
+    assert diagram.label == label
+    for key in ("P1", "P2", "P3", "P4"):
+        pair = diagram.pairs[key]
+        assert pair.provider.name == pair.label
+        assert pair.F.expr == pair.provider.f_expr
+        assert pair.G.expr == pair.provider.g_expr
+
+
 def test_upper_variant_positions(setup_f1):
     rec, sd = setup_f1
     rr = assemble_reflected(rec, sd, "upper")
@@ -161,7 +176,7 @@ def test_reflected_recollement_verifies_f1(setup_f1, variant):
     rec, sd = setup_f1
     rr = assemble_reflected(rec, sd, variant)
     menus = default_menus(rec)
-    report = verify_reflected(rr, menus, seed=19)
+    report = verify_axioms(rr.diagram, menus, seed=19)
     bad = [c for c in report.cells if c.verdict != "pass"]
     assert not bad, [f"{c.axiom} {c.objects} {c.note}: {c.actual}" for c in bad[:8]]
 
@@ -176,7 +191,7 @@ def test_corrupted_reflected_fails_f2(setup_f2):
     rr.diagram.pairs["P3"].F = rr.diagram.quot_left
     rr.diagram.pairs["P3"].provider = None
     menus = default_menus(rec)
-    report = verify_reflected(rr, menus, seed=19)
+    report = verify_axioms(rr.diagram, menus, seed=19)
     r11_fail = [c for c in report.cells if c.axiom == "R1.1" and c.verdict == "fail"]
     assert r11_fail
 

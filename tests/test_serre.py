@@ -18,8 +18,6 @@ from gluecat.modules import (
 from gluecat.recollement import build_recollement, default_menu
 from gluecat.serre import (
     attach_serre,
-    induced_left_pairing,
-    induced_right_pairing,
     intrinsic_nakayama_crosscheck,
     nakayama_supertrace,
     serre_axiom_check,
@@ -135,14 +133,14 @@ def test_serre_pairing_p1_p2(sd_f1):
     a = sd_f1.rec.algebra
     p1 = stalk_complex(projective_module(a, 0)[0], name="P1")
     p2 = stalk_complex(projective_module(a, 1)[0], name="P2")
-    w = serre_pairing(sd_f1, p1, p2, "P1", "P2")
+    w = serre_pairing(sd_f1, "T", p1, p2, "P1", "P2")
     assert w.dim == 1 and w.invertible
 
 
 def test_serre_pairing_regular(sd_f1):
     a = sd_f1.rec.algebra
     r = stalk_complex(regular_module(a), name="A")
-    w = serre_pairing(sd_f1, r, r, "A", "A")
+    w = serre_pairing(sd_f1, "T", r, r, "A", "A")
     assert w.dim == a.dim and w.invertible
 
 
@@ -152,7 +150,7 @@ def test_serre_pairing_zero_object(sd_f1):
     a = sd_f1.rec.algebra
     x = stalk_complex(projective_module(a, 0)[0], name="P1")
     z = zero_complex(a)
-    w = serre_pairing(sd_f1, x, z, "P1", "0")
+    w = serre_pairing(sd_f1, "T", x, z, "P1", "0")
     assert w.dim == 0 and w.invertible
 
 
@@ -160,7 +158,7 @@ def test_left_pairing_matches_dims(sd_f1):
     a = sd_f1.rec.algebra
     p2 = stalk_complex(projective_module(a, 1)[0], name="P2")
     s2 = stalk_complex(simple_module(a, 1), name="S2")
-    w = serre_left_pairing(sd_f1, p2, s2, "P2", "S2")
+    w = serre_left_pairing(sd_f1, "T~", p2, s2, "P2", "S2")
     assert w.invertible
 
 
@@ -191,15 +189,15 @@ def test_induced_serre_on_f1(sd_f1):
 def test_induced_pairings_f1(sd_f1):
     b = sd_f1.rec.quotient_algebra
     sb = stalk_complex(regular_module(b), name="B")
-    w = induced_right_pairing(sd_f1, "S", sb, sb, "B", "B")
+    w = serre_pairing(sd_f1, "S", sb, sb, "B", "B")
     assert w.dim == 1 and w.invertible
-    wl = induced_left_pairing(sd_f1, "S~", sb, sb, "B", "B")
+    wl = serre_left_pairing(sd_f1, "S~", sb, sb, "B", "B")
     assert wl.invertible
     c = sd_f1.rec.corner_algebra
     sc = stalk_complex(regular_module(c), name="C")
-    wu = induced_right_pairing(sd_f1, "U", sc, sc, "C", "C")
+    wu = serre_pairing(sd_f1, "U", sc, sc, "C", "C")
     assert wu.dim == 1 and wu.invertible
-    wul = induced_left_pairing(sd_f1, "U~", sc, sc, "C", "C")
+    wul = serre_left_pairing(sd_f1, "U~", sc, sc, "C", "C")
     assert wul.invertible
 
 
@@ -271,12 +269,12 @@ def test_serre_axioms_empty_menu_vacuous(sd_f1):
 
 
 _PAIRINGS = {
-    "T": lambda sd, x, y: serre_pairing(sd, x, y),
-    "T~": lambda sd, x, y: serre_left_pairing(sd, x, y),
-    "S": lambda sd, x, y: induced_right_pairing(sd, "S", x, y),
-    "S~": lambda sd, x, y: induced_left_pairing(sd, "S~", x, y),
-    "U": lambda sd, x, y: induced_right_pairing(sd, "U", x, y),
-    "U~": lambda sd, x, y: induced_left_pairing(sd, "U~", x, y),
+    "T": serre_pairing,
+    "T~": serre_left_pairing,
+    "S": serre_pairing,
+    "S~": serre_left_pairing,
+    "U": serre_pairing,
+    "U~": serre_left_pairing,
 }
 
 
@@ -291,7 +289,7 @@ def test_batched_gram_matches_entrywise_oracle(request, fixture, which, tag):
     for _, x in menu:
         for _, y in menu:
             try:
-                w = _PAIRINGS[which](sd, x, y)
+                w = _PAIRINGS[which](sd, which, x, y)
             except SingularPairingError:
                 continue  # Hom dimensions differ in degree 0: no Gram matrix
             assert np.array_equal(w.gram, gram_entrywise(sd, which, x, y))
