@@ -132,7 +132,6 @@ class Algebra:
         unit: np.ndarray,
         idempotent_indices: list[int],
         name: str = "",
-        validate: bool = True,
     ):
         self.field = field
         self.dim = len(labels)
@@ -151,8 +150,7 @@ class Algebra:
         self._zero: dict[None, object] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")
-        if validate:
-            self.validate()
+        self.validate()
 
     def __repr__(self):
         return f"<{self.name} dim={self.dim} over {self.field}>"

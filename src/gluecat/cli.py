@@ -117,16 +117,10 @@ def _resolve_menus(rec, scn: Scenario):
     menus = {tag: default_menu(rec, tag) for tag in ("A", "B", "C")}
     if scn.menu == "default":
         return menus
-    if not isinstance(scn.menu, list):
-        raise ScenarioError("menu must be \"default\" or a list of object names")
-    wanted = list(scn.menu)
     out = {}
     for tag, full in menus.items():
         catalog = dict(full)
-        picked = []
-        for name in wanted:
-            if name in catalog:
-                picked.append((name, catalog[name]))
+        picked = [(name, catalog[name]) for name in scn.menu if name in catalog]
         if not picked:
             raise ScenarioError(f"menu selects no objects in category {tag}")
         out[tag] = picked

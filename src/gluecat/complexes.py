@@ -30,7 +30,7 @@ from .modules import (
     _hom_entry,
     _validate_once,
     direct_sum,
-    hom_basis_matrices,
+    hom_coords,
     k_dual,
     projective_cover,
     resolution_data,
@@ -105,7 +105,6 @@ class BoundedComplex:
         summands: dict[int, ProjSummands] | None = None,
         injective_terms: bool = False,
         name: str = "",
-        validate: bool = True,
     ):
         self.algebra = algebra
         self._zero = zero_module(algebra)
@@ -141,10 +140,9 @@ class BoundedComplex:
             tuple(m.key for m in self.terms.values()),
             tuple((d.shape, d.tobytes()) for d in self.diffs.values()),
         )
-        if validate:
-            if any(m.algebra is not algebra for m in self.terms.values()):
-                self.validate()  # the key does not see term algebras
-            _validate_once(self, algebra)
+        if any(m.algebra is not algebra for m in self.terms.values()):
+            self.validate()  # the key does not see term algebras
+        _validate_once(self, algebra)
 
     # ------------------------------------------------------------------
 
@@ -566,22 +564,24 @@ def _moved_lifts(lifts, p: BoundedComplex, s: ChainMap, *fs: ChainMap):
 
 
 class DerivedContext:
-    """Replacements, hom spaces and lifts, each built once per content.
+    """Replacements, hom complexes, hom spaces and lifts, built once per content.
 
     The cache rule: every derived construction is keyed by the content
     of its inputs, as module constructions are.
 
-    - ``replacement``, ``hom_space``, ``derived_hom_dims`` and
-      ``lift_many_through_qis`` keep a :class:`_ContentMemo` keyed by
+    - ``replacement``, ``hom_space``, ``derived_hom_dims``, ``hom_complex``
+      and ``lift_many_through_qis`` keep a :class:`_ContentMemo` keyed by
       the exact ``key`` of their input complexes and chain maps.  An
       input equal to an earlier one but not identical gets the earlier
       value moved onto its own objects: the replacement shares the
       complex ``p`` and its ``qis`` targets the caller's ``x``; a hom
-      space shares its matrices but carries the caller's ``x``, ``y`` and
-      ``p``; lifted maps sit on the caller's ``p``, ``y`` and ``x``.  The
-      same objects get the identical value on every request, so
-      adjunction formulas may rely on ``replacement(x).p`` being one
-      complex per content.
+      complex or space shares its matrices but carries the caller's
+      complexes; lifted maps sit on the caller's ``p``, ``y`` and ``x``.
+      So one hom complex per content of ``(p, y)`` serves hom spaces,
+      derived Hom, certificates and lifts.  The first three give the same
+      objects the identical value on every request, so adjunction
+      formulas may rely on ``replacement(x).p`` being one complex per
+      content.
     - ``dual``, the functor outputs and the composite adjunction matrices
       stay in an :class:`_IdentityMemo`, keyed by the identity of their
       inputs: a content hit there would have to move the value onto the
@@ -592,7 +592,7 @@ class DerivedContext:
     - Module hom bases, projective covers, tensor products and the zero
       module are memoised by content in :mod:`gluecat.modules`, on the
       object that owns the data (the algebra, or the bimodule for
-      tensors), so :meth:`module_hom_basis` only forwards.
+      tensors).
     - Complexes and chain maps validate once per content per algebra
       (``Algebra._valid``), as modules do.
 
@@ -606,6 +606,7 @@ class DerivedContext:
     def __init__(self, resolution_cap: int = 24):
         self.resolution_cap = resolution_cap
         self._replacements = _ContentMemo()
+        self._hom_complexes = _ContentMemo()
         self._hom_spaces = _ContentMemo()
         self._hom_dims = _ContentMemo()
         self._lifts = _ContentMemo()
@@ -615,34 +616,12 @@ class DerivedContext:
         """``(builds, requests)`` of each content memo."""
         memos = {
             "replacement": self._replacements,
+            "hom_complex": self._hom_complexes,
             "hom_space": self._hom_spaces,
             "derived_hom_dims": self._hom_dims,
             "lift": self._lifts,
         }
         return {name: (m.builds, m.requests) for name, m in memos.items()}
-
-    # -- module hom bases ------------------------------------------------
-
-    def module_hom_basis(self, m: RightModule, n: RightModule) -> list[np.ndarray]:
-        return hom_basis_matrices(m, n)
-
-    def hom_coords(self, m: RightModule, n: RightModule, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a module hom in the cached basis.
-
-        They are the hom's entries at the basis's free columns; the
-        product with the basis must give the hom back.
-        """
-        basis, flat, free_cols = _hom_entry(m, n)
-        fld = m.field
-        if not basis:
-            if np.any(mat):
-                raise ValueError("hom_coords: nonzero map in zero hom space")
-            return fld.zeros(1, 0)[0]
-        vec = mat.reshape(flat.shape[1]) % fld.p
-        coords = vec[free_cols]
-        if not np.array_equal(fld.matmul(coords, flat), vec):
-            raise ValueError("hom_coords: matrix is not a module hom")
-        return coords
 
     # -- duality ---------------------------------------------------------
 
@@ -753,8 +732,8 @@ class DerivedContext:
         """g: p -> y and homotopy h with f - g*s = dh + hd.
 
         ``f`` runs p -> x and ``s`` is a quasi-isomorphism y -> x; p must
-        have projective terms.  Solved as one global linear system over
-        the degreewise module-hom spaces.
+        have projective terms.  Solved as one linear system in the
+        coordinates of the hom complexes Hom(p, y) and Hom(p, x).
         """
         return self.lift_many_through_qis(p, [f], s)[0]
 
@@ -777,91 +756,30 @@ class DerivedContext:
     def _solve_lifts(
         self, p: BoundedComplex, s: ChainMap, *fs: ChainMap
     ) -> list[tuple[ChainMap, Homotopy]]:
-        y, x = s.source, s.target
-        fld = p.field
-        degs = list(p.degrees())
-        if not degs:
-            return [(zero_map(p, y), Homotopy(p, x, {})) for _ in fs]
         if not fs:
             return []
-        g_bases = {n: self.module_hom_basis(p.term(n), y.term(n)) for n in degs}
-        h_bases = {n: self.module_hom_basis(p.term(n), x.term(n - 1)) for n in degs}
-        cols: list[tuple[str, int, int]] = []
-        for n in degs:
-            cols.extend(("g", n, k) for k in range(len(g_bases[n])))
-        for n in degs:
-            cols.extend(("h", n, k) for k in range(len(h_bases[n])))
-        col_index = {c: i for i, c in enumerate(cols)}
-        n_cols = len(cols)
-
-        rows: list[np.ndarray] = []
-        rhs: list[np.ndarray] = []
-
-        def add_equation(size: int, contribs, targets):
-            block = fld.zeros(size, n_cols)
-            for (kind, n, mats, sign) in contribs:
-                bases = g_bases[n] if kind == "g" else h_bases[n]
-                for k, b in enumerate(bases):
-                    val = b
-                    for (m, side) in mats:
-                        val = fld.matmul(m, val) if side == "l" else fld.matmul(val, m)
-                    col = col_index[(kind, n, k)]
-                    block[:, col] = (sign * val.reshape(-1)) % fld.p
-            rows.append(block)
-            rhs.append(targets % fld.p)
-
-        # chain-map equations: g^n d_y^n - d_p^n g^{n+1} = 0
-        for n in range(min(degs) - 1, max(degs) + 1):
-            size = p.term(n).dim * y.term(n + 1).dim
-            if size == 0:
-                continue
-            contribs = []
-            if n in g_bases and g_bases[n]:
-                contribs.append(("g", n, [(y.diff(n), "r")], 1))
-            if (n + 1) in g_bases and g_bases[n + 1]:
-                contribs.append(("g", n + 1, [(p.diff(n), "l")], -1))
-            add_equation(size, contribs, fld.zeros(size, len(fs)))
-
-        # homotopy equations: g^n s^n + d_p^n h^{n+1} + h^n d_x^{n-1} = f^n
-        for n in degs:
-            size = p.term(n).dim * x.term(n).dim
-            if size == 0:
-                continue
-            contribs = []
-            if g_bases[n]:
-                contribs.append(("g", n, [(s.comp(n), "r")], 1))
-            if (n + 1) in h_bases and h_bases[n + 1]:
-                contribs.append(("h", n + 1, [(p.diff(n), "l")], 1))
-            if h_bases[n]:
-                contribs.append(("h", n, [(x.diff(n - 1), "r")], 1))
-            add_equation(size, contribs, np.stack([f.comp(n).reshape(-1) for f in fs], axis=1))
-
-        if rows:
-            sol = fld.solve_matrix(np.concatenate(rows, axis=0), np.concatenate(rhs, axis=0))
-        else:
-            sol = fld.zeros(n_cols, len(fs))
+        y, x = s.source, s.target
+        fld = p.field
+        hy, hx = self.hom_complex(p, y), self.hom_complex(p, x)
+        # unknowns (g, h) in Hom^0(p, y) + Hom^-1(p, x) with d g = 0 and
+        # s_* g + d h = f: (g, h) @ [[d^0, s_*], [0, d^-1]] == (0, f)
+        n0, n1 = hy.dim(0), hy.dim(1)
+        system = fld.zeros(n0 + hx.dim(-1), n1 + hx.dim(0))
+        system[:n0, :n1], system[n0:, n1:] = hy.diff(0), hx.diff(-1)
+        system[:n0, n1:] = hy._map(0, hx, 0, lambda i, b: {i: fld.matmul(b, s.comp(i))})
+        rhs = fld.zeros(len(fs), system.shape[1])
+        stacks = {n: np.stack([f.comp(n) for f in fs]) for n in p.degrees()}
+        rhs[:, n1:] = hx._coords(0, len(fs), stacks)
+        sol = fld.solve_matrix(system.T, rhs.T)
         if sol is None:
             raise LiftSystemInconsistentError(
                 "no lift exists: source not K-projective or map not a qis"
             )
-
-        def expand(kind, n, bases, shape):
-            # (maps, rows, cols): the combination of ``bases`` for every map
-            if not bases:
-                return np.zeros((len(fs),) + shape, dtype=np.int64)
-            first = col_index[(kind, n, 0)]
-            coeffs = sol[first:first + len(bases)].T
-            return np.tensordot(coeffs, np.stack(bases), axes=1) % fld.p
-
-        g_comps = {}
-        h_comps = {}
-        for n in degs:
-            g_comps[n] = expand("g", n, g_bases[n], (p.term(n).dim, y.term(n).dim))
-            h_comps[n] = expand("h", n, h_bases[n], (p.term(n).dim, x.term(n - 1).dim))
+        gs, hs = hy._expand(0, sol[:n0].T), hx._expand(-1, sol[n0:].T)
         return [
             (
-                ChainMap(p, y, {n: g_comps[n][t] for n in degs}),
-                Homotopy(p, x, {n: h_comps[n][t] for n in degs}),
+                ChainMap(p, y, {n: g[t] for n, g in gs.items()}),
+                Homotopy(p, x, {n: h[t] for n, h in hs.items()}),
             )
             for t in range(len(fs))
         ]
@@ -869,7 +787,7 @@ class DerivedContext:
     # -- hom complexes and spaces --------------------------------------
 
     def hom_complex(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
-        return HomComplex(self, p, y)
+        return self._hom_complexes.share((p, y), HomComplex, HomComplex._moved)
 
     def hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
         return self._hom_spaces.get((x, y), functools.partial(HomSpace, self), HomSpace._moved)
@@ -966,37 +884,24 @@ class HomComplex:
     module-hom bases; the differential is f |-> f d_y - (-1)^n d_p f.
     When p has projective terms (or y injective ones) its homology
     computes derived Hom dimensions degreewise.
+
+    Terms and differentials are built on first use (a hom space needs d^-1
+    and d^0, a lift d^0, ``homology_dims`` all), and the copies made by
+    :meth:`_moved` share them.
     """
 
-    def __init__(self, ctx: DerivedContext, p: BoundedComplex, y: BoundedComplex):
-        self.ctx = ctx
+    def __init__(self, p: BoundedComplex, y: BoundedComplex):
         self.p = p
         self.y = y
-        fld = p.field
-        self.fld = fld
+        self.fld = p.field
         if p.is_zero() or y.is_zero():
             self.lo, self.hi = 0, -1
-            self.blocks = {}
-            self.dims = {}
-            self.diffs = {}
-            return
-        self.lo = y.lo - p.hi
-        self.hi = y.hi - p.lo
-        self.blocks: dict[int, list[tuple[int, list[np.ndarray]]]] = {}
-        self.dims: dict[int, int] = {}
-        for n in range(self.lo, self.hi + 1):
-            blocks = []
-            for i in p.degrees():
-                if p.term(i).dim and y.term(i + n).dim:
-                    basis = ctx.module_hom_basis(p.term(i), y.term(i + n))
-                    if basis:
-                        blocks.append((i, basis))
-            self.blocks[n] = blocks
-            self.dims[n] = sum(len(b) for _, b in blocks)
-        self.diffs = {}
-        for n in range(self.lo, self.hi):
-            self.diffs[n] = self._differential(n)
-            self.diffs[n].setflags(write=False)
+        else:
+            self.lo, self.hi = y.lo - p.hi, y.hi - p.lo
+        # degree -> {i: (offset, basis stack of Hom_A(p^i, y^{i+n}))}
+        self._terms: dict[int, dict[int, tuple[int, np.ndarray]]] = {}
+        self._dims: dict[int, int] = {}
+        self.diffs: dict[int, np.ndarray] = {}
 
     def _moved(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
         """The same matrices, between complexes content-equal to
@@ -1005,54 +910,76 @@ class HomComplex:
         out.p, out.y = p, y
         return out
 
+    def _term(self, n: int) -> dict[int, tuple[int, np.ndarray]]:
+        term = self._terms.get(n)
+        if term is None:
+            term, off = {}, 0
+            for i in self.p.degrees():
+                m, t = self.p.term(i), self.y.term(i + n)
+                if m.dim and t.dim:
+                    flat = _hom_entry(m, t)[1]
+                    if len(flat):
+                        term[i] = (off, flat.reshape(-1, m.dim, t.dim))
+                        off += len(flat)
+            self._terms[n], self._dims[n] = term, off
+        return term
+
     def dim(self, n: int) -> int:
-        return self.dims.get(n, 0)
+        if n not in self._dims:
+            self._term(n)
+        return self._dims[n]
 
-    def _offsets(self, n: int) -> dict[int, int]:
-        out = {}
-        off = 0
-        for i, basis in self.blocks.get(n, []):
-            out[i] = off
-            off += len(basis)
+    def _coords(self, n: int, count: int, stacks: dict[int, np.ndarray]) -> np.ndarray:
+        """Degree-n coordinates of ``count`` elements given by blocks:
+        ``stacks[i]`` holds their components p^i -> y^{i+n}."""
+        out = self.fld.zeros(count, self.dim(n))
+        term = self._term(n)
+        for i, stack in stacks.items():
+            if i in term:
+                off, basis = term[i]
+                out[:, off:off + len(basis)] = hom_coords(self.p.term(i), self.y.term(i + n), stack)
+            elif np.any(stack):
+                raise ValueError("hom_coords: nonzero map in zero hom space")
         return out
-    def _differential(self, n: int) -> np.ndarray:
-        fld = self.fld
-        src_blocks = self.blocks.get(n, [])
-        dst_dim = self.dim(n + 1)
-        mat = fld.zeros(self.dim(n), dst_dim)
-        dst_offsets = self._offsets(n + 1)
-        dst_bases = {i: basis for i, basis in self.blocks.get(n + 1, [])}
-        sign = 1 if n % 2 == 0 else -1
-        row = 0
-        for i, basis in src_blocks:
-            for b in basis:
-                # component at block i of degree n+1: b @ d_y
-                img_i = fld.matmul(b, self.y.diff(i + n))
-                if np.any(img_i):
-                    if i not in dst_bases:
-                        raise ValueError("hom differential drops a nonzero component")
-                    coords = self._block_coords(i, n + 1, img_i)
-                    mat[row, dst_offsets[i]:dst_offsets[i] + len(dst_bases[i])] = coords
-                # component at block i-1: -(-1)^n d_p^{i-1} @ b
-                img_prev = (-sign * fld.matmul(self.p.diff(i - 1), b)) % fld.p
-                if np.any(img_prev):
-                    if (i - 1) not in dst_bases:
-                        raise ValueError("hom differential drops a nonzero component")
-                    coords = self._block_coords(i - 1, n + 1, img_prev)
-                    mat[row, dst_offsets[i - 1]:dst_offsets[i - 1] + len(dst_bases[i - 1])] = coords
-                row += 1
-        return mat
 
-    def _block_coords(self, i: int, n: int, m: np.ndarray) -> np.ndarray:
-        return self.ctx.hom_coords(self.p.term(i), self.y.term(i + n), m)
+    def _map(self, n: int, target: "HomComplex", m: int, image) -> np.ndarray:
+        """Matrix from degree n here to degree m of ``target``: block i of
+        degree n goes to the blocks ``image(i, basis)``."""
+        out = self.fld.zeros(self.dim(n), target.dim(m))
+        for i, (off, basis) in self._term(n).items():
+            out[off:off + len(basis)] = target._coords(m, len(basis), image(i, basis))
+        return out
+
+    def _expand(self, n: int, coeffs: np.ndarray) -> dict[int, np.ndarray]:
+        """The components p^i -> y^{i+n}, for every degree i of p, of the
+        elements with degree-n coordinates ``coeffs`` (one row each)."""
+        term = self._term(n)
+        out = {}
+        for i in self.p.degrees():
+            shape = (len(coeffs), self.p.term(i).dim, self.y.term(i + n).dim)
+            if i in term:
+                off, basis = term[i]
+                flat = basis.reshape(len(basis), -1)
+                out[i] = self.fld.matmul(coeffs[:, off:off + len(basis)], flat).reshape(shape)
+            else:
+                out[i] = np.zeros(shape, dtype=np.int64)
+        return out
 
     def diff(self, n: int) -> np.ndarray:
-        if n in self.diffs:
-            return self.diffs[n]
-        return _zeros(self.dim(n), self.dim(n + 1))
+        d = self.diffs.get(n)
+        if d is None:
+            fld, p, y = self.fld, self.p, self.y
+            sign = 1 if n % 2 == 0 else -1
+            d = self._map(n, self, n + 1, lambda i, b: {
+                i: fld.matmul(b, y.diff(i + n)),
+                i - 1: (-sign * fld.matmul(p.diff(i - 1), b)) % fld.p,
+            })
+            d.setflags(write=False)
+            self.diffs[n] = d
+        return d
 
     def homology_dims(self) -> dict[int, int]:
-        return _homology(self.fld, self.dims, self.diff)
+        return _homology(self.fld, {n: self.dim(n) for n in range(self.lo, self.hi + 1)}, self.diff)
 
     def cycle_space(self, n: int) -> np.ndarray:
         if self.dim(n) == 0:
@@ -1074,29 +1001,11 @@ class HomComplex:
         """
         if n != 0:
             raise ValueError("only degree-0 expansion is supported")
-        comps = {}
-        off = 0
-        for i, basis in self.blocks.get(0, []):
-            mat = self.fld.zeros(self.p.term(i).dim, self.y.term(i).dim)
-            for b in basis:
-                mat = self.fld.add(mat, (int(vec[off]) * b) % self.fld.p)
-                off += 1
-            comps[i] = mat
-        return ChainMap(self.p, self.y, comps)
+        comps = self._expand(0, vec.reshape(1, -1))
+        return ChainMap(self.p, self.y, {i: c[0] for i, c in comps.items()})
 
     def chain_map_to_vector(self, m: ChainMap) -> np.ndarray:
-        vec = self.fld.zeros(1, self.dim(0))[0]
-        off = 0
-        for i, basis in self.blocks.get(0, []):
-            coords = self._block_coords(i, 0, m.comp(i))
-            vec[off:off + len(basis)] = coords
-            off += len(basis)
-        # components outside stored blocks must vanish
-        for i in self.p.degrees():
-            if self.p.term(i).dim and self.y.term(i).dim and np.any(m.comp(i)):
-                if i not in dict(self.blocks.get(0, [])):
-                    raise ValueError("chain map has component outside hom blocks")
-        return vec
+        return self._coords(0, 1, {i: c[None] for i, c in m.comps.items()})[0]
 
 
 @dataclass

@@ -65,7 +65,7 @@ class RightModule:
     read-only so the key stays true.
     """
 
-    def __init__(self, algebra: Algebra, action: np.ndarray, name: str = "", validate: bool = True):
+    def __init__(self, algebra: Algebra, action: np.ndarray, name: str = ""):
         self.algebra = algebra
         self.action = np.asarray(action, dtype=np.int64) % algebra.field.p
         if self.action.ndim != 3 or self.action.shape[0] != algebra.dim:
@@ -76,8 +76,7 @@ class RightModule:
         self.name = name or f"module(dim={self.dim})"
         self.action.setflags(write=False)
         self.key = (self.action.shape, self.action.tobytes())
-        if validate:
-            _validate_once(self, algebra)
+        _validate_once(self, algebra)
 
     def __repr__(self):
         return f"<{self.name} over {self.algebra.name}>"
@@ -149,7 +148,6 @@ class Bimodule:
         left_action: np.ndarray,
         right_action: np.ndarray,
         name: str = "",
-        validate: bool = True,
     ):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
@@ -159,8 +157,7 @@ class Bimodule:
         self.dim = int(self.right_action.shape[1]) if self.right_action.size else int(self.right_action.shape[1])
         self.name = name or f"bimodule(dim={self.dim})"
         self._tensors: dict[tuple, TensorResult] = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def __repr__(self):
         return f"<{self.name}: {self.left_algebra.name} | {self.right_algebra.name}>"
@@ -474,6 +471,24 @@ def hom_basis_matrices(m: RightModule, n: RightModule) -> list[np.ndarray]:
     """Basis of Hom_A(M, N) as read-only matrices, shared by every caller
     that asks with the same pair of action tensors."""
     return _hom_entry(m, n)[0]
+
+
+def hom_coords(m: RightModule, n: RightModule, mats: np.ndarray) -> np.ndarray:
+    """Coordinates of a module hom M -> N, or of a stack of them, in the
+    basis of :func:`hom_basis_matrices`.
+
+    They are the entries at the basis's free columns; the product with
+    the basis must give every hom back.
+    """
+    basis, flat, free_cols = _hom_entry(m, n)
+    fld = m.field
+    vecs = mats.reshape(mats.shape[:-2] + (flat.shape[1],)) % fld.p
+    if not basis and np.any(vecs):
+        raise ValueError("hom_coords: nonzero map in zero hom space")
+    coords = vecs[..., free_cols]
+    if not np.array_equal(fld.matmul(coords, flat), vecs):
+        raise ValueError("hom_coords: matrix is not a module hom")
+    return coords
 
 
 def _hom_entry(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:

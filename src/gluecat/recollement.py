@@ -252,12 +252,11 @@ class DualDerivedTensorFunctor(Functor):
 
     def _apply(self, x):
         ctx = self.ctx
-        dx = ctx.dual(x)
-        rep = ctx.replacement(dx)
+        rep = ctx.replacement(ctx.dual(x))
         pre, tensors = ctx.termwise_tensor(rep.p, self.w, name=f"pre{self.name}({x.name})")
         out = dual_complex(pre, name=f"{self.name}({x.name})")
         out.injective_terms = self.injective_output
-        return out, {"dual_input": dx, "rep": rep, "pre": pre, "tensors": tensors}
+        return out, {"rep": rep, "pre": pre, "tensors": tensors}
 
     def dual_presentation(self, mor: Mor) -> ChainMap:
         """Chain map R_{Dy} -> R_{Dx} carrying the dual class D(mor)."""
@@ -311,6 +310,8 @@ class Recollement:
     stratifying_certificate: object
     ctx: DerivedContext
     registry: dict[str, Functor] = dc_field(default_factory=dict)
+    # expression -> its source algebra, for the expressions that checked
+    _sources: dict[FunctorExpr, Algebra] = dc_field(default_factory=dict, init=False, repr=False)
 
     def algebra_of(self, tag: str) -> Algebra:
         return {"A": self.algebra, "B": self.quotient_algebra, "C": self.corner_algebra}[tag]
@@ -326,7 +327,10 @@ class Recollement:
         return range(-w, w + 1)
 
     def apply_expr(self, expr: FunctorExpr, x: BoundedComplex) -> BoundedComplex:
-        if x.algebra is not self.algebra_of(expr.signature(self.registry)[0]):
+        src = self._sources.get(expr)
+        if src is None:
+            src = self._sources[expr] = self.algebra_of(expr.signature(self.registry)[0])
+        if x.algebra is not src:
             raise TagMismatchError(
                 f"object over {x.algebra.name} fed to {expr.steps}"
             )

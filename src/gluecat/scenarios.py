@@ -40,7 +40,7 @@ class Scenario:
     seed: int
     gldim_cap: int = 12
     attempts: int = 64
-    menu: object = "default"
+    menu: str | list[str] = "default"
     variants: list[str] = dc_field(default_factory=lambda: ["original", "upper", "lower"])
     matrix_pairs: int = 4
     raw: dict = dc_field(default_factory=dict)
@@ -103,6 +103,8 @@ def parse_scenario(data: dict) -> Scenario:
         if v not in ("original", "upper", "lower"):
             raise ScenarioError(f"unknown variant {v!r}")
     menu = data.get("menu", "default")
+    if menu != "default" and not (isinstance(menu, list) and all(isinstance(m, str) for m in menu)):
+        raise ScenarioError('menu must be "default" or a list of object names')
     return Scenario(
         p=p,
         vertices=n,

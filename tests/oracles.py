@@ -6,7 +6,9 @@ are computed along a second path.  The Gram oracle at the end is the
 entry-by-entry reference for the batched Serre pairings: it evaluates
 each Gram entry on its own, with one lift and one supertrace per entry.
 ``hom_coords_by_elimination`` is the reference for hom coordinates: it
-solves for them in the hom basis by Gaussian elimination.  The
+solves for them in the hom basis by Gaussian elimination.
+``lifts_entrywise`` is the reference for lifts through a quasi-isomorphism:
+it writes the chain-map and homotopy equations entry by entry.  The
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
@@ -88,6 +90,78 @@ def hom_coords_by_elimination(fld, basis, mat):
     if coords is None:
         raise ValueError("hom_coords: matrix is not a module hom")
     return coords[0]
+
+
+# ----------------------------------------------------------------------
+# lifts through a quasi-isomorphism, entry by entry
+# ----------------------------------------------------------------------
+
+
+def lifts_entrywise(p, s, fs):
+    """``[(g, h)]`` with g: p -> y a chain map and f - g s = dh + hd for
+    each f in ``fs``, where s: y -> x.
+
+    The unknowns are the coordinates of every g^n and h^n in the module
+    hom bases, g before h, degree by degree.  The equations are written
+    on matrix entries: ``g^n d_y^n - d_p^n g^{n+1} = 0`` and
+    ``g^n s^n + d_p^n h^{n+1} + h^n d_x^{n-1} = f^n``.  Returns the
+    components as dicts ``{n: matrix}`` over every degree of p.
+    """
+    from gluecat.modules import hom_basis_matrices
+
+    y, x = s.source, s.target
+    fld = p.field
+    degs = list(p.degrees())
+    g_bases = {n: hom_basis_matrices(p.term(n), y.term(n)) for n in degs}
+    h_bases = {n: hom_basis_matrices(p.term(n), x.term(n - 1)) for n in degs}
+    cols = [("g", n, k) for n in degs for k in range(len(g_bases[n]))]
+    cols += [("h", n, k) for n in degs for k in range(len(h_bases[n]))]
+    col_index = {c: i for i, c in enumerate(cols)}
+    rows, rhs = [], []
+
+    def add_equation(size, contribs, targets):
+        block = fld.zeros(size, len(cols))
+        for kind, n, left, right, sign in contribs:
+            for k, b in enumerate(g_bases[n] if kind == "g" else h_bases[n]):
+                val = fld.matmul(left, b) if left is not None else fld.matmul(b, right)
+                block[:, col_index[(kind, n, k)]] = (sign * val.reshape(-1)) % fld.p
+        rows.append(block)
+        rhs.append(targets % fld.p)
+
+    for n in degs:
+        size = p.term(n).dim * y.term(n + 1).dim
+        if size:
+            contribs = [("g", n, None, y.diff(n), 1)]
+            if n + 1 in g_bases:
+                contribs.append(("g", n + 1, p.diff(n), None, -1))
+            add_equation(size, contribs, fld.zeros(size, len(fs)))
+    for n in degs:
+        size = p.term(n).dim * x.term(n).dim
+        if size:
+            contribs = [("g", n, None, s.comp(n), 1), ("h", n, None, x.diff(n - 1), 1)]
+            if n + 1 in h_bases:
+                contribs.append(("h", n + 1, p.diff(n), None, 1))
+            add_equation(size, contribs, np.stack([f.comp(n).reshape(-1) for f in fs], axis=1))
+    if rows:
+        sol = fld.solve_matrix(np.concatenate(rows), np.concatenate(rhs))
+    else:
+        sol = fld.zeros(len(cols), len(fs))
+    if sol is None:
+        raise ValueError("no lift exists")
+
+    def expand(kind, n, bases, shape, t):
+        out = fld.zeros(*shape)
+        for k, b in enumerate(bases):
+            out = (out + int(sol[col_index[(kind, n, k)], t]) * b) % fld.p
+        return out
+
+    return [
+        (
+            {n: expand("g", n, g_bases[n], (p.term(n).dim, y.term(n).dim), t) for n in degs},
+            {n: expand("h", n, h_bases[n], (p.term(n).dim, x.term(n - 1).dim), t) for n in degs},
+        )
+        for t in range(len(fs))
+    ]
 
 
 # ----------------------------------------------------------------------

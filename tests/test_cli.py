@@ -250,6 +250,9 @@ MALFORMED = {
     "arrow of three vertices": ("quiver", {"vertices": 2, "arrows": [[1, 2, 2]]}),
     "vertex count a float": ("quiver", {"vertices": 2.0, "arrows": [[1, 2]]}),
     "seed a float": ("seed", 1.5),
+    "menu a number": ("menu", 5),
+    "menu a misspelt default": ("menu", "defaultx"),
+    "menu with a nested list": ("menu", ["P1", ["x"]]),
 }
 
 

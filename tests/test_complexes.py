@@ -24,6 +24,7 @@ from gluecat.modules import (
     RightModule,
     ext_dims,
     hom_basis_matrices,
+    hom_coords,
     nakayama_bimodule,
     projective_module,
     simple_module,
@@ -34,7 +35,7 @@ from gluecat.modules import (
 )
 from gluecat.recollement import build_recollement, default_menus
 
-from oracles import hom_coords_by_elimination
+from oracles import hom_coords_by_elimination, lifts_entrywise
 
 
 @pytest.fixture()
@@ -213,7 +214,7 @@ def test_replacement_is_cached(ctx, alg_a2):
     assert ctx.replacement(twin) is not ctx.replacement(x)
     assert ctx.hom_space(x, twin) is ctx.hom_space(x, twin)
     assert ctx.dual(x) is ctx.dual(x)
-    assert ctx.module_hom_basis(s2, s2) is ctx.module_hom_basis(s2, s2)
+    assert hom_basis_matrices(s2, s2) is hom_basis_matrices(s2, s2)
 
 
 def _twins(alg):
@@ -341,17 +342,16 @@ def _replaced_menu_terms(rec):
 def test_hom_coords_match_elimination_oracle(quiver, e):
     fld = PrimeField(32003)
     rec = build_recollement(path_algebra(Quiver(len(quiver) + 1, quiver), fld), e, seed=17)
-    ctx = rec.ctx
     rng = np.random.default_rng(5)
     pairs = non_homs = 0
     for terms in _replaced_menu_terms(rec):
         for m in terms:
             for n in terms:
-                basis = ctx.module_hom_basis(m, n)
+                basis = hom_basis_matrices(m, n)
                 for _ in range(3):
                     coeffs = rng.integers(0, fld.p, size=len(basis))
                     mat = sum((int(c) * b for c, b in zip(coeffs, basis)), fld.zeros(m.dim, n.dim)) % fld.p
-                    got = ctx.hom_coords(m, n, mat)
+                    got = hom_coords(m, n, mat)
                     assert np.array_equal(got, hom_coords_by_elimination(fld, basis, mat))
                     assert np.array_equal(got, coeffs)
                 pairs += 1
@@ -362,7 +362,7 @@ def test_hom_coords_match_elimination_oracle(quiver, e):
                         hom_coords_by_elimination(fld, basis, unit)
                     except ValueError as exc:
                         with pytest.raises(ValueError, match=str(exc)):
-                            ctx.hom_coords(m, n, unit)
+                            hom_coords(m, n, unit)
                         non_homs += 1
                         break
     assert pairs >= 10 and non_homs >= 5
@@ -378,15 +378,19 @@ def test_hom_coords_in_a_twisted_basis(ctx, alg_a3):
     g_inv = fld.inv(g)
     twisted = RightModule(alg_a3, np.stack([fld.mul_chain(g_inv, op, g) for op in reg.action]))
     for m, n in [(twisted, twisted), (reg, twisted), (twisted, reg)]:
-        basis = ctx.module_hom_basis(m, n)
+        basis = hom_basis_matrices(m, n)
         assert len(basis) == alg_a3.dim
         coeffs = rng.integers(0, fld.p, size=len(basis))
         mat = sum((int(c) * b for c, b in zip(coeffs, basis)), fld.zeros(m.dim, n.dim)) % fld.p
-        got = ctx.hom_coords(m, n, mat)
+        got = hom_coords(m, n, mat)
         assert np.array_equal(got, coeffs)
         assert np.array_equal(got, hom_coords_by_elimination(fld, basis, mat))
+        # a stack gives one row of coordinates per hom
+        stack = np.stack([mat, fld.zeros(m.dim, n.dim), basis[-1]])
+        rows = np.stack([coeffs, 0 * coeffs, fld.unit_row(len(basis), len(basis) - 1)])
+        assert np.array_equal(hom_coords(m, n, stack), rows)
         with pytest.raises(ValueError, match="not a module hom"):
-            ctx.hom_coords(m, n, fld.identity(m.dim) if m is not n else g)
+            hom_coords(m, n, fld.identity(m.dim) if m is not n else g)
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +471,59 @@ def test_lift_augmentation_through_itself(ctx, alg_a2):
     g, h = ctx.lift_through_qis(rep.p, rep.qis, rep.qis)
     c = cone(g)
     assert homology_dims(c) == {}
+
+
+@pytest.mark.parametrize("fixture", ["F1", "F2"])
+def test_every_suite_lift_matches_the_entrywise_oracle(monkeypatch, fixture):
+    # the lifts are solved in hom-complex coordinates; the oracle writes
+    # the same equations entry by entry, and the free unknowns are zero
+    # in both, so every component must agree exactly
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    solved = []
+    solve = DerivedContext._solve_lifts
+
+    def recording(self, p, s, *fs):
+        out = solve(self, p, s, *fs)
+        solved.append((p, s, fs, out))
+        return out
+
+    monkeypatch.setattr(DerivedContext, "_solve_lifts", recording)
+    run_suite(parse_scenario(fixture_scenario(fixture)))
+    assert len(solved) >= 50
+    for p, s, fs, out in solved:
+        for (g, h), (g_ref, h_ref) in zip(out, lifts_entrywise(p, s, fs), strict=True):
+            assert set(h.comps) <= set(p.degrees())
+            for n in p.degrees():
+                assert np.array_equal(g.comp(n), g_ref[n])
+                assert np.array_equal(h.comp(n), h_ref[n])
+
+
+def test_content_equal_pairs_share_one_hom_complex(ctx, alg_a3):
+    for x, twin in _twins(alg_a3):
+        p = ctx.replacement(x).p
+        hc = ctx.hom_complex(p, x)
+        p2 = BoundedComplex(alg_a3, dict(p.terms), dict(p.diffs))
+        builds = ctx.memo_counts()["hom_complex"][0]
+        hc2 = ctx.hom_complex(p2, twin)
+        assert ctx.memo_counts()["hom_complex"][0] == builds
+        assert hc2 is not hc and hc2.p is p2 and hc2.y is twin
+        assert ctx.hom_complex(p2, twin).diffs is hc.diffs
+        # built on first use, through either copy, and then shared
+        assert hc2.diff(0) is hc.diff(0) and hc2.diffs is hc.diffs
+        assert hc.diff(-1) is hc2.diff(-1)
+    # hom spaces, derived Hom and lifts out of one replacement into
+    # content-equal targets all use the first complex built
+    ctx = DerivedContext()
+    x, twin = _twins(alg_a3)[0]
+    rep = ctx.replacement(x)
+    hc = ctx.hom_space(x, x).hc
+    assert ctx.derived_hom_dims(x, twin) == {0: 1}
+    assert ctx.hom_space(twin, x).hc.diffs is hc.diffs
+    ctx.lift_through_qis(rep.p, rep.qis, identity_map(x))
+    builds, requests = ctx.memo_counts()["hom_complex"]
+    assert builds == 1 and requests >= 4
 
 
 # ----------------------------------------------------------------------

@@ -161,6 +161,47 @@ def test_apply_expr_rejects_ill_typed_composite(rec_f1):
         rec_f1.apply_expr(FunctorExpr(("i_*", "j_!")), b_reg)
 
 
+def test_apply_expr_checks_every_call_until_an_expression_passes(rec_f1):
+    # a checked expression keeps its source algebra; a failing one is
+    # checked again on every call, and wrong input is refused every time
+    b_reg = stalk_complex(regular_module(rec_f1.quotient_algebra))
+    a_reg = stalk_complex(regular_module(rec_f1.algebra))
+    bad = FunctorExpr(("i_*", "j_!"))
+    for _ in range(2):
+        with pytest.raises(TagMismatchError, match="step j_! expects C input"):
+            rec_f1.apply_expr(bad, b_reg)
+        assert bad not in rec_f1._sources
+    good = FunctorExpr(("i_*", "j^*"))
+    rec_f1.apply_expr(good, b_reg)
+    assert rec_f1._sources[good] is rec_f1.quotient_algebra
+    for _ in range(2):
+        with pytest.raises(TagMismatchError, match="object over"):
+            rec_f1.apply_expr(good, a_reg)
+
+
+def test_signature_runs_once_per_expression_over_a_suite(monkeypatch):
+    from gluecat.cli import run_suite
+    from gluecat.recollement import Recollement
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    signatures, applied = [], []
+    signature, apply_expr = FunctorExpr.signature, Recollement.apply_expr
+
+    def counting_signature(self, registry):
+        signatures.append(self)
+        return signature(self, registry)
+
+    def counting_apply(self, expr, x):
+        applied.append((id(self), expr))
+        return apply_expr(self, expr, x)
+
+    monkeypatch.setattr(FunctorExpr, "signature", counting_signature)
+    monkeypatch.setattr(Recollement, "apply_expr", counting_apply)
+    run_suite(parse_scenario(fixture_scenario("F1")))
+    assert len(signatures) == len(set(applied)) == len(set(signatures))
+    assert len(applied) > 10 * len(signatures)
+
+
 def test_ishriek_and_jstar_compose(rec_f2):
     # j^* i_* = 0 on the regular B-module
     b_reg = stalk_complex(regular_module(rec_f2.quotient_algebra))
