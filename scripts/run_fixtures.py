@@ -2,9 +2,9 @@
 """Run the full verification suite on the three canonical quivers and
 print a summary table with timings.
 
-Per fixture it also prints, for replacements, hom complexes, hom spaces
-and lifts, how many were built against how many were asked for, as
-counted by the content memos of the derived context.
+Per fixture it also prints, for duals, replacements, hom complexes, hom
+spaces and lifts, how many were built against how many were asked for,
+as counted by the content memos of the derived context.
 """
 
 import sys
@@ -17,7 +17,7 @@ from gluecat.cli import run_suite
 from gluecat.complexes import DerivedContext
 from gluecat.scenarios import fixture_scenario, parse_scenario
 
-MEMOS = ("replacement", "hom_complex", "hom_space", "lift")
+MEMOS = ("dual", "replacement", "hom_complex", "hom_space", "lift")
 
 
 def main():

@@ -82,17 +82,22 @@ def _build_workbench(scn: Scenario, ctx: DerivedContext | None = None):
     return rec, sd
 
 
-def run_suite(scn: Scenario, ctx: DerivedContext | None = None) -> list[VerificationReport]:
+def run_suite(
+    scn: Scenario, ctx: DerivedContext | None = None, before_cells=None
+) -> list[VerificationReport]:
     """Build the workbench of a scenario and run every suite of ``verify``.
 
     Reports come in a fixed order: one per requested diagram variant,
     then the Serre suites of T, S and U, then the Nakayama cross-checks
     of S and U.  Scenario and set-up errors propagate to the caller.
     ``ctx`` is the derived context to work in, a fresh one by default;
-    pass one to read its memo counts afterwards.
+    pass one to read its memo counts afterwards.  ``before_cells`` is
+    called once set-up has passed, before any cell runs.
     """
     rec, sd = _build_workbench(scn, ctx)
     menus = _resolve_menus(rec, scn)
+    if before_cells is not None:
+        before_cells()
     seed, attempts = scn.seed, scn.attempts
     reports = []
     for variant in scn.variants:
@@ -127,14 +132,14 @@ def _resolve_menus(rec, scn: Scenario):
     return out
 
 
-def _functor_expr(name: str):
+def _functor_expr(name: str) -> FunctorExpr:
     name = _FUNCTOR_ALIASES.get(name, name)
     if name in ("i_*", "i^*", "i^!", "j_!", "j^*", "j_*", "T", "T~"):
-        return name, FunctorExpr((name,))
+        return FunctorExpr((name,))
     if name in INDUCED_EXPRS:
-        return name, INDUCED_EXPRS[name]
+        return INDUCED_EXPRS[name]
     if name in NEW_ADJOINT_EXPRS:
-        return name, NEW_ADJOINT_EXPRS[name]
+        return NEW_ADJOINT_EXPRS[name]
     raise ScenarioError(f"unknown functor {name!r}")
 
 
@@ -162,7 +167,9 @@ def _report_payload(scn: Scenario, reports):
 def cmd_verify(args) -> int:
     try:
         scn = load_scenario(args.scenario)
-        reports = run_suite(scn)
+        # created once set-up has passed: an unwritable path fails before
+        # any cell runs, and an invalid scenario leaves the file alone
+        reports = run_suite(scn, before_cells=lambda: open(args.report, "w").close())
     except _SETUP_ERRORS as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -194,8 +201,8 @@ def cmd_verify(args) -> int:
 def cmd_apply(args) -> int:
     try:
         scn = load_scenario(args.scenario)
-        rec, sd = _build_workbench(scn)
-        name, expr = _functor_expr(args.functor)
+        rec, _ = _build_workbench(scn)
+        expr = _functor_expr(args.functor)
         src_tag, _ = expr.signature(rec.registry)
         menu = dict(default_menu(rec, src_tag))
         if args.object not in menu:

@@ -93,8 +93,7 @@ class BoundedComplex:
     ``key`` is its exact content: the algebra's identity, ``lo``/``hi``,
     and the shape and bytes of every term action and differential.  The
     differentials are read-only (so are the term actions), so the key
-    cannot go stale.  The name, the summand data and ``injective_terms``
-    are not content.
+    cannot go stale.  The name and the summand data are not content.
     """
 
     def __init__(
@@ -103,7 +102,6 @@ class BoundedComplex:
         terms: dict[int, RightModule],
         diffs: dict[int, np.ndarray],
         summands: dict[int, ProjSummands] | None = None,
-        injective_terms: bool = False,
         name: str = "",
     ):
         self.algebra = algebra
@@ -131,7 +129,6 @@ class BoundedComplex:
             self.summands = {n: summands[n] for n in range(self.lo, self.hi + 1) if n in summands}
         elif summands is not None:
             self.summands = {}
-        self.injective_terms = injective_terms
         self.name = name or "complex"
         self.key = (
             id(algebra),
@@ -143,6 +140,13 @@ class BoundedComplex:
         if any(m.algebra is not algebra for m in self.terms.values()):
             self.validate()  # the key does not see term algebras
         _validate_once(self, algebra)
+
+    def _named(self, name: str) -> "BoundedComplex":
+        """The same complex under another name: the content, so the
+        check, is the same."""
+        out = copy.copy(self)
+        out.name = name
+        return out
 
     # ------------------------------------------------------------------
 
@@ -311,10 +315,7 @@ def shift(x: BoundedComplex, k: int) -> BoundedComplex:
     summands = None
     if x.summands is not None:
         summands = {n - k: s for n, s in x.summands.items()}
-    return BoundedComplex(
-        x.algebra, terms, diffs, summands=summands,
-        injective_terms=x.injective_terms, name=f"{x.name}[{k}]",
-    )
+    return BoundedComplex(x.algebra, terms, diffs, summands=summands, name=f"{x.name}[{k}]")
 
 
 def identity_map(x: BoundedComplex) -> ChainMap:
@@ -378,16 +379,13 @@ def cone(f: ChainMap, name: str = "") -> BoundedComplex:
         sdim = terms[n].dim
         tdim = terms[n + 1].dim
         d = fld.zeros(sdim, tdim)
-        x1, y0 = x.term(n + 1).dim, y.term(n).dim
-        x2, y1 = x.term(n + 2).dim, y.term(n + 1).dim
+        x1, x2 = x.term(n + 1).dim, x.term(n + 2).dim
         d[:x1, :x2] = fld.neg(x.diff(n + 1))
         d[:x1, x2:] = f.comp(n + 1)
         d[x1:, x2:] = y.diff(n)
         diffs[n] = d
     return BoundedComplex(
-        a, terms, diffs, summands=summands,
-        injective_terms=x.injective_terms and y.injective_terms,
-        name=name or f"cone({x.name}->{y.name})",
+        a, terms, diffs, summands=summands, name=name or f"cone({x.name}->{y.name})"
     )
 
 
@@ -424,15 +422,12 @@ def dual_complex(x: BoundedComplex, name: str = "") -> BoundedComplex:
     """k-dual over the opposite algebra; (DX)^n = D(X^{-n})."""
     aop = opposite(x.algebra)
     if x.is_zero():
-        return zero_complex(aop)
+        return zero_complex(aop)._named(name or f"D({x.name})")
     terms = {-n: k_dual(x.term(n)) for n in x.degrees()}
     diffs = {}
     for n in range(-x.hi, -x.lo):
         diffs[n] = x.diff(-n - 1).T.copy()
-    injective = x.has_summand_data()
-    return BoundedComplex(
-        aop, terms, diffs, injective_terms=injective, name=name or f"D({x.name})"
-    )
+    return BoundedComplex(aop, terms, diffs, name=name or f"D({x.name})")
 
 
 def dual_chain_map(
@@ -484,30 +479,9 @@ class DerivedIsoCertificate:
         return "fail" if self.status == "not-isomorphic" else "not-certified"
 
 
-class _IdentityMemo:
-    """Values built once per tuple of key objects, keyed by identity.
-
-    ``get(keys, build)`` returns ``build(*keys)``, computed on the first
-    request only.  Each entry pins its key objects, so their ids cannot
-    be reused while the memo lives, and the first value built for a key
-    is the one kept.  Builds may re-enter the memo with other keys.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: dict[tuple[int, ...], tuple] = {}
-
-    def get(self, keys: tuple, build):
-        ident = tuple(map(id, keys))
-        hit = self._entries.get(ident)
-        if hit is None:
-            hit = self._entries.setdefault(ident, (keys, build(*keys)))
-        return hit[1]
-
-
 class _ContentMemo:
-    """Values built once per content of their key objects.
+    """Values built once per content of their key objects: the one memo
+    rule of the derived layer (see :class:`DerivedContext`).
 
     The key objects are complexes and chain maps, and their ``key`` is
     exact content, never a digest, so a hit means the inputs are equal.
@@ -515,10 +489,10 @@ class _ContentMemo:
     objects of a content; other objects of that content get
     ``rebind(value, *objs)``, the stored value moved onto the caller's
     objects, so every ``is`` check downstream still holds.  ``get`` also
-    remembers, in an :class:`_IdentityMemo`, what each tuple of objects
-    got, and hands the identical value out again.  Entries pin their
-    objects, so ids cannot be reused while the memo lives.  Builds may
-    re-enter the memo.
+    remembers, by identity, what each tuple of objects got, and hands
+    the identical value out again.  Entries pin their objects, so ids
+    cannot be reused while the memo lives.  Builds may re-enter the
+    memo.
 
     ``builds`` counts the contents built, ``requests`` the values asked
     for.
@@ -528,7 +502,7 @@ class _ContentMemo:
 
     def __init__(self):
         self._first: dict[tuple, tuple] = {}    # content -> (objs, value)
-        self._given = _IdentityMemo()
+        self._given: dict[tuple, tuple] = {}    # ids -> (objs, value)
         self.requests = 0
 
     @property
@@ -537,7 +511,11 @@ class _ContentMemo:
 
     def get(self, objs: tuple, build, rebind):
         self.requests += 1
-        return self._given.get(objs, lambda *objs: self._value(objs, build, rebind))
+        ident = tuple(map(id, objs))
+        hit = self._given.get(ident)
+        if hit is None:
+            hit = self._given.setdefault(ident, (objs, self._value(objs, build, rebind)))
+        return hit[1]
 
     def share(self, objs: tuple, build, rebind):
         self.requests += 1
@@ -564,31 +542,30 @@ def _moved_lifts(lifts, p: BoundedComplex, s: ChainMap, *fs: ChainMap):
 
 
 class DerivedContext:
-    """Replacements, hom complexes, hom spaces and lifts, built once per content.
+    """Duals, replacements, hom complexes, hom spaces and lifts, built
+    once per content.
 
     The cache rule: every derived construction is keyed by the content
     of its inputs, as module constructions are.
 
-    - ``replacement``, ``hom_space``, ``derived_hom_dims``, ``hom_complex``
-      and ``lift_many_through_qis`` keep a :class:`_ContentMemo` keyed by
-      the exact ``key`` of their input complexes and chain maps.  An
-      input equal to an earlier one but not identical gets the earlier
-      value moved onto its own objects: the replacement shares the
-      complex ``p`` and its ``qis`` targets the caller's ``x``; a hom
-      complex or space shares its matrices but carries the caller's
-      complexes; lifted maps sit on the caller's ``p``, ``y`` and ``x``.
-      So one hom complex per content of ``(p, y)`` serves hom spaces,
-      derived Hom, certificates and lifts.  The first three give the same
-      objects the identical value on every request, so adjunction
+    - ``dual``, ``replacement``, ``hom_space``, ``derived_hom_dims``,
+      ``hom_complex`` and ``lift_many_through_qis`` keep a
+      :class:`_ContentMemo` keyed by the exact ``key`` of their input
+      complexes and chain maps; so do the functor outputs
+      (:class:`~gluecat.recollement.Functor`) and the composite
+      adjunction matrices (:mod:`gluecat.reflect`).  An input equal to
+      an earlier one but not identical gets the earlier value moved onto
+      its own objects: a dual or functor output is a copy named after
+      the caller's input; the replacement shares the complex ``p`` and
+      its ``qis`` targets the caller's ``x``; a hom complex or space
+      shares its matrices but carries the caller's complexes; lifted
+      maps sit on the caller's ``p``, ``y`` and ``x``; matrices are
+      plain numbers in shared bases and are shared as they are.  So one
+      hom complex per content of ``(p, y)`` serves hom spaces, derived
+      Hom, certificates and lifts.  The memos read with ``get`` give the
+      same objects the identical value on every request, so adjunction
       formulas may rely on ``replacement(x).p`` being one complex per
-      content.
-    - ``dual``, the functor outputs and the composite adjunction matrices
-      stay in an :class:`_IdentityMemo`, keyed by the identity of their
-      inputs: a content hit there would have to move the value onto the
-      caller's input (a functor output together with its replacement and
-      tensors), and no such rule is written for them.  Nothing mutates
-      a memoised value; the dual-route functors build their outputs
-      afresh.
+      content.  Nothing mutates a memoised value.
     - Module hom bases, projective covers, tensor products and the zero
       module are memoised by content in :mod:`gluecat.modules`, on the
       object that owns the data (the algebra, or the bimodule for
@@ -605,16 +582,17 @@ class DerivedContext:
 
     def __init__(self, resolution_cap: int = 24):
         self.resolution_cap = resolution_cap
+        self._duals = _ContentMemo()
         self._replacements = _ContentMemo()
         self._hom_complexes = _ContentMemo()
         self._hom_spaces = _ContentMemo()
         self._hom_dims = _ContentMemo()
         self._lifts = _ContentMemo()
-        self._duals = _IdentityMemo()
 
     def memo_counts(self) -> dict[str, tuple[int, int]]:
         """``(builds, requests)`` of each content memo."""
         memos = {
+            "dual": self._duals,
             "replacement": self._replacements,
             "hom_complex": self._hom_complexes,
             "hom_space": self._hom_spaces,
@@ -626,7 +604,7 @@ class DerivedContext:
     # -- duality ---------------------------------------------------------
 
     def dual(self, x: BoundedComplex) -> BoundedComplex:
-        return self._duals.get((x,), dual_complex)
+        return self._duals.get((x,), dual_complex, lambda d, x: d._named(f"D({x.name})"))
 
     # -- replacement ------------------------------------------------------
 
@@ -695,7 +673,6 @@ class DerivedContext:
             a,
             {n: x.term(n) for n in range(lo + 1, x.hi + 1)},
             {n: x.diff(n) for n in range(lo + 1, x.hi)},
-            injective_terms=x.injective_terms,
             name=f"trunc({x.name})",
         )
         g = ChainMap(bottom, upper, {lo + 1: x.diff(lo)})

@@ -162,8 +162,8 @@ class PrimeField:
 
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Rows spanning the right null space  {v : m @ v == 0}."""
-        rows, cols = m.shape
-        r, pivots, rk = self.rref(m)
+        cols = m.shape[1]
+        r, pivots, _ = self.rref(m)
         free = [c for c in range(cols) if c not in pivots]
         out = self.zeros(len(free), cols)
         for k, c in enumerate(free):

@@ -154,7 +154,7 @@ class Bimodule:
         p = left_algebra.field.p
         self.left_action = np.asarray(left_action, dtype=np.int64) % p
         self.right_action = np.asarray(right_action, dtype=np.int64) % p
-        self.dim = int(self.right_action.shape[1]) if self.right_action.size else int(self.right_action.shape[1])
+        self.dim = int(self.right_action.shape[1])
         self.name = name or f"bimodule(dim={self.dim})"
         self._tensors: dict[tuple, TensorResult] = {}
         self.validate()

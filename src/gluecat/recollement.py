@@ -42,7 +42,7 @@ from .complexes import (
     ChainMap,
     DerivedContext,
     Mor,
-    _IdentityMemo,
+    _ContentMemo,
     add_maps,
     compose_maps,
     cone,
@@ -129,19 +129,38 @@ class FunctorExpr:
 
 
 class Functor:
+    """A functor on bounded complexes, with its output built once per
+    content of the input.
+
+    ``apply(x)`` is the output and ``aux(x)`` the data built with it (the
+    termwise tensors, the complex before the last dual), kept together
+    in a :class:`_ContentMemo`.  The same input always gets the
+    identical output; a content-equal input gets its own copy, named
+    ``f"{name}({x.name})"``, with the same aux.  So aux holds content
+    only, never a map onto the input: the replacement of ``x`` is
+    ``ctx.replacement(x)``.
+    """
+
     name = "?"
     src_tag = "?"
     tgt_tag = "?"
 
     def __init__(self, ctx: DerivedContext):
         self.ctx = ctx
-        self._outputs = _IdentityMemo()   # x -> (output, aux data)
+        self._outputs = _ContentMemo()   # x -> (output, aux data)
 
     def apply(self, x: BoundedComplex) -> BoundedComplex:
-        return self._outputs.get((x,), self._apply)[0]
+        return self._output(x)[0]
 
     def aux(self, x: BoundedComplex):
-        return self._outputs.get((x,), self._apply)[1]
+        return self._output(x)[1]
+
+    def _output(self, x: BoundedComplex):
+        return self._outputs.get((x,), self._apply, self._rebind)
+
+    def _rebind(self, value, x: BoundedComplex):
+        out, aux = value
+        return out._named(f"{self.name}({x.name})"), aux
 
     def _apply(self, x):
         raise NotImplementedError
@@ -181,16 +200,18 @@ class RestrictionFunctor(Functor):
         return Mor(fx, fy, new_map, new_qis)
 
 
-class ExactTensorFunctor(Functor):
-    """j^*: termwise tensor with an exact bimodule (no replacement)."""
-
-    name = "j^*"
+class _TensorFunctor(Functor):
+    """A functor made from the tensor product with the bimodule ``w``."""
 
     def __init__(self, ctx, bimodule: Bimodule, name: str, src_tag: str, tgt_tag: str):
         super().__init__(ctx)
         self.w = bimodule
         self.name = name
         self.src_tag, self.tgt_tag = src_tag, tgt_tag
+
+
+class ExactTensorFunctor(_TensorFunctor):
+    """j^*: termwise tensor with an exact bimodule (no replacement)."""
 
     def _apply(self, x):
         out, tensors = self.ctx.termwise_tensor(x, self.w, name=f"{self.name}({x.name})")
@@ -210,22 +231,12 @@ class ExactTensorFunctor(Functor):
         return Mor(fx, fy, new_map, new_qis)
 
 
-class DerivedTensorFunctor(Functor):
+class DerivedTensorFunctor(_TensorFunctor):
     """i^*, j_!, T: projective replacement followed by termwise tensor."""
 
-    def __init__(self, ctx, bimodule: Bimodule, name: str, src_tag: str, tgt_tag: str, injective_output: bool = False):
-        super().__init__(ctx)
-        self.w = bimodule
-        self.name = name
-        self.src_tag, self.tgt_tag = src_tag, tgt_tag
-        self.injective_output = injective_output
-
     def _apply(self, x):
-        rep = self.ctx.replacement(x)
-        out, tensors = self.ctx.termwise_tensor(rep.p, self.w, name=f"{self.name}({x.name})")
-        if self.injective_output:
-            out.injective_terms = True
-        return out, {"rep": rep, "tensors": tensors}
+        out, tensors = self.ctx.derived_tensor(x, self.w, name=f"{self.name}({x.name})")
+        return out, {"tensors": tensors}
 
     def apply_mor(self, mor: Mor) -> Mor:
         ctx = self.ctx
@@ -240,23 +251,14 @@ class DerivedTensorFunctor(Functor):
         return Mor(fx, fy, new_map, identity_map(fx))
 
 
-class DualDerivedTensorFunctor(Functor):
-    """i^!, j_*, T~: duality route D( D(-) (x)^L_{op} W )."""
-
-    def __init__(self, ctx, bimodule: Bimodule, name: str, src_tag: str, tgt_tag: str, injective_output: bool):
-        super().__init__(ctx)
-        self.w = bimodule  # bimodule over the opposite algebras
-        self.name = name
-        self.src_tag, self.tgt_tag = src_tag, tgt_tag
-        self.injective_output = injective_output
+class DualDerivedTensorFunctor(_TensorFunctor):
+    """i^!, j_*, T~: duality route D( D(-) (x)^L_{op} W ), with ``w`` a
+    bimodule over the opposite algebras."""
 
     def _apply(self, x):
         ctx = self.ctx
-        rep = ctx.replacement(ctx.dual(x))
-        pre, tensors = ctx.termwise_tensor(rep.p, self.w, name=f"pre{self.name}({x.name})")
-        out = dual_complex(pre, name=f"{self.name}({x.name})")
-        out.injective_terms = self.injective_output
-        return out, {"rep": rep, "pre": pre, "tensors": tensors}
+        pre, tensors = ctx.derived_tensor(ctx.dual(x), self.w, name=f"pre{self.name}({x.name})")
+        return dual_complex(pre, name=f"{self.name}({x.name})"), {"pre": pre, "tensors": tensors}
 
     def dual_presentation(self, mor: Mor) -> ChainMap:
         """Chain map R_{Dy} -> R_{Dx} carrying the dual class D(mor)."""
@@ -425,14 +427,10 @@ def build_recollement(
     )
     rec.registry["i_*"] = RestrictionFunctor(ctx, a, b, projection)
     rec.registry["i^*"] = DerivedTensorFunctor(ctx, B_ab, "i^*", "A", "B")
-    rec.registry["i^!"] = DualDerivedTensorFunctor(
-        ctx, B_ba.flip(), "i^!", "A", "B", injective_output=True
-    )
+    rec.registry["i^!"] = DualDerivedTensorFunctor(ctx, B_ba.flip(), "i^!", "A", "B")
     rec.registry["j^*"] = ExactTensorFunctor(ctx, Ae, "j^*", "A", "C")
     rec.registry["j_!"] = DerivedTensorFunctor(ctx, eA, "j_!", "C", "A")
-    rec.registry["j_*"] = DualDerivedTensorFunctor(
-        ctx, Ae.flip(), "j_*", "C", "A", injective_output=True
-    )
+    rec.registry["j_*"] = DualDerivedTensorFunctor(ctx, Ae.flip(), "j_*", "C", "A")
     return rec
 
 
@@ -519,7 +517,7 @@ class StarPullbackAdjunction(AdjunctionProvider):
         if rep_fx.sigma_inv is None:
             raise RuntimeError("i^*-output replacement should be an isomorphism")
         aux = rec.functor("i^*").aux(x)
-        rep_x = aux["rep"]
+        rep_x = ctx.replacement(x)
         gy = self.G_apply(y)
         comps = {}
         for n in rep_x.p.degrees():
@@ -538,7 +536,6 @@ class StarPullbackAdjunction(AdjunctionProvider):
         aux = rec.functor("i^*").aux(x)
         rep_fx = ctx.replacement(fx)
         fld = x.field
-        b = rec.quotient_algebra
         comps = {}
         for n in fx.degrees():
             tens = aux["tensors"][n]
@@ -566,7 +563,7 @@ class ShriekPullbackAdjunction(AdjunctionProvider):
         if rep_fn.sigma_inv is None:
             raise RuntimeError("j_!-output replacement should be an isomorphism")
         aux = rec.functor("j_!").aux(n_obj)
-        rep_n = aux["rep"]
+        rep_n = ctx.replacement(n_obj)
         gx = self.G_apply(x)
         gx_aux = rec.functor("j^*").aux(x)
         fld = n_obj.field
@@ -640,9 +637,8 @@ class PushShriekAdjunction(AdjunctionProvider):
         out = shriek.apply(iy)
         aux = shriek.aux(iy)
         fld = yp.field
-        b = rec.quotient_algebra
         pre, tensors = aux["pre"], aux["tensors"]
-        rep_d = aux["rep"]
+        rep_d = ctx.replacement(ctx.dual(iy))
         nu_comps = {}
         for m in pre.degrees():
             tens = tensors[m]
@@ -680,7 +676,7 @@ class PushShriekAdjunction(AdjunctionProvider):
         istar = rec.functor("i_*")
         i_gx = istar.apply(gx)
         i_psi = istar.apply_mor(Mor(yp, gx, psi, hs.p_qis))
-        rep_dx = aux["rep"]
+        rep_dx = ctx.replacement(ctx.dual(x))
         d_rdx = ctx.dual(rep_dx.p)
         mu_comps = {}
         for m in rep_dx.p.degrees():
@@ -712,7 +708,7 @@ class StarPushAdjunction(AdjunctionProvider):
         aux = push.aux(jx)
         fld = x.field
         pre, tensors = aux["pre"], aux["tensors"]
-        rep_d = aux["rep"]
+        rep_d = ctx.replacement(ctx.dual(jx))
         nu_comps = {}
         for m in pre.degrees():
             if -m not in jx_aux["tensors"]:
@@ -752,7 +748,7 @@ class StarPushAdjunction(AdjunctionProvider):
         j_psi = jstar.apply_mor(Mor(x, gn, psi, hs.p_qis))
         aux = rec.functor("j_*").aux(n_obj)
         j_gn_aux = jstar.aux(gn)
-        rep_dn = aux["rep"]
+        rep_dn = ctx.replacement(ctx.dual(n_obj))
         d_rdn = ctx.dual(rep_dn.p)
         fld = x.field
         mu_comps = {}
@@ -805,7 +801,6 @@ def compose_mor(ctx: DerivedContext, m1: Mor, m2: Mor) -> Mor:
 
 def mor_from_coords(hs, coords: np.ndarray) -> Mor:
     """Materialize a class from homology coordinates of a hom space."""
-    fld = hs.fld
     maps = hs.basis_maps()
     if not maps:
         return Mor(hs.x, hs.y, zero_map(hs.p, hs.y), hs.p_qis)

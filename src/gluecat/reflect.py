@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Mor, _IdentityMemo
+from .complexes import Mor, _ContentMemo, _same
 from .recollement import (
     NEW_ADJOINT_EXPRS,
     AdjunctionProvider,
@@ -48,7 +48,7 @@ class CompositeAdjunction(AdjunctionProvider):
         super().__init__(sd.rec, f_expr, g_expr)
         self.sd = sd
         self.name = name
-        self._matrices = _IdentityMemo()   # (x, y) -> (forward, backward)
+        self._matrices = _ContentMemo()   # (x, y) -> (forward, backward)
 
     def _chain_matrix(self, x, y) -> np.ndarray:
         raise NotImplementedError
@@ -60,10 +60,10 @@ class CompositeAdjunction(AdjunctionProvider):
         return m, (x.field.inv(m) if m.size else m)
 
     def forward_matrix(self, x, y) -> np.ndarray:
-        return self._matrices.get((x, y), self._matrix_pair)[0]
+        return self._matrices.get((x, y), self._matrix_pair, _same)[0]
 
     def backward_matrix(self, x, y) -> np.ndarray:
-        return self._matrices.get((x, y), self._matrix_pair)[1]
+        return self._matrices.get((x, y), self._matrix_pair, _same)[1]
 
     def forward(self, x, y, mor: Mor) -> Mor:
         lhs = self.ctx.hom_space(self.F_apply(x), y)

@@ -100,12 +100,8 @@ def attach_serre(rec: Recollement) -> SerreData:
     """Register T and its quasi-inverse on the middle category."""
     da = nakayama_bimodule(rec.algebra)
     if "T" not in rec.registry:
-        rec.registry["T"] = DerivedTensorFunctor(
-            rec.ctx, da, "T", "A", "A", injective_output=True
-        )
-        rec.registry["T~"] = DualDerivedTensorFunctor(
-            rec.ctx, da.flip(), "T~", "A", "A", injective_output=False
-        )
+        rec.registry["T"] = DerivedTensorFunctor(rec.ctx, da, "T", "A", "A")
+        rec.registry["T~"] = DualDerivedTensorFunctor(rec.ctx, da.flip(), "T~", "A", "A")
     return SerreData(rec, da, primitive_adjunctions(rec))
 
 
@@ -201,7 +197,7 @@ def _right_gram(ctx: DerivedContext, t_functor, xp: BoundedComplex, yp: BoundedC
     tx = t_functor.apply(xp)
     aux = t_functor.aux(xp)
     hs_f, hs_g = ctx.hom_space(xp, yp), ctx.hom_space(yp, tx)
-    p = aux["rep"].p
+    p = ctx.replacement(xp).p
     lifts = ctx.lift_many_through_qis(
         p, [hs_f.normalize(f) for f in fs], ctx.replacement(yp).qis
     )
@@ -232,7 +228,8 @@ def _left_gram(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedC
         rep_ty.p, [hs_h.normalize(h) for h in hs], ctx.replacement(xp).qis
     )
     sigma_inv = ChainMap(ty, rep_ty.p, dict(rep_ty.sigma_inv))
-    p, qis = aux["rep"].p, aux["rep"].qis
+    rep = ctx.replacement(ctx.dual(yp))
+    p, qis = rep.p, rep.qis
     factors = _supertrace_factors(p, aux["tensors"])
     f_hats = [hs_f.normalize(f) for f in fs]
     lefts = [{n: fld.matmul(qis.comp(n), f.comp(-n).T) for n in factors} for f in f_hats]
@@ -435,9 +432,7 @@ def intrinsic_nakayama_crosscheck(
     rec, ctx = sd.rec, sd.ctx
     tag = {"S": "B", "U": "C"}[which]
     alg = rec.algebra_of(tag)
-    intrinsic = DerivedTensorFunctor(
-        ctx, nakayama_bimodule(alg), f"nak({tag})", tag, tag, injective_output=True
-    )
+    intrinsic = DerivedTensorFunctor(ctx, nakayama_bimodule(alg), f"nak({tag})", tag, tag)
     cells = []
     label = f"serre-{which}-nakayama"
     for v, p in enumerate(projectives(alg)):

@@ -179,9 +179,10 @@ def _pair_right_value(ctx, t_functor, xp, yp, f, g) -> int:
     f_hat = ctx.hom_space(xp, yp).normalize(f)
     g_hat = ctx.hom_space(yp, tx).normalize(g)
     rep_y = ctx.replacement(yp)
-    ell, _ = ctx.lift_through_qis(aux["rep"].p, f_hat, rep_y.qis)
+    p = ctx.replacement(xp).p
+    ell, _ = ctx.lift_through_qis(p, f_hat, rep_y.qis)
     c = compose_maps(ell, g_hat)
-    return nakayama_supertrace(aux["rep"].p, aux["tensors"], c)
+    return nakayama_supertrace(p, aux["tensors"], c)
 
 
 def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
@@ -199,8 +200,9 @@ def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
     sigma_inv = ChainMap(ty, rep_ty.p, dict(rep_ty.sigma_inv))
     c = compose_maps(compose_maps(sigma_inv, ell), f_hat)  # ty -> yp
     dc = dual_chain_map(c, dual_source=aux["pre"], dual_target=ctx.dual(yp))
-    z = compose_maps(aux["rep"].qis, dc)
-    return nakayama_supertrace(aux["rep"].p, aux["tensors"], z)
+    rep_dy = ctx.replacement(ctx.dual(yp))
+    z = compose_maps(rep_dy.qis, dc)
+    return nakayama_supertrace(rep_dy.p, aux["tensors"], z)
 
 
 def gram_entrywise(sd, which: str, x, y):

@@ -180,11 +180,29 @@ def _error_record(capsys) -> dict:
     return json.loads(err[0])
 
 
-def test_verify_report_path_a_directory_exits_four(tmp_path, f1_data, capsys):
+def test_verify_report_path_a_directory_exits_four(tmp_path, f1_data, monkeypatch, capsys):
+    import gluecat.cli as cli_mod
+
+    def no_cell(*args, **kwargs):
+        pytest.fail("a cell ran before the report path was opened")
+
+    monkeypatch.setattr(cli_mod, "verify_axioms", no_cell)
     data = dict(f1_data, variants=["original"])
     scn = _write_scenario(tmp_path, data)
     assert main(["verify", scn, "--report", str(tmp_path), "--quiet"]) == 4
     assert _error_record(capsys)["error"] == "IsADirectoryError"
+
+
+def test_verify_invalid_scenario_leaves_the_report_alone(tmp_path, f1_data):
+    # the menu is checked after the workbench is built, the last set-up step
+    scn = _write_scenario(tmp_path, dict(f1_data, menu=["nothing"]))
+    report = tmp_path / "r.json"
+    report.write_bytes(b"an earlier report\n")
+    assert main(["verify", scn, "--report", str(report), "--quiet"]) == 3
+    assert report.read_bytes() == b"an earlier report\n"
+    missing = tmp_path / "new.json"
+    assert main(["verify", scn, "--report", str(missing), "--quiet"]) == 3
+    assert not missing.exists()
 
 
 def _broken(*args, **kwargs):

@@ -118,7 +118,6 @@ def test_dual_complex_round_trip(alg_a3):
     }
     for n in rep.p.degrees():
         assert np.array_equal(dd.term(n).action, rep.p.term(n).action)
-    assert d.injective_terms
 
 
 def test_dual_homology_mirrors_degrees(alg_a3):
@@ -297,7 +296,7 @@ def test_every_memoised_complex_and_chain_map_is_valid_after_f1():
     found = {}
     memos = (ctx._replacements, ctx._hom_spaces, ctx._hom_dims, ctx._lifts)
     for memo in memos:
-        for objs, value in [*memo._first.values(), *memo._given._entries.values()]:
+        for objs, value in [*memo._first.values(), *memo._given.values()]:
             items = list(objs)
             if isinstance(value, Replacement):
                 items += [value.p, value.qis]

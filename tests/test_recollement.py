@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gluecat.algebra import Quiver, path_algebra
-from gluecat.complexes import cone, homology_dims, stalk_complex
+from gluecat.complexes import BoundedComplex, cone, homology_dims, stalk_complex
 from gluecat.field import PrimeField
 from gluecat.modules import projective_module, regular_module, simple_module
 from gluecat.recollement import (
@@ -207,13 +207,6 @@ def test_ishriek_and_jstar_compose(rec_f2):
     b_reg = stalk_complex(regular_module(rec_f2.quotient_algebra))
     out = rec_f2.apply_expr(FunctorExpr(("i_*", "j^*")), b_reg)
     assert homology_dims(out) == {}
-
-
-def test_ishriek_output_injective_flag(rec_f2):
-    a = rec_f2.algebra
-    p3 = stalk_complex(projective_module(a, 2)[0])
-    out = rec_f2.functor("i^!").apply(p3)
-    assert out.injective_terms
 
 
 # ----------------------------------------------------------------------
@@ -434,9 +427,7 @@ def test_dual_route_leaves_the_memoised_dual_alone(rec_f1):
         pre = functor.aux(x)["pre"]
         assert ctx.dual(pre) is not out
         assert ctx.dual(pre).name == f"D({pre.name})"
-        assert not ctx.dual(pre).injective_terms
         assert out.name == f"{name}({x.name})"
-        assert out.injective_terms == functor.injective_output
 
 
 def test_triangle_euler_additivity(rec_f1):
@@ -470,3 +461,124 @@ def test_unit_at_zero_object_is_zero(rec_f1):
     prov = primitive_adjunctions(rec_f1)["(i^*, i_*)"]
     eta = prov.unit(zero_complex(rec_f1.algebra))
     assert eta.map.is_zero()
+
+
+# ----------------------------------------------------------------------
+# one memo rule: functor outputs, duals and composite matrices are
+# built once per content
+# ----------------------------------------------------------------------
+
+
+def _fresh_f1():
+    from gluecat.serre import attach_serre
+
+    a = path_algebra(Quiver(2, ((0, 1),)), PrimeField(32003))
+    rec = build_recollement(a, [1], seed=17)
+    return rec, attach_serre(rec)
+
+
+def _twins(rec, tag):
+    """Two content-equal but distinct stalks over the algebra of ``tag``."""
+    m = regular_module(rec.algebra_of(tag))
+    return stalk_complex(m, name=f"{tag}:x"), stalk_complex(m, name=f"{tag}:x'")
+
+
+def _zero_twins(rec, tag):
+    a = rec.algebra_of(tag)
+    return BoundedComplex(a, {}, {}, name=f"{tag}:z"), BoundedComplex(a, {}, {}, name=f"{tag}:z'")
+
+
+def _counting(build, calls):
+    def counted(self, *args):
+        calls.append(self.name)
+        return build(self, *args)
+
+    return counted
+
+
+def test_functor_outputs_are_built_once_per_content(monkeypatch):
+    rec, _ = _fresh_f1()
+    builds = []
+    for cls in {type(f) for f in rec.registry.values()}:
+        monkeypatch.setattr(cls, "_apply", _counting(cls._apply, builds))
+    assert set(rec.registry) == {"i_*", "i^*", "i^!", "j_!", "j^*", "j_*", "T", "T~"}
+    for name, functor in rec.registry.items():
+        for x, x2 in (_twins(rec, functor.src_tag), _zero_twins(rec, functor.src_tag)):
+            out = functor.apply(x)
+            assert functor.apply(x) is out and out.name == f"{name}({x.name})"
+            out2 = functor.apply(x2)
+            assert out2 is not out and out2.key == out.key
+            assert out2.name == f"{name}({x2.name})"
+            assert functor.apply(x2) is out2 and functor.aux(x2) is functor.aux(x)
+        assert builds.count(name) == 2, name
+
+
+def test_duals_are_built_once_per_content():
+    rec, _ = _fresh_f1()
+    ctx = rec.ctx
+    builds, requests = ctx.memo_counts()["dual"]
+    for x, x2 in (_twins(rec, "A"), _zero_twins(rec, "A")):
+        d = ctx.dual(x)
+        assert ctx.dual(x) is d and d.name == f"D({x.name})"
+        d2 = ctx.dual(x2)
+        assert d2 is not d and d2.key == d.key and d2.name == f"D({x2.name})"
+        assert ctx.dual(x2) is d2
+    assert ctx.memo_counts()["dual"] == (builds + 2, requests + 8)
+
+
+def test_composite_matrices_are_built_once_per_content(monkeypatch):
+    from gluecat.reflect import CompositeAdjunction, composite_adjunctions
+
+    rec, sd = _fresh_f1()
+    builds = []
+    pair = _counting(CompositeAdjunction._matrix_pair, builds)
+    monkeypatch.setattr(CompositeAdjunction, "_matrix_pair", pair)
+    for prov in composite_adjunctions(sd).values():
+        src, tgt = prov.f_expr.signature(rec.registry)
+        x, x2 = _twins(rec, src)
+        y = _twins(rec, tgt)[0]
+        builds.clear()
+        fwd, bwd = prov.forward_matrix(x, y), prov.backward_matrix(x, y)
+        assert prov.forward_matrix(x2, y) is fwd and prov.backward_matrix(x2, y) is bwd
+        assert builds == [prov.name]
+
+
+def test_adjunction_forward_resolves_its_own_input():
+    # the i^* aux is shared by content-equal inputs, so it must not carry
+    # the input's replacement: the class lands on x', not on x
+    rec, _ = _fresh_f1()
+    prov = primitive_adjunctions(rec)["(i^*, i_*)"]
+    x, x2 = _twins(rec, "A")
+    y = _twins(rec, "B")[0]
+    for obj in (x, x2):
+        mors = prov.ctx.hom_space(prov.F_apply(obj), y).basis_mors()
+        assert mors
+        for mor in mors:
+            image = prov.forward(obj, y, mor)
+            assert image.x is obj and image.src_qis.target is obj
+            prov.rhs_space(obj, y).coords_of(image)
+
+
+def test_suite_builds_each_functor_output_once_per_content(monkeypatch):
+    from gluecat.cli import run_suite
+    from gluecat.recollement import (
+        DerivedTensorFunctor,
+        DualDerivedTensorFunctor,
+        ExactTensorFunctor,
+        Functor,
+        RestrictionFunctor,
+    )
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    builds, contents = [], set()
+    output = Functor._output
+
+    def recording_output(self, x):
+        contents.add((self, x.key))  # the functor is kept, so ids stay apart
+        return output(self, x)
+
+    monkeypatch.setattr(Functor, "_output", recording_output)
+    for cls in (RestrictionFunctor, ExactTensorFunctor, DerivedTensorFunctor, DualDerivedTensorFunctor):
+        monkeypatch.setattr(cls, "_apply", _counting(cls._apply, builds))
+    run_suite(parse_scenario(fixture_scenario("F1")))
+    assert len(builds) == len(contents) > 0

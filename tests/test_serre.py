@@ -102,7 +102,7 @@ def test_supertrace_homotopy_invariance(sd_f1):
     hs_g = ctx.hom_space(s2, tx)
     # boundaries of the hom complex pair to zero against any cycle
     bnd = hs_g.hc.boundary_space(0)
-    rep = aux["rep"]
+    rep = ctx.replacement(s2)
     for row in bnd:
         g = hs_g.hc.vector_to_chain_map(0, row)
         val = nakayama_supertrace(rep.p, aux["tensors"], g)
