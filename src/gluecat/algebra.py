@@ -121,7 +121,9 @@ class Algebra:
       under the algebra of the source), each by its ``key``, mapped to
       itself so that content-equal objects share one key.  A failure is
       never recorded, so malformed content raises on every construction;
-    - ``_zero``: the one :func:`~gluecat.modules.zero_module`.
+    - ``_zero``: the one :func:`~gluecat.modules.zero_module`;
+    - ``_homology``: :func:`~gluecat.complexes.homology_dims` of the
+      complexes over this algebra, keyed by their ``key``.
     """
 
     def __init__(
@@ -148,6 +150,7 @@ class Algebra:
         self._weights: dict[tuple, object] = {}
         self._valid: dict[tuple, tuple] = {}
         self._zero: dict[None, object] = {}
+        self._homology: dict[tuple, dict] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")
         self.validate()

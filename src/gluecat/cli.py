@@ -132,9 +132,9 @@ def _resolve_menus(rec, scn: Scenario):
     return out
 
 
-def _functor_expr(name: str) -> FunctorExpr:
+def _functor_expr(rec, name: str) -> FunctorExpr:
     name = _FUNCTOR_ALIASES.get(name, name)
-    if name in ("i_*", "i^*", "i^!", "j_!", "j^*", "j_*", "T", "T~"):
+    if name in rec.registry:
         return FunctorExpr((name,))
     if name in INDUCED_EXPRS:
         return INDUCED_EXPRS[name]
@@ -202,7 +202,7 @@ def cmd_apply(args) -> int:
     try:
         scn = load_scenario(args.scenario)
         rec, _ = _build_workbench(scn)
-        expr = _functor_expr(args.functor)
+        expr = _functor_expr(rec, args.functor)
         src_tag, _ = expr.signature(rec.registry)
         menu = dict(default_menu(rec, src_tag))
         if args.object not in menu:

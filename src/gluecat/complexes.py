@@ -28,6 +28,7 @@ from .modules import (
     RightModule,
     TensorResult,
     _hom_entry,
+    _memo,
     _validate_once,
     direct_sum,
     hom_coords,
@@ -280,16 +281,6 @@ class Homotopy:
             return self.comps[n]
         return self.source.field.zeros(self.source.term(n).dim, self.target.term(n - 1).dim)
 
-    def witnesses(self, f: ChainMap, g: ChainMap) -> bool:
-        fld = self.source.field
-        for n in range(min(self.source.lo, self.target.lo) - 1, max(self.source.hi, self.target.hi) + 2):
-            delta = fld.sub(f.comp(n), g.comp(n))
-            dh = fld.matmul(self.source.diff(n), self.comp(n + 1))
-            hd = fld.matmul(self.comp(n), self.target.diff(n - 1))
-            if not np.array_equal(delta, fld.add(dh, hd)):
-                return False
-        return True
-
 
 # ----------------------------------------------------------------------
 # basic constructions
@@ -390,8 +381,10 @@ def cone(f: ChainMap, name: str = "") -> BoundedComplex:
 
 
 def homology_dims(x: BoundedComplex) -> dict[int, int]:
-    """Nonzero homology dimensions per degree."""
-    return _homology(x.field, {n: x.term(n).dim for n in x.degrees()}, x.diff)
+    """Nonzero homology dimensions per degree, computed once per content
+    of ``x`` (``Algebra._homology``); the caller gets its own copy."""
+    dims = {n: x.term(n).dim for n in x.degrees()}
+    return dict(_memo(x.algebra._homology, x.key, lambda: _homology(x.field, dims, x.diff)))
 
 
 def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
@@ -407,10 +400,6 @@ def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
         if h:
             out[n] = h
     return out
-
-
-def euler_characteristic(x: BoundedComplex) -> int:
-    return sum(((-1) ** n) * d for n, d in ((m, x.term(m).dim) for m in x.degrees()))
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +558,7 @@ class DerivedContext:
     - Module hom bases, projective covers, tensor products and the zero
       module are memoised by content in :mod:`gluecat.modules`, on the
       object that owns the data (the algebra, or the bimodule for
-      tensors).
+      tensors); :func:`homology_dims` is memoised on the algebra too.
     - Complexes and chain maps validate once per content per algebra
       (``Algebra._valid``), as modules do.
 

@@ -20,7 +20,6 @@ from .field import PrimeField
 
 __all__ = [
     "RightModule",
-    "ModuleHom",
     "Bimodule",
     "TensorResult",
     "ResolutionExceedsCapError",
@@ -36,15 +35,12 @@ __all__ = [
     "direct_sum",
     "submodule_from_rows",
     "sub_bimodule",
-    "hom_basis",
     "k_dual",
-    "k_dual_hom",
     "tensor_over",
     "tensor_hom",
     "projective_cover",
     "resolution_data",
     "global_dimension",
-    "ext_dims",
     "nakayama_bimodule",
 ]
 
@@ -113,25 +109,6 @@ def _validate_once(obj, algebra: Algebra) -> None:
         algebra._valid[obj.key] = obj.key
     else:
         obj.key = known
-
-
-@dataclass
-class ModuleHom:
-    source: RightModule
-    target: RightModule
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.int64) % self.source.field.p
-        if self.matrix.shape != (self.source.dim, self.target.dim):
-            raise ValueError("hom matrix shape mismatch")
-
-    def validate(self):
-        fld = self.source.field
-        lhs = fld.matmul(self.source.action, self.matrix)
-        rhs = fld.matmul(self.matrix, self.target.action)
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("hom does not intertwine the actions")
 
 
 class Bimodule:
@@ -337,10 +314,6 @@ def zero_module(a: Algebra) -> RightModule:
 
 def regular_module(a: Algebra) -> RightModule:
     return RightModule(a, a.right_operators, name=f"{a.name} (regular)")
-
-
-def regular_bimodule(a: Algebra) -> Bimodule:
-    return Bimodule(a, a, a.left_operators, a.right_operators, name=f"{a.name} (bimodule)")
 
 
 def simple_module(a: Algebra, v: int) -> RightModule:
@@ -556,10 +529,6 @@ def _graded_hom_system(m: RightModule, n: RightModule) -> np.ndarray:
     return out % fld.p
 
 
-def hom_basis(m: RightModule, n: RightModule) -> list[ModuleHom]:
-    return [ModuleHom(m, n, f) for f in hom_basis_matrices(m, n)]
-
-
 def k_dual(m: RightModule) -> RightModule:
     """Dual space as a right module over the opposite algebra.
 
@@ -567,11 +536,6 @@ def k_dual(m: RightModule) -> RightModule:
     """
     action = np.transpose(m.action, (0, 2, 1))
     return RightModule(opposite(m.algebra), action, name=f"D({m.name})")
-
-
-def k_dual_hom(f: np.ndarray) -> np.ndarray:
-    """Matrix of the dual map D(target) -> D(source)."""
-    return f.T.copy()
 
 
 @dataclass
@@ -737,18 +701,17 @@ class ResolutionData:
     covers: list[Cover]
     diffs: list[np.ndarray]       # diffs[k]: P_{k+1} -> P_k
     augmentation: np.ndarray      # P_0 -> M
-    complete: bool
 
     @property
     def length(self) -> int:
         return max(len(self.covers) - 1, 0)
 
 
-def resolution_data(m: RightModule, cap: int, allow_truncation: bool = False) -> ResolutionData:
+def resolution_data(m: RightModule, cap: int) -> ResolutionData:
     """Iterated syzygy resolution by projective covers."""
     fld = m.field
     if m.dim == 0:
-        return ResolutionData(m, [], [], fld.zeros(0, 0), True)
+        return ResolutionData(m, [], [], fld.zeros(0, 0))
     covers: list[Cover] = []
     diffs: list[np.ndarray] = []
     current = m
@@ -763,10 +726,8 @@ def resolution_data(m: RightModule, cap: int, allow_truncation: bool = False) ->
         covers.append(cov)
         kernel_rows = fld.left_kernel_basis(cov.surjection)
         if kernel_rows.shape[0] == 0:
-            return ResolutionData(m, covers, diffs, augmentation, True)
+            return ResolutionData(m, covers, diffs, augmentation)
         if len(covers) > cap:
-            if allow_truncation:
-                return ResolutionData(m, covers, diffs, augmentation, False)
             raise ResolutionExceedsCapError(
                 f"resolution of {m.name} exceeds cap {cap}"
             )
@@ -787,41 +748,3 @@ def global_dimension(a: Algebra, cap: int) -> int:
             ) from exc
         best = max(best, res.length)
     return best
-
-
-def ext_dims(m: RightModule, n: RightModule, max_deg: int) -> list[int]:
-    """dim Ext^k(M, N) for k = 0..max_deg via a projective resolution.
-
-    Kept independent of the complex machinery so it can serve as an
-    oracle for the derived-category route.
-    """
-    fld = m.field
-    if m.dim == 0 or n.dim == 0:
-        return [0] * (max_deg + 1)
-    res = resolution_data(m, cap=max_deg + 2, allow_truncation=True)
-    terms = [c.module for c in res.covers][: max_deg + 2]
-    hom_bases = [hom_basis_matrices(t, n) for t in terms]
-    # delta_k : Hom(P_k, N) -> Hom(P_{k+1}, N), g -> d_{k+1} then g
-    deltas = []
-    for k in range(len(terms) - 1):
-        src_b, dst_b = hom_bases[k], hom_bases[k + 1]
-        mat = fld.zeros(len(src_b), len(dst_b))
-        if src_b and dst_b:
-            dst_flat = np.stack([b.reshape(-1) for b in dst_b])
-            for i, g in enumerate(src_b):
-                img = fld.matmul(res.diffs[k], g).reshape(1, -1)
-                coords = fld.coords_in_rows(dst_flat, img)
-                if coords is None:
-                    raise ValueError("ext_dims: image not a module hom")
-                mat[i] = coords[0]
-        deltas.append(mat)
-    out = []
-    for k in range(max_deg + 1):
-        if k >= len(terms):
-            out.append(0)
-            continue
-        dim_k = len(hom_bases[k])
-        rank_out = fld.rank(deltas[k]) if k < len(deltas) else 0
-        rank_in = fld.rank(deltas[k - 1]) if k >= 1 else 0
-        out.append(dim_k - rank_out - rank_in)
-    return out

@@ -15,6 +15,20 @@ derived categories of B = A/AeA, A itself and C = eAe.  The functors:
 Derived Hom spaces are presented by the shared :class:`DerivedContext`, so
 adjunction isomorphisms can be written as explicit matrices between the
 chosen bases.
+
+The four primitive adjunctions i^* -| i_* -| i^! and j_! -| j^* -| j_*
+come in two shapes, each written once:
+
+    tensor shape  F = - (x)^L W, G exact         (i^*, i_*), (j_!, j^*)
+        forward inserts w0 in W, then sigma^-1 and phi;
+        backward is qis . section . evaluation
+    dual shape    F exact, G = D(D(-) (x)^L W)   (i_*, i^!), (j^*, j_*)
+        the unit is D(nu) of the evaluation pairing nu;
+        forward is the unit followed by G(phi);
+        backward lifts F(psi) . mu through D(q_{R_{Dy}})
+
+A pair supplies its inserted element and its per-degree evaluation
+blocks, whole-array expressions over the tensor presentations.
 """
 
 from __future__ import annotations
@@ -59,7 +73,6 @@ from .complexes import (
 
 __all__ = [
     "CATEGORY_TAGS",
-    "FUNCTOR_SIGNATURES",
     "FunctorExpr",
     "TagMismatchError",
     "NotStratifyingError",
@@ -79,17 +92,6 @@ __all__ = [
 
 
 CATEGORY_TAGS = ("A", "B", "C")
-
-FUNCTOR_SIGNATURES = {
-    "i_*": ("B", "A"),
-    "i^*": ("A", "B"),
-    "i^!": ("A", "B"),
-    "j_!": ("C", "A"),
-    "j^*": ("A", "C"),
-    "j_*": ("C", "A"),
-    "T": ("A", "A"),
-    "T~": ("A", "A"),
-}
 
 
 class TagMismatchError(ValueError):
@@ -504,276 +506,181 @@ class AdjunctionProvider:
         return self.backward(gy, y, ident)
 
 
-class StarPullbackAdjunction(AdjunctionProvider):
-    """(i^*, i_*):  Hom_B(X (x)^L B, Y') ~= Hom_A(X, res Y')."""
+def _evaluate(fld, rows: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Row ``(r, s)`` is ``sum_v rows[r, v] ev[v, s]``: each row paired
+    with each basis element s of a bimodule through the evaluation stack
+    ``ev`` of shape (v, s, u)."""
+    v, s, u = ev.shape
+    return fld.matmul(rows, ev.reshape(v, s * u)).reshape(rows.shape[0] * s, u)
 
-    name = "(i^*, i_*)"
+
+class PrimitiveAdjunction(AdjunctionProvider):
+    """F -| G for two functors of the registry, named "(F, G)"."""
+
+    def __init__(self, rec: Recollement, f: str, g: str):
+        super().__init__(rec, FunctorExpr((f,)), FunctorExpr((g,)))
+        self.name = f"({f}, {g})"
+        self.F, self.G = rec.functor(f), rec.functor(g)
+
+
+class TensorShapeAdjunction(PrimitiveAdjunction):
+    """F = - (x)^L W a derived tensor, G its exact right adjoint:
+    Hom(R_x (x) W, y) ~= Hom(R_x, G y).
+
+    ``forward`` sends phi to v |-> phi(sigma^-1 (v (x) w0)), read in G y
+    through ``_into_g``; ``backward`` sends psi to the evaluation
+    class(v (x) w) |-> psi(v) . w after the qis of R_{Fx}.  A pair
+    supplies w0, ``_into_g`` (y^n -> (G y)^n) and ``_evaluation``, the
+    stack ``ev[v, w, :]`` = (basis vector v of (G y)^n) . w in y^n.
+    """
 
     def forward(self, x, y, mor):
-        ctx, rec = self.ctx, self.rec
+        ctx = self.ctx
         fx = self.F_apply(x)
-        phi = ctx.hom_space(fx, y).normalize(mor)  # R_{i^*x} -> y
+        phi = ctx.hom_space(fx, y).normalize(mor)  # R_{Fx} -> y
         rep_fx = ctx.replacement(fx)
         if rep_fx.sigma_inv is None:
-            raise RuntimeError("i^*-output replacement should be an isomorphism")
-        aux = rec.functor("i^*").aux(x)
+            raise RuntimeError(f"{self.F.name}-output replacement should be an isomorphism")
+        tensors = self.F.aux(x)["tensors"]
         rep_x = ctx.replacement(x)
         gy = self.G_apply(y)
         comps = {}
         for n in rep_x.p.degrees():
-            if n not in rep_fx.sigma_inv:
-                continue  # tensor term vanished; component is zero
-            ins = aux["tensors"][n].insert_right(rec.quotient_algebra.unit)
-            comps[n] = x.field.mul_chain(ins, rep_fx.sigma_inv[n], phi.comp(n))
-        psi = ChainMap(rep_x.p, gy, comps)
-        return Mor(x, gy, psi, rep_x.qis)
+            if n in rep_fx.sigma_inv and y.term(n).dim:  # else the component is zero
+                ins = tensors[n].insert_right(self._w0())
+                into_g = self._into_g(y, n)
+                comps[n] = x.field.mul_chain(ins, rep_fx.sigma_inv[n], phi.comp(n), into_g)
+        return Mor(x, gy, ChainMap(rep_x.p, gy, comps), rep_x.qis)
 
     def backward(self, x, y, mor):
-        ctx, rec = self.ctx, self.rec
-        gy = self.G_apply(y)
-        psi = ctx.hom_space(x, gy).normalize(mor)  # R_x -> i_* y
+        ctx = self.ctx
+        psi = ctx.hom_space(x, self.G_apply(y)).normalize(mor)  # R_x -> G y
         fx = self.F_apply(x)
-        aux = rec.functor("i^*").aux(x)
+        tensors = self.F.aux(x)["tensors"]
         rep_fx = ctx.replacement(fx)
         fld = x.field
         comps = {}
         for n in fx.degrees():
-            tens = aux["tensors"][n]
-            amb = fld.zeros(tens.m_dim * tens.w_dim, y.term(n).dim)
-            for r in range(tens.m_dim):
-                for s in range(tens.w_dim):
-                    amb[r * tens.w_dim + s] = fld.matmul(
-                        psi.comp(n)[r].reshape(1, -1), y.term(n).action[s]
-                    )[0]
-            comps[n] = fld.mul_chain(rep_fx.qis.comp(n), tens.section, amb)
-        phi = ChainMap(rep_fx.p, y, comps)
-        return Mor(fx, y, phi, rep_fx.qis)
+            if y.term(n).dim:  # else the component is zero
+                amb = _evaluate(fld, psi.comp(n), self._evaluation(y, n))
+                comps[n] = fld.mul_chain(rep_fx.qis.comp(n), tensors[n].section, amb)
+        return Mor(fx, y, ChainMap(rep_fx.p, y, comps), rep_fx.qis)
 
 
-class ShriekPullbackAdjunction(AdjunctionProvider):
-    """(j_!, j^*):  Hom_A(N (x)^L eA, X) ~= Hom_C(N, X e)."""
+class DualShapeAdjunction(PrimitiveAdjunction):
+    """F exact, G = D(D(-) (x)^L W) its dual derived tensor right adjoint.
 
-    name = "(j_!, j^*)"
-
-    def forward(self, n_obj, x, mor):
-        ctx, rec = self.ctx, self.rec
-        fn = self.F_apply(n_obj)
-        phi = ctx.hom_space(fn, x).normalize(mor)  # R_{j_! n} -> x
-        rep_fn = ctx.replacement(fn)
-        if rep_fn.sigma_inv is None:
-            raise RuntimeError("j_!-output replacement should be an isomorphism")
-        aux = rec.functor("j_!").aux(n_obj)
-        rep_n = ctx.replacement(n_obj)
-        gx = self.G_apply(x)
-        gx_aux = rec.functor("j^*").aux(x)
-        fld = n_obj.field
-        comps = {}
-        for d in rep_n.p.degrees():
-            if d not in rep_fn.sigma_inv or d not in gx_aux["tensors"]:
-                continue  # a tensor term vanished; component is zero
-            ins_e = aux["tensors"][d].insert_right(rec.e_in_eA)
-            out_e = gx_aux["tensors"][d].insert_right(rec.e_in_Ae)
-            comps[d] = fld.mul_chain(ins_e, rep_fn.sigma_inv[d], phi.comp(d), out_e)
-        psi = ChainMap(rep_n.p, gx, comps)
-        return Mor(n_obj, gx, psi, rep_n.qis)
-
-    def backward(self, n_obj, x, mor):
-        ctx, rec = self.ctx, self.rec
-        gx = self.G_apply(x)
-        psi = ctx.hom_space(n_obj, gx).normalize(mor)  # R_n -> x (x) Ae
-        fn = self.F_apply(n_obj)
-        aux = rec.functor("j_!").aux(n_obj)
-        gx_aux = rec.functor("j^*").aux(x)
-        rep_fn = ctx.replacement(fn)
-        fld = n_obj.field
-        a = rec.algebra
-        n_eA = rec.eA_rows.shape[0]
-        comps = {}
-        for d in fn.degrees():
-            if d not in gx_aux["tensors"]:
-                continue  # x vanishes in degree d; component is zero
-            tens = aux["tensors"][d]          # R_n (x) eA at degree d
-            xtens = gx_aux["tensors"][d]      # x (x) Ae at degree d
-            xdim = x.term(d).dim
-            # evaluation mu: class(v (x) ae) * ea |-> v.(ae * ea), per
-            # quotient coordinate of x (x) Ae and eA basis element
-            ops = {
-                (j, l): x.term(d).operator(a.multiply(rec.Ae_rows[j], rec.eA_rows[l]))
-                for j in range(xtens.w_dim)
-                for l in range(n_eA)
-            }
-            mu = fld.zeros(xtens.module.dim * n_eA, xdim)
-            for s in range(xtens.module.dim):
-                rep_vec = xtens.section[s]
-                for l in range(n_eA):
-                    acc = np.zeros(xdim, dtype=np.int64)
-                    for idx in np.nonzero(rep_vec)[0]:
-                        i, j = divmod(int(idx), xtens.w_dim)
-                        acc = (acc + int(rep_vec[idx]) * ops[(j, l)][i]) % fld.p
-                    mu[s * n_eA + l] = acc
-            amb = fld.zeros(tens.m_dim * tens.w_dim, xdim)
-            for r in range(tens.m_dim):
-                row = psi.comp(d)[r]
-                for l in range(tens.w_dim):
-                    acc = np.zeros(xdim, dtype=np.int64)
-                    for s in np.nonzero(row)[0]:
-                        acc = (acc + int(row[s]) * mu[int(s) * n_eA + l]) % fld.p
-                    amb[r * tens.w_dim + l] = acc
-            comps[d] = fld.mul_chain(rep_fn.qis.comp(d), tens.section, amb)
-        phi = ChainMap(rep_fn.p, x, comps)
-        return Mor(fn, x, phi, rep_fn.qis)
-
-
-class PushShriekAdjunction(AdjunctionProvider):
-    """(i_*, i^!):  Hom_A(i_* Y', X) ~= Hom_B(Y', i^! X)."""
-
-    name = "(i_*, i^!)"
-
-    def _unit(self, yp) -> ChainMap:
-        """y' -> i^! i_* y' via the evaluation pairing."""
-        ctx, rec = self.ctx, self.rec
-        iy = self.F_apply(yp)
-        shriek = rec.functor("i^!")
-        out = shriek.apply(iy)
-        aux = shriek.aux(iy)
-        fld = yp.field
-        pre, tensors = aux["pre"], aux["tensors"]
-        rep_d = ctx.replacement(ctx.dual(iy))
-        nu_comps = {}
-        for m in pre.degrees():
-            tens = tensors[m]
-            q = rep_d.qis.comp(m)  # R_{D(i_* y')}^m -> dual coords of y'^{-m}
-            dim_y = yp.term(-m).dim
-            amb = fld.zeros(tens.m_dim * tens.w_dim, dim_y)
-            for r in range(tens.m_dim):
-                qr = q[r]
-                for s in range(tens.w_dim):
-                    amb[r * tens.w_dim + s] = fld.matmul(yp.term(-m).action[s], qr.reshape(-1, 1)).reshape(-1)
-            nu_comps[m] = fld.matmul(tens.section, amb)
-        dyp = ctx.dual(yp)
-        nu = ChainMap(pre, dyp, nu_comps)
-        eta = dual_chain_map(nu, dual_source=out, dual_target=yp)
-        return eta
-
-    def forward(self, yp, x, mor):
-        ctx = self.ctx
-        fy = self.F_apply(yp)
-        phi_hat = ctx.hom_space(fy, x).normalize(mor)
-        eta = self._unit(yp)
-        shriek_mor = self.G_mor(Mor(fy, x, phi_hat, ctx.replacement(fy).qis))
-        psi = compose_maps(eta, shriek_mor.map)
-        gx = self.G_apply(x)
-        return Mor(yp, gx, psi, identity_map(yp))
-
-    def backward(self, yp, x, mor):
-        ctx, rec = self.ctx, self.rec
-        gx = self.G_apply(x)
-        hs = ctx.hom_space(yp, gx)
-        psi = hs.normalize(mor)  # R_{y'} -> i^! x
-        shriek = rec.functor("i^!")
-        aux = shriek.aux(x)
-        # mu: i_*(i^! x) -> D(R_{Dx}) by evaluating against p (x) 1_B
-        istar = rec.functor("i_*")
-        i_gx = istar.apply(gx)
-        i_psi = istar.apply_mor(Mor(yp, gx, psi, hs.p_qis))
-        rep_dx = ctx.replacement(ctx.dual(x))
-        d_rdx = ctx.dual(rep_dx.p)
-        mu_comps = {}
-        for m in rep_dx.p.degrees():
-            kappa = aux["tensors"][m].insert_right(rec.quotient_algebra.unit)
-            mu_comps[-m] = kappa.T.copy()
-        mu = ChainMap(i_gx, d_rdx, mu_comps)
-        # x == DD(x) on the nose, so D(q_{R_{Dx}}) runs x -> D(R_{Dx})
-        s = dual_chain_map(rep_dx.qis, dual_source=d_rdx, dual_target=x)
-        fy = self.F_apply(yp)
-        rep_fy = ctx.replacement(fy)
-        phi_pre = ctx.hom_space(fy, i_gx).normalize(i_psi)  # R_{i_* y'} -> i_* i^! x
-        f = compose_maps(phi_pre, mu)
-        g, _ = ctx.lift_through_qis(rep_fy.p, f, s)
-        return Mor(fy, x, g, rep_fy.qis)
-
-
-class StarPushAdjunction(AdjunctionProvider):
-    """(j^*, j_*):  Hom_C(X e, N) ~= Hom_A(X, j_* N)."""
-
-    name = "(j^*, j_*)"
+    The unit x -> G F x is D(nu) of the evaluation pairing
+    nu: R_{D(Fx)} (x) W -> D(x); ``forward`` is the unit followed by
+    G(phi); ``backward`` lifts F(psi) . mu through D(q_{R_{Dy}}), where
+    mu: F G y -> D(R_{Dy}) evaluates against R_{Dy} (x) W.  A pair
+    supplies ``_evaluation``, the stack ``ev[v, w, :]`` of nu at degree
+    m (v a basis vector of D(Fx)^m), and ``_counit_block``, mu at a degree.
+    """
 
     def _unit(self, x) -> ChainMap:
-        """x -> j_* j^* x."""
-        ctx, rec = self.ctx, self.rec
-        jx = self.F_apply(x)
-        jx_aux = rec.functor("j^*").aux(x)
-        push = rec.functor("j_*")
-        out = push.apply(jx)
-        aux = push.aux(jx)
-        fld = x.field
-        pre, tensors = aux["pre"], aux["tensors"]
-        rep_d = ctx.replacement(ctx.dual(jx))
-        nu_comps = {}
-        for m in pre.degrees():
-            if -m not in jx_aux["tensors"]:
-                continue  # x vanishes in degree -m; component is zero
-            tens = tensors[m]
-            q = rep_d.qis.comp(m)  # R_{D(j^* x)}^m -> dual coords of (x (x) Ae)^{-m}
-            dim_x = x.term(-m).dim
-            amb = fld.zeros(tens.m_dim * tens.w_dim, dim_x)
-            xtens = jx_aux["tensors"][-m]
-            for s in range(tens.w_dim):
-                ins = xtens.insert_right(fld.unit_row(tens.w_dim, s))
-                for r in range(tens.m_dim):
-                    amb[r * tens.w_dim + s] = fld.matmul(ins, q[r].reshape(-1, 1)).reshape(-1)
-            nu_comps[m] = fld.matmul(tens.section, amb)
-        dx = ctx.dual(x)
-        nu = ChainMap(pre, dx, nu_comps)
-        return dual_chain_map(nu, dual_source=out, dual_target=x)
+        ctx, fld = self.ctx, x.field
+        fx = self.F_apply(x)
+        out = self.G.apply(fx)
+        aux = self.G.aux(fx)
+        rep_d = ctx.replacement(ctx.dual(fx))
+        nu = {}
+        for m in aux["pre"].degrees():
+            if x.term(-m).dim:  # else the component is zero
+                amb = _evaluate(fld, rep_d.qis.comp(m), self._evaluation(x, m))
+                nu[m] = fld.matmul(aux["tensors"][m].section, amb)
+        nu_map = ChainMap(aux["pre"], ctx.dual(x), nu)
+        return dual_chain_map(nu_map, dual_source=out, dual_target=x)
 
-    def forward(self, x, n_obj, mor):
+    def forward(self, x, y, mor):
         ctx = self.ctx
-        jx = self.F_apply(x)
-        phi_hat = ctx.hom_space(jx, n_obj).normalize(mor)
+        fx = self.F_apply(x)
+        phi_hat = ctx.hom_space(fx, y).normalize(mor)
         eta = self._unit(x)
-        push_mor = self.G_mor(Mor(jx, n_obj, phi_hat, ctx.replacement(jx).qis))
-        psi = compose_maps(eta, push_mor.map)
-        gn = self.G_apply(n_obj)
-        return Mor(x, gn, psi, identity_map(x))
+        g_phi = self.G_mor(Mor(fx, y, phi_hat, ctx.replacement(fx).qis))
+        psi = compose_maps(eta, g_phi.map)
+        return Mor(x, self.G_apply(y), psi, identity_map(x))
 
-    def backward(self, x, n_obj, mor):
-        ctx, rec = self.ctx, self.rec
-        gn = self.G_apply(n_obj)
-        hs = ctx.hom_space(x, gn)
-        psi = hs.normalize(mor)  # R_x -> j_* n
-        jstar = rec.functor("j^*")
-        jx = self.F_apply(x)
-        j_gn = jstar.apply(gn)
-        j_psi = jstar.apply_mor(Mor(x, gn, psi, hs.p_qis))
-        aux = rec.functor("j_*").aux(n_obj)
-        j_gn_aux = jstar.aux(gn)
-        rep_dn = ctx.replacement(ctx.dual(n_obj))
-        d_rdn = ctx.dual(rep_dn.p)
-        fld = x.field
-        mu_comps = {}
-        for d in j_gn.degrees():
-            if -d not in aux["tensors"]:
-                continue  # R_{Dn} vanishes in degree -d; component is zero
-            tens = j_gn_aux["tensors"][d]      # (j_* n) (x) Ae at degree d
-            ptens = aux["tensors"][-d]          # R_{Dn} (x) flip(Ae) at degree -d
-            r_dim = rep_dn.p.term(-d).dim
-            # class(f (x) w) evaluated against class(p (x) w): read off the
-            # tensor projection of R_{Dn} (x) flip(Ae)
-            amb = fld.zeros(tens.m_dim * tens.w_dim, r_dim)
-            for u in range(tens.m_dim):
-                for s in range(tens.w_dim):
-                    for r in range(r_dim):
-                        amb[u * tens.w_dim + s, r] = ptens.pi[r * tens.w_dim + s, u]
-            mu_comps[d] = fld.matmul(tens.section, amb)
-        mu = ChainMap(j_gn, d_rdn, mu_comps)
-        # n == DD(n) on the nose, so D(q_{R_{Dn}}) runs n -> D(R_{Dn})
-        s = dual_chain_map(rep_dn.qis, dual_source=d_rdn, dual_target=n_obj)
-        rep_jx = ctx.replacement(jx)
-        phi_pre = ctx.hom_space(jx, j_gn).normalize(j_psi)  # R_{j^* x} -> j^* j_* n
-        f = compose_maps(phi_pre, mu)
-        g, _ = ctx.lift_through_qis(rep_jx.p, f, s)
-        return Mor(jx, n_obj, g, rep_jx.qis)
+    def backward(self, x, y, mor):
+        ctx = self.ctx
+        gy = self.G_apply(y)
+        hs = ctx.hom_space(x, gy)
+        psi = hs.normalize(mor)  # R_x -> G y
+        fx, f_gy = self.F_apply(x), self.F.apply(gy)
+        f_psi = self.F.apply_mor(Mor(x, gy, psi, hs.p_qis))
+        tensors = self.G.aux(y)["tensors"]
+        rep_dy = ctx.replacement(ctx.dual(y))
+        d_rdy = ctx.dual(rep_dy.p)
+        mu = {d: self._counit_block(y, d) for d in f_gy.degrees() if -d in tensors}
+        mu_map = ChainMap(f_gy, d_rdy, mu)
+        # y == DD(y) on the nose, so D(q_{R_{Dy}}) runs y -> D(R_{Dy})
+        s = dual_chain_map(rep_dy.qis, dual_source=d_rdy, dual_target=y)
+        rep_fx = ctx.replacement(fx)
+        phi_pre = ctx.hom_space(fx, f_gy).normalize(f_psi)  # R_{Fx} -> F G y
+        g, _ = ctx.lift_through_qis(rep_fx.p, compose_maps(phi_pre, mu_map), s)
+        return Mor(fx, y, g, rep_fx.qis)
+
+
+class StarPullbackAdjunction(TensorShapeAdjunction):
+    """(i^*, i_*):  Hom_B(X (x)^L B, Y') ~= Hom_A(X, res Y')."""
+
+    def _w0(self):
+        return self.rec.quotient_algebra.unit
+
+    def _into_g(self, y, n):
+        return y.field.identity(y.term(n).dim)
+
+    def _evaluation(self, y, n):
+        return y.term(n).action.transpose(1, 0, 2)  # v . b for b in B
+
+
+class ShriekPullbackAdjunction(TensorShapeAdjunction):
+    """(j_!, j^*):  Hom_A(N (x)^L eA, X) ~= Hom_C(N, X e)."""
+
+    def _w0(self):
+        return self.rec.e_in_eA
+
+    def _into_g(self, x, d):
+        return self.G.aux(x)["tensors"][d].insert_right(self.rec.e_in_Ae)
+
+    def _evaluation(self, x, d):
+        # class(v (x) ae) (x) ea |-> v . (ae * ea), for every quotient
+        # coordinate of x (x) Ae and every eA basis element
+        rec, p = self.rec, x.field.p
+        a, xtens, act = rec.algebra, self.G.aux(x)["tensors"][d], x.term(d).action
+        prods = (rec.eA_rows @ a.left_mult_operator(rec.Ae_rows)) % p  # [j, l]: ae_j * ea_l
+        ops = np.einsum("jlk,kiu->jliu", prods, act) % p
+        sec = xtens.section.reshape(xtens.module.dim, xtens.m_dim, xtens.w_dim)
+        return np.einsum("sij,jliu->slu", sec, ops) % p
+
+
+class PushShriekAdjunction(DualShapeAdjunction):
+    """(i_*, i^!):  Hom_A(i_* Y', X) ~= Hom_B(Y', i^! X)."""
+
+    def _evaluation(self, yp, m):
+        return yp.term(-m).action.transpose(2, 0, 1)  # f |-> (v |-> f(v . b))
+
+    def _counit_block(self, x, d):
+        # evaluation at p (x) 1_B
+        return self.G.aux(x)["tensors"][-d].insert_right(self.rec.quotient_algebra.unit).T
+
+
+class StarPushAdjunction(DualShapeAdjunction):
+    """(j^*, j_*):  Hom_C(X e, N) ~= Hom_A(X, j_* N)."""
+
+    def _evaluation(self, x, m):
+        # f |-> (v |-> f(class(v (x) w))) on x^{-m}
+        xtens = self.F.aux(x)["tensors"][-m]
+        return xtens.pi.reshape(xtens.m_dim, xtens.w_dim, xtens.module.dim).transpose(2, 1, 0)
+
+    def _counit_block(self, n_obj, d):
+        # class(f (x) w) |-> (p |-> f(p (x) w)): read off the tensor
+        # projection of R_{Dn} (x) flip(Ae) at degree -d
+        ftens = self.F.aux(self.G.apply(n_obj))["tensors"][d]
+        ptens = self.G.aux(n_obj)["tensors"][-d]
+        r, w, u = ptens.m_dim, ptens.w_dim, ptens.module.dim
+        amb = ptens.pi.reshape(r, w, u).transpose(2, 1, 0).reshape(u * w, r)
+        return n_obj.field.matmul(ftens.section, amb)
 
 
 def primitive_adjunctions(rec: Recollement) -> dict[str, AdjunctionProvider]:
@@ -783,7 +690,8 @@ def primitive_adjunctions(rec: Recollement) -> dict[str, AdjunctionProvider]:
         (ShriekPullbackAdjunction, "j_!", "j^*"),
         (StarPushAdjunction, "j^*", "j_*"),
     )
-    return {cls.name: cls(rec, FunctorExpr((f,)), FunctorExpr((g,))) for cls, f, g in rows}
+    providers = [cls(rec, f, g) for cls, f, g in rows]
+    return {p.name: p for p in providers}
 
 
 # ----------------------------------------------------------------------

@@ -155,22 +155,6 @@ def _supertrace_factors(
     return out
 
 
-def nakayama_supertrace(
-    p: BoundedComplex, tensors: dict[int, TensorResult], c: ChainMap
-) -> int:
-    """Alternating-sign trace of a chain map p -> p (x) D(A).
-
-    The sign (-1)^n is forced by homotopy invariance; the module-level
-    trace evaluates the Nakayama component of each summand generator at
-    its vertex idempotent.
-    """
-    fld = p.field
-    total = 0
-    for n, (sign, gens, funcs) in _supertrace_factors(p, tensors).items():
-        total += sign * int(np.trace(fld.mul_chain(gens, c.comp(n), funcs.T)))
-    return total % fld.p
-
-
 def _trace_gram(fld, factors, lefts: list[dict], rights: list[dict]) -> np.ndarray:
     """Supertraces of every product: entry (i, j) traces the chain map
     with components ``lefts[i][n] @ rights[j][n]``, for ``factors`` from

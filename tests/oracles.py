@@ -12,9 +12,16 @@ it writes the chain-map and homotopy equations entry by entry.  The
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
+The entry-loop evaluation blocks are the references for the whole-array
+blocks of the four primitive adjunction witnesses.  The library helpers
+at the end (Ext by a projective resolution, the Euler characteristic,
+hom bases as module homs, the regular bimodule, the scalar Nakayama
+supertrace, the homotopy check) are used by the tests only.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +179,6 @@ def lifts_entrywise(p, s, fs):
 def _pair_right_value(ctx, t_functor, xp, yp, f, g) -> int:
     """Trace pairing of f in Hom(x', y') against g in Hom(y', T x')."""
     from gluecat.complexes import compose_maps
-    from gluecat.serre import nakayama_supertrace
 
     tx = t_functor.apply(xp)
     aux = t_functor.aux(xp)
@@ -188,7 +194,6 @@ def _pair_right_value(ctx, t_functor, xp, yp, f, g) -> int:
 def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
     """Trace pairing of f in Hom(x', y') against h in Hom(T~ y', x')."""
     from gluecat.complexes import ChainMap, compose_maps, dual_chain_map
-    from gluecat.serre import nakayama_supertrace
 
     ty = tt_functor.apply(yp)
     aux = tt_functor.aux(yp)
@@ -423,3 +428,207 @@ def quotient_table_loop(a, sigma, pi):
         for j in range(q):
             mul[i, j] = fld.matmul(a.multiply(sigma[i], sigma[j]).reshape(1, -1), pi)[0]
     return mul
+
+
+# ----------------------------------------------------------------------
+# entry-loop evaluation blocks of the primitive adjunctions
+# ----------------------------------------------------------------------
+
+
+def star_pullback_eval_loop(rec, y, n, psi):
+    """(i^*, i_*) backward at degree n: row (r, s) is psi(r) . b_s, for
+    every row r of ``psi`` and every basis element b_s of B."""
+    fld, w_dim = y.field, rec.B_ab.dim
+    amb = fld.zeros(psi.shape[0] * w_dim, y.term(n).dim)
+    for r in range(psi.shape[0]):
+        for s in range(w_dim):
+            amb[r * w_dim + s] = fld.matmul(psi[r].reshape(1, -1), y.term(n).action[s])[0]
+    return amb
+
+
+def shriek_pullback_eval_loop(rec, x, d, psi):
+    """(j_!, j^*) backward at degree d: the evaluation mu,
+    class(v (x) ae) (x) ea |-> v . (ae * ea), one operator per (ae, ea)
+    and one row per quotient coordinate, then row (r, l) of psi . mu."""
+    fld, a = x.field, rec.algebra
+    xtens = rec.functor("j^*").aux(x)["tensors"][d]
+    n_ea, xdim = rec.eA_rows.shape[0], x.term(d).dim
+    ops = {
+        (j, l): x.term(d).operator(a.multiply(rec.Ae_rows[j], rec.eA_rows[l]))
+        for j in range(xtens.w_dim)
+        for l in range(n_ea)
+    }
+    mu = fld.zeros(xtens.module.dim * n_ea, xdim)
+    for s in range(xtens.module.dim):
+        rep_vec = xtens.section[s]
+        for l in range(n_ea):
+            acc = np.zeros(xdim, dtype=np.int64)
+            for idx in np.nonzero(rep_vec)[0]:
+                i, j = divmod(int(idx), xtens.w_dim)
+                acc = (acc + int(rep_vec[idx]) * ops[(j, l)][i]) % fld.p
+            mu[s * n_ea + l] = acc
+    amb = fld.zeros(psi.shape[0] * n_ea, xdim)
+    for r in range(psi.shape[0]):
+        row = psi[r]
+        for l in range(n_ea):
+            acc = np.zeros(xdim, dtype=np.int64)
+            for s in np.nonzero(row)[0]:
+                acc = (acc + int(row[s]) * mu[int(s) * n_ea + l]) % fld.p
+            amb[r * n_ea + l] = acc
+    return amb
+
+
+def push_shriek_unit_loop(rec, yp, m, q):
+    """(i_*, i^!) unit at degree m: row (r, s) is v |-> q[r](v . b_s) on
+    y'^{-m}, for every row r of ``q`` and every basis element b_s of B."""
+    fld, w_dim = yp.field, rec.quotient_algebra.dim
+    act = yp.term(-m).action
+    amb = fld.zeros(q.shape[0] * w_dim, yp.term(-m).dim)
+    for r in range(q.shape[0]):
+        for s in range(w_dim):
+            amb[r * w_dim + s] = fld.matmul(act[s], q[r].reshape(-1, 1)).reshape(-1)
+    return amb
+
+
+def star_push_unit_loop(rec, x, m, q):
+    """(j^*, j_*) unit at degree m: row (r, s) is v |-> q[r](class(v (x) w_s))
+    on x^{-m}, for every row r of ``q`` and every basis element w_s of Ae."""
+    fld = x.field
+    xtens = rec.functor("j^*").aux(x)["tensors"][-m]
+    w_dim = xtens.w_dim
+    amb = fld.zeros(q.shape[0] * w_dim, x.term(-m).dim)
+    for s in range(w_dim):
+        ins = xtens.insert_right(fld.unit_row(w_dim, s))
+        for r in range(q.shape[0]):
+            amb[r * w_dim + s] = fld.matmul(ins, q[r].reshape(-1, 1)).reshape(-1)
+    return amb
+
+
+def star_push_counit_loop(rec, n_obj, d):
+    """(j^*, j_*) counit block at degree d: class(f (x) w) evaluated
+    against class(p (x) w), entry by entry from the tensor projection of
+    R_{Dn} (x) flip(Ae) at degree -d."""
+    fld = n_obj.field
+    tens = rec.functor("j^*").aux(rec.functor("j_*").apply(n_obj))["tensors"][d]
+    ptens = rec.functor("j_*").aux(n_obj)["tensors"][-d]
+    amb = fld.zeros(tens.m_dim * tens.w_dim, ptens.m_dim)
+    for u in range(tens.m_dim):
+        for s in range(tens.w_dim):
+            for r in range(ptens.m_dim):
+                amb[u * tens.w_dim + s, r] = ptens.pi[r * tens.w_dim + s, u]
+    return fld.matmul(tens.section, amb)
+
+
+# ----------------------------------------------------------------------
+# library helpers used by the tests only
+# ----------------------------------------------------------------------
+
+
+def ext_dims(m, n, max_deg: int) -> list[int]:
+    """dim Ext^k(M, N) for k = 0..max_deg via a projective resolution.
+
+    Independent of the complex machinery, so it serves as an oracle for
+    the derived-category route.  The resolution runs under the default
+    resolution cap of :class:`~gluecat.complexes.DerivedContext`.
+    """
+    from gluecat.complexes import DerivedContext
+    from gluecat.modules import hom_basis_matrices, resolution_data
+
+    fld = m.field
+    if m.dim == 0 or n.dim == 0:
+        return [0] * (max_deg + 1)
+    res = resolution_data(m, cap=DerivedContext().resolution_cap)
+    terms = [c.module for c in res.covers][: max_deg + 2]
+    hom_bases = [hom_basis_matrices(t, n) for t in terms]
+    # delta_k : Hom(P_k, N) -> Hom(P_{k+1}, N), g -> d_{k+1} then g
+    deltas = []
+    for k in range(len(terms) - 1):
+        src_b, dst_b = hom_bases[k], hom_bases[k + 1]
+        mat = fld.zeros(len(src_b), len(dst_b))
+        if src_b and dst_b:
+            dst_flat = np.stack([b.reshape(-1) for b in dst_b])
+            for i, g in enumerate(src_b):
+                img = fld.matmul(res.diffs[k], g).reshape(1, -1)
+                coords = fld.coords_in_rows(dst_flat, img)
+                if coords is None:
+                    raise ValueError("ext_dims: image not a module hom")
+                mat[i] = coords[0]
+        deltas.append(mat)
+    out = []
+    for k in range(max_deg + 1):
+        if k >= len(terms):
+            out.append(0)
+            continue
+        dim_k = len(hom_bases[k])
+        rank_out = fld.rank(deltas[k]) if k < len(deltas) else 0
+        rank_in = fld.rank(deltas[k - 1]) if k >= 1 else 0
+        out.append(dim_k - rank_out - rank_in)
+    return out
+
+
+def euler_characteristic(x) -> int:
+    return sum(((-1) ** n) * d for n, d in ((m, x.term(m).dim) for m in x.degrees()))
+
+
+@dataclass
+class ModuleHom:
+    source: object
+    target: object
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=np.int64) % self.source.field.p
+        if self.matrix.shape != (self.source.dim, self.target.dim):
+            raise ValueError("hom matrix shape mismatch")
+
+    def validate(self):
+        fld = self.source.field
+        lhs = fld.matmul(self.source.action, self.matrix)
+        rhs = fld.matmul(self.matrix, self.target.action)
+        if not np.array_equal(lhs, rhs):
+            raise ValueError("hom does not intertwine the actions")
+
+
+def hom_basis(m, n) -> list[ModuleHom]:
+    from gluecat.modules import hom_basis_matrices
+
+    return [ModuleHom(m, n, f) for f in hom_basis_matrices(m, n)]
+
+
+def k_dual_hom(f: np.ndarray) -> np.ndarray:
+    """Matrix of the dual map D(target) -> D(source)."""
+    return f.T.copy()
+
+
+def regular_bimodule(a):
+    from gluecat.modules import Bimodule
+
+    return Bimodule(a, a, a.left_operators, a.right_operators, name=f"{a.name} (bimodule)")
+
+
+def nakayama_supertrace(p, tensors, c) -> int:
+    """Alternating-sign trace of a chain map p -> p (x) D(A).
+
+    The sign (-1)^n is forced by homotopy invariance; the module-level
+    trace evaluates the Nakayama component of each summand generator at
+    its vertex idempotent.
+    """
+    from gluecat.serre import _supertrace_factors
+
+    fld = p.field
+    total = 0
+    for n, (sign, gens, funcs) in _supertrace_factors(p, tensors).items():
+        total += sign * int(np.trace(fld.mul_chain(gens, c.comp(n), funcs.T)))
+    return total % fld.p
+
+
+def homotopy_witnesses(h, f, g) -> bool:
+    """Whether the homotopy ``h`` witnesses f - g = dh + hd."""
+    fld = h.source.field
+    for n in range(min(h.source.lo, h.target.lo) - 1, max(h.source.hi, h.target.hi) + 2):
+        delta = fld.sub(f.comp(n), g.comp(n))
+        dh = fld.matmul(h.source.diff(n), h.comp(n + 1))
+        hd = fld.matmul(h.comp(n), h.target.diff(n - 1))
+        if not np.array_equal(delta, fld.add(dh, hd)):
+            return False
+    return True

@@ -14,6 +14,10 @@ also over corners, quotients and in bases that do not respect the
 vertex grading.  Tensor relations keep the rows of the idempotents and
 generators only; their quotient maps must equal those of the relations
 of every basis element.
+
+The evaluation blocks of the four primitive adjunction witnesses are
+whole-array expressions too; during the F1, F2 and A3 (e = e1 + e2)
+suite runs each must equal its entry loop in :mod:`oracles` on every call.
 """
 
 import functools
@@ -39,7 +43,6 @@ from gluecat.modules import (
     projective_cover,
     projective_module,
     projectives,
-    regular_bimodule,
     simples,
     sub_bimodule,
     submodule_from_rows,
@@ -56,8 +59,14 @@ from oracles import (
     hom_system_kron,
     ideal_rows_loop,
     insert_right_loop,
+    push_shriek_unit_loop,
     quotient_table_loop,
+    regular_bimodule,
     restricted_action_loop,
+    shriek_pullback_eval_loop,
+    star_pullback_eval_loop,
+    star_push_counit_loop,
+    star_push_unit_loop,
     tensor_action_kron,
     tensor_hom_kron,
     tensor_relations_kron,
@@ -425,3 +434,59 @@ def test_e6_graded_system_has_one_block_per_vertex_and_per_arrow():
     assert len(hom_basis_matrices(m, n)) == sum(len(hom_basis_matrices(x, y))
                                                 for x in projectives(a) + injectives(a)
                                                 for y in injectives(a) + simples(a) + projectives(a))
+
+
+# The whole-array evaluation blocks of the primitive adjunction witnesses,
+# each against the entry loop it replaced.  An ``_evaluation`` stack ev is
+# the block of the identity rows: the block of rows R is R @ ev, linear
+# in R, so comparing at the identity compares every block.
+ADJUNCTION_BLOCKS = {
+    ("StarPullbackAdjunction", "_evaluation"): star_pullback_eval_loop,
+    ("ShriekPullbackAdjunction", "_evaluation"): shriek_pullback_eval_loop,
+    ("PushShriekAdjunction", "_evaluation"): push_shriek_unit_loop,
+    ("StarPushAdjunction", "_evaluation"): star_push_unit_loop,
+    ("StarPushAdjunction", "_counit_block"): star_push_counit_loop,
+}
+
+
+def test_adjunction_blocks_match_their_loop_references(monkeypatch):
+    from gluecat import recollement
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    reached, mismatched = set(), []
+
+    def checked(cls_name, hook, block, oracle):
+        # a failed assert here would only fail a report cell, so a
+        # mismatch is recorded and checked after the suite
+        def wrapper(self, obj, n):
+            try:
+                out = block(self, obj, n)
+            except Exception:
+                mismatched.append((cls_name, hook, n, "raised"))
+                raise
+            if hook == "_evaluation":
+                rows = np.eye(out.shape[0], dtype=np.int64)
+                got = recollement._evaluate(obj.field, rows, out)
+                want = oracle(self.rec, obj, n, rows)
+            else:
+                got, want = out, oracle(self.rec, obj, n)
+            if got.shape != want.shape or not np.array_equal(got, want):
+                mismatched.append((cls_name, hook, n))
+            reached.add((cls_name, hook))
+            return out
+
+        return wrapper
+
+    for (cls_name, hook), oracle in ADJUNCTION_BLOCKS.items():
+        cls = getattr(recollement, cls_name)
+        monkeypatch.setattr(cls, hook, checked(cls_name, hook, getattr(cls, hook), oracle))
+    # A3 with e = e1 + e2: there Ae has dimension 5 and eAe is not the
+    # field, so the stacks have more than one bimodule basis element and
+    # the counit blocks are larger than 1 x 1
+    a3 = {"p": 32003, "quiver": {"vertices": 3, "arrows": [[1, 2], [2, 3]]},
+          "e_vertices": [1, 2], "seed": 17}
+    for data in (fixture_scenario("F1"), fixture_scenario("F2"), a3):
+        run_suite(parse_scenario(data))
+    assert not mismatched
+    assert reached == set(ADJUNCTION_BLOCKS)

@@ -290,3 +290,21 @@ def test_parse_accepts_the_bounds_of_each_integer_field(f1_data):
     data = dict(f1_data, caps={"gldim": 1, "attempts": 0}, matrix_pairs=0, seed=-4)
     scn = parse_scenario(data)
     assert (scn.gldim_cap, scn.attempts, scn.matrix_pairs, scn.seed) == (1, 0, 0, -4)
+
+
+# Every name `apply` takes: the eight registered functors, the induced
+# Serre functors, the four new adjoints and the unicode aliases.
+FUNCTOR_NAMES = (
+    "i_*", "i^*", "i^!", "j_!", "j^*", "j_*", "T", "T~",
+    "S", "S~", "U", "U~",
+    "i_!", "j^?", "i_?", "j^!",
+    "T̃", "S̃", "Ũ",
+)
+
+
+@pytest.mark.parametrize("name, code", [(name, 0) for name in FUNCTOR_NAMES] + [("nope", 3)])
+def test_apply_accepts_every_functor_name(tmp_path, f1_data, capsys, name, code):
+    scn = _write_scenario(tmp_path, f1_data)
+    assert main(["apply", scn, name, "P1"]) == code
+    if code == 0:
+        assert isinstance(json.loads(capsys.readouterr().out.strip()), dict)

@@ -9,7 +9,6 @@ from gluecat.complexes import (
     compose_maps,
     dual_chain_map,
     dual_complex,
-    euler_characteristic,
     homology_dims,
     identity_map,
     scale_map,
@@ -22,7 +21,6 @@ from gluecat.algebra import Quiver, path_algebra
 from gluecat.field import PrimeField
 from gluecat.modules import (
     RightModule,
-    ext_dims,
     hom_basis_matrices,
     hom_coords,
     nakayama_bimodule,
@@ -35,7 +33,14 @@ from gluecat.modules import (
 )
 from gluecat.recollement import build_recollement, default_menus
 
-from oracles import hom_coords_by_elimination, lifts_entrywise
+from oracles import (
+    euler_characteristic,
+    ext_dims,
+    hom_coords_by_elimination,
+    homotopy_witnesses,
+    lifts_entrywise,
+    regular_bimodule,
+)
 
 
 @pytest.fixture()
@@ -402,7 +407,7 @@ def test_lift_through_identity(ctx, alg_a2):
     rep = ctx.replacement(s2)
     g, h = ctx.lift_through_qis(rep.p, rep.qis, identity_map(s2))
     assert np.array_equal(g.comp(0), rep.qis.comp(0))
-    assert h.witnesses(rep.qis, compose_maps(g, identity_map(s2)))
+    assert homotopy_witnesses(h, rep.qis, compose_maps(g, identity_map(s2)))
 
 
 def test_lift_zero_map(ctx, alg_a2):
@@ -531,7 +536,7 @@ def test_content_equal_pairs_share_one_hom_complex(ctx, alg_a3):
 
 
 def test_derived_tensor_regular_stalk(ctx, alg_a2):
-    from gluecat.modules import regular_module, regular_bimodule
+    from gluecat.modules import regular_module
 
     x = stalk_complex(regular_module(alg_a2))
     w = regular_bimodule(alg_a2)

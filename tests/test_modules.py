@@ -4,14 +4,11 @@ import pytest
 from gluecat.algebra import Quiver, opposite, path_algebra
 from gluecat.complexes import stalk_complex
 from gluecat.modules import (
-    ext_dims,
     global_dimension,
-    hom_basis,
     hom_basis_matrices,
     injective_module,
     injectives,
     k_dual,
-    k_dual_hom,
     nakayama_bimodule,
     projective_cover,
     projective_module,
@@ -26,7 +23,14 @@ from gluecat.modules import (
     ResolutionExceedsCapError,
 )
 
-from oracles import paths_with_source, paths_with_target
+from oracles import (
+    ext_dims,
+    hom_basis,
+    k_dual_hom,
+    paths_with_source,
+    paths_with_target,
+    regular_bimodule,
+)
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +240,6 @@ def _corner_bimodule_eA(a, e_vertices):
 
 
 def test_tensor_unit_constraint(alg_a2):
-    from gluecat.modules import regular_bimodule
-
     bim = regular_bimodule(alg_a2)
     for m in projectives(alg_a2) + simples(alg_a2):
         t = tensor_over(m, bim)

@@ -432,7 +432,7 @@ def test_dual_route_leaves_the_memoised_dual_alone(rec_f1):
 
 def test_triangle_euler_additivity(rec_f1):
     # per-degree alternating sums of j_! j^* X, X, i_* i^* X agree
-    from gluecat.complexes import euler_characteristic
+    from oracles import euler_characteristic
     from gluecat.recollement import default_menus
 
     menus = default_menus(rec_f1)
@@ -582,3 +582,29 @@ def test_suite_builds_each_functor_output_once_per_content(monkeypatch):
         monkeypatch.setattr(cls, "_apply", _counting(cls._apply, builds))
     run_suite(parse_scenario(fixture_scenario("F1")))
     assert len(builds) == len(contents) > 0
+
+
+def test_suite_computes_homology_once_per_content(monkeypatch):
+    from gluecat import complexes
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    builds = []
+    homology = complexes._homology
+
+    def recording_homology(fld, dims, diff):
+        owner = getattr(diff, "__self__", None)
+        if isinstance(owner, BoundedComplex):  # not a hom complex
+            builds.append(owner.key)
+        return homology(fld, dims, diff)
+
+    monkeypatch.setattr(complexes, "_homology", recording_homology)
+    run_suite(parse_scenario(fixture_scenario("F1")))
+    assert len(builds) == len(set(builds)) > 0
+
+
+def test_homology_dims_hands_out_copies(rec_f1):
+    x = stalk_complex(regular_module(rec_f1.algebra))
+    dims = homology_dims(x)
+    dims[7] = 1
+    assert homology_dims(x) == {0: rec_f1.algebra.dim}

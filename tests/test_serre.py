@@ -19,12 +19,13 @@ from gluecat.recollement import build_recollement, default_menu
 from gluecat.serre import (
     attach_serre,
     intrinsic_nakayama_crosscheck,
-    nakayama_supertrace,
     serre_axiom_check,
     serre_left_pairing,
     serre_pairing,
     SingularPairingError,
 )
+
+from oracles import nakayama_supertrace
 
 
 @pytest.fixture(scope="module")
