@@ -4,7 +4,8 @@ print a summary table with timings.
 
 Per fixture it also prints, for duals, replacements, hom complexes, hom
 spaces and lifts, how many were built against how many were asked for,
-as counted by the content memos of the derived context.
+as counted by the content memos of the derived context, and the summed
+and the largest term dimension of the projective replacements built.
 """
 
 import sys
@@ -37,6 +38,9 @@ def main():
         memo = ctx.memo_counts()
         print("    built/requested: " + ", ".join(
             f"{kind} {memo[kind][0]}/{memo[kind][1]}" for kind in MEMOS))
+        sizes = [sum(r.p.term(n).dim for n in r.p.degrees()) for r in ctx.built_replacements()]
+        print(f"    replacement term dimensions: summed {sum(sizes)}, "
+              f"largest {max(sizes, default=0)}")
     print()
     print(f"{'fixture':<28} {'suite':<18} {'pass':>6} {'fail':>6} {'inconcl':>8}")
     for label, diagram, ok, bad, inc in rows:

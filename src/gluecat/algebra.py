@@ -356,12 +356,13 @@ def corner(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray]:
     if coords is None:
         raise ValueError("corner: eAe is not closed under products")
     mul = coords.reshape(c_dim, c_dim, c_dim)
-    unit_coords = fld.coords_in_rows(basis, e.reshape(1, -1))
+    # e and each e_v (v in e) lie in eAe together: all in one solve
+    idem = np.eye(a.dim, dtype=np.int64)[[a.idempotent_indices[v] for v in vs]]
+    unit_coords = fld.coords_in_rows(basis, np.concatenate([e.reshape(1, -1), idem]))
     if unit_coords is None:
         raise ValueError("corner: e not in computed basis span")
     idem_indices = []
-    for v in vs:
-        coords = fld.coords_in_rows(basis, a.idempotent_vector(v).reshape(1, -1))[0]
+    for coords in unit_coords[1:]:
         nz = np.nonzero(coords)[0]
         if len(nz) != 1 or coords[nz[0]] != 1:
             raise ValueError("corner: vertex idempotent is not a basis element")

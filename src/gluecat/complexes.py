@@ -34,6 +34,7 @@ from .modules import (
     hom_coords,
     k_dual,
     projective_cover,
+    projective_module,
     resolution_data,
     tensor_hom,
     tensor_over,
@@ -403,6 +404,106 @@ def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
 
 
 # ----------------------------------------------------------------------
+# minimal complexes of projectives
+# ----------------------------------------------------------------------
+
+
+def _top_columns(a: Algebra, summ: ProjSummands, dim: int) -> np.ndarray:
+    """``(dim, s)``: column j reads the e_v-coefficient of summand j = e_v A
+    off a term vector, from the idempotent coordinate of its A-rows."""
+    out = np.zeros((dim, len(summ.vertices)), dtype=np.int64)
+    for j, (v, off) in enumerate(zip(summ.vertices, summ.offsets)):
+        rows = projective_module(a, v)[1]
+        out[off:off + len(rows), j] = rows[:, a.idempotent_indices[v]]
+    return out
+
+
+def _owners(summ: ProjSummands, dim: int) -> np.ndarray:
+    """The summand of each coordinate of a term."""
+    sizes = np.diff([*summ.offsets, dim])
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
+    """``(p_min, iota, proj)``: a minimal complex homotopy equivalent to
+    ``p``, which has projective terms with summand data.
+
+    The degrees are swept from low to high.  In degree n the top matrix
+    of d^n has entry (i, j) the e_v-coefficient of the image of
+    generator i in summand j; it is zero unless both are e_v A.  One row
+    and one column rank profile of it pick summands S of p^n and S' of
+    p^{n+1} whose block T of d^n is invertible, and the Gaussian
+    elimination lemma cancels them.  With d^n = [[T, b], [c, e]] from
+    S + K to S' + K', the new differential is e - c T^-1 b, d^{n-1} and
+    d^{n+1} are restricted to K and K', ``iota`` is k |-> (-k c T^-1, k)
+    and ``proj`` is (s', k') |-> k' - s' T^-1 b, and both are inclusions
+    and projections elsewhere.  So ``proj`` after ``iota`` is the
+    identity and ``iota`` after ``proj`` is homotopic to it.  The top
+    matrix of e - c T^-1 b is zero, and restriction keeps a zero top
+    matrix zero, so every top matrix of ``p_min`` is zero.  A complex
+    with one nonzero degree is returned as it is.
+    """
+    a, fld = p.algebra, p.field
+    diffs = {n: p.diff(n) for n in range(p.lo, p.hi)}
+    kept: dict[int, np.ndarray] = {}    # summands of p^n kept, where some went
+    coords: dict[int, np.ndarray] = {}  # their coordinates in p^n
+    inc: dict[int, np.ndarray] = {}     # iota^n: kept -> p^n, where changed
+    prj: dict[int, np.ndarray] = {}     # proj^n: p^n -> kept, where changed
+    for n in range(p.lo, p.hi):
+        d = diffs[n]
+        if not d.any():
+            continue
+        src, tgt = p.summand(n), p.summand(n + 1)
+        src_kept = kept.get(n, np.arange(len(src.vertices)))
+        src_coords = coords.get(n, np.arange(p.term(n).dim))
+        gens = np.stack(src.gens)[np.ix_(src_kept, src_coords)]
+        top = fld.matmul(fld.matmul(gens, d), _top_columns(a, tgt, d.shape[1]))
+        if not top.any():
+            continue
+        rows = fld.row_rank_profile(top)
+        cols = fld.row_rank_profile(top[rows].T)
+        gone = np.isin(_owners(src, p.term(n).dim)[src_coords], src_kept[rows])
+        s, k = np.flatnonzero(gone), np.flatnonzero(~gone)
+        gone = np.isin(_owners(tgt, d.shape[1]), cols)
+        s1, k1 = np.flatnonzero(gone), np.flatnonzero(~gone)
+        t_inv = fld.inv(d[np.ix_(s, s1)])
+        ct = fld.matmul(d[np.ix_(k, s1)], t_inv)
+        tb = fld.matmul(t_inv, d[np.ix_(s, k1)])
+        diffs[n] = fld.sub(d[np.ix_(k, k1)], fld.matmul(ct, d[np.ix_(s, k1)]))
+        if n - 1 in diffs:
+            diffs[n - 1] = diffs[n - 1][:, k]
+        if n + 1 in diffs:
+            diffs[n + 1] = diffs[n + 1][k1]
+        iota = inc.get(n, fld.identity(d.shape[0]))
+        inc[n] = fld.sub(iota[k], fld.matmul(ct, iota[s]))
+        prj[n] = prj.get(n, fld.identity(d.shape[0]))[:, k]
+        inc[n + 1] = fld.identity(d.shape[1])[k1]
+        prj[n + 1] = fld.identity(d.shape[1])[:, k1]
+        prj[n + 1][s1] = fld.neg(tb)
+        kept[n], coords[n] = np.delete(src_kept, rows), src_coords[k]
+        kept[n + 1], coords[n + 1] = np.delete(np.arange(len(tgt.vertices)), cols), k1
+    ident = {n: fld.identity(p.term(n).dim) for n in p.degrees() if n not in coords}
+    if not coords:
+        same = ChainMap(p, p, ident, validate=False)
+        return p, same, same
+    terms, summands = dict(p.terms), dict(p.summands)
+    for n, ix in coords.items():
+        m, summ = p.term(n), p.summand(n)
+        action = m.action[:, ix][:, :, ix]
+        terms[n] = RightModule(a, action, name=m.name) if ix.size else zero_module(a)
+        sizes = np.diff([*summ.offsets, m.dim])[kept[n]]
+        summands[n] = ProjSummands(
+            [summ.vertices[j] for j in kept[n]],
+            (np.cumsum(sizes) - sizes).tolist(),
+            [summ.gens[j][ix] for j in kept[n]],
+        )
+    p_min = BoundedComplex(a, terms, diffs, summands=summands, name=p.name)
+    iota = ChainMap(p_min, p, {**ident, **inc}, validate=False)
+    proj = ChainMap(p, p_min, {**ident, **prj}, validate=False)
+    return p_min, iota, proj
+
+
+# ----------------------------------------------------------------------
 # duality
 # ----------------------------------------------------------------------
 
@@ -438,14 +539,24 @@ def dual_chain_map(
 
 @dataclass
 class Replacement:
+    """A minimal complex ``p`` of projectives with a qis onto x.
+
+    Minimal: no summand e_v A of a term of ``p`` is carried by the
+    differential onto a summand e_v A of the next term, so every top
+    block is zero.  ``inverse`` is a homotopy inverse of ``qis``,
+    present when x has projective terms; ``qis`` followed by
+    ``inverse`` is then the identity of ``p``.
+    """
+
     p: BoundedComplex
     qis: ChainMap                      # p -> x
-    sigma_inv: dict[int, np.ndarray] | None  # present when qis is an iso
+    inverse: ChainMap | None           # x -> p
 
     def _moved(self, x: BoundedComplex) -> "Replacement":
         """The replacement of a complex content-equal to ``qis.target``:
-        the same ``p``, with the qis onto ``x``."""
-        return Replacement(self.p, self.qis._moved(self.p, x), self.sigma_inv)
+        the same ``p``, with the qis onto ``x`` and the inverse out of it."""
+        inverse = None if self.inverse is None else self.inverse._moved(x, self.p)
+        return Replacement(self.p, self.qis._moved(self.p, x), inverse)
 
 
 @dataclass
@@ -534,6 +645,15 @@ class DerivedContext:
     """Duals, replacements, hom complexes, hom spaces and lifts, built
     once per content.
 
+    Replacements are minimal complexes of projectives.  A complex with
+    projective terms is moved onto its covers, and any other complex is
+    resolved (one nonzero degree) or split into a cone of replaced
+    pieces; both routes then cancel, by :func:`_minimize`, every pair of
+    summands e_v A on which the differential is an isomorphism.  So the
+    hom complexes, lifts, certificates and tensors built on them are as
+    small as the objects allow.  ``Replacement.inverse``, a homotopy
+    inverse of the qis, is present when x has projective terms.
+
     The cache rule: every derived construction is keyed by the content
     of its inputs, as module constructions are.
 
@@ -545,8 +665,9 @@ class DerivedContext:
       adjunction matrices (:mod:`gluecat.reflect`).  An input equal to
       an earlier one but not identical gets the earlier value moved onto
       its own objects: a dual or functor output is a copy named after
-      the caller's input; the replacement shares the complex ``p`` and
-      its ``qis`` targets the caller's ``x``; a hom complex or space
+      the caller's input; the replacement shares the complex ``p``, its
+      ``qis`` targets the caller's ``x`` and its ``inverse`` starts
+      there; a hom complex or space
       shares its matrices but carries the caller's complexes; lifted
       maps sit on the caller's ``p``, ``y`` and ``x``; matrices are
       plain numbers in shared bases and are shared as they are.  So one
@@ -590,6 +711,10 @@ class DerivedContext:
         }
         return {name: (m.builds, m.requests) for name, m in memos.items()}
 
+    def built_replacements(self) -> list[Replacement]:
+        """The replacement built for each content, in build order."""
+        return [rep for _, rep in self._replacements._first.values()]
+
     # -- duality ---------------------------------------------------------
 
     def dual(self, x: BoundedComplex) -> BoundedComplex:
@@ -605,7 +730,7 @@ class DerivedContext:
         fld = x.field
         if x.is_zero():
             p = zero_complex(a)
-            return Replacement(p, ChainMap(p, x, {}), {})
+            return Replacement(p, ChainMap(p, x, {}), ChainMap(x, p, {}))
 
         # fast path: every term already projective
         covers: list[Cover] = []
@@ -628,8 +753,12 @@ class DerivedContext:
                 n: fld.mul_chain(sigma[n], x.diff(n), sigma_inv[n + 1])
                 for n in range(x.lo, x.hi)
             }
-            p = BoundedComplex(a, terms, diffs, summands=summands, name=f"P({x.name})")
-            return Replacement(p, ChainMap(p, x, sigma), sigma_inv)
+            p, iota, proj = _minimize(
+                BoundedComplex(a, terms, diffs, summands=summands, name=f"P({x.name})")
+            )
+            qis = {n: fld.matmul(c, sigma[n]) for n, c in iota.comps.items()}
+            inverse = {n: fld.matmul(sigma_inv[n], c) for n, c in proj.comps.items()}
+            return Replacement(p, ChainMap(p, x, qis), ChainMap(x, p, inverse))
 
         nonzero = [n for n in x.degrees() if x.term(n).dim > 0]
         if len(nonzero) == 1:
@@ -671,10 +800,10 @@ class DerivedContext:
         rep_u = self._replacements.share((upper,), self._build_replacement, Replacement._moved)
         f_map = compose_maps(rep_b.qis, g)
         lifted, htp = self.lift_through_qis(rep_b.p, f_map, rep_u.qis)
-        p = cone(lifted, name=f"P({x.name})")
-        # map of cones: blocks [[q_b, -h], [0, q_u]] lands in cone(g) == x
+        p, iota, _ = _minimize(cone(lifted, name=f"P({x.name})"))
+        # iota, then the map of cones [[q_b, -h], [0, q_u]] into cone(g) == x
         comps = {}
-        for n in x.degrees():
+        for n, c in iota.comps.items():
             b1 = rep_b.p.term(n + 1).dim
             u0 = rep_u.p.term(n).dim
             mat = fld.zeros(b1 + u0, x.term(n).dim)
@@ -684,7 +813,7 @@ class DerivedContext:
                 mat[:b1, xb:] = fld.neg(htp.comp(n + 1))
             if u0:
                 mat[b1:, xb:] = rep_u.qis.comp(n)
-            comps[n] = mat
+            comps[n] = fld.matmul(c, mat)
         qis = ChainMap(p, x, comps)
         if homology_dims(p) != homology_dims(x):
             raise RuntimeError("replacement lost homology — convention bug")

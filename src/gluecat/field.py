@@ -226,10 +226,10 @@ class PrimeField:
             span_rows = self.zeros(0, dim)
         rref_rows, pivots, rank = self.rref(span_rows)
         keep = [c for c in range(dim) if c not in pivots]
-        scatter = self.zeros(dim, rank)
-        for j, pc in enumerate(pivots):
-            scatter[pc, j] = 1
-        reduced = (np.eye(dim, dtype=np.int64) - scatter @ rref_rows[:rank]) % self.p
-        pi = reduced[:, keep]
+        # a kept coordinate is its own class; a pivot coordinate is minus
+        # the rest of its rref row
+        pi = self.zeros(dim, len(keep))
+        pi[keep, np.arange(len(keep))] = 1
+        pi[pivots] = self.neg(rref_rows[:rank, keep])
         sigma = self.identity(dim)[keep, :]
         return pi, sigma, keep

@@ -307,6 +307,7 @@ class Recollement:
     B_ab: Bimodule                # B as (A-left, B-right)
     eA_rows: np.ndarray
     Ae_rows: np.ndarray
+    ae_ea: np.ndarray             # [j, l]: ae_j * ea_l in A-coords
     e_in_eA: np.ndarray
     e_in_Ae: np.ndarray
     ideal_rows: np.ndarray
@@ -368,6 +369,7 @@ def build_recollement(
 
     eA_rows = fld.image_basis(a.left_mult_operator(e))
     Ae_rows = fld.image_basis(a.right_mult_operator(e))
+    ae_ea = fld.matmul(eA_rows, a.left_mult_operator(Ae_rows))
     eA = sub_bimodule(
         c, a, eA_rows, a.left_mult_operator(corner_rows), a.right_operators, "eA"
     )
@@ -420,6 +422,7 @@ def build_recollement(
         B_ab=B_ab,
         eA_rows=eA_rows,
         Ae_rows=Ae_rows,
+        ae_ea=ae_ea,
         e_in_eA=e_in_eA,
         e_in_Ae=e_in_Ae,
         ideal_rows=ideal_rows,
@@ -527,7 +530,7 @@ class TensorShapeAdjunction(PrimitiveAdjunction):
     """F = - (x)^L W a derived tensor, G its exact right adjoint:
     Hom(R_x (x) W, y) ~= Hom(R_x, G y).
 
-    ``forward`` sends phi to v |-> phi(sigma^-1 (v (x) w0)), read in G y
+    ``forward`` sends phi to v |-> phi(q^-1 (v (x) w0)), read in G y
     through ``_into_g``; ``backward`` sends psi to the evaluation
     class(v (x) w) |-> psi(v) . w after the qis of R_{Fx}.  A pair
     supplies w0, ``_into_g`` (y^n -> (G y)^n) and ``_evaluation``, the
@@ -538,18 +541,18 @@ class TensorShapeAdjunction(PrimitiveAdjunction):
         ctx = self.ctx
         fx = self.F_apply(x)
         phi = ctx.hom_space(fx, y).normalize(mor)  # R_{Fx} -> y
-        rep_fx = ctx.replacement(fx)
-        if rep_fx.sigma_inv is None:
-            raise RuntimeError(f"{self.F.name}-output replacement should be an isomorphism")
+        inverse = ctx.replacement(fx).inverse
+        if inverse is None:
+            raise RuntimeError(f"{self.F.name}-output should have projective terms")
         tensors = self.F.aux(x)["tensors"]
         rep_x = ctx.replacement(x)
         gy = self.G_apply(y)
         comps = {}
         for n in rep_x.p.degrees():
-            if n in rep_fx.sigma_inv and y.term(n).dim:  # else the component is zero
+            if n in inverse.comps and y.term(n).dim:  # else the component is zero
                 ins = tensors[n].insert_right(self._w0())
                 into_g = self._into_g(y, n)
-                comps[n] = x.field.mul_chain(ins, rep_fx.sigma_inv[n], phi.comp(n), into_g)
+                comps[n] = x.field.mul_chain(ins, inverse.comps[n], phi.comp(n), into_g)
         return Mor(x, gy, ChainMap(rep_x.p, gy, comps), rep_x.qis)
 
     def backward(self, x, y, mor):
@@ -646,10 +649,9 @@ class ShriekPullbackAdjunction(TensorShapeAdjunction):
     def _evaluation(self, x, d):
         # class(v (x) ae) (x) ea |-> v . (ae * ea), for every quotient
         # coordinate of x (x) Ae and every eA basis element
-        rec, p = self.rec, x.field.p
-        a, xtens, act = rec.algebra, self.G.aux(x)["tensors"][d], x.term(d).action
-        prods = (rec.eA_rows @ a.left_mult_operator(rec.Ae_rows)) % p  # [j, l]: ae_j * ea_l
-        ops = np.einsum("jlk,kiu->jliu", prods, act) % p
+        p = x.field.p
+        xtens, act = self.G.aux(x)["tensors"][d], x.term(d).action
+        ops = np.einsum("jlk,kiu->jliu", self.rec.ae_ea, act) % p
         sec = xtens.section.reshape(xtens.module.dim, xtens.m_dim, xtens.w_dim)
         return np.einsum("sij,jliu->slu", sec, ops) % p
 

@@ -25,7 +25,6 @@ import numpy as np
 from .algebra import Algebra
 from .complexes import (
     BoundedComplex,
-    ChainMap,
     DerivedContext,
     Mor,
     compose_maps,
@@ -194,9 +193,10 @@ def _right_gram(ctx: DerivedContext, t_functor, xp: BoundedComplex, yp: BoundedC
 def _left_gram(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedComplex, fs: list[Mor], hs: list[Mor]) -> np.ndarray:
     """Trace pairing of each f in Hom(x', y') against each h in Hom(T~ y', x').
 
-    Entry (i, j) is the supertrace of qis then D(sigma^-1 ell_j f_i), with
-    ell_j lifting h_j through the replacement of x'; componentwise that is
-    qis^n f_i^{-n,T} ell_j^{-n,T} sigma^-1^{-n,T}, split between an
+    Entry (i, j) is the supertrace of qis then D(q^-1 ell_j f_i), with
+    q^-1 the inverse of the replacement of T~ y' and ell_j lifting h_j
+    through the replacement of x'; componentwise that is
+    qis^n f_i^{-n,T} ell_j^{-n,T} q^-1^{-n,T}, split between an
     f-factor and an h-factor.
     """
     fld = xp.field
@@ -205,19 +205,18 @@ def _left_gram(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedC
     ty = tt_functor.apply(yp)
     aux = tt_functor.aux(yp)
     rep_ty = ctx.replacement(ty)
-    if rep_ty.sigma_inv is None:
+    if rep_ty.inverse is None:
         raise SingularPairingError("T~ output should have projective terms")
     hs_f, hs_h = ctx.hom_space(xp, yp), ctx.hom_space(ty, xp)
     lifts = ctx.lift_many_through_qis(
         rep_ty.p, [hs_h.normalize(h) for h in hs], ctx.replacement(xp).qis
     )
-    sigma_inv = ChainMap(ty, rep_ty.p, dict(rep_ty.sigma_inv))
     rep = ctx.replacement(ctx.dual(yp))
     p, qis = rep.p, rep.qis
     factors = _supertrace_factors(p, aux["tensors"])
     f_hats = [hs_f.normalize(f) for f in fs]
     lefts = [{n: fld.matmul(qis.comp(n), f.comp(-n).T) for n in factors} for f in f_hats]
-    moved = [compose_maps(sigma_inv, ell) for ell, _ in lifts]  # ty -> rep of x'
+    moved = [compose_maps(rep_ty.inverse, ell) for ell, _ in lifts]  # ty -> rep of x'
     rights = [{n: c.comp(-n).T for n in factors} for c in moved]
     return _trace_gram(fld, factors, lefts, rights)
 

@@ -13,7 +13,10 @@ per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
 The entry-loop evaluation blocks are the references for the whole-array
-blocks of the four primitive adjunction witnesses.  The library helpers
+blocks of the four primitive adjunction witnesses.
+``replacement_problems`` checks minimal replacements independently of
+the top blocks the library reads: a complex of projectives is minimal
+when each differential lands in the radical of the next term.  The library helpers
 at the end (Ext by a projective resolution, the Euler characteristic,
 hom bases as module homs, the regular bimodule, the scalar Nakayama
 supertrace, the homotopy check) are used by the tests only.
@@ -193,7 +196,7 @@ def _pair_right_value(ctx, t_functor, xp, yp, f, g) -> int:
 
 def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
     """Trace pairing of f in Hom(x', y') against h in Hom(T~ y', x')."""
-    from gluecat.complexes import ChainMap, compose_maps, dual_chain_map
+    from gluecat.complexes import compose_maps, dual_chain_map
 
     ty = tt_functor.apply(yp)
     aux = tt_functor.aux(yp)
@@ -202,8 +205,7 @@ def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
     h_hat = ctx.hom_space(ty, xp).normalize(h)
     rep_x = ctx.replacement(xp)
     ell, _ = ctx.lift_through_qis(rep_ty.p, h_hat, rep_x.qis)
-    sigma_inv = ChainMap(ty, rep_ty.p, dict(rep_ty.sigma_inv))
-    c = compose_maps(compose_maps(sigma_inv, ell), f_hat)  # ty -> yp
+    c = compose_maps(compose_maps(rep_ty.inverse, ell), f_hat)  # ty -> yp
     dc = dual_chain_map(c, dual_source=aux["pre"], dual_target=ctx.dual(yp))
     rep_dy = ctx.replacement(ctx.dual(yp))
     z = compose_maps(rep_dy.qis, dc)
@@ -365,6 +367,21 @@ def insert_right_loop(t, w_coords):
     for r in range(t.m_dim):
         k[r, r * t.w_dim:(r + 1) * t.w_dim] = w_coords
     return fld.matmul(k, t.pi)
+
+
+def quotient_pi_dense(fld, span_rows, dim):
+    """``pi`` of :meth:`PrimeField.quotient_maps` by the dense formula
+    (1 - scatter @ rref_rows) restricted to the kept columns, where
+    ``scatter`` puts rref row j at pivot row j."""
+    if span_rows.size == 0:
+        span_rows = fld.zeros(0, dim)
+    rref_rows, pivots, rank = fld.rref(span_rows)
+    keep = [c for c in range(dim) if c not in pivots]
+    scatter = fld.zeros(dim, rank)
+    for j, pc in enumerate(pivots):
+        scatter[pc, j] = 1
+    reduced = (np.eye(dim, dtype=np.int64) - scatter @ rref_rows[:rank]) % fld.p
+    return reduced[:, keep]
 
 
 def greedy_independent_rows(fld, m):
@@ -620,6 +637,83 @@ def nakayama_supertrace(p, tensors, c) -> int:
     for n, (sign, gens, funcs) in _supertrace_factors(p, tensors).items():
         total += sign * int(np.trace(fld.mul_chain(gens, c.comp(n), funcs.T)))
     return total % fld.p
+
+
+def nonminimal_degrees(p):
+    """Degrees n where d^n of the projective complex ``p`` has a nonzero
+    top block, i.e. its image is not inside the radical p^{n+1} rad A."""
+    a, fld = p.algebra, p.field
+    rad = a.radical_basis_indices()
+    out = []
+    for n in range(p.lo, p.hi):
+        m = p.term(n + 1)
+        rad_rows = np.concatenate([m.action[i] for i in rad] + [fld.zeros(0, m.dim)])
+        if fld.rank(np.concatenate([rad_rows, p.diff(n)])) != fld.rank(rad_rows):
+            out.append(n)
+    return out
+
+
+def is_identity(f) -> bool:
+    """Whether the chain map ``f`` is the identity on the nose."""
+    x = f.source
+    return f.target is x and all(
+        np.array_equal(f.comp(n), np.eye(x.term(n).dim, dtype=np.int64)) for n in x.degrees()
+    )
+
+
+def is_identity_in_homology(f) -> bool:
+    """Whether the chain map f: x -> x minus the identity sends every
+    cycle to a boundary."""
+    x, fld = f.source, f.source.field
+    for n in x.degrees():
+        cycles = fld.left_kernel_basis(x.diff(n))
+        delta = fld.matmul(cycles, fld.sub(f.comp(n), fld.identity(x.term(n).dim)))
+        bnd = np.asarray(x.diff(n - 1))
+        if fld.rank(np.concatenate([bnd, delta])) != fld.rank(bnd):
+            return False
+    return True
+
+
+def replacement_problems(ctx, minimized):
+    """What is wrong with the replacements memoised in ``ctx`` and with
+    the minimisations ``(p, p_min, iota, proj)`` of ``minimized``.
+
+    Each replacement must be minimal, the cone of its qis acyclic, and
+    its inverse, when present, a chain map whose composite with the qis
+    is the identity of p and the identity of x in homology.  Each iota
+    and proj must be chain maps with proj after iota the identity.
+    """
+    from gluecat.complexes import compose_maps, cone, homology_dims
+
+    problems = []
+    for rep in ctx.built_replacements():
+        x, name = rep.qis.target, rep.p.name
+        if nonminimal_degrees(rep.p):
+            problems.append((name, "not minimal", nonminimal_degrees(rep.p)))
+        if homology_dims(cone(rep.qis)):
+            problems.append((name, "qis cone not acyclic"))
+        if rep.inverse is None:
+            continue
+        try:
+            rep.inverse.validate()
+        except ValueError:
+            problems.append((name, "inverse not a chain map"))
+            continue
+        if not is_identity(compose_maps(rep.qis, rep.inverse)):
+            problems.append((name, "inverse after qis is not the identity of p"))
+        if not is_identity_in_homology(compose_maps(rep.inverse, rep.qis)):
+            problems.append((name, "qis after inverse is not the identity in homology"))
+    for p, p_min, iota, proj in minimized:
+        for label, f in (("iota", iota), ("proj", proj)):
+            try:
+                f.validate()
+            except ValueError:
+                problems.append((p.name, f"{label} not a chain map"))
+        if not is_identity(compose_maps(iota, proj)):
+            problems.append((p.name, "proj after iota is not the identity"))
+        if nonminimal_degrees(p_min):
+            problems.append((p.name, "minimised complex not minimal"))
+    return problems
 
 
 def homotopy_witnesses(h, f, g) -> bool:

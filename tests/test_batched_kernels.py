@@ -490,3 +490,21 @@ def test_adjunction_blocks_match_their_loop_references(monkeypatch):
         run_suite(parse_scenario(data))
     assert not mismatched
     assert reached == set(ADJUNCTION_BLOCKS)
+
+
+def test_shriek_product_table_is_built_once_per_recollement(monkeypatch):
+    # the (j_!, j^*) evaluation reads the products ae_j * ea_l from the
+    # recollement; the table is built from L(Ae rows), counted here
+    from gluecat import cli
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    recs, args = [], []
+    build, left = cli.build_recollement, Algebra.left_mult_operator
+    monkeypatch.setattr(cli, "build_recollement", lambda *a, **k: recs.append(build(*a, **k)) or recs[-1])
+    monkeypatch.setattr(Algebra, "left_mult_operator", lambda a, x: args.append(x) or left(a, x))
+    run_suite(parse_scenario(fixture_scenario("F1")))
+    (rec,) = recs
+    assert sum(x is rec.Ae_rows for x in args) == 1
+    table = rec.eA_rows @ left(rec.algebra, rec.Ae_rows) % rec.algebra.field.p
+    assert np.array_equal(rec.ae_ea, table)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from gluecat import complexes
 from gluecat.complexes import (
     BoundedComplex,
     ChainMap,
     DerivedContext,
+    ProjSummands,
     cone,
     compose_maps,
     dual_chain_map,
@@ -21,6 +23,7 @@ from gluecat.algebra import Quiver, path_algebra
 from gluecat.field import PrimeField
 from gluecat.modules import (
     RightModule,
+    direct_sum,
     hom_basis_matrices,
     hom_coords,
     nakayama_bimodule,
@@ -38,8 +41,11 @@ from oracles import (
     ext_dims,
     hom_coords_by_elimination,
     homotopy_witnesses,
+    is_identity,
     lifts_entrywise,
+    nonminimal_degrees,
     regular_bimodule,
+    replacement_problems,
 )
 
 
@@ -168,7 +174,7 @@ def test_out_of_range_accessors_share_read_only_zeros(alg_a2, monkeypatch):
 def test_replacement_of_projective_complex_is_iso(ctx, alg_a3):
     p3 = stalk_complex(projective_module(alg_a3, 2)[0])
     rep = ctx.replacement(p3)
-    assert rep.sigma_inv is not None
+    assert rep.inverse is not None
     assert homology_dims(rep.p) == homology_dims(p3)
     assert rep.p.has_summand_data()
 
@@ -327,6 +333,128 @@ def test_replacements_are_built_once_per_content_on_f1(monkeypatch):
     )
     run_suite(parse_scenario(fixture_scenario("F1")))
     assert built and len(built) == len(set(built))
+
+
+# ----------------------------------------------------------------------
+# minimal replacements
+# ----------------------------------------------------------------------
+
+
+def _projective_complex(a, degrees, diffs):
+    """The complex with terms the sums of the P_v listed per degree, its
+    summand data from the projective modules, and differentials ``diffs``."""
+    terms, summands = {}, {}
+    for n, vs in degrees.items():
+        parts = [projective_module(a, v) for v in vs]
+        terms[n], offsets = direct_sum([m for m, _, _ in parts])
+        gens = []
+        for (m, _, gen), off in zip(parts, offsets):
+            full = np.zeros(terms[n].dim, dtype=np.int64)
+            full[off:off + m.dim] = gen
+            gens.append(full)
+        summands[n] = ProjSummands(list(vs), offsets, gens)
+    return BoundedComplex(a, terms, diffs, summands=summands)
+
+
+def _hom(a, v, u):
+    """A nonzero module hom P_v -> P_u, or None."""
+    basis = hom_basis_matrices(projective_module(a, v)[0], projective_module(a, u)[0])
+    return basis[0] if basis else None
+
+
+def _chain(a):
+    """Vertices (w, v, u) with P_w -> P_v -> P_u composing to nonzero."""
+    fld, n = a.field, a.n_idempotents
+    for w in range(n):
+        for v in range(n):
+            for u in range(n):
+                c, b = _hom(a, w, v), _hom(a, v, u)
+                if len({w, v, u}) == 3 and c is not None and b is not None:
+                    if fld.matmul(c, b).any():
+                        return w, v, u, c, b
+    raise AssertionError("no chain of projectives")
+
+
+def test_minimize_cancels_with_the_schur_complement(ctx, alg_a3):
+    # (P_v + P_w) -> (P_v + P_u) with d = [[1, b], [c, 0]] is homotopy
+    # equivalent to P_w -> P_u with differential -c b
+    fld = alg_a3.field
+    w, v, u, c, b = _chain(alg_a3)
+    dv = projective_module(alg_a3, v)[0].dim
+    d = np.block([[fld.identity(dv), b], [c, fld.zeros(c.shape[0], b.shape[1])]])
+    p = _projective_complex(alg_a3, {0: [v, w], 1: [v, u]}, {0: d})
+    p_min, iota, proj = complexes._minimize(p)
+    assert [p_min.summand(n).vertices for n in (0, 1)] == [[w], [u]]
+    assert np.array_equal(p_min.diff(0), fld.neg(fld.matmul(c, b)))
+    assert replacement_problems(ctx, [(p, p_min, iota, proj)]) == []
+    assert nonminimal_degrees(p) == [0]
+    rep = ctx.replacement(p)
+    assert rep.p.key == p_min.key
+    assert replacement_problems(ctx, []) == []
+
+
+def test_cone_of_identity_on_a_projective_replaces_to_zero(ctx, alg_a3):
+    for v in range(alg_a3.n_idempotents):
+        x = cone(identity_map(stalk_complex(projective_module(alg_a3, v)[0])))
+        rep = ctx.replacement(x)
+        assert rep.p.is_zero()
+        assert rep.inverse is not None and rep.inverse.is_zero() and rep.qis.is_zero()
+    assert replacement_problems(ctx, []) == []
+
+
+@pytest.mark.parametrize("order", ["vu", "uv"])
+def test_identity_block_leaves_the_other_summand(ctx, alg_a3, order):
+    # P_v -> P_v + P_u (or P_u + P_v) with an identity block on P_v
+    # keeps only P_u, wherever its summand sits
+    fld = alg_a3.field
+    _, v, u, _, b = _chain(alg_a3)
+    dv = projective_module(alg_a3, v)[0].dim
+    d = np.concatenate([fld.identity(dv), b] if order == "vu" else [b, fld.identity(dv)], axis=1)
+    p = _projective_complex(alg_a3, {0: [v], 1: [v, u] if order == "vu" else [u, v]}, {0: d})
+    p_min, iota, proj = complexes._minimize(p)
+    assert (p_min.lo, p_min.hi) == (1, 1)
+    assert p_min.summand(1).vertices == [u]
+    assert p_min.term(1).key == projective_module(alg_a3, u)[0].key
+    assert replacement_problems(ctx, [(p, p_min, iota, proj)]) == []
+    assert ctx.replacement(p).p.key == p_min.key
+
+
+def test_minimize_leaves_minimal_and_single_degree_complexes(alg_a3):
+    p = _projective_complex(alg_a3, {0: [0, 1]}, {})
+    assert complexes._minimize(p)[0] is p
+    w, v, _, c, _ = _chain(alg_a3)
+    p = _projective_complex(alg_a3, {0: [w], 1: [v]}, {0: c})
+    p_min, iota, proj = complexes._minimize(p)
+    assert p_min is p and is_identity(iota) and is_identity(proj)
+
+
+def _e12_scenario():
+    from gluecat.scenarios import fixture_scenario
+
+    data = fixture_scenario("F2")
+    data["e_vertices"] = [1, 2]
+    return data
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "A3-e12"])
+def test_every_replacement_is_minimal(monkeypatch, name):
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    minimize, made = complexes._minimize, []
+
+    def recorded(p):
+        out = minimize(p)
+        made.append((p, *out))
+        return out
+
+    monkeypatch.setattr(complexes, "_minimize", recorded)
+    data = _e12_scenario() if name == "A3-e12" else fixture_scenario(name)
+    ctx = DerivedContext()
+    reports = run_suite(parse_scenario(data), ctx)
+    assert all(rep.counts()["pass"] == len(rep.cells) for rep in reports)
+    assert any(p_min is not p for p, p_min, _, _ in made)
+    assert replacement_problems(ctx, made) == []
 
 
 def _replaced_menu_terms(rec):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gluecat.field import PrimeField, is_prime
+from oracles import quotient_pi_dense
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,26 @@ def test_quotient_maps(f):
     assert np.array_equal(f.matmul(sigma, pi), f.identity(1))
     # span maps to zero
     assert not np.any(f.matmul(span, pi))
+
+
+@pytest.mark.parametrize("p", [2, 32003, 65521])
+@pytest.mark.parametrize("shape", [(0, 5), (3, 3), (5, 5), (2, 6), (4, 6), (7, 4)])
+def test_quotient_pi_matches_dense_formula(p, shape):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 7 * shape[0] + shape[1])
+    m = fld.matrix(rng.integers(0, p, size=shape))
+    if shape[0] > 2:
+        m[-1] = (m[0] + (p - 1) * m[1]) % p  # a dependent row
+    dim = shape[1]
+    spans = [m, fld.identity(dim), fld.zeros(0, dim), np.zeros((0, 0), dtype=np.int64)]
+    for span in spans:
+        pi, sigma, keep = fld.quotient_maps(span, dim)
+        assert pi.dtype == np.int64
+        assert np.array_equal(pi, quotient_pi_dense(fld, span, dim))
+        assert np.array_equal(sigma, fld.identity(dim)[keep])
+        assert not np.any(fld.matmul(span.reshape(-1, dim), pi))
+    assert fld.quotient_maps(fld.identity(dim), dim)[0].shape == (dim, 0)
+    assert np.array_equal(fld.quotient_maps(fld.zeros(0, dim), dim)[0], fld.identity(dim))
 
 
 @settings(max_examples=60, deadline=None)
