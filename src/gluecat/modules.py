@@ -640,6 +640,7 @@ class Cover:
     offsets: list[int]             # coordinate offset of each summand
     gen_coords: list[np.ndarray]   # generator of each summand, in module coords
     surjection: np.ndarray         # matrix P -> M
+    kernel: np.ndarray             # rows spanning the left kernel of surjection
 
 
 def projective_cover(m: RightModule) -> Cover:
@@ -657,7 +658,7 @@ def _build_cover(m: RightModule) -> Cover:
     a = m.algebra
     fld = m.field
     if m.dim == 0:
-        return Cover(zero_module(a), [], [], [], fld.zeros(0, 0))
+        return Cover(zero_module(a), [], [], [], fld.zeros(0, 0), fld.zeros(0, 0))
     rad_idx = a.radical_basis_indices()
     if rad_idx:
         rad_rows = np.concatenate([m.action[i] for i in rad_idx], axis=0)
@@ -690,9 +691,11 @@ def _build_cover(m: RightModule) -> Cover:
         full = np.zeros(p_mod.dim, dtype=np.int64)
         full[offsets[k]:offsets[k] + pm.dim] = gen
         gens.append(full)
-    if fld.rank(surj) != m.dim:
+    kernel = fld.left_kernel_basis(surj)
+    # rank-nullity: the rank of surj is P.dim minus its nullity
+    if p_mod.dim - kernel.shape[0] != m.dim:
         raise ValueError("projective cover: constructed map is not surjective")
-    return Cover(p_mod, summands, offsets, gens, surj)
+    return Cover(p_mod, summands, offsets, gens, surj, kernel)
 
 
 @dataclass
@@ -724,14 +727,13 @@ def resolution_data(m: RightModule, cap: int) -> ResolutionData:
         else:
             diffs.append(fld.matmul(cov.surjection, include_rows))
         covers.append(cov)
-        kernel_rows = fld.left_kernel_basis(cov.surjection)
-        if kernel_rows.shape[0] == 0:
+        if cov.kernel.shape[0] == 0:
             return ResolutionData(m, covers, diffs, augmentation)
         if len(covers) > cap:
             raise ResolutionExceedsCapError(
                 f"resolution of {m.name} exceeds cap {cap}"
             )
-        current, include_rows = submodule_from_rows(cov.module, kernel_rows)
+        current, include_rows = submodule_from_rows(cov.module, cov.kernel)
 
 
 def global_dimension(a: Algebra, cap: int) -> int:

@@ -16,7 +16,9 @@ The entry-loop evaluation blocks are the references for the whole-array
 blocks of the four primitive adjunction witnesses.
 ``replacement_problems`` checks minimal replacements independently of
 the top blocks the library reads: a complex of projectives is minimal
-when each differential lands in the radical of the next term.  The library helpers
+when each differential lands in the radical of the next term.  ``is_rref``
+checks a reduced row echelon form against its definition, with a rank
+on Python ints of its own.  The library helpers
 at the end (Ext by a projective resolution, the Euler characteristic,
 hom bases as module homs, the regular bimodule, the scalar Nakayama
 supertrace, the homotopy check) are used by the tests only.
@@ -382,6 +384,50 @@ def quotient_pi_dense(fld, span_rows, dim):
         scatter[pc, j] = 1
     reduced = (np.eye(dim, dtype=np.int64) - scatter @ rref_rows[:rank]) % fld.p
     return reduced[:, keep]
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) on Python ints: each row is inserted into an
+    echelon basis keyed by leading column, with no column scan."""
+    basis = {}
+    for row in rows:
+        v = [int(x) % p for x in row]
+        while any(v):
+            lead = next(i for i, x in enumerate(v) if x)
+            b = basis.get(lead)
+            if b is None:
+                inv = pow(v[lead], p - 2, p)
+                basis[lead] = [x * inv % p for x in v]
+                break
+            f = v[lead]
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+    return len(basis)
+
+
+def is_rref(fld, m, r, pivots, rank, limit=None) -> bool:
+    """Whether ``(r, pivots, rank)`` is the reduced row echelon form of
+    ``m`` with pivots searched in the first ``limit`` columns.
+
+    Checked from the definition: entries in [0, p), echelon shape with
+    unit pivots, each pivot column zero off its pivot, no pivot left in
+    the rows below the rank, as many pivots as the rank of the searched
+    columns, and the row space of ``m`` (stacking r onto m raises
+    neither rank).
+    """
+    p = fld.p
+    m = np.asarray(m) % p
+    limit = m.shape[1] if limit is None else limit
+    if r.dtype != np.int64 or r.shape != m.shape or np.any((r < 0) | (r >= p)):
+        return False
+    if rank != len(pivots) or pivots != sorted(set(pivots)) or any(c >= limit for c in pivots):
+        return False
+    for j, c in enumerate(pivots):
+        if r[j, c] != 1 or np.any(r[j, :c]) or np.count_nonzero(r[:, c]) != 1:
+            return False
+    if np.any(r[rank:, :limit]) or rank != rank_mod_p(m[:, :limit].tolist(), p):
+        return False
+    rk = rank_mod_p(m.tolist(), p)
+    return rank_mod_p(r.tolist(), p) == rk == rank_mod_p(m.tolist() + r.tolist(), p)
 
 
 def greedy_independent_rows(fld, m):

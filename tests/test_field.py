@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluecat.field import PrimeField, is_prime
-from oracles import quotient_pi_dense
+from gluecat.field import LIST_ENTRIES, LIST_ROWS, PrimeField, is_prime
+from oracles import is_rref, quotient_pi_dense
 
 
 @pytest.fixture(scope="module")
@@ -145,29 +145,156 @@ def test_quotient_pi_matches_dense_formula(p, shape):
     assert np.array_equal(fld.quotient_maps(fld.zeros(0, dim), dim)[0], fld.identity(dim))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.integers(1, 5),
-    st.lists(st.integers(0, 32002), min_size=25, max_size=25),
-)
-def test_rank_nullity(r, c, entries):
-    f = PrimeField(32003)
-    m = f.matrix(np.array(entries[: r * c]).reshape(r, c))
-    assert f.rank(m) + f.kernel_basis(m).shape[0] == c
+def _sparse(shape, density, p, seed):
+    """Random matrix with about ``density`` of its entries nonzero, and at
+    least one nonzero entry in each row."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    m = rng.integers(1, p, size=shape) * (rng.random(shape) < density)
+    if cols:
+        m[np.arange(rows), rng.integers(0, cols, size=rows)] = rng.integers(1, p, size=rows)
+    return m
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 4),
-    st.lists(st.integers(0, 32002), min_size=16, max_size=16),
-    st.lists(st.integers(0, 32002), min_size=4, max_size=4),
+_SEEDS = st.integers(0, 2**32 - 1)
+
+# sparse matrices above the list kernel's bound keep the array kernel
+# under the property tests below, whose original inputs it never sees
+_ABOVE_BOUND = st.builds(
+    _sparse,
+    st.tuples(st.integers(LIST_ROWS + 1, 40), st.integers(LIST_ENTRIES // LIST_ROWS + 1, 40)),
+    st.floats(0.02, 0.5),
+    st.just(32003),
+    _SEEDS,
 )
-def test_solve_composes_back(n, entries, target):
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.integers(1, 5),
+            st.integers(1, 5),
+            st.lists(st.integers(0, 32002), min_size=25, max_size=25),
+        ).map(lambda t: np.array(t[2][: t[0] * t[1]]).reshape(t[0], t[1])),
+        _ABOVE_BOUND,
+    )
+)
+def test_rank_nullity(entries):
     f = PrimeField(32003)
-    m = f.matrix(np.array(entries[: n * n]).reshape(n, n))
-    x0 = f.matrix(np.array(target[:n]))
+    m = f.matrix(entries)
+    assert f.rank(m) + f.kernel_basis(m).shape[0] == m.shape[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.integers(2, 4),
+            st.lists(st.integers(0, 32002), min_size=16, max_size=16),
+            st.lists(st.integers(0, 32002), min_size=4, max_size=4),
+        ).map(lambda t: (np.array(t[1][: t[0] ** 2]).reshape(t[0], t[0]), np.array(t[2][: t[0]]))),
+        st.builds(
+            lambda n, d, seed: (_sparse((n, n), d, 32003, seed), _sparse((1, n), 1.0, 32003, seed)[0]),
+            st.integers(LIST_ROWS + 1, 40),
+            st.floats(0.02, 0.5),
+            _SEEDS,
+        ),
+    )
+)
+def test_solve_composes_back(system):
+    f = PrimeField(32003)
+    entries, target = system
+    m = f.matrix(entries)
+    x0 = f.matrix(target)
     b = (m @ x0) % f.p
     x = f.solve(m, b)
     assert x is not None
     assert np.array_equal((m @ x) % f.p, b)
+
+
+# ----------------------------------------------------------------------
+# the two elimination kernels
+# ----------------------------------------------------------------------
+
+
+def _assert_kernels_agree(fld, m, limit):
+    """Both kernels give the same (R, pivots, rank), and it is the rref."""
+    a = np.asarray(m, dtype=np.int64) % fld.p
+    live = np.flatnonzero(a.any(axis=1)).tolist()
+    want = fld._rref_array(a.copy(), limit)
+    assert is_rref(fld, m, *want, limit=limit)
+    for got in (fld._rref_lists(a.copy(), limit), fld._rref_lists(a.copy(), limit, live)):
+        r, pivots, rank = got
+        assert r.dtype == np.int64 and np.array_equal(r, want[0])
+        assert pivots == want[1] and rank == want[2]
+        assert type(rank) is int and all(type(c) is int for c in pivots)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A prime, a matrix on either side of the bound, and a pivot limit.
+
+    Zero rows are interleaved at a drawn rate; tall matrices have more
+    than LIST_ROWS rows but only as many nonzero rows as the bound takes.
+    With a limit below the columns this is an augmented system, often an
+    inconsistent one.
+    """
+    p = draw(st.sampled_from([2, 3, 32003, 65521]))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(0, 2 * LIST_ROWS)), draw(st.integers(0, 24)))
+        keep = draw(st.floats(0, 1))
+    else:
+        shape = (draw(st.integers(LIST_ROWS + 1, 4 * LIST_ROWS)), draw(st.integers(1, LIST_ENTRIES // LIST_ROWS)))
+        keep = draw(st.integers(0, LIST_ROWS)) / shape[0]
+    seed = draw(_SEEDS)
+    m = _sparse(shape, draw(st.floats(0, 1)), p, seed)
+    m[np.random.default_rng(seed + 1).random(shape[0]) >= keep] = 0
+    return PrimeField(p), m, draw(st.integers(0, shape[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_inputs())
+def test_list_and_array_kernels_agree(case):
+    _assert_kernels_agree(*case)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_kernels_agree_on_empty_shapes(shape):
+    fld = PrimeField(3)
+    m = fld.zeros(*shape)
+    _assert_kernels_agree(fld, m, shape[1])
+    r, pivots, rank = fld.rref(m)
+    assert r.shape == shape and pivots == [] and rank == 0
+
+
+def test_kernels_agree_below_the_rank_of_an_inconsistent_system():
+    # row 0 of the array is zero and the first pivot sits in row 3: the
+    # array kernel swaps it into row 0, so rows 1 and 2 keep their order
+    # and row 1 gives the second pivot; both residues stay below the rank
+    fld = PrimeField(7)
+    m = fld.matrix([[0, 0, 0], [0, 1, 2], [0, 1, 5], [1, 0, 0]])
+    _assert_kernels_agree(fld, m, 2)
+    r, pivots, rank = fld.rref(m, pivot_cols_limit=2)
+    assert r.tolist() == [[1, 0, 0], [0, 1, 2], [0, 0, 3], [0, 0, 0]]
+    assert (pivots, rank) == ([0, 1], 2)
+    assert fld.solve_matrix(m[:, :2], m[:, 2:]) is None
+
+
+def test_rref_selects_kernel_by_nonzero_rows(monkeypatch):
+    calls = []
+    for name in ("_rref_lists", "_rref_array"):
+        kernel = getattr(PrimeField, name)
+        monkeypatch.setattr(
+            PrimeField, name, lambda self, *args, _k=kernel, _n=name: calls.append(_n) or _k(self, *args)
+        )
+    fld = PrimeField(32003)
+    cols = LIST_ENTRIES // LIST_ROWS
+    small = _sparse((LIST_ROWS, cols), 0.5, fld.p, 1)
+    tall = fld.zeros(10 * LIST_ROWS, cols)
+    tall[::10] = _sparse((LIST_ROWS, cols), 0.5, fld.p, 2)
+    large = _sparse((LIST_ROWS + 1, cols), 0.5, fld.p, 3)
+    wide = _sparse((1, LIST_ENTRIES + 1), 0.5, fld.p, 4)
+    for m in (small, tall, large, wide):
+        fld.rref(m)
+    assert calls == ["_rref_lists", "_rref_lists", "_rref_array", "_rref_array"]

@@ -303,6 +303,33 @@ def test_cover_of_projective_is_iso(alg_a3):
         assert cov.summands == [v]
 
 
+def test_memoised_covers_carry_the_kernel_of_their_surjection(monkeypatch):
+    # every cover built on F1-F3 is read back from its algebra's memo
+    from gluecat import modules
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    algebras = {}
+    build = modules._build_cover
+
+    def recorded(m):
+        algebras[id(m.algebra)] = m.algebra
+        return build(m)
+
+    monkeypatch.setattr(modules, "_build_cover", recorded)
+    for name in ("F1", "F2", "F3"):
+        run_suite(parse_scenario(fixture_scenario(name)))
+    covers = [cov for a in algebras.values() for cov in a._covers.values()]
+    assert len(covers) > 100
+    for cov in covers:
+        fld = cov.module.field
+        p_dim, m_dim = cov.surjection.shape
+        assert not cov.kernel.flags.writeable
+        assert np.array_equal(cov.kernel, fld.left_kernel_basis(cov.surjection))
+        assert not np.any(fld.matmul(cov.kernel, cov.surjection))
+        assert fld.rank(cov.surjection) == m_dim == p_dim - cov.kernel.shape[0]
+
+
 def test_resolution_of_projective_has_length_zero(alg_a3):
     p, _, _ = projective_module(alg_a3, 1)
     res = resolution_data(p, cap=5)
