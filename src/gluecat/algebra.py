@@ -83,14 +83,6 @@ class Quiver:
                         stack.append(t)
         return seen == self.n
 
-    def reversed(self) -> "Quiver":
-        return Quiver(
-            self.n,
-            tuple((t, s) for (s, t) in self.arrows),
-            self.arrow_labels,
-            self.vertex_labels,
-        )
-
 
 class Algebra:
     """Associative unital algebra via structure constants over GF(p).
@@ -161,9 +153,6 @@ class Algebra:
     # ------------------------------------------------------------------
     # element arithmetic
     # ------------------------------------------------------------------
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.mul_table) % self.field.p
 
     def right_mult_operator(self, y: np.ndarray) -> np.ndarray:
         """R(y) with x*y == x @ R(y).  R is multiplicative.

@@ -25,17 +25,18 @@ from .field import PrimeField
 from .modules import (
     Bimodule,
     Cover,
+    ResolutionExceedsCapError,
     RightModule,
     TensorResult,
     _hom_entry,
     _memo,
+    _restricted_action,
     _validate_once,
     direct_sum,
     hom_coords,
     k_dual,
     projective_cover,
     projective_module,
-    resolution_data,
     tensor_hom,
     tensor_over,
     zero_module,
@@ -504,6 +505,64 @@ def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
 
 
 # ----------------------------------------------------------------------
+# resolution by projective covers
+# ----------------------------------------------------------------------
+
+# degrees below x.lo that _resolve builds before it gives up
+RESOLUTION_CAP = 24
+
+
+def _resolve(x: BoundedComplex) -> tuple[BoundedComplex, dict[int, np.ndarray]]:
+    """``(p, q)``: a complex p of projectives with summand data, and the
+    components ``q[n]: p^n -> x^n`` of a quasi-isomorphism onto x.
+
+    Built from ``x.hi`` down.  In degree n,
+    K^n = {(v, u) in x^n + p^{n+1} : v d_x = u q^{n+1}, u d_p = 0}
+    is the left kernel of [[d_x^n, 0], [-q^{n+1}, d_p^{n+1}]], a
+    submodule of x^n + p^{n+1}.  p^n is its projective cover, and q^n and
+    d_p^n are the two blocks of the cover followed by the inclusion.  So
+    every cycle (u, v) of cone(q) is the boundary of a lift of (-v, u),
+    and the cone is acyclic.  Below ``x.lo``, where x^n = 0 and the rows
+    of K^{n+1} are independent, K^n is the kernel of the last cover,
+    which the cover carries.  The loop stops where that is zero, and
+    raises :class:`ResolutionExceedsCapError` past ``RESOLUTION_CAP``
+    degrees, as :func:`resolution_data` does.  On a stalk complex it
+    builds exactly the terms and maps of :func:`resolution_data`.
+    """
+    a, fld = x.algebra, x.field
+    terms: dict[int, RightModule] = {}
+    summands: dict[int, ProjSummands] = {}
+    diffs: dict[int, np.ndarray] = {}
+    q: dict[int, np.ndarray] = {}
+    up, q_up, d_up = zero_module(a), fld.zeros(0, 0), fld.zeros(0, 0)  # degree n + 1
+    n = x.hi
+    while True:
+        m = x.term(n)
+        if n >= x.lo:
+            zero = fld.zeros(m.dim, d_up.shape[1])
+            rows = fld.left_kernel_basis(np.block([[x.diff(n), zero], [fld.neg(q_up), d_up]]))
+        elif cov.kernel.shape[0] == 0:
+            break
+        elif n < x.lo - RESOLUTION_CAP:
+            raise ResolutionExceedsCapError(f"resolution of {x.name} exceeds cap {RESOLUTION_CAP}")
+        else:
+            rows = cov.kernel
+        size = m.dim + up.dim
+        action = np.zeros((a.dim, size, size), dtype=np.int64)
+        action[:, :m.dim, :m.dim], action[:, m.dim:, m.dim:] = m.action, up.action
+        if len(rows) < size:  # else K^n is everything and the rows are the identity
+            action = _restricted_action(a, rows, action)
+        cov = projective_cover(RightModule(a, action, name=f"K{n}({x.name})"))
+        image = fld.matmul(cov.surjection, rows)
+        terms[n] = cov.module
+        summands[n] = ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
+        q[n], diffs[n] = image[:, :m.dim], image[:, m.dim:]
+        up, q_up, d_up = cov.module, q[n], diffs[n]
+        n -= 1
+    return BoundedComplex(a, terms, diffs, summands=summands, name=f"P({x.name})"), q
+
+
+# ----------------------------------------------------------------------
 # duality
 # ----------------------------------------------------------------------
 
@@ -545,7 +604,10 @@ class Replacement:
     differential onto a summand e_v A of the next term, so every top
     block is zero.  ``inverse`` is a homotopy inverse of ``qis``,
     present when x has projective terms; ``qis`` followed by
-    ``inverse`` is then the identity of ``p``.
+    ``inverse`` is then the identity of ``p``.  Any other x is resolved
+    by covers (:func:`_resolve`), and ``inverse`` is None; on a stalk
+    complex ``p`` and ``qis`` are then the terms, differentials and
+    augmentation of :func:`~gluecat.modules.resolution_data`.
     """
 
     p: BoundedComplex
@@ -647,12 +709,14 @@ class DerivedContext:
 
     Replacements are minimal complexes of projectives.  A complex with
     projective terms is moved onto its covers, and any other complex is
-    resolved (one nonzero degree) or split into a cone of replaced
-    pieces; both routes then cancel, by :func:`_minimize`, every pair of
-    summands e_v A on which the differential is an isomorphism.  So the
-    hom complexes, lifts, certificates and tensors built on them are as
+    resolved by covers from its top degree down (:func:`_resolve`); both
+    routes then cancel, by :func:`_minimize`, every pair of summands
+    e_v A on which the differential is an isomorphism.  So the hom
+    complexes, lifts, certificates and tensors built on them are as
     small as the objects allow.  ``Replacement.inverse``, a homotopy
-    inverse of the qis, is present when x has projective terms.
+    inverse of the qis, is present when x has projective terms.  Neither
+    route builds a hom complex, a lift or a cone, so replacements sit
+    below the rest of the derived layer.
 
     The cache rule: every derived construction is keyed by the content
     of its inputs, as module constructions are.
@@ -690,8 +754,7 @@ class DerivedContext:
     way.
     """
 
-    def __init__(self, resolution_cap: int = 24):
-        self.resolution_cap = resolution_cap
+    def __init__(self):
         self._duals = _ContentMemo()
         self._replacements = _ContentMemo()
         self._hom_complexes = _ContentMemo()
@@ -732,22 +795,20 @@ class DerivedContext:
             p = zero_complex(a)
             return Replacement(p, ChainMap(p, x, {}), ChainMap(x, p, {}))
 
-        # fast path: every term already projective
-        covers: list[Cover] = []
-        all_proj = True
-        for n in x.degrees():
-            cov = projective_cover(x.term(n))
-            if cov.module.dim != x.term(n).dim:
-                all_proj = False
+        # fast path: every term already projective.  The terms are probed
+        # from the top, whose cover _resolve reuses when the probe fails.
+        covers: dict[int, Cover] = {}
+        for n in reversed(x.degrees()):
+            covers[n] = projective_cover(x.term(n))
+            if covers[n].module.dim != x.term(n).dim:
                 break
-            covers.append(cov)
-        if all_proj:
-            sigma = {n: covers[i].surjection for i, n in enumerate(x.degrees())}
+        else:
+            sigma = {n: cov.surjection for n, cov in covers.items()}
             sigma_inv = {n: fld.inv(s) if s.size else s for n, s in sigma.items()}
-            terms = {n: covers[i].module for i, n in enumerate(x.degrees())}
+            terms = {n: cov.module for n, cov in covers.items()}
             summands = {
-                n: ProjSummands(covers[i].summands, covers[i].offsets, covers[i].gen_coords)
-                for i, n in enumerate(x.degrees())
+                n: ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
+                for n, cov in covers.items()
             }
             diffs = {
                 n: fld.mul_chain(sigma[n], x.diff(n), sigma_inv[n + 1])
@@ -760,61 +821,9 @@ class DerivedContext:
             inverse = {n: fld.matmul(sigma_inv[n], c) for n, c in proj.comps.items()}
             return Replacement(p, ChainMap(p, x, qis), ChainMap(x, p, inverse))
 
-        nonzero = [n for n in x.degrees() if x.term(n).dim > 0]
-        if len(nonzero) == 1:
-            return self._resolve_stalk(x, nonzero[0])
-        return self._replace_by_splitting(x)
-
-    def _resolve_stalk(self, x: BoundedComplex, n: int) -> Replacement:
-        a = x.algebra
-        m = x.term(n)
-        res = resolution_data(m, self.resolution_cap)
-        terms = {}
-        summands = {}
-        diffs = {}
-        for k, cov in enumerate(res.covers):
-            terms[n - k] = cov.module
-            summands[n - k] = ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
-        for k in range(1, len(res.covers)):
-            diffs[n - k] = res.diffs[k - 1]
-        p = BoundedComplex(a, terms, diffs, summands=summands, name=f"P({x.name})")
-        qis = ChainMap(p, x, {n: res.augmentation})
-        return Replacement(p, qis, None)
-
-    def _replace_by_splitting(self, x: BoundedComplex) -> Replacement:
-        """x = cone(g) for g: (bottom stalk)[-1] -> (stupid truncation)."""
-        a = x.algebra
-        fld = x.field
-        lo = x.lo
-        bottom = stalk_complex(x.term(lo), lo + 1, name=f"{x.name}^{lo}[-1]")
-        upper = BoundedComplex(
-            a,
-            {n: x.term(n) for n in range(lo + 1, x.hi + 1)},
-            {n: x.diff(n) for n in range(lo + 1, x.hi)},
-            name=f"trunc({x.name})",
-        )
-        g = ChainMap(bottom, upper, {lo + 1: x.diff(lo)})
-        # the two pieces are built here and dropped after: shared by
-        # content, but not remembered by identity
-        rep_b = self._replacements.share((bottom,), self._build_replacement, Replacement._moved)
-        rep_u = self._replacements.share((upper,), self._build_replacement, Replacement._moved)
-        f_map = compose_maps(rep_b.qis, g)
-        lifted, htp = self.lift_through_qis(rep_b.p, f_map, rep_u.qis)
-        p, iota, _ = _minimize(cone(lifted, name=f"P({x.name})"))
-        # iota, then the map of cones [[q_b, -h], [0, q_u]] into cone(g) == x
-        comps = {}
-        for n, c in iota.comps.items():
-            b1 = rep_b.p.term(n + 1).dim
-            u0 = rep_u.p.term(n).dim
-            mat = fld.zeros(b1 + u0, x.term(n).dim)
-            xb = bottom.term(n + 1).dim  # x^{lo} block width at this degree
-            if b1:
-                mat[:b1, :xb] = rep_b.qis.comp(n + 1)
-                mat[:b1, xb:] = fld.neg(htp.comp(n + 1))
-            if u0:
-                mat[b1:, xb:] = rep_u.qis.comp(n)
-            comps[n] = fld.matmul(c, mat)
-        qis = ChainMap(p, x, comps)
+        p, q = _resolve(x)
+        p, iota, _ = _minimize(p)
+        qis = ChainMap(p, x, {n: fld.matmul(c, q[n]) for n, c in iota.comps.items()})
         if homology_dims(p) != homology_dims(x):
             raise RuntimeError("replacement lost homology — convention bug")
         return Replacement(p, qis, None)

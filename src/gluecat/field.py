@@ -77,9 +77,6 @@ class PrimeField:
     # constructors
     # ------------------------------------------------------------------
 
-    def matrix(self, rows) -> np.ndarray:
-        return np.asarray(rows, dtype=np.int64) % self.p
-
     def zeros(self, r: int, c: int) -> np.ndarray:
         return np.zeros((r, c), dtype=np.int64)
 
@@ -270,11 +267,6 @@ class PrimeField:
     def left_kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Rows spanning {v : v @ m == 0}."""
         return self.kernel_basis(m.T)
-
-    def solve(self, m: np.ndarray, b: np.ndarray):
-        """Some x with m @ x == b, or None if inconsistent."""
-        x = self.solve_matrix(m, b.reshape(-1, 1))
-        return None if x is None else x.reshape(-1)
 
     def solve_matrix(self, m: np.ndarray, b: np.ndarray):
         """Some X with m @ X == B, or None."""

@@ -285,7 +285,7 @@ def corner_table_loop(a, basis):
     mul = np.zeros((c, c, c), dtype=np.int64)
     for i in range(c):
         for j in range(c):
-            prod = a.multiply(basis[i], basis[j])
+            prod = multiply(a, basis[i], basis[j])
             mul[i, j] = fld.coords_in_rows(basis, prod.reshape(1, -1))[0]
     return mul
 
@@ -489,7 +489,7 @@ def quotient_table_loop(a, sigma, pi):
     mul = np.zeros((q, q, q), dtype=np.int64)
     for i in range(q):
         for j in range(q):
-            mul[i, j] = fld.matmul(a.multiply(sigma[i], sigma[j]).reshape(1, -1), pi)[0]
+            mul[i, j] = fld.matmul(multiply(a, sigma[i], sigma[j]).reshape(1, -1), pi)[0]
     return mul
 
 
@@ -517,7 +517,7 @@ def shriek_pullback_eval_loop(rec, x, d, psi):
     xtens = rec.functor("j^*").aux(x)["tensors"][d]
     n_ea, xdim = rec.eA_rows.shape[0], x.term(d).dim
     ops = {
-        (j, l): x.term(d).operator(a.multiply(rec.Ae_rows[j], rec.eA_rows[l]))
+        (j, l): x.term(d).operator(multiply(a, rec.Ae_rows[j], rec.eA_rows[l]))
         for j in range(xtens.w_dim)
         for l in range(n_ea)
     }
@@ -587,20 +587,36 @@ def star_push_counit_loop(rec, n_obj, d):
 # ----------------------------------------------------------------------
 
 
+def matrix(fld, rows) -> np.ndarray:
+    """``rows`` as an int64 array reduced mod p."""
+    return np.asarray(rows, dtype=np.int64) % fld.p
+
+
+def solve(fld, m, b):
+    """Some x with m @ x == b, or None: one column of ``solve_matrix``."""
+    x = fld.solve_matrix(m, b.reshape(-1, 1))
+    return None if x is None else x.reshape(-1)
+
+
+def multiply(a, x, y) -> np.ndarray:
+    """Coordinates of the product x * y in the algebra ``a``."""
+    return np.einsum("i,j,ijk->k", x, y, a.mul_table) % a.field.p
+
+
 def ext_dims(m, n, max_deg: int) -> list[int]:
     """dim Ext^k(M, N) for k = 0..max_deg via a projective resolution.
 
     Independent of the complex machinery, so it serves as an oracle for
-    the derived-category route.  The resolution runs under the default
-    resolution cap of :class:`~gluecat.complexes.DerivedContext`.
+    the derived-category route.  The resolution runs under the cap of
+    the replacements, :data:`gluecat.complexes.RESOLUTION_CAP`.
     """
-    from gluecat.complexes import DerivedContext
+    from gluecat import complexes
     from gluecat.modules import hom_basis_matrices, resolution_data
 
     fld = m.field
     if m.dim == 0 or n.dim == 0:
         return [0] * (max_deg + 1)
-    res = resolution_data(m, cap=DerivedContext().resolution_cap)
+    res = resolution_data(m, cap=complexes.RESOLUTION_CAP)
     terms = [c.module for c in res.covers][: max_deg + 2]
     hom_bases = [hom_basis_matrices(t, n) for t in terms]
     # delta_k : Hom(P_k, N) -> Hom(P_{k+1}, N), g -> d_{k+1} then g

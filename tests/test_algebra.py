@@ -12,7 +12,7 @@ from gluecat.algebra import (
 )
 from gluecat.field import PrimeField
 
-from oracles import count_paths, paths_between_sets, paths_through
+from oracles import count_paths, multiply, paths_between_sets, paths_through
 
 
 def test_cyclic_quiver_rejected(gf):
@@ -38,10 +38,10 @@ def test_kronecker_dimension(alg_kron, q_kron):
 def test_path_products_follow_right_to_left_composition(alg_a2):
     # a = e2 * a * e1
     e1, e2, a = (alg_a2.basis_vector(i) for i in range(3))
-    assert np.array_equal(alg_a2.multiply(e2, a), a)
-    assert np.array_equal(alg_a2.multiply(a, e1), a)
-    assert not np.any(alg_a2.multiply(a, e2))
-    assert not np.any(alg_a2.multiply(e1, a))
+    assert np.array_equal(multiply(alg_a2, e2, a), a)
+    assert np.array_equal(multiply(alg_a2, a, e1), a)
+    assert not np.any(multiply(alg_a2, a, e2))
+    assert not np.any(multiply(alg_a2, e1, a))
 
 
 def test_opposite_is_involutive(alg_a3):
@@ -53,7 +53,7 @@ def test_opposite_is_involutive(alg_a3):
 
 
 def test_opposite_of_a2_is_reversed_quiver(alg_a2, gf, q_a2):
-    rev = path_algebra(q_a2.reversed(), gf)
+    rev = path_algebra(Quiver(q_a2.n, tuple((t, s) for s, t in q_a2.arrows)), gf)
     assert np.array_equal(opposite(alg_a2).mul_table, rev.mul_table)
 
 

@@ -59,6 +59,8 @@ from oracles import (
     hom_system_kron,
     ideal_rows_loop,
     insert_right_loop,
+    matrix,
+    multiply,
     push_shriek_unit_loop,
     quotient_table_loop,
     regular_bimodule,
@@ -316,7 +318,7 @@ def test_generators_split_a_mixed_lift_into_vertex_parts():
     b = _mixed_basis_algebra()
     gens, src, tgt = _generators(b)
     for g, s, t in zip(gens, src, tgt):
-        assert np.array_equal(b.multiply(b.multiply(b.idempotent_vector(s), g), b.idempotent_vector(t)), g)
+        assert np.array_equal(multiply(b, multiply(b, b.idempotent_vector(s), g), b.idempotent_vector(t)), g)
     # a + b splits into a = e2 a e1 and b = e3 b e2; b itself is the second lift
     assert [(int(s), int(t)) for s, t in zip(src, tgt)] == [(1, 0), (2, 1), (2, 1)]
     mods = _family(b)
@@ -349,7 +351,7 @@ def test_hom_entries_in_a_twisted_basis_match_dense_kernel():
     a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(32003))
     fld = a.field
     reg, _ = direct_sum(projectives(a))
-    g = fld.matrix(np.random.default_rng(11).integers(0, fld.p, size=(reg.dim, reg.dim)))
+    g = matrix(fld, np.random.default_rng(11).integers(0, fld.p, size=(reg.dim, reg.dim)))
     twisted = RightModule(a, np.stack([fld.mul_chain(fld.inv(g), op, g) for op in reg.action]))
     for m, n in [(twisted, twisted), (reg, twisted), (twisted, reg)] + [(twisted, s) for s in simples(a)]:
         _same_entry(m, n)

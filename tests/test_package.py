@@ -1,5 +1,6 @@
 """Package surface: every exported name exists, and every top-level
-function and class of the library is used outside the tests."""
+function and class of the library, and every method of such a class, is
+used outside the tests."""
 
 import ast
 import importlib
@@ -22,29 +23,45 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def _top_level(tree):
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [n for n in tree.body if isinstance(n, kinds)]
+KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """``(qualified name, node)`` of each top-level definition and of each
+    method of a top-level class, dunders excepted."""
+    out = []
+    for top in tree.body:
+        if isinstance(top, KINDS):
+            out.append((top.name, top))
+        if isinstance(top, ast.ClassDef):
+            out += [(f"{top.name}.{n.name}", n) for n in top.body
+                    if isinstance(n, KINDS) and not n.name.startswith("__")]
+    return out
+
+
+def _reads(node, own=frozenset()):
+    """Names read in ``node`` (a Name or an attribute), except those of
+    the definitions they sit in."""
+    if isinstance(node, KINDS):
+        own = own | {node.name}
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, own)
 
 
 def test_every_library_definition_is_referenced():
-    # a name counts as used where it is read (a Name or an attribute),
+    # a function, class or method counts as used where its name is read
     # outside its own definition; imports and __all__ strings do not count
     used = set()
     for d in USER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            defined = _top_level(tree)
-            for top in tree.body:
-                own = top.name if top in defined else None
-                for node in ast.walk(top):
-                    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                    if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-                        used.add(name)
+            used.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
     unused = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{qual}"
         for path in sorted((ROOT / "src" / "gluecat").glob("*.py"))
-        for node in _top_level(ast.parse(path.read_text(encoding="utf-8")))
+        for qual, node in _definitions(ast.parse(path.read_text(encoding="utf-8")))
         if node.name not in used
     ]
     assert not unused, f"referenced by nothing in {', '.join(USER_DIRS)}: {unused}"
