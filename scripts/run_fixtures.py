@@ -3,7 +3,8 @@
 print a summary table with timings.
 
 Per fixture it also prints, for duals, replacements, hom complexes, hom
-spaces and lifts, how many were built against how many were asked for,
+spaces, derived Hom dimension tables and lifts, how many were built
+against how many were asked for,
 as counted by the content memos of the derived context, and the summed
 and the largest term dimension of the projective replacements built.
 """
@@ -18,7 +19,7 @@ from gluecat.cli import run_suite
 from gluecat.complexes import DerivedContext
 from gluecat.scenarios import fixture_scenario, parse_scenario
 
-MEMOS = ("dual", "replacement", "hom_complex", "hom_space", "lift")
+MEMOS = ("dual", "replacement", "hom_complex", "hom_space", "derived_hom_dims", "lift")
 
 
 def main():

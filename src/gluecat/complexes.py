@@ -30,8 +30,10 @@ from .modules import (
     TensorResult,
     _hom_entry,
     _memo,
+    _operators,
     _restricted_action,
     _validate_once,
+    _weights,
     direct_sum,
     hom_coords,
     k_dual,
@@ -404,6 +406,73 @@ def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
     return out
 
 
+def _projective_hom_dims(p: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
+    """Nonzero homology dimensions of Hom(p, y), for p with projective
+    terms and summand data, in Yoneda coordinates: no module-hom basis.
+
+    Hom_A(e_v A, N) = N e_v, so Hom^n(p, y) is the sum over the summands
+    s (at vertex v_s, generator g_s) of each p^i of y^{i+n} e_{v_s}, with
+    the coordinates of f(g_s) in the weight basis Q of y^{i+n}.  With
+    j = i + n, the differential f |-> f d_y - (-1)^n d_p f has a block
+    (i, s) -> (i, s), W_{v_s}(y^j) d_y^j Q^-1(y^{j+1})[:, v_s], and a
+    block (i, s) -> (i-1, t), -(-1)^n W_{v_s}(y^j) a_st Q^-1(y^j)[:, v_t],
+    where W_v are the rows of Q at v and a_st in e_{v_s} A e_{v_t} is the
+    s-block of g_t d_p^{i-1}, read in A through the rows of
+    :func:`~gluecat.modules.projective_module` and acting on y^j.
+    """
+    if p.is_zero() or y.is_zero():
+        return {}
+    a, fld = p.algebra, p.field
+    w = {j: _weights(y.term(j)) for j in y.degrees()}
+    dy = {j: fld.mul_chain(w[j].basis, y.diff(j), w[j + 1].inverse) for j in range(y.lo, y.hi)}
+    # a_st of each degree i, one (#t, dim A) stack per summand s of p^i
+    a_st: dict[int, list[np.ndarray]] = {}
+    for i in range(p.lo + 1, p.hi + 1):
+        src, tgt = p.summand(i - 1), p.summand(i)
+        if src.gens and tgt.gens:
+            images = fld.matmul(np.stack(src.gens), p.diff(i - 1))
+            a_st[i] = []
+            for v, off in zip(tgt.vertices, tgt.offsets):
+                rows = projective_module(a, v)[1]
+                a_st[i].append(fld.matmul(images[:, off:off + len(rows)], rows))
+    summands = [(i, s, v) for i in p.degrees() for s, v in enumerate(p.summand(i).vertices)]
+
+    def layout(n: int) -> tuple[dict[tuple[int, int], slice], int]:
+        """The slice of each summand (i, s) in Hom^n, and dim Hom^n."""
+        out, off = {}, 0
+        for i, s, v in summands:
+            size = int(w[i + n].sizes[v]) if i + n in w else 0
+            out[i, s] = slice(off, off + size)
+            off += size
+        return out, off
+
+    def block(wts, v: int) -> slice:
+        return slice(wts.offsets[v], wts.offsets[v] + wts.sizes[v])
+
+    def diff(n: int) -> np.ndarray:
+        (rows, dim), (cols, dim1) = layout(n), layout(n + 1)
+        out = fld.zeros(dim, dim1)
+        sign = 1 if n % 2 == 0 else -1
+        for i in p.degrees():
+            j = i + n
+            if j not in w:
+                continue
+            wj = w[j]
+            for s, v in enumerate(p.summand(i).vertices):
+                if j + 1 in w:
+                    out[rows[i, s], cols[i, s]] = dy[j][block(wj, v), block(w[j + 1], v)]
+                if i in a_st and wj.sizes[v]:
+                    ops = _operators(a_st[i][s], y.term(j).action, fld.p)
+                    images = fld.matmul(fld.matmul(wj.basis[block(wj, v)], ops), wj.inverse)
+                    for t, u in enumerate(p.summand(i - 1).vertices):
+                        image = images[t][:, block(wj, u)]
+                        out[rows[i, s], cols[i - 1, t]] = (-sign * image) % fld.p
+        return out
+
+    dims = {n: layout(n)[1] for n in range(y.lo - p.hi, y.hi - p.lo + 1)}
+    return _homology(fld, dims, diff)
+
+
 # ----------------------------------------------------------------------
 # minimal complexes of projectives
 # ----------------------------------------------------------------------
@@ -735,8 +804,9 @@ class DerivedContext:
       shares its matrices but carries the caller's complexes; lifted
       maps sit on the caller's ``p``, ``y`` and ``x``; matrices are
       plain numbers in shared bases and are shared as they are.  So one
-      hom complex per content of ``(p, y)`` serves hom spaces, derived
-      Hom, certificates and lifts.  The memos read with ``get`` give the
+      hom complex per content of ``(p, y)`` serves hom spaces,
+      certificates and lifts; derived Hom dimensions build none
+      (:func:`_projective_hom_dims`).  The memos read with ``get`` give the
       same objects the identical value on every request, so adjunction
       formulas may rely on ``replacement(x).p`` being one complex per
       content.  Nothing mutates a memoised value.
@@ -901,7 +971,7 @@ class DerivedContext:
         return dict(self._hom_dims.get((x, y), self._build_hom_dims, _same))
 
     def _build_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
-        return self.hom_complex(self.replacement(x).p, y).homology_dims()
+        return _projective_hom_dims(self.replacement(x).p, y)
 
     # -- tensors --------------------------------------------------------
 
@@ -987,11 +1057,12 @@ class HomComplex:
     Term n is the direct sum over i of Hom_A(p^i, y^{i+n}) in the cached
     module-hom bases; the differential is f |-> f d_y - (-1)^n d_p f.
     When p has projective terms (or y injective ones) its homology
-    computes derived Hom dimensions degreewise.
+    computes derived Hom degreewise; the dimensions alone come from
+    :func:`_projective_hom_dims`, which builds no module-hom basis.
 
     Terms and differentials are built on first use (a hom space needs d^-1
-    and d^0, a lift d^0, ``homology_dims`` all), and the copies made by
-    :meth:`_moved` share them.
+    and d^0, a lift d^0), and the copies made by :meth:`_moved` share
+    them.
     """
 
     def __init__(self, p: BoundedComplex, y: BoundedComplex):
@@ -1081,9 +1152,6 @@ class HomComplex:
             d.setflags(write=False)
             self.diffs[n] = d
         return d
-
-    def homology_dims(self) -> dict[int, int]:
-        return _homology(self.fld, {n: self.dim(n) for n in range(self.lo, self.hi + 1)}, self.diff)
 
     def cycle_space(self, n: int) -> np.ndarray:
         if self.dim(n) == 0:

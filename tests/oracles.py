@@ -8,7 +8,9 @@ each Gram entry on its own, with one lift and one supertrace per entry.
 ``hom_coords_by_elimination`` is the reference for hom coordinates: it
 solves for them in the hom basis by Gaussian elimination.
 ``lifts_entrywise`` is the reference for lifts through a quasi-isomorphism:
-it writes the chain-map and homotopy equations entry by entry.  The
+it writes the chain-map and homotopy equations entry by entry.
+``hom_complex_dims`` is the reference for derived Hom dimensions: it
+ranks the differentials of the Hom complex in module-hom bases.  The
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
@@ -174,6 +176,26 @@ def lifts_entrywise(p, s, fs):
         )
         for t in range(len(fs))
     ]
+
+
+# ----------------------------------------------------------------------
+# derived Hom dimensions through the Hom complex
+# ----------------------------------------------------------------------
+
+
+def hom_complex_dims(p, y):
+    """Nonzero homology dimensions of the total Hom complex Hom(p, y),
+    built in module-hom bases: one hom basis per pair of terms, and
+    coordinates read off the free columns of those bases, each image
+    checked to be a hom.  For p with projective terms
+    these are the derived Hom dimensions, the reference for the Yoneda
+    route of ``DerivedContext.derived_hom_dims``.  The complex is built
+    outside any context, so no memo counts move.
+    """
+    from gluecat.complexes import HomComplex, _homology
+
+    hc = HomComplex(p, y)
+    return _homology(hc.fld, {n: hc.dim(n) for n in range(hc.lo, hc.hi + 1)}, hc.diff)
 
 
 # ----------------------------------------------------------------------

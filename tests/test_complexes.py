@@ -38,11 +38,14 @@ from gluecat.modules import (
     regular_module,
     zero_module,
 )
+from gluecat.cli import run_suite
 from gluecat.recollement import build_recollement, default_menus
+from gluecat.scenarios import fixture_scenario, parse_scenario
 
 from oracles import (
     euler_characteristic,
     ext_dims,
+    hom_complex_dims,
     hom_coords_by_elimination,
     homotopy_witnesses,
     is_identity,
@@ -708,17 +711,19 @@ def test_content_equal_pairs_share_one_hom_complex(ctx, alg_a3):
         # built on first use, through either copy, and then shared
         assert hc2.diff(0) is hc.diff(0) and hc2.diffs is hc.diffs
         assert hc.diff(-1) is hc2.diff(-1)
-    # hom spaces, derived Hom and lifts out of one replacement into
-    # content-equal targets all use the first complex built
+    # hom spaces and lifts out of one replacement into content-equal
+    # targets use the first complex built; derived Hom dimensions
+    # neither build nor ask for one
     ctx = DerivedContext()
     x, twin = _twins(alg_a3)[0]
     rep = ctx.replacement(x)
     hc = ctx.hom_space(x, x).hc
+    counts = ctx.memo_counts()["hom_complex"]
     assert ctx.derived_hom_dims(x, twin) == {0: 1}
+    assert ctx.memo_counts()["hom_complex"] == counts == (1, 1)
     assert ctx.hom_space(twin, x).hc.diffs is hc.diffs
     ctx.lift_through_qis(rep.p, rep.qis, identity_map(x))
-    builds, requests = ctx.memo_counts()["hom_complex"]
-    assert builds == 1 and requests >= 4
+    assert ctx.memo_counts()["hom_complex"] == (1, 3)
 
 
 # ----------------------------------------------------------------------
@@ -791,6 +796,116 @@ def test_derived_hom_invariant_under_replacement(ctx, alg_a2):
     p1 = stalk_complex(projective_module(alg_a2, 0)[0])
     assert ctx.derived_hom_dims(s2, p1) == ctx.derived_hom_dims(rep.p, p1)
     assert ctx.derived_hom_dims(p1, s2) == ctx.derived_hom_dims(p1, rep.p)
+
+
+def _checked_hom_dims(ctx, x, y):
+    """``derived_hom_dims(x, y)``, checked against the Hom complex."""
+    got = ctx.derived_hom_dims(x, y)
+    assert got == hom_complex_dims(ctx.replacement(x).p, y), (x.name, y.name)
+    return got
+
+
+def test_derived_hom_dims_match_the_hom_complex_on_the_fixtures(monkeypatch):
+    # every pair the F1-F3 suites ask for, in Yoneda coordinates, against
+    # the Hom complex in module-hom bases; no hom complex is asked for.
+    # The suites turn exceptions into cells, so the spy only records.
+    build = DerivedContext._build_hom_dims
+    pairs, wrong = [], []
+
+    def spy(self, x, y):
+        counts = self.memo_counts()["hom_complex"]
+        got = build(self, x, y)
+        asked = self.memo_counts()["hom_complex"] != counts
+        pairs.append((x.name, y.name))
+        if asked or got != hom_complex_dims(self.replacement(x).p, y):
+            wrong.append(pairs[-1])
+        return got
+
+    monkeypatch.setattr(DerivedContext, "_build_hom_dims", spy)
+    for name in ("F1", "F2", "F3"):
+        run_suite(parse_scenario(fixture_scenario(name)), DerivedContext())
+    assert len(pairs) == 1047 and wrong == []
+
+
+PRIME_CASES = {
+    "A3, e = {2}": (Quiver(3, ((0, 1), (1, 2))), [1]),
+    "D4 centre": (Quiver(4, ((0, 3), (1, 3), (2, 3))), [3]),
+    "Kronecker": (Quiver(2, ((0, 1), (0, 1))), [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIME_CASES))
+def test_derived_hom_dims_do_not_depend_on_the_prime(case):
+    # the dimensions are those over any prime; -1 = 1 only at p = 2
+    quiver, e = PRIME_CASES[case]
+    tables = []
+    for p in (2, 3, 32003):
+        rec = build_recollement(path_algebra(quiver, PrimeField(p)), e, seed=17)
+        tables.append({
+            (tag, xn, yn): _checked_hom_dims(rec.ctx, x, y)
+            for tag, menu in default_menus(rec).items()
+            for xn, x in menu
+            for yn, y in menu
+        })
+    assert tables[0] == tables[1] == tables[2]
+    assert any(n != 0 for dims in tables[0].values() for n in dims)
+
+
+def test_derived_hom_dims_with_a_zero_side(ctx, alg_a3):
+    zero = zero_complex(alg_a3)
+    for x in _stalks(alg_a3):
+        assert _checked_hom_dims(ctx, zero, x) == {}
+        assert _checked_hom_dims(ctx, x, zero) == {}
+    assert ctx.memo_counts()["hom_complex"] == (0, 0)
+
+
+def test_derived_hom_dims_with_a_zero_weight_space():
+    # over 1 -> 2 -> 3 at p = 3, S2 is resolved by P1 -> P2; S1 is zero
+    # at vertex 2, S2 at vertex 1, and S3 at both
+    a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(3))
+    ctx = DerivedContext()
+    s1, s2, s3 = (stalk_complex(m) for m in simples(a))
+    assert [ctx.replacement(s2).p.summand(n).vertices for n in (-1, 0)] == [[0], [1]]
+    assert _checked_hom_dims(ctx, s2, s2) == {0: 1}
+    assert _checked_hom_dims(ctx, s2, s1) == {1: 1}
+    assert _checked_hom_dims(ctx, s2, s3) == {}
+    assert _checked_hom_dims(ctx, s1, s2) == {}
+
+
+def test_derived_hom_dims_in_odd_shifts():
+    # Hom(x, y[k]) is Hom(x, y) moved by k, at p = 3 where -1 != 1.  An
+    # odd k moves the sign (-1)^n of the d_p blocks to the other degrees.
+    # No sign of those blocks can change one rank (scaling the blocks of
+    # p^i by (-1)^i on both sides flips it), so these cases check the
+    # degree bookkeeping of the blocks.
+    a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(3))
+    rec = build_recollement(a, [1], seed=17)
+    menu = [x for _, x in default_menus(rec)["A"]]
+    for x in menu:
+        for y in menu:
+            dims = _checked_hom_dims(rec.ctx, x, y)
+            for k in (-1, 1, 3):
+                moved = {n - k: d for n, d in dims.items()}
+                assert _checked_hom_dims(rec.ctx, x, shift(y, k)) == moved
+                assert _checked_hom_dims(rec.ctx, shift(x, -k), y) == moved
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_derived_hom_dims_over_the_kronecker_quiver(p):
+    # S2 is resolved by P1 + P1 -> P2, whose two generators go to the two
+    # parallel arrows: the blocks a_st are two different arrows
+    a = path_algebra(Quiver(2, ((0, 1), (0, 1))), PrimeField(p))
+    ctx = DerivedContext()
+    s2 = stalk_complex(simple_module(a, 1))
+    rep = ctx.replacement(s2).p
+    assert rep.summand(-1).vertices == [0, 0] and rep.summand(0).vertices == [1]
+    p1, p2 = (stalk_complex(projective_module(a, v)[0]) for v in (0, 1))
+    s1 = stalk_complex(simple_module(a, 0))
+    assert _checked_hom_dims(ctx, s2, s1) == {1: 2}
+    assert _checked_hom_dims(ctx, s2, p1) == {1: 2}
+    assert _checked_hom_dims(ctx, s2, p2) == {1: 3}
+    assert _checked_hom_dims(ctx, s2, s2) == {0: 1}
+    assert _checked_hom_dims(ctx, s1, s2) == {}
 
 
 # ----------------------------------------------------------------------
