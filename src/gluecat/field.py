@@ -254,15 +254,24 @@ class PrimeField:
 
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Rows spanning the right null space  {v : m @ v == 0}."""
-        cols = m.shape[1]
-        r, pivots, _ = self.rref(m)
-        free = [c for c in range(cols) if c not in pivots]
-        out = self.zeros(len(free), cols)
-        for k, c in enumerate(free):
-            out[k, c] = 1
-            for j, pc in enumerate(pivots):
-                out[k, pc] = (-r[j, c]) % self.p
+        r, pivots, rank = self.rref(m)
+        free = self._free_columns(m.shape[1], pivots)
+        # row k has a 1 at free column k and minus that column of the
+        # rref at the pivots
+        out = self.zeros(free.size, m.shape[1])
+        out[np.arange(free.size), free] = 1
+        block = r[:rank, free]
+        np.subtract(self.p, block, out=block)
+        block %= self.p
+        out[:, pivots] = block.T
         return out
+
+    @staticmethod
+    def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:
+        """The columns of ``range(cols)`` that are not pivots, in order."""
+        is_pivot = np.zeros(cols, dtype=bool)
+        is_pivot[pivots] = True
+        return (~is_pivot).nonzero()[0]
 
     def left_kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Rows spanning {v : v @ m == 0}."""
@@ -312,11 +321,12 @@ class PrimeField:
         if span_rows.size == 0:
             span_rows = self.zeros(0, dim)
         rref_rows, pivots, rank = self.rref(span_rows)
-        keep = [c for c in range(dim) if c not in pivots]
+        keep = self._free_columns(dim, pivots)
         # a kept coordinate is its own class; a pivot coordinate is minus
         # the rest of its rref row
-        pi = self.zeros(dim, len(keep))
-        pi[keep, np.arange(len(keep))] = 1
+        pi = self.zeros(dim, keep.size)
+        pi[keep, np.arange(keep.size)] = 1
         pi[pivots] = self.neg(rref_rows[:rank, keep])
-        sigma = self.identity(dim)[keep, :]
-        return pi, sigma, keep
+        sigma = self.zeros(keep.size, dim)
+        sigma[np.arange(keep.size), keep] = 1
+        return pi, sigma, keep.tolist()

@@ -540,7 +540,13 @@ def k_dual(m: RightModule) -> RightModule:
 
 @dataclass
 class TensorResult:
-    """M (x)_R W presented on the non-pivot coordinates of M (x)_k W."""
+    """M (x)_R W presented on the non-pivot coordinates of M (x)_k W.
+
+    Every kept coordinate (a, b) lies in the graded ambient
+    (+)_v M e_v (x) e_v W, so ``pi`` is zero on the rows of the pairs
+    whose vertices differ, and ``section`` is the unit rows at the kept
+    coordinates.
+    """
 
     module: RightModule
     pi: np.ndarray        # ambient (m*w) x q projection
@@ -555,56 +561,100 @@ class TensorResult:
         return fld.matmul(w_coords, pi)
 
 
-def tensor_over(m: RightModule, w: Bimodule, name: str = "") -> TensorResult:
+def tensor_over(m: RightModule, w: Bimodule) -> TensorResult:
     """Quotient of M (x)_k W by the relations (v a) ⊗ x - v ⊗ (a x).
 
-    Memoised on ``w`` by the content of M and ``name``; the shared result
-    is read-only and its module keeps the name of the first build.
+    Valid when the bases of M and W are split by vertex: each idempotent
+    e_v acts on M, and on W from the left, as a 0/1 diagonal, as it does
+    on every module and bimodule :mod:`gluecat` builds.  Then the
+    quotient is that of the graded ambient (+)_v M e_v (x) e_v W by one
+    relation block per generator part; a ``ValueError`` names M or W if
+    its basis is not split.  Memoised on ``w`` by the content of M; the
+    shared result is read-only and its module keeps the name of the
+    first build.
     """
     if m.algebra is not w.left_algebra:
         raise ValueError(
             f"tensor_over: module over {m.algebra.name} but bimodule is left-{w.left_algebra.name}"
         )
-    return _memo(w._tensors, m.key + (name,), lambda: _build_tensor(m, w, name))
+    return _memo(w._tensors, m.key, lambda: _build_tensor(m, w))
 
 
-def _build_tensor(m: RightModule, w: Bimodule, name: str) -> TensorResult:
+def _build_tensor(m: RightModule, w: Bimodule) -> TensorResult:
     fld = m.field
     amb = m.dim * w.dim
     if amb == 0:
         res = zero_module(w.right_algebra)
         return TensorResult(res, fld.zeros(amb, 0), fld.zeros(0, amb), m.dim, w.dim)
-    pi, sigma, keep = fld.quotient_maps(_tensor_relations(m, w), amb)
-    q = pi.shape[1]
+    idem = m.algebra.idempotent_indices
+    vm = _vertex_of(m.action[idem], m.name)
+    vw = _vertex_of(w.left_action[idem], w.name)
+    # The relations of the idempotents span the unit vectors off the
+    # weight-diagonal coordinates S, and those of the generators split
+    # into that span and rows supported on S.  So the rref of all the
+    # relations is the off-S units together with the rref of the rows on
+    # S, whose columns keep their ambient order.
+    diagonal = np.flatnonzero(vm[:, None] == vw)
+    pi_s, _, keep_s = fld.quotient_maps(_graded_tensor_relations(m, w, vm, vw), diagonal.size)
+    q = len(keep_s)
+    keep = diagonal[keep_s]
+    pi = fld.zeros(amb, q)
+    pi[diagonal] = pi_s
+    sigma = fld.zeros(q, amb)
+    sigma[np.arange(q), keep] = 1
     ra = w.right_algebra
     if q == 0:
         mod = zero_module(ra)
     else:
-        # sigma (1 (x) W_i) pi: sigma keeps the rows ``keep``, and row
-        # (a, b) of (1 (x) W_i) pi is W_i[b] applied to the block a of pi
-        blocks = fld.matmul(w.right_action[:, None], pi.reshape(m.dim, w.dim, q))
-        action = blocks.reshape(ra.dim, amb, q)[:, keep]
-        mod = RightModule(ra, action, name=name or f"{m.name}⊗{w.name}")
+        # sigma (1 (x) W_i) pi: row (a, b) of (1 (x) W_i) pi is W_i[b]
+        # applied to the block a of pi, needed at the kept rows only
+        ka, kb = np.divmod(keep, w.dim)
+        blocks = fld.matmul(w.right_action[:, kb, None, :], pi.reshape(m.dim, w.dim, q)[ka])
+        mod = RightModule(ra, blocks[:, :, 0], name=f"{m.name}⊗{w.name}")
     return TensorResult(mod, pi, sigma, m.dim, w.dim)
 
 
-def _tensor_relations(m: RightModule, w: Bimodule) -> np.ndarray:
-    """Rows ``M_x (x) 1 - 1 (x) W_x`` for x over the idempotents and the
-    generators, stacked: the relations (v x) (x) y - v (x) (x y) of M (x) W.
+def _vertex_of(idempotents: np.ndarray, name: str) -> np.ndarray:
+    """Vertex of each basis vector, read off the diagonals of the stack of
+    idempotent actions e_v; ``ValueError`` unless each e_v acts as a 0/1
+    diagonal, which is what a basis split by vertex means."""
+    diag = idempotents.diagonal(axis1=1, axis2=2)
+    # off-diagonal zeros, and nonnegative diagonal columns summing to 1
+    if np.count_nonzero(idempotents) != np.count_nonzero(diag) or (diag.sum(axis=0) != 1).any():
+        raise ValueError(f"tensor_over: the basis of {name} is not split by vertex")
+    return diag.argmax(axis=0)
 
-    The relations of a product x x' lie in the span of those of x and x',
-    so these rows span the relations of every basis element.
+
+def _graded_tensor_relations(m: RightModule, w: Bimodule, vm: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """The relations of M (x) W on the coordinates S of the pairs (a, b)
+    whose vertices ``vm[a]`` and ``vw[b]`` agree, in ambient order.
+
+    The generator part g: s -> t has one block, with a row
+    (a g) (x) b - a (x) (g b) for each a in M e_s and b in e_t W; both
+    terms lie in S, in M e_t (x) e_t W and M e_s (x) e_s W.  The
+    relations of a product x x' lie in the span of those of x and x', so
+    these rows and those of the idempotents span the relations of every
+    basis element.
     """
     p = m.field.p
-    a = m.algebra
-    xs = np.concatenate([np.eye(a.dim, dtype=np.int64)[a.idempotent_indices], _generators(a)[0]])
-    mx = _operators(xs, m.action, p)
-    wx = _operators(xs, w.left_action, p)
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    eye_w = np.eye(w.dim, dtype=np.int64)
-    blocks = np.einsum("iac,bd->iabcd", mx, eye_w) - np.einsum("ac,ibd->iabcd", eye_m, wx)
-    amb = m.dim * w.dim
-    return blocks.reshape(xs.shape[0] * amb, amb) % p
+    on_s = vm[:, None] == vw
+    n_s = np.count_nonzero(on_s)
+    gens, src, tgt = _generators(m.algebra)
+    if not src.size:
+        return np.zeros((0, n_s), dtype=np.int64)
+    mg = _operators(gens, m.action, p)
+    wg = _operators(gens, w.left_action, p)
+    # column of each pair of S, and one row (g, a, b) per block entry
+    col = np.cumsum(on_s).reshape(on_s.shape) - 1
+    g, a, b = np.nonzero((src[:, None, None] == vm[:, None]) & (tgt[:, None, None] == vw))
+    out = np.zeros((g.size, n_s), dtype=np.int64)
+    # (a g) (x) b: M_g[a, c] at the column (c, b), nonzero only for c in M e_t
+    r, c = np.nonzero(mg[g, a])
+    out[r, col[c, b[r]]] = mg[g[r], a[r], c]
+    # a (x) (g b): W_g[b, d] at the column (a, d), nonzero only for d in e_s W
+    r, d = np.nonzero(wg[g, b])
+    out[r, col[a[r], d]] -= wg[g[r], b[r], d]
+    return out % p
 
 
 def tensor_hom(f: np.ndarray, src: TensorResult, dst: TensorResult) -> np.ndarray:

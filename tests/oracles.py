@@ -393,6 +393,21 @@ def insert_right_loop(t, w_coords):
     return fld.matmul(k, t.pi)
 
 
+def kernel_basis_loop(fld, m):
+    """:meth:`PrimeField.kernel_basis` filled one scalar at a time: for
+    each free column c, a 1 at c and minus column c of the rref at each
+    pivot."""
+    cols = m.shape[1]
+    r, pivots, _ = fld.rref(m)
+    free = [c for c in range(cols) if c not in pivots]
+    out = fld.zeros(len(free), cols)
+    for k, c in enumerate(free):
+        out[k, c] = 1
+        for j, pc in enumerate(pivots):
+            out[k, pc] = (-r[j, c]) % fld.p
+    return out
+
+
 def quotient_pi_dense(fld, span_rows, dim):
     """``pi`` of :meth:`PrimeField.quotient_maps` by the dense formula
     (1 - scatter @ rref_rows) restricted to the kept columns, where

@@ -11,9 +11,13 @@ Hom bases come from the vertex-graded system, one unknown block per
 vertex and one equation block per generator; they must equal the kernel
 basis of the dense ``(dim A * m * n) x (m * n)`` system bit for bit,
 also over corners, quotients and in bases that do not respect the
-vertex grading.  Tensor relations keep the rows of the idempotents and
-generators only; their quotient maps must equal those of the relations
-of every basis element.
+vertex grading.  Tensor products are quotients of the weight-diagonal
+coordinates by one relation block per generator part; their ``pi``,
+``section`` and kept coordinates must equal the quotient maps of the
+dense relations of every basis element, over GF(3) as well as GF(32003),
+and on every tensor the F1-F3 suite runs build.  Every module and
+bimodule those runs build is split by vertex, which the graded tensor
+needs.
 
 The evaluation blocks of the four primitive adjunction witnesses are
 whole-array expressions too; during the F1, F2 and A3 (e = e1 + e2)
@@ -30,11 +34,11 @@ from hypothesis import strategies as st
 from gluecat.algebra import Algebra, IdealIsWholeAlgebraError, Quiver, corner, ideal_span, idempotent_quotient, opposite, path_algebra
 from gluecat.field import PrimeField
 from gluecat.modules import (
+    Bimodule,
     RightModule,
     _generators,
     _graded_hom_system,
     _hom_entry,
-    _tensor_relations,
     direct_sum,
     hom_basis_matrices,
     injective_module,
@@ -187,7 +191,7 @@ def test_tensor_products_match_kron(case):
         ts = [tensor_over(m, w) for m in mods]
         for m, t in zip(mods, ts):
             if m.dim:
-                assert np.array_equal(_tensor_relations(m, w), tensor_relations_kron(m, w))
+                _same_tensor(m, w)
             if t.module.dim:
                 assert np.array_equal(t.module.action, tensor_action_kron(t, w))
             for k in range(w.dim):
@@ -321,12 +325,34 @@ def test_generators_split_a_mixed_lift_into_vertex_parts():
         assert np.array_equal(multiply(b, multiply(b, b.idempotent_vector(s), g), b.idempotent_vector(t)), g)
     # a + b splits into a = e2 a e1 and b = e3 b e2; b itself is the second lift
     assert [(int(s), int(t)) for s, t in zip(src, tgt)] == [(1, 0), (2, 1), (2, 1)]
+    # D(b) in the dual basis is not split by vertex; in a split basis its
+    # tensors are quotients by the relations of the split generator parts
     mods = _family(b)
+    split = _split_by_vertex(nakayama_bimodule(b))
     for m in mods:
         if m.dim:
-            _same_quotient(m, nakayama_bimodule(b))
+            with pytest.raises(ValueError, match="not split by vertex"):
+                tensor_over(m, nakayama_bimodule(b))
+            _same_tensor(m, split)
         for n in mods:
             _same_entry(m, n)
+
+
+def _split_by_vertex(w):
+    """``w`` in a basis of the spaces e_s W e_t, stacked in (s, t) order:
+    each idempotent then acts on either side as a 0/1 diagonal."""
+    fld = w.field
+    la, ra = w.left_algebra, w.right_algebra
+    q = np.concatenate([
+        fld.image_basis(fld.matmul(w.left_action[s], w.right_action[t]))
+        for s in la.idempotent_indices for t in ra.idempotent_indices
+    ])
+    q_inv = fld.inv(q)
+
+    def conjugate(action):
+        return np.stack([fld.mul_chain(q, x, q_inv) for x in action])
+
+    return Bimodule(la, ra, conjugate(w.left_action), conjugate(w.right_action), name=f"split({w.name})")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -392,30 +418,47 @@ def test_hom_entries_after_random_base_change_match_dense_kernel(pair):
         _same_entry(m, k)
 
 
-def _same_quotient(m, w):
-    amb = m.dim * w.dim
-    fld = m.field
+def _tensor_mismatch(m, w, t):
+    """Which of ``pi``, ``section`` and the kept coordinates of the tensor
+    ``t`` of M and W differ from the quotient maps of the dense relations
+    of every basis element; empty when they all agree."""
     dense = tensor_relations_kron(m, w, np.eye(m.algebra.dim, dtype=np.int64))
-    pi, sigma, keep = fld.quotient_maps(_tensor_relations(m, w), amb)
-    d_pi, d_sigma, d_keep = fld.quotient_maps(dense, amb)
-    assert np.array_equal(pi, d_pi) and np.array_equal(sigma, d_sigma) and keep == d_keep
+    d_pi, d_sigma, d_keep = m.field.quotient_maps(dense, m.dim * w.dim)
+    keep = np.nonzero(t.section)[1].tolist()
+    return [name for name, got, want in (("pi", t.pi, d_pi), ("section", t.section, d_sigma))
+            if got.shape != want.shape or not np.array_equal(got, want)] + (["keep"] if keep != d_keep else [])
+
+
+def _same_tensor(m, w):
+    assert not _tensor_mismatch(m, w, tensor_over(m, w))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_tensor_quotients_match_relations_of_every_basis_element(case):
-    a = _algebra(case)
+    _same_tensors(_algebra(case))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tensor_quotients_over_gf3_match_relations_of_every_basis_element(case):
+    # GF(2) cannot tell (a g) (x) b - a (x) (g b) from the sum
+    _same_tensors(_algebra_over(case, 3))
+
+
+def _same_tensors(a):
+    """Tensors of the family of ``a`` with D(A) and A, and of the family
+    of each corner eAe with eA."""
     fld = a.field
     for w in (nakayama_bimodule(a), regular_bimodule(a)):
         for m in _family(a):
             if m.dim:
-                _same_quotient(m, w)
+                _same_tensor(m, w)
     for vs in _vertex_sets(a):
         c, incl = corner(a, vs)
         e = a.idempotent_sum(vs)
         ea = sub_bimodule(c, a, fld.image_basis(a.left_mult_operator(e)), a.left_mult_operator(incl), a.right_operators)
         for m in _family(c):
             if m.dim:
-                _same_quotient(m, ea)
+                _same_tensor(m, ea)
 
 
 # E6: 1 -> 2 -> 3 -> 4 -> 5 and 6 -> 3
@@ -492,6 +535,69 @@ def test_adjunction_blocks_match_their_loop_references(monkeypatch):
         run_suite(parse_scenario(data))
     assert not mismatched
     assert reached == set(ADJUNCTION_BLOCKS)
+
+
+def _run_fixture_suites():
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    for name in ("F1", "F2", "F3"):
+        run_suite(parse_scenario(fixture_scenario(name)))
+
+
+def test_every_fixture_suite_tensor_matches_the_dense_oracle(monkeypatch):
+    from gluecat import modules
+
+    build, checked, mismatched = modules._build_tensor, [], []
+
+    def spy(m, w):
+        # a failed assert here would only fail a report cell, so a
+        # mismatch is recorded and checked after the suites
+        t = build(m, w)
+        checked.append(t)
+        mismatch = _tensor_mismatch(m, w, t)
+        if mismatch:
+            mismatched.append((m.name, w.name, mismatch))
+        return t
+
+    monkeypatch.setattr(modules, "_build_tensor", spy)
+    _run_fixture_suites()
+    assert not mismatched
+    assert sum(t.module.dim > 0 for t in checked) > 100
+
+
+def _is_split(idempotents):
+    """Whether each matrix of the stack is a 0/1 diagonal and each basis
+    vector lies in exactly one of their images."""
+    k, n = idempotents.shape[:2]
+    diag = np.array([np.diag(x) for x in idempotents]).reshape(k, n)
+    return (np.array_equal(idempotents, diag[:, :, None] * np.eye(n, dtype=np.int64))
+            and set(np.unique(diag)) <= {0, 1} and np.array_equal(diag.sum(axis=0), np.ones(n)))
+
+
+def test_every_fixture_suite_module_is_split_by_vertex(monkeypatch):
+    # the graded tensor reads vertices off the idempotent actions
+    init_module, init_bimodule = RightModule.__init__, Bimodule.__init__
+    seen, unsplit = [0, 0], []
+
+    def module_spy(self, *args, **kwargs):
+        init_module(self, *args, **kwargs)
+        seen[0] += 1
+        if not _is_split(self.action[self.algebra.idempotent_indices]):
+            unsplit.append(self.name)
+
+    def bimodule_spy(self, *args, **kwargs):
+        init_bimodule(self, *args, **kwargs)
+        seen[1] += 1
+        if not (_is_split(self.left_action[self.left_algebra.idempotent_indices])
+                and _is_split(self.right_action[self.right_algebra.idempotent_indices])):
+            unsplit.append(self.name)
+
+    monkeypatch.setattr(RightModule, "__init__", module_spy)
+    monkeypatch.setattr(Bimodule, "__init__", bimodule_spy)
+    _run_fixture_suites()
+    assert not unsplit
+    assert seen[0] > 1000 and seen[1] > 10
 
 
 def test_shriek_product_table_is_built_once_per_recollement(monkeypatch):

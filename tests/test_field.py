@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gluecat.field import LIST_ENTRIES, LIST_ROWS, PrimeField, is_prime
-from oracles import is_rref, matrix, quotient_pi_dense, solve
+from oracles import is_rref, kernel_basis_loop, matrix, quotient_pi_dense, solve
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,20 @@ def test_kernel_rank_one(f):
     assert np.any(v)
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (3, 3), (4, 7), (7, 4), (9, 9)])
+def test_kernel_basis_matches_scalar_loop(p, shape):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 11 * shape[0] + shape[1])
+    rows, cols = shape
+    low = matrix(fld, rng.integers(0, p, size=(rows, 2)) @ rng.integers(0, p, size=(2, cols)))
+    full = matrix(fld, fld.identity(max(shape))[:rows, :cols] + np.triu(rng.integers(0, p, size=shape), 1))
+    # random, rank at most 2, rank 0 and full rank
+    for m in (matrix(fld, rng.integers(0, p, size=shape)), low, fld.zeros(rows, cols), full):
+        got, want = fld.kernel_basis(m), kernel_basis_loop(fld, m)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_solve_identity(f):
     b = matrix(f, [3, 5, 7]).reshape(-1)
     x = solve(f, f.identity(3), b)
@@ -140,6 +154,7 @@ def test_quotient_pi_matches_dense_formula(p, shape):
         assert pi.dtype == np.int64
         assert np.array_equal(pi, quotient_pi_dense(fld, span, dim))
         assert np.array_equal(sigma, fld.identity(dim)[keep])
+        assert keep == [c for c in range(dim) if c not in fld.rref(span.reshape(-1, dim))[1]]
         assert not np.any(fld.matmul(span.reshape(-1, dim), pi))
     assert fld.quotient_maps(fld.identity(dim), dim)[0].shape == (dim, 0)
     assert np.array_equal(fld.quotient_maps(fld.zeros(0, dim), dim)[0], fld.identity(dim))

@@ -92,8 +92,9 @@ def test_module_constructions_are_shared_by_content(alg_a3):
     assert hom_basis_matrices(s2, s2) is hom_basis_matrices(twin, twin)
     assert projective_cover(s2) is projective_cover(twin)
     assert tensor_over(s2, w) is tensor_over(twin, w)
-    # the name is part of the tensor key
-    assert tensor_over(s2, w, name="x") is not tensor_over(s2, w)
+    # the tensor memo is keyed by the content of M alone
+    assert list(w._tensors) == [s2.key]
+    assert tensor_over(p2, w) is not tensor_over(s2, w)
 
 
 def test_shared_module_constructions_are_read_only(alg_a3):
