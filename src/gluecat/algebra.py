@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField
+from .field import PrimeField, blocks
 
 __all__ = [
     "Quiver",
@@ -101,7 +101,8 @@ class Algebra:
     - ``_covers``: :func:`~gluecat.modules.projective_cover`, keyed by
       the action tensor of the covered module;
     - ``_generators``: the generators besides the idempotents, split by
-      vertex (:func:`~gluecat.modules._generators`), built once;
+      vertex, and the products that validate modules over it
+      (:func:`~gluecat.modules._generators`), built once;
     - ``_weights``: a basis of each module adapted to its vertex
       grading (:func:`~gluecat.modules._weights`), keyed by the action
       tensor;
@@ -210,16 +211,20 @@ class Algebra:
     def validate(self):
         p = self.field.p
         d = self.dim
-        # associativity on all basis triples
+        # associativity on all basis triples, in blocks of the first factor
         flat = self.mul_table.reshape(d * d, d)
-        left = (flat @ self.mul_table.reshape(d, d * d)) % p  # [ij, kl]: (b_i b_j) b_k
-        right = np.matmul(flat, self.mul_table) % p  # [i, jk, l]: b_i (b_j b_k)
-        if not np.array_equal(left.reshape(d, d, d, d), right.reshape(d, d, d, d)):
-            raise ValueError(f"{self.name}: associativity fails")
+        right_ops = self.mul_table.reshape(d, d * d)
+        for blk in blocks(d, d ** 3):
+            part = self.mul_table[blk]
+            k = len(part)
+            left = (part.reshape(k * d, d) @ right_ops) % p  # [ij, kl]: (b_i b_j) b_k
+            right = np.matmul(flat, part) % p  # [i, jk, l]: b_i (b_j b_k)
+            if not np.array_equal(left.reshape(k, d, d, d), right.reshape(k, d, d, d)):
+                raise ValueError(f"{self.name}: associativity fails")
         # unit laws: row i of each side is 1 * b_i and b_i * 1
         eye = np.eye(d, dtype=np.int64)
-        bad_left = np.any(np.einsum("j,jik->ik", self.unit, self.mul_table) % p != eye, axis=1)
-        bad_right = np.any(np.einsum("j,ijk->ik", self.unit, self.mul_table) % p != eye, axis=1)
+        bad_left = np.any((self.unit @ right_ops).reshape(d, d) % p != eye, axis=1)
+        bad_right = np.any(np.dot(self.unit, self.mul_table) % p != eye, axis=1)
         bad = np.flatnonzero(bad_left | bad_right)
         if bad.size:
             i = int(bad[0])

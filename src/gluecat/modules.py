@@ -1,9 +1,10 @@
 """Right modules over a finite-dimensional algebra.
 
 Modules are given by action matrices in the row-vector convention:
-``v * a == v @ module.operator(a)`` and ``operator(x*y) == operator(x) @
-operator(y)``.  Homomorphisms f: M -> N are matrices applied on the right,
-so composition "first f then g" is the matrix product f @ g.
+``v * a == v @ rho(a)`` and ``rho(x*y) == rho(x) @ rho(y)``, where rho(a)
+is the sum of the basis action matrices weighted by the coordinates of
+a.  Homomorphisms f: M -> N are matrices applied on the right, so
+composition "first f then g" is the matrix product f @ g.
 
 Bimodules carry a commuting left action whose matrices compose in
 left-action order, ``lam(x*y) == lam(y) @ lam(x)``.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .algebra import Algebra, opposite
-from .field import PrimeField
+from .field import PrimeField, blocks
 
 __all__ = [
     "RightModule",
@@ -81,18 +82,14 @@ class RightModule:
     def field(self) -> PrimeField:
         return self.algebra.field
 
-    def operator(self, coords: np.ndarray) -> np.ndarray:
-        """Action matrix of the algebra element with the given coordinates."""
-        return np.einsum("i,imn->mn", coords % self.field.p, self.action) % self.field.p
-
     def validate(self):
-        p = self.field.p
-        a = self.algebra
+        """See :func:`_action_laws`."""
         if self.dim == 0:
             return
-        if not np.array_equal(self.operator(a.unit), self.field.identity(self.dim)):
+        law = _action_laws(self.algebra, self.action)[1]
+        if law == "unit":
             raise ValueError(f"{self.name}: unit does not act as identity")
-        if not np.array_equal(_act_on_products(a, self.action), _products(self.action, self.action, p)):
+        if law == "product":
             raise ValueError(f"{self.name}: action is not multiplicative")
 
 
@@ -157,33 +154,72 @@ class Bimodule:
         )
 
     def validate(self):
-        p = self.field.p
+        """The laws of :func:`_action_laws` on both sides, and
+        lam(x) rho(y) == rho(y) lam(x) for x and y in the validation sets
+        of the two algebras, which generate them."""
         if self.dim == 0:
             return
-        f = self.field
-        ident = f.identity(self.dim)
-        la, ra = self.left_algebra, self.right_algebra
-        if not np.array_equal(np.einsum("i,imn->mn", la.unit, self.left_action) % p, ident):
+        lam, left = _action_laws(self.left_algebra, self.left_action, left=True)
+        rho, right = _action_laws(self.right_algebra, self.right_action)
+        if left == "unit":
             raise ValueError(f"{self.name}: left unit fails")
-        if not np.array_equal(np.einsum("i,imn->mn", ra.unit, self.right_action) % p, ident):
+        if right == "unit":
             raise ValueError(f"{self.name}: right unit fails")
-        lam, rho = self.left_action, self.right_action
-        # right action multiplicative
-        if not np.array_equal(_act_on_products(ra, rho), _products(rho, rho, p)):
+        if right == "product":
             raise ValueError(f"{self.name}: right action not multiplicative")
-        # left action anti-multiplicative: lam(b_i b_j) == lam(b_j) @ lam(b_i)
-        if not np.array_equal(_act_on_products(la, lam), _products(lam, lam, p).swapaxes(0, 1)):
+        if left == "product":
             raise ValueError(f"{self.name}: left action not anti-multiplicative")
-        # the two actions commute: lam(x) @ rho(y) == rho(y) @ lam(x)
-        if not np.array_equal(_products(lam, rho, p), _products(rho, lam, p).swapaxes(0, 1)):
+        if not _commute(lam, rho, self.field.p):
             raise ValueError(f"{self.name}: actions do not commute")
 
 
-def _act_on_products(a: Algebra, action: np.ndarray) -> np.ndarray:
-    """``[i, j]`` is the action matrix of ``b_i * b_j``: one product."""
+def _action_laws(a: Algebra, action: np.ndarray, left: bool = False) -> tuple[np.ndarray, str | None]:
+    """``(acts, law)``: the action matrices of the validation set G of
+    :func:`_generators`, stacked, and the first law the action breaks,
+    ``"unit"`` or ``"product"``, or None.
+
+    The laws are rho(1) == I and rho(g b_j) == rho(g) rho(b_j) for every
+    g of G and basis element b_j; with ``left``, lam(g b_j) ==
+    lam(b_j) lam(g) instead.  If the product law holds for g and g', it
+    holds for g g', so it holds on the algebra G generates, which is all
+    of ``a``.  The products come in blocks of G of at most
+    ``gluecat.field.STACK_ENTRIES`` entries, and in one product with the
+    actions of G when one block holds them all.
+    """
+    p = a.field.p
+    gens = _generators(a)
     d, m = action.shape[0], action.shape[1]
-    flat = a.mul_table.reshape(d * d, d) @ action.reshape(d, m * m)
-    return (flat % a.field.p).reshape(d, d, m, m)
+    size = a.n_idempotents + len(gens.parts)
+    flat = action.reshape(d, m * m)
+    slices = blocks(size, d * m * m)
+    whole = len(slices) == 1
+    head = ((gens.table if whole else gens.table[:size]) @ flat) % p
+    acts = head[:size].reshape(size, m, m)
+    # 1 is the sum of the idempotents, which lead G
+    one = acts[:a.n_idempotents].sum(axis=0) % p
+    if not np.array_equal(one, np.eye(m, dtype=np.int64)):
+        return acts, "unit"
+    for blk in slices:
+        g = acts[blk]
+        k = len(g)
+        # [g, j] is the action of g b_j
+        lo = size + blk.start * d
+        lhs = head[size:] if whole else (gens.table[lo:lo + k * d] @ flat) % p
+        rhs = np.matmul(action, g[:, None]) if left else np.matmul(g[:, None], action)
+        if not (lhs.reshape(k, d, m, m) == rhs % p).all():
+            return acts, "product"
+    return acts, None
+
+
+def _commute(lam: np.ndarray, rho: np.ndarray, p: int) -> bool:
+    """Whether lam[x] @ rho[y] == rho[y] @ lam[x] for all x and y, in
+    blocks of x of at most ``gluecat.field.STACK_ENTRIES`` entries."""
+    m = rho.shape[1]
+    for blk in blocks(len(lam), len(rho) * m * m):
+        x = lam[blk, None]
+        if not (np.matmul(x, rho) % p == np.matmul(rho, x) % p).all():
+            return False
+    return True
 
 
 def _operators(coords: np.ndarray, action: np.ndarray, p: int) -> np.ndarray:
@@ -191,11 +227,6 @@ def _operators(coords: np.ndarray, action: np.ndarray, p: int) -> np.ndarray:
     rows of ``coords``, from the stack of basis action matrices."""
     d, m, n = action.shape
     return ((coords @ action.reshape(d, m * n)) % p).reshape(-1, m, n)
-
-
-def _products(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """``[i, j]`` is ``x[i] @ y[j]`` for two stacks of square matrices."""
-    return np.matmul(x[:, None], y[None, :]) % p
 
 
 # ----------------------------------------------------------------------
@@ -233,34 +264,87 @@ def _memo(table: dict, key, build):
     return hit
 
 
-def _generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(gens, src, tgt)``: generators of ``a`` besides the idempotents.
+@dataclass
+class _Generators:
+    """The generators of an algebra, built once per algebra.
 
-    They are the nonzero parts e_s g e_t of a lift g of a basis of
-    rad/rad^2; row k of ``gens`` holds the coordinates of a part, which
-    maps M e_s into M e_t in every right module M, with s = ``src[k]``
-    and t = ``tgt[k]``.  For kQ these are the arrows; for eAe they can
-    be paths through vertices outside e.  Built once per algebra.
+    ``parts`` holds the generators besides the idempotents: the nonzero
+    parts e_s g e_t of a lift g of a basis of rad/rad^2.  Row k holds the
+    coordinates of a part, which maps M e_s into M e_t in every right
+    module M, with s = ``src[k]`` and t = ``tgt[k]``.  For kQ these are
+    the arrows; for eAe they can be paths through vertices outside e.
+
+    ``table`` stacks the validation set G, the idempotents and then
+    ``parts``, which generates the algebra, and after it the products
+    G[g] * b_j in (g, j) order: the coordinates the module validators
+    act on.
     """
+
+    parts: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    table: np.ndarray
+
+
+def _generators(a: Algebra) -> _Generators:
     return _memo(a._generators, None, lambda: _build_generators(a))
 
 
-def _build_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_generators(a: Algebra) -> _Generators:
+    d = a.dim
+    parts, src, tgt = _radical_generators(a)
+    elements = np.concatenate([np.eye(d, dtype=np.int64)[a.idempotent_indices], parts])
+    products = (elements @ a.mul_table.reshape(d, d * d)) % a.field.p
+    return _Generators(parts, src, tgt, np.concatenate([elements, products.reshape(-1, d)]))
+
+
+def _radical_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(parts, src, tgt)`` of :class:`_Generators`, once ``a`` is
+    certified to be in the domain where they and the idempotents
+    generate it: the non-idempotent basis spans a nilpotent ideal, which
+    is then the radical.
+
+    That holds when e_v b e_v == 0 for every vertex v and non-idempotent
+    basis element b, and the digraph of the pairs s != t with
+    e_s A e_t != 0 is acyclic.  Then A = (+)_v k e_v (+) J with J the sum
+    of the spaces e_s A e_t for s != t; J is an ideal, and a product of
+    n of its elements follows a path of length n in the digraph, so it
+    is zero for n at the number of vertices.  Otherwise ``ValueError``
+    names the algebra.
+    """
     fld = a.field
+    d, idx = a.dim, a.idempotent_indices
+    n = len(idx)
     rad = a.radical_basis_indices()
+    if not rad:
+        return np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # [s, r, t] is e_s b e_t for the r-th non-idempotent basis element b:
+    # one product
+    left = a.mul_table[idx][:, rad].reshape(n * len(rad), d)
+    corners = ((left @ a.mul_table[:, idx].reshape(d, n * d)) % fld.p).reshape(n, len(rad), n, d)
+    nonzero = corners.any(axis=3)
+    loops = nonzero.diagonal(axis1=0, axis2=2).any(axis=1)
+    if loops.any():
+        label = a.labels[rad[int(np.flatnonzero(loops)[0])]]
+        raise ValueError(f"{a.name}: outside the domain: e_v b e_v != 0 for the basis element {label}")
+    # the digraph is acyclic when its adjacency matrix is nilpotent, that
+    # is when its power 2**k >= n is zero
+    reach = nonzero.any(axis=1)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    if reach.any():
+        raise ValueError(f"{a.name}: outside the domain: the spaces e_s A e_t with s != t form a cycle")
     # rad^2 is spanned by the products of radical basis elements; the
     # radical basis elements independent of rad^2 and of those before
     # them lift a basis of rad/rad^2
-    squares = a.mul_table[np.ix_(rad, rad)].reshape(-1, a.dim)
-    rad_rows = np.eye(a.dim, dtype=np.int64)[rad]
-    keep = fld.row_rank_profile(np.concatenate([squares, rad_rows]))
-    lift = rad_rows[[k - squares.shape[0] for k in keep if k >= squares.shape[0]]]
+    squares = a.mul_table[rad][:, rad].reshape(-1, d)
+    squares = squares[squares.any(axis=1)]
+    keep = fld.row_rank_profile(np.concatenate([squares, np.eye(d, dtype=np.int64)[rad]]))
+    lift = [k - squares.shape[0] for k in keep if k >= squares.shape[0]]
     # [g, s, t] is e_s * g * e_t
-    idem = np.eye(a.dim, dtype=np.int64)[a.idempotent_indices]
-    left = np.einsum("gi,sij->gsj", lift, a.left_mult_operator(idem)) % fld.p
-    parts = np.einsum("gsj,tjk->gstk", left, a.right_mult_operator(idem)) % fld.p
-    g, src, tgt = np.nonzero(parts.any(axis=3))
-    return parts[g, src, tgt], src, tgt
+    g, src, tgt = np.nonzero(nonzero[:, lift].transpose(1, 0, 2))
+    parts = corners[src, np.asarray(lift, dtype=np.intp)[g], tgt]
+    return parts, src, tgt
 
 
 @dataclass
@@ -295,9 +379,9 @@ def _build_weights(m: RightModule) -> _Weights:
         cols.append(m.action[iv][:, piv])
         pivots.append(piv)
     sizes = np.array([len(piv) for piv in pivots], dtype=np.intp)
-    gens, src, tgt = _generators(a)
-    acts = _operators(gens, m.action, fld.p)
-    blocks = [fld.matmul(rows[s], acts[k])[:, pivots[t]] for k, (s, t) in enumerate(zip(src, tgt))]
+    gens = _generators(a)
+    acts = _operators(gens.parts, m.action, fld.p)
+    blocks = [fld.matmul(rows[s], acts[k])[:, pivots[t]] for k, (s, t) in enumerate(zip(gens.src, gens.tgt))]
     offsets = np.cumsum(sizes) - sizes
     return _Weights(np.concatenate(rows), np.concatenate(cols, axis=1), sizes, offsets, blocks)
 
@@ -513,7 +597,8 @@ def _graded_hom_system(m: RightModule, n: RightModule) -> np.ndarray:
     """
     fld = m.field
     wm, wn = _weights(m), _weights(n)
-    _, src, tgt = _generators(m.algebra)
+    gens = _generators(m.algebra)
+    src, tgt = gens.src, gens.tgt
     cells = np.concatenate([[0], np.cumsum(wm.sizes * wn.sizes)])
     eqs = np.concatenate([[0], np.cumsum(wm.sizes[src] * wn.sizes[tgt])])
     out = fld.zeros(int(eqs[-1]), int(cells[-1]))
@@ -639,11 +724,12 @@ def _graded_tensor_relations(m: RightModule, w: Bimodule, vm: np.ndarray, vw: np
     p = m.field.p
     on_s = vm[:, None] == vw
     n_s = np.count_nonzero(on_s)
-    gens, src, tgt = _generators(m.algebra)
+    gens = _generators(m.algebra)
+    src, tgt = gens.src, gens.tgt
     if not src.size:
         return np.zeros((0, n_s), dtype=np.int64)
-    mg = _operators(gens, m.action, p)
-    wg = _operators(gens, w.left_action, p)
+    mg = _operators(gens.parts, m.action, p)
+    wg = _operators(gens.parts, w.left_action, p)
     # column of each pair of S, and one row (g, a, b) per block entry
     col = np.cumsum(on_s).reshape(on_s.shape) - 1
     g, a, b = np.nonzero((src[:, None, None] == vm[:, None]) & (tgt[:, None, None] == vw))

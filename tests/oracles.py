@@ -15,7 +15,10 @@ per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
 The entry-loop evaluation blocks are the references for the whole-array
-blocks of the four primitive adjunction witnesses.
+blocks of the four primitive adjunction witnesses.  The dense validators
+(``module_violation_dense``, ``bimodule_violation_dense``,
+``associative_dense``) check every pair or triple of basis elements at
+once: the references for the validators on generators, in blocks.
 ``replacement_problems`` checks minimal replacements independently of
 the top blocks the library reads: a complex of projectives is minimal
 when each differential lands in the radical of the next term.  ``is_rref``
@@ -284,6 +287,72 @@ def gram_entrywise(sd, which: str, x, y):
 # ----------------------------------------------------------------------
 
 
+def act_on_products(a, action):
+    """``[i, j]`` is the action matrix of ``b_i * b_j``: one product."""
+    d, m = action.shape[0], action.shape[1]
+    flat = a.mul_table.reshape(d * d, d) @ action.reshape(d, m * m)
+    return (flat % a.field.p).reshape(d, d, m, m)
+
+
+def products(x, y, p):
+    """``[i, j]`` is ``x[i] @ y[j]`` for two stacks of square matrices."""
+    return np.matmul(x[:, None], y[None, :]) % p
+
+
+def module_violation_dense(a, action):
+    """The message of the first right-module law that ``action`` breaks,
+    or None, checked on every pair of basis elements: rho(1) == I, then
+    rho(b_i b_j) == rho(b_i) rho(b_j).  The dense reference for
+    ``RightModule.validate``."""
+    p = a.field.p
+    action = np.asarray(action, dtype=np.int64) % p
+    m = action.shape[1]
+    if m == 0:
+        return None
+    if not np.array_equal(np.einsum("i,imn->mn", a.unit, action) % p, np.eye(m, dtype=np.int64)):
+        return "unit does not act as identity"
+    if not np.array_equal(act_on_products(a, action), products(action, action, p)):
+        return "action is not multiplicative"
+    return None
+
+
+def bimodule_violation_dense(la, ra, lam, rho):
+    """The message of the first bimodule law that the left action ``lam``
+    of ``la`` and right action ``rho`` of ``ra`` break, or None, checked on
+    every pair of basis elements.  The dense reference for
+    ``Bimodule.validate``."""
+    p = la.field.p
+    lam = np.asarray(lam, dtype=np.int64) % p
+    rho = np.asarray(rho, dtype=np.int64) % p
+    m = rho.shape[1]
+    if m == 0:
+        return None
+    ident = np.eye(m, dtype=np.int64)
+    if not np.array_equal(np.einsum("i,imn->mn", la.unit, lam) % p, ident):
+        return "left unit fails"
+    if not np.array_equal(np.einsum("i,imn->mn", ra.unit, rho) % p, ident):
+        return "right unit fails"
+    if not np.array_equal(act_on_products(ra, rho), products(rho, rho, p)):
+        return "right action not multiplicative"
+    # lam(b_i b_j) == lam(b_j) @ lam(b_i)
+    if not np.array_equal(act_on_products(la, lam), products(lam, lam, p).swapaxes(0, 1)):
+        return "left action not anti-multiplicative"
+    if not np.array_equal(products(lam, rho, p), products(rho, lam, p).swapaxes(0, 1)):
+        return "actions do not commute"
+    return None
+
+
+def associative_dense(mul, p):
+    """Whether the structure constants ``mul`` are associative on all
+    basis triples, with both sides formed whole: the reference for the
+    blocked check of ``Algebra.validate``."""
+    d = mul.shape[0]
+    flat = mul.reshape(d * d, d)
+    left = (flat @ mul.reshape(d, d * d)) % p
+    right = np.matmul(flat, mul) % p
+    return np.array_equal(left.reshape(d, d, d, d), right.reshape(d, d, d, d))
+
+
 def restricted_action_loop(fld, rows, operator, k):
     """Action of ``operator(i)``, i < k, on the span of ``rows``: one
     solve per operator."""
@@ -354,12 +423,12 @@ def tensor_relations_kron(m, w, elements=None):
 
     a = m.algebra
     if elements is None:
-        elements = np.concatenate([np.eye(a.dim, dtype=np.int64)[a.idempotent_indices], _generators(a)[0]])
+        elements = np.concatenate([np.eye(a.dim, dtype=np.int64)[a.idempotent_indices], _generators(a).parts])
     p = m.field.p
     eye_m = np.eye(m.dim, dtype=np.int64)
     eye_w = np.eye(w.dim, dtype=np.int64)
     return np.concatenate(
-        [(np.kron(m.operator(x), eye_w) - np.kron(eye_m, np.einsum("i,imn->mn", x, w.left_action))) % p
+        [(np.kron(operator(m, x), eye_w) - np.kron(eye_m, np.einsum("i,imn->mn", x, w.left_action))) % p
          for x in elements],
         axis=0,
     )
@@ -494,7 +563,7 @@ def cover_greedy(m):
     chosen = []
     covered = fld.zeros(0, pi_top.shape[1])
     for v in range(a.n_idempotents):
-        for row in fld.image_basis(m.operator(a.idempotent_vector(v))):
+        for row in fld.image_basis(operator(m, a.idempotent_vector(v))):
             stacked = np.concatenate([covered, fld.matmul(row.reshape(1, -1), pi_top)], axis=0)
             if fld.rank(stacked) > covered.shape[0]:
                 covered = fld.image_basis(stacked)
@@ -503,7 +572,7 @@ def cover_greedy(m):
     for v, gen_row in chosen:
         _, rows, _ = projective_module(a, v)
         for r in range(rows.shape[0]):
-            blocks.append(fld.matmul(gen_row.reshape(1, -1), m.operator(rows[r])))
+            blocks.append(fld.matmul(gen_row.reshape(1, -1), operator(m, rows[r])))
     surj = np.concatenate(blocks, axis=0) if blocks else fld.zeros(0, m.dim)
     return [v for v, _ in chosen], surj
 
@@ -554,7 +623,7 @@ def shriek_pullback_eval_loop(rec, x, d, psi):
     xtens = rec.functor("j^*").aux(x)["tensors"][d]
     n_ea, xdim = rec.eA_rows.shape[0], x.term(d).dim
     ops = {
-        (j, l): x.term(d).operator(multiply(a, rec.Ae_rows[j], rec.eA_rows[l]))
+        (j, l): operator(x.term(d), multiply(a, rec.Ae_rows[j], rec.eA_rows[l]))
         for j in range(xtens.w_dim)
         for l in range(n_ea)
     }
@@ -622,6 +691,12 @@ def star_push_counit_loop(rec, n_obj, d):
 # ----------------------------------------------------------------------
 # library helpers used by the tests only
 # ----------------------------------------------------------------------
+
+
+def operator(m, coords) -> np.ndarray:
+    """Action matrix on the module ``m`` of the algebra element with the
+    given coordinates."""
+    return np.einsum("i,imn->mn", coords % m.field.p, m.action) % m.field.p
 
 
 def matrix(fld, rows) -> np.ndarray:

@@ -298,11 +298,11 @@ def test_corner_generators_include_paths_through_other_vertices():
     # A3 with e = e1 + e3: eAe has the path 1 -> 2 -> 3 as its one generator
     a = _algebra("F2")
     c, incl = corner(a, [0, 2])
-    gens, src, tgt = _generators(c)
-    assert gens.shape[0] == 1
-    path = a.field.matmul(gens, incl)[0]
+    gens = _generators(c)
+    assert gens.parts.shape[0] == 1
+    path = a.field.matmul(gens.parts, incl)[0]
     assert path.sum() == 1 and a.labels[int(np.flatnonzero(path)[0])] == "ba"
-    assert (c.labels[c.idempotent_indices[src[0]]], c.labels[c.idempotent_indices[tgt[0]]]) == ("e3", "e1")
+    assert (c.labels[c.idempotent_indices[gens.src[0]]], c.labels[c.idempotent_indices[gens.tgt[0]]]) == ("e3", "e1")
 
 
 def _mixed_basis_algebra():
@@ -320,8 +320,9 @@ def _mixed_basis_algebra():
 
 def test_generators_split_a_mixed_lift_into_vertex_parts():
     b = _mixed_basis_algebra()
-    gens, src, tgt = _generators(b)
-    for g, s, t in zip(gens, src, tgt):
+    gens = _generators(b)
+    src, tgt = gens.src, gens.tgt
+    for g, s, t in zip(gens.parts, src, tgt):
         assert np.array_equal(multiply(b, multiply(b, b.idempotent_vector(s), g), b.idempotent_vector(t)), g)
     # a + b splits into a = e2 a e1 and b = e3 b e2; b itself is the second lift
     assert [(int(s), int(t)) for s, t in zip(src, tgt)] == [(1, 0), (2, 1), (2, 1)]
@@ -360,10 +361,10 @@ def test_path_algebra_generators_are_the_arrows(case):
     # the arrow a: u -> v is e_v a e_u, so it maps M e_v into M e_u
     q = QUIVERS[case.removesuffix("^op")]
     a = _algebra(case)
-    gens, src, tgt = _generators(a)
+    gens = _generators(a)
     arrows = sorted(q.arrows) if not case.endswith("^op") else sorted((v, u) for (u, v) in q.arrows)
     got = []
-    for g, s, t in zip(gens, src, tgt):
+    for g, s, t in zip(gens.parts, gens.src, gens.tgt):
         assert sorted(g) == [0] * (a.dim - 1) + [1]
         i = int(np.flatnonzero(g)[0])
         assert i not in a.idempotent_indices and i < a.n_idempotents + len(q.arrows)

@@ -84,8 +84,10 @@ def test_kernel_rank_one(f):
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
-@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (3, 3), (4, 7), (7, 4), (9, 9)])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (3, 3), (4, 7), (7, 4), (9, 9), (0, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
 def test_kernel_basis_matches_scalar_loop(p, shape):
+    # the tiny shapes take the early returns for rank 0 and for no free
+    # column, which must give the loop's output, dtype included
     fld = PrimeField(p)
     rng = np.random.default_rng(p + 11 * shape[0] + shape[1])
     rows, cols = shape
@@ -94,7 +96,7 @@ def test_kernel_basis_matches_scalar_loop(p, shape):
     # random, rank at most 2, rank 0 and full rank
     for m in (matrix(fld, rng.integers(0, p, size=shape)), low, fld.zeros(rows, cols), full):
         got, want = fld.kernel_basis(m), kernel_basis_loop(fld, m)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_solve_identity(f):

@@ -27,6 +27,7 @@ from oracles import (
     ext_dims,
     hom_basis,
     k_dual_hom,
+    operator,
     paths_with_source,
     paths_with_target,
     regular_bimodule,
@@ -163,7 +164,7 @@ def test_hom_dim_equals_weight_space(alg_a3):
         p, _, _ = projective_module(alg_a3, v)
         ev = alg_a3.idempotent_vector(v)
         for m in menu:
-            weight = m.field.rank(m.operator(ev))
+            weight = m.field.rank(operator(m, ev))
             assert len(hom_basis_matrices(p, m)) == weight
 
 

@@ -25,3 +25,14 @@ def test_corruption_demo_runs(capsys):
     failing = dict(re.findall(r"^(.+): (\d+) failing cells", out, flags=re.M))
     assert failing.pop("healthy original diagram") == "0"
     assert len(failing) == 2 and all(int(n) > 0 for n in failing.values())
+
+
+def test_frontier_imports_and_its_scenarios_parse():
+    from gluecat.scenarios import parse_scenario
+
+    frontier = _load("frontier")
+    assert callable(frontier.main)
+    for name in ("E6", "E7", "K3"):
+        scn = parse_scenario(frontier.scenario(name))
+        assert scn.variants == ["original", "upper", "lower"]
+    assert frontier.main(["E9"]) == 2

@@ -121,8 +121,8 @@ def test_module_content_is_checked_once_per_algebra(monkeypatch):
     import gluecat.modules as modules
 
     calls = []
-    check = modules._act_on_products
-    monkeypatch.setattr(modules, "_act_on_products", lambda *args: calls.append(args) or check(*args))
+    check = modules._action_laws
+    monkeypatch.setattr(modules, "_action_laws", lambda *args: calls.append(args) or check(*args))
     a = _a2()
     s1 = simple_module(a, 0)
     again = RightModule(a, s1.action.copy(), name="again")
