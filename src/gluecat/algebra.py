@@ -211,15 +211,23 @@ class Algebra:
     def validate(self):
         p = self.field.p
         d = self.dim
-        # associativity on all basis triples, in blocks of the first factor
-        flat = self.mul_table.reshape(d * d, d)
-        right_ops = self.mul_table.reshape(d, d * d)
-        for blk in blocks(d, d ** 3):
-            part = self.mul_table[blk]
-            k = len(part)
-            left = (part.reshape(k * d, d) @ right_ops) % p  # [ij, kl]: (b_i b_j) b_k
-            right = np.matmul(flat, part) % p  # [i, jk, l]: b_i (b_j b_k)
-            if not np.array_equal(left.reshape(k, d, d, d), right.reshape(k, d, d, d)):
+        mul = self.mul_table
+        right_ops = mul.reshape(d, d * d)
+        left_ops = np.swapaxes(mul, 0, 1)  # [l, i]: b_i b_l
+        # [l, 0, k] is b_l b_k and [l, 1, i] is b_i b_l
+        both = np.stack([mul, left_ops], axis=1).reshape(d, 2 * d * d)
+        # associativity on the basis triples where a side can be nonzero:
+        # (b_i b_j) b_k needs b_i b_j != 0 and b_i (b_j b_k) needs
+        # b_j b_k != 0, so each pair (x, y) with b_x b_y != 0 is checked
+        # as (i, j) with every k and as (j, k) with every i
+        xs, ys = np.nonzero(mul.any(axis=2))
+        for blk in blocks(xs.size, 2 * d * d):
+            x, y = xs[blk], ys[blk]
+            # [xy, 0, k]: (b_x b_y) b_k and b_x (b_y b_k);
+            # [xy, 1, i]: b_i (b_x b_y) and (b_i b_x) b_y
+            outer = mul[x, y] @ both
+            inner = np.stack([np.matmul(mul[y], mul[x]), np.matmul(left_ops[x], left_ops[y])], axis=1)
+            if ((outer - inner.reshape(outer.shape)) % p).any():
                 raise ValueError(f"{self.name}: associativity fails")
         # unit laws: row i of each side is 1 * b_i and b_i * 1
         eye = np.eye(d, dtype=np.int64)

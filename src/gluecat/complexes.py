@@ -1176,8 +1176,11 @@ class HomComplex:
         comps = self._expand(0, vec.reshape(1, -1))
         return ChainMap(self.p, self.y, {i: c[0] for i, c in comps.items()})
 
-    def chain_map_to_vector(self, m: ChainMap) -> np.ndarray:
-        return self._coords(0, 1, {i: c[None] for i, c in m.comps.items()})[0]
+    def chain_maps_to_vectors(self, maps: list[ChainMap]) -> np.ndarray:
+        """Degree-0 coordinates of chain maps p -> y, one row each, with
+        one :func:`hom_coords` per degree for all of them."""
+        degrees = sorted(set().union(*(m.comps for m in maps)))
+        return self._coords(0, len(maps), {i: np.stack([m.comp(i) for m in maps]) for i in degrees})
 
 
 @dataclass
@@ -1239,23 +1242,29 @@ class HomSpace:
     def basis_mors(self) -> list[Mor]:
         return [Mor(self.x, self.y, m, self.p_qis) for m in self.basis_maps()]
 
-    def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of a cycle vector in the chosen homology basis."""
+    def reduce_vectors(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of each row of a stack of cycle vectors in the
+        chosen homology basis: one cycle check and one solve."""
         fld = self.fld
         if self.dim == 0:
-            return fld.zeros(1, 0)[0]
-        if np.any(fld.matmul(vec.reshape(1, -1), self.hc.diff(0))):
-            raise ValueError("reduce_vector: not a cycle")
+            return fld.zeros(vecs.shape[0], 0)
+        if np.any(fld.matmul(vecs, self.hc.diff(0))):
+            raise ValueError("reduce_vectors: not a cycle")
         stack = np.concatenate([self.boundaries, self.h_reps], axis=0)
-        coords = fld.coords_in_rows(stack, vec.reshape(1, -1))
+        coords = fld.coords_in_rows(stack, vecs)
         if coords is None:
-            raise ValueError("reduce_vector: cycle outside computed space")
-        return coords[0][self.boundaries.shape[0]:]
+            raise ValueError("reduce_vectors: cycle outside computed space")
+        return coords[:, self.boundaries.shape[0]:]
 
     def coords_of(self, mor: Mor) -> np.ndarray:
         """Homology coordinates of a morphism class."""
-        m = self.normalize(mor)
-        return self.reduce_vector(self.hc.chain_map_to_vector(m))
+        return self.coords_of_all([mor])[0]
+
+    def coords_of_all(self, mors: list[Mor]) -> np.ndarray:
+        """Homology coordinates of morphism classes, one row each."""
+        if not mors:
+            return self.fld.zeros(0, self.dim)
+        return self.reduce_vectors(self.hc.chain_maps_to_vectors([self.normalize(mor) for mor in mors]))
 
     def normalize(self, mor: Mor) -> ChainMap:
         """Re-present a class as a chain map self.p -> y."""

@@ -278,12 +278,17 @@ class _Generators:
     ``parts``, which generates the algebra, and after it the products
     G[g] * b_j in (g, j) order: the coordinates the module validators
     act on.
+
+    ``minimal`` indexes the parts that lift a basis of rad/rad^2: all of
+    them when each lift is a single part, as in every basis split by
+    vertex.
     """
 
     parts: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
     table: np.ndarray
+    minimal: np.ndarray
 
 
 def _generators(a: Algebra) -> _Generators:
@@ -292,14 +297,14 @@ def _generators(a: Algebra) -> _Generators:
 
 def _build_generators(a: Algebra) -> _Generators:
     d = a.dim
-    parts, src, tgt = _radical_generators(a)
+    parts, src, tgt, minimal = _radical_generators(a)
     elements = np.concatenate([np.eye(d, dtype=np.int64)[a.idempotent_indices], parts])
     products = (elements @ a.mul_table.reshape(d, d * d)) % a.field.p
-    return _Generators(parts, src, tgt, np.concatenate([elements, products.reshape(-1, d)]))
+    return _Generators(parts, src, tgt, np.concatenate([elements, products.reshape(-1, d)]), minimal)
 
 
-def _radical_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(parts, src, tgt)`` of :class:`_Generators`, once ``a`` is
+def _radical_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(parts, src, tgt, minimal)`` of :class:`_Generators`, once ``a`` is
     certified to be in the domain where they and the idempotents
     generate it: the non-idempotent basis spans a nilpotent ideal, which
     is then the radical.
@@ -317,7 +322,8 @@ def _radical_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     n = len(idx)
     rad = a.radical_basis_indices()
     if not rad:
-        return np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        none = np.zeros(0, dtype=np.intp)
+        return np.zeros((0, d), dtype=np.int64), none, none, none
     # [s, r, t] is e_s b e_t for the r-th non-idempotent basis element b:
     # one product
     left = a.mul_table[idx][:, rad].reshape(n * len(rad), d)
@@ -344,7 +350,14 @@ def _radical_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # [g, s, t] is e_s * g * e_t
     g, src, tgt = np.nonzero(nonzero[:, lift].transpose(1, 0, 2))
     parts = corners[src, np.asarray(lift, dtype=np.intp)[g], tgt]
-    return parts, src, tgt
+    # the parts of the lifts span rad/rad^2 too; when a lift has several,
+    # those independent of rad^2 and of the parts before them lift a basis
+    if len(parts) == len(lift):
+        minimal = np.arange(len(parts))
+    else:
+        keep = fld.row_rank_profile(np.concatenate([squares, parts]))
+        minimal = np.asarray([k - squares.shape[0] for k in keep if k >= squares.shape[0]], dtype=np.intp)
+    return parts, src, tgt, minimal
 
 
 @dataclass
@@ -873,16 +886,42 @@ def resolution_data(m: RightModule, cap: int) -> ResolutionData:
 
 
 def global_dimension(a: Algebra, cap: int) -> int:
-    """Max projective-resolution length over the simple modules."""
+    """gl.dim A, which is pd(A/rad A); ``GlobalDimensionExceedsCapError``
+    names the algebra and the cap when it exceeds ``cap``.
+
+    The minimal resolution of the top A/rad A = (+)_v S_v starts with
+    P_0 = A, whose kernel is rad A.  The generator parts g: s -> t of
+    :func:`_generators` that lift a basis of rad/rad^2 generate rad A as a
+    right module (Nakayama's lemma), so x |-> g x from (+)_g P_t onto
+    rad A is a minimal projective cover; let K be its kernel.  So gl.dim A
+    is 0 without parts (A is semisimple), 1 when K = 0 (rad A is
+    projective: A is hereditary), and 2 + pd K otherwise, with K
+    resolved by :func:`resolution_data`.  A hereditary algebra builds no
+    cover and no module beyond its projectives.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    best = 0
-    for v in range(a.n_idempotents):
-        try:
-            res = resolution_data(simple_module(a, v), cap)
-        except ResolutionExceedsCapError as exc:
-            raise GlobalDimensionExceedsCapError(
-                f"{a.name}: simple {v} has no resolution within cap {cap}"
-            ) from exc
-        best = max(best, res.length)
-    return best
+    fld = a.field
+    gens = _generators(a)
+    if not gens.minimal.size:
+        return 0
+    projs = [projective_module(a, int(t)) for t in gens.tgt[gens.minimal]]
+    ops = a.left_mult_operator(gens.parts[gens.minimal])
+    # row r of block g is g times the r-th basis path of P_t
+    surj = np.concatenate([fld.matmul(rows, op) for (_, rows, _), op in zip(projs, ops)])
+    kernel = fld.left_kernel_basis(surj)
+    # rank-nullity: the rank of surj is its row count minus its nullity,
+    # and its image lies in rad A
+    if surj.shape[0] - kernel.shape[0] != len(a.radical_basis_indices()):
+        raise ValueError(f"{a.name}: the generator parts do not cover the radical")
+    if kernel.shape[0] == 0:
+        return 1
+    exceeds = f"{a.name}: global dimension exceeds cap {cap}"
+    if cap < 2:
+        raise GlobalDimensionExceedsCapError(exceeds)
+    cover, _ = direct_sum([m for (m, _, _) in projs], name=f"cover(rad {a.name})")
+    syzygy, _ = submodule_from_rows(cover, kernel, name=f"syz2({a.name})")
+    try:
+        return 2 + resolution_data(syzygy, cap - 2).length
+    except ResolutionExceedsCapError as exc:
+        raise GlobalDimensionExceedsCapError(exceeds) from exc

@@ -484,17 +484,11 @@ class AdjunctionProvider:
 
     def forward_matrix(self, x, y) -> np.ndarray:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
-        m = x.field.zeros(lhs.dim, rhs.dim)
-        for i, mor in enumerate(lhs.basis_mors()):
-            m[i] = rhs.coords_of(self.forward(x, y, mor))
-        return m
+        return rhs.coords_of_all([self.forward(x, y, mor) for mor in lhs.basis_mors()])
 
     def backward_matrix(self, x, y) -> np.ndarray:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
-        m = x.field.zeros(rhs.dim, lhs.dim)
-        for j, mor in enumerate(rhs.basis_mors()):
-            m[j] = lhs.coords_of(self.backward(x, y, mor))
-        return m
+        return lhs.coords_of_all([self.backward(x, y, mor) for mor in rhs.basis_mors()])
 
     def unit(self, x) -> Mor:
         """x -> G F x as the forward image of the identity."""

@@ -10,7 +10,8 @@ solves for them in the hom basis by Gaussian elimination.
 ``lifts_entrywise`` is the reference for lifts through a quasi-isomorphism:
 it writes the chain-map and homotopy equations entry by entry.
 ``hom_complex_dims`` is the reference for derived Hom dimensions: it
-ranks the differentials of the Hom complex in module-hom bases.  The
+ranks the differentials of the Hom complex in module-hom bases, and
+``coords_one_by_one`` for homology coordinates: one class at a time.  The
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
@@ -23,9 +24,10 @@ once: the references for the validators on generators, in blocks.
 the top blocks the library reads: a complex of projectives is minimal
 when each differential lands in the radical of the next term.  ``is_rref``
 checks a reduced row echelon form against its definition, with a rank
-on Python ints of its own.  The library helpers
-at the end (Ext by a projective resolution, the Euler characteristic,
-hom bases as module homs, the regular bimodule, the scalar Nakayama
+on Python ints of its own.  The library helpers at the end (Ext by a
+projective resolution, the global dimension by one resolution per
+simple, the monomial truncations kQ/J^k, the Euler characteristic, hom
+bases as module homs, the regular bimodule, the scalar Nakayama
 supertrace, the homotopy check) are used by the tests only.
 """
 
@@ -754,6 +756,78 @@ def ext_dims(m, n, max_deg: int) -> list[int]:
         rank_out = fld.rank(deltas[k]) if k < len(deltas) else 0
         rank_in = fld.rank(deltas[k - 1]) if k >= 1 else 0
         out.append(dim_k - rank_out - rank_in)
+    return out
+
+
+def global_dimension_by_simples(a, cap: int) -> int:
+    """gl.dim A as the largest resolution length over the simple modules,
+    each resolved by projective covers: the reference for
+    :func:`gluecat.modules.global_dimension`, which resolves the top
+    A/rad A once, from the generators of the radical."""
+    from gluecat.modules import (
+        GlobalDimensionExceedsCapError,
+        ResolutionExceedsCapError,
+        resolution_data,
+        simple_module,
+    )
+
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    best = 0
+    for v in range(a.n_idempotents):
+        try:
+            res = resolution_data(simple_module(a, v), cap)
+        except ResolutionExceedsCapError as exc:
+            raise GlobalDimensionExceedsCapError(
+                f"{a.name}: simple {v} has no resolution within cap {cap}"
+            ) from exc
+        best = max(best, res.length)
+    return best
+
+
+def truncated_path_algebra(q, fld, k: int):
+    """kQ/J^k for an acyclic quiver Q: the paths of length below ``k``,
+    with a product of paths zero once it reaches length ``k``.  Built on
+    plain path data, with the conventions of
+    :func:`gluecat.algebra.path_algebra` (b_i * b_j traverses b_j first)."""
+    from gluecat.algebra import Algebra
+
+    paths = [p for p in enumerate_paths(q.n, list(q.arrows)) if len(p[0]) < k]
+    index = {(arr, s): i for i, (arr, s, _) in enumerate(paths)}
+    d = len(paths)
+    mul = np.zeros((d, d, d), dtype=np.int64)
+    for i, (arr_i, s_i, _) in enumerate(paths):
+        for j, (arr_j, s_j, t_j) in enumerate(paths):
+            if s_i == t_j and (arr_j + arr_i, s_j) in index:
+                mul[i, j, index[(arr_j + arr_i, s_j)]] = 1
+    labels = [
+        "".join(q.arrow_labels[x] for x in reversed(arr)) if arr else q.vertex_labels[s]
+        for (arr, s, _) in paths
+    ]
+    unit = np.zeros(d, dtype=np.int64)
+    unit[: q.n] = 1
+    return Algebra(fld, labels, mul, unit, list(range(q.n)), name=f"k[{'-'.join(q.vertex_labels)}]/J^{k}")
+
+
+def coords_one_by_one(space, mors) -> np.ndarray:
+    """Homology coordinates of each class in the derived hom space
+    ``space``, one at a time: the chain map's coordinates, a cycle check
+    and a solve per class.  The reference for ``HomSpace.coords_of_all``,
+    which does each of the three once for the whole stack."""
+    fld = space.fld
+    out = fld.zeros(len(mors), space.dim)
+    stack = np.concatenate([space.boundaries, space.h_reps], axis=0)
+    for r, mor in enumerate(mors):
+        m = space.normalize(mor)
+        vec = space.hc._coords(0, 1, {i: c[None] for i, c in m.comps.items()})
+        if space.dim == 0:
+            continue
+        if np.any(fld.matmul(vec, space.hc.diff(0))):
+            raise ValueError("coords_one_by_one: not a cycle")
+        coords = fld.coords_in_rows(stack, vec)
+        if coords is None:
+            raise ValueError("coords_one_by_one: cycle outside computed space")
+        out[r] = coords[0][space.boundaries.shape[0]:]
     return out
 
 

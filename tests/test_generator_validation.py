@@ -2,8 +2,9 @@
 
 ``RightModule.validate`` and ``Bimodule.validate`` check the module laws
 on the validation set G (idempotents and generator parts) against every
-basis element, and ``Algebra.validate`` checks associativity in blocks
-of the first factor.  On the algebras of the domain G generates, so the
+basis element, and ``Algebra.validate`` checks associativity on the
+triples through a pair with a nonzero product, in blocks of those
+pairs.  On the algebras of the domain G generates, so the
 verdicts, messages included, must equal those of the dense checks in
 :mod:`oracles`, which compare all pairs (or triples) of basis elements
 at once.  This holds on valid and on corrupted actions over A3, D4 and
@@ -246,13 +247,18 @@ def test_a_left_generator_that_fails_to_commute_is_caught_in_its_block(bound_ent
     assert _bimodule_verdict(w, lam, w.right_action) == "actions do not commute"
 
 
-@pytest.mark.parametrize("bound_entries", ["d^4", "d^4 - 1", "1"])
+@pytest.mark.parametrize("bound_entries", ["d^4", "d^4 - 1", "1", "one block of pairs", "just below one block of pairs"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_associativity_in_blocks_matches_the_whole_check(bound_entries, data):
     a = _algebras()["A3"]
     d = a.dim
-    entries = {"d^4": d ** 4, "d^4 - 1": d ** 4 - 1, "1": 1}[bound_entries]
+    # each pair (x, y) with b_x b_y != 0 is one item of 2 d^2 entries
+    pairs = int(np.count_nonzero(a.mul_table.any(axis=2))) * 2 * d * d
+    entries = {
+        "d^4": d ** 4, "d^4 - 1": d ** 4 - 1, "1": 1,
+        "one block of pairs": pairs, "just below one block of pairs": pairs - 1,
+    }[bound_entries]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "STACK_ENTRIES", entries)
         mul = np.array(a.mul_table)
@@ -261,6 +267,23 @@ def test_associativity_in_blocks_matches_the_whole_check(bound_entries, data):
             mul[idx] = (mul[idx] + data.draw(st.integers(1, FLD.p - 1))) % FLD.p
         got = _verdict(lambda: Algebra(FLD, a.labels, mul, a.unit, a.idempotent_indices, name="x"))
         assert (got == "associativity fails") == (not associative_dense(mul, FLD.p))
+
+
+def test_an_associativity_failure_through_a_zero_first_product_is_caught():
+    # in A3 (a: 1 -> 2, b: 2 -> 3) let e2 a = a + ba: then e3 (e2 a) = ba
+    # but (e3 e2) a = 0, and (e3, e2, a) is the only failing triple, so
+    # the pairs (i, j) with b_i b_j != 0 alone would not see it
+    a = path_algebra(Quiver(3, ((0, 1), (1, 2))), FLD)
+    e2, e3, arrow, path = (a.labels.index(x) for x in ("e2", "e3", "a", "ba"))
+    mul = np.array(a.mul_table)
+    mul[e2, arrow, path] = 1
+    left = np.einsum("ijl,lkm->ijkm", mul, mul) % FLD.p
+    right = np.einsum("jkl,ilm->ijkm", mul, mul) % FLD.p
+    assert np.argwhere((left != right).any(axis=3)).tolist() == [[e3, e2, arrow]]
+    assert not mul[e3, e2].any()
+    assert not associative_dense(mul, FLD.p)
+    got = _verdict(lambda: Algebra(FLD, a.labels, mul, a.unit, a.idempotent_indices, name="x"))
+    assert got == "associativity fails"
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from gluecat.algebra import Quiver, opposite, path_algebra
+from gluecat.field import PrimeField
 from gluecat.complexes import stalk_complex
 from gluecat.modules import (
     global_dimension,
@@ -20,18 +24,23 @@ from gluecat.modules import (
     tensor_over,
     zero_module,
     Bimodule,
+    GlobalDimensionExceedsCapError,
     ResolutionExceedsCapError,
+    _generators,
 )
 
 from oracles import (
     ext_dims,
+    global_dimension_by_simples,
     hom_basis,
     k_dual_hom,
     operator,
     paths_with_source,
     paths_with_target,
     regular_bimodule,
+    truncated_path_algebra,
 )
+from test_batched_kernels import _mixed_basis_algebra
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +390,76 @@ def test_global_dimension_hereditary(alg_a2, alg_a3, alg_kron):
 def test_global_dimension_semisimple(gf):
     a = path_algebra(Quiver(2, ()), gf)
     assert global_dimension(a, cap=2) == 0
+
+
+def _orientations(name, n, edges):
+    """Every orientation of the tree with these edges, by name: each edge
+    (u, v) written as u > v or u < v for the arrow u -> v or v -> u."""
+    out = {}
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arrows = tuple((v, u) if f else (u, v) for f, (u, v) in zip(flips, edges))
+        out[name + "".join("<" if f else ">" for f in flips)] = Quiver(n, arrows)
+    return out
+
+
+GLDIM_QUIVERS = {
+    **{k: q for n in range(2, 6) for k, q in _orientations(f"A{n}", n, [(i, i + 1) for i in range(n - 1)]).items()},
+    **_orientations("D4", 4, [(0, 1), (1, 2), (1, 3)]),
+    "K3": Quiver(2, ((0, 1),) * 3),
+    "S3": Quiver(3, ()),
+}
+
+
+def _gldim_outcome(f, a, cap):
+    try:
+        return f(a, cap)
+    except GlobalDimensionExceedsCapError:
+        return "exceeds"
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("name", sorted(GLDIM_QUIVERS))
+def test_global_dimension_matches_the_resolutions_of_the_simples(name, p):
+    # kQ, kQ/J^2 and kQ/J^3 and their opposites; at cap = gl.dim the
+    # value comes back, and one below it raises, as by the simples
+    q = GLDIM_QUIVERS[name]
+    fld = PrimeField(p)
+    for k in (None, 2, 3):
+        a = path_algebra(q, fld) if k is None else truncated_path_algebra(q, fld, k)
+        for x in (a, opposite(a)):
+            want = global_dimension_by_simples(x, 8)
+            assert global_dimension(x, max(want, 1)) == want
+            for cap in range(1, want):
+                assert _gldim_outcome(global_dimension, x, cap) == "exceeds"
+                assert _gldim_outcome(global_dimension_by_simples, x, cap) == "exceeds"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_global_dimension_of_a_radical_square_zero_line(gf, n):
+    # kA_n / J^2 on 1 -> 2 -> ... -> n: each simple but the last has a
+    # syzygy that is again simple, so gl.dim is n - 1
+    a = truncated_path_algebra(Quiver(n, tuple((i, i + 1) for i in range(n - 1))), gf, 2)
+    assert global_dimension(a, n - 1) == n - 1
+    if n > 2:
+        with pytest.raises(GlobalDimensionExceedsCapError, match=rf"^{re.escape(a.name)}: global dimension exceeds cap {n - 2}$"):
+            global_dimension(a, n - 2)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_global_dimension_cap_below_one_is_rejected(alg_a2, cap):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        global_dimension(alg_a2, cap)
+
+
+def test_global_dimension_covers_the_radical_minimally_in_a_mixed_basis():
+    # a + b splits into two generator parts besides b itself: three parts
+    # for a two-dimensional rad/rad^2, of which two lift a basis; with all
+    # three the cover of rad A would have a projective kernel, and the
+    # hereditary A3 would read 2
+    b = _mixed_basis_algebra()
+    gens = _generators(b)
+    assert (len(gens.parts), gens.minimal.tolist()) == (3, [0, 1])
+    assert global_dimension(b, 1) == global_dimension_by_simples(b, 4) == 1
 
 
 def test_resolution_cap_enforced(alg_a3):

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gluecat.modules as modules
+import gluecat.recollement as recollement
 from gluecat.algebra import Quiver, path_algebra
 from gluecat.complexes import BoundedComplex, cone, homology_dims, stalk_complex
 from gluecat.field import PrimeField
@@ -16,7 +20,18 @@ from gluecat.recollement import (
     verify_axioms,
 )
 
-from oracles import paths_between_sets, paths_through, paths_with_source, paths_with_target
+from gluecat.scenarios import fixture_scenario, load_scenario, parse_scenario
+
+from oracles import (
+    coords_one_by_one,
+    global_dimension_by_simples,
+    paths_between_sets,
+    paths_through,
+    paths_with_source,
+    paths_with_target,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +67,40 @@ def rec_a3_e12():
 def rec_a4_e34():
     a = path_algebra(Quiver(4, ((0, 1), (1, 2), (2, 3))), PrimeField(32003))
     return build_recollement(a, [2, 3], seed=17)
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3", "A4-e4", "D4-centre"])
+def test_global_dimensions_build_no_cover(name, monkeypatch):
+    # global_dimension reads the projectives and the generators of the
+    # radical, so on these hereditary algebras it builds no cover; the
+    # per-simple route built one per syzygy
+    if name.startswith("F"):
+        scn = parse_scenario(fixture_scenario(name))
+    else:
+        scn = load_scenario(str(SCENARIOS / f"{name}.json"))
+    a = path_algebra(Quiver(scn.vertices, tuple(scn.arrows)), PrimeField(scn.p))
+    inside, during, total = [], [], []
+    build_cover, gldim = modules._build_cover, recollement.global_dimension
+
+    def spy_cover(m):
+        total.append(m.name)
+        if inside:
+            during.append(m.name)
+        return build_cover(m)
+
+    def spy_gldim(alg, cap):
+        inside.append(alg)
+        try:
+            return gldim(alg, cap)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(modules, "_build_cover", spy_cover)
+    monkeypatch.setattr(recollement, "global_dimension", spy_gldim)
+    rec = build_recollement(a, scn.e_vertices, gldim_cap=scn.gldim_cap, seed=scn.seed)
+    assert total and during == []
+    algebras = {"A": rec.algebra, "B": rec.quotient_algebra, "C": rec.corner_algebra}
+    assert rec.global_dimensions == {k: global_dimension_by_simples(x, scn.gldim_cap) for k, x in algebras.items()}
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +263,21 @@ def test_ishriek_and_jstar_compose(rec_f2):
 # ----------------------------------------------------------------------
 
 
+def _batched_rows_check(provider, x, y):
+    """forward_matrix and backward_matrix reduce all their classes at
+    once; each row must be the coordinates of that class on its own."""
+    lhs, rhs = provider.lhs_space(x, y), provider.rhs_space(x, y)
+    fwd = provider.forward_matrix(x, y)
+    bwd = provider.backward_matrix(x, y)
+    assert np.array_equal(fwd, coords_one_by_one(rhs, [provider.forward(x, y, m) for m in lhs.basis_mors()]))
+    assert np.array_equal(bwd, coords_one_by_one(lhs, [provider.backward(x, y, m) for m in rhs.basis_mors()]))
+    return fwd, bwd
+
+
 def _roundtrip_check(provider, x, y):
     ctx = provider.ctx
     fld = x.field
-    fwd = provider.forward_matrix(x, y)
-    bwd = provider.backward_matrix(x, y)
+    fwd, bwd = _batched_rows_check(provider, x, y)
     assert fwd.shape[0] == fwd.shape[1], (provider.name, fwd.shape)
     assert np.array_equal(fld.matmul(fwd, bwd), fld.identity(fwd.shape[0]))
     assert np.array_equal(fld.matmul(bwd, fwd), fld.identity(bwd.shape[0]))
@@ -281,6 +340,34 @@ def test_all_adjunctions_f2_simple_objects(rec_f2):
     _roundtrip_check(providers["(i_*, i^!)"], xb, xa)
     _roundtrip_check(providers["(j_!, j^*)"], xc, xa)
     _roundtrip_check(providers["(j^*, j_*)"], xa, xc)
+
+
+@pytest.mark.parametrize("fixture", ["rec_f2", "rec_f3"])
+def test_batched_adjunction_matrices_match_one_class_at_a_time(fixture, request):
+    rec = request.getfixturevalue(fixture)
+    menus = default_menus(rec)
+    rows = []
+    for prov in primitive_adjunctions(rec).values():
+        src, tgt = prov.f_expr.signature(rec.registry)
+        for _, x in menus[src]:
+            for _, y in menus[tgt]:
+                rows.append(_batched_rows_check(prov, x, y)[0].shape[0])
+    assert max(rows) >= 2
+
+
+def test_batched_reduction_rejects_a_stack_with_one_non_cycle(rec_f2):
+    # End(p) for the two-term replacement p of S2: its identity class is
+    # a cycle, and each degree-0 unit vector is not
+    ctx = rec_f2.ctx
+    p = ctx.replacement(stalk_complex(simple_module(rec_f2.algebra, 1), name="S2")).p
+    space = ctx.hom_space(p, p)
+    assert space.dim == 1
+    good = space.h_reps
+    assert np.array_equal(space.reduce_vectors(np.concatenate([good, good])), [[1], [1]])
+    bad = np.eye(good.shape[1], dtype=np.int64)[:1]
+    assert space.hc.diff(0)[0].any()
+    with pytest.raises(ValueError, match="not a cycle"):
+        space.reduce_vectors(np.concatenate([good, bad]))
 
 
 def test_unit_of_jstar_push_on_p1_is_zero(rec_f1):
