@@ -2,18 +2,20 @@
 """Run ``gluecat verify`` on the frontier scenarios and print what each
 run cost.
 
-    python3 scripts/frontier.py [E6 E7 K3]
+    python3 scripts/frontier.py [E6 E7 K3 K4]
 
 Each scenario runs in a child process under a 3 GB address-space limit
 (``RLIMIT_AS``), single-threaded (``OPENBLAS_NUM_THREADS=1``), with all
 three diagrams and the Serre suites.  Per scenario it prints the exit
-code, wall time, CPU time (user + system), peak RSS of the child and the
+code, wall time, CPU time (user + system), peak RSS of the child, the
+number of cells that ran out of memory (``MemoryError``, exit 2) and the
 SHA-256 of the report, so two checkouts can be compared run for run:
 equal digests mean byte-identical reports.
 
 - E6: 1→2→3→4→5 with 6→3, e = {3};
 - E7: 1→2→3→4→5→6 with 7→3, e = {4};
-- K3: three arrows 1→2, e = {2}.
+- K3: three arrows 1→2, e = {2};
+- K4: four arrows 1→2, e = {2}.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ SCENARIOS = {
     "E6": (6, [[1, 2], [2, 3], [3, 4], [4, 5], [6, 3]], [3]),
     "E7": (7, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [7, 3]], [4]),
     "K3": (2, [[1, 2], [1, 2], [1, 2]], [2]),
+    "K4": (2, [[1, 2], [1, 2], [1, 2], [1, 2]], [2]),
 }
 
 
@@ -53,7 +56,7 @@ def _limit_address_space():
 
 def run(name: str, workdir: Path) -> dict:
     """Verify one scenario in a child process; its exit code, wall and
-    CPU seconds, peak RSS in MB and report digest."""
+    CPU seconds, peak RSS in MB, cells out of memory and report digest."""
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(scenario(name)), encoding="utf-8")
     report = workdir / f"{name}-report.json"
@@ -65,13 +68,18 @@ def run(name: str, workdir: Path) -> dict:
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.monotonic() - t0
     child.returncode = os.waitstatus_to_exitcode(status)
-    digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else "-"
+    digest, memory_errors = "-", 0
+    if report.exists():
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        cells = json.loads(report.read_text(encoding="utf-8"))["cells"]
+        memory_errors = sum(str(c["actual"]).startswith("error: MemoryError") for c in cells)
     return {
         "exit": child.returncode,
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         # ru_maxrss is in KB on Linux
         "peak_rss_mb": usage.ru_maxrss / 1024,
+        "memory_errors": memory_errors,
         "sha256": digest,
     }
 
@@ -82,12 +90,12 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown scenario(s) {unknown}; choose from {sorted(SCENARIOS)}", file=sys.stderr)
         return 2
-    print(f"{'scenario':<9} {'exit':>4} {'wall s':>8} {'cpu s':>8} {'peak MB':>8}  report sha256")
+    print(f"{'scenario':<9} {'exit':>4} {'wall s':>8} {'cpu s':>8} {'peak MB':>8} {'MemErr':>6}  report sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             r = run(name, Path(tmp))
             print(f"{name:<9} {r['exit']:>4} {r['wall_s']:>8.1f} {r['cpu_s']:>8.1f} "
-                  f"{r['peak_rss_mb']:>8.1f}  {r['sha256']}", flush=True)
+                  f"{r['peak_rss_mb']:>8.1f} {r['memory_errors']:>6}  {r['sha256']}", flush=True)
     return 0
 
 

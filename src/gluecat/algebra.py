@@ -97,7 +97,9 @@ class Algebra:
     - ``_projectives``: :func:`~gluecat.modules.projective_module`, one
       entry per vertex;
     - ``_hom_bases``: :func:`~gluecat.modules.hom_basis_matrices`, keyed
-      by the action tensors (shape and bytes) of both modules;
+      by the action tensors (shape and bytes) of both modules; only the
+      default menus ask for these, as hom complexes are written in
+      Yoneda coordinates;
     - ``_covers``: :func:`~gluecat.modules.projective_cover`, keyed by
       the action tensor of the covered module;
     - ``_generators``: the generators besides the idempotents, split by

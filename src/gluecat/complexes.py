@@ -28,14 +28,12 @@ from .modules import (
     ResolutionExceedsCapError,
     RightModule,
     TensorResult,
-    _hom_entry,
     _memo,
     _operators,
     _restricted_action,
     _validate_once,
     _weights,
     direct_sum,
-    hom_coords,
     k_dual,
     projective_cover,
     projective_module,
@@ -406,73 +404,6 @@ def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
     return out
 
 
-def _projective_hom_dims(p: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
-    """Nonzero homology dimensions of Hom(p, y), for p with projective
-    terms and summand data, in Yoneda coordinates: no module-hom basis.
-
-    Hom_A(e_v A, N) = N e_v, so Hom^n(p, y) is the sum over the summands
-    s (at vertex v_s, generator g_s) of each p^i of y^{i+n} e_{v_s}, with
-    the coordinates of f(g_s) in the weight basis Q of y^{i+n}.  With
-    j = i + n, the differential f |-> f d_y - (-1)^n d_p f has a block
-    (i, s) -> (i, s), W_{v_s}(y^j) d_y^j Q^-1(y^{j+1})[:, v_s], and a
-    block (i, s) -> (i-1, t), -(-1)^n W_{v_s}(y^j) a_st Q^-1(y^j)[:, v_t],
-    where W_v are the rows of Q at v and a_st in e_{v_s} A e_{v_t} is the
-    s-block of g_t d_p^{i-1}, read in A through the rows of
-    :func:`~gluecat.modules.projective_module` and acting on y^j.
-    """
-    if p.is_zero() or y.is_zero():
-        return {}
-    a, fld = p.algebra, p.field
-    w = {j: _weights(y.term(j)) for j in y.degrees()}
-    dy = {j: fld.mul_chain(w[j].basis, y.diff(j), w[j + 1].inverse) for j in range(y.lo, y.hi)}
-    # a_st of each degree i, one (#t, dim A) stack per summand s of p^i
-    a_st: dict[int, list[np.ndarray]] = {}
-    for i in range(p.lo + 1, p.hi + 1):
-        src, tgt = p.summand(i - 1), p.summand(i)
-        if src.gens and tgt.gens:
-            images = fld.matmul(np.stack(src.gens), p.diff(i - 1))
-            a_st[i] = []
-            for v, off in zip(tgt.vertices, tgt.offsets):
-                rows = projective_module(a, v)[1]
-                a_st[i].append(fld.matmul(images[:, off:off + len(rows)], rows))
-    summands = [(i, s, v) for i in p.degrees() for s, v in enumerate(p.summand(i).vertices)]
-
-    def layout(n: int) -> tuple[dict[tuple[int, int], slice], int]:
-        """The slice of each summand (i, s) in Hom^n, and dim Hom^n."""
-        out, off = {}, 0
-        for i, s, v in summands:
-            size = int(w[i + n].sizes[v]) if i + n in w else 0
-            out[i, s] = slice(off, off + size)
-            off += size
-        return out, off
-
-    def block(wts, v: int) -> slice:
-        return slice(wts.offsets[v], wts.offsets[v] + wts.sizes[v])
-
-    def diff(n: int) -> np.ndarray:
-        (rows, dim), (cols, dim1) = layout(n), layout(n + 1)
-        out = fld.zeros(dim, dim1)
-        sign = 1 if n % 2 == 0 else -1
-        for i in p.degrees():
-            j = i + n
-            if j not in w:
-                continue
-            wj = w[j]
-            for s, v in enumerate(p.summand(i).vertices):
-                if j + 1 in w:
-                    out[rows[i, s], cols[i, s]] = dy[j][block(wj, v), block(w[j + 1], v)]
-                if i in a_st and wj.sizes[v]:
-                    ops = _operators(a_st[i][s], y.term(j).action, fld.p)
-                    images = fld.matmul(fld.matmul(wj.basis[block(wj, v)], ops), wj.inverse)
-                    for t, u in enumerate(p.summand(i - 1).vertices):
-                        image = images[t][:, block(wj, u)]
-                        out[rows[i, s], cols[i - 1, t]] = (-sign * image) % fld.p
-        return out
-
-    dims = {n: layout(n)[1] for n in range(y.lo - p.hi, y.hi - p.lo + 1)}
-    return _homology(fld, dims, diff)
-
-
 # ----------------------------------------------------------------------
 # minimal complexes of projectives
 # ----------------------------------------------------------------------
@@ -804,16 +735,18 @@ class DerivedContext:
       shares its matrices but carries the caller's complexes; lifted
       maps sit on the caller's ``p``, ``y`` and ``x``; matrices are
       plain numbers in shared bases and are shared as they are.  So one
-      hom complex per content of ``(p, y)`` serves hom spaces,
-      certificates and lifts; derived Hom dimensions build none
-      (:func:`_projective_hom_dims`).  The memos read with ``get`` give the
+      :class:`HomComplex` per content of ``(p, y)``, in Yoneda
+      coordinates, serves hom spaces, certificates and lifts; derived Hom
+      dimensions rank the differentials of one built outside the memo,
+      so none is kept for them.  The memos read with ``get`` give the
       same objects the identical value on every request, so adjunction
       formulas may rely on ``replacement(x).p`` being one complex per
       content.  Nothing mutates a memoised value.
-    - Module hom bases, projective covers, tensor products and the zero
-      module are memoised by content in :mod:`gluecat.modules`, on the
-      object that owns the data (the algebra, or the bimodule for
-      tensors); :func:`homology_dims` is memoised on the algebra too.
+    - Module hom bases (for the menus only), weight bases, projective
+      covers, tensor products and the zero module are memoised by
+      content in :mod:`gluecat.modules`, on the object that owns the
+      data (the algebra, or the bimodule for tensors);
+      :func:`homology_dims` is memoised on the algebra too.
     - Complexes and chain maps validate once per content per algebra
       (``Algebra._valid``), as modules do.
 
@@ -940,7 +873,7 @@ class DerivedContext:
         n0, n1 = hy.dim(0), hy.dim(1)
         system = fld.zeros(n0 + hx.dim(-1), n1 + hx.dim(0))
         system[:n0, :n1], system[n0:, n1:] = hy.diff(0), hx.diff(-1)
-        system[:n0, n1:] = hy._map(0, hx, 0, lambda i, b: {i: fld.matmul(b, s.comp(i))})
+        system[:n0, n1:] = hy._map(0, hx, 0, lambda g: {i: fld.matmul(c, s.comp(i)) for i, c in g.items()})
         rhs = fld.zeros(len(fs), system.shape[1])
         stacks = {n: np.stack([f.comp(n) for f in fs]) for n in p.degrees()}
         rhs[:, n1:] = hx._coords(0, len(fs), stacks)
@@ -971,7 +904,9 @@ class DerivedContext:
         return dict(self._hom_dims.get((x, y), self._build_hom_dims, _same))
 
     def _build_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
-        return _projective_hom_dims(self.replacement(x).p, y)
+        # a hom complex of its own, outside the memo, so none is kept
+        hc = HomComplex(self.replacement(x).p, y)
+        return _homology(hc.fld, {n: hc.dim(n) for n in range(hc.lo, hc.hi + 1)}, hc.diff)
 
     # -- tensors --------------------------------------------------------
 
@@ -1044,7 +979,7 @@ class DerivedContext:
             if not np.any(coeffs):
                 coeffs[0] = 1
             vec = fld.matmul(coeffs.reshape(1, -1), cycles)[0]
-            cand = hc.vector_to_chain_map(0, vec)
+            cand = hc.vector_to_chain_map(vec)
             ch = homology_dims(cone(cand))
             if ch == {}:
                 return DerivedIsoCertificate("certified", cand, ch, used)
@@ -1052,30 +987,63 @@ class DerivedContext:
 
 
 class HomComplex:
-    """Total Hom complex of two bounded complexes.
+    """Total Hom complex Hom(p, y) out of a complex p of projectives with
+    summand data, in Yoneda coordinates: no module-hom basis.
 
-    Term n is the direct sum over i of Hom_A(p^i, y^{i+n}) in the cached
-    module-hom bases; the differential is f |-> f d_y - (-1)^n d_p f.
-    When p has projective terms (or y injective ones) its homology
-    computes derived Hom degreewise; the dimensions alone come from
-    :func:`_projective_hom_dims`, which builds no module-hom basis.
+    Hom_A(e_v A, N) = N e_v, so term n is the sum over the summands s (at
+    vertex v_s, generator g_s) of each p^i of y^{i+n} e_{v_s}.  A map f
+    has the coordinates of its generator images g_s f^i in the weight
+    basis Q of y^{i+n} (:func:`~gluecat.modules._weights`), summand by
+    summand (:meth:`_coords`); an image u extends to the summand through
+    the basis rows b of :func:`~gluecat.modules.projective_module`, as
+    u b (:meth:`_expand`).  A map is a hom exactly when it is the
+    extension of its generator images.  With j = i + n, the differential
+    f |-> f d_y - (-1)^n d_p f has a block (i, s) -> (i, s),
+    W_{v_s}(y^j) d_y^j Q^-1(y^{j+1})[:, v_s], and a block (i, s) -> (i-1, t),
+    -(-1)^n W_{v_s}(y^j) a_st Q^-1(y^j)[:, v_t], where W_v are the rows of
+    Q at v and a_st in e_{v_s} A e_{v_t} is the s-block of g_t d_p^{i-1}:
+    its coordinates in the basis rows b of P_{v_s} combine the
+    extensions W_{v_s}(y^j) b of :meth:`_extension`.  Its homology is
+    derived Hom degreewise.
 
-    Terms and differentials are built on first use (a hom space needs d^-1
-    and d^0, a lift d^0), and the copies made by :meth:`_moved` share
-    them.
+    Differentials and extensions are built on first use (a hom space
+    needs d^-1 and d^0, a lift d^0), and the copies made by
+    :meth:`_moved` share them.
     """
 
     def __init__(self, p: BoundedComplex, y: BoundedComplex):
+        if not (p.is_zero() or p.has_summand_data()):
+            raise ValueError(f"hom complex out of {p.name}: no summand data")
+        a, fld = p.algebra, p.field
         self.p = p
         self.y = y
-        self.fld = p.field
+        self.fld = fld
         if p.is_zero() or y.is_zero():
             self.lo, self.hi = 0, -1
         else:
             self.lo, self.hi = y.lo - p.hi, y.hi - p.lo
-        # degree -> {i: (offset, basis stack of Hom_A(p^i, y^{i+n}))}
-        self._terms: dict[int, dict[int, tuple[int, np.ndarray]]] = {}
-        self._dims: dict[int, int] = {}
+        # (degree, vertex, offset, generator) of each summand of p, and the
+        # indices of the summands of each degree
+        self._summands = [
+            (i, v, off, gen)
+            for i in p.degrees()
+            for v, off, gen in zip(p.summand(i).vertices, p.summand(i).offsets, p.summand(i).gens)
+        ]
+        self._of_degree = {i: [k for k, s in enumerate(self._summands) if s[0] == i] for i in p.degrees()}
+        w = self._weights = {j: _weights(y.term(j)) for j in y.degrees()}
+        self._dy = {j: fld.mul_chain(w[j].basis, y.diff(j), w[j + 1].inverse) for j in range(y.lo, y.hi)}
+        # summand k of p^i -> (the summands t of p^{i-1}, and the a_st in
+        # the basis rows of P_{v_s}, one per row)
+        self._a_st: dict[int, tuple[list[int], np.ndarray]] = {}
+        for i in range(p.lo + 1, p.hi + 1):
+            src = self._of_degree[i - 1]
+            if src and self._of_degree[i]:
+                images = fld.matmul(np.stack([self._summands[t][3] for t in src]), p.diff(i - 1))
+                for k in self._of_degree[i]:
+                    _, v, off, _ = self._summands[k]
+                    self._a_st[k] = (src, images[:, off:off + projective_module(a, v)[0].dim])
+        self._layouts: dict[int, tuple[list[slice], list[slice], int]] = {}
+        self._extensions: dict[tuple[int, int], np.ndarray] = {}
         self.diffs: dict[int, np.ndarray] = {}
 
     def _moved(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
@@ -1085,70 +1053,109 @@ class HomComplex:
         out.p, out.y = p, y
         return out
 
-    def _term(self, n: int) -> dict[int, tuple[int, np.ndarray]]:
-        term = self._terms.get(n)
-        if term is None:
-            term, off = {}, 0
-            for i in self.p.degrees():
-                m, t = self.p.term(i), self.y.term(i + n)
-                if m.dim and t.dim:
-                    flat = _hom_entry(m, t)[1]
-                    if len(flat):
-                        term[i] = (off, flat.reshape(-1, m.dim, t.dim))
-                        off += len(flat)
-            self._terms[n], self._dims[n] = term, off
-        return term
+    def _layout(self, n: int) -> tuple[list[slice], list[slice], int]:
+        """``(slices, blocks, dim)`` of Hom^n: the coordinates of each
+        summand, their block in the weight basis of its y^{i+n}, and
+        dim Hom^n."""
+        hit = self._layouts.get(n)
+        if hit is None:
+            slices, blocks, off = [], [], 0
+            for i, v, _, _ in self._summands:
+                w = self._weights.get(i + n)
+                start, size = (int(w.offsets[v]), int(w.sizes[v])) if w is not None else (0, 0)
+                slices.append(slice(off, off + size))
+                blocks.append(slice(start, start + size))
+                off += size
+            hit = self._layouts[n] = (slices, blocks, off)
+        return hit
 
     def dim(self, n: int) -> int:
-        if n not in self._dims:
-            self._term(n)
-        return self._dims[n]
+        return self._layout(n)[2]
+
+    def _extension(self, j: int, v: int, block: slice) -> np.ndarray:
+        """``(r, dim y^j e_v, dim y^j)``: W b for the rows W of the
+        ``block`` of the weight basis of y^j, a basis of y^j e_v, and each
+        of the r basis rows b of e_v A, acting on y^j."""
+        hit = self._extensions.get((j, v))
+        if hit is None:
+            images = self.fld.matmul(self._weights[j].basis[block], self.y.term(j).action)
+            hit = _operators(projective_module(self.p.algebra, v)[1], images, self.fld.p)
+            hit.setflags(write=False)
+            self._extensions[j, v] = hit
+        return hit
+
+    def _expand(self, n: int, coeffs: np.ndarray) -> dict[int, np.ndarray]:
+        """The components p^i -> y^{i+n} of the elements with degree-n
+        coordinates ``coeffs`` (one row each), for every degree i of p
+        where some coordinate is nonzero; the others are zero."""
+        slices, blocks, _ = self._layout(n)
+        owner = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
+        out = {}
+        for k in sorted(set(owner[coeffs.any(axis=0)].tolist())):
+            i, v, off, _ = self._summands[k]
+            if i not in out:
+                out[i] = np.zeros((len(coeffs), self.p.term(i).dim, self.y.term(i + n).dim), dtype=np.int64)
+            ext = self._extension(i + n, v, blocks[k])
+            out[i][:, off:off + len(ext)] = self.fld.matmul(coeffs[:, slices[k]], ext).transpose(1, 0, 2)
+        return out
 
     def _coords(self, n: int, count: int, stacks: dict[int, np.ndarray]) -> np.ndarray:
         """Degree-n coordinates of ``count`` elements given by blocks:
-        ``stacks[i]`` holds their components p^i -> y^{i+n}."""
-        out = self.fld.zeros(count, self.dim(n))
-        term = self._term(n)
+        ``stacks[i]`` holds their components p^i -> y^{i+n}.  Each block
+        must be the extension of its generator images, which is the case
+        exactly when it is a module hom."""
+        fld = self.fld
+        slices, blocks, dim = self._layout(n)
+        out = fld.zeros(count, dim)
+        stacks = {i: stack % fld.p for i, stack in stacks.items()}
         for i, stack in stacks.items():
-            if i in term:
-                off, basis = term[i]
-                out[:, off:off + len(basis)] = hom_coords(self.p.term(i), self.y.term(i + n), stack)
-            elif np.any(stack):
-                raise ValueError("hom_coords: nonzero map in zero hom space")
+            ks = [k for k in self._of_degree.get(i, []) if slices[k].stop > slices[k].start]
+            if not ks:
+                if stack.any():
+                    raise ValueError("hom_coords: nonzero map in zero hom space")
+                continue
+            images = fld.matmul(np.stack([self._summands[k][3] for k in ks]), stack)
+            inverse = self._weights[i + n].inverse
+            for r, k in enumerate(ks):
+                out[:, slices[k]] = fld.matmul(images[:, r], inverse[:, blocks[k]])
+        expanded = self._expand(n, out)
+        for i, stack in stacks.items():
+            if not np.array_equal(expanded.get(i, np.zeros_like(stack)), stack):
+                raise ValueError("hom_coords: matrix is not a module hom")
         return out
 
     def _map(self, n: int, target: "HomComplex", m: int, image) -> np.ndarray:
-        """Matrix from degree n here to degree m of ``target``: block i of
-        degree n goes to the blocks ``image(i, basis)``."""
-        out = self.fld.zeros(self.dim(n), target.dim(m))
-        for i, (off, basis) in self._term(n).items():
-            out[off:off + len(basis)] = target._coords(m, len(basis), image(i, basis))
-        return out
-
-    def _expand(self, n: int, coeffs: np.ndarray) -> dict[int, np.ndarray]:
-        """The components p^i -> y^{i+n}, for every degree i of p, of the
-        elements with degree-n coordinates ``coeffs`` (one row each)."""
-        term = self._term(n)
-        out = {}
-        for i in self.p.degrees():
-            shape = (len(coeffs), self.p.term(i).dim, self.y.term(i + n).dim)
-            if i in term:
-                off, basis = term[i]
-                flat = basis.reshape(len(basis), -1)
-                out[i] = self.fld.matmul(coeffs[:, off:off + len(basis)], flat).reshape(shape)
-            else:
-                out[i] = np.zeros(shape, dtype=np.int64)
+        """Matrix from degree n here to degree m of ``target``: the basis
+        elements of each summand, expanded, go to the blocks
+        ``image(components)``."""
+        slices, _, dim = self._layout(n)
+        out = self.fld.zeros(dim, target.dim(m))
+        for rows in slices:
+            if rows.stop > rows.start:
+                unit = self.fld.zeros(rows.stop - rows.start, dim)
+                unit[:, rows] = self.fld.identity(rows.stop - rows.start)
+                out[rows] = target._coords(m, len(unit), image(self._expand(n, unit)))
         return out
 
     def diff(self, n: int) -> np.ndarray:
         d = self.diffs.get(n)
         if d is None:
-            fld, p, y = self.fld, self.p, self.y
+            fld = self.fld
+            (rows, blocks, dim), (cols, blocks1, dim1) = self._layout(n), self._layout(n + 1)
+            d = fld.zeros(dim, dim1)
             sign = 1 if n % 2 == 0 else -1
-            d = self._map(n, self, n + 1, lambda i, b: {
-                i: fld.matmul(b, y.diff(i + n)),
-                i - 1: (-sign * fld.matmul(p.diff(i - 1), b)) % fld.p,
-            })
+            for k, (i, v, _, _) in enumerate(self._summands):
+                j = i + n
+                if rows[k].stop == rows[k].start:
+                    continue
+                if j in self._dy:
+                    d[rows[k], cols[k]] = self._dy[j][blocks[k], blocks1[k]]
+                if k in self._a_st:
+                    src, a_st = self._a_st[k]
+                    ext = self._extension(j, v, blocks[k])
+                    images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[j].inverse)
+                    for t, image in zip(src, images):
+                        d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
             d.setflags(write=False)
             self.diffs[n] = d
         return d
@@ -1165,20 +1172,14 @@ class HomComplex:
             return self.fld.zeros(0, self.dim(n))
         return self.fld.image_basis(self.diff(n - 1))
 
-    def vector_to_chain_map(self, n: int, vec: np.ndarray) -> ChainMap:
-        """Expand a degree-n coordinate vector into p -> y[n] components.
-
-        For n == 0 the result is returned as an honest chain map p -> y;
-        callers needing shifted targets handle the shift themselves.
-        """
-        if n != 0:
-            raise ValueError("only degree-0 expansion is supported")
+    def vector_to_chain_map(self, vec: np.ndarray) -> ChainMap:
+        """The chain map p -> y with degree-0 coordinates ``vec``."""
         comps = self._expand(0, vec.reshape(1, -1))
         return ChainMap(self.p, self.y, {i: c[0] for i, c in comps.items()})
 
     def chain_maps_to_vectors(self, maps: list[ChainMap]) -> np.ndarray:
-        """Degree-0 coordinates of chain maps p -> y, one row each, with
-        one :func:`hom_coords` per degree for all of them."""
+        """Degree-0 coordinates of chain maps p -> y, one row each, read
+        off their generator images degree by degree."""
         degrees = sorted(set().union(*(m.comps for m in maps)))
         return self._coords(0, len(maps), {i: np.stack([m.comp(i) for m in maps]) for i in degrees})
 
@@ -1237,7 +1238,7 @@ class HomSpace:
         return out
 
     def basis_maps(self) -> list[ChainMap]:
-        return [self.hc.vector_to_chain_map(0, row) for row in self.h_reps]
+        return [self.hc.vector_to_chain_map(row) for row in self.h_reps]
 
     def basis_mors(self) -> list[Mor]:
         return [Mor(self.x, self.y, m, self.p_qis) for m in self.basis_maps()]

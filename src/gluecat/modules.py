@@ -539,45 +539,17 @@ def sub_bimodule(
 
 def hom_basis_matrices(m: RightModule, n: RightModule) -> list[np.ndarray]:
     """Basis of Hom_A(M, N) as read-only matrices, shared by every caller
-    that asks with the same pair of action tensors."""
-    return _hom_entry(m, n)[0]
-
-
-def hom_coords(m: RightModule, n: RightModule, mats: np.ndarray) -> np.ndarray:
-    """Coordinates of a module hom M -> N, or of a stack of them, in the
-    basis of :func:`hom_basis_matrices`.
-
-    They are the entries at the basis's free columns; the product with
-    the basis must give every hom back.
-    """
-    basis, flat, free_cols = _hom_entry(m, n)
-    fld = m.field
-    vecs = mats.reshape(mats.shape[:-2] + (flat.shape[1],)) % fld.p
-    if not basis and np.any(vecs):
-        raise ValueError("hom_coords: nonzero map in zero hom space")
-    coords = vecs[..., free_cols]
-    if not np.array_equal(fld.matmul(coords, flat), vecs):
-        raise ValueError("hom_coords: matrix is not a module hom")
-    return coords
-
-
-def _hom_entry(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """``(basis, flat, free_cols)`` of Hom_A(M, N), memoised on the algebra.
-
-    ``flat`` stacks the basis matrices as rows.  Row k is a kernel basis
-    vector, so it has a 1 at ``free_cols[k]`` and a 0 at every other
-    free column: the coordinates of a hom are its entries there.
-    """
+    that asks with the same pair of action tensors (``Algebra._hom_bases``)."""
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis: modules over different algebras")
     return _memo(m.algebra._hom_bases, m.key + n.key, lambda: _build_hom(m, n))
 
 
-def _build_hom(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def _build_hom(m: RightModule, n: RightModule) -> list[np.ndarray]:
     fld = m.field
     amb = m.dim * n.dim
     if amb == 0:
-        return [], fld.zeros(0, amb), np.zeros(0, dtype=np.intp)
+        return []
     wm, wn = _weights(m), _weights(n)
     cells = np.concatenate([[0], np.cumsum(wm.sizes * wn.sizes)])
     graded = fld.kernel_basis(_graded_hom_system(m, n))
@@ -593,11 +565,10 @@ def _build_hom(m: RightModule, n: RightModule) -> tuple[list[np.ndarray], np.nda
     # space alone, so it is the kernel basis of the dense (dim A * m * n)
     # system.  Columns that vanish on the whole space stay zero.
     support = np.flatnonzero(homs.any(axis=0))[::-1]
-    rows, pivots, _ = fld.rref(homs[:, support])
+    rows = fld.rref(homs[:, support])[0]
     flat = fld.zeros(k, amb)
     flat[:, support] = rows[::-1]
-    free = support[pivots[::-1]]
-    return [flat[i].reshape(m.dim, n.dim) for i in range(k)], flat, free
+    return [flat[i].reshape(m.dim, n.dim) for i in range(k)]
 
 
 def _graded_hom_system(m: RightModule, n: RightModule) -> np.ndarray:

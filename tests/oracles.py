@@ -6,11 +6,13 @@ are computed along a second path.  The Gram oracle at the end is the
 entry-by-entry reference for the batched Serre pairings: it evaluates
 each Gram entry on its own, with one lift and one supertrace per entry.
 ``hom_coords_by_elimination`` is the reference for hom coordinates: it
-solves for them in the hom basis by Gaussian elimination.
+solves for them in the hom basis by Gaussian elimination; ``hom_coords``
+reads them off the free columns of that basis instead.
 ``lifts_entrywise`` is the reference for lifts through a quasi-isomorphism:
 it writes the chain-map and homotopy equations entry by entry.
 ``hom_complex_dims`` is the reference for derived Hom dimensions: it
-ranks the differentials of the Hom complex in module-hom bases, and
+ranks the differentials of the Hom complex in module-hom bases, not in
+the Yoneda coordinates of the library, and
 ``coords_one_by_one`` for homology coordinates: one class at a time.  The
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
@@ -95,20 +97,47 @@ def paths_between_sets(n_vertices, arrows, sources, targets):
 # ----------------------------------------------------------------------
 
 
-def hom_coords_by_elimination(fld, basis, mat):
-    """Coordinates of ``mat`` in the hom basis, by one linear solve.
+def hom_coords_by_elimination(fld, basis, mats):
+    """Coordinates of ``mats``, one matrix or a stack of them, in the hom
+    basis, by one linear solve.
 
-    Raises ValueError when ``mat`` is not in the span of the basis.
+    Raises ValueError when a matrix is not in the span of the basis.
     """
+    rows, cols = mats.shape[-2:]
+    vecs = mats.reshape(int(np.prod(mats.shape[:-2])), rows * cols) % fld.p
     if not basis:
-        if np.any(mat):
+        if np.any(vecs):
             raise ValueError("hom_coords: nonzero map in zero hom space")
-        return fld.zeros(1, 0)[0]
-    flat = np.stack([b.reshape(-1) for b in basis])
-    coords = fld.coords_in_rows(flat, mat.reshape(1, -1))
-    if coords is None:
+        coords = fld.zeros(len(vecs), 0)
+    else:
+        coords = fld.coords_in_rows(np.stack([b.reshape(-1) for b in basis]), vecs)
+        if coords is None:
+            raise ValueError("hom_coords: matrix is not a module hom")
+    return coords.reshape(mats.shape[:-2] + (len(basis),))
+
+
+def hom_coords(m, n, mats):
+    """Coordinates of a module hom M -> N, or of a stack of them, in the
+    basis of ``hom_basis_matrices``, read off without a solve.
+
+    That basis is the rref of the hom space on the reversed columns, so
+    each basis matrix has its last nonzero entry, a 1, at a column where
+    every other one is 0: the coordinates of a hom are its entries at
+    those free columns, and the product with the basis must give every
+    hom back.
+    """
+    from gluecat.modules import hom_basis_matrices
+
+    fld = m.field
+    basis = hom_basis_matrices(m, n)
+    vecs = mats.reshape(mats.shape[:-2] + (m.dim * n.dim,)) % fld.p
+    if not basis and np.any(vecs):
+        raise ValueError("hom_coords: nonzero map in zero hom space")
+    flat = np.stack([b.reshape(-1) for b in basis]) if basis else fld.zeros(0, m.dim * n.dim)
+    coords = vecs[..., [np.flatnonzero(row)[-1] for row in flat]]
+    if not np.array_equal(fld.matmul(coords, flat), vecs):
         raise ValueError("hom_coords: matrix is not a module hom")
-    return coords[0]
+    return coords
 
 
 # ----------------------------------------------------------------------
@@ -190,17 +219,49 @@ def lifts_entrywise(p, s, fs):
 
 def hom_complex_dims(p, y):
     """Nonzero homology dimensions of the total Hom complex Hom(p, y),
-    built in module-hom bases: one hom basis per pair of terms, and
-    coordinates read off the free columns of those bases, each image
-    checked to be a hom.  For p with projective terms
-    these are the derived Hom dimensions, the reference for the Yoneda
-    route of ``DerivedContext.derived_hom_dims``.  The complex is built
-    outside any context, so no memo counts move.
+    built in module-hom bases: term n has one ``hom_basis_matrices`` basis
+    per pair p^i, y^{i+n}, and the image of each basis matrix f under
+    f |-> f d_y - (-1)^n d_p f is solved for in the bases of term n + 1
+    (``hom_coords_by_elimination``).  For p with projective terms these
+    are the derived Hom dimensions: the reference for the Yoneda
+    coordinates of ``HomComplex``.  Nothing is asked of a context.
     """
-    from gluecat.complexes import HomComplex, _homology
+    from gluecat.complexes import _homology
+    from gluecat.modules import hom_basis_matrices
 
-    hc = HomComplex(p, y)
-    return _homology(hc.fld, {n: hc.dim(n) for n in range(hc.lo, hc.hi + 1)}, hc.diff)
+    if p.is_zero() or y.is_zero():
+        return {}
+    fld = p.field
+
+    def term(n):
+        """``{i: (offset, basis of Hom(p^i, y^{i+n}))}`` and the dimension."""
+        out, off = {}, 0
+        for i in p.degrees():
+            basis = hom_basis_matrices(p.term(i), y.term(i + n))
+            out[i] = (off, basis)
+            off += len(basis)
+        return out, off
+
+    def diff(n):
+        (src, rows), (dst, cols) = term(n), term(n + 1)
+        out = fld.zeros(rows, cols)
+        sign = 1 if n % 2 == 0 else -1
+        for i, (off, basis) in src.items():
+            if not basis:
+                continue
+            stack = np.stack(basis)
+            images = {
+                i: fld.matmul(stack, y.diff(i + n)),
+                i - 1: (-sign * fld.matmul(p.diff(i - 1), stack)) % fld.p,
+            }
+            for k, image in images.items():
+                if k in dst:
+                    col, target = dst[k]
+                    out[off:off + len(basis), col:col + len(target)] = hom_coords_by_elimination(fld, target, image)
+        return out
+
+    dims = {n: term(n)[1] for n in range(y.lo - p.hi, y.hi - p.lo + 1)}
+    return _homology(fld, dims, diff)
 
 
 # ----------------------------------------------------------------------
@@ -394,15 +455,13 @@ def hom_system_dense(m, n):
     return blocks.reshape(m.algebra.dim * amb, amb) % m.field.p
 
 
-def hom_entry_dense(m, n):
-    """``(basis, flat, free_cols)`` of Hom_A(M, N) from the kernel of the
-    dense system: the kernel basis with a 1 at each free column."""
-    fld = m.field
+def hom_basis_dense(m, n):
+    """The basis of Hom_A(M, N) from the kernel of the dense system: the
+    kernel basis, with a 1 at each free column."""
     if m.dim == 0 or n.dim == 0:
-        return [], fld.zeros(0, m.dim * n.dim), np.zeros(0, dtype=np.intp)
-    kern = fld.kernel_basis(hom_system_dense(m, n))
-    free = np.array([np.flatnonzero(row)[-1] for row in kern], dtype=np.intp)
-    return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])], kern, free
+        return []
+    kern = m.field.kernel_basis(hom_system_dense(m, n))
+    return [kern[k].reshape(m.dim, n.dim) for k in range(kern.shape[0])]
 
 
 def hom_system_kron(m, n):

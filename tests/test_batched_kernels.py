@@ -11,7 +11,8 @@ Hom bases come from the vertex-graded system, one unknown block per
 vertex and one equation block per generator; they must equal the kernel
 basis of the dense ``(dim A * m * n) x (m * n)`` system bit for bit,
 also over corners, quotients and in bases that do not respect the
-vertex grading.  Tensor products are quotients of the weight-diagonal
+vertex grading.  The Yoneda coordinates of a hom complex out of e_v A
+must span the same space.  Tensor products are quotients of the weight-diagonal
 coordinates by one relation block per generator part; their ``pi``,
 ``section`` and kept coordinates must equal the quotient maps of the
 dense relations of every basis element, over GF(3) as well as GF(32003),
@@ -32,13 +33,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gluecat.algebra import Algebra, IdealIsWholeAlgebraError, Quiver, corner, ideal_span, idempotent_quotient, opposite, path_algebra
+from gluecat.complexes import DerivedContext, HomComplex, stalk_complex
 from gluecat.field import PrimeField
 from gluecat.modules import (
     Bimodule,
     RightModule,
     _generators,
     _graded_hom_system,
-    _hom_entry,
     direct_sum,
     hom_basis_matrices,
     injective_module,
@@ -58,7 +59,7 @@ from oracles import (
     corner_table_loop,
     cover_greedy,
     greedy_independent_rows,
-    hom_entry_dense,
+    hom_basis_dense,
     hom_system_dense as _hom_system,
     hom_system_kron,
     ideal_rows_loop,
@@ -256,12 +257,9 @@ def test_row_rank_profile_of_empty_and_zero_matrices(shape):
 
 
 def _same_entry(m, n):
-    basis, flat, free = _hom_entry(m, n)
-    d_basis, d_flat, d_free = hom_entry_dense(m, n)
+    basis, d_basis = hom_basis_matrices(m, n), hom_basis_dense(m, n)
     assert len(basis) == len(d_basis)
-    assert all(np.array_equal(b, d) for b, d in zip(basis, d_basis))
-    assert np.array_equal(flat, d_flat) and flat.shape == d_flat.shape
-    assert np.array_equal(free, d_free)
+    assert all(np.array_equal(b, d) and b.shape == (m.dim, n.dim) for b, d in zip(basis, d_basis))
 
 
 def _subalgebras(a):
@@ -292,6 +290,26 @@ def test_corner_and_quotient_hom_entries_match_dense_kernel(case):
         for m in mods:
             for n in mods:
                 _same_entry(m, n)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_yoneda_hom_terms_span_the_dense_hom_spaces(case):
+    # Hom(e_v A, N) in the Yoneda coordinates of the hom complex out of the
+    # replaced stalk P_v, over the algebra, its corners and its quotients:
+    # the expanded basis spans the dense kernel
+    for a in [_algebra(case), *_subalgebras(_algebra(case))]:
+        fld, ctx = a.field, DerivedContext()
+        mods = _family(a)
+        for v in range(a.n_idempotents):
+            p = ctx.replacement(stalk_complex(projective_module(a, v)[0])).p
+            for n in mods:
+                hc = HomComplex(p, stalk_complex(n))
+                dense = hom_basis_dense(p.term(0), n)
+                assert hc.dim(0) == len(dense)
+                if dense:
+                    yoneda = hc._expand(0, fld.identity(len(dense)))[0].reshape(len(dense), -1)
+                    both = np.concatenate([yoneda, np.stack(dense).reshape(len(dense), -1)])
+                    assert fld.rank(yoneda) == fld.rank(both) == len(dense)
 
 
 def test_corner_generators_include_paths_through_other_vertices():

@@ -6,6 +6,7 @@ from gluecat.complexes import (
     BoundedComplex,
     ChainMap,
     DerivedContext,
+    HomComplex,
     ProjSummands,
     cone,
     compose_maps,
@@ -26,7 +27,6 @@ from gluecat.modules import (
     RightModule,
     direct_sum,
     hom_basis_matrices,
-    hom_coords,
     injectives,
     nakayama_bimodule,
     projective_cover,
@@ -46,6 +46,7 @@ from oracles import (
     euler_characteristic,
     ext_dims,
     hom_complex_dims,
+    hom_coords,
     hom_coords_by_elimination,
     homotopy_witnesses,
     is_identity,
@@ -521,72 +522,98 @@ def test_every_replacement_is_minimal(monkeypatch, name):
     assert replacement_problems(ctx, made) == []
 
 
-def _replaced_menu_terms(rec):
-    """Content-distinct terms of the replaced default-menu objects, per algebra."""
-    out = {}
-    for menu in default_menus(rec).values():
-        for _, x in menu:
-            p = rec.ctx.replacement(x).p
-            terms = out.setdefault(id(p.algebra), {})
-            for n in p.degrees():
-                m = p.term(n)
-                terms.setdefault(m.action.tobytes(), m)
-    return [list(terms.values()) for terms in out.values()]
+def _random_homs(rng, fld, basis, m, n, count):
+    """``(coeffs, stack)``: ``count`` random combinations of a hom basis."""
+    coeffs = rng.integers(0, fld.p, size=(count, len(basis)))
+    stack = np.stack([sum((int(c) * b for c, b in zip(row, basis)), fld.zeros(m.dim, n.dim)) % fld.p for row in coeffs])
+    return coeffs, stack
+
+
+def _first_non_hom(fld, basis, m, n):
+    """The first matrix unit outside the span of the hom basis, with the
+    message of the elimination oracle, or None."""
+    for k in range(m.dim * n.dim):
+        unit = fld.unit_row(m.dim * n.dim, k).reshape(m.dim, n.dim)
+        try:
+            hom_coords_by_elimination(fld, basis, unit)
+        except ValueError as exc:
+            return unit, str(exc)
+    return None
 
 
 @pytest.mark.parametrize("quiver,e", [(((0, 1),), [1]), (((0, 1), (1, 2)), [2])], ids=["F1", "F2"])
 def test_hom_coords_match_elimination_oracle(quiver, e):
+    # the Yoneda coordinates of the hom complexes out of the replaced menu
+    # objects into the menu objects: each block Hom(p^i, y^{i+n}) has the
+    # dimension of its module-hom basis, random homs expand back from
+    # their coordinates, the first matrix unit outside the span is
+    # rejected with the elimination oracle's message, and so is a nonzero
+    # map where the hom space is zero
     fld = PrimeField(32003)
     rec = build_recollement(path_algebra(Quiver(len(quiver) + 1, quiver), fld), e, seed=17)
     rng = np.random.default_rng(5)
-    pairs = non_homs = 0
-    for terms in _replaced_menu_terms(rec):
-        for m in terms:
-            for n in terms:
-                basis = hom_basis_matrices(m, n)
-                for _ in range(3):
-                    coeffs = rng.integers(0, fld.p, size=len(basis))
-                    mat = sum((int(c) * b for c, b in zip(coeffs, basis)), fld.zeros(m.dim, n.dim)) % fld.p
-                    got = hom_coords(m, n, mat)
-                    assert np.array_equal(got, hom_coords_by_elimination(fld, basis, mat))
-                    assert np.array_equal(got, coeffs)
-                pairs += 1
-                # the first matrix unit outside the span is not a module hom
-                for k in range(m.dim * n.dim):
-                    unit = fld.unit_row(m.dim * n.dim, k).reshape(m.dim, n.dim)
-                    try:
-                        hom_coords_by_elimination(fld, basis, unit)
-                    except ValueError as exc:
-                        with pytest.raises(ValueError, match=str(exc)):
-                            hom_coords(m, n, unit)
-                        non_homs += 1
-                        break
-    assert pairs >= 10 and non_homs >= 5
+    blocks = non_homs = zero_spaces = 0
+    for menu in default_menus(rec).values():
+        for _, x in menu:
+            p = rec.ctx.replacement(x).p
+            for _, y in menu:
+                hc = HomComplex(p, y)
+                for n in range(hc.lo, hc.hi + 1):
+                    bases = {i: hom_basis_matrices(p.term(i), y.term(i + n)) for i in p.degrees()}
+                    assert hc.dim(n) == sum(map(len, bases.values()))
+                    for i, basis in bases.items():
+                        m, t = p.term(i), y.term(i + n)
+                        if not m.dim * t.dim:
+                            continue
+                        if not basis:
+                            with pytest.raises(ValueError, match="nonzero map in zero hom space"):
+                                hc._coords(n, 1, {i: fld.unit_row(m.dim * t.dim, 0).reshape(1, m.dim, t.dim)})
+                            zero_spaces += 1
+                            continue
+                        _, stack = _random_homs(rng, fld, basis, m, t, 3)
+                        coords = hc._coords(n, 3, {i: stack})
+                        assert np.array_equal(hc._expand(n, coords)[i], stack)
+                        blocks += 1
+                        found = _first_non_hom(fld, basis, m, t)
+                        if found is not None:
+                            unit, message = found
+                            with pytest.raises(ValueError, match=message):
+                                hc._coords(n, 1, {i: unit[None]})
+                            non_homs += 1
+    assert blocks >= 10 and non_homs >= 5 and zero_spaces >= 1
 
 
 def test_hom_coords_in_a_twisted_basis(ctx, alg_a3):
-    # conjugating the regular module by a random change of basis gives hom
-    # basis matrices with many distinct entries
+    # conjugating the regular module by a random change of basis gives
+    # hom basis matrices with many distinct entries, and a target whose
+    # weight basis is far from the standard one
     fld = alg_a3.field
     reg = regular_module(alg_a3)
     rng = np.random.default_rng(11)
     g = matrix(fld, rng.integers(0, fld.p, size=(reg.dim, reg.dim)))
     g_inv = fld.inv(g)
     twisted = RightModule(alg_a3, np.stack([fld.mul_chain(g_inv, op, g) for op in reg.action]))
-    for m, n in [(twisted, twisted), (reg, twisted), (twisted, reg)]:
+    for x, n in [(twisted, twisted), (reg, twisted), (twisted, reg)]:
+        p = ctx.replacement(stalk_complex(x)).p
+        m = p.term(0)
+        hc = HomComplex(p, stalk_complex(n))
         basis = hom_basis_matrices(m, n)
-        assert len(basis) == alg_a3.dim
-        coeffs = rng.integers(0, fld.p, size=len(basis))
-        mat = sum((int(c) * b for c, b in zip(coeffs, basis)), fld.zeros(m.dim, n.dim)) % fld.p
-        got = hom_coords(m, n, mat)
-        assert np.array_equal(got, coeffs)
-        assert np.array_equal(got, hom_coords_by_elimination(fld, basis, mat))
-        # a stack gives one row of coordinates per hom
-        stack = np.stack([mat, fld.zeros(m.dim, n.dim), basis[-1]])
-        rows = np.stack([coeffs, 0 * coeffs, fld.unit_row(len(basis), len(basis) - 1)])
-        assert np.array_equal(hom_coords(m, n, stack), rows)
-        with pytest.raises(ValueError, match="not a module hom"):
-            hom_coords(m, n, fld.identity(m.dim) if m is not n else g)
+        assert len(basis) == hc.dim(0) == alg_a3.dim
+        coeffs, stack = _random_homs(rng, fld, basis, m, n, 1)
+        # the free columns of the module-hom basis give its coordinates
+        assert np.array_equal(hom_coords(m, n, stack), coeffs)
+        assert np.array_equal(hom_coords_by_elimination(fld, basis, stack), coeffs)
+        # a stack of homs expands back from its Yoneda coordinates, one
+        # row per hom, and a zero hom has zero coordinates
+        stack = np.stack([stack[0], fld.zeros(m.dim, n.dim), basis[-1]])
+        coords = hc._coords(0, 3, {0: stack})
+        assert np.array_equal(hc._expand(0, coords)[0], stack) and not coords[1].any()
+        unit, message = _first_non_hom(fld, basis, m, n)
+        assert message == "hom_coords: matrix is not a module hom"
+        with pytest.raises(ValueError, match=message):
+            hc._coords(0, 1, {0: unit[None]})
+        with pytest.raises(ValueError, match=message):
+            hom_coords(m, n, unit)
 
 
 # ----------------------------------------------------------------------
@@ -849,6 +876,79 @@ def test_derived_hom_dims_do_not_depend_on_the_prime(case):
         })
     assert tables[0] == tables[1] == tables[2]
     assert any(n != 0 for dims in tables[0].values() for n in dims)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("case", sorted(PRIME_CASES))
+def test_hom_complex_maps_see_the_signs(case, p):
+    # no sign in the blocks of d changes a rank, so the dimension tests
+    # cannot see one; on maps: every degree-0 cycle expands to a chain
+    # map, and d of every degree -1 element h expands to h d_y + d_p h.
+    # The targets are the menu objects and their shifts y[1], into which
+    # the degree -1 elements out of two-term replacements have d_p parts
+    quiver, e = PRIME_CASES[case]
+    rec = build_recollement(path_algebra(quiver, PrimeField(p)), e, seed=17)
+    fld = rec.algebra.field
+    cycles = homotopies = 0
+    for menu in default_menus(rec).values():
+        targets = [y for _, y0 in menu for y in (y0, shift(y0, 1))]
+        for _, x in menu:
+            px = rec.ctx.replacement(x).p
+            for y in targets:
+                hc = rec.ctx.hom_complex(px, y)
+                for vec in hc.cycle_space(0):
+                    hc.vector_to_chain_map(vec).validate()
+                    cycles += 1
+                k = hc.dim(-1)
+                if not k:
+                    continue
+                h = hc._expand(-1, fld.identity(k))
+                dh = hc._expand(0, hc.diff(-1))
+
+                def comp(maps, i, j):
+                    return maps.get(i, np.zeros((k, px.term(i).dim, y.term(j).dim), dtype=np.int64))
+
+                for i in px.degrees():
+                    want = fld.add(
+                        fld.matmul(comp(h, i, i - 1), y.diff(i - 1)),
+                        fld.matmul(px.diff(i), comp(h, i + 1, i)),
+                    )
+                    assert np.array_equal(comp(dh, i, i), want), (x.name, y.name, i)
+                homotopies += k
+    assert cycles > 0 and homotopies > 0
+
+
+def test_hom_spaces_lifts_and_certificates_build_no_module_hom(monkeypatch):
+    # they read Yoneda coordinates; only the menus ask for module-hom bases
+    from gluecat import modules
+
+    build, depth, calls = modules._build_hom, [0], {"inside": 0, "outside": 0}
+
+    def spy(m, n):
+        calls["inside" if depth[0] else "outside"] += 1
+        return build(m, n)
+
+    def entered(method):
+        def wrapped(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(modules, "_build_hom", spy)
+    for name in ("hom_space", "lift_many_through_qis", "derived_iso_certificate"):
+        monkeypatch.setattr(DerivedContext, name, entered(getattr(DerivedContext, name)))
+    for name in ("F1", "F2", "F3"):
+        run_suite(parse_scenario(fixture_scenario(name)), DerivedContext())
+    assert calls["outside"] > 0 and calls["inside"] == 0
+
+
+def test_hom_complex_needs_summand_data(alg_a3):
+    x = stalk_complex(projective_module(alg_a3, 0)[0])
+    with pytest.raises(ValueError, match="no summand data"):
+        HomComplex(x, x)
 
 
 def test_derived_hom_dims_with_a_zero_side(ctx, alg_a3):

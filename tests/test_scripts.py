@@ -32,7 +32,7 @@ def test_frontier_imports_and_its_scenarios_parse():
 
     frontier = _load("frontier")
     assert callable(frontier.main)
-    for name in ("E6", "E7", "K3"):
+    for name in ("E6", "E7", "K3", "K4"):
         scn = parse_scenario(frontier.scenario(name))
         assert scn.variants == ["original", "upper", "lower"]
     assert frontier.main(["E9"]) == 2

@@ -105,7 +105,7 @@ def test_supertrace_homotopy_invariance(sd_f1):
     bnd = hs_g.hc.boundary_space(0)
     rep = ctx.replacement(s2)
     for row in bnd:
-        g = hs_g.hc.vector_to_chain_map(0, row)
+        g = hs_g.hc.vector_to_chain_map(row)
         val = nakayama_supertrace(rep.p, aux["tensors"], g)
         assert val == 0
 
