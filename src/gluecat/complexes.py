@@ -737,8 +737,9 @@ class DerivedContext:
       plain numbers in shared bases and are shared as they are.  So one
       :class:`HomComplex` per content of ``(p, y)``, in Yoneda
       coordinates, serves hom spaces, certificates and lifts; derived Hom
-      dimensions rank the differentials of one built outside the memo,
-      so none is kept for them.  The memos read with ``get`` give the
+      dimensions, keyed by the content of ``(replacement(x).p, y)``, rank
+      the differentials of one built outside the memo, so none is kept
+      for them.  The memos read with ``get`` give the
       same objects the identical value on every request, so adjunction
       formulas may rely on ``replacement(x).p`` being one complex per
       content.  Nothing mutates a memoised value.
@@ -900,12 +901,18 @@ class DerivedContext:
         return self._hom_spaces.get((x, y), functools.partial(HomSpace, self), HomSpace._moved)
 
     def derived_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
-        """Nonzero dim Hom_D(x, y[n]) per degree n."""
-        return dict(self._hom_dims.get((x, y), self._build_hom_dims, _same))
+        """Nonzero dim Hom_D(x, y[n]) per degree n.
 
-    def _build_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
+        They depend on x only through its replacement p, so they are
+        computed once per content of ``(p, y)``.
+        """
+        p = self.replacement(x).p
+        return dict(self._hom_dims.get((p, y), self._build_hom_dims, _same))
+
+    @staticmethod
+    def _build_hom_dims(p: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
         # a hom complex of its own, outside the memo, so none is kept
-        hc = HomComplex(self.replacement(x).p, y)
+        hc = HomComplex(p, y)
         return _homology(hc.fld, {n: hc.dim(n) for n in range(hc.lo, hc.hi + 1)}, hc.diff)
 
     # -- tensors --------------------------------------------------------

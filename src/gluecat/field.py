@@ -2,14 +2,20 @@
 
 Matrices are plain numpy int64 arrays with entries reduced into [0, p);
 the characteristic is carried by a ``PrimeField`` context object rather
-than by the matrices themselves.  Everything is computed by modular
-Gaussian elimination -- no floating point is used anywhere.
+than by the matrices themselves.  Everything is computed exactly, by
+modular Gaussian elimination or by products proved equal -- no floating
+point is used anywhere.
 
-There are two exact eliminations, chosen by the shape of a matrix's
-nonzero rows: small matrices are reduced on Python ints, which are
-unbounded, and all others on int64 arrays, where ``P_LIMIT`` keeps every
-product exact as before.  Both follow one pivot rule, so ``rref`` gives
-bit-identical output whichever kernel runs.
+There are three exact routes.  Two are eliminations, chosen by the shape
+of a matrix's nonzero rows: small matrices are reduced on Python ints,
+which are unbounded, and all others on int64 arrays, where ``P_LIMIT``
+keeps every product exact.  Both follow one pivot rule, so ``rref``
+gives bit-identical output whichever kernel runs.  The third is the
+pivot lookup of ``coords_in_rows``: on a basis whose pivot columns form
+an identity block, as every reduced echelon basis does, the coordinates
+of a vector are its entries at the pivots, and one product proves them;
+``inv`` goes through it too.  Its output is the unique solution, so it
+agrees with elimination bit for bit.
 """
 
 from __future__ import annotations
@@ -322,15 +328,36 @@ class PrimeField:
 
         Returns X with X @ basis_rows == vectors, or None if some row is
         outside the span.
+
+        When the columns of the basis at its pivots (the first nonzero
+        entry of each row) form the identity, as in a reduced echelon
+        basis, the rows are independent and X can only be the vectors'
+        entries at the pivots; one product decides whether it solves.
+        Any other basis is eliminated (``solve_matrix``).
         """
-        x = self.solve_matrix(basis_rows.T, vectors.T)
+        p = self.p
+        rows = np.asarray(basis_rows, dtype=np.int64) % p
+        vecs = np.asarray(vectors, dtype=np.int64) % p
+        k = rows.shape[0]
+        if k and rows.shape[1]:
+            pivots = (rows != 0).argmax(axis=1)
+            if np.array_equal(rows[:, pivots], np.eye(k, dtype=np.int64)):
+                x = vecs[:, pivots]
+                return x if np.array_equal((x @ rows) % p, vecs) else None
+        x = self.solve_matrix(rows.T, vecs.T)
         return None if x is None else x.T
 
     def inv(self, m: np.ndarray) -> np.ndarray:
+        """The inverse of a square matrix; ``ValueError`` if it is singular.
+
+        X @ m == I holds exactly when m @ X == I, so this is
+        ``coords_in_rows(m, I)``: a permutation matrix, for one, needs no
+        elimination.
+        """
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("inv: matrix not square")
-        x = self.solve_matrix(m, self.identity(n))
+        x = self.coords_in_rows(m, self.identity(n))
         if x is None:
             raise ValueError("inv: matrix is singular")
         return x

@@ -12,7 +12,7 @@ left-action order, ``lam(x*y) == lam(y) @ lam(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,33 +234,27 @@ def _operators(coords: np.ndarray, action: np.ndarray, p: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _read_only(obj):
-    """Clear the write flag of every array reachable from ``obj``.
+def _freeze(*arrays: np.ndarray) -> None:
+    """Clear the write flag of each array.
 
-    A :class:`RightModule` freezes its own action when it is built.
+    Every builder behind :func:`_memo` freezes the arrays it creates, so
+    the value it stores can be shared; a :class:`RightModule` freezes its
+    own action when it is built.
     """
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _read_only(item)
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            _read_only(getattr(obj, f.name))
+    for arr in arrays:
+        arr.setflags(write=False)
 
 
 def _memo(table: dict, key, build):
     """``table[key]``, built by ``build()`` on the first request.
 
-    The value is made read-only before it is stored, so every caller can
+    The value is read-only (see :func:`_freeze`), so every caller can
     share it.  Keys are exact (a vertex, or the shapes and bytes of action
     tensors), never digests, so a hit means the inputs are equal.
     """
     hit = table.get(key)
     if hit is None:
-        hit = build()
-        _read_only(hit)
-        table[key] = hit
+        hit = table[key] = build()
     return hit
 
 
@@ -300,7 +294,9 @@ def _build_generators(a: Algebra) -> _Generators:
     parts, src, tgt, minimal = _radical_generators(a)
     elements = np.concatenate([np.eye(d, dtype=np.int64)[a.idempotent_indices], parts])
     products = (elements @ a.mul_table.reshape(d, d * d)) % a.field.p
-    return _Generators(parts, src, tgt, np.concatenate([elements, products.reshape(-1, d)]), minimal)
+    table = np.concatenate([elements, products.reshape(-1, d)])
+    _freeze(parts, src, tgt, table, minimal)
+    return _Generators(parts, src, tgt, table, minimal)
 
 
 def _radical_generators(a: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -396,7 +392,9 @@ def _build_weights(m: RightModule) -> _Weights:
     acts = _operators(gens.parts, m.action, fld.p)
     blocks = [fld.matmul(rows[s], acts[k])[:, pivots[t]] for k, (s, t) in enumerate(zip(gens.src, gens.tgt))]
     offsets = np.cumsum(sizes) - sizes
-    return _Weights(np.concatenate(rows), np.concatenate(cols, axis=1), sizes, offsets, blocks)
+    basis, inverse = np.concatenate(rows), np.concatenate(cols, axis=1)
+    _freeze(basis, inverse, sizes, offsets, *blocks)
+    return _Weights(basis, inverse, sizes, offsets, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -455,6 +453,7 @@ def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.n
     gen = fld.coords_in_rows(rows, ev.reshape(1, -1))
     if gen is None:
         raise ValueError("idempotent missing from its own projective")
+    _freeze(rows, gen)
     return mod, rows, gen[0]
 
 
@@ -568,6 +567,7 @@ def _build_hom(m: RightModule, n: RightModule) -> list[np.ndarray]:
     rows = fld.rref(homs[:, support])[0]
     flat = fld.zeros(k, amb)
     flat[:, support] = rows[::-1]
+    _freeze(flat)
     return [flat[i].reshape(m.dim, n.dim) for i in range(k)]
 
 
@@ -653,8 +653,9 @@ def _build_tensor(m: RightModule, w: Bimodule) -> TensorResult:
     fld = m.field
     amb = m.dim * w.dim
     if amb == 0:
-        res = zero_module(w.right_algebra)
-        return TensorResult(res, fld.zeros(amb, 0), fld.zeros(0, amb), m.dim, w.dim)
+        pi, sigma = fld.zeros(amb, 0), fld.zeros(0, amb)
+        _freeze(pi, sigma)
+        return TensorResult(zero_module(w.right_algebra), pi, sigma, m.dim, w.dim)
     idem = m.algebra.idempotent_indices
     vm = _vertex_of(m.action[idem], m.name)
     vw = _vertex_of(w.left_action[idem], w.name)
@@ -680,6 +681,7 @@ def _build_tensor(m: RightModule, w: Bimodule) -> TensorResult:
         ka, kb = np.divmod(keep, w.dim)
         blocks = fld.matmul(w.right_action[:, kb, None, :], pi.reshape(m.dim, w.dim, q)[ka])
         mod = RightModule(ra, blocks[:, :, 0], name=f"{m.name}⊗{w.name}")
+    _freeze(pi, sigma)
     return TensorResult(mod, pi, sigma, m.dim, w.dim)
 
 
@@ -778,7 +780,9 @@ def _build_cover(m: RightModule) -> Cover:
     a = m.algebra
     fld = m.field
     if m.dim == 0:
-        return Cover(zero_module(a), [], [], [], fld.zeros(0, 0), fld.zeros(0, 0))
+        surj, kernel = fld.zeros(0, 0), fld.zeros(0, 0)
+        _freeze(surj, kernel)
+        return Cover(zero_module(a), [], [], [], surj, kernel)
     rad_idx = a.radical_basis_indices()
     if rad_idx:
         rad_rows = np.concatenate([m.action[i] for i in rad_idx], axis=0)
@@ -815,6 +819,7 @@ def _build_cover(m: RightModule) -> Cover:
     # rank-nullity: the rank of surj is P.dim minus its nullity
     if p_mod.dim - kernel.shape[0] != m.dim:
         raise ValueError("projective cover: constructed map is not surjective")
+    _freeze(surj, kernel, *gens)
     return Cover(p_mod, summands, offsets, gens, surj, kernel)
 
 

@@ -26,8 +26,15 @@ once: the references for the validators on generators, in blocks.
 the top blocks the library reads: a complex of projectives is minimal
 when each differential lands in the radical of the next term.  ``is_rref``
 checks a reduced row echelon form against its definition, with a rank
-on Python ints of its own.  The library helpers at the end (Ext by a
-projective resolution, the global dimension by one resolution per
+on Python ints of its own.  ``coords_by_elimination`` is the reference
+for ``PrimeField.coords_in_rows`` and ``inv``, which read coordinates at
+the pivots of an echelon basis: it eliminates every system.
+``stratifying_certificate_by_search`` is the reference for the
+stratifying certificate of ``build_recollement``, which certifies the
+multiplication map: it draws random maps between the two replacements
+until one is certified.  ``writable_memo_arrays`` walks every value of
+the module memos and lists the arrays left writable.  The library
+helpers at the end (Ext by a projective resolution, the global dimension by one resolution per
 simple, the monomial truncations kQ/J^k, the Euler characteristic, hom
 bases as module homs, the regular bimodule, the scalar Nakayama
 supertrace, the homotopy check) are used by the tests only.
@@ -35,7 +42,7 @@ supertrace, the homotopy check) are used by the tests only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -1033,3 +1040,77 @@ def homotopy_witnesses(h, f, g) -> bool:
         if not np.array_equal(delta, fld.add(dh, hd)):
             return False
     return True
+
+
+def coords_by_elimination(fld, basis_rows, vectors):
+    """X with X @ basis_rows == vectors, or None if a row of ``vectors``
+    is outside the span: one ``solve_matrix`` of the transposed system,
+    whatever the shape of the basis."""
+    x = fld.solve_matrix(np.asarray(basis_rows).T, np.asarray(vectors).T)
+    return None if x is None else x.T
+
+
+def stratifying_certificate_by_search(a, e_vertices, seed: int = 0, attempts: int = 64):
+    """Whether AeA is stratifying, by a random search for a derived
+    isomorphism Ae (x)^L_C eA -> AeA.
+
+    Returns None when the homology of the derived tensor already rules
+    it out, and otherwise ``DerivedContext.derived_iso_certificate``
+    between the two sides: random cycles of Hom^0 of their replacements,
+    drawn with ``seed`` until one has an acyclic cone or ``attempts`` are
+    spent.
+    """
+    from gluecat.algebra import corner, ideal_span
+    from gluecat.complexes import DerivedContext, homology_dims, stalk_complex
+    from gluecat.modules import regular_module, sub_bimodule, submodule_from_rows
+
+    fld = a.field
+    ctx = DerivedContext()
+    c, corner_rows = corner(a, e_vertices)
+    e = a.idempotent_sum(e_vertices)
+    ea_rows = fld.image_basis(a.left_mult_operator(e))
+    ae_rows = fld.image_basis(a.right_mult_operator(e))
+    ea = sub_bimodule(c, a, ea_rows, a.left_mult_operator(corner_rows), a.right_operators)
+    ae = sub_bimodule(a, c, ae_rows, a.left_operators, a.right_mult_operator(corner_rows))
+    derived, _ = ctx.derived_tensor(stalk_complex(ae.as_right_module()), ea)
+    ideal_rows = fld.image_basis(ideal_span(a, e_vertices))
+    if homology_dims(derived) != ({0: ideal_rows.shape[0]} if ideal_rows.shape[0] else {}):
+        return None
+    ideal_mod, _ = submodule_from_rows(regular_module(a), ideal_rows)
+    ideal = stalk_complex(ideal_mod)
+    return ctx.derived_iso_certificate(derived, ideal, seed=seed, attempts=attempts)
+
+
+def writable_memo_arrays(algebras, bimodules=()) -> list[str]:
+    """Paths to the writable arrays among the memoised values of
+    ``algebras`` (every dict attribute: the module memos, the homology
+    memo and the validation keys) and the tensor memos of ``bimodules``,
+    walked through lists, tuples, dicts, dataclasses and the actions of
+    modules."""
+    from gluecat.modules import RightModule
+
+    out = []
+
+    def walk(obj, path):
+        if isinstance(obj, np.ndarray):
+            if obj.flags.writeable:
+                out.append(path)
+        elif isinstance(obj, RightModule):
+            walk(obj.action, f"{path}.action")
+        elif isinstance(obj, (list, tuple)):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}[{i}]")
+        elif isinstance(obj, dict):
+            for i, item in enumerate(obj.values()):
+                walk(item, f"{path}[{i}]")
+        elif is_dataclass(obj):
+            for f in fields(obj):
+                walk(getattr(obj, f.name), f"{path}.{f.name}")
+
+    for a in algebras:
+        for name, memo in vars(a).items():
+            if isinstance(memo, dict):
+                walk(memo, f"{a.name}.{name}")
+    for w in bimodules:
+        walk(w._tensors, f"{w.name}._tensors")
+    return out

@@ -836,22 +836,26 @@ def test_derived_hom_dims_match_the_hom_complex_on_the_fixtures(monkeypatch):
     # every pair the F1-F3 suites ask for, in Yoneda coordinates, against
     # the Hom complex in module-hom bases; no hom complex is asked for.
     # The suites turn exceptions into cells, so the spy only records.
+    # Built once per content of (replacement, y): 856 contents, where
+    # keying by (x, y) built 1,047.
     build = DerivedContext._build_hom_dims
     pairs, wrong = [], []
+    ctxs = []
 
-    def spy(self, x, y):
-        counts = self.memo_counts()["hom_complex"]
-        got = build(self, x, y)
-        asked = self.memo_counts()["hom_complex"] != counts
-        pairs.append((x.name, y.name))
-        if asked or got != hom_complex_dims(self.replacement(x).p, y):
+    def spy(p, y):
+        counts = [c.memo_counts()["hom_complex"] for c in ctxs]
+        got = build(p, y)
+        asked = [c.memo_counts()["hom_complex"] for c in ctxs] != counts
+        pairs.append((p.name, y.name))
+        if asked or got != hom_complex_dims(p, y):
             wrong.append(pairs[-1])
         return got
 
-    monkeypatch.setattr(DerivedContext, "_build_hom_dims", spy)
+    monkeypatch.setattr(DerivedContext, "_build_hom_dims", staticmethod(spy))
     for name in ("F1", "F2", "F3"):
-        run_suite(parse_scenario(fixture_scenario(name)), DerivedContext())
-    assert len(pairs) == 1047 and wrong == []
+        ctxs.append(DerivedContext())
+        run_suite(parse_scenario(fixture_scenario(name)), ctxs[-1])
+    assert len(pairs) == 856 and wrong == []
 
 
 PRIME_CASES = {

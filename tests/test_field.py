@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gluecat.field import LIST_ENTRIES, LIST_ROWS, PrimeField, is_prime
-from oracles import is_rref, kernel_basis_loop, matrix, quotient_pi_dense, solve
+from oracles import (
+    coords_by_elimination,
+    is_rref,
+    kernel_basis_loop,
+    matrix,
+    quotient_pi_dense,
+    solve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +322,157 @@ def test_rref_selects_kernel_by_nonzero_rows(monkeypatch):
     for m in (small, tall, large, wide):
         fld.rref(m)
     assert calls == ["_rref_lists", "_rref_lists", "_rref_array", "_rref_array"]
+
+
+# -- coordinates by pivot lookup --------------------------------------------
+
+PIVOT_PRIMES = [2, 3, 32003, 65521]
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The number of ``solve_matrix`` calls made so far, as a one-item list."""
+    count = [0]
+    solve_matrix = PrimeField.solve_matrix
+
+    def spy(self, m, b):
+        count[0] += 1
+        return solve_matrix(self, m, b)
+
+    monkeypatch.setattr(PrimeField, "solve_matrix", spy)
+    return count
+
+
+def _invertible(fld, n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        m = rng.integers(0, fld.p, size=(n, n))
+        if fld.rank(m) == n:
+            return m
+
+
+def _same(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_coords_in_rows_reads_image_bases_at_their_pivots(p, eliminations):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for seed in range(12):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 12)))
+        rows = fld.image_basis(_sparse(shape, 0.4, p, seed))
+        coeffs = rng.integers(0, p, size=(int(rng.integers(0, 5)), rows.shape[0]))
+        vecs = fld.matmul(coeffs, rows)
+        before = eliminations[0]
+        got = fld.coords_in_rows(rows, vecs)
+        assert eliminations[0] == before
+        assert np.array_equal(got, coeffs) and _same(got, coords_by_elimination(fld, rows, vecs))
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_coords_in_rows_eliminates_a_basis_that_is_not_echelon(p, eliminations):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 1)
+    for seed in range(12):
+        echelon = fld.image_basis(_sparse((5, 7), 0.5, p, seed))
+        k = echelon.shape[0]
+        if k < 2:
+            continue
+        # independent rows, mixed so that no column is a pivot block
+        rows = fld.matmul(_invertible(fld, k, seed), echelon)
+        if np.array_equal(rows, echelon):
+            continue
+        coeffs = rng.integers(0, p, size=(3, k))
+        vecs = fld.matmul(coeffs, rows)
+        before = eliminations[0]
+        got = fld.coords_in_rows(rows, vecs)
+        assert eliminations[0] > before
+        assert np.array_equal(got, coeffs) and _same(got, coords_by_elimination(fld, rows, vecs))
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_coords_in_rows_of_dependent_rows_follows_elimination(p):
+    # a zero or repeated row leaves the coordinates free; the pivot
+    # lookup would find some, elimination sets the free ones to zero
+    fld = PrimeField(p)
+    for rows in ([[1, 0, 1], [0, 0, 0]], [[1, 0, 1], [1, 0, 1]], [[0, 0, 0], [0, 1, 1]]):
+        rows = matrix(fld, rows)
+        vecs = fld.matmul(matrix(fld, [[1, 1], [1, 0], [0, 1]]), rows)
+        assert _same(fld.coords_in_rows(rows, vecs), coords_by_elimination(fld, rows, vecs))
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_coords_in_rows_of_vectors_outside_the_span(p, eliminations):
+    fld = PrimeField(p)
+    for seed in range(8):
+        rows, pivots, rank = fld.rref(_sparse((3, 6), 0.5, p, seed))
+        rows = rows[:rank]
+        # a unit vector off the pivots is zero at them, so outside the span
+        free = [c for c in range(6) if c not in pivots][0]
+        vecs = np.concatenate([rows[:1], fld.add(rows[:1], fld.unit_row(6, free))])
+        before = eliminations[0]
+        assert fld.coords_in_rows(rows, vecs) is None
+        assert eliminations[0] == before
+        assert coords_by_elimination(fld, rows, vecs) is None
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_coords_in_rows_reduces_negative_and_unreduced_entries(p):
+    fld = PrimeField(p)
+    for seed in range(8):
+        rows = fld.image_basis(_sparse((4, 6), 0.5, p, seed))
+        coeffs = np.random.default_rng(seed).integers(0, p, size=(2, rows.shape[0]))
+        vecs = fld.matmul(coeffs, rows)
+        for shift_rows, shift_vecs in ((-p, 0), (0, -3 * p), (p, 2 * p), (-2 * p, p)):
+            want = coords_by_elimination(fld, rows + shift_rows, vecs + shift_vecs)
+            got = fld.coords_in_rows(rows + shift_rows, vecs + shift_vecs)
+            assert np.array_equal(got, coeffs) and _same(got, want)
+        # a multiple of p before the pivot is zero
+        unreduced = rows.copy()
+        unreduced[:, 0] += p
+        want = coords_by_elimination(fld, unreduced, vecs)
+        assert _same(fld.coords_in_rows(unreduced, vecs), want)
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+@pytest.mark.parametrize("shape", [(0, 4), (0, 0)])
+def test_coords_in_rows_on_an_empty_basis(p, shape):
+    fld = PrimeField(p)
+    rows = fld.zeros(*shape)
+    for vecs in (fld.zeros(2, shape[1]), fld.zeros(0, shape[1]), fld.identity(shape[1])[:1]):
+        got = fld.coords_in_rows(rows, vecs)
+        assert _same(got, coords_by_elimination(fld, rows, vecs))
+        assert got is None if vecs.any() else got.shape == (vecs.shape[0], 0)
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_inv_matches_elimination(p, eliminations):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 5, 9):
+        perm = fld.identity(n)[rng.permutation(n)]
+        before = eliminations[0]
+        got = fld.inv(perm)
+        assert eliminations[0] == before
+        assert np.array_equal(got, perm.T)
+        m = _invertible(fld, n, n)
+        got = fld.inv(m)
+        assert np.array_equal(got, fld.solve_matrix(m, fld.identity(n)))
+        assert np.array_equal(got, coords_by_elimination(fld, m, fld.identity(n)))
+        assert np.array_equal(fld.matmul(m, got), fld.identity(n))
+
+
+@pytest.mark.parametrize("p", PIVOT_PRIMES)
+def test_inv_rejects_singular_matrices(p):
+    fld = PrimeField(p)
+    singular = [fld.zeros(3, 3), matrix(fld, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+                matrix(fld, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])]
+    m = _invertible(fld, 4, 1)
+    m[3] = (m[0] + m[1]) % p
+    singular.append(m)
+    for m in singular:
+        with pytest.raises(ValueError, match="singular"):
+            fld.inv(m)

@@ -9,6 +9,11 @@ the only one with parallel arrows.
 It also records the digest of the original-diagram cells of the larger
 scenarios.  A3 e={2} and D4 (arrows into the centre, e = centre) run
 here; D4 is the only shape with a branching vertex.
+
+For ``gluecat apply`` it records the homology of every functor on every
+menu object of F2, A4 e={4} and D4.  A slice runs here: each of the
+sixteen functors on the first menu object of its source category, each
+call building its own workbench as the command does.
 """
 
 import hashlib
@@ -19,7 +24,8 @@ import pytest
 
 from gluecat import PrimeField, build_recollement, default_menus, original_diagram, path_algebra, verify_axioms
 from gluecat.algebra import Quiver
-from gluecat.cli import main
+from gluecat.cli import _build_workbench, _functor_expr, main
+from gluecat.recollement import default_menu
 from gluecat.scenarios import load_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -50,3 +56,21 @@ def test_original_diagram_cells_match_golden_digest(name):
     digest = hashlib.sha256(json.dumps(cells, sort_keys=True).encode()).hexdigest()
     golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
     assert digest == golden["original-large"][name]["cells_sha256"]
+
+
+# the functor names ``gluecat apply`` accepts, aliases excluded
+FUNCTOR_NAMES = ("i_*", "i^*", "i^!", "j_!", "j^*", "j_*", "T", "T~",
+                 "S", "S~", "U", "U~", "i_!", "j^?", "i_?", "j^!")
+
+
+@pytest.mark.parametrize("name", ["F2", "A4-e4", "D4-centre"])
+def test_apply_matches_golden_on_the_first_menu_object(capsys, name):
+    path = PERFBENCH / "scenarios" / f"{name}.json"
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["apply-cold"][name]
+    rec, _ = _build_workbench(load_scenario(str(path)))
+    for functor in FUNCTOR_NAMES:
+        src_tag, _ = _functor_expr(rec, functor).signature(rec.registry)
+        label = f"{functor} {default_menu(rec, src_tag)[0][0]}"
+        assert main(["apply", str(path), *label.split(" ", 1)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.loads(out) == golden[label], label

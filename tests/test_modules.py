@@ -1,5 +1,7 @@
 import itertools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     paths_with_target,
     regular_bimodule,
     truncated_path_algebra,
+    writable_memo_arrays,
 )
 from test_batched_kernels import _mixed_basis_algebra
 
@@ -117,6 +120,34 @@ def test_shared_module_constructions_are_read_only(alg_a3):
     _assert_read_only(basis)
     _assert_read_only([cov.module.action, cov.surjection, *cov.gen_coords])
     _assert_read_only([tens.module.action, tens.pi, tens.section])
+
+
+def test_every_memoised_array_is_read_only_after_verify_and_apply(monkeypatch, tmp_path):
+    # the builders behind the module memos freeze what they create; walk
+    # every stored value after a whole F1-F3 verify and after one apply
+    # per apply-cold scenario
+    import gluecat.cli as cli
+    from gluecat.scenarios import fixture_scenario
+
+    built = []
+    build = cli._build_workbench
+    monkeypatch.setattr(cli, "_build_workbench", lambda *args: built.append(build(*args)) or built[-1])
+    runs = []
+    for name in ("F1", "F2", "F3"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(fixture_scenario(name)), encoding="utf-8")
+        runs.append(["verify", str(path), "--report", str(tmp_path / "r.json"), "--quiet"])
+    bench = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
+    runs += [["apply", str(bench / f"{name}.json"), "T~", "R"] for name in ("F2", "A4-e4", "D4-centre")]
+    for k, argv in enumerate(runs):
+        assert cli.main(argv) == 0 and len(built) == k + 1
+        rec, sd = built[k]
+        algebras = [rec.algebra, rec.quotient_algebra, rec.corner_algebra]
+        algebras += [a._opposite for a in algebras if a._opposite is not None]
+        bimodules = [rec.eA, rec.Ae, rec.B_ba, rec.B_ab, sd.da]
+        bimodules += [f.w for f in rec.registry.values() if hasattr(f, "w")]
+        assert len(algebras) == 6 and any(a._covers for a in algebras), argv
+        assert writable_memo_arrays(algebras, bimodules) == [], argv
 
 
 def test_module_memos_are_per_algebra(alg_a3):

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 import gluecat.modules as modules
 import gluecat.recollement as recollement
 from gluecat.algebra import Quiver, path_algebra
-from gluecat.complexes import BoundedComplex, cone, homology_dims, stalk_complex
+from gluecat.complexes import BoundedComplex, ChainMap, cone, homology_dims, stalk_complex
 from gluecat.field import PrimeField
-from gluecat.modules import projective_module, regular_module, simple_module
+from gluecat.modules import projective_module, regular_module, simple_module, tensor_over
 from gluecat.recollement import (
     FunctorExpr,
     NotStratifyingError,
@@ -25,10 +26,14 @@ from gluecat.scenarios import fixture_scenario, load_scenario, parse_scenario
 from oracles import (
     coords_one_by_one,
     global_dimension_by_simples,
+    multiply,
     paths_between_sets,
     paths_through,
     paths_with_source,
     paths_with_target,
+    solve,
+    stratifying_certificate_by_search,
+    truncated_path_algebra,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
@@ -156,6 +161,79 @@ def test_non_stratifying_algebra_is_rejected():
     a = Algebra(gf, labels, mul, unit, [0, 1, 2], name="kA3/(ba)")
     with pytest.raises(NotStratifyingError):
         build_recollement(a, [1], seed=3)
+
+
+SWEEP_QUIVERS = {
+    "A3": Quiver(3, ((0, 1), (1, 2))),
+    "A3 alternating": Quiver(3, ((0, 1), (2, 1))),
+    "A4": Quiver(4, ((0, 1), (1, 2), (2, 3))),
+    "D4": Quiver(4, ((0, 3), (1, 3), (2, 3))),
+}
+
+# (quiver, k of kQ/J^k or None for kQ) -> the 0-based vertex sets e with
+# one or two vertices whose ideal AeA is not stratifying
+NOT_STRATIFYING = {
+    ("A3", 2): {(1,)},
+    ("A4", 2): {(1,), (2,), (0, 2), (1, 2), (1, 3)},
+    ("A4", 3): {(1,), (2,), (1, 2)},
+}
+
+
+def _mu_on_pure_tensors(rec):
+    """Degree 0 of the multiplication Ae (x)^L_C eA -> AeA, evaluated on
+    the pure tensor v (x) w behind each class, through ``mul_table``, and
+    solved for in the basis of AeA one class at a time."""
+    a, fld = rec.algebra, rec.algebra.field
+    rep = rec.ctx.replacement(stalk_complex(rec.Ae.as_right_module()))
+    t = tensor_over(rep.p.term(0), rec.eA)
+    out = fld.zeros(t.module.dim, rec.ideal_rows.shape[0])
+    for s, row in enumerate(t.section):
+        (amb,) = np.flatnonzero(row)
+        i, l = divmod(int(amb), t.w_dim)
+        v = fld.matmul(rep.qis.comp(0)[i], rec.Ae_rows)
+        out[s] = solve(fld, rec.ideal_rows.T, multiply(a, v, rec.eA_rows[l]))
+    return out
+
+
+def test_stratifying_certificate_sweep_matches_the_search():
+    # every e of one or two vertices on A3, A3 alternating, A4 and D4 and
+    # their truncations kQ/J^2 and kQ/J^3: the multiplication map is
+    # certified exactly when a random search certifies some map
+    fld = PrimeField(32003)
+    rejected = {}
+    for (name, q), k in itertools.product(SWEEP_QUIVERS.items(), (None, 2, 3)):
+        a = path_algebra(q, fld) if k is None else truncated_path_algebra(q, fld, k)
+        subsets = itertools.chain(*(itertools.combinations(range(q.n), r) for r in (1, 2)))
+        for e in subsets:
+            search = stratifying_certificate_by_search(a, list(e), seed=17)
+            try:
+                rec = build_recollement(a, list(e), seed=17)
+            except NotStratifyingError:
+                rejected.setdefault((name, k), set()).add(e)
+                assert search is None or not search.certified, (name, k, e)
+                continue
+            assert search is not None and search.certified, (name, k, e)
+            cert = rec.stratifying_certificate
+            assert cert.certified and cert.attempts_used == 0 and cert.cone_homology == {}
+            mu = cert.map
+            assert list(mu.comps) == [0]
+            assert np.array_equal(mu.comp(0), _mu_on_pure_tensors(rec)), (name, k, e)
+            zero = rec.ctx.certificate_for_map(ChainMap(mu.source, mu.target, {}))
+            assert not zero.certified
+    assert rejected == NOT_STRATIFYING
+
+
+def test_stratifying_map_that_is_not_linear_is_a_library_bug(rec_f2, monkeypatch):
+    # a product table that breaks A-linearity raises RuntimeError, not
+    # NotStratifyingError
+    def scrambled(t, q0, ae_ea, *rest):
+        return multiplication(t, q0, ae_ea[:, ::-1], *rest)
+
+    multiplication = recollement._multiplication_map
+    monkeypatch.setattr(recollement, "_multiplication_map", scrambled)
+    with pytest.raises(RuntimeError, match="not A-linear|leaves AeA") as info:
+        build_recollement(rec_f2.algebra, [1, 2])
+    assert not isinstance(info.value, NotStratifyingError)
 
 
 # ----------------------------------------------------------------------
