@@ -61,8 +61,6 @@ __all__ = [
     "identity_map",
     "zero_map",
     "compose_maps",
-    "add_maps",
-    "scale_map",
     "present_class",
 ]
 
@@ -325,18 +323,6 @@ def compose_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         raise ValueError("compose_maps: middle complexes differ")
     comps = {n: f.field.matmul(f.comps[n], g.comps[n]) for n in f.comps.keys() & g.comps.keys()}
     return ChainMap(f.source, g.target, comps)
-
-
-def add_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.source is not g.source or f.target is not g.target:
-        raise ValueError("add_maps: mismatched complexes")
-    comps = {n: f.field.add(f.comp(n), g.comp(n)) for n in set(f.comps) | set(g.comps)}
-    return ChainMap(f.source, f.target, comps)
-
-
-def scale_map(f: ChainMap, c: int) -> ChainMap:
-    comps = {n: (c * f.comp(n)) % f.field.p for n in f.comps}
-    return ChainMap(f.source, f.target, comps, validate=False)
 
 
 def cone(f: ChainMap, name: str = "") -> BoundedComplex:
@@ -871,10 +857,15 @@ class DerivedContext:
         hy, hx = self.hom_complex(p, y), self.hom_complex(p, x)
         # unknowns (g, h) in Hom^0(p, y) + Hom^-1(p, x) with d g = 0 and
         # s_* g + d h = f: (g, h) @ [[d^0, s_*], [0, d^-1]] == (0, f)
+        # s_* in the weight bases: W(y^j) s^j Q^-1(x^j), one product per degree
+        s_star = {
+            j: fld.mul_chain(hy._weights[j].basis, s.comp(j), hx._weights[j].inverse)
+            for j in p.degrees() if j in hy._weights and j in hx._weights
+        }
         n0, n1 = hy.dim(0), hy.dim(1)
         system = fld.zeros(n0 + hx.dim(-1), n1 + hx.dim(0))
         system[:n0, :n1], system[n0:, n1:] = hy.diff(0), hx.diff(-1)
-        system[:n0, n1:] = hy._map(0, hx, 0, lambda g: {i: fld.matmul(c, s.comp(i)) for i, c in g.items()})
+        system[:n0, n1:] = hy._diagonal(0, hx, 0, s_star)
         rhs = fld.zeros(len(fs), system.shape[1])
         stacks = {n: np.stack([f.comp(n) for f in fs]) for n in p.degrees()}
         rhs[:, n1:] = hx._coords(0, len(fs), stacks)
@@ -1011,7 +1002,10 @@ class HomComplex:
     Q at v and a_st in e_{v_s} A e_{v_t} is the s-block of g_t d_p^{i-1}:
     its coordinates in the basis rows b of P_{v_s} combine the
     extensions W_{v_s}(y^j) b of :meth:`_extension`.  Its homology is
-    derived Hom degreewise.
+    derived Hom degreewise.  A chain map s: y -> x sends Hom^n(p, y) to
+    Hom^n(p, x) summand by summand, by the block
+    W_{v_s}(y^j) s^j Q^-1(x^j)[:, v_s]; both this block and the d_y
+    block are placed by :meth:`_diagonal`.
 
     Differentials and extensions are built on first use (a hom space
     needs d^-1 and d^0, a lift d^0), and the copies made by
@@ -1131,36 +1125,31 @@ class HomComplex:
                 raise ValueError("hom_coords: matrix is not a module hom")
         return out
 
-    def _map(self, n: int, target: "HomComplex", m: int, image) -> np.ndarray:
-        """Matrix from degree n here to degree m of ``target``: the basis
-        elements of each summand, expanded, go to the blocks
-        ``image(components)``."""
-        slices, _, dim = self._layout(n)
-        out = self.fld.zeros(dim, target.dim(m))
-        for rows in slices:
-            if rows.stop > rows.start:
-                unit = self.fld.zeros(rows.stop - rows.start, dim)
-                unit[:, rows] = self.fld.identity(rows.stop - rows.start)
-                out[rows] = target._coords(m, len(unit), image(self._expand(n, unit)))
+    def _diagonal(self, n: int, target: "HomComplex", m: int, mats: dict) -> np.ndarray:
+        """Matrix from degree n here to degree m of ``target`` (out of the
+        same p) that sends each summand of each p^i to itself, by the
+        block of ``mats[i + n]`` at its vertex: ``mats[j]`` is a matrix in
+        the weight bases of y^j and of ``target.y^{i+m}``."""
+        (rows, blocks, dim), (cols, blocks1, dim1) = self._layout(n), target._layout(m)
+        out = self.fld.zeros(dim, dim1)
+        for k, (i, _, _, _) in enumerate(self._summands):
+            mat = mats.get(i + n)
+            if mat is not None:
+                out[rows[k], cols[k]] = mat[blocks[k], blocks1[k]]
         return out
 
     def diff(self, n: int) -> np.ndarray:
         d = self.diffs.get(n)
         if d is None:
             fld = self.fld
-            (rows, blocks, dim), (cols, blocks1, dim1) = self._layout(n), self._layout(n + 1)
-            d = fld.zeros(dim, dim1)
+            (rows, blocks, _), (cols, blocks1, _) = self._layout(n), self._layout(n + 1)
+            d = self._diagonal(n, self, n + 1, self._dy)
             sign = 1 if n % 2 == 0 else -1
-            for k, (i, v, _, _) in enumerate(self._summands):
-                j = i + n
-                if rows[k].stop == rows[k].start:
-                    continue
-                if j in self._dy:
-                    d[rows[k], cols[k]] = self._dy[j][blocks[k], blocks1[k]]
-                if k in self._a_st:
-                    src, a_st = self._a_st[k]
-                    ext = self._extension(j, v, blocks[k])
-                    images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[j].inverse)
+            for k, (src, a_st) in self._a_st.items():
+                i, v, _, _ = self._summands[k]
+                if rows[k].stop > rows[k].start:
+                    ext = self._extension(i + n, v, blocks[k])
+                    images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[i + n].inverse)
                     for t, image in zip(src, images):
                         d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
             d.setflags(write=False)

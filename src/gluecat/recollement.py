@@ -58,7 +58,6 @@ from .complexes import (
     DerivedContext,
     Mor,
     _ContentMemo,
-    add_maps,
     compose_maps,
     cone,
     dual_chain_map,
@@ -66,10 +65,8 @@ from .complexes import (
     homology_dims,
     identity_map,
     present_class,
-    scale_map,
     shift,
     stalk_complex,
-    zero_map,
 )
 
 __all__ = [
@@ -745,14 +742,10 @@ def compose_mor(ctx: DerivedContext, m1: Mor, m2: Mor) -> Mor:
 
 
 def mor_from_coords(hs, coords: np.ndarray) -> Mor:
-    """Materialize a class from homology coordinates of a hom space."""
-    maps = hs.basis_maps()
-    if not maps:
-        return Mor(hs.x, hs.y, zero_map(hs.p, hs.y), hs.p_qis)
-    total = scale_map(maps[0], int(coords[0]))
-    for k in range(1, len(maps)):
-        total = add_maps(total, scale_map(maps[k], int(coords[k])))
-    return Mor(hs.x, hs.y, total, hs.p_qis)
+    """Materialize a class from homology coordinates of a hom space: the
+    chain map with Hom-complex coordinates ``coords @ hs.h_reps``."""
+    vec = hs.fld.matmul(np.reshape(coords, (1, -1)), hs.h_reps)[0]
+    return Mor(hs.x, hs.y, hs.hc.vector_to_chain_map(vec), hs.p_qis)
 
 
 # ----------------------------------------------------------------------

@@ -66,24 +66,18 @@ class CompositeAdjunction(AdjunctionProvider):
         return self._matrices.get((x, y), self._matrix_pair, _same)[1]
 
     def forward(self, x, y, mor: Mor) -> Mor:
-        lhs = self.ctx.hom_space(self.F_apply(x), y)
-        rhs = self.ctx.hom_space(x, self.G_apply(y))
-        coords = lhs.coords_of(mor)
-        if coords.size:
-            coords = (coords @ self.forward_matrix(x, y)) % x.field.p
-        else:
-            coords = np.zeros(rhs.dim, dtype=np.int64)
-        return mor_from_coords(rhs, coords)
+        lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
+        return self._transport(lhs, rhs, self.forward_matrix(x, y), mor)
 
     def backward(self, x, y, mor: Mor) -> Mor:
-        lhs = self.ctx.hom_space(self.F_apply(x), y)
-        rhs = self.ctx.hom_space(x, self.G_apply(y))
-        coords = rhs.coords_of(mor)
-        if coords.size:
-            coords = (coords @ self.backward_matrix(x, y)) % x.field.p
-        else:
-            coords = np.zeros(lhs.dim, dtype=np.int64)
-        return mor_from_coords(lhs, coords)
+        lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
+        return self._transport(rhs, lhs, self.backward_matrix(x, y), mor)
+
+    @staticmethod
+    def _transport(src, dst, matrix: np.ndarray, mor: Mor) -> Mor:
+        """The class in ``dst`` whose coordinates are those of ``mor`` in
+        ``src`` times ``matrix``."""
+        return mor_from_coords(dst, src.fld.matmul(src.coords_of(mor), matrix))
 
 
 class LowerShriekStarAdjunction(CompositeAdjunction):

@@ -10,6 +10,11 @@ solves for them in the hom basis by Gaussian elimination; ``hom_coords``
 reads them off the free columns of that basis instead.
 ``lifts_entrywise`` is the reference for lifts through a quasi-isomorphism:
 it writes the chain-map and homotopy equations entry by entry.
+``hom_map_by_expansion`` is the reference for the s_* block of a lift
+system: it expands each basis element into dense components, multiplies
+them by s and reads them back, and ``mor_by_sum`` builds a class from
+its coordinates as a sum of scaled basis maps (``scale_map``,
+``add_maps``).
 ``hom_complex_dims`` is the reference for derived Hom dimensions: it
 ranks the differentials of the Hom complex in module-hom bases, not in
 the Yoneda coordinates of the library, and
@@ -217,6 +222,52 @@ def lifts_entrywise(p, s, fs):
         )
         for t in range(len(fs))
     ]
+
+
+def hom_map_by_expansion(hy, hx, s):
+    """The s_* block Hom^0(p, y) -> Hom^0(p, x) of the hom complexes
+    ``hy`` and ``hx`` out of one p, for a chain map s: y -> x: the basis
+    elements of each summand are expanded into dense components
+    p^i -> y^i, multiplied by s^i and read back with ``hx._coords``,
+    which raises ``ValueError`` unless every product is a module hom."""
+    fld = hy.fld
+    slices, _, dim = hy._layout(0)
+    out = fld.zeros(dim, hx.dim(0))
+    for rows in slices:
+        if rows.stop > rows.start:
+            unit = fld.zeros(rows.stop - rows.start, dim)
+            unit[:, rows] = fld.identity(rows.stop - rows.start)
+            images = {i: fld.matmul(c, s.comp(i)) for i, c in hy._expand(0, unit).items()}
+            out[rows] = hx._coords(0, len(unit), images)
+    return out
+
+
+def add_maps(f, g):
+    from gluecat.complexes import ChainMap
+
+    if f.source is not g.source or f.target is not g.target:
+        raise ValueError("add_maps: mismatched complexes")
+    comps = {n: f.field.add(f.comp(n), g.comp(n)) for n in set(f.comps) | set(g.comps)}
+    return ChainMap(f.source, f.target, comps)
+
+
+def scale_map(f, c: int):
+    from gluecat.complexes import ChainMap
+
+    comps = {n: (c * f.comp(n)) % f.field.p for n in f.comps}
+    return ChainMap(f.source, f.target, comps, validate=False)
+
+
+def mor_by_sum(hs, coords):
+    """The chain map p -> y of a class with homology coordinates
+    ``coords`` in the hom space ``hs``: the sum of the basis maps, each
+    scaled by its coordinate."""
+    from gluecat.complexes import zero_map
+
+    total = zero_map(hs.p, hs.y)
+    for m, c in zip(hs.basis_maps(), coords, strict=True):
+        total = add_maps(total, scale_map(m, int(c)))
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gluecat.complexes import (
     dual_complex,
     homology_dims,
     identity_map,
-    scale_map,
     shift,
     stalk_complex,
     zero_complex,
@@ -48,13 +47,16 @@ from oracles import (
     hom_complex_dims,
     hom_coords,
     hom_coords_by_elimination,
+    hom_map_by_expansion,
     homotopy_witnesses,
     is_identity,
     lifts_entrywise,
     matrix,
+    mor_by_sum,
     nonminimal_degrees,
     regular_bimodule,
     replacement_problems,
+    scale_map,
 )
 
 
@@ -723,6 +725,87 @@ def test_every_suite_lift_matches_the_entrywise_oracle(monkeypatch, fixture):
             for n in p.degrees():
                 assert np.array_equal(g.comp(n), g_ref[n])
                 assert np.array_equal(h.comp(n), h_ref[n])
+
+
+@pytest.fixture(scope="module", params=["F1", "F2", "F3"])
+def suite_coordinates(request):
+    """``(blocks, classes)`` of one fixture's ``run_suite``: each s_* block
+    that ``_solve_lifts`` built, as ``(hy, hx, s, block)``, and each
+    ``(hom space, coordinates)`` that ``mor_from_coords`` materialised."""
+    from gluecat import reflect
+
+    blocks, classes, made = [], [], []
+    solve, diagonal, materialise = DerivedContext._solve_lifts, HomComplex._diagonal, reflect.mor_from_coords
+
+    def recording_diagonal(self, n, target, m, mats):
+        out = diagonal(self, n, target, m, mats)
+        if m == n:   # the differentials run from degree n to n + 1
+            made.append((self, target, out))
+        return out
+
+    def recording_solve(self, p, s, *fs):
+        start = len(made)
+        out = solve(self, p, s, *fs)
+        assert len(made) - start == (1 if fs else 0)
+        blocks.extend((hy, hx, s, block) for hy, hx, block in made[start:])
+        return out
+
+    def recording_materialise(hs, coords):
+        classes.append((hs, np.array(coords)))
+        return materialise(hs, coords)
+
+    ctx = DerivedContext()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DerivedContext, "_solve_lifts", recording_solve)
+        mp.setattr(HomComplex, "_diagonal", recording_diagonal)
+        mp.setattr(reflect, "mor_from_coords", recording_materialise)
+        run_suite(parse_scenario(fixture_scenario(request.param)), ctx)
+    assert 0 < len(blocks) == ctx.memo_counts()["lift"][0]
+    assert classes
+    return blocks, classes
+
+
+def test_every_suite_push_block_matches_the_expansion_oracle(suite_coordinates):
+    # the block is read off s in the weight bases; the oracle expands each
+    # basis element, multiplies by s and reads it back, and raises unless
+    # s is A-linear
+    blocks, _ = suite_coordinates
+    for hy, hx, s, block in blocks:
+        assert np.array_equal(block, hom_map_by_expansion(hy, hx, s))
+
+
+def test_expansion_oracle_rejects_a_map_that_is_not_a_hom(ctx, alg_a3):
+    x = stalk_complex(regular_module(alg_a3))
+    p = ctx.replacement(x).p
+    hc = ctx.hom_complex(p, x)
+    swap = np.roll(np.eye(x.term(0).dim, dtype=np.int64), 1, axis=1)
+    s = ChainMap(x, x, {0: swap})
+    with pytest.raises(ValueError, match="not a module hom"):
+        hom_map_by_expansion(hc, hc, s)
+
+
+def test_class_from_coordinates_matches_the_sum_of_basis_maps(suite_coordinates):
+    from gluecat.recollement import mor_from_coords
+
+    _, classes = suite_coordinates
+    spaces = {id(hs): hs for hs, _ in classes}.values()
+    cases = classes + [(hs, np.zeros(hs.dim, dtype=np.int64)) for hs in spaces]
+    for hs, coords in cases:
+        mor = mor_from_coords(hs, coords)
+        assert (mor.x, mor.y, mor.src_qis) == (hs.x, hs.y, hs.p_qis)
+        assert mor.map.key == mor_by_sum(hs, coords).key
+        if not coords.any():
+            assert mor.map.key == zero_map(hs.p, hs.y).key
+
+
+def test_class_from_no_coordinates_is_the_zero_map(ctx, alg_a3):
+    from gluecat.recollement import mor_from_coords
+
+    # Hom(P_2, S_0[n]) = S_0 e_2 = 0 in degree 0 and P_2 is projective
+    hs = ctx.hom_space(stalk_complex(projective_module(alg_a3, 2)[0]), stalk_complex(simple_module(alg_a3, 0)))
+    assert hs.dim == 0
+    mor = mor_from_coords(hs, np.zeros(0, dtype=np.int64))
+    assert mor.map.key == zero_map(hs.p, hs.y).key == mor_by_sum(hs, []).key
 
 
 def test_content_equal_pairs_share_one_hom_complex(ctx, alg_a3):

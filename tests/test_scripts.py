@@ -36,3 +36,11 @@ def test_frontier_imports_and_its_scenarios_parse():
         scn = parse_scenario(frontier.scenario(name))
         assert scn.variants == ["original", "upper", "lower"]
     assert frontier.main(["E9"]) == 2
+
+
+def test_frontier_k3_report_is_unchanged(tmp_path):
+    # K3 is the one checked-in case with a vertex that carries three
+    # summands of one projective term; its report is pinned byte for byte
+    r = _load("frontier").run("K3", tmp_path)
+    assert (r["exit"], r["memory_errors"]) == (0, 0)
+    assert r["sha256"] == "d0aea19799a778338179bc4b9323019c147cf57301cdca760084f8cbc27a9459"
