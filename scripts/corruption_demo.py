@@ -31,7 +31,7 @@ def summarize(title, report):
 
 def main():
     algebra = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(32003))
-    rec = build_recollement(algebra, [2], seed=17)
+    rec = build_recollement(algebra, [2])
     sd = attach_serre(rec)
     menus = default_menus(rec)
 
@@ -45,11 +45,11 @@ def main():
     corrupted.pairs["P2"].provider = None
     summarize("swapped i^* and i^!", verify_axioms(corrupted, menus, seed=17))
 
-    rr = assemble_reflected(rec, sd, "upper")
-    rr.diagram.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
-    rr.diagram.pairs["P3"].F = rr.diagram.quot_left
-    rr.diagram.pairs["P3"].provider = None
-    summarize("i_? substituted for i_! (upper)", verify_axioms(rr.diagram, menus, seed=17))
+    reflected = assemble_reflected(rec, sd, "upper")
+    reflected.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
+    reflected.pairs["P3"].F = reflected.quot_left
+    reflected.pairs["P3"].provider = None
+    summarize("i_? substituted for i_! (upper)", verify_axioms(reflected, menus, seed=17))
     return 0
 
 

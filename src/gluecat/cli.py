@@ -42,7 +42,13 @@ from .recollement import (
 )
 from .reflect import NEW_ADJOINT_EXPRS, assemble_reflected
 from .scenarios import Scenario, ScenarioError, load_scenario
-from .serre import INDUCED_EXPRS, attach_serre, intrinsic_nakayama_crosscheck, serre_axiom_check
+from .serre import (
+    INDUCED_EXPRS,
+    SERRE_FUNCTORS,
+    attach_serre,
+    intrinsic_nakayama_crosscheck,
+    serre_axiom_check,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -70,14 +76,7 @@ def _build_workbench(scn: Scenario, ctx: DerivedContext | None = None):
     field = PrimeField(scn.p)
     quiver = Quiver(scn.vertices, tuple(scn.arrows))
     algebra = path_algebra(quiver, field)
-    rec = build_recollement(
-        algebra,
-        scn.e_vertices,
-        ctx=ctx,
-        gldim_cap=scn.gldim_cap,
-        seed=scn.seed,
-        attempts=max(scn.attempts, 1),
-    )
+    rec = build_recollement(algebra, scn.e_vertices, ctx=ctx, gldim_cap=scn.gldim_cap)
     sd = attach_serre(rec)
     return rec, sd
 
@@ -104,11 +103,11 @@ def run_suite(
         if variant == "original":
             diagram = original_diagram(rec)
         else:
-            diagram = assemble_reflected(rec, sd, variant).diagram
+            diagram = assemble_reflected(rec, sd, variant)
         reports.append(
             verify_axioms(diagram, menus, seed=seed, attempts=attempts, matrix_pairs=scn.matrix_pairs)
         )
-    for which, tag in (("T", "A"), ("S", "B"), ("U", "C")):
+    for tag, (which, _) in SERRE_FUNCTORS.items():
         budget = scn.matrix_pairs if which == "T" else None
         reports.append(
             serre_axiom_check(sd, which, menus[tag], seed=seed, attempts=attempts, pairing_pairs=budget)

@@ -988,7 +988,6 @@ def verify_axioms(
     seed: int,
     attempts: int = 64,
     matrix_pairs: int = 4,
-    naturality_samples: int = 1,
 ) -> VerificationReport:
     """Run the full recollement-axiom suite on finite test menus.
 
@@ -1070,7 +1069,7 @@ def verify_axioms(
                     )
                 )
         # naturality squares on the first sampled pair
-        if naturality_samples and scored:
+        if scored:
             _, xn, x, yn, y = scored[0]
             objects = f"{pair.label} x={xn} y={yn}"
             with guard("R1.1", objects, "commuting naturality squares", "naturality"):

@@ -2,20 +2,27 @@
 
 With a Serre functor on the middle category, the left and right adjoints
 acquire one further adjoint each.  The four new functors are composites of
-the original six with the Nakayama functor and its quasi-inverse, and
-their adjunction isomorphisms factor as
+the original six with the Nakayama functor and its quasi-inverse, and they
+come in mirror pairs: i_! and j^? are new left adjoints, of i^* and j_!;
+i_? and j^! are new right adjoints, of i^! and j_*.  Each is read off one
+primitive pair (F, G), a row of :data:`MIRROR_ROWS`, and one mirror rule
+gives every adjunction matrix.  Take x where F lands and y where F starts,
+R the right Serre functor of x's category and L the left Serre functor of
+y's, with Rgram and Lgram the Gram matrices of :func:`serre_pairing` and
+:func:`serre_left_pairing`:
 
-    (left/right Serre pairing) o (primitive adjunction) o (Serre pairing)
+    new left adjoint F' of F:   M = Lgram(y, G R x)^T fwd(y, R x)^T Rgram(x, F y)^-1
+                                maps Hom(F'x, y) -> Hom(x, F y); the pair is (M, M^-1)
+    new right adjoint G' of G:  M = Rgram(F L y, x)^T bwd(L y, x)^T Lgram(G x, y)^-1
+                                maps Hom(x, G'y) -> Hom(G x, y); the pair is (M^-1, M)
 
-which is exactly how the composite providers below assemble their
-matrices.  Reassembling the six positions yields two new recollements
-with the outer categories interchanged; they are verified with the same
-generic axiom engine as the original diagram.
+where fwd and bwd are the forward and backward matrices of (F, G).
+Reassembling the six positions yields two new recollements with the outer
+categories interchanged; they are verified with the same generic axiom
+engine as the original diagram.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,40 +31,73 @@ from .recollement import (
     NEW_ADJOINT_EXPRS,
     AdjunctionProvider,
     DiagramSpec,
-    FunctorExpr,
     Recollement,
     layout_diagram,
     mor_from_coords,
 )
-from .serre import SerreData, serre_left_pairing, serre_pairing
+from .serre import SERRE_FUNCTORS, SerreData, serre_left_pairing, serre_pairing
 
 __all__ = [
     "NEW_ADJOINT_EXPRS",
+    "MIRROR_ROWS",
     "CompositeAdjunction",
     "composite_adjunctions",
-    "ReflectedRecollement",
     "assemble_reflected",
 ]
 
+# new adjoint -> (its primitive pair (F, G), side): a new left adjoint of
+# F, or a new right adjoint of G
+MIRROR_ROWS = {
+    "i_!": ("(i^*, i_*)", "left"),
+    "j^?": ("(j_!, j^*)", "left"),
+    "i_?": ("(i_*, i^!)", "right"),
+    "j^!": ("(j^*, j_*)", "right"),
+}
+
 
 class CompositeAdjunction(AdjunctionProvider):
-    """Adjunction witness assembled from two Serre pairings and one
-    primitive adjunction matrix."""
+    """The adjunction of the new adjoint ``new``, by the mirror rule: two
+    Serre pairings and one primitive adjunction matrix.
 
-    def __init__(self, sd: SerreData, name: str, f_expr: FunctorExpr, g_expr: FunctorExpr):
-        super().__init__(sd.rec, f_expr, g_expr)
+    A new left adjoint F' of F witnesses (F', F), a new right adjoint G'
+    of G witnesses (G, G').
+    """
+
+    def __init__(self, sd: SerreData, new: str):
+        pair, self.side = MIRROR_ROWS[new]
+        prim = self.primitive = sd.adjunctions[pair]
+        if self.side == "left":
+            super().__init__(sd.rec, NEW_ADJOINT_EXPRS[new], prim.f_expr)
+            self.name = f"({new}, {prim.F.name})"
+        else:
+            super().__init__(sd.rec, prim.g_expr, NEW_ADJOINT_EXPRS[new])
+            self.name = f"({prim.G.name}, {new})"
         self.sd = sd
-        self.name = name
+        self.right_serre = SERRE_FUNCTORS[prim.F.tgt_tag][0]
+        self.left_serre = SERRE_FUNCTORS[prim.F.src_tag][1]
         self._matrices = _ContentMemo()   # (x, y) -> (forward, backward)
 
-    def _chain_matrix(self, x, y) -> np.ndarray:
-        raise NotImplementedError
-
     def _matrix_pair(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        m = self._chain_matrix(x, y)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"{self.name}: adjunction matrix not square: {m.shape}")
-        return m, (x.field.inv(m) if m.size else m)
+        sd, prim, fld = self.sd, self.primitive, x.field
+        right, left = self.right_serre, self.left_serre
+        if self.side == "left":     # M: Hom(F'x, y) -> Hom(x, F y)
+            rx = sd.serre_apply(right, x)
+            outer = serre_left_pairing(sd, left, y, prim.G.apply(rx)).gram
+            middle = prim.forward_matrix(y, rx)
+            inner = serre_pairing(sd, right, x, prim.F.apply(y)).gram
+        else:                       # M: Hom(x, G'y) -> Hom(G x, y)
+            ly = sd.serre_apply(left, y)
+            outer = serre_pairing(sd, right, prim.F.apply(ly), x).gram
+            middle = prim.backward_matrix(ly, x)
+            inner = serre_left_pairing(sd, left, prim.G.apply(x), y).gram
+        if outer.shape != inner.shape:
+            raise ValueError(
+                f"{self.name}: adjunction matrix not square: {(len(outer), len(inner))}"
+            )
+        if not inner.size:
+            return inner, inner
+        m = fld.mul_chain(outer.T, middle.T, fld.inv(inner))
+        return (m, fld.inv(m)) if self.side == "left" else (fld.inv(m), m)
 
     def forward_matrix(self, x, y) -> np.ndarray:
         return self._matrices.get((x, y), self._matrix_pair, _same)[0]
@@ -80,89 +120,9 @@ class CompositeAdjunction(AdjunctionProvider):
         return mor_from_coords(dst, src.fld.matmul(src.coords_of(mor), matrix))
 
 
-class LowerShriekStarAdjunction(CompositeAdjunction):
-    """(i_!, i^*):  Hom_A(i_! x, y) ~= Hom_B(x, i^* y)."""
-
-    def __init__(self, sd: SerreData):
-        super().__init__(sd, "(i_!, i^*)", NEW_ADJOINT_EXPRS["i_!"], FunctorExpr(("i^*",)))
-
-    def _chain_matrix(self, x, y):
-        rec, sd = self.rec, self.sd
-        fld = x.field
-        sx = sd.serre_apply("S", x)
-        z = rec.functor("i_*").apply(sx)                            # i_* S x
-        iy = rec.functor("i^*").apply(y)
-        g1 = serre_left_pairing(sd, "T~", y, z).gram
-        f1 = sd.adjunctions["(i^*, i_*)"].forward_matrix(y, sx)
-        g2 = serre_pairing(sd, "S", x, iy).gram
-        return fld.mul_chain(g1.T, f1.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
-
-
-class QuestionShriekAdjunction(CompositeAdjunction):
-    """(j^?, j_!):  Hom_C(j^? x, n) ~= Hom_A(x, j_! n)."""
-
-    def __init__(self, sd: SerreData):
-        super().__init__(sd, "(j^?, j_!)", NEW_ADJOINT_EXPRS["j^?"], FunctorExpr(("j_!",)))
-
-    def _chain_matrix(self, x, n_obj):
-        rec, sd = self.rec, self.sd
-        fld = x.field
-        tx = rec.functor("T").apply(x)
-        w = rec.functor("j^*").apply(tx)                             # j^* T x
-        jn = rec.functor("j_!").apply(n_obj)
-        g1 = serre_left_pairing(sd, "U~", n_obj, w).gram
-        f2 = sd.adjunctions["(j_!, j^*)"].forward_matrix(n_obj, tx)
-        g2 = serre_pairing(sd, "T", x, jn).gram
-        return fld.mul_chain(g1.T, f2.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
-
-
-class ShriekQuestionAdjunction(CompositeAdjunction):
-    """(i^!, i_?):  Hom_B(i^! x, y) ~= Hom_A(x, i_? y)  (x over A)."""
-
-    def __init__(self, sd: SerreData):
-        super().__init__(sd, "(i^!, i_?)", FunctorExpr(("i^!",)), NEW_ADJOINT_EXPRS["i_?"])
-
-    def _chain_matrix(self, x, y):
-        # built in the backward direction Hom_A(x, i_? y) -> Hom_B(i^! x, y)
-        rec, sd = self.rec, self.sd
-        fld = x.field
-        sty = sd.serre_apply("S~", y)
-        zp = rec.functor("i_*").apply(sty)                            # i_* S~ y
-        ix = rec.functor("i^!").apply(x)
-        g1 = serre_pairing(sd, "T", zp, x).gram
-        f3 = sd.adjunctions["(i_*, i^!)"].backward_matrix(sty, x)
-        g2 = serre_left_pairing(sd, "S~", ix, y).gram
-        back = fld.mul_chain(g1.T, f3.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[0], 0)
-        return fld.inv(back) if back.size else back.T.copy()
-
-
-class StarShriekUpAdjunction(CompositeAdjunction):
-    """(j_*, j^!):  Hom_A(j_* n, y) ~= Hom_C(n, j^! y)."""
-
-    def __init__(self, sd: SerreData):
-        super().__init__(sd, "(j_*, j^!)", FunctorExpr(("j_*",)), NEW_ADJOINT_EXPRS["j^!"])
-
-    def _chain_matrix(self, n_obj, y):
-        rec, sd = self.rec, self.sd
-        fld = y.field
-        tty = rec.functor("T~").apply(y)
-        wp = rec.functor("j^*").apply(tty)                            # j^* T~ y
-        jn = rec.functor("j_*").apply(n_obj)
-        g1 = serre_left_pairing(sd, "T~", jn, y).gram
-        f4 = sd.adjunctions["(j^*, j_*)"].forward_matrix(tty, n_obj)
-        g2 = serre_pairing(sd, "U", wp, n_obj).gram
-        if not g2.size:
-            return fld.zeros(g1.shape[0], 0)
-        return fld.mul_chain(g1, f4.T, fld.inv(g2).T)
-
-
 def composite_adjunctions(sd: SerreData) -> dict[str, CompositeAdjunction]:
-    return {
-        "(i_!, i^*)": LowerShriekStarAdjunction(sd),
-        "(j^?, j_!)": QuestionShriekAdjunction(sd),
-        "(i^!, i_?)": ShriekQuestionAdjunction(sd),
-        "(j_*, j^!)": StarShriekUpAdjunction(sd),
-    }
+    providers = [CompositeAdjunction(sd, new) for new in MIRROR_ROWS]
+    return {p.name: p for p in providers}
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +130,7 @@ def composite_adjunctions(sd: SerreData) -> dict[str, CompositeAdjunction]:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ReflectedRecollement:
-    variant: str               # "upper" | "lower"
-    rec: Recollement
-    sd: SerreData
-    diagram: DiagramSpec
-
-
-def assemble_reflected(rec: Recollement, sd: SerreData, variant: str) -> ReflectedRecollement:
+def assemble_reflected(rec: Recollement, sd: SerreData, variant: str) -> DiagramSpec:
     """Place the four new adjoints into the two reflected diagrams.
 
     Upper variant: (j_!, j^?, j^*) embeds the corner category and
@@ -190,4 +142,4 @@ def assemble_reflected(rec: Recollement, sd: SerreData, variant: str) -> Reflect
     if variant not in ("upper", "lower"):
         raise ValueError("variant must be 'upper' or 'lower'")
     providers = {**sd.adjunctions, **composite_adjunctions(sd)}
-    return ReflectedRecollement(variant, rec, sd, layout_diagram(rec, variant, providers))
+    return layout_diagram(rec, variant, providers)

@@ -53,6 +53,7 @@ __all__ = [
     "PAIRING_ROUTES",
     "serre_axiom_check",
     "INDUCED_EXPRS",
+    "SERRE_FUNCTORS",
 ]
 
 
@@ -76,6 +77,11 @@ INDUCED_EXPRS = {
     "U": FunctorExpr(("j_!", "T", "j^*")),
     "U~": FunctorExpr(("j_*", "T~", "j^*")),
 }
+
+# category -> (right, left) Serre functor: T and its quasi-inverse T~ on
+# A, the induced pairs on B and C
+SERRE_FUNCTORS = {"A": ("T", "T~"), "B": ("S", "S~"), "C": ("U", "U~")}
+_CATEGORY_OF = {right: tag for tag, (right, _) in SERRE_FUNCTORS.items()}
 
 
 @dataclass
@@ -337,8 +343,7 @@ def serre_axiom_check(
     ``which`` is "T" (middle category), "S" (quotient) or "U" (corner).
     """
     rec, ctx = sd.rec, sd.ctx
-    names = {"T": ("T", "T~"), "S": ("S", "S~"), "U": ("U", "U~")}[which]
-    f_name, ft_name = names
+    f_name, ft_name = SERRE_FUNCTORS[_CATEGORY_OF[which]]
     cells: list[Cell] = []
     label = f"serre-{which}"
     if not menu:
@@ -413,7 +418,7 @@ def intrinsic_nakayama_crosscheck(
     from gluecat.modules import projectives
 
     rec, ctx = sd.rec, sd.ctx
-    tag = {"S": "B", "U": "C"}[which]
+    tag = _CATEGORY_OF[which]
     alg = rec.algebra_of(tag)
     intrinsic = DerivedTensorFunctor(ctx, nakayama_bimodule(alg), f"nak({tag})", tag, tag)
     cells = []

@@ -5,6 +5,10 @@ touching the package's algebra or module machinery, so expected values
 are computed along a second path.  The Gram oracle at the end is the
 entry-by-entry reference for the batched Serre pairings: it evaluates
 each Gram entry on its own, with one lift and one supertrace per entry.
+``composite_pair_by_formula`` is the reference for the mirror rule of the
+composite adjunctions: one hand-written product of two Serre Grams and a
+primitive adjunction matrix per new adjoint, each with its own
+transpositions and inverses.
 ``hom_coords_by_elimination`` is the reference for hom coordinates: it
 solves for them in the hom basis by Gaussian elimination; ``hom_coords``
 reads them off the free columns of that basis instead.
@@ -401,6 +405,93 @@ def gram_entrywise(sd, which: str, x, y):
         for j, g in enumerate(others):
             gram[i, j] = value(ctx, functor, xp, yp, f, g)
     return gram
+
+
+# ----------------------------------------------------------------------
+# composite adjunction matrices, one formula per new adjoint
+# ----------------------------------------------------------------------
+
+
+def _lower_shriek_star(sd, x, y):
+    """(i_!, i^*):  Hom_A(i_! x, y) ~= Hom_B(x, i^* y)."""
+    from gluecat.serre import serre_left_pairing, serre_pairing
+
+    rec = sd.rec
+    fld = x.field
+    sx = sd.serre_apply("S", x)
+    z = rec.functor("i_*").apply(sx)                            # i_* S x
+    iy = rec.functor("i^*").apply(y)
+    g1 = serre_left_pairing(sd, "T~", y, z).gram
+    f1 = sd.adjunctions["(i^*, i_*)"].forward_matrix(y, sx)
+    g2 = serre_pairing(sd, "S", x, iy).gram
+    return fld.mul_chain(g1.T, f1.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
+
+
+def _question_shriek(sd, x, n_obj):
+    """(j^?, j_!):  Hom_C(j^? x, n) ~= Hom_A(x, j_! n)."""
+    from gluecat.serre import serre_left_pairing, serre_pairing
+
+    rec = sd.rec
+    fld = x.field
+    tx = rec.functor("T").apply(x)
+    w = rec.functor("j^*").apply(tx)                             # j^* T x
+    jn = rec.functor("j_!").apply(n_obj)
+    g1 = serre_left_pairing(sd, "U~", n_obj, w).gram
+    f2 = sd.adjunctions["(j_!, j^*)"].forward_matrix(n_obj, tx)
+    g2 = serre_pairing(sd, "T", x, jn).gram
+    return fld.mul_chain(g1.T, f2.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
+
+
+def _shriek_question(sd, x, y):
+    """(i^!, i_?):  Hom_B(i^! x, y) ~= Hom_A(x, i_? y)  (x over A)."""
+    from gluecat.serre import serre_left_pairing, serre_pairing
+
+    # built in the backward direction Hom_A(x, i_? y) -> Hom_B(i^! x, y)
+    rec = sd.rec
+    fld = x.field
+    sty = sd.serre_apply("S~", y)
+    zp = rec.functor("i_*").apply(sty)                            # i_* S~ y
+    ix = rec.functor("i^!").apply(x)
+    g1 = serre_pairing(sd, "T", zp, x).gram
+    f3 = sd.adjunctions["(i_*, i^!)"].backward_matrix(sty, x)
+    g2 = serre_left_pairing(sd, "S~", ix, y).gram
+    back = fld.mul_chain(g1.T, f3.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[0], 0)
+    return fld.inv(back) if back.size else back.T.copy()
+
+
+def _star_shriek_up(sd, n_obj, y):
+    """(j_*, j^!):  Hom_A(j_* n, y) ~= Hom_C(n, j^! y)."""
+    from gluecat.serre import serre_left_pairing, serre_pairing
+
+    rec = sd.rec
+    fld = y.field
+    tty = rec.functor("T~").apply(y)
+    wp = rec.functor("j^*").apply(tty)                            # j^* T~ y
+    jn = rec.functor("j_*").apply(n_obj)
+    g1 = serre_left_pairing(sd, "T~", jn, y).gram
+    f4 = sd.adjunctions["(j^*, j_*)"].forward_matrix(tty, n_obj)
+    g2 = serre_pairing(sd, "U", wp, n_obj).gram
+    if not g2.size:
+        return fld.zeros(g1.shape[0], 0)
+    return fld.mul_chain(g1, f4.T, fld.inv(g2).T)
+
+
+COMPOSITE_FORMULAS = {
+    "(i_!, i^*)": _lower_shriek_star,
+    "(j^?, j_!)": _question_shriek,
+    "(i^!, i_?)": _shriek_question,
+    "(j_*, j^!)": _star_shriek_up,
+}
+
+
+def composite_pair_by_formula(sd, name: str, x, y):
+    """``(forward, backward)`` matrices of the composite adjunction
+    ``name`` on (x, y), from its own formula in :data:`COMPOSITE_FORMULAS`
+    and the inverse of that."""
+    m = COMPOSITE_FORMULAS[name](sd, x, y)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name}: adjunction matrix not square: {m.shape}")
+    return m, (x.field.inv(m) if m.size else m)
 
 
 # ----------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_criterion_4_reflected_recollements(workbenches):
     for name, (rec, sd, menus) in workbenches.items():
         start = time.monotonic()
         for variant in ("upper", "lower"):
-            rr = assemble_reflected(rec, sd, variant)
-            report = verify_axioms(rr.diagram, menus, seed=17)
+            reflected = assemble_reflected(rec, sd, variant)
+            report = verify_axioms(reflected, menus, seed=17)
             bad = [c for c in report.cells if c.verdict != "pass"]
             essim = [c for c in report.cells if c.axiom == "EssIm"]
             if bad:
@@ -201,11 +201,11 @@ def test_criterion_6_negative_controls(workbenches):
     # control 2: substitute i_? for i_! in the upper reflected diagram
     from gluecat.recollement import PipelineFunctor
 
-    rr = assemble_reflected(rec, sd, "upper")
-    rr.diagram.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
-    rr.diagram.pairs["P3"].F = rr.diagram.quot_left
-    rr.diagram.pairs["P3"].provider = None
-    report2 = verify_axioms(rr.diagram, menus, seed=17)
+    reflected = assemble_reflected(rec, sd, "upper")
+    reflected.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
+    reflected.pairs["P3"].F = reflected.quot_left
+    reflected.pairs["P3"].provider = None
+    report2 = verify_axioms(reflected, menus, seed=17)
     fails_2 = [c for c in report2.cells if c.axiom == "R1.1" and c.verdict == "fail"]
     ok = bool(fails_1) and bool(fails_2)
     assert _verdict(

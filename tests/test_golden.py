@@ -6,6 +6,12 @@ keep behaviour (a refactor or an optimisation) must leave these digests
 unchanged.  All three fixtures run here; F3, the Kronecker quiver, is
 the only one with parallel arrows.
 
+The full ``verify`` reports of the five larger scenarios (A3 e={2},
+A4 e={3,4}, A4 e={4}, A5 e={5} and D4) are pinned here by digest, run on
+their files as they are and with all three diagrams.  The files verify
+the original diagram only, so the second run is what checks the
+reflected diagrams on a branching vertex (D4) and with |e| = 2.
+
 It also records the digest of the original-diagram cells of the larger
 scenarios.  A3 e={2} and D4 (arrows into the centre, e = centre) run
 here; D4 is the only shape with a branching vertex.
@@ -42,6 +48,35 @@ def test_verify_report_matches_golden_digest(tmp_path, capsys, name):
     golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == golden["verify-fixtures"][name]["report_sha256"]
+
+
+# SHA-256 of the ``verify`` report of each larger scenario, by whether
+# the reflected diagrams are verified too
+LARGER_REPORTS = {
+    ("A3-e2", False): "a171a41c810d8a149fe77785b692445a085021c00ff433b8612d6e21a7b65697",
+    ("A4-e34", False): "332910a872379cce7337e71b6599b531dcd581adade6d7d7fc82bacea744b780",
+    ("A4-e4", False): "17a2f1fe49fc10e3c596944b5c3162186ec9f8828e34364306be6a3431407561",
+    ("A5-e5", False): "56dcfff370b398fb4eba3a5df5771cb4713738373d406213982fe58b0c028f7f",
+    ("D4-centre", False): "9889d6af450182a0a0580072e9cf4943c806c31a035b1ccef48aee6526a17880",
+    ("A3-e2", True): "54d678b98a7a38774dbbac66417a38d6d333b05c8116bd550cc3653bd276a734",
+    ("A4-e34", True): "ad3029d5f472870b04cd4031637250fb556c8d256213652d3bb64b501e691175",
+    ("A4-e4", True): "bd9115d75fbf824dff6b682ab17d4acf227e2a43603f6de931f7a26e7abe1717",
+    ("A5-e5", True): "3aeb11de915c308fea52175c5f74cb675280a489ec4deecc816c65dba251b8fb",
+    ("D4-centre", True): "8ed5e51a9739d33c84cc322e0f45a6a0bdd978e853a7d160ef594707959caac3",
+}
+
+
+@pytest.mark.parametrize("name, reflected", sorted(LARGER_REPORTS))
+def test_larger_verify_report_matches_its_digest(tmp_path, capsys, name, reflected):
+    scenario = PERFBENCH / "scenarios" / f"{name}.json"
+    if reflected:
+        data = json.loads(scenario.read_text(encoding="utf-8"))
+        data["variants"] = ["original", "upper", "lower"]
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["verify", str(scenario), "--report", str(report), "--quiet"]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == LARGER_REPORTS[name, reflected]
 
 
 @pytest.mark.parametrize("name", ["A3-e2", "D4-centre"])

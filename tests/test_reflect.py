@@ -12,8 +12,15 @@ from gluecat.recollement import (
     original_diagram,
     verify_axioms,
 )
-from gluecat.reflect import NEW_ADJOINT_EXPRS, assemble_reflected, composite_adjunctions
-from gluecat.serre import attach_serre
+from gluecat.reflect import (
+    MIRROR_ROWS,
+    NEW_ADJOINT_EXPRS,
+    CompositeAdjunction,
+    assemble_reflected,
+    composite_adjunctions,
+)
+from gluecat.serre import INDUCED_EXPRS, SERRE_FUNCTORS, attach_serre
+from oracles import composite_pair_by_formula
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +46,29 @@ def test_new_adjoint_pipelines_expand_as_printed():
     assert NEW_ADJOINT_EXPRS["j^?"].steps == ("T", "j^*", "j_*", "T~", "j^*")
     assert NEW_ADJOINT_EXPRS["i_?"].steps == ("i_*", "T~", "i^*", "i_*", "T")
     assert NEW_ADJOINT_EXPRS["j^!"].steps == ("T~", "j^*", "j_!", "T", "j^*")
+
+
+def _mirror_steps(sd, pair, side):
+    """The steps of the new adjoint that the row (pair, side) describes:
+    R (G,) L for a new left adjoint of F, L (F,) R for a new right adjoint
+    of G, with R and L the right and left Serre functors of the categories
+    where F lands and starts."""
+    prim = sd.adjunctions[pair]
+    right = SERRE_FUNCTORS[prim.F.tgt_tag][0]
+    left = SERRE_FUNCTORS[prim.F.src_tag][1]
+    r_steps, l_steps = (INDUCED_EXPRS[n].steps if n in INDUCED_EXPRS else (n,) for n in (right, left))
+    if side == "left":
+        return r_steps + (prim.G.name,) + l_steps
+    return l_steps + (prim.F.name,) + r_steps
+
+
+def test_mirror_rows_agree_with_the_new_adjoint_expressions(setup_f1):
+    _, sd = setup_f1
+    rows = [(pair, side) for pair in sd.adjunctions for side in ("left", "right")]
+    for new, row in MIRROR_ROWS.items():
+        # the table's row, and no other, expands to the printed pipeline
+        matching = [r for r in rows if _mirror_steps(sd, *r) == NEW_ADJOINT_EXPRS[new].steps]
+        assert matching == [row], new
 
 
 def test_pipeline_signatures(setup_f1):
@@ -122,7 +152,7 @@ def test_layout_pairs_match_their_providers(setup_f1, label):
     if label == "original":
         diagram = original_diagram(rec)
     else:
-        diagram = assemble_reflected(rec, sd, label).diagram
+        diagram = assemble_reflected(rec, sd, label)
     assert diagram.label == label
     for key in ("P1", "P2", "P3", "P4"):
         pair = diagram.pairs[key]
@@ -133,28 +163,28 @@ def test_layout_pairs_match_their_providers(setup_f1, label):
 
 def test_upper_variant_positions(setup_f1):
     rec, sd = setup_f1
-    rr = assemble_reflected(rec, sd, "upper")
-    assert rr.diagram.emb.label == "j_!"
-    assert rr.diagram.quot.label == "i^*"
-    assert rr.diagram.quot_right.label == "i_*"
-    assert rr.diagram.emb_right.label == "j^*"
+    reflected = assemble_reflected(rec, sd, "upper")
+    assert reflected.emb.label == "j_!"
+    assert reflected.quot.label == "i^*"
+    assert reflected.quot_right.label == "i_*"
+    assert reflected.emb_right.label == "j^*"
 
 
 def test_lower_variant_positions(setup_f1):
     rec, sd = setup_f1
-    rr = assemble_reflected(rec, sd, "lower")
-    assert rr.diagram.emb.label == "j_*"
-    assert rr.diagram.quot.label == "i^!"
-    assert rr.diagram.quot_right.label == "i_?"
-    assert rr.diagram.emb_left.label == "j^*"
+    reflected = assemble_reflected(rec, sd, "lower")
+    assert reflected.emb.label == "j_*"
+    assert reflected.quot.label == "i^!"
+    assert reflected.quot_right.label == "i_?"
+    assert reflected.emb_left.label == "j^*"
 
 
 def test_both_variants_share_outer_functors(setup_f1):
     rec, sd = setup_f1
     up = assemble_reflected(rec, sd, "upper")
     lo = assemble_reflected(rec, sd, "lower")
-    assert up.diagram.quot_right.label == "i_*" and lo.diagram.quot_left.label == "i_*"
-    assert up.diagram.emb_right.label == "j^*" and lo.diagram.emb_left.label == "j^*"
+    assert up.quot_right.label == "i_*" and lo.quot_left.label == "i_*"
+    assert up.emb_right.label == "j^*" and lo.emb_left.label == "j^*"
 
 
 def test_upper_vanishing_f1(setup_f1):
@@ -174,24 +204,24 @@ def test_lower_vanishing_f1(setup_f1):
 @pytest.mark.parametrize("variant", ["upper", "lower"])
 def test_reflected_recollement_verifies_f1(setup_f1, variant):
     rec, sd = setup_f1
-    rr = assemble_reflected(rec, sd, variant)
+    reflected = assemble_reflected(rec, sd, variant)
     menus = default_menus(rec)
-    report = verify_axioms(rr.diagram, menus, seed=19)
+    report = verify_axioms(reflected, menus, seed=19)
     bad = [c for c in report.cells if c.verdict != "pass"]
     assert not bad, [f"{c.axiom} {c.objects} {c.note}: {c.actual}" for c in bad[:8]]
 
 
 def test_corrupted_reflected_fails_f2(setup_f2):
     rec, sd = setup_f2
-    rr = assemble_reflected(rec, sd, "upper")
+    reflected = assemble_reflected(rec, sd, "upper")
     # substitute i_? for i_! in the quot_left position, dims only
     from gluecat.recollement import PipelineFunctor
 
-    rr.diagram.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
-    rr.diagram.pairs["P3"].F = rr.diagram.quot_left
-    rr.diagram.pairs["P3"].provider = None
+    reflected.quot_left = PipelineFunctor(rec, NEW_ADJOINT_EXPRS["i_?"], "i_?")
+    reflected.pairs["P3"].F = reflected.quot_left
+    reflected.pairs["P3"].provider = None
     menus = default_menus(rec)
-    report = verify_axioms(rr.diagram, menus, seed=19)
+    report = verify_axioms(reflected, menus, seed=19)
     r11_fail = [c for c in report.cells if c.axiom == "R1.1" and c.verdict == "fail"]
     assert r11_fail
 
@@ -223,3 +253,37 @@ def test_double_reflection_dimension_tables_f1(setup_f1):
             rhs = ctx.derived_hom_dims(x, rec.apply_expr(il, b))
             for k in window:
                 assert lhs.get(k, 0) == rhs.get(k, 0), (xn, bn, k)
+
+
+@pytest.fixture(scope="module")
+def suite_matrix_pairs():
+    """Each ``(provider, x, y, (forward, backward))`` that
+    ``CompositeAdjunction._matrix_pair`` built during the F1–F3 suites."""
+    from gluecat.cli import run_suite
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    built = []
+    matrix_pair = CompositeAdjunction._matrix_pair
+
+    def recording(self, x, y):
+        out = matrix_pair(self, x, y)
+        built.append((self, x, y, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CompositeAdjunction, "_matrix_pair", recording)
+        for name in ("F1", "F2", "F3"):
+            run_suite(parse_scenario(fixture_scenario(name)))
+    return built
+
+
+def test_every_suite_matrix_pair_matches_its_own_formula(suite_matrix_pairs):
+    seen = set()
+    for prov, x, y, (fwd, bwd) in suite_matrix_pairs:
+        ref_fwd, ref_bwd = composite_pair_by_formula(prov.sd, prov.name, x, y)
+        for got, ref in ((fwd, ref_fwd), (bwd, ref_bwd)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref), (prov.name, x.name, y.name)
+        if fwd.size:
+            seen.add(prov.name)
+    assert seen == {"(i_!, i^*)", "(j^?, j_!)", "(i^!, i_?)", "(j_*, j^!)"}
