@@ -101,7 +101,7 @@ def run_suite(
     reports = []
     for variant in scn.variants:
         if variant == "original":
-            diagram = original_diagram(rec)
+            diagram = original_diagram(rec, sd.adjunctions)
         else:
             diagram = assemble_reflected(rec, sd, variant)
         reports.append(

@@ -45,7 +45,6 @@ from .modules import (
 __all__ = [
     "BoundedComplex",
     "ChainMap",
-    "Homotopy",
     "ProjSummands",
     "Replacement",
     "DerivedContext",
@@ -266,20 +265,6 @@ class ChainMap:
 
     def __repr__(self):
         return f"<chain map {self.source.name} -> {self.target.name}>"
-
-
-@dataclass
-class Homotopy:
-    """Components h^n: X^n -> Y^{n-1} witnessing f - g = dh + hd."""
-
-    source: BoundedComplex
-    target: BoundedComplex
-    comps: dict[int, np.ndarray]
-
-    def comp(self, n: int) -> np.ndarray:
-        if n in self.comps:
-            return self.comps[n]
-        return self.source.field.zeros(self.source.term(n).dim, self.target.term(n - 1).dim)
 
 
 # ----------------------------------------------------------------------
@@ -512,8 +497,9 @@ def _resolve(x: BoundedComplex) -> tuple[BoundedComplex, dict[int, np.ndarray]]:
     of K^{n+1} are independent, K^n is the kernel of the last cover,
     which the cover carries.  The loop stops where that is zero, and
     raises :class:`ResolutionExceedsCapError` past ``RESOLUTION_CAP``
-    degrees, as :func:`resolution_data` does.  On a stalk complex it
-    builds exactly the terms and maps of :func:`resolution_data`.
+    degrees.  On a stalk complex it builds exactly the terms and maps of
+    the syzygy resolution by covers, the test oracle
+    ``tests/oracles.py::resolution_data``.
     """
     a, fld = x.algebra, x.field
     terms: dict[int, RightModule] = {}
@@ -593,7 +579,8 @@ class Replacement:
     ``inverse`` is then the identity of ``p``.  Any other x is resolved
     by covers (:func:`_resolve`), and ``inverse`` is None; on a stalk
     complex ``p`` and ``qis`` are then the terms, differentials and
-    augmentation of :func:`~gluecat.modules.resolution_data`.
+    augmentation of the syzygy resolution by covers (the test oracle
+    ``tests/oracles.py::resolution_data``).
     """
 
     p: BoundedComplex
@@ -685,8 +672,7 @@ def _same(value, *objs):
 
 
 def _moved_lifts(lifts, p: BoundedComplex, s: ChainMap, *fs: ChainMap):
-    y, x = s.source, s.target
-    return [(g._moved(p, y), Homotopy(p, x, h.comps)) for g, h in lifts]
+    return [g._moved(p, s.source) for g in lifts]
 
 
 class DerivedContext:
@@ -737,11 +723,11 @@ class DerivedContext:
     - Complexes and chain maps validate once per content per algebra
       (``Algebra._valid``), as modules do.
 
-    Every memoised value is shared, so its arrays are read-only.  Lifts
-    that share a source and a quasi-isomorphism are solved together by
-    :meth:`lift_many_through_qis`, one elimination for all of them; the
-    Serre Gram matrices in :mod:`gluecat.serre` lift a whole basis that
-    way.
+    Every memoised value is shared, so its arrays are read-only.  A lift
+    is the chain map alone, and lifts that share a source and a qis are
+    solved together by :meth:`lift_many_through_qis`, one elimination
+    for all of them; the Serre Gram matrices in :mod:`gluecat.serre`
+    lift a whole basis that way.
     """
 
     def __init__(self):
@@ -820,20 +806,20 @@ class DerivedContext:
 
     # -- lifting ------------------------------------------------------
 
-    def lift_through_qis(
-        self, p: BoundedComplex, f: ChainMap, s: ChainMap
-    ) -> tuple[ChainMap, Homotopy]:
-        """g: p -> y and homotopy h with f - g*s = dh + hd.
+    def lift_through_qis(self, p: BoundedComplex, f: ChainMap, s: ChainMap) -> ChainMap:
+        """A chain map g: p -> y with g*s homotopic to f.
 
         ``f`` runs p -> x and ``s`` is a quasi-isomorphism y -> x; p must
         have projective terms.  Solved as one linear system in the
-        coordinates of the hom complexes Hom(p, y) and Hom(p, x).
+        coordinates of the hom complexes Hom(p, y) and Hom(p, x), whose
+        unknowns are g and a homotopy h with f - g*s = dh + hd.  Only g
+        is built: no caller reads h.
         """
         return self.lift_many_through_qis(p, [f], s)[0]
 
     def lift_many_through_qis(
         self, p: BoundedComplex, fs: list[ChainMap], s: ChainMap
-    ) -> list[tuple[ChainMap, Homotopy]]:
+    ) -> list[ChainMap]:
         """:meth:`lift_through_qis` for every map in ``fs``, in one solve.
 
         The system depends only on p and s, so it is assembled once and
@@ -847,9 +833,7 @@ class DerivedContext:
                 raise ValueError("lift_through_qis: mismatched complexes")
         return self._lifts.share((p, s, *fs), self._solve_lifts, _moved_lifts)
 
-    def _solve_lifts(
-        self, p: BoundedComplex, s: ChainMap, *fs: ChainMap
-    ) -> list[tuple[ChainMap, Homotopy]]:
+    def _solve_lifts(self, p: BoundedComplex, s: ChainMap, *fs: ChainMap) -> list[ChainMap]:
         if not fs:
             return []
         y, x = s.source, s.target
@@ -874,14 +858,8 @@ class DerivedContext:
             raise LiftSystemInconsistentError(
                 "no lift exists: source not K-projective or map not a qis"
             )
-        gs, hs = hy._expand(0, sol[:n0].T), hx._expand(-1, sol[n0:].T)
-        return [
-            (
-                ChainMap(p, y, {n: g[t] for n, g in gs.items()}),
-                Homotopy(p, x, {n: h[t] for n, h in hs.items()}),
-            )
-            for t in range(len(fs))
-        ]
+        gs = hy._expand(0, sol[:n0].T)   # the h part, sol[n0:], is not read
+        return [ChainMap(p, y, {n: g[t] for n, g in gs.items()}) for t in range(len(fs))]
 
     # -- hom complexes and spaces --------------------------------------
 
@@ -955,10 +933,6 @@ class DerivedContext:
             return DerivedIsoCertificate("not-isomorphic", None, None, 0)
         px = self.replacement(x).p
         py = self.replacement(y).p
-        if x is y:
-            cert = self.certificate_for_map(identity_map(px))
-            if cert.certified:
-                return cert
         if not hx:
             # both acyclic: the zero map is an isomorphism in the derived category
             return self.certificate_for_map(zero_map(px, py))
@@ -1291,5 +1265,5 @@ def present_class(ctx: DerivedContext, mor: Mor, via: ChainMap | None = None) ->
         via = rep.qis
     if m.source is mor.x:
         return compose_maps(via, m)
-    ell, _ = ctx.lift_through_qis(via.source, via, mor.src_qis)
+    ell = ctx.lift_through_qis(via.source, via, mor.src_qis)
     return compose_maps(ell, m)

@@ -40,7 +40,6 @@ __all__ = [
     "tensor_over",
     "tensor_hom",
     "projective_cover",
-    "resolution_data",
     "global_dimension",
     "nakayama_bimodule",
 ]
@@ -823,44 +822,6 @@ def _build_cover(m: RightModule) -> Cover:
     return Cover(p_mod, summands, offsets, gens, surj, kernel)
 
 
-@dataclass
-class ResolutionData:
-    module: RightModule
-    covers: list[Cover]
-    diffs: list[np.ndarray]       # diffs[k]: P_{k+1} -> P_k
-    augmentation: np.ndarray      # P_0 -> M
-
-    @property
-    def length(self) -> int:
-        return max(len(self.covers) - 1, 0)
-
-
-def resolution_data(m: RightModule, cap: int) -> ResolutionData:
-    """Iterated syzygy resolution by projective covers."""
-    fld = m.field
-    if m.dim == 0:
-        return ResolutionData(m, [], [], fld.zeros(0, 0))
-    covers: list[Cover] = []
-    diffs: list[np.ndarray] = []
-    current = m
-    include_rows = None  # inclusion of current syzygy into previous cover module
-    augmentation = None
-    while True:
-        cov = projective_cover(current)
-        if augmentation is None:
-            augmentation = cov.surjection
-        else:
-            diffs.append(fld.matmul(cov.surjection, include_rows))
-        covers.append(cov)
-        if cov.kernel.shape[0] == 0:
-            return ResolutionData(m, covers, diffs, augmentation)
-        if len(covers) > cap:
-            raise ResolutionExceedsCapError(
-                f"resolution of {m.name} exceeds cap {cap}"
-            )
-        current, include_rows = submodule_from_rows(cov.module, cov.kernel)
-
-
 def global_dimension(a: Algebra, cap: int) -> int:
     """gl.dim A, which is pd(A/rad A); ``GlobalDimensionExceedsCapError``
     names the algebra and the cap when it exceeds ``cap``.
@@ -871,9 +832,10 @@ def global_dimension(a: Algebra, cap: int) -> int:
     right module (Nakayama's lemma), so x |-> g x from (+)_g P_t onto
     rad A is a minimal projective cover; let K be its kernel.  So gl.dim A
     is 0 without parts (A is semisimple), 1 when K = 0 (rad A is
-    projective: A is hereditary), and 2 + pd K otherwise, with K
-    resolved by :func:`resolution_data`.  A hereditary algebra builds no
-    cover and no module beyond its projectives.
+    projective: A is hereditary), and 2 + pd K otherwise: K is covered,
+    then each kernel in turn, and pd K counts the nonzero kernels before
+    the first zero one.  A hereditary algebra builds no cover and no
+    module beyond its projectives.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -897,7 +859,10 @@ def global_dimension(a: Algebra, cap: int) -> int:
         raise GlobalDimensionExceedsCapError(exceeds)
     cover, _ = direct_sum([m for (m, _, _) in projs], name=f"cover(rad {a.name})")
     syzygy, _ = submodule_from_rows(cover, kernel, name=f"syz2({a.name})")
-    try:
-        return 2 + resolution_data(syzygy, cap - 2).length
-    except ResolutionExceedsCapError as exc:
-        raise GlobalDimensionExceedsCapError(exceeds) from exc
+    length, cov = 2, projective_cover(syzygy)
+    while cov.kernel.shape[0]:
+        length += 1
+        if length > cap:
+            raise GlobalDimensionExceedsCapError(exceeds)
+        cov = projective_cover(submodule_from_rows(cov.module, cov.kernel)[0])
+    return length

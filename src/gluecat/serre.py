@@ -191,7 +191,7 @@ def _right_gram(ctx: DerivedContext, t_functor, xp: BoundedComplex, yp: BoundedC
         p, [hs_f.normalize(f) for f in fs], ctx.replacement(yp).qis
     )
     factors = _supertrace_factors(p, aux["tensors"])
-    lefts = [{n: ell.comp(n) for n in factors} for ell, _ in lifts]
+    lefts = [{n: ell.comp(n) for n in factors} for ell in lifts]
     rights = [{n: hs_g.normalize(g).comp(n) for n in factors} for g in gs]
     return _trace_gram(fld, factors, lefts, rights)
 
@@ -222,7 +222,7 @@ def _left_gram(ctx: DerivedContext, tt_functor, xp: BoundedComplex, yp: BoundedC
     factors = _supertrace_factors(p, aux["tensors"])
     f_hats = [hs_f.normalize(f) for f in fs]
     lefts = [{n: fld.matmul(qis.comp(n), f.comp(-n).T) for n in factors} for f in f_hats]
-    moved = [compose_maps(rep_ty.inverse, ell) for ell, _ in lifts]  # ty -> rep of x'
+    moved = [compose_maps(rep_ty.inverse, ell) for ell in lifts]  # ty -> rep of x'
     rights = [{n: c.comp(-n).T for n in factors} for c in moved]
     return _trace_gram(fld, factors, lefts, rights)
 

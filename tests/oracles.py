@@ -46,7 +46,9 @@ the module memos and lists the arrays left writable.  The library
 helpers at the end (Ext by a projective resolution, the global dimension by one resolution per
 simple, the monomial truncations kQ/J^k, the Euler characteristic, hom
 bases as module homs, the regular bimodule, the scalar Nakayama
-supertrace, the homotopy check) are used by the tests only.
+supertrace, the homotopy checks) are used by the tests only, and so is
+``resolution_data``, the syzygy resolution by covers: the reference for
+the replacement of a stalk complex.
 """
 
 from __future__ import annotations
@@ -341,7 +343,7 @@ def _pair_right_value(ctx, t_functor, xp, yp, f, g) -> int:
     g_hat = ctx.hom_space(yp, tx).normalize(g)
     rep_y = ctx.replacement(yp)
     p = ctx.replacement(xp).p
-    ell, _ = ctx.lift_through_qis(p, f_hat, rep_y.qis)
+    ell = ctx.lift_through_qis(p, f_hat, rep_y.qis)
     c = compose_maps(ell, g_hat)
     return nakayama_supertrace(p, aux["tensors"], c)
 
@@ -356,7 +358,7 @@ def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
     f_hat = ctx.hom_space(xp, yp).normalize(f)
     h_hat = ctx.hom_space(ty, xp).normalize(h)
     rep_x = ctx.replacement(xp)
-    ell, _ = ctx.lift_through_qis(rep_ty.p, h_hat, rep_x.qis)
+    ell = ctx.lift_through_qis(rep_ty.p, h_hat, rep_x.qis)
     c = compose_maps(compose_maps(rep_ty.inverse, ell), f_hat)  # ty -> yp
     dc = dual_chain_map(c, dual_source=aux["pre"], dual_target=ctx.dual(yp))
     rep_dy = ctx.replacement(ctx.dual(yp))
@@ -925,6 +927,48 @@ def multiply(a, x, y) -> np.ndarray:
     return np.einsum("i,j,ijk->k", x, y, a.mul_table) % a.field.p
 
 
+@dataclass
+class ResolutionData:
+    module: object                # the RightModule resolved
+    covers: list                  # its projective covers (modules.Cover)
+    diffs: list[np.ndarray]       # diffs[k]: P_{k+1} -> P_k
+    augmentation: np.ndarray      # P_0 -> M
+
+    @property
+    def length(self) -> int:
+        return max(len(self.covers) - 1, 0)
+
+
+def resolution_data(m, cap: int) -> ResolutionData:
+    """Iterated syzygy resolution by projective covers: the reference
+    for the replacement of a stalk complex, which ``complexes._resolve``
+    builds degree by degree."""
+    from gluecat.modules import ResolutionExceedsCapError, projective_cover, submodule_from_rows
+
+    fld = m.field
+    if m.dim == 0:
+        return ResolutionData(m, [], [], fld.zeros(0, 0))
+    covers = []
+    diffs: list[np.ndarray] = []
+    current = m
+    include_rows = None  # inclusion of current syzygy into previous cover module
+    augmentation = None
+    while True:
+        cov = projective_cover(current)
+        if augmentation is None:
+            augmentation = cov.surjection
+        else:
+            diffs.append(fld.matmul(cov.surjection, include_rows))
+        covers.append(cov)
+        if cov.kernel.shape[0] == 0:
+            return ResolutionData(m, covers, diffs, augmentation)
+        if len(covers) > cap:
+            raise ResolutionExceedsCapError(
+                f"resolution of {m.name} exceeds cap {cap}"
+            )
+        current, include_rows = submodule_from_rows(cov.module, cov.kernel)
+
+
 def ext_dims(m, n, max_deg: int) -> list[int]:
     """dim Ext^k(M, N) for k = 0..max_deg via a projective resolution.
 
@@ -933,7 +977,7 @@ def ext_dims(m, n, max_deg: int) -> list[int]:
     the replacements, :data:`gluecat.complexes.RESOLUTION_CAP`.
     """
     from gluecat import complexes
-    from gluecat.modules import hom_basis_matrices, resolution_data
+    from gluecat.modules import hom_basis_matrices
 
     fld = m.field
     if m.dim == 0 or n.dim == 0:
@@ -975,7 +1019,6 @@ def global_dimension_by_simples(a, cap: int) -> int:
     from gluecat.modules import (
         GlobalDimensionExceedsCapError,
         ResolutionExceedsCapError,
-        resolution_data,
         simple_module,
     )
 
@@ -1173,15 +1216,32 @@ def replacement_problems(ctx, minimized):
 
 
 def homotopy_witnesses(h, f, g) -> bool:
-    """Whether the homotopy ``h`` witnesses f - g = dh + hd."""
-    fld = h.source.field
-    for n in range(min(h.source.lo, h.target.lo) - 1, max(h.source.hi, h.target.hi) + 2):
+    """Whether ``h``, components ``{n: h^n: p^n -> x^(n-1)}`` (absent
+    ones zero), witnesses f - g = dh + hd for chain maps f, g: p -> x."""
+    p, x, fld = f.source, f.target, f.field
+
+    def comp(n):
+        return h[n] if n in h else fld.zeros(p.term(n).dim, x.term(n - 1).dim)
+
+    for n in range(min(p.lo, x.lo) - 1, max(p.hi, x.hi) + 2):
         delta = fld.sub(f.comp(n), g.comp(n))
-        dh = fld.matmul(h.source.diff(n), h.comp(n + 1))
-        hd = fld.matmul(h.comp(n), h.target.diff(n - 1))
+        dh = fld.matmul(p.diff(n), comp(n + 1))
+        hd = fld.matmul(comp(n), x.diff(n - 1))
         if not np.array_equal(delta, fld.add(dh, hd)):
             return False
     return True
+
+
+def lifts_up_to_homotopy(f, g, s) -> bool:
+    """Whether f - g s is null-homotopic, for f: p -> x out of a complex
+    of projectives with summand data, g: p -> y and s: y -> x: its
+    degree-0 coordinates in Hom(p, x) lie in the boundaries B^0, the
+    image of d^-1.  The check needs no homotopy."""
+    from gluecat.complexes import HomComplex, compose_maps
+
+    diff = add_maps(f, scale_map(compose_maps(g, s), -1))
+    hc = HomComplex(f.source, f.target)
+    return f.field.coords_in_rows(hc.boundary_space(0), hc.chain_maps_to_vectors([diff])) is not None
 
 
 def coords_by_elimination(fld, basis_rows, vectors):

@@ -30,7 +30,6 @@ from gluecat.modules import (
     nakayama_bimodule,
     projective_cover,
     projective_module,
-    resolution_data,
     simple_module,
     simples,
     projectives,
@@ -51,11 +50,13 @@ from oracles import (
     homotopy_witnesses,
     is_identity,
     lifts_entrywise,
+    lifts_up_to_homotopy,
     matrix,
     mor_by_sum,
     nonminimal_degrees,
     regular_bimodule,
     replacement_problems,
+    resolution_data,
     scale_map,
 )
 
@@ -338,17 +339,15 @@ def test_hom_space_hit_lands_on_the_callers_objects(ctx, alg_a3):
 def test_lift_hit_lands_on_the_callers_objects(ctx, alg_a3):
     x, x2 = _twins(alg_a3)[1]
     rep = ctx.replacement(x)
-    g, h = ctx.lift_through_qis(rep.p, rep.qis, rep.qis)
+    g = ctx.lift_through_qis(rep.p, rep.qis, rep.qis)
     builds = ctx.memo_counts()["lift"][0]
     # a content-equal source, target and qis, all distinct objects
     p2 = BoundedComplex(alg_a3, dict(rep.p.terms), dict(rep.p.diffs))
     s2 = ChainMap(p2, x2, rep.qis.comps)
-    g2, h2 = ctx.lift_through_qis(p2, ChainMap(p2, x2, rep.qis.comps), s2)
+    g2 = ctx.lift_through_qis(p2, ChainMap(p2, x2, rep.qis.comps), s2)
     assert ctx.memo_counts()["lift"][0] == builds
     assert g2.source is p2 and g2.target is p2 and g2.key == g.key
-    assert h2.source is p2 and h2.target is x2
-    assert h2.comps.keys() == h.comps.keys()
-    assert all(np.array_equal(h2.comps[n], h.comps[n]) for n in h.comps)
+    assert lifts_up_to_homotopy(rep.qis, g, rep.qis)
 
 
 def test_keyed_arrays_refuse_writes(ctx, alg_a3):
@@ -381,7 +380,7 @@ def test_every_memoised_complex_and_chain_map_is_valid_after_f1():
             elif isinstance(value, HomSpace):
                 items += [value.p, value.p_qis, *value.basis_maps()]
             elif isinstance(value, list):
-                items += [g for g, _ in value]
+                items += value
             found.update((id(o), o) for o in items if isinstance(o, (BoundedComplex, ChainMap)))
     kinds = {type(o) for o in found.values()}
     assert kinds == {BoundedComplex, ChainMap}
@@ -626,28 +625,26 @@ def test_hom_coords_in_a_twisted_basis(ctx, alg_a3):
 def test_lift_through_identity(ctx, alg_a2):
     s2 = stalk_complex(simple_module(alg_a2, 1))
     rep = ctx.replacement(s2)
-    g, h = ctx.lift_through_qis(rep.p, rep.qis, identity_map(s2))
+    g = ctx.lift_through_qis(rep.p, rep.qis, identity_map(s2))
     assert np.array_equal(g.comp(0), rep.qis.comp(0))
-    assert homotopy_witnesses(h, rep.qis, compose_maps(g, identity_map(s2)))
+    assert lifts_up_to_homotopy(rep.qis, g, identity_map(s2))
 
 
 def test_lift_zero_map(ctx, alg_a2):
     s2 = stalk_complex(simple_module(alg_a2, 1))
     rep = ctx.replacement(s2)
     z = zero_map(rep.p, s2)
-    g, h = ctx.lift_through_qis(rep.p, z, identity_map(s2))
+    g = ctx.lift_through_qis(rep.p, z, identity_map(s2))
     assert g.is_zero() or not np.any(
         np.concatenate([g.comp(n).reshape(-1) for n in rep.p.degrees()])
     )
 
 
-def _same_lift(batched, single):
-    (g_b, h_b), (g_s, h_s) = batched, single
+def _same_lift(g_b, g_s):
     lo = min(g_s.source.lo, g_s.target.lo) - 1
     hi = max(g_s.source.hi, g_s.target.hi) + 1
     for n in range(lo, hi + 1):
         assert np.array_equal(g_b.comp(n), g_s.comp(n))
-        assert np.array_equal(h_b.comp(n), h_s.comp(n))
 
 
 def test_batched_lift_equals_single_lifts(ctx, alg_a2, alg_a3):
@@ -684,7 +681,7 @@ def test_batched_lift_from_complex_without_degrees(ctx, alg_a2):
     batched = ctx.lift_many_through_qis(p, fs, identity_map(s2))
     assert len(batched) == 2
     for f, lift in zip(fs, batched):
-        assert lift[0].target is s2 and lift[0].is_zero()
+        assert lift.target is s2 and lift.is_zero()
         _same_lift(lift, ctx.lift_through_qis(p, f, identity_map(s2)))
 
 
@@ -693,7 +690,7 @@ def test_lift_augmentation_through_itself(ctx, alg_a2):
     # homotopic to the identity: its cone is acyclic
     s2 = stalk_complex(simple_module(alg_a2, 1))
     rep = ctx.replacement(s2)
-    g, h = ctx.lift_through_qis(rep.p, rep.qis, rep.qis)
+    g = ctx.lift_through_qis(rep.p, rep.qis, rep.qis)
     c = cone(g)
     assert homology_dims(c) == {}
 
@@ -720,21 +717,22 @@ def test_every_suite_lift_matches_the_entrywise_oracle(monkeypatch, fixture):
     # every lift the suite builds is compared with the oracle
     assert 0 < len(solved) == ctx.memo_counts()["lift"][0]
     for p, s, fs, out in solved:
-        for (g, h), (g_ref, h_ref) in zip(out, lifts_entrywise(p, s, fs), strict=True):
-            assert set(h.comps) <= set(p.degrees())
+        for f, g, (g_ref, h_ref) in zip(fs, out, lifts_entrywise(p, s, fs), strict=True):
             for n in p.degrees():
                 assert np.array_equal(g.comp(n), g_ref[n])
-                assert np.array_equal(h.comp(n), h_ref[n])
+            # the oracle's homotopy witnesses the library's lift
+            assert homotopy_witnesses(h_ref, f, compose_maps(g, s))
 
 
 @pytest.fixture(scope="module", params=["F1", "F2", "F3"])
 def suite_coordinates(request):
-    """``(blocks, classes)`` of one fixture's ``run_suite``: each s_* block
-    that ``_solve_lifts`` built, as ``(hy, hx, s, block)``, and each
-    ``(hom space, coordinates)`` that ``mor_from_coords`` materialised."""
+    """``(blocks, classes, lifts)`` of one fixture's ``run_suite``: each
+    s_* block that ``_solve_lifts`` built, as ``(hy, hx, s, block)``, each
+    ``(hom space, coordinates)`` that ``mor_from_coords`` materialised,
+    and each lift it solved, as ``(f, g, s)``."""
     from gluecat import reflect
 
-    blocks, classes, made = [], [], []
+    blocks, classes, lifts, made = [], [], [], []
     solve, diagonal, materialise = DerivedContext._solve_lifts, HomComplex._diagonal, reflect.mor_from_coords
 
     def recording_diagonal(self, n, target, m, mats):
@@ -748,6 +746,7 @@ def suite_coordinates(request):
         out = solve(self, p, s, *fs)
         assert len(made) - start == (1 if fs else 0)
         blocks.extend((hy, hx, s, block) for hy, hx, block in made[start:])
+        lifts.extend((f, g, s) for f, g in zip(fs, out, strict=True))
         return out
 
     def recording_materialise(hs, coords):
@@ -762,16 +761,26 @@ def suite_coordinates(request):
         run_suite(parse_scenario(fixture_scenario(request.param)), ctx)
     assert 0 < len(blocks) == ctx.memo_counts()["lift"][0]
     assert classes
-    return blocks, classes
+    return blocks, classes, lifts
 
 
 def test_every_suite_push_block_matches_the_expansion_oracle(suite_coordinates):
     # the block is read off s in the weight bases; the oracle expands each
     # basis element, multiplies by s and reads it back, and raises unless
     # s is A-linear
-    blocks, _ = suite_coordinates
+    blocks, _, _ = suite_coordinates
     for hy, hx, s, block in blocks:
         assert np.array_equal(block, hom_map_by_expansion(hy, hx, s))
+
+
+def test_every_suite_lift_is_a_lift_up_to_homotopy(suite_coordinates):
+    # a lift is returned without its homotopy: f - g s must still be a
+    # boundary of Hom(p, x), for every lift the suite solves
+    _, _, lifts = suite_coordinates
+    assert lifts
+    for f, g, s in lifts:
+        assert g.source is f.source and g.target is s.source
+        assert lifts_up_to_homotopy(f, g, s)
 
 
 def test_expansion_oracle_rejects_a_map_that_is_not_a_hom(ctx, alg_a3):
@@ -787,7 +796,7 @@ def test_expansion_oracle_rejects_a_map_that_is_not_a_hom(ctx, alg_a3):
 def test_class_from_coordinates_matches_the_sum_of_basis_maps(suite_coordinates):
     from gluecat.recollement import mor_from_coords
 
-    _, classes = suite_coordinates
+    _, classes, _ = suite_coordinates
     spaces = {id(hs): hs for hs, _ in classes}.values()
     cases = classes + [(hs, np.zeros(hs.dim, dtype=np.int64)) for hs in spaces]
     for hs, coords in cases:

@@ -20,7 +20,6 @@ from gluecat.modules import (
     projective_module,
     projectives,
     regular_module,
-    resolution_data,
     simple_module,
     simples,
     tensor_over,
@@ -40,6 +39,7 @@ from oracles import (
     paths_with_source,
     paths_with_target,
     regular_bimodule,
+    resolution_data,
     truncated_path_algebra,
     writable_memo_arrays,
 )

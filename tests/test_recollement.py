@@ -708,6 +708,45 @@ def test_composite_matrices_are_built_once_per_content(monkeypatch):
         assert builds == [prov.name]
 
 
+def test_primitive_matrices_are_built_once_per_content(monkeypatch):
+    rec, _ = _fresh_f1()
+    builds = []
+    for name in ("_build_forward", "_build_backward"):
+        build = getattr(recollement.AdjunctionProvider, name)
+        monkeypatch.setattr(recollement.AdjunctionProvider, name, _counting(build, builds))
+    for prov in primitive_adjunctions(rec).values():
+        src, tgt = prov.f_expr.signature(rec.registry)
+        x, x2 = _twins(rec, src)
+        y = _twins(rec, tgt)[0]
+        builds.clear()
+        fwd, bwd = prov.forward_matrix(x, y), prov.backward_matrix(x, y)
+        assert prov.forward_matrix(x2, y) is fwd and prov.backward_matrix(x2, y) is bwd
+        assert builds == [prov.name, prov.name]
+
+
+def test_suite_builds_each_primitive_matrix_once_per_content(monkeypatch):
+    # the original diagram shares its providers with the reflected ones,
+    # so a matrix the upper or lower diagram or a composite adjunction
+    # asks for again is not rebuilt
+    from gluecat.cli import run_suite
+
+    builds = []
+
+    def recording(direction, build):
+        def recorded(self, x, y):
+            builds.append((self.name, direction, x.key, y.key))
+            return build(self, x, y)
+        return recorded
+
+    provider = recollement.AdjunctionProvider
+    monkeypatch.setattr(provider, "_build_forward", recording("forward", provider._build_forward))
+    monkeypatch.setattr(provider, "_build_backward", recording("backward", provider._build_backward))
+    for fixture in ("F1", "F2", "F3"):
+        run_suite(parse_scenario(fixture_scenario(fixture)))
+        assert len(builds) == len(set(builds)) > 0
+        builds.clear()
+
+
 def test_adjunction_forward_resolves_its_own_input():
     # the i^* aux is shared by content-equal inputs, so it must not carry
     # the input's replacement: the class lands on x', not on x
