@@ -32,6 +32,7 @@ from .complexes import DerivedContext, homology_dims
 from .field import PrimeField
 from .modules import GlobalDimensionExceedsCapError, ResolutionExceedsCapError
 from .recollement import (
+    DefaultMenu,
     FunctorExpr,
     NotStratifyingError,
     VerificationReport,
@@ -203,16 +204,17 @@ def cmd_apply(args) -> int:
         rec, _ = _build_workbench(scn)
         expr = _functor_expr(rec, args.functor)
         src_tag, _ = expr.signature(rec.registry)
-        menu = dict(default_menu(rec, src_tag))
-        if args.object not in menu:
+        menu = DefaultMenu(rec, src_tag)
+        x = menu.get(args.object)
+        if x is None:
             raise ScenarioError(
                 f"unknown object {args.object!r} in category {src_tag}; "
-                f"choose from {sorted(menu)}"
+                f"choose from {sorted(menu.names())}"
             )
     except _SETUP_ERRORS as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    out = rec.apply_expr(expr, menu[args.object])
+    out = rec.apply_expr(expr, x)
     dims = {str(k): v for k, v in sorted(homology_dims(out).items())}
     print(json.dumps(dims, sort_keys=True))
     return EXIT_PASS

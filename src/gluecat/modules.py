@@ -111,7 +111,8 @@ class Bimodule:
     """Commuting left/right actions; the left matrices compose reversed.
 
     ``_tensors`` is the memo of :func:`tensor_over` for this bimodule,
-    keyed by the content of the module tensored with it.
+    keyed by the content of the module tensored with it, and ``_flip``
+    the memo of :meth:`flip`.
     """
 
     def __init__(
@@ -130,6 +131,7 @@ class Bimodule:
         self.dim = int(self.right_action.shape[1])
         self.name = name or f"bimodule(dim={self.dim})"
         self._tensors: dict[tuple, TensorResult] = {}
+        self._flip: Bimodule | None = None
         self.validate()
 
     def __repr__(self):
@@ -143,14 +145,17 @@ class Bimodule:
         return RightModule(self.right_algebra, self.right_action, name=name or self.name)
 
     def flip(self) -> "Bimodule":
-        """Same space viewed as a bimodule over the opposite algebras."""
-        return Bimodule(
-            opposite(self.right_algebra),
-            opposite(self.left_algebra),
-            left_action=self.right_action,
-            right_action=self.left_action,
-            name=f"flip({self.name})",
-        )
+        """Same space viewed as a bimodule over the opposite algebras,
+        built on the first call and kept."""
+        if self._flip is None:
+            self._flip = Bimodule(
+                opposite(self.right_algebra),
+                opposite(self.left_algebra),
+                left_action=self.right_action,
+                right_action=self.left_action,
+                name=f"flip({self.name})",
+            )
+        return self._flip
 
     def validate(self):
         """The laws of :func:`_action_laws` on both sides, and

@@ -45,6 +45,7 @@ from .modules import (
     RightModule,
     TensorResult,
     global_dimension,
+    hom_basis_matrices,
     injectives,
     projectives,
     regular_module,
@@ -82,6 +83,7 @@ __all__ = [
     "Cell",
     "VerificationReport",
     "verify_axioms",
+    "DefaultMenu",
     "default_menu",
     "original_diagram",
     "NEW_ADJOINT_EXPRS",
@@ -253,12 +255,14 @@ class DerivedTensorFunctor(_TensorFunctor):
 
 
 class DualDerivedTensorFunctor(_TensorFunctor):
-    """i^!, j_*, T~: duality route D( D(-) (x)^L_{op} W ), with ``w`` a
-    bimodule over the opposite algebras."""
+    """i^!, j_*, T~: duality route D( D(-) (x)^L_{op} W ), tensoring over
+    the opposite algebras with ``w.flip()``, the bimodule ``w`` seen
+    from the other side.  The flip (and its opposite algebras) is built
+    the first time the functor applies."""
 
     def _apply(self, x):
         ctx = self.ctx
-        pre, tensors = ctx.derived_tensor(ctx.dual(x), self.w, name=f"pre{self.name}({x.name})")
+        pre, tensors = ctx.derived_tensor(ctx.dual(x), self.w.flip(), name=f"pre{self.name}({x.name})")
         return dual_complex(pre, name=f"{self.name}({x.name})"), {"pre": pre, "tensors": tensors}
 
     def dual_presentation(self, mor: Mor) -> ChainMap:
@@ -439,10 +443,10 @@ def build_recollement(
     )
     rec.registry["i_*"] = RestrictionFunctor(ctx, a, b, projection)
     rec.registry["i^*"] = DerivedTensorFunctor(ctx, B_ab, "i^*", "A", "B")
-    rec.registry["i^!"] = DualDerivedTensorFunctor(ctx, B_ba.flip(), "i^!", "A", "B")
+    rec.registry["i^!"] = DualDerivedTensorFunctor(ctx, B_ba, "i^!", "A", "B")
     rec.registry["j^*"] = ExactTensorFunctor(ctx, Ae, "j^*", "A", "C")
     rec.registry["j_!"] = DerivedTensorFunctor(ctx, eA, "j_!", "C", "A")
-    rec.registry["j_*"] = DualDerivedTensorFunctor(ctx, Ae.flip(), "j_*", "C", "A")
+    rec.registry["j_*"] = DualDerivedTensorFunctor(ctx, Ae, "j_*", "C", "A")
     return rec
 
 
@@ -860,41 +864,76 @@ def original_diagram(rec: Recollement, providers: dict[str, AdjunctionProvider] 
 # ----------------------------------------------------------------------
 
 
-def default_menu(rec: Recollement, tag: str) -> list[tuple[str, BoundedComplex]]:
-    """Stalks of all projectives, simples and injectives, the regular
-    stalk, one shift and one cone of a nonzero hom."""
-    from .modules import hom_basis_matrices
+# the modules of the menu's stalks, by the letter of their names
+_MENU_STALKS = {"P": projectives, "S": simples, "I": injectives}
 
-    a = rec.algebra_of(tag)
-    objs: list[tuple[str, BoundedComplex]] = []
-    projs = projectives(a)
-    for v, p in enumerate(projs):
-        objs.append((f"P{v + 1}", stalk_complex(p, name=f"{tag}:P{v + 1}")))
-    for v, s in enumerate(simples(a)):
-        objs.append((f"S{v + 1}", stalk_complex(s, name=f"{tag}:S{v + 1}")))
-    for v, i in enumerate(injectives(a)):
-        objs.append((f"I{v + 1}", stalk_complex(i, name=f"{tag}:I{v + 1}")))
-    objs.append(("R", stalk_complex(regular_module(a), name=f"{tag}:R")))
-    objs.append((f"P1[1]", shift(objs[0][1], 1)))
-    cone_entry = None
-    for i, pi in enumerate(projs):
-        for j, pj in enumerate(projs):
-            if i == j:
-                continue
-            basis = hom_basis_matrices(pi, pj)
-            if basis:
-                src = objs[i][1]
-                tgt = objs[j][1]
-                cm = ChainMap(src, tgt, {0: basis[0]})
-                cone_entry = (f"cone(P{i + 1}->P{j + 1})", cone(cm, name=f"{tag}:cone"))
-                break
-        if cone_entry:
-            break
-    if cone_entry is None:
-        src = objs[0][1]
-        cone_entry = ("cone(P1->P1)", cone(identity_map(src), name=f"{tag}:cone"))
-    objs.append(cone_entry)
-    return objs
+
+class DefaultMenu:
+    """The default menu of one category, built an entry at a time.
+
+    Stalks of all projectives, simples and injectives, the regular
+    stalk, one shift and one cone of a nonzero hom.  Each entry is built
+    on first request and kept, so one entry builds only what it is made
+    of, and the whole menu builds each stalk once and searches for the
+    cone's hom once.
+    """
+
+    def __init__(self, rec: Recollement, tag: str):
+        self.tag = tag
+        self.algebra = rec.algebra_of(tag)
+        n = self.algebra.n_idempotents
+        self._stalks = {f"{kind}{v + 1}": (kind, v) for kind in _MENU_STALKS for v in range(n)}
+        self._built: dict[str, BoundedComplex] = {}
+        self._modules: dict[str, list] = {}   # letter -> its modules, by vertex
+
+    def names(self) -> list[str]:
+        """The entry names, in menu order."""
+        return [*self._stalks, "R", "P1[1]", self._cone[0]]
+
+    def get(self, name: str) -> BoundedComplex | None:
+        """The entry ``name``, or None if the menu has no such entry."""
+        if name not in self._built:
+            x = self._build(name)
+            if x is None:
+                return None
+            self._built[name] = x
+        return self._built[name]
+
+    def _build(self, name: str) -> BoundedComplex | None:
+        a, tag = self.algebra, self.tag
+        if name in self._stalks:
+            kind, v = self._stalks[name]
+            if kind not in self._modules:
+                self._modules[kind] = _MENU_STALKS[kind](a)
+            return stalk_complex(self._modules[kind][v], name=f"{tag}:{name}")
+        if name == "R":
+            return stalk_complex(regular_module(a), name=f"{tag}:R")
+        if name == "P1[1]":
+            return shift(self.get("P1"), 1)
+        cone_name, i, j, f = self._cone
+        if name != cone_name:
+            return None
+        src, tgt = self.get(f"P{i + 1}"), self.get(f"P{j + 1}")
+        cm = identity_map(src) if f is None else ChainMap(src, tgt, {0: f})
+        return cone(cm, name=f"{tag}:cone")
+
+    @functools.cached_property
+    def _cone(self) -> tuple[str, int, int, np.ndarray | None]:
+        """``(name, i, j, f)`` for the first nonzero hom f: P_{i+1} ->
+        P_{j+1} with i != j; with none, the identity of P1 (f None)."""
+        projs = projectives(self.algebra)
+        for i, pi in enumerate(projs):
+            for j, pj in enumerate(projs):
+                basis = hom_basis_matrices(pi, pj) if i != j else []
+                if basis:
+                    return f"cone(P{i + 1}->P{j + 1})", i, j, basis[0]
+        return "cone(P1->P1)", 0, 0, None
+
+
+def default_menu(rec: Recollement, tag: str) -> list[tuple[str, BoundedComplex]]:
+    """Every entry of the :class:`DefaultMenu` of ``tag``, in order."""
+    menu = DefaultMenu(rec, tag)
+    return [(name, menu.get(name)) for name in menu.names()]
 
 
 def default_menus(rec: Recollement) -> dict[str, list[tuple[str, BoundedComplex]]]:

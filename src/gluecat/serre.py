@@ -106,7 +106,7 @@ def attach_serre(rec: Recollement) -> SerreData:
     da = nakayama_bimodule(rec.algebra)
     if "T" not in rec.registry:
         rec.registry["T"] = DerivedTensorFunctor(rec.ctx, da, "T", "A", "A")
-        rec.registry["T~"] = DualDerivedTensorFunctor(rec.ctx, da.flip(), "T~", "A", "A")
+        rec.registry["T~"] = DualDerivedTensorFunctor(rec.ctx, da, "T~", "A", "A")
     return SerreData(rec, da, primitive_adjunctions(rec))
 
 

@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gluecat.cli as cli
 from gluecat.cli import main, run_suite
-from gluecat.scenarios import ScenarioError, fixture_scenario, parse_scenario
+from gluecat.recollement import CATEGORY_TAGS, DefaultMenu, default_menu
+from gluecat.scenarios import ScenarioError, fixture_scenario, load_scenario, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench" / "scenarios"
 
 
 def _write_scenario(tmp_path, data, name="scenario.json"):
@@ -308,3 +317,93 @@ def test_apply_accepts_every_functor_name(tmp_path, f1_data, capsys, name, code)
     assert main(["apply", scn, name, "P1"]) == code
     if code == 0:
         assert isinstance(json.loads(capsys.readouterr().out.strip()), dict)
+
+
+# a functor with each source category
+FUNCTOR_FROM = {"A": "T", "B": "i_*", "C": "j_!"}
+MENU_SCENARIOS = ("F1", "F2", "F3", "A4-e4", "D4-centre")
+
+
+def _recollement(path):
+    return cli._build_workbench(load_scenario(str(path)))[0]
+
+
+@pytest.mark.parametrize("name", MENU_SCENARIOS)
+def test_one_menu_entry_equals_the_menus_entry(name):
+    # each entry built alone on a fresh workbench, then the whole menu
+    # on the same one: keys carry the algebra, so they compare there
+    path = BENCH / f"{name}.json"
+    listing = _recollement(path)
+    for tag in CATEGORY_TAGS:
+        for entry in DefaultMenu(listing, tag).names():
+            rec = _recollement(path)
+            one = DefaultMenu(rec, tag).get(entry)
+            full = dict(default_menu(rec, tag))[entry]
+            assert (one.key, one.name) == (full.key, full.name), (tag, entry)
+
+
+@pytest.mark.parametrize("name", MENU_SCENARIOS)
+def test_names_outside_the_menu_exit_three_with_the_menu_listed(capsys, name):
+    path = BENCH / f"{name}.json"
+    rec = _recollement(path)
+    for tag in CATEGORY_TAGS:
+        names = [entry for entry, _ in default_menu(rec, tag)]
+        n = rec.algebra_of(tag).n_idempotents
+        outside = ["P0", f"P{n + 1}", "X"]
+        if "cone(P1->P1)" not in names:  # a nonzero hom between projectives exists
+            outside.append("cone(P1->P1)")
+        for entry in outside:
+            assert main(["apply", str(path), FUNCTOR_FROM[tag], entry]) == 3
+            assert capsys.readouterr().err == (
+                f"invalid request: unknown object {entry!r} in category {tag}; "
+                f"choose from {sorted(names)}\n"
+            )
+
+
+def test_unknown_object_message_lists_the_menu(capsys):
+    assert main(["apply", str(BENCH / "F2.json"), "T", "X"]) == 3
+    assert capsys.readouterr().err == (
+        "invalid request: unknown object 'X' in category A; choose from "
+        "['I1', 'I2', 'I3', 'P1', 'P1[1]', 'P2', 'P3', 'R', 'S1', 'S2', 'S3', 'cone(P1->P2)']\n"
+    )
+
+
+def test_apply_builds_only_the_flip_its_functor_reads(monkeypatch, capsys):
+    built = []
+    build = cli._build_workbench
+    monkeypatch.setattr(cli, "_build_workbench", lambda *args: built.append(build(*args)) or built[-1])
+    path = str(BENCH / "F2.json")
+
+    def lazy_parts(rec, sd):
+        algebras = [rec.algebra, rec.quotient_algebra, rec.corner_algebra]
+        bimodules = [rec.eA, rec.Ae, rec.B_ba, rec.B_ab, sd.da]
+        return [a._opposite for a in algebras], [w._flip for w in bimodules]
+
+    assert main(["apply", path, "i_*", "P1"]) == 0
+    opposites, flips = lazy_parts(*built[-1])
+    assert opposites == [None] * 3 and flips == [None] * 5
+
+    assert main(["apply", path, "T~", "R"]) == 0
+    rec, sd = built[-1]
+    opposites, flips = lazy_parts(rec, sd)
+    assert opposites[0] is not None and opposites[1:] == [None, None]
+    assert flips[:4] == [None] * 4 and flips[4] is not None
+    assert flips[4].left_algebra is opposites[0] is flips[4].right_algebra
+
+    # a second application tensors with that same flip
+    seen = []
+    derived = rec.ctx.derived_tensor
+    monkeypatch.setattr(rec.ctx, "derived_tensor", lambda x, w, **kw: seen.append(w) or derived(x, w, **kw))
+    rec.registry["T~"].apply(DefaultMenu(rec, "A").get("P1"))
+    assert len(seen) == 1 and seen[0] is flips[4] is sd.da.flip()
+
+
+def test_python_m_gluecat_runs_from_a_checkout(tmp_path, f1_data):
+    scn = _write_scenario(tmp_path, f1_data)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gluecat", "apply", scn, "T", "P1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"0": 2}

@@ -17,9 +17,11 @@ scenarios.  A3 e={2} and D4 (arrows into the centre, e = centre) run
 here; D4 is the only shape with a branching vertex.
 
 For ``gluecat apply`` it records the homology of every functor on every
-menu object of F2, A4 e={4} and D4.  A slice runs here: each of the
-sixteen functors on the first menu object of its source category, each
-call building its own workbench as the command does.
+menu object of F2, A4 e={4} and D4.  Two slices run here, each call
+building its own workbench as the command does: each of the sixteen
+functors on the first menu object of its source category, and one
+functor per source category (T on A, S on B, U on C) on every menu
+object, which reaches every kind of menu object.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from gluecat.algebra import Quiver
 from gluecat.cli import _build_workbench, _functor_expr, main
 from gluecat.recollement import default_menu
 from gluecat.scenarios import load_scenario
+from gluecat.serre import SERRE_FUNCTORS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -109,3 +112,16 @@ def test_apply_matches_golden_on_the_first_menu_object(capsys, name):
         assert main(["apply", str(path), *label.split(" ", 1)]) == 0
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert json.loads(out) == golden[label], label
+
+
+@pytest.mark.parametrize("name", ["F2", "A4-e4", "D4-centre"])
+def test_apply_matches_golden_on_every_menu_object(capsys, name):
+    path = PERFBENCH / "scenarios" / f"{name}.json"
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["apply-cold"][name]
+    rec, _ = _build_workbench(load_scenario(str(path)))
+    for tag, (functor, _) in SERRE_FUNCTORS.items():
+        for entry, _ in default_menu(rec, tag):
+            label = f"{functor} {entry}"
+            assert main(["apply", str(path), functor, entry]) == 0
+            out = capsys.readouterr().out.strip().splitlines()[-1]
+            assert json.loads(out) == golden[label], label

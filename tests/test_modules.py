@@ -125,8 +125,10 @@ def test_shared_module_constructions_are_read_only(alg_a3):
 def test_every_memoised_array_is_read_only_after_verify_and_apply(monkeypatch, tmp_path):
     # the builders behind the module memos freeze what they create; walk
     # every stored value after a whole F1-F3 verify and after one apply
-    # per apply-cold scenario
+    # per apply-cold scenario.  A verify builds all three opposite
+    # algebras; T~ on R builds A^op alone, and the flip of D(A) alone.
     import gluecat.cli as cli
+    from gluecat.recollement import DualDerivedTensorFunctor
     from gluecat.scenarios import fixture_scenario
 
     built = []
@@ -146,7 +148,15 @@ def test_every_memoised_array_is_read_only_after_verify_and_apply(monkeypatch, t
         algebras += [a._opposite for a in algebras if a._opposite is not None]
         bimodules = [rec.eA, rec.Ae, rec.B_ba, rec.B_ab, sd.da]
         bimodules += [f.w for f in rec.registry.values() if hasattr(f, "w")]
-        assert len(algebras) == 6 and any(a._covers for a in algebras), argv
+        duals = [f for f in rec.registry.values() if isinstance(f, DualDerivedTensorFunctor)]
+        flips = [f.w._flip for f in duals if f.w._flip is not None]
+        bimodules += flips
+        if argv[0] == "verify":
+            assert len(algebras) == 6, argv
+        else:
+            assert algebras[3:] == [rec.algebra._opposite], argv
+            assert flips == [sd.da._flip], argv
+        assert any(a._covers for a in algebras), argv
         assert writable_memo_arrays(algebras, bimodules) == [], argv
 
 
