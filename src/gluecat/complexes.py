@@ -13,7 +13,6 @@ exploit.
 
 from __future__ import annotations
 
-import copy
 import functools
 import random
 from dataclasses import dataclass
@@ -141,13 +140,6 @@ class BoundedComplex:
             self.validate()  # the key does not see term algebras
         _validate_once(self, algebra)
 
-    def _named(self, name: str) -> "BoundedComplex":
-        """The same complex under another name: the content, so the
-        check, is the same."""
-        out = copy.copy(self)
-        out.name = name
-        return out
-
     # ------------------------------------------------------------------
 
     @property
@@ -232,14 +224,6 @@ class ChainMap:
         if validate:
             _validate_once(self, source.algebra)
 
-    def _moved(self, source: BoundedComplex, target: BoundedComplex) -> "ChainMap":
-        """The same components between complexes content-equal to
-        ``self.source`` and ``self.target``: the content, so the check,
-        is the same."""
-        out = copy.copy(self)
-        out.source, out.target = source, target
-        return out
-
     @property
     def field(self) -> PrimeField:
         return self.source.field
@@ -304,7 +288,7 @@ def zero_map(x: BoundedComplex, y: BoundedComplex) -> ChainMap:
 
 def compose_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """First f, then g (matrix product order)."""
-    if f.target is not g.source:
+    if not _same_content(f.target, g.source):
         raise ValueError("compose_maps: middle complexes differ")
     comps = {n: f.field.matmul(f.comps[n], g.comps[n]) for n in f.comps.keys() & g.comps.keys()}
     return ChainMap(f.source, g.target, comps)
@@ -543,7 +527,7 @@ def dual_complex(x: BoundedComplex, name: str = "") -> BoundedComplex:
     """k-dual over the opposite algebra; (DX)^n = D(X^{-n})."""
     aop = opposite(x.algebra)
     if x.is_zero():
-        return zero_complex(aop)._named(name or f"D({x.name})")
+        return BoundedComplex(aop, {}, {}, summands={}, name=name or f"D({x.name})")
     terms = {-n: k_dual(x.term(n)) for n in x.degrees()}
     diffs = {}
     for n in range(-x.hi, -x.lo):
@@ -587,12 +571,6 @@ class Replacement:
     qis: ChainMap                      # p -> x
     inverse: ChainMap | None           # x -> p
 
-    def _moved(self, x: BoundedComplex) -> "Replacement":
-        """The replacement of a complex content-equal to ``qis.target``:
-        the same ``p``, with the qis onto ``x`` and the inverse out of it."""
-        inverse = None if self.inverse is None else self.inverse._moved(x, self.p)
-        return Replacement(self.p, self.qis._moved(self.p, x), inverse)
-
 
 @dataclass
 class DerivedIsoCertificate:
@@ -620,59 +598,41 @@ class _ContentMemo:
 
     The key objects are complexes and chain maps, and their ``key`` is
     exact content, never a digest, so a hit means the inputs are equal.
-    ``share(objs, build, rebind)`` returns ``build(*objs)`` to the first
-    objects of a content; other objects of that content get
-    ``rebind(value, *objs)``, the stored value moved onto the caller's
-    objects, so every ``is`` check downstream still holds.  ``get`` also
-    remembers, by identity, what each tuple of objects got, and hands
-    the identical value out again.  Entries pin their objects, so ids
-    cannot be reused while the memo lives.  Builds may re-enter the
-    memo.
+    ``get(objs, build)`` returns ``build(*objs)`` to the first objects of
+    a content and the identical value to every later request of that
+    content, whatever its objects.  Each entry keeps the objects it was
+    built from: a key holds the ``id`` of an algebra, which must not be
+    reused while the memo lives.  Builds may re-enter the memo.
 
     ``builds`` counts the contents built, ``requests`` the values asked
     for.
     """
 
-    __slots__ = ("_first", "_given", "requests")
+    __slots__ = ("_entries", "requests")
 
     def __init__(self):
-        self._first: dict[tuple, tuple] = {}    # content -> (objs, value)
-        self._given: dict[tuple, tuple] = {}    # ids -> (objs, value)
+        self._entries: dict[tuple, tuple] = {}   # content -> (objs, value)
         self.requests = 0
 
     @property
     def builds(self) -> int:
-        return len(self._first)
+        return len(self._entries)
 
-    def get(self, objs: tuple, build, rebind):
+    def get(self, objs: tuple, build):
         self.requests += 1
-        ident = tuple(map(id, objs))
-        hit = self._given.get(ident)
+        key = tuple(o.key for o in objs)
+        hit = self._entries.get(key)
         if hit is None:
-            hit = self._given.setdefault(ident, (objs, self._value(objs, build, rebind)))
+            hit = self._entries.setdefault(key, (objs, build(*objs)))
         return hit[1]
 
-    def share(self, objs: tuple, build, rebind):
-        self.requests += 1
-        return self._value(objs, build, rebind)
 
-    def _value(self, objs: tuple, build, rebind):
-        key = tuple(o.key for o in objs)
-        first = self._first.get(key)
-        if first is None:
-            first = self._first.setdefault(key, (objs, build(*objs)))
-        owners, value = first
-        if any(a is not b for a, b in zip(owners, objs)):
-            value = rebind(value, *objs)
-        return value
-
-
-def _same(value, *objs):
-    return value
-
-
-def _moved_lifts(lifts, p: BoundedComplex, s: ChainMap, *fs: ChainMap):
-    return [g._moved(p, s.source) for g in lifts]
+def _same_content(a, b) -> bool:
+    """Whether two complexes are equal: a memoised value sits on the
+    first complexes of its content, which need not be the caller's.
+    Equal complexes share one key object (``_validate_once``), so the
+    comparison is cheap."""
+    return a is b or a.key == b.key
 
 
 class DerivedContext:
@@ -699,22 +659,19 @@ class DerivedContext:
       complexes and chain maps; so do the functor outputs
       (:class:`~gluecat.recollement.Functor`) and the composite
       adjunction matrices (:mod:`gluecat.reflect`).  An input equal to
-      an earlier one but not identical gets the earlier value moved onto
-      its own objects: a dual or functor output is a copy named after
-      the caller's input; the replacement shares the complex ``p``, its
-      ``qis`` targets the caller's ``x`` and its ``inverse`` starts
-      there; a hom complex or space
-      shares its matrices but carries the caller's complexes; lifted
-      maps sit on the caller's ``p``, ``y`` and ``x``; matrices are
-      plain numbers in shared bases and are shared as they are.  So one
+      an earlier one gets the identical value, built on the earlier
+      objects and named after them: the replacement's ``qis`` targets
+      the first ``x`` of its content, a hom space sits on the first
+      ``x`` and ``y``, and a lift on the first ``p`` and ``y``.  So the
+      guards that match complexes (:func:`compose_maps`,
+      :meth:`lift_many_through_qis`, :meth:`HomSpace.normalize`,
+      :func:`present_class`) compare content, not identity, and
+      ``replacement(x).p`` is one complex per content of ``x``.  One
       :class:`HomComplex` per content of ``(p, y)``, in Yoneda
       coordinates, serves hom spaces, certificates and lifts; derived Hom
       dimensions, keyed by the content of ``(replacement(x).p, y)``, rank
       the differentials of one built outside the memo, so none is kept
-      for them.  The memos read with ``get`` give the
-      same objects the identical value on every request, so adjunction
-      formulas may rely on ``replacement(x).p`` being one complex per
-      content.  Nothing mutates a memoised value.
+      for them.  Nothing mutates a memoised value.
     - Module hom bases (for the menus only), weight bases, projective
       covers, tensor products and the zero module are memoised by
       content in :mod:`gluecat.modules`, on the object that owns the
@@ -752,17 +709,17 @@ class DerivedContext:
 
     def built_replacements(self) -> list[Replacement]:
         """The replacement built for each content, in build order."""
-        return [rep for _, rep in self._replacements._first.values()]
+        return [rep for _, rep in self._replacements._entries.values()]
 
     # -- duality ---------------------------------------------------------
 
     def dual(self, x: BoundedComplex) -> BoundedComplex:
-        return self._duals.get((x,), dual_complex, lambda d, x: d._named(f"D({x.name})"))
+        return self._duals.get((x,), dual_complex)
 
     # -- replacement ------------------------------------------------------
 
     def replacement(self, x: BoundedComplex) -> Replacement:
-        return self._replacements.get((x,), self._build_replacement, Replacement._moved)
+        return self._replacements.get((x,), self._build_replacement)
 
     def _build_replacement(self, x: BoundedComplex) -> Replacement:
         a = x.algebra
@@ -829,9 +786,9 @@ class DerivedContext:
         once per content of ``(p, s, fs)``.
         """
         for f in fs:
-            if f.source is not p or f.target is not s.target:
+            if not (_same_content(f.source, p) and _same_content(f.target, s.target)):
                 raise ValueError("lift_through_qis: mismatched complexes")
-        return self._lifts.share((p, s, *fs), self._solve_lifts, _moved_lifts)
+        return self._lifts.get((p, s, *fs), self._solve_lifts)
 
     def _solve_lifts(self, p: BoundedComplex, s: ChainMap, *fs: ChainMap) -> list[ChainMap]:
         if not fs:
@@ -864,10 +821,10 @@ class DerivedContext:
     # -- hom complexes and spaces --------------------------------------
 
     def hom_complex(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
-        return self._hom_complexes.share((p, y), HomComplex, HomComplex._moved)
+        return self._hom_complexes.get((p, y), HomComplex)
 
     def hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
-        return self._hom_spaces.get((x, y), functools.partial(HomSpace, self), HomSpace._moved)
+        return self._hom_spaces.get((x, y), functools.partial(HomSpace, self))
 
     def derived_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
         """Nonzero dim Hom_D(x, y[n]) per degree n.
@@ -876,7 +833,7 @@ class DerivedContext:
         computed once per content of ``(p, y)``.
         """
         p = self.replacement(x).p
-        return dict(self._hom_dims.get((p, y), self._build_hom_dims, _same))
+        return dict(self._hom_dims.get((p, y), self._build_hom_dims))
 
     @staticmethod
     def _build_hom_dims(p: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
@@ -982,8 +939,7 @@ class HomComplex:
     block are placed by :meth:`_diagonal`.
 
     Differentials and extensions are built on first use (a hom space
-    needs d^-1 and d^0, a lift d^0), and the copies made by
-    :meth:`_moved` share them.
+    needs d^-1 and d^0, a lift d^0).
     """
 
     def __init__(self, p: BoundedComplex, y: BoundedComplex):
@@ -1020,13 +976,6 @@ class HomComplex:
         self._layouts: dict[int, tuple[list[slice], list[slice], int]] = {}
         self._extensions: dict[tuple[int, int], np.ndarray] = {}
         self.diffs: dict[int, np.ndarray] = {}
-
-    def _moved(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
-        """The same matrices, between complexes content-equal to
-        ``self.p`` and ``self.y``."""
-        out = copy.copy(self)
-        out.p, out.y = p, y
-        return out
 
     def _layout(self, n: int) -> tuple[list[slice], list[slice], int]:
         """``(slices, blocks, dim)`` of Hom^n: the coordinates of each
@@ -1197,16 +1146,6 @@ class HomSpace:
         bnd.setflags(write=False)
         self.h_reps.setflags(write=False)
 
-    def _moved(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
-        """The same basis, for complexes content-equal to ``self.x`` and
-        ``self.y``: on the replacement of ``x`` and the hom complex into
-        ``y``."""
-        out = copy.copy(self)
-        rep = self.ctx.replacement(x)
-        out.x, out.y, out.p, out.p_qis = x, y, rep.p, rep.qis
-        out.hc = self.hc._moved(rep.p, y)
-        return out
-
     def basis_maps(self) -> list[ChainMap]:
         return [self.hc.vector_to_chain_map(row) for row in self.h_reps]
 
@@ -1239,11 +1178,11 @@ class HomSpace:
 
     def normalize(self, mor: Mor) -> ChainMap:
         """Re-present a class as a chain map self.p -> y."""
-        if mor.x is not self.x or mor.y is not self.y:
+        if not (_same_content(mor.x, self.x) and _same_content(mor.y, self.y)):
             raise ValueError("coords_of: morphism belongs to a different hom space")
-        if mor.map.source is self.p:
+        if _same_content(mor.map.source, self.p):
             return mor.map
-        if mor.src_qis.source is not mor.map.source:
+        if not _same_content(mor.src_qis.source, mor.map.source):
             raise ValueError("Mor: src_qis does not match the carrier")
         return present_class(self.ctx, mor, via=self.p_qis)
 
@@ -1260,10 +1199,10 @@ def present_class(ctx: DerivedContext, mor: Mor, via: ChainMap | None = None) ->
     m = mor.map
     if via is None:
         rep = ctx.replacement(mor.x)
-        if m.source is rep.p:
+        if _same_content(m.source, rep.p):
             return m
         via = rep.qis
-    if m.source is mor.x:
+    if _same_content(m.source, mor.x):
         return compose_maps(via, m)
     ell = ctx.lift_through_qis(via.source, via, mor.src_qis)
     return compose_maps(ell, m)

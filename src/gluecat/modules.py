@@ -31,8 +31,6 @@ __all__ = [
     "projective_module",
     "injective_module",
     "projectives",
-    "injectives",
-    "simples",
     "direct_sum",
     "submodule_from_rows",
     "sub_bimodule",
@@ -479,14 +477,6 @@ def injective_module(a: Algebra, v: int) -> RightModule:
 
 def projectives(a: Algebra) -> list[RightModule]:
     return [projective_module(a, v)[0] for v in range(a.n_idempotents)]
-
-
-def injectives(a: Algebra) -> list[RightModule]:
-    return [injective_module(a, v) for v in range(a.n_idempotents)]
-
-
-def simples(a: Algebra) -> list[RightModule]:
-    return [simple_module(a, v) for v in range(a.n_idempotents)]
 
 
 def direct_sum(mods: list[RightModule], name: str = "") -> tuple[RightModule, list[int]]:

@@ -46,10 +46,11 @@ from .modules import (
     TensorResult,
     global_dimension,
     hom_basis_matrices,
-    injectives,
+    injective_module,
+    projective_module,
     projectives,
     regular_module,
-    simples,
+    simple_module,
     sub_bimodule,
     submodule_from_rows,
 )
@@ -59,7 +60,7 @@ from .complexes import (
     DerivedContext,
     Mor,
     _ContentMemo,
-    _same,
+    _same_content,
     compose_maps,
     cone,
     dual_chain_map,
@@ -137,10 +138,10 @@ class Functor:
 
     ``apply(x)`` is the output and ``aux(x)`` the data built with it (the
     termwise tensors, the complex before the last dual), kept together
-    in a :class:`_ContentMemo`.  The same input always gets the
-    identical output; a content-equal input gets its own copy, named
-    ``f"{name}({x.name})"``, with the same aux.  So aux holds content
-    only, never a map onto the input: the replacement of ``x`` is
+    in a :class:`_ContentMemo`.  Every input of one content gets the
+    identical output and aux, built for the first of them and named
+    ``f"{name}({x.name})"`` after it.  So aux holds content only, never
+    a map onto the input: the replacement of ``x`` is
     ``ctx.replacement(x)``.
     """
 
@@ -159,11 +160,7 @@ class Functor:
         return self._output(x)[1]
 
     def _output(self, x: BoundedComplex):
-        return self._outputs.get((x,), self._apply, self._rebind)
-
-    def _rebind(self, value, x: BoundedComplex):
-        out, aux = value
-        return out._named(f"{self.name}({x.name})"), aux
+        return self._outputs.get((x,), self._apply)
 
     def _apply(self, x):
         raise NotImplementedError
@@ -196,10 +193,9 @@ class RestrictionFunctor(Functor):
 
     def apply_mor(self, mor: Mor) -> Mor:
         fx, fy = self.apply(mor.x), self.apply(mor.y)
-        carrier = self.apply(mor.map.source) if mor.map.source is not mor.x else fx
-        qis_src = self.apply(mor.src_qis.source) if mor.src_qis.source is not mor.x else carrier
+        carrier = self.apply(mor.map.source)  # fx when the carrier sits on x
         new_map = ChainMap(carrier, fy, dict(mor.map.comps))
-        new_qis = ChainMap(qis_src, fx, dict(mor.src_qis.comps))
+        new_qis = ChainMap(carrier, fx, dict(mor.src_qis.comps))
         return Mor(fx, fy, new_map, new_qis)
 
 
@@ -223,12 +219,7 @@ class ExactTensorFunctor(_TensorFunctor):
     def apply_mor(self, mor: Mor) -> Mor:
         fx, fy = self.apply(mor.x), self.apply(mor.y)
         tx, ty = self.aux(mor.x)["tensors"], self.aux(mor.y)["tensors"]
-        carrier_src = mor.map.source
-        if carrier_src is mor.x:
-            carrier, tc = fx, tx
-        else:
-            carrier = self.apply(carrier_src)
-            tc = self.aux(carrier_src)["tensors"]
+        carrier, tc = self.apply(mor.map.source), self.aux(mor.map.source)["tensors"]
         new_map = self.ctx.tensor_map(mor.map, tc, ty, carrier, fy)
         new_qis = self.ctx.tensor_map(mor.src_qis, tc, tx, carrier, fx)
         return Mor(fx, fy, new_map, new_qis)
@@ -246,7 +237,7 @@ class DerivedTensorFunctor(_TensorFunctor):
         fx, fy = self.apply(mor.x), self.apply(mor.y)
         g = present_class(ctx, mor)  # R_x -> y
         rep_y = ctx.replacement(mor.y)
-        if g.target is not rep_y.p:
+        if not _same_content(g.target, rep_y.p):
             g = ctx.lift_through_qis(g.source, g, rep_y.qis)  # R_x -> R_y
         new_map = ctx.tensor_map(
             g, self.aux(mor.x)["tensors"], self.aux(mor.y)["tensors"], fx, fy
@@ -487,9 +478,11 @@ def _multiplication_map(
 
 class AdjunctionProvider:
     """Explicit Hom(Fx, y) ~= Hom(x, Gy) at the level of chosen bases,
-    for the functor expressions ``f_expr`` -| ``g_expr``.  Each matrix is
-    built once per content of ``(x, y)``, in one :class:`_ContentMemo` per
-    direction, and shared as it is: plain numbers in shared bases."""
+    for the functor expressions ``f_expr`` -| ``g_expr``.  A subclass
+    gives the classes (``forward``, ``backward``) and the matrices
+    (``forward_matrix``, ``backward_matrix``), each built once per
+    content of ``(x, y)`` and shared as it is: plain numbers in shared
+    bases."""
 
     name = "?"
 
@@ -498,7 +491,6 @@ class AdjunctionProvider:
         self.ctx = rec.ctx
         self.f_expr = f_expr
         self.g_expr = g_expr
-        self._forward, self._backward = _ContentMemo(), _ContentMemo()  # (x, y) -> matrix
 
     def F_apply(self, x):
         return self.rec.apply_expr(self.f_expr, x)
@@ -526,20 +518,6 @@ class AdjunctionProvider:
     def rhs_space(self, x, y):
         return self.ctx.hom_space(x, self.G_apply(y))
 
-    def forward_matrix(self, x, y) -> np.ndarray:
-        return self._forward.get((x, y), self._build_forward, _same)
-
-    def backward_matrix(self, x, y) -> np.ndarray:
-        return self._backward.get((x, y), self._build_backward, _same)
-
-    def _build_forward(self, x, y) -> np.ndarray:
-        lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
-        return rhs.coords_of_all([self.forward(x, y, mor) for mor in lhs.basis_mors()])
-
-    def _build_backward(self, x, y) -> np.ndarray:
-        lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
-        return lhs.coords_of_all([self.backward(x, y, mor) for mor in rhs.basis_mors()])
-
     def unit(self, x) -> Mor:
         """x -> G F x as the forward image of the identity."""
         fx = self.F_apply(x)
@@ -562,12 +540,29 @@ def _evaluate(fld, rows: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
 
 class PrimitiveAdjunction(AdjunctionProvider):
-    """F -| G for two functors of the registry, named "(F, G)"."""
+    """F -| G for two functors of the registry, named "(F, G)".  Each
+    matrix is the coordinates of the images of a basis, in one
+    :class:`_ContentMemo` per direction."""
 
     def __init__(self, rec: Recollement, f: str, g: str):
         super().__init__(rec, FunctorExpr((f,)), FunctorExpr((g,)))
         self.name = f"({f}, {g})"
         self.F, self.G = rec.functor(f), rec.functor(g)
+        self._forward, self._backward = _ContentMemo(), _ContentMemo()  # (x, y) -> matrix
+
+    def forward_matrix(self, x, y) -> np.ndarray:
+        return self._forward.get((x, y), self._build_forward)
+
+    def backward_matrix(self, x, y) -> np.ndarray:
+        return self._backward.get((x, y), self._build_backward)
+
+    def _build_forward(self, x, y) -> np.ndarray:
+        lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
+        return rhs.coords_of_all([self.forward(x, y, mor) for mor in lhs.basis_mors()])
+
+    def _build_backward(self, x, y) -> np.ndarray:
+        lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
+        return lhs.coords_of_all([self.backward(x, y, mor) for mor in rhs.basis_mors()])
 
 
 class TensorShapeAdjunction(PrimitiveAdjunction):
@@ -747,7 +742,7 @@ def primitive_adjunctions(rec: Recollement) -> dict[str, AdjunctionProvider]:
 
 def compose_mor(ctx: DerivedContext, m1: Mor, m2: Mor) -> Mor:
     """Class composition x --m1--> y --m2--> z."""
-    if m1.y is not m2.x:
+    if not _same_content(m1.y, m2.x):
         raise ValueError("compose_mor: middle objects differ")
     hs = ctx.hom_space(m1.x, m1.y)
     return Mor(m1.x, m2.y, present_class(ctx, m2, via=hs.normalize(m1)), hs.p_qis)
@@ -864,8 +859,12 @@ def original_diagram(rec: Recollement, providers: dict[str, AdjunctionProvider] 
 # ----------------------------------------------------------------------
 
 
-# the modules of the menu's stalks, by the letter of their names
-_MENU_STALKS = {"P": projectives, "S": simples, "I": injectives}
+# the module of a menu stalk at a vertex, by the letter of its name
+_MENU_STALKS = {
+    "P": lambda a, v: projective_module(a, v)[0],
+    "S": simple_module,
+    "I": injective_module,
+}
 
 
 class DefaultMenu:
@@ -884,7 +883,6 @@ class DefaultMenu:
         n = self.algebra.n_idempotents
         self._stalks = {f"{kind}{v + 1}": (kind, v) for kind in _MENU_STALKS for v in range(n)}
         self._built: dict[str, BoundedComplex] = {}
-        self._modules: dict[str, list] = {}   # letter -> its modules, by vertex
 
     def names(self) -> list[str]:
         """The entry names, in menu order."""
@@ -903,9 +901,7 @@ class DefaultMenu:
         a, tag = self.algebra, self.tag
         if name in self._stalks:
             kind, v = self._stalks[name]
-            if kind not in self._modules:
-                self._modules[kind] = _MENU_STALKS[kind](a)
-            return stalk_complex(self._modules[kind][v], name=f"{tag}:{name}")
+            return stalk_complex(_MENU_STALKS[kind](a, v), name=f"{tag}:{name}")
         if name == "R":
             return stalk_complex(regular_module(a), name=f"{tag}:R")
         if name == "P1[1]":

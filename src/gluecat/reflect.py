@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Mor, _ContentMemo, _same
+from .complexes import Mor, _ContentMemo
 from .recollement import (
     NEW_ADJOINT_EXPRS,
     AdjunctionProvider,
@@ -100,10 +100,10 @@ class CompositeAdjunction(AdjunctionProvider):
         return (m, fld.inv(m)) if self.side == "left" else (fld.inv(m), m)
 
     def forward_matrix(self, x, y) -> np.ndarray:
-        return self._matrices.get((x, y), self._matrix_pair, _same)[0]
+        return self._matrices.get((x, y), self._matrix_pair)[0]
 
     def backward_matrix(self, x, y) -> np.ndarray:
-        return self._matrices.get((x, y), self._matrix_pair, _same)[1]
+        return self._matrices.get((x, y), self._matrix_pair)[1]
 
     def forward(self, x, y, mor: Mor) -> Mor:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)

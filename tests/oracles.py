@@ -44,7 +44,8 @@ multiplication map: it draws random maps between the two replacements
 until one is certified.  ``writable_memo_arrays`` walks every value of
 the module memos and lists the arrays left writable.  The library
 helpers at the end (Ext by a projective resolution, the global dimension by one resolution per
-simple, the monomial truncations kQ/J^k, the Euler characteristic, hom
+simple, the simple and the injective modules of every vertex, the
+monomial truncations kQ/J^k, the Euler characteristic, hom
 bases as module homs, the regular bimodule, the scalar Nakayama
 supertrace, the homotopy checks) are used by the tests only, and so is
 ``resolution_data``, the syzygy resolution by covers: the reference for
@@ -251,7 +252,7 @@ def hom_map_by_expansion(hy, hx, s):
 def add_maps(f, g):
     from gluecat.complexes import ChainMap
 
-    if f.source is not g.source or f.target is not g.target:
+    if f.source.key != g.source.key or f.target.key != g.target.key:
         raise ValueError("add_maps: mismatched complexes")
     comps = {n: f.field.add(f.comp(n), g.comp(n)) for n in set(f.comps) | set(g.comps)}
     return ChainMap(f.source, f.target, comps)
@@ -1036,6 +1037,18 @@ def global_dimension_by_simples(a, cap: int) -> int:
     return best
 
 
+def simples(a) -> list:
+    from gluecat.modules import simple_module
+
+    return [simple_module(a, v) for v in range(a.n_idempotents)]
+
+
+def injectives(a) -> list:
+    from gluecat.modules import injective_module
+
+    return [injective_module(a, v) for v in range(a.n_idempotents)]
+
+
 def truncated_path_algebra(q, fld, k: int):
     """kQ/J^k for an acyclic quiver Q: the paths of length below ``k``,
     with a product of paths zero once it reaches length ``k``.  Built on
@@ -1233,14 +1246,15 @@ def homotopy_witnesses(h, f, g) -> bool:
 
 
 def lifts_up_to_homotopy(f, g, s) -> bool:
-    """Whether f - g s is null-homotopic, for f: p -> x out of a complex
-    of projectives with summand data, g: p -> y and s: y -> x: its
-    degree-0 coordinates in Hom(p, x) lie in the boundaries B^0, the
-    image of d^-1.  The check needs no homotopy."""
+    """Whether f - g s is null-homotopic, for f: p -> x, g: p -> y and
+    s: y -> x, with p a complex of projectives: its degree-0 coordinates
+    in Hom(p, x) lie in the boundaries B^0, the image of d^-1.  The
+    sources of f and g may be equal complexes; g's must carry summand
+    data.  The check needs no homotopy."""
     from gluecat.complexes import HomComplex, compose_maps
 
     diff = add_maps(f, scale_map(compose_maps(g, s), -1))
-    hc = HomComplex(f.source, f.target)
+    hc = HomComplex(g.source, f.target)
     return f.field.coords_in_rows(hc.boundary_space(0), hc.chain_maps_to_vectors([diff])) is not None
 
 

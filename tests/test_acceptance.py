@@ -14,7 +14,7 @@ from gluecat.algebra import Quiver, path_algebra
 from gluecat.cli import main as cli_main
 from gluecat.complexes import stalk_complex
 from gluecat.field import PrimeField
-from gluecat.modules import projectives, simples
+from gluecat.modules import projectives
 from gluecat.recollement import (
     build_recollement,
     default_menus,
@@ -29,7 +29,7 @@ from gluecat.reflect import (
 from gluecat.scenarios import fixture_scenario
 from gluecat.serre import attach_serre, intrinsic_nakayama_crosscheck, serre_axiom_check
 
-from oracles import ext_dims
+from oracles import ext_dims, simples
 
 FIXTURES = {
     "F1": (2, ((0, 1),), [1]),

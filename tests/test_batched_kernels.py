@@ -43,12 +43,10 @@ from gluecat.modules import (
     direct_sum,
     hom_basis_matrices,
     injective_module,
-    injectives,
     nakayama_bimodule,
     projective_cover,
     projective_module,
     projectives,
-    simples,
     sub_bimodule,
     submodule_from_rows,
     tensor_hom,
@@ -63,6 +61,7 @@ from oracles import (
     hom_system_dense as _hom_system,
     hom_system_kron,
     ideal_rows_loop,
+    injectives,
     insert_right_loop,
     matrix,
     multiply,
@@ -71,6 +70,7 @@ from oracles import (
     regular_bimodule,
     restricted_action_loop,
     shriek_pullback_eval_loop,
+    simples,
     star_pullback_eval_loop,
     star_push_counit_loop,
     star_push_unit_loop,

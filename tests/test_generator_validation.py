@@ -32,13 +32,18 @@ from gluecat.modules import (
     RightModule,
     _generators,
     direct_sum,
-    injectives,
     nakayama_bimodule,
     projectives,
-    simples,
 )
 
-from oracles import associative_dense, bimodule_violation_dense, module_violation_dense, regular_bimodule
+from oracles import (
+    associative_dense,
+    bimodule_violation_dense,
+    injectives,
+    module_violation_dense,
+    regular_bimodule,
+    simples,
+)
 from test_batched_kernels import _mixed_basis_algebra
 
 FLD = PrimeField(32003)

@@ -22,6 +22,9 @@ building its own workbench as the command does: each of the sixteen
 functors on the first menu object of its source category, and one
 functor per source category (T on A, S on B, U on C) on every menu
 object, which reaches every kind of menu object.
+
+The ``verify`` report of the frontier scenario K3 (three arrows 1→2,
+p = 32003, all three diagrams) is pinned in ``tests/test_scripts.py``.
 """
 
 import hashlib

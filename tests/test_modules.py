@@ -13,7 +13,6 @@ from gluecat.modules import (
     global_dimension,
     hom_basis_matrices,
     injective_module,
-    injectives,
     k_dual,
     nakayama_bimodule,
     projective_cover,
@@ -21,7 +20,6 @@ from gluecat.modules import (
     projectives,
     regular_module,
     simple_module,
-    simples,
     tensor_over,
     zero_module,
     Bimodule,
@@ -34,12 +32,14 @@ from oracles import (
     ext_dims,
     global_dimension_by_simples,
     hom_basis,
+    injectives,
     k_dual_hom,
     operator,
     paths_with_source,
     paths_with_target,
     regular_bimodule,
     resolution_data,
+    simples,
     truncated_path_algebra,
     writable_memo_arrays,
 )

@@ -580,17 +580,17 @@ def test_composite_adjunction_matrix_f1(rec_f1):
     assert m.shape == (1, 1) and m[0, 0] != 0
 
 
-def test_dual_route_leaves_the_memoised_dual_alone(rec_f1):
-    from gluecat.serre import attach_serre
-
-    attach_serre(rec_f1)
-    ctx = rec_f1.ctx
+def test_dual_route_leaves_the_memoised_dual_alone():
+    # a fresh recollement, so that each menu object is the first of its
+    # content and the shared outputs are named after it
+    rec, _ = _fresh_f1()
+    ctx = rec.ctx
     for name, tag in (("i^!", "A"), ("j_*", "C"), ("T~", "A")):
-        functor = rec_f1.functor(name)
-        x = default_menus(rec_f1)[tag][0][1]
+        functor = rec.functor(name)
+        x = default_menus(rec)[tag][0][1]
         out = functor.apply(x)
         pre = functor.aux(x)["pre"]
-        assert ctx.dual(pre) is not out
+        assert ctx.dual(pre) is not out and ctx.dual(pre).key == out.key
         assert ctx.dual(pre).name == f"D({pre.name})"
         assert out.name == f"{name}({x.name})"
 
@@ -671,10 +671,8 @@ def test_functor_outputs_are_built_once_per_content(monkeypatch):
         for x, x2 in (_twins(rec, functor.src_tag), _zero_twins(rec, functor.src_tag)):
             out = functor.apply(x)
             assert functor.apply(x) is out and out.name == f"{name}({x.name})"
-            out2 = functor.apply(x2)
-            assert out2 is not out and out2.key == out.key
-            assert out2.name == f"{name}({x2.name})"
-            assert functor.apply(x2) is out2 and functor.aux(x2) is functor.aux(x)
+            # the twin gets the identical output, named after the first
+            assert functor.apply(x2) is out and functor.aux(x2) is functor.aux(x)
         assert builds.count(name) == 2, name
 
 
@@ -685,9 +683,7 @@ def test_duals_are_built_once_per_content():
     for x, x2 in (_twins(rec, "A"), _zero_twins(rec, "A")):
         d = ctx.dual(x)
         assert ctx.dual(x) is d and d.name == f"D({x.name})"
-        d2 = ctx.dual(x2)
-        assert d2 is not d and d2.key == d.key and d2.name == f"D({x2.name})"
-        assert ctx.dual(x2) is d2
+        assert ctx.dual(x2) is d and ctx.dual(x2) is d
     assert ctx.memo_counts()["dual"] == (builds + 2, requests + 8)
 
 
@@ -712,8 +708,8 @@ def test_primitive_matrices_are_built_once_per_content(monkeypatch):
     rec, _ = _fresh_f1()
     builds = []
     for name in ("_build_forward", "_build_backward"):
-        build = getattr(recollement.AdjunctionProvider, name)
-        monkeypatch.setattr(recollement.AdjunctionProvider, name, _counting(build, builds))
+        build = getattr(recollement.PrimitiveAdjunction, name)
+        monkeypatch.setattr(recollement.PrimitiveAdjunction, name, _counting(build, builds))
     for prov in primitive_adjunctions(rec).values():
         src, tgt = prov.f_expr.signature(rec.registry)
         x, x2 = _twins(rec, src)
@@ -738,7 +734,7 @@ def test_suite_builds_each_primitive_matrix_once_per_content(monkeypatch):
             return build(self, x, y)
         return recorded
 
-    provider = recollement.AdjunctionProvider
+    provider = recollement.PrimitiveAdjunction
     monkeypatch.setattr(provider, "_build_forward", recording("forward", provider._build_forward))
     monkeypatch.setattr(provider, "_build_backward", recording("backward", provider._build_backward))
     for fixture in ("F1", "F2", "F3"):
@@ -749,7 +745,8 @@ def test_suite_builds_each_primitive_matrix_once_per_content(monkeypatch):
 
 def test_adjunction_forward_resolves_its_own_input():
     # the i^* aux is shared by content-equal inputs, so it must not carry
-    # the input's replacement: the class lands on x', not on x
+    # the input's replacement: the class sits on ctx.replacement(x'),
+    # whose qis targets the first complex of the content
     rec, _ = _fresh_f1()
     prov = primitive_adjunctions(rec)["(i^*, i_*)"]
     x, x2 = _twins(rec, "A")
@@ -759,7 +756,8 @@ def test_adjunction_forward_resolves_its_own_input():
         assert mors
         for mor in mors:
             image = prov.forward(obj, y, mor)
-            assert image.x is obj and image.src_qis.target is obj
+            assert image.x is obj and image.src_qis.target.key == obj.key
+            assert image.src_qis is prov.ctx.replacement(obj).qis
             prov.rhs_space(obj, y).coords_of(image)
 
 
