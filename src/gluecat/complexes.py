@@ -43,6 +43,7 @@ from .modules import (
 
 __all__ = [
     "BoundedComplex",
+    "ProjectiveComplex",
     "ChainMap",
     "ProjSummands",
     "Replacement",
@@ -92,7 +93,7 @@ class BoundedComplex:
     ``key`` is its exact content: the algebra's identity, ``lo``/``hi``,
     and the shape and bytes of every term action and differential.  The
     differentials are read-only (so are the term actions), so the key
-    cannot go stale.  The name and the summand data are not content.
+    cannot go stale.  The name is not content.
     """
 
     def __init__(
@@ -100,7 +101,6 @@ class BoundedComplex:
         algebra: Algebra,
         terms: dict[int, RightModule],
         diffs: dict[int, np.ndarray],
-        summands: dict[int, ProjSummands] | None = None,
         name: str = "",
     ):
         self.algebra = algebra
@@ -123,11 +123,6 @@ class BoundedComplex:
             d = np.asarray(d, dtype=np.int64) % algebra.field.p
             d.setflags(write=False)
             self.diffs[n] = d
-        self.summands = None
-        if summands is not None and live:
-            self.summands = {n: summands[n] for n in range(self.lo, self.hi + 1) if n in summands}
-        elif summands is not None:
-            self.summands = {}
         self.name = name or "complex"
         self.key = (
             id(algebra),
@@ -162,16 +157,6 @@ class BoundedComplex:
             return self.diffs[n]
         return _zeros(self.term(n).dim, self.term(n + 1).dim)
 
-    def has_summand_data(self) -> bool:
-        return self.summands is not None and all(n in self.summands for n in self.degrees())
-
-    def summand(self, n: int) -> ProjSummands:
-        if self.summands is not None and n in self.summands:
-            return self.summands[n]
-        if self.term(n).dim == 0:
-            return ProjSummands([], [], [])
-        raise ValueError(f"{self.name}: no summand data in degree {n}")
-
     def validate(self):
         fld = self.field
         for n in self.degrees():
@@ -194,6 +179,18 @@ class BoundedComplex:
     def __repr__(self):
         dims = {n: self.term(n).dim for n in self.degrees()}
         return f"<{self.name} over {self.algebra.name} dims={dims}>"
+
+
+class ProjectiveComplex(BoundedComplex):
+    """A complex of projectives with each term an ordered sum of e_v A:
+    ``summands[n]`` for every degree n, empty for a zero term.  The
+    decomposition is not content, so ``key`` is the complex's: it serves
+    every complex with the same content."""
+
+    def __init__(self, algebra: Algebra, terms: dict, diffs: dict, summands: dict[int, ProjSummands], name: str = ""):
+        super().__init__(algebra, terms, diffs, name=name)
+        empty = ProjSummands([], [], [])
+        self.summands = {n: summands[n] if self.term(n).dim else empty for n in self.degrees()}
 
 
 class ChainMap:
@@ -256,8 +253,8 @@ class ChainMap:
 # ----------------------------------------------------------------------
 
 
-def zero_complex(a: Algebra) -> BoundedComplex:
-    return BoundedComplex(a, {}, {}, summands={}, name="0")
+def zero_complex(a: Algebra) -> ProjectiveComplex:
+    return ProjectiveComplex(a, {}, {}, {}, name="0")
 
 
 def stalk_complex(m: RightModule, degree: int = 0, name: str = "") -> BoundedComplex:
@@ -272,10 +269,7 @@ def shift(x: BoundedComplex, k: int) -> BoundedComplex:
     sign = 1 if k % 2 == 0 else -1
     terms = {n - k: x.term(n) for n in x.degrees()}
     diffs = {n - k: (sign * x.diff(n)) % x.field.p for n in range(x.lo, x.hi)}
-    summands = None
-    if x.summands is not None:
-        summands = {n - k: s for n, s in x.summands.items()}
-    return BoundedComplex(x.algebra, terms, diffs, summands=summands, name=f"{x.name}[{k}]")
+    return BoundedComplex(x.algebra, terms, diffs, name=f"{x.name}[{k}]")
 
 
 def identity_map(x: BoundedComplex) -> ChainMap:
@@ -306,22 +300,9 @@ def cone(f: ChainMap, name: str = "") -> BoundedComplex:
     lo = min(x.lo - 1, y.lo)
     hi = max(x.hi - 1, y.hi)
     terms: dict[int, RightModule] = {}
-    summands: dict[int, ProjSummands] | None = {}
-    track = x.has_summand_data() and y.has_summand_data()
     for n in range(lo, hi + 1):
         xs, ys = x.term(n + 1), y.term(n)
-        mod, _ = direct_sum([xs, ys]) if (xs.dim or ys.dim) else (zero_module(a), [])
-        terms[n] = mod
-        if track:
-            sx, sy = x.summand(n + 1), y.summand(n)
-            verts = sx.vertices + sy.vertices
-            offs = sx.offsets + [o + xs.dim for o in sy.offsets]
-            gens = [np.concatenate([g, np.zeros(ys.dim, dtype=np.int64)]) for g in sx.gens] + [
-                np.concatenate([np.zeros(xs.dim, dtype=np.int64), g]) for g in sy.gens
-            ]
-            summands[n] = ProjSummands(verts, offs, gens)
-    if not track:
-        summands = None
+        terms[n] = direct_sum([xs, ys])[0] if (xs.dim or ys.dim) else zero_module(a)
     diffs = {}
     for n in range(lo, hi):
         sdim = terms[n].dim
@@ -332,9 +313,7 @@ def cone(f: ChainMap, name: str = "") -> BoundedComplex:
         d[:x1, x2:] = f.comp(n + 1)
         d[x1:, x2:] = y.diff(n)
         diffs[n] = d
-    return BoundedComplex(
-        a, terms, diffs, summands=summands, name=name or f"cone({x.name}->{y.name})"
-    )
+    return BoundedComplex(a, terms, diffs, name=name or f"cone({x.name}->{y.name})")
 
 
 def homology_dims(x: BoundedComplex) -> dict[int, int]:
@@ -380,9 +359,9 @@ def _owners(summ: ProjSummands, dim: int) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
+def _minimize(p: ProjectiveComplex) -> tuple[ProjectiveComplex, ChainMap, ChainMap]:
     """``(p_min, iota, proj)``: a minimal complex homotopy equivalent to
-    ``p``, which has projective terms with summand data.
+    the complex of projectives ``p``.
 
     The degrees are swept from low to high.  In degree n the top matrix
     of d^n has entry (i, j) the e_v-coefficient of the image of
@@ -409,7 +388,7 @@ def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
         d = diffs[n]
         if not d.any():
             continue
-        src, tgt = p.summand(n), p.summand(n + 1)
+        src, tgt = p.summands[n], p.summands[n + 1]
         src_kept = kept.get(n, np.arange(len(src.vertices)))
         src_coords = coords.get(n, np.arange(p.term(n).dim))
         gens = np.stack(src.gens)[np.ix_(src_kept, src_coords)]
@@ -444,7 +423,7 @@ def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
         return p, same, same
     terms, summands = dict(p.terms), dict(p.summands)
     for n, ix in coords.items():
-        m, summ = p.term(n), p.summand(n)
+        m, summ = p.term(n), p.summands[n]
         action = m.action[:, ix][:, :, ix]
         terms[n] = RightModule(a, action, name=m.name) if ix.size else zero_module(a)
         sizes = np.diff([*summ.offsets, m.dim])[kept[n]]
@@ -453,7 +432,7 @@ def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
             (np.cumsum(sizes) - sizes).tolist(),
             [summ.gens[j][ix] for j in kept[n]],
         )
-    p_min = BoundedComplex(a, terms, diffs, summands=summands, name=p.name)
+    p_min = ProjectiveComplex(a, terms, diffs, summands, name=p.name)
     iota = ChainMap(p_min, p, {**ident, **inc}, validate=False)
     proj = ChainMap(p, p_min, {**ident, **prj}, validate=False)
     return p_min, iota, proj
@@ -467,9 +446,9 @@ def _minimize(p: BoundedComplex) -> tuple[BoundedComplex, ChainMap, ChainMap]:
 RESOLUTION_CAP = 24
 
 
-def _resolve(x: BoundedComplex) -> tuple[BoundedComplex, dict[int, np.ndarray]]:
-    """``(p, q)``: a complex p of projectives with summand data, and the
-    components ``q[n]: p^n -> x^n`` of a quasi-isomorphism onto x.
+def _resolve(x: BoundedComplex) -> tuple[ProjectiveComplex, dict[int, np.ndarray]]:
+    """``(p, q)``: a complex p of projectives, and the components
+    ``q[n]: p^n -> x^n`` of a quasi-isomorphism onto x.
 
     Built from ``x.hi`` down.  In degree n,
     K^n = {(v, u) in x^n + p^{n+1} : v d_x = u q^{n+1}, u d_p = 0}
@@ -515,7 +494,7 @@ def _resolve(x: BoundedComplex) -> tuple[BoundedComplex, dict[int, np.ndarray]]:
         q[n], diffs[n] = image[:, :m.dim], image[:, m.dim:]
         up, q_up, d_up = cov.module, q[n], diffs[n]
         n -= 1
-    return BoundedComplex(a, terms, diffs, summands=summands, name=f"P({x.name})"), q
+    return ProjectiveComplex(a, terms, diffs, summands, name=f"P({x.name})"), q
 
 
 # ----------------------------------------------------------------------
@@ -527,7 +506,7 @@ def dual_complex(x: BoundedComplex, name: str = "") -> BoundedComplex:
     """k-dual over the opposite algebra; (DX)^n = D(X^{-n})."""
     aop = opposite(x.algebra)
     if x.is_zero():
-        return BoundedComplex(aop, {}, {}, summands={}, name=name or f"D({x.name})")
+        return BoundedComplex(aop, {}, {}, name=name or f"D({x.name})")
     terms = {-n: k_dual(x.term(n)) for n in x.degrees()}
     diffs = {}
     for n in range(-x.hi, -x.lo):
@@ -554,7 +533,7 @@ def dual_chain_map(
 
 @dataclass
 class Replacement:
-    """A minimal complex ``p`` of projectives with a qis onto x.
+    """A minimal :class:`ProjectiveComplex` ``p`` with a qis onto x.
 
     Minimal: no summand e_v A of a term of ``p`` is carried by the
     differential onto a summand e_v A of the next term, so every top
@@ -567,7 +546,7 @@ class Replacement:
     ``tests/oracles.py::resolution_data``).
     """
 
-    p: BoundedComplex
+    p: ProjectiveComplex
     qis: ChainMap                      # p -> x
     inverse: ChainMap | None           # x -> p
 
@@ -631,7 +610,8 @@ def _same_content(a, b) -> bool:
     """Whether two complexes are equal: a memoised value sits on the
     first complexes of its content, which need not be the caller's.
     Equal complexes share one key object (``_validate_once``), so the
-    comparison is cheap."""
+    comparison is cheap.  A plain complex may equal a
+    :class:`ProjectiveComplex`, which alone has summands."""
     return a is b or a.key == b.key
 
 
@@ -639,7 +619,8 @@ class DerivedContext:
     """Duals, replacements, hom complexes, hom spaces and lifts, built
     once per content.
 
-    Replacements are minimal complexes of projectives.  A complex with
+    Replacements are minimal :class:`ProjectiveComplex` es, whose e_v A
+    summands hom complexes, lifts and :func:`_minimize` read.  A complex with
     projective terms is moved onto its covers, and any other complex is
     resolved by covers from its top degree down (:func:`_resolve`); both
     routes then cancel, by :func:`_minimize`, every pair of summands
@@ -666,7 +647,9 @@ class DerivedContext:
       guards that match complexes (:func:`compose_maps`,
       :meth:`lift_many_through_qis`, :meth:`HomSpace.normalize`,
       :func:`present_class`) compare content, not identity, and
-      ``replacement(x).p`` is one complex per content of ``x``.  One
+      ``replacement(x).p`` is one complex per content of ``x``; the last
+      two return a map out of the replacement itself, so every lift and
+      hom complex starts from a :class:`ProjectiveComplex`.  One
       :class:`HomComplex` per content of ``(p, y)``, in Yoneda
       coordinates, serves hom spaces, certificates and lifts; derived Hom
       dimensions, keyed by the content of ``(replacement(x).p, y)``, rank
@@ -747,9 +730,7 @@ class DerivedContext:
                 n: fld.mul_chain(sigma[n], x.diff(n), sigma_inv[n + 1])
                 for n in range(x.lo, x.hi)
             }
-            p, iota, proj = _minimize(
-                BoundedComplex(a, terms, diffs, summands=summands, name=f"P({x.name})")
-            )
+            p, iota, proj = _minimize(ProjectiveComplex(a, terms, diffs, summands, name=f"P({x.name})"))
             qis = {n: fld.matmul(c, sigma[n]) for n, c in iota.comps.items()}
             inverse = {n: fld.matmul(sigma_inv[n], c) for n, c in proj.comps.items()}
             return Replacement(p, ChainMap(p, x, qis), ChainMap(x, p, inverse))
@@ -763,19 +744,18 @@ class DerivedContext:
 
     # -- lifting ------------------------------------------------------
 
-    def lift_through_qis(self, p: BoundedComplex, f: ChainMap, s: ChainMap) -> ChainMap:
+    def lift_through_qis(self, p: ProjectiveComplex, f: ChainMap, s: ChainMap) -> ChainMap:
         """A chain map g: p -> y with g*s homotopic to f.
 
-        ``f`` runs p -> x and ``s`` is a quasi-isomorphism y -> x; p must
-        have projective terms.  Solved as one linear system in the
-        coordinates of the hom complexes Hom(p, y) and Hom(p, x), whose
-        unknowns are g and a homotopy h with f - g*s = dh + hd.  Only g
-        is built: no caller reads h.
+        ``f`` runs p -> x and ``s`` is a quasi-isomorphism y -> x.  Solved
+        as one linear system in the coordinates of the hom complexes
+        Hom(p, y) and Hom(p, x), whose unknowns are g and a homotopy h
+        with f - g*s = dh + hd.  Only g is built: no caller reads h.
         """
         return self.lift_many_through_qis(p, [f], s)[0]
 
     def lift_many_through_qis(
-        self, p: BoundedComplex, fs: list[ChainMap], s: ChainMap
+        self, p: ProjectiveComplex, fs: list[ChainMap], s: ChainMap
     ) -> list[ChainMap]:
         """:meth:`lift_through_qis` for every map in ``fs``, in one solve.
 
@@ -790,7 +770,7 @@ class DerivedContext:
                 raise ValueError("lift_through_qis: mismatched complexes")
         return self._lifts.get((p, s, *fs), self._solve_lifts)
 
-    def _solve_lifts(self, p: BoundedComplex, s: ChainMap, *fs: ChainMap) -> list[ChainMap]:
+    def _solve_lifts(self, p: ProjectiveComplex, s: ChainMap, *fs: ChainMap) -> list[ChainMap]:
         if not fs:
             return []
         y, x = s.source, s.target
@@ -820,7 +800,7 @@ class DerivedContext:
 
     # -- hom complexes and spaces --------------------------------------
 
-    def hom_complex(self, p: BoundedComplex, y: BoundedComplex) -> "HomComplex":
+    def hom_complex(self, p: ProjectiveComplex, y: BoundedComplex) -> "HomComplex":
         return self._hom_complexes.get((p, y), HomComplex)
 
     def hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
@@ -836,7 +816,7 @@ class DerivedContext:
         return dict(self._hom_dims.get((p, y), self._build_hom_dims))
 
     @staticmethod
-    def _build_hom_dims(p: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
+    def _build_hom_dims(p: ProjectiveComplex, y: BoundedComplex) -> dict[int, int]:
         # a hom complex of its own, outside the memo, so none is kept
         hc = HomComplex(p, y)
         return _homology(hc.fld, {n: hc.dim(n) for n in range(hc.lo, hc.hi + 1)}, hc.diff)
@@ -916,8 +896,9 @@ class DerivedContext:
 
 
 class HomComplex:
-    """Total Hom complex Hom(p, y) out of a complex p of projectives with
-    summand data, in Yoneda coordinates: no module-hom basis.
+    """Total Hom complex Hom(p, y) out of a :class:`ProjectiveComplex` p,
+    in Yoneda coordinates: no module-hom basis.  Any other p raises
+    ``TypeError``.
 
     Hom_A(e_v A, N) = N e_v, so term n is the sum over the summands s (at
     vertex v_s, generator g_s) of each p^i of y^{i+n} e_{v_s}.  A map f
@@ -942,9 +923,9 @@ class HomComplex:
     needs d^-1 and d^0, a lift d^0).
     """
 
-    def __init__(self, p: BoundedComplex, y: BoundedComplex):
-        if not (p.is_zero() or p.has_summand_data()):
-            raise ValueError(f"hom complex out of {p.name}: no summand data")
+    def __init__(self, p: ProjectiveComplex, y: BoundedComplex):
+        if not isinstance(p, ProjectiveComplex):
+            raise TypeError(f"hom complex out of {p.name}, which is not a ProjectiveComplex")
         a, fld = p.algebra, p.field
         self.p = p
         self.y = y
@@ -957,8 +938,8 @@ class HomComplex:
         # indices of the summands of each degree
         self._summands = [
             (i, v, off, gen)
-            for i in p.degrees()
-            for v, off, gen in zip(p.summand(i).vertices, p.summand(i).offsets, p.summand(i).gens)
+            for i, summ in p.summands.items()
+            for v, off, gen in zip(summ.vertices, summ.offsets, summ.gens)
         ]
         self._of_degree = {i: [k for k, s in enumerate(self._summands) if s[0] == i] for i in p.degrees()}
         w = self._weights = {j: _weights(y.term(j)) for j in y.degrees()}
@@ -1177,11 +1158,11 @@ class HomSpace:
         return self.reduce_vectors(self.hc.chain_maps_to_vectors([self.normalize(mor) for mor in mors]))
 
     def normalize(self, mor: Mor) -> ChainMap:
-        """Re-present a class as a chain map self.p -> y."""
+        """Re-present a class as a chain map out of ``self.p`` itself."""
         if not (_same_content(mor.x, self.x) and _same_content(mor.y, self.y)):
             raise ValueError("coords_of: morphism belongs to a different hom space")
         if _same_content(mor.map.source, self.p):
-            return mor.map
+            return mor.map if mor.map.source is self.p else ChainMap(self.p, mor.map.target, mor.map.comps)
         if not _same_content(mor.src_qis.source, mor.map.source):
             raise ValueError("Mor: src_qis does not match the carrier")
         return present_class(self.ctx, mor, via=self.p_qis)
@@ -1194,13 +1175,14 @@ def present_class(ctx: DerivedContext, mor: Mor, via: ChainMap | None = None) ->
     by ``mor``, as a chain map out of p'.  A carrier on ``mor.x`` is
     precomposed with ``via``; any other carrier first lifts ``via``
     through its qis.  Without ``via`` it is the replacement's qis, and a
-    carrier already on the replacement is returned as it is.
+    carrier on a complex equal to the replacement is returned as a map
+    out of the replacement itself.
     """
     m = mor.map
     if via is None:
         rep = ctx.replacement(mor.x)
         if _same_content(m.source, rep.p):
-            return m
+            return m if m.source is rep.p else ChainMap(rep.p, m.target, m.comps)
         via = rep.qis
     if _same_content(m.source, mor.x):
         return compose_maps(via, m)

@@ -154,7 +154,7 @@ def _supertrace_factors(
     for n in p.degrees():
         if n not in tensors or tensors[n].module.dim == 0:
             continue
-        summ = p.summand(n)
+        summ = p.summands[n]
         funcs = _trace_functionals(a, summ, tensors[n])
         out[n] = (1 if n % 2 == 0 else -1, np.stack(summ.gens), np.stack(funcs))
     return out

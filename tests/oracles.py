@@ -1249,8 +1249,8 @@ def lifts_up_to_homotopy(f, g, s) -> bool:
     """Whether f - g s is null-homotopic, for f: p -> x, g: p -> y and
     s: y -> x, with p a complex of projectives: its degree-0 coordinates
     in Hom(p, x) lie in the boundaries B^0, the image of d^-1.  The
-    sources of f and g may be equal complexes; g's must carry summand
-    data.  The check needs no homotopy."""
+    sources of f and g may be equal complexes; g's must be a
+    ``ProjectiveComplex``.  The check needs no homotopy."""
     from gluecat.complexes import HomComplex, compose_maps
 
     diff = add_maps(f, scale_map(compose_maps(g, s), -1))

@@ -8,6 +8,7 @@ from gluecat.complexes import (
     DerivedContext,
     HomComplex,
     Mor,
+    ProjectiveComplex,
     ProjSummands,
     cone,
     compose_maps,
@@ -189,7 +190,7 @@ def test_replacement_of_projective_complex_is_iso(ctx, alg_a3):
     rep = ctx.replacement(p3)
     assert rep.inverse is not None
     assert homology_dims(rep.p) == homology_dims(p3)
-    assert rep.p.has_summand_data()
+    assert isinstance(rep.p, ProjectiveComplex)
 
 
 def test_replacement_of_zero_complex(ctx, alg_a3):
@@ -212,7 +213,7 @@ def test_replacement_preserves_homology_multi_term(ctx, alg_a3):
     x = BoundedComplex(alg_a3, {0: s3, 2: s3}, {})
     rep = ctx.replacement(x)
     assert homology_dims(rep.p) == homology_dims(x) == {0: 1, 2: 1}
-    assert rep.p.has_summand_data()
+    assert isinstance(rep.p, ProjectiveComplex)
     rep.qis.validate()
 
 
@@ -242,7 +243,7 @@ def test_stalk_replacement_is_the_resolution_by_covers(ctx, gf, quiver):
         assert (rep.p.lo, rep.p.hi) == (-res.length, 0)
         for k, cov in enumerate(res.covers):
             assert rep.p.term(-k).key == cov.module.key
-            assert rep.p.summand(-k).vertices == cov.summands
+            assert rep.p.summands[-k].vertices == cov.summands
         for k, d in enumerate(res.diffs):
             assert np.array_equal(rep.p.diff(-k - 1), d)
         assert np.array_equal(rep.qis.comp(0), res.augmentation)
@@ -352,6 +353,27 @@ def test_lift_hit_is_the_lift_built_first(ctx, alg_a3):
     assert lifts_up_to_homotopy(ChainMap(p2, x2, rep.qis.comps), g2, s2)
 
 
+def test_guards_return_maps_out_of_the_replacement_itself(ctx, alg_a3):
+    # a carrier out of a plain complex equal to the replacement, as a
+    # restricted complex i_*(P) can be: both guards move it onto the
+    # replacement, whose summands the lift and the hom complex read
+    x = _twins(alg_a3)[0][0]
+    rep = ctx.replacement(x)
+    plain = BoundedComplex(alg_a3, dict(rep.p.terms), dict(rep.p.diffs))
+    assert plain.key == rep.p.key and not isinstance(plain, ProjectiveComplex)
+    carrier = ChainMap(plain, x, rep.qis.comps)
+    mor = Mor(x, x, carrier, carrier)
+    g = complexes.present_class(ctx, mor)
+    assert g.source is rep.p and g.key == carrier.key
+    lift = ctx.lift_through_qis(g.source, g, rep.qis)
+    assert lift.source is rep.p and lifts_up_to_homotopy(g, lift, rep.qis)
+    hs = ctx.hom_space(x, x)
+    h = hs.normalize(mor)
+    assert h.source is hs.p is rep.p and h.key == carrier.key
+    assert hs.normalize(Mor(x, x, h, h)) is h
+    assert hs.coords_of(mor).any()
+
+
 def test_memos_keep_the_algebras_of_their_keys_alive():
     # a key holds id(algebra), so an entry must keep its algebra alive:
     # a new algebra at the same id would otherwise hit the old entries
@@ -408,7 +430,7 @@ def test_every_memoised_complex_and_chain_map_is_valid_after_f1():
                 items += value
             found.update((id(o), o) for o in items if isinstance(o, (BoundedComplex, ChainMap)))
     kinds = {type(o) for o in found.values()}
-    assert kinds == {BoundedComplex, ChainMap}
+    assert kinds == {BoundedComplex, ProjectiveComplex, ChainMap}
     for obj in found.values():
         obj.validate()
 
@@ -432,8 +454,9 @@ def test_replacements_are_built_once_per_content_on_f1(monkeypatch):
 
 
 def _projective_complex(a, degrees, diffs):
-    """The complex with terms the sums of the P_v listed per degree, its
-    summand data from the projective modules, and differentials ``diffs``."""
+    """The :class:`ProjectiveComplex` with terms the sums of the P_v listed
+    per degree, its summands from the projective modules, and
+    differentials ``diffs``."""
     terms, summands = {}, {}
     for n, vs in degrees.items():
         parts = [projective_module(a, v) for v in vs]
@@ -444,7 +467,7 @@ def _projective_complex(a, degrees, diffs):
             full[off:off + m.dim] = gen
             gens.append(full)
         summands[n] = ProjSummands(list(vs), offsets, gens)
-    return BoundedComplex(a, terms, diffs, summands=summands)
+    return ProjectiveComplex(a, terms, diffs, summands)
 
 
 def _hom(a, v, u):
@@ -475,7 +498,7 @@ def test_minimize_cancels_with_the_schur_complement(ctx, alg_a3):
     d = np.block([[fld.identity(dv), b], [c, fld.zeros(c.shape[0], b.shape[1])]])
     p = _projective_complex(alg_a3, {0: [v, w], 1: [v, u]}, {0: d})
     p_min, iota, proj = complexes._minimize(p)
-    assert [p_min.summand(n).vertices for n in (0, 1)] == [[w], [u]]
+    assert [p_min.summands[n].vertices for n in (0, 1)] == [[w], [u]]
     assert np.array_equal(p_min.diff(0), fld.neg(fld.matmul(c, b)))
     assert replacement_problems(ctx, [(p, p_min, iota, proj)]) == []
     assert nonminimal_degrees(p) == [0]
@@ -504,7 +527,7 @@ def test_identity_block_leaves_the_other_summand(ctx, alg_a3, order):
     p = _projective_complex(alg_a3, {0: [v], 1: [v, u] if order == "vu" else [u, v]}, {0: d})
     p_min, iota, proj = complexes._minimize(p)
     assert (p_min.lo, p_min.hi) == (1, 1)
-    assert p_min.summand(1).vertices == [u]
+    assert p_min.summands[1].vertices == [u]
     assert p_min.term(1).key == projective_module(alg_a3, u)[0].key
     assert replacement_problems(ctx, [(p, p_min, iota, proj)]) == []
     assert ctx.replacement(p).p.key == p_min.key
@@ -1067,7 +1090,7 @@ def test_hom_spaces_lifts_and_certificates_build_no_module_hom(monkeypatch):
 
 def test_hom_complex_needs_summand_data(alg_a3):
     x = stalk_complex(projective_module(alg_a3, 0)[0])
-    with pytest.raises(ValueError, match="no summand data"):
+    with pytest.raises(TypeError, match="not a ProjectiveComplex"):
         HomComplex(x, x)
 
 
@@ -1085,7 +1108,7 @@ def test_derived_hom_dims_with_a_zero_weight_space():
     a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(3))
     ctx = DerivedContext()
     s1, s2, s3 = (stalk_complex(m) for m in simples(a))
-    assert [ctx.replacement(s2).p.summand(n).vertices for n in (-1, 0)] == [[0], [1]]
+    assert [ctx.replacement(s2).p.summands[n].vertices for n in (-1, 0)] == [[0], [1]]
     assert _checked_hom_dims(ctx, s2, s2) == {0: 1}
     assert _checked_hom_dims(ctx, s2, s1) == {1: 1}
     assert _checked_hom_dims(ctx, s2, s3) == {}
@@ -1118,7 +1141,7 @@ def test_derived_hom_dims_over_the_kronecker_quiver(p):
     ctx = DerivedContext()
     s2 = stalk_complex(simple_module(a, 1))
     rep = ctx.replacement(s2).p
-    assert rep.summand(-1).vertices == [0, 0] and rep.summand(0).vertices == [1]
+    assert rep.summands[-1].vertices == [0, 0] and rep.summands[0].vertices == [1]
     p1, p2 = (stalk_complex(projective_module(a, v)[0]) for v in (0, 1))
     s1 = stalk_complex(simple_module(a, 0))
     assert _checked_hom_dims(ctx, s2, s1) == {1: 2}

@@ -32,15 +32,30 @@ def test_frontier_imports_and_its_scenarios_parse():
 
     frontier = _load("frontier")
     assert callable(frontier.main)
-    for name in ("E6", "E7", "K3", "K4"):
+    assert {"E6", "E7", "K3", "K4", "A8", "D6", "E8-e3", "E8-e5", "K3-tail", "K5"} <= set(frontier.SCENARIOS)
+    for name in frontier.SCENARIOS:
         scn = parse_scenario(frontier.scenario(name))
         assert scn.variants == ["original", "upper", "lower"]
     assert frontier.main(["E9"]) == 2
 
 
+def test_sweep_imports_and_its_cases_parse():
+    from gluecat.scenarios import parse_scenario
+
+    sweep = _load("sweep")
+    assert callable(sweep.main)
+    cases = [case for family in sweep.FAMILIES for case in sweep.cases(family)]
+    assert len(cases) == 236 and len({name for name, _ in cases}) == 236
+    for _, data in cases:
+        scn = parse_scenario(data)
+        assert len(scn.e_vertices) == 1 and scn.variants == ["original", "upper", "lower"]
+    assert sweep.main(["E6"]) == 2
+
+
 def test_frontier_k3_report_is_unchanged(tmp_path):
     # K3 is the one checked-in case with a vertex that carries three
     # summands of one projective term; its report is pinned byte for byte
-    r = _load("frontier").run("K3", tmp_path)
+    frontier = _load("frontier")
+    r = frontier.run(frontier.scenario("K3"), tmp_path)
     assert (r["exit"], r["memory_errors"]) == (0, 0)
     assert r["sha256"] == "d0aea19799a778338179bc4b9323019c147cf57301cdca760084f8cbc27a9459"
