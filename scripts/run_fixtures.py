@@ -5,26 +5,47 @@ print a summary table with timings.
 Per fixture it also prints, for duals, replacements, hom complexes, hom
 spaces, derived Hom dimension tables and lifts, how many were built
 against how many were asked for,
-as counted by the content memos of the derived context, and the summed
-and the largest term dimension of the projective replacements built.
+as counted by the content memos of the derived context, the summed
+and the largest term dimension of the projective replacements built,
+and how many times the law checks of ``Algebra``, ``RightModule`` and
+``Bimodule`` ran.  The script counts those by wrapping the three
+``validate`` methods itself; the library keeps no counter.
 """
 
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gluecat.algebra import Algebra
 from gluecat.cli import run_suite
 from gluecat.complexes import DerivedContext
+from gluecat.modules import Bimodule, RightModule
 from gluecat.scenarios import fixture_scenario, parse_scenario
 
 MEMOS = ("dual", "replacement", "hom_complex", "hom_space", "derived_hom_dims", "lift")
+VALIDATED = (Algebra, RightModule, Bimodule)
+
+
+def count_validations() -> Counter:
+    """Wrap ``validate`` of each class of ``VALIDATED`` so that each run
+    is counted, by class name, in the returned counter."""
+    counts = Counter()
+    for cls in VALIDATED:
+        def counted(self, name=cls.__name__, check=cls.validate):
+            counts[name] += 1
+            return check(self)
+        cls.validate = counted
+    return counts
 
 
 def main():
     rows = []
+    validations = count_validations()
     for name in ("F1", "F2", "F3"):
+        validations.clear()
         data = fixture_scenario(name)
         ctx = DerivedContext()
         t0 = time.monotonic()
@@ -42,6 +63,7 @@ def main():
         sizes = [sum(r.p.term(n).dim for n in r.p.degrees()) for r in ctx.built_replacements()]
         print(f"    replacement term dimensions: summed {sum(sizes)}, "
               f"largest {max(sizes, default=0)}")
+        print("    validate runs: " + ", ".join(f"{cls.__name__} {validations[cls.__name__]}" for cls in VALIDATED))
     print()
     print(f"{'fixture':<28} {'suite':<18} {'pass':>6} {'fail':>6} {'inconcl':>8}")
     for label, diagram, ok, bad, inc in rows:

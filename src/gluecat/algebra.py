@@ -114,11 +114,18 @@ class Algebra:
       tensor), complexes (:meth:`~gluecat.complexes.BoundedComplex.validate`)
       and chain maps (:meth:`~gluecat.complexes.ChainMap.validate`, filed
       under the algebra of the source), each by its ``key``, mapped to
-      itself so that content-equal objects share one key.  A failure is
-      never recorded, so malformed content raises on every construction;
+      itself so that content-equal objects share one key.  An object
+      built with ``validate=False`` (a proved construction) is filed
+      unchecked, since its laws follow from those of its inputs.  A
+      failure is never recorded, so malformed content raises on every
+      construction;
     - ``_zero``: the one :func:`~gluecat.modules.zero_module`;
     - ``_homology``: :func:`~gluecat.complexes.homology_dims` of the
       complexes over this algebra, keyed by their ``key``.
+
+    The laws are checked (:meth:`validate`) on a direct call, as in
+    :func:`path_algebra`; :func:`opposite`, :func:`corner` and
+    :func:`idempotent_quotient` pass ``validate=False`` and say why.
     """
 
     def __init__(
@@ -129,6 +136,7 @@ class Algebra:
         unit: np.ndarray,
         idempotent_indices: list[int],
         name: str = "",
+        validate: bool = True,
     ):
         self.field = field
         self.dim = len(labels)
@@ -148,7 +156,8 @@ class Algebra:
         self._homology: dict[tuple, dict] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")
-        self.validate()
+        if validate:
+            self.validate()
 
     def __repr__(self):
         return f"<{self.name} dim={self.dim} over {self.field}>"
@@ -308,7 +317,11 @@ def path_algebra(q: Quiver, field: PrimeField) -> Algebra:
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Opposite algebra; involutive on the nose (cached back-reference)."""
+    """Opposite algebra; involutive on the nose (cached back-reference).
+
+    Proved: the swapped table is associative, with the same unit and
+    idempotents.
+    """
     if a._opposite is not None:
         return a._opposite
     op = Algebra(
@@ -318,6 +331,7 @@ def opposite(a: Algebra) -> Algebra:
         a.unit,
         a.idempotent_indices,
         name=a.name + "^op",
+        validate=False,
     )
     op._opposite = a
     a._opposite = op
@@ -346,6 +360,9 @@ def corner(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray]:
 
     Returns ``(C, inclusion)`` where the rows of ``inclusion`` express the
     corner basis in A-coordinates.
+
+    Proved: eAe is closed (the solve checks it), with unit e and
+    orthogonal idempotents e_v.
     """
     fld = a.field
     vs = _validate_e_vertices(a, e_vertices)
@@ -385,6 +402,7 @@ def corner(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray]:
         unit_coords[0],
         idem_indices,
         name=f"corner({a.name})",
+        validate=False,
     )
     return c, basis
 
@@ -405,6 +423,9 @@ def idempotent_quotient(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray, np
     Returns ``(B, projection, section)`` with ``projection`` mapping
     A-coordinates onto B-coordinates (rows: A basis) and ``section``
     choosing coset representatives.
+
+    Proved: AeA is a two-sided ideal, so ``projection`` is a unital
+    algebra map, and it sends the e_v outside e to basis elements.
     """
     fld = a.field
     vs = _validate_e_vertices(a, e_vertices)
@@ -431,5 +452,6 @@ def idempotent_quotient(a: Algebra, e_vertices) -> tuple[Algebra, np.ndarray, np
         unit,
         idem_indices,
         name=f"{a.name}/ideal",
+        validate=False,
     )
     return b, pi, sigma

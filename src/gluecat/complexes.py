@@ -425,7 +425,9 @@ def _minimize(p: ProjectiveComplex) -> tuple[ProjectiveComplex, ChainMap, ChainM
     for n, ix in coords.items():
         m, summ = p.term(n), p.summands[n]
         action = m.action[:, ix][:, :, ix]
-        terms[n] = RightModule(a, action, name=m.name) if ix.size else zero_module(a)
+        # proved: ix is a union of summand blocks, on which a sum of
+        # projectives acts block-diagonally
+        terms[n] = RightModule(a, action, name=m.name, validate=False) if ix.size else zero_module(a)
         sizes = np.diff([*summ.offsets, m.dim])[kept[n]]
         summands[n] = ProjSummands(
             [summ.vertices[j] for j in kept[n]],
@@ -487,7 +489,8 @@ def _resolve(x: BoundedComplex) -> tuple[ProjectiveComplex, dict[int, np.ndarray
         action[:, :m.dim, :m.dim], action[:, m.dim:, m.dim:] = m.action, up.action
         if len(rows) < size:  # else K^n is everything and the rows are the identity
             action = _restricted_action(a, rows, action)
-        cov = projective_cover(RightModule(a, action, name=f"K{n}({x.name})"))
+        # proved: x^n + p^{n+1} is a direct sum, and K^n a stable span of it
+        cov = projective_cover(RightModule(a, action, name=f"K{n}({x.name})", validate=False))
         image = fld.matmul(cov.surjection, rows)
         terms[n] = cov.module
         summands[n] = ProjSummands(cov.summands, cov.offsets, cov.gen_coords)

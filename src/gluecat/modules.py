@@ -57,9 +57,15 @@ class RightModule:
     ``key`` is the exact content of the module (shape and bytes of the
     action tensor), the key of every module memo; the action is made
     read-only so the key stays true.
+
+    The laws are checked (:meth:`validate`) on a direct call.  The
+    constructions whose output is a module whenever their inputs are
+    pass ``validate=False`` and say why.  Either way the algebra's domain
+    certificate is built (:func:`_generators`) and the key is interned
+    by :func:`_validate_once`.
     """
 
-    def __init__(self, algebra: Algebra, action: np.ndarray, name: str = ""):
+    def __init__(self, algebra: Algebra, action: np.ndarray, name: str = "", validate: bool = True):
         self.algebra = algebra
         self.action = np.asarray(action, dtype=np.int64) % algebra.field.p
         if self.action.ndim != 3 or self.action.shape[0] != algebra.dim:
@@ -70,7 +76,9 @@ class RightModule:
         self.name = name or f"module(dim={self.dim})"
         self.action.setflags(write=False)
         self.key = (self.action.shape, self.action.tobytes())
-        _validate_once(self, algebra)
+        if self.dim and not validate:
+            _generators(algebra)  # the domain certificate, which validate builds
+        _validate_once(self, algebra, validate)
 
     def __repr__(self):
         return f"<{self.name} over {self.algebra.name}>"
@@ -90,16 +98,20 @@ class RightModule:
             raise ValueError(f"{self.name}: action is not multiplicative")
 
 
-def _validate_once(obj, algebra: Algebra) -> None:
-    """``obj.validate()``, run once per content ``obj.key`` per algebra.
+def _validate_once(obj, algebra: Algebra, validate: bool = True) -> None:
+    """``obj.validate()``, run once per content ``obj.key`` per algebra,
+    and not at all with ``validate=False``, which a construction passes
+    when its output is proved.
 
-    A failure is never recorded, so malformed content raises on every
-    construction.  An object whose content passed before takes over the
-    stored key, so content-equal objects share one copy of its bytes.
+    Either way the content is filed in ``algebra._valid``.  A failure is
+    never recorded, so malformed content raises on every construction.
+    An object whose content was filed before takes over the stored key,
+    so content-equal objects share one copy of its bytes.
     """
     known = algebra._valid.get(obj.key)
     if known is None:
-        obj.validate()
+        if validate:
+            obj.validate()
         algebra._valid[obj.key] = obj.key
     else:
         obj.key = known
@@ -111,6 +123,10 @@ class Bimodule:
     ``_tensors`` is the memo of :func:`tensor_over` for this bimodule,
     keyed by the content of the module tensored with it, and ``_flip``
     the memo of :meth:`flip`.
+
+    As for :class:`RightModule`, the laws are checked on a direct call,
+    and proved constructions pass ``validate=False``; the domain
+    certificates of both algebras are built either way.
     """
 
     def __init__(
@@ -120,6 +136,7 @@ class Bimodule:
         left_action: np.ndarray,
         right_action: np.ndarray,
         name: str = "",
+        validate: bool = True,
     ):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
@@ -130,7 +147,11 @@ class Bimodule:
         self.name = name or f"bimodule(dim={self.dim})"
         self._tensors: dict[tuple, TensorResult] = {}
         self._flip: Bimodule | None = None
-        self.validate()
+        if validate:
+            self.validate()
+        elif self.dim:
+            _generators(left_algebra)  # the domain certificates, which validate builds
+            _generators(right_algebra)
 
     def __repr__(self):
         return f"<{self.name}: {self.left_algebra.name} | {self.right_algebra.name}>"
@@ -140,11 +161,13 @@ class Bimodule:
         return self.left_algebra.field
 
     def as_right_module(self, name: str = "") -> RightModule:
-        return RightModule(self.right_algebra, self.right_action, name=name or self.name)
+        """The right action alone.  Proved: it is one law of the bimodule."""
+        return RightModule(self.right_algebra, self.right_action, name=name or self.name, validate=False)
 
     def flip(self) -> "Bimodule":
         """Same space viewed as a bimodule over the opposite algebras,
-        built on the first call and kept."""
+        built on the first call and kept.  Proved: a right action of R is
+        a left action of R^op, and conversely."""
         if self._flip is None:
             self._flip = Bimodule(
                 opposite(self.right_algebra),
@@ -152,6 +175,7 @@ class Bimodule:
                 left_action=self.right_action,
                 right_action=self.left_action,
                 name=f"flip({self.name})",
+                validate=False,
             )
         return self._flip
 
@@ -405,25 +429,31 @@ def _build_weights(m: RightModule) -> _Weights:
 
 
 def zero_module(a: Algebra) -> RightModule:
-    """The zero module of ``a``; one shared object per algebra."""
-    return _memo(a._zero, None, lambda: RightModule(a, np.zeros((a.dim, 0, 0), dtype=np.int64), name="0"))
+    """The zero module of ``a``; one shared object per algebra.  Proved:
+    every law holds on the zero space."""
+    return _memo(a._zero, None, lambda: RightModule(a, np.zeros((a.dim, 0, 0), dtype=np.int64), name="0", validate=False))
 
 
 def regular_module(a: Algebra) -> RightModule:
-    return RightModule(a, a.right_operators, name=f"{a.name} (regular)")
+    """A_A.  Proved: R(x y) == R(x) R(y) is associativity."""
+    return RightModule(a, a.right_operators, name=f"{a.name} (regular)", validate=False)
 
 
 def simple_module(a: Algebra, v: int) -> RightModule:
+    """S_v: e_v acts as 1, all else as 0.  Proved on the domain, where the
+    other basis elements span an ideal (:func:`_radical_generators`)."""
     action = np.zeros((a.dim, 1, 1), dtype=np.int64)
     action[a.idempotent_indices[v], 0, 0] = 1
-    return RightModule(a, action, name=f"S{v + 1}")
+    return RightModule(a, action, name=f"S{v + 1}", validate=False)
 
 
 def _restricted_action(a: Algebra, rows: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """Action of each operator of the ``(k, n, n)`` stack on the span of
     the independent ``rows``, as a ``(k, r, r)`` stack.
 
-    All ``k * r`` images are expressed in the rows by one solve.
+    All ``k * r`` images are expressed in the rows by one solve, which
+    raises unless the span is stable; so a module action on the ambient
+    space gives one on the span, and callers pass ``validate=False``.
     """
     fld = a.field
     k, r = operators.shape[0], rows.shape[0]
@@ -447,10 +477,12 @@ def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.n
     fld = a.field
     ev = a.idempotent_vector(v)
     rows = fld.image_basis(a.left_mult_operator(ev))
+    # proved: e_v A is stable under A_A
     mod = RightModule(
         a,
         _restricted_action(a, rows, a.right_operators),
         name=f"P{v + 1}",
+        validate=False,
     )
     gen = fld.coords_in_rows(rows, ev.reshape(1, -1))
     if gen is None:
@@ -460,7 +492,8 @@ def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.n
 
 
 def injective_module(a: Algebra, v: int) -> RightModule:
-    """I_v = dual of the left module A e_v."""
+    """I_v = dual of the left module A e_v.  Proved: A e_v is a stable span
+    of A under A^op, and :func:`k_dual` is proved."""
     fld = a.field
     ev = a.idempotent_vector(v)
     rows = fld.image_basis(a.right_mult_operator(ev))
@@ -469,6 +502,7 @@ def injective_module(a: Algebra, v: int) -> RightModule:
         aop,
         _restricted_action(aop, rows, a.left_operators),
         name=f"Ae{v + 1} (over op)",
+        validate=False,
     )
     out = k_dual(left_as_op)
     out.name = f"I{v + 1}"
@@ -480,7 +514,8 @@ def projectives(a: Algebra) -> list[RightModule]:
 
 
 def direct_sum(mods: list[RightModule], name: str = "") -> tuple[RightModule, list[int]]:
-    """Block direct sum; returns the module and the block offsets."""
+    """Block direct sum; returns the module and the block offsets.
+    Proved: products act blockwise."""
     if not mods:
         raise ValueError("direct_sum of nothing — pass the algebra's zero module")
     a = mods[0].algebra
@@ -493,15 +528,17 @@ def direct_sum(mods: list[RightModule], name: str = "") -> tuple[RightModule, li
     action = np.zeros((a.dim, total, total), dtype=np.int64)
     for k, m in enumerate(mods):
         action[:, offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = m.action
-    return RightModule(a, action, name=name or "⊕".join(m.name for m in mods)), offsets[:-1]
+    return RightModule(a, action, name=name or "⊕".join(m.name for m in mods), validate=False), offsets[:-1]
 
 
 def submodule_from_rows(m: RightModule, rows: np.ndarray, name: str = "") -> tuple[RightModule, np.ndarray]:
-    """Submodule spanned by the (independent) rows; returns (module, inclusion)."""
+    """Submodule spanned by the (independent) rows; returns (module, inclusion).
+    Proved by the stability solve of :func:`_restricted_action`."""
     sub = RightModule(
         m.algebra,
         _restricted_action(m.algebra, rows, m.action),
         name=name or f"sub({m.name})",
+        validate=False,
     )
     return sub, rows
 
@@ -515,13 +552,17 @@ def sub_bimodule(
     name: str = "",
 ) -> Bimodule:
     """Sub-bimodule spanned by the (independent) rows, restricting the
-    ambient left and right operator stacks."""
+    ambient left and right operator stacks.  Proved when the stacks are
+    commuting actions whose units fix the span, as for eA and Ae: the
+    laws pass to the span, which :func:`_restricted_action` checks is
+    stable."""
     return Bimodule(
         left_algebra,
         right_algebra,
         _restricted_action(left_algebra, rows, left_ops),
         _restricted_action(right_algebra, rows, right_ops),
         name=name,
+        validate=False,
     )
 
 
@@ -596,9 +637,10 @@ def k_dual(m: RightModule) -> RightModule:
     """Dual space as a right module over the opposite algebra.
 
     In the dual bases the double dual is the identity on the nose.
+    Proved: transposing reverses products, as the opposite algebra does.
     """
     action = np.transpose(m.action, (0, 2, 1))
-    return RightModule(opposite(m.algebra), action, name=f"D({m.name})")
+    return RightModule(opposite(m.algebra), action, name=f"D({m.name})", validate=False)
 
 
 @dataclass
@@ -635,6 +677,10 @@ def tensor_over(m: RightModule, w: Bimodule) -> TensorResult:
     its basis is not split.  Memoised on ``w`` by the content of M; the
     shared result is read-only and its module keeps the name of the
     first build.
+
+    The module is proved: the kernel of ``pi`` is the span of all the
+    relations, which the right action of W keeps, so sigma (1 (x) W_i) pi
+    is the action induced on the quotient.
     """
     if m.algebra is not w.left_algebra:
         raise ValueError(
@@ -674,7 +720,7 @@ def _build_tensor(m: RightModule, w: Bimodule) -> TensorResult:
         # applied to the block a of pi, needed at the kept rows only
         ka, kb = np.divmod(keep, w.dim)
         blocks = fld.matmul(w.right_action[:, kb, None, :], pi.reshape(m.dim, w.dim, q)[ka])
-        mod = RightModule(ra, blocks[:, :, 0], name=f"{m.name}⊗{w.name}")
+        mod = RightModule(ra, blocks[:, :, 0], name=f"{m.name}⊗{w.name}", validate=False)
     _freeze(pi, sigma)
     return TensorResult(mod, pi, sigma, m.dim, w.dim)
 
@@ -737,11 +783,12 @@ def nakayama_bimodule(a: Algebra) -> Bimodule:
     """D(A) = Hom_k(A, k) with actions (x f y)(z) = f(y z x).
 
     As a right module this is the dual of the left regular module, so
-    projectives tensor to injectives.
+    projectives tensor to injectives.  Proved: it is the k-dual of the
+    regular bimodule, whose laws are associativity.
     """
     right = np.swapaxes(a.left_operators, 1, 2)
     left = np.swapaxes(a.right_operators, 1, 2)
-    return Bimodule(a, a, left, right, name=f"D({a.name})")
+    return Bimodule(a, a, left, right, name=f"D({a.name})", validate=False)
 
 
 # ----------------------------------------------------------------------

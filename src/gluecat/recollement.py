@@ -182,8 +182,9 @@ class RestrictionFunctor(Functor):
         self.projection = projection
 
     def _restrict_module(self, m: RightModule) -> RightModule:
+        """Proved: the projection is a unital algebra map A ->> B."""
         action = np.einsum("ik,kmn->imn", self.projection, m.action) % self.a.field.p
-        return RightModule(self.a, action, name=f"res({m.name})")
+        return RightModule(self.a, action, name=f"res({m.name})", validate=False)
 
     def _apply(self, x):
         terms = {n: self._restrict_module(x.term(n)) for n in x.degrees()}
@@ -376,9 +377,10 @@ def build_recollement(
     Ae = sub_bimodule(
         a, c, Ae_rows, a.left_operators, a.right_mult_operator(corner_rows), "Ae"
     )
-    # B as a bimodule on both sides of the projection
-    B_ba = Bimodule(b, a, b.left_operators, b.right_mult_operator(projection), name="B (B|A)")
-    B_ab = Bimodule(a, b, b.left_mult_operator(projection), b.right_operators, name="B (A|B)")
+    # B as a bimodule on both sides of the projection; proved, as the
+    # projection is a unital algebra map A ->> B
+    B_ba = Bimodule(b, a, b.left_operators, b.right_mult_operator(projection), name="B (B|A)", validate=False)
+    B_ab = Bimodule(a, b, b.left_mult_operator(projection), b.right_operators, name="B (A|B)", validate=False)
 
     e_in_eA = fld.coords_in_rows(eA_rows, e.reshape(1, -1))[0]
     e_in_Ae = fld.coords_in_rows(Ae_rows, e.reshape(1, -1))[0]

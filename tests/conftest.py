@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gluecat.algebra import Quiver, path_algebra
 from gluecat.field import PrimeField
 
+from oracles import DenseLaws
+
 
 @pytest.fixture(scope="session")
 def gf():
@@ -45,3 +47,15 @@ def alg_a3(gf, q_a3):
 @pytest.fixture(scope="session")
 def alg_kron(gf, q_kron):
     return path_algebra(q_kron, gf)
+
+
+@pytest.fixture
+def dense_laws(monkeypatch):
+    """Records every algebra, module and bimodule the test builds, and
+    after it checks each distinct one against the dense oracles; the
+    library builds the outputs of its proved constructions unchecked.
+    A failure names every object that breaks a law."""
+    laws = DenseLaws().install(monkeypatch)
+    yield laws
+    bad = laws.violations()
+    assert not bad, "objects that break a law:\n" + "\n".join(bad)

@@ -29,8 +29,11 @@ systems, and generators chosen by a greedy rank test per candidate.
 The entry-loop evaluation blocks are the references for the whole-array
 blocks of the four primitive adjunction witnesses.  The dense validators
 (``module_violation_dense``, ``bimodule_violation_dense``,
-``associative_dense``) check every pair or triple of basis elements at
-once: the references for the validators on generators, in blocks.
+``associative_dense``, ``algebra_violation_dense``) check every pair or
+triple of basis elements at once: the references for the validators on
+generators, in blocks.  ``DenseLaws`` records every algebra, module and
+bimodule built during a run and checks each with them, so the outputs
+that the library builds unchecked, as proved, are checked in the tests.
 ``replacement_problems`` checks minimal replacements independently of
 the top blocks the library reads: a complex of projectives is minimal
 when each differential lands in the radical of the next term.  ``is_rref``
@@ -566,6 +569,93 @@ def associative_dense(mul, p):
     left = (flat @ mul.reshape(d, d * d)) % p
     right = np.matmul(flat, mul) % p
     return np.array_equal(left.reshape(d, d, d, d), right.reshape(d, d, d, d))
+
+
+def algebra_violation_dense(a):
+    """The message of the first algebra law that ``a`` breaks, or None:
+    associativity on all triples (:func:`associative_dense`), both unit
+    laws, and the idempotent family orthogonal, idempotent and summing
+    to the unit.  The dense reference for ``Algebra.validate``."""
+    p, d = a.field.p, a.dim
+    mul = np.asarray(a.mul_table, dtype=np.int64) % p
+    if not associative_dense(mul, p):
+        return "associativity fails"
+    eye = np.eye(d, dtype=np.int64)
+    if not np.array_equal(np.einsum("i,ijk->jk", a.unit, mul) % p, eye):
+        return "1 * b != b"
+    if not np.array_equal(np.einsum("j,ijk->ik", a.unit, mul) % p, eye):
+        return "b * 1 != b"
+    idx = list(a.idempotent_indices)
+    for u in idx:
+        for v in idx:
+            if not np.array_equal(mul[u, v], eye[u] if u == v else np.zeros(d, dtype=np.int64)):
+                return "idempotent family not orthogonal"
+    if not np.array_equal(eye[idx].sum(axis=0) % p, np.asarray(a.unit) % p):
+        return "idempotents do not sum to 1"
+    return None
+
+
+class DenseLaws:
+    """Every ``Algebra``, ``RightModule`` and ``Bimodule`` built while
+    installed, one per content, and the laws each breaks under the dense
+    oracles: the check that the constructions building their outputs
+    with ``validate=False`` are owed.
+
+    ``install(monkeypatch)`` wraps the three constructors; ``built``
+    counts the objects by class, and ``violations()`` names each
+    distinct object that breaks a law, with the law.
+    """
+
+    def __init__(self):
+        self.built = {"Algebra": 0, "RightModule": 0, "Bimodule": 0}
+        self._first = {}      # content -> first object built with it
+        self._algebras = {}   # id -> (algebra, content); pinned so ids stay unique
+
+    def _algebra(self, a):
+        hit = self._algebras.get(id(a))
+        if hit is None:
+            content = (a.mul_table.shape, a.mul_table.tobytes(), a.unit.tobytes(), tuple(a.idempotent_indices))
+            hit = self._algebras[id(a)] = (a, content)
+        return hit[1]
+
+    def _content(self, obj):
+        from gluecat.algebra import Algebra
+        from gluecat.modules import RightModule
+
+        if isinstance(obj, Algebra):
+            return ("algebra", self._algebra(obj))
+        if isinstance(obj, RightModule):
+            return ("module", self._algebra(obj.algebra), obj.key)
+        return ("bimodule", self._algebra(obj.left_algebra), self._algebra(obj.right_algebra),
+                obj.left_action.shape, obj.left_action.tobytes(), obj.right_action.tobytes())
+
+    def install(self, monkeypatch):
+        from gluecat.algebra import Algebra
+        from gluecat.modules import Bimodule, RightModule
+
+        for cls in (Algebra, RightModule, Bimodule):
+            def spy(obj, *args, init=cls.__init__, kind=cls.__name__, **kwargs):
+                init(obj, *args, **kwargs)
+                self.built[kind] += 1
+                self._first.setdefault(self._content(obj), obj)
+            monkeypatch.setattr(cls, "__init__", spy)
+        return self
+
+    def violations(self) -> list[str]:
+        from gluecat.algebra import Algebra
+        from gluecat.modules import RightModule
+
+        out = []
+        for obj in self._first.values():
+            if isinstance(obj, Algebra):
+                law = algebra_violation_dense(obj)
+            elif isinstance(obj, RightModule):
+                law = module_violation_dense(obj.algebra, obj.action)
+            else:
+                law = bimodule_violation_dense(obj.left_algebra, obj.right_algebra, obj.left_action, obj.right_action)
+            if law:
+                out.append(f"{type(obj).__name__} {obj.name}: {law}")
+        return out
 
 
 def restricted_action_loop(fld, rows, operator, k):
@@ -1130,9 +1220,10 @@ def k_dual_hom(f: np.ndarray) -> np.ndarray:
 
 
 def regular_bimodule(a):
+    """A as an A-A bimodule.  Proved: its laws are associativity."""
     from gluecat.modules import Bimodule
 
-    return Bimodule(a, a, a.left_operators, a.right_operators, name=f"{a.name} (bimodule)")
+    return Bimodule(a, a, a.left_operators, a.right_operators, name=f"{a.name} (bimodule)", validate=False)
 
 
 def nakayama_supertrace(p, tensors, c) -> int:

@@ -23,6 +23,11 @@ functors on the first menu object of its source category, and one
 functor per source category (T on A, S on B, U on C) on every menu
 object, which reaches every kind of menu object.
 
+The fixture verify runs and both ``apply`` slices run under the
+``dense_laws`` fixture: every algebra, module and bimodule they build,
+also those the library builds unchecked as proved, must pass the dense
+oracles.
+
 The ``verify`` report of the frontier scenario K3 (three arrows 1→2,
 p = 32003, all three diagrams) is pinned in ``tests/test_scripts.py``.
 """
@@ -44,7 +49,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("name", ["F1", "F2", "F3"])
-def test_verify_report_matches_golden_digest(tmp_path, capsys, name):
+def test_verify_report_matches_golden_digest(tmp_path, capsys, dense_laws, name):
     scenario = json.loads((PERFBENCH / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
     scenario["seed"] = 17
     scenario_path = tmp_path / f"{name}.json"
@@ -105,7 +110,7 @@ FUNCTOR_NAMES = ("i_*", "i^*", "i^!", "j_!", "j^*", "j_*", "T", "T~",
 
 
 @pytest.mark.parametrize("name", ["F2", "A4-e4", "D4-centre"])
-def test_apply_matches_golden_on_the_first_menu_object(capsys, name):
+def test_apply_matches_golden_on_the_first_menu_object(capsys, dense_laws, name):
     path = PERFBENCH / "scenarios" / f"{name}.json"
     golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["apply-cold"][name]
     rec, _ = _build_workbench(load_scenario(str(path)))
@@ -118,7 +123,7 @@ def test_apply_matches_golden_on_the_first_menu_object(capsys, name):
 
 
 @pytest.mark.parametrize("name", ["F2", "A4-e4", "D4-centre"])
-def test_apply_matches_golden_on_every_menu_object(capsys, name):
+def test_apply_matches_golden_on_every_menu_object(capsys, dense_laws, name):
     path = PERFBENCH / "scenarios" / f"{name}.json"
     golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["apply-cold"][name]
     rec, _ = _build_workbench(load_scenario(str(path)))

@@ -6,7 +6,8 @@ case exits 0 and its report is pinned by SHA-256.  The orientation
 2→1, 3→2 with e = {1} is the one where a map out of i_*(B:cone), a plain
 complex equal to a replacement, once reached a lift.  Derived Hom on the
 projectives and simples of A, B and C agrees with the resolution oracle
-``ext_dims``.
+``ext_dims``.  Every algebra, module and bimodule a case builds passes
+the dense oracles (the ``dense_laws`` fixture).
 """
 
 import hashlib
@@ -58,7 +59,7 @@ def test_the_slice_is_every_a3_case_of_the_sweep():
 
 
 @pytest.mark.parametrize("name", sorted(A3_REPORTS))
-def test_a3_case_passes_with_its_report(tmp_path, capsys, name):
+def test_a3_case_passes_with_its_report(tmp_path, capsys, dense_laws, name):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(A3_CASES[name]), encoding="utf-8")
     report = tmp_path / "report.json"

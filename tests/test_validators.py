@@ -4,7 +4,10 @@ The checks of ``Algebra``, ``RightModule`` and ``Bimodule`` run as whole
 array comparisons; these inputs break exactly one law each, so every
 check is seen to fire with its own message.  Modules, complexes and
 chain maps validate once per content per algebra, so their malformed
-inputs are built twice: a failure must never be recorded.
+inputs are built twice: a failure must never be recorded.  A module
+built by a proved construction (``validate=False``) is filed unchecked
+and shares its key with later equal content; a proved module or
+bimodule still rejects an algebra outside the domain.
 """
 
 import re
@@ -15,7 +18,17 @@ import pytest
 from gluecat.algebra import Algebra, Quiver, opposite, path_algebra
 from gluecat.complexes import BoundedComplex, ChainMap
 from gluecat.field import PrimeField
-from gluecat.modules import Bimodule, RightModule, simple_module
+from gluecat.modules import (
+    Bimodule,
+    RightModule,
+    direct_sum,
+    nakayama_bimodule,
+    projectives,
+    regular_module,
+    simple_module,
+)
+
+from test_generator_validation import _two_element
 
 FLD = PrimeField(32003)
 
@@ -117,6 +130,13 @@ def test_module_rejects_malformed_action_on_every_construction():
     assert not a._valid
 
 
+def _simple_action(a, v):
+    """The action of S_v as raw content: e_v acts as 1, all else as 0."""
+    act = np.zeros((a.dim, 1, 1), dtype=np.int64)
+    act[a.idempotent_indices[v], 0, 0] = 1
+    return act
+
+
 def test_module_content_is_checked_once_per_algebra(monkeypatch):
     import gluecat.modules as modules
 
@@ -124,14 +144,48 @@ def test_module_content_is_checked_once_per_algebra(monkeypatch):
     check = modules._action_laws
     monkeypatch.setattr(modules, "_action_laws", lambda *args: calls.append(args) or check(*args))
     a = _a2()
-    s1 = simple_module(a, 0)
+    s1 = RightModule(a, _simple_action(a, 0), name="S1")
     again = RightModule(a, s1.action.copy(), name="again")
     assert len(calls) == 1
     assert again.key is s1.key
-    simple_module(a, 1)
+    RightModule(a, _simple_action(a, 1), name="S2")
     assert len(calls) == 2
-    simple_module(_a2(), 0)
+    b = _a2()
+    RightModule(b, _simple_action(b, 0), name="S1")
     assert len(calls) == 3
+
+
+def test_a_proved_module_is_filed_unchecked_and_shares_its_key(monkeypatch):
+    import gluecat.modules as modules
+
+    calls = []
+    check = modules._action_laws
+    monkeypatch.setattr(modules, "_action_laws", lambda *args: calls.append(args) or check(*args))
+    a = _a2()
+    m, _ = direct_sum(projectives(a))
+    assert not calls
+    again = RightModule(a, m.action.copy(), name="again")
+    assert again.key is m.key
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [regular_module, lambda a: simple_module(a, 0), lambda a: projectives(a)[0], nakayama_bimodule],
+    ids=["regular", "simple", "projective", "Nakayama bimodule"],
+)
+def test_a_proved_object_over_an_algebra_outside_the_domain_is_rejected(build):
+    for a in (_two_element(FLD, False, "dual numbers"), _two_cycle()):
+        with pytest.raises(ValueError, match=re.escape(f"{a.name}: outside the domain")):
+            build(a)
+
+
+def _two_cycle():
+    """e1, e2, a: 1 -> 2, b: 2 -> 1 with ab == ba == 0."""
+    mul = np.zeros((4, 4, 4), dtype=np.int64)
+    mul[0, 0, 0] = mul[1, 1, 1] = 1
+    mul[1, 2, 2] = mul[2, 0, 2] = mul[0, 3, 3] = mul[3, 1, 3] = 1
+    return Algebra(FLD, ["e1", "e2", "a", "b"], mul, [1, 1, 0, 0], [0, 1], name="two-cycle")
 
 
 # ----------------------------------------------------------------------
