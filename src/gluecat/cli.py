@@ -3,6 +3,10 @@
     gluecat verify <scenario.json> [--report out.json] [--quiet]
     gluecat apply <scenario.json> <functor> <object>
 
+Each report cell has the verdict pass, fail or not-certified; the
+summary counts not-certified cells as inconclusive (README, "Report
+cells", lists every axiom code, note and certificate status).
+
 Exit codes:
 
     0  every cell passed
@@ -11,7 +15,8 @@ Exit codes:
        search found nothing, or a check ran out of memory (MemoryError)
     3  invalid scenario: composite characteristic, a characteristic
        p >= 2^16, cyclic quiver, e at every vertex, non-stratifying
-       idempotent, resolution cap exceeded, unknown functor or object
+       idempotent, resolution cap exceeded, a repeated variant or menu
+       name, unknown functor or object
     4  unexpected error (a bug, or a fault such as an unwritable report
        path); stderr then carries one JSON line {"error": type, "message": text}
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .algebra import (
     CyclicQuiverError,
@@ -143,24 +149,23 @@ def _functor_expr(rec, name: str) -> FunctorExpr:
     raise ScenarioError(f"unknown functor {name!r}")
 
 
-def _report_payload(scn: Scenario, reports):
-    cells = []
+def _tally(reports) -> dict[str, int]:
+    """The verdicts of the cells of ``reports``; a not-certified cell is
+    inconclusive."""
+    counts = Counter()
     for rep in reports:
-        cells.extend(c.to_dict() for c in rep.sorted_cells())
+        counts.update(rep.counts())
+    return {"pass": counts["pass"], "fail": counts["fail"], "inconclusive": counts["not-certified"]}
+
+
+def _report_payload(scn: Scenario, reports):
+    cells = [c.to_dict() for rep in reports for c in rep.sorted_cells()]
     cells.sort(key=lambda c: (c["diagram"], c["axiom"], c["objects"], c["note"]))
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for c in cells:
-        if c["verdict"] == "pass":
-            counts["pass"] += 1
-        elif c["verdict"] == "fail":
-            counts["fail"] += 1
-        else:
-            counts["inconclusive"] += 1
     return {
         "scenario": scn.raw,
         "cells": cells,
         "coverage": {rep.diagram: rep.coverage for rep in reports},
-        "summary": counts,
+        "summary": _tally(reports),
     }
 
 
@@ -182,10 +187,10 @@ def cmd_verify(args) -> int:
     counts = payload["summary"]
     if not args.quiet:
         for rep in reports:
-            c = rep.counts()
+            c = _tally([rep])
             print(
                 f"{rep.diagram}: pass={c['pass']} fail={c['fail']} "
-                f"inconclusive={c['not-certified']}"
+                f"inconclusive={c['inconclusive']}"
             )
     if counts["fail"]:
         verdict, code = "FAIL", EXIT_FAIL
@@ -220,7 +225,7 @@ def cmd_apply(args) -> int:
     return EXIT_PASS
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gluecat",
         description="Build and machine-verify recollements of bounded derived "
@@ -239,8 +244,15 @@ def main(argv=None) -> int:
     p_apply.add_argument("functor")
     p_apply.add_argument("object")
     p_apply.set_defaults(func=cmd_apply)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once, at import: ``main`` may run many times in one process
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

@@ -969,26 +969,6 @@ class Cell:
         return out
 
 
-@contextmanager
-def _cell_guard(cells: list[Cell], diagram: str, axiom: str, objects: str, expected, note: str):
-    """Run the checks of one cell; an exception in them becomes a cell
-    that names the exception type and message.
-
-    A ``MemoryError`` says nothing about the mathematics, so its cell is
-    inconclusive ("not-certified"); any other exception fails the cell.
-    """
-    try:
-        yield
-    except MemoryError as exc:
-        cells.append(
-            Cell(axiom, diagram, objects, expected, f"error: MemoryError: {exc}", "not-certified", note)
-        )
-    except Exception as exc:
-        cells.append(
-            Cell(axiom, diagram, objects, expected, f"error: {type(exc).__name__}: {exc}", "fail", note)
-        )
-
-
 def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
@@ -1015,13 +995,70 @@ class VerificationReport:
         return out
 
 
+class _Cells:
+    """The cells of one report, each made by the ``record`` of a check.
+
+    A check opens :meth:`check` with its axiom, objects, expected value
+    and note; its body records only what it measured,
+    ``record(actual, verdict, certificate=...)``, passing ``expected`` or
+    ``note`` where its cell says more than the opening did.  An exception
+    in the body becomes the cell of the opening, naming the exception
+    type and message: a ``MemoryError`` says nothing about the
+    mathematics, so that cell is inconclusive ("not-certified"); any
+    other exception fails it.
+    """
+
+    def __init__(self, diagram: str):
+        self.diagram = diagram
+        self.cells: list[Cell] = []
+
+    @contextmanager
+    def check(self, axiom: str, objects: str, expected, note: str = ""):
+        def record(actual, verdict: str, certificate=None, expected=expected, note=note):
+            cell = Cell(axiom, self.diagram, objects, expected, actual, verdict, note, certificate)
+            self.cells.append(cell)
+
+        try:
+            yield record
+        except MemoryError as exc:
+            record(f"error: MemoryError: {exc}", "not-certified")
+        except Exception as exc:
+            record(f"error: {type(exc).__name__}: {exc}", "fail")
+
+    def report(self, coverage: dict) -> VerificationReport:
+        return VerificationReport(self.diagram, self.cells, coverage)
+
+    def vacuous(self, axiom: str) -> VerificationReport:
+        """The report of a suite run on an empty menu: one passing cell."""
+        with self.check(axiom, "(empty menu)", {}, "vacuous: empty test menu") as record:
+            record({}, "pass")
+        return self.report({"warning": "empty menu"})
+
+
 # ----------------------------------------------------------------------
 # the axiom verifier
 # ----------------------------------------------------------------------
 
 
-def _window_dims(dims: dict[int, int], window: range) -> dict[int, int]:
-    return {n: dims.get(n, 0) for n in window if dims.get(n, 0)}
+def _window_dims(dims: dict[int, int], window: range, sign: int = 1) -> dict[int, int]:
+    """The nonzero ``dims`` at each degree n of ``window``, read at
+    ``sign * n``: with sign -1 the dimensions are mirrored."""
+    return {n: dims.get(sign * n, 0) for n in window if dims.get(sign * n, 0)}
+
+
+def _unwitnessed(pair: AdjointPair, record, expected, note: str = "") -> bool:
+    """Whether ``pair`` has no adjunction witness; its check then records
+    that it cannot certify anything."""
+    if pair.provider is None:
+        record("no adjunction witness", "not-certified", expected=expected, note=note)
+    return pair.provider is None
+
+
+def _certify_map(ctx: DerivedContext, record, mor: Mor):
+    """Record whether ``mor`` is a derived isomorphism, by its cone."""
+    cert = ctx.certificate_for_map(mor.map)
+    verdict = "pass" if cert.certified else "fail"
+    record({"cone_homology": cert.cone_homology}, verdict, certificate=cert.status)
 
 
 def verify_axioms(
@@ -1039,20 +1076,14 @@ def verify_axioms(
     """
     rec = diagram.rec
     ctx = rec.ctx
-    cells: list[Cell] = []
+    cells = _Cells(diagram.label)
 
     menu_a = menus["A"]
     menu_s = menus[diagram.s_tag]
     menu_u = menus[diagram.u_tag]
-    window = rec.degree_window(menu_a + menu_s + menu_u)
-
-    guard = functools.partial(_cell_guard, cells, diagram.label)
-
     if not (menu_a and menu_s and menu_u):
-        cells.append(
-            Cell("R1.1", diagram.label, "(empty menu)", {}, {}, "pass", "vacuous: empty test menu")
-        )
-        return VerificationReport(diagram.label, cells, {"warning": "empty menu"})
+        return cells.vacuous("R1.1")
+    window = rec.degree_window(menu_a + menu_s + menu_u)
 
     # ---- R1.1: adjunction dimension equalities -------------------------
     pair_tests = {
@@ -1068,22 +1099,10 @@ def verify_axioms(
         for xn, x in xs:
             for yn, y in ys:
                 objects = f"{pair.label} x={xn} y={yn}"
-                with guard("R1.1", objects, "equal derived Hom dimensions", "dims"):
-                    lhs = ctx.derived_hom_dims(pair.F.apply(x), y)
-                    rhs = ctx.derived_hom_dims(x, pair.G.apply(y))
-                    ok = _window_dims(lhs, window) == _window_dims(rhs, window)
-                    verdict = "pass" if ok else "fail"
-                    cells.append(
-                        Cell(
-                            "R1.1",
-                            diagram.label,
-                            objects,
-                            _window_dims(rhs, window),
-                            _window_dims(lhs, window),
-                            verdict,
-                            "dims",
-                        )
-                    )
+                with cells.check("R1.1", objects, "equal derived Hom dimensions", "dims") as record:
+                    lhs = _window_dims(ctx.derived_hom_dims(pair.F.apply(x), y), window)
+                    rhs = _window_dims(ctx.derived_hom_dims(x, pair.G.apply(y)), window)
+                    record(lhs, "pass" if lhs == rhs else "fail", expected=rhs)
                     scored.append((lhs.get(0, 0) > 0, xn, x, yn, y))
         if pair.provider is None:
             continue
@@ -1091,42 +1110,23 @@ def verify_axioms(
         scored.sort(key=lambda t: (not t[0], t[1], t[3]))
         for (_, xn, x, yn, y) in scored[:matrix_pairs]:
             objects = f"{pair.label} x={xn} y={yn}"
-            with guard("R1.1", objects, "invertible adjunction matrix", "matrix"):
+            with cells.check("R1.1", objects, "invertible adjunction matrix", "matrix") as record:
                 fwd = pair.provider.forward_matrix(x, y)
                 bwd = pair.provider.backward_matrix(x, y)
                 fld = x.field
                 sq = fwd.shape[0] == fwd.shape[1] == bwd.shape[0]
-                inv_ok = sq and np.array_equal(
+                ok = sq and np.array_equal(
                     fld.matmul(fwd, bwd), fld.identity(fwd.shape[0])
                 ) and np.array_equal(fld.matmul(bwd, fwd), fld.identity(fwd.shape[0]))
-                cells.append(
-                    Cell(
-                        "R1.1",
-                        diagram.label,
-                        objects,
-                        "invertible adjunction matrix",
-                        f"dims {fwd.shape}, mutually inverse: {inv_ok}",
-                        "pass" if inv_ok else "fail",
-                        "matrix",
-                    )
-                )
+                record(f"dims {fwd.shape}, mutually inverse: {ok}", "pass" if ok else "fail")
         # naturality squares on the first sampled pair
         if scored:
             _, xn, x, yn, y = scored[0]
             objects = f"{pair.label} x={xn} y={yn}"
-            with guard("R1.1", objects, "commuting naturality squares", "naturality"):
+            squares = "commuting naturality squares"
+            with cells.check("R1.1", objects, squares, "naturality") as record:
                 ok, note = _check_naturality(ctx, pair, xs, ys, x, y)
-                cells.append(
-                    Cell(
-                        "R1.1",
-                        diagram.label,
-                        objects,
-                        "commuting naturality squares",
-                        note,
-                        "pass" if ok else "fail",
-                        "naturality",
-                    )
-                )
+                record(note, "pass" if ok else "fail")
 
     # ---- R1.2: vanishing composites ------------------------------------
     vanishing = [("R1.2", f"quot∘emb {yn}", (diagram.emb, diagram.quot), y) for yn, y in menu_s]
@@ -1134,9 +1134,9 @@ def verify_axioms(
         vanishing.append(("R1.2c1", f"emb_left∘quot_left {nn}", (diagram.quot_left, diagram.emb_left), n))
         vanishing.append(("R1.2c2", f"emb_right∘quot_right {nn}", (diagram.quot_right, diagram.emb_right), n))
     for axiom, objects, (first, second), obj in vanishing:
-        with guard(axiom, objects, {}, ""):
+        with cells.check(axiom, objects, {}) as record:
             hd = homology_dims(second.apply(first.apply(obj)))
-            cells.append(Cell(axiom, diagram.label, objects, {}, hd, "pass" if hd == {} else "fail"))
+            record(hd, "pass" if hd == {} else "fail")
 
     # ---- R1.3: fully faithful embeddings --------------------------------
     r13 = [
@@ -1145,29 +1145,10 @@ def verify_axioms(
         ("quot_right", diagram.pairs["P4"], "counit", menu_u),
     ]
     for label, pair, kind, menu in r13:
-        if pair.provider is None:
-            for on, o in menu:
-                cells.append(
-                    Cell("R1.3", diagram.label, f"{label} at {on}", "derived iso", "no adjunction witness", "not-certified")
-                )
-            continue
         for on, o in menu:
-            with guard("R1.3", f"{label} at {on}", "derived iso", kind):
-                mor = pair.provider.counit(o) if kind == "counit" else pair.provider.unit(o)
-                cert = ctx.certificate_for_map(mor.map)
-                verdict = "pass" if cert.certified else "fail"
-                cells.append(
-                    Cell(
-                        "R1.3",
-                        diagram.label,
-                        f"{label} at {on}",
-                        "derived iso",
-                        {"cone_homology": cert.cone_homology},
-                        verdict,
-                        kind,
-                        certificate=cert.status,
-                    )
-                )
+            with cells.check("R1.3", f"{label} at {on}", "derived iso", kind) as record:
+                if not _unwitnessed(pair, record, "derived iso"):
+                    _certify_map(ctx, record, getattr(pair.provider, kind)(o))
 
     # ---- R1.4: the two gluing triangles ---------------------------------
     tri = [
@@ -1175,44 +1156,19 @@ def verify_axioms(
         ("R1.4b", diagram.pairs["P3"], diagram.emb, diagram.emb_left),
     ]
     for axiom, pair, outerF, outerG in tri:
-        if pair.provider is None:
-            for xn, x in menu_a:
-                cells.append(
-                    Cell(axiom, diagram.label, f"X={xn}", "cone matches third vertex", "no adjunction witness", "not-certified")
-                )
-            continue
         for xn, x in menu_a:
-            with guard(axiom, f"X={xn}", "triangle", "cone vs third vertex"):
+            with cells.check(axiom, f"X={xn}", "triangle", "cone vs third vertex") as record:
+                if _unwitnessed(pair, record, "cone matches third vertex"):
+                    continue
                 eps = pair.provider.counit(x)
                 third = outerF.apply(outerG.apply(x))
                 cone_cx = cone(eps.map)
                 h_cone, h_third = homology_dims(cone_cx), homology_dims(third)
                 if h_cone != h_third:
-                    cells.append(
-                        Cell(
-                            axiom,
-                            diagram.label,
-                            f"X={xn}",
-                            h_third,
-                            h_cone,
-                            "fail",
-                            "cone homology mismatch",
-                        )
-                    )
+                    record(h_cone, "fail", expected=h_third, note="cone homology mismatch")
                     continue
                 cert = ctx.derived_iso_certificate(cone_cx, third, seed=seed, attempts=attempts)
-                cells.append(
-                    Cell(
-                        axiom,
-                        diagram.label,
-                        f"X={xn}",
-                        h_third,
-                        h_cone,
-                        cert.verdict,
-                        "cone vs third vertex",
-                        certificate=cert.status,
-                    )
-                )
+                record(h_cone, cert.verdict, expected=h_third, certificate=cert.status)
 
     # ---- kernels match essential images ---------------------------------
     # objects killed by emb_left lie in the essential image of quot_left,
@@ -1224,28 +1180,11 @@ def verify_axioms(
     ]
     for killer, pair, note in essim_checks:
         for xn, x in menu_a:
-            with guard("EssIm", f"X={xn}", "counit is a derived iso", note):
+            with cells.check("EssIm", f"X={xn}", "counit is a derived iso", note) as record:
                 if homology_dims(killer.apply(x)) != {}:
                     continue
-                if pair.provider is None:
-                    cells.append(
-                        Cell("EssIm", diagram.label, f"X={xn}", "counit iso", "no adjunction witness", "not-certified", note)
-                    )
-                    continue
-                eps = pair.provider.counit(x)
-                cert = ctx.certificate_for_map(eps.map)
-                cells.append(
-                    Cell(
-                        "EssIm",
-                        diagram.label,
-                        f"X={xn}",
-                        "counit is a derived iso",
-                        {"cone_homology": cert.cone_homology},
-                        "pass" if cert.certified else "fail",
-                        note,
-                        certificate=cert.status,
-                    )
-                )
+                if not _unwitnessed(pair, record, "counit iso", note):
+                    _certify_map(ctx, record, pair.provider.counit(x))
 
     coverage = {
         "menus": {
@@ -1257,7 +1196,7 @@ def verify_axioms(
         "matrix_pairs_per_adjunction": matrix_pairs,
         "scope": "finite test menus; no universal claim",
     }
-    return VerificationReport(diagram.label, cells, coverage)
+    return cells.report(coverage)
 
 
 def _check_naturality(ctx, pair: AdjointPair, xs, ys, x, y):

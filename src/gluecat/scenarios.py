@@ -62,6 +62,14 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _distinct(names: list[str], what: str) -> list[str]:
+    """``names`` if none repeats: a repeated name would run its checks twice."""
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ScenarioError(f"{what} names repeat: {repeated}")
+    return names
+
+
 def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("malformed scenario: not a JSON object")
@@ -102,9 +110,12 @@ def parse_scenario(data: dict) -> Scenario:
     for v in variants:
         if v not in ("original", "upper", "lower"):
             raise ScenarioError(f"unknown variant {v!r}")
+    _distinct(variants, "variants")
     menu = data.get("menu", "default")
     if menu != "default" and not (isinstance(menu, list) and all(isinstance(m, str) for m in menu)):
         raise ScenarioError('menu must be "default" or a list of object names')
+    if menu != "default":
+        _distinct(menu, "menu")
     return Scenario(
         p=p,
         vertices=n,

@@ -17,7 +17,6 @@ one exact GF(p) product per degree.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,18 @@ from .complexes import (
     Mor,
     compose_maps,
     homology_dims,
+    stalk_complex,
 )
-from .modules import TensorResult, nakayama_bimodule, projective_module
+from .modules import TensorResult, nakayama_bimodule, projective_module, projectives
 from .recollement import (
     AdjunctionProvider,
-    Cell,
     DerivedTensorFunctor,
     DualDerivedTensorFunctor,
     FunctorExpr,
     Recollement,
     VerificationReport,
-    _cell_guard,
+    _Cells,
+    _window_dims,
     primitive_adjunctions,
 )
 
@@ -320,15 +320,6 @@ def serre_left_pairing(
 # ----------------------------------------------------------------------
 
 
-def _serre_dim_check(dims_f, dims_g, window, mirrored: bool) -> bool:
-    for n in window:
-        lhs = dims_f.get(n, 0)
-        rhs = dims_g.get(-n, 0) if mirrored else dims_g.get(n, 0)
-        if lhs != rhs:
-            return False
-    return True
-
-
 def serre_axiom_check(
     sd: SerreData,
     which: str,
@@ -344,69 +335,56 @@ def serre_axiom_check(
     """
     rec, ctx = sd.rec, sd.ctx
     f_name, ft_name = SERRE_FUNCTORS[_CATEGORY_OF[which]]
-    cells: list[Cell] = []
-    label = f"serre-{which}"
+    cells = _Cells(f"serre-{which}")
     if not menu:
-        return VerificationReport(
-            label,
-            [Cell("S.a", label, "(empty menu)", {}, {}, "pass", "vacuous: empty test menu")],
-            {"warning": "empty menu"},
-        )
+        return cells.vacuous("S.a")
     window = rec.degree_window(menu)
 
     pair_list = [(xn, x, yn, y) for xn, x in menu for yn, y in menu]
     gram_budget = len(pair_list) if pairing_pairs is None else pairing_pairs
     gram_done = 0
 
-    guard = functools.partial(_cell_guard, cells, label)
+    # each row compares dim Hom(x, y) in each degree n of the window with
+    # the dimension of Hom(*other(x, y)) in degree sign * n
+    dim_rows = [
+        ("S.a", "mirrored dimensions", "dim Hom(x,y) vs Hom(y,Fx)", -1,
+         lambda x, y: (y, sd.serre_apply(f_name, x))),
+        ("S.b", "mirrored dimensions", "dim Hom(x,y) vs Hom(F~y,x)", -1,
+         lambda x, y: (sd.serre_apply(ft_name, y), x)),
+        ("S.c", "equal dimensions", "fully faithful at dimension level", 1,
+         lambda x, y: (sd.serre_apply(f_name, x), sd.serre_apply(f_name, y))),
+    ]
     for xn, x, yn, y in pair_list:
         objects = f"x={xn} y={yn}"
-        ok_a = False
-        note = "dim Hom(x,y) vs Hom(y,Fx)"
-        with guard("S.a", objects, "mirrored dimensions", note):
-            dims_xy = ctx.derived_hom_dims(x, y)
-            dims_y_fx = ctx.derived_hom_dims(y, sd.serre_apply(f_name, x))
-            ok_a = _serre_dim_check(dims_xy, dims_y_fx, window, mirrored=True)
-            cells.append(Cell("S.a", label, objects, dims_xy, dims_y_fx, "pass" if ok_a else "fail", note))
-        note = "dim Hom(x,y) vs Hom(F~y,x)"
-        with guard("S.b", objects, "mirrored dimensions", note):
-            dims_xy = ctx.derived_hom_dims(x, y)
-            dims_fty_x = ctx.derived_hom_dims(sd.serre_apply(ft_name, y), x)
-            ok_b = _serre_dim_check(dims_xy, dims_fty_x, window, mirrored=True)
-            cells.append(Cell("S.b", label, objects, dims_xy, dims_fty_x, "pass" if ok_b else "fail", note))
-        note = "fully faithful at dimension level"
-        with guard("S.c", objects, "equal dimensions", note):
-            dims_xy = ctx.derived_hom_dims(x, y)
-            dims_ff = ctx.derived_hom_dims(sd.serre_apply(f_name, x), sd.serre_apply(f_name, y))
-            ok_c = _serre_dim_check(dims_xy, dims_ff, window, mirrored=False)
-            cells.append(Cell("S.c", label, objects, dims_xy, dims_ff, "pass" if ok_c else "fail", note))
-        if ok_a and gram_done < gram_budget:
+        ok = {}
+        for axiom, expected, note, sign, other in dim_rows:
+            with cells.check(axiom, objects, expected, note) as record:
+                dims_xy = ctx.derived_hom_dims(x, y)
+                dims = ctx.derived_hom_dims(*other(x, y))
+                ok[axiom] = _window_dims(dims_xy, window) == _window_dims(dims, window, sign)
+                record(dims, "pass" if ok[axiom] else "fail", expected=dims_xy)
+        if ok.get("S.a") and gram_done < gram_budget:
             gram_done += 1
-            with guard("S.gram", objects, "invertible Gram matrices", "right+left pairings"):
+            expected, note = "invertible Gram matrices", "right+left pairings"
+            with cells.check("S.gram", objects, expected, note) as record:
                 try:
                     wit = serre_pairing(sd, f_name, x, y, xn, yn)
                     wit_l = serre_left_pairing(sd, ft_name, x, y, xn, yn)
-                    cells.append(
-                        Cell("S.gram", label, objects, "invertible Gram matrices", f"dims {wit.dim}/{wit_l.dim}", "pass", "right+left pairings")
-                    )
+                    record(f"dims {wit.dim}/{wit_l.dim}", "pass")
                 except SingularPairingError as exc:
-                    cells.append(
-                        Cell("S.gram", label, objects, "invertible Gram matrices", str(exc), "fail")
-                    )
+                    record(str(exc), "fail", note="")
 
     autoeq = [(f_name, ft_name, "F~Fx", 0), (ft_name, f_name, "FF~x", 1)]
     for xn, x in menu:
         for first, second, shown, offset in autoeq:
             objects = f"{shown} vs x at {xn}"
-            with guard("S.autoeq", objects, "derived iso", "quasi-inverse"):
+            with cells.check("S.autoeq", objects, "derived iso", "quasi-inverse") as record:
                 fx = sd.serre_apply(second, sd.serre_apply(first, x))
                 cert = ctx.derived_iso_certificate(fx, x, seed=seed + offset, attempts=attempts)
-                cells.append(
-                    Cell("S.autoeq", label, objects, homology_dims(x), homology_dims(fx), cert.verdict, "quasi-inverse", certificate=cert.status)
-                )
+                hx, hfx = homology_dims(x), homology_dims(fx)
+                record(hfx, cert.verdict, expected=hx, certificate=cert.status)
 
-    coverage = {"menu": [n for n, _ in menu], "window": [window.start, window.stop - 1]}
-    return VerificationReport(label, cells, coverage)
+    return cells.report({"menu": [n for n, _ in menu], "window": [window.start, window.stop - 1]})
 
 
 def intrinsic_nakayama_crosscheck(
@@ -414,31 +392,18 @@ def intrinsic_nakayama_crosscheck(
 ) -> VerificationReport:
     """Induced Serre functor vs the intrinsic Nakayama functor of the
     outer algebra, certified on every indecomposable projective stalk."""
-    from gluecat.complexes import stalk_complex  # local to avoid cycle noise
-    from gluecat.modules import projectives
-
     rec, ctx = sd.rec, sd.ctx
     tag = _CATEGORY_OF[which]
     alg = rec.algebra_of(tag)
     intrinsic = DerivedTensorFunctor(ctx, nakayama_bimodule(alg), f"nak({tag})", tag, tag)
-    cells = []
-    label = f"serre-{which}-nakayama"
+    cells = _Cells(f"serre-{which}-nakayama")
     for v, p in enumerate(projectives(alg)):
-        with _cell_guard(cells, label, "S.nakayama", f"P{v + 1}", "derived iso", "induced vs intrinsic"):
+        note = "induced vs intrinsic"
+        with cells.check("S.nakayama", f"P{v + 1}", "derived iso", note) as record:
             x = stalk_complex(p, name=f"{tag}:P{v + 1}")
             lhs = sd.serre_apply(which, x)
             rhs = intrinsic.apply(x)
             cert = ctx.derived_iso_certificate(lhs, rhs, seed=seed + v, attempts=attempts)
-            cells.append(
-                Cell(
-                    "S.nakayama",
-                    label,
-                    f"P{v + 1}",
-                    homology_dims(rhs),
-                    homology_dims(lhs),
-                    cert.verdict,
-                    "induced vs intrinsic",
-                    certificate=cert.status,
-                )
-            )
-    return VerificationReport(label, cells, {"projectives": alg.n_idempotents})
+            hrhs, hlhs = homology_dims(rhs), homology_dims(lhs)
+            record(hlhs, cert.verdict, expected=hrhs, certificate=cert.status)
+    return cells.report({"projectives": alg.n_idempotents})

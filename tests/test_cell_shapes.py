@@ -13,6 +13,7 @@ Every report is built once, in the module-scoped ``reports`` fixture.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +176,15 @@ def test_the_pinned_reports_hold_the_shapes(reports):
     assert [(c.actual, c.verdict, c.note) for c in gram] == [
         ("induced S-pairing is degenerate", "fail", "")
     ]
+
+
+def test_readme_documents_every_axiom_and_note(reports):
+    # together the pinned reports reach every axiom code of the three
+    # suites and every note a cell can carry
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Report cells", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| ")}
+    for rep in reports.values():
+        for c in rep.cells:
+            assert c.axiom in rows, c.axiom
+            assert f"`{c.note}`" in section or (c.note == "" and '`""`' in section), c.note

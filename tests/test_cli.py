@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -293,6 +294,39 @@ def test_verify_malformed_scenario_exits_three(tmp_path, f1_data, capsys, case):
     scn = _write_scenario(tmp_path, data)
     assert main(["verify", scn, "--report", str(tmp_path / "r.json"), "--quiet"]) == 3
     assert "invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, names", [("variants", ["original", "upper", "original"]), ("menu", ["P1", "S1", "P1"])]
+)
+def test_verify_repeated_names_exit_three(tmp_path, f1_data, capsys, key, names):
+    # a repeated variant or menu name would run its cells twice and
+    # count them twice in the summary
+    data = dict(f1_data, **{key: names})
+    with pytest.raises(ScenarioError, match="repeat"):
+        parse_scenario(data)
+    scn = _write_scenario(tmp_path, data)
+    report = tmp_path / "r.json"
+    report.write_bytes(b"an earlier report\n")
+    assert main(["verify", scn, "--report", str(report), "--quiet"]) == 3
+    assert "invalid scenario" in capsys.readouterr().err
+    assert report.read_bytes() == b"an earlier report\n"
+
+
+def test_main_builds_no_parser_per_call(tmp_path, f1_data, monkeypatch, capsys):
+    # the parser is built once, at import: apply runs main many times
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    scn = _write_scenario(tmp_path, f1_data)
+    assert main(["apply", scn, "T", "P1"]) == 0
+    assert main(["apply", scn, "j^*", "P1"]) == 0
+    assert built == []
 
 
 def test_parse_accepts_the_bounds_of_each_integer_field(f1_data):

@@ -1,6 +1,6 @@
 """Package surface: every exported name exists, and every top-level
 function and class of the library, and every method of such a class, is
-used outside the tests."""
+used outside the tests, and report cells are made in one place."""
 
 import ast
 import importlib
@@ -65,3 +65,27 @@ def test_every_library_definition_is_referenced():
         if node.name not in used
     ]
     assert not unused, f"referenced by nothing in {', '.join(USER_DIRS)}: {unused}"
+
+
+def _call_scopes(node, name, scope=()):
+    """The enclosing definitions, dotted, of each call of ``name`` in
+    ``node``; a nested function is its own scope."""
+    if isinstance(node, KINDS):
+        scope = scope + (node.name,)
+    if isinstance(node, ast.Call):
+        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if called == name:
+            yield ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _call_scopes(child, name, scope)
+
+
+def test_report_cells_are_made_in_one_place():
+    # every cell of every suite, error cells too, comes from the one
+    # recorder, so no check can name its cell two ways
+    makers = [
+        f"{path.stem}.{scope}"
+        for path in sorted((ROOT / "src" / "gluecat").glob("*.py"))
+        for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")), "Cell")
+    ]
+    assert makers == ["recollement._Cells.check.record"]
