@@ -62,12 +62,11 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _distinct(names: list[str], what: str) -> list[str]:
-    """``names`` if none repeats: a repeated name would run its checks twice."""
+def _distinct(names: list[str], what: str) -> None:
+    """Reject repeated ``names``: a repeat would run its checks twice."""
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ScenarioError(f"{what} names repeat: {repeated}")
-    return names
 
 
 def parse_scenario(data: dict) -> Scenario:

@@ -118,7 +118,9 @@ def _f1_guards(out):
     ctx, menu_a = sd.ctx, menus["A"]
     victim, dims = menu_a[0][1], ctx.derived_hom_dims
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ctx, "derived_hom_dims", lambda x, y: exhausted() if x is y is victim else dims(x, y))
+        mp.setattr(
+            ctx, "derived_hom_dims", lambda x, y: exhausted() if x is y is victim else dims(x, y)
+        )
         out["exhausted-serre-T"] = serre_axiom_check(sd, "T", menu_a, seed=31, pairing_pairs=4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ctx, "derived_iso_certificate", exhausted)
