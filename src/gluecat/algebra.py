@@ -84,6 +84,36 @@ class Quiver:
         return seen == self.n
 
 
+class _Memo(dict):
+    """Values built once per exact key: the one memo type of the package.
+
+    ``value(key, build, *args)`` returns ``build(*args)`` on the first
+    request of ``key`` and the identical value on every later one.  Keys
+    are exact content (a vertex, the shapes and bytes of arrays, and for
+    complexes their algebra), never digests, so a hit means the inputs
+    are equal.  A key holds everything it names, so no entry keeps the
+    objects it was built from.  A build may re-enter the memo; the first
+    value stored for a key is kept.  ``None`` is returned, never stored.
+
+    ``requests`` counts the values asked for and ``len`` the keys built.
+    """
+
+    __slots__ = ("requests",)
+
+    def __init__(self):
+        super().__init__()
+        self.requests = 0
+
+    def value(self, key, build, *args):
+        self.requests += 1
+        hit = self.get(key)
+        if hit is None:
+            hit = build(*args)
+            if hit is not None:
+                hit = self.setdefault(key, hit)
+        return hit
+
+
 class Algebra:
     """Associative unital algebra via structure constants over GF(p).
 
@@ -91,8 +121,9 @@ class Algebra:
     distinguished idempotents are basis elements; ``idempotent_indices[v]``
     is the basis index of the v-th one.
 
-    The algebra owns the memos of the module constructions over it, all
-    filled lazily by :mod:`gluecat.modules` and shared read-only:
+    The algebra owns the memos (:class:`_Memo`) of the module
+    constructions over it, all filled lazily by :mod:`gluecat.modules`
+    and shared read-only:
 
     - ``_projectives``: :func:`~gluecat.modules.projective_module`, one
       entry per vertex;
@@ -108,20 +139,20 @@ class Algebra:
     - ``_weights``: a basis of each module adapted to its vertex
       grading (:func:`~gluecat.modules._weights`), keyed by the action
       tensor;
-    - ``_valid``: the content keys of the objects over this algebra
-      that passed their validator: modules
-      (:meth:`~gluecat.modules.RightModule.validate`, keyed by the action
-      tensor), complexes (:meth:`~gluecat.complexes.BoundedComplex.validate`)
-      and chain maps (:meth:`~gluecat.complexes.ChainMap.validate`, filed
-      under the algebra of the source), each by its ``key``, mapped to
-      itself so that content-equal objects share one key.  An object
-      built with ``validate=False`` (a proved construction) is filed
-      unchecked, since its laws follow from those of its inputs.  A
-      failure is never recorded, so malformed content raises on every
-      construction;
     - ``_zero``: the one :func:`~gluecat.modules.zero_module`;
     - ``_homology``: :func:`~gluecat.complexes.homology_dims` of the
       complexes over this algebra, keyed by their ``key``.
+
+    ``_valid``, a plain dict, holds the content keys of the objects over
+    this algebra that passed their validator: modules
+    (:meth:`~gluecat.modules.RightModule.validate`, keyed by the action
+    tensor), complexes (:meth:`~gluecat.complexes.BoundedComplex.validate`)
+    and chain maps (:meth:`~gluecat.complexes.ChainMap.validate`, filed
+    under the algebra of the source), each by its ``key``, mapped to
+    itself so that content-equal objects share one key.  An object built
+    with ``validate=False`` (a proved construction) is filed unchecked,
+    since its laws follow from those of its inputs.  A failure is never
+    recorded, so malformed content raises on every construction.
 
     The laws are checked (:meth:`validate`) on a direct call, as in
     :func:`path_algebra`; :func:`opposite`, :func:`corner` and
@@ -146,14 +177,10 @@ class Algebra:
         self.idempotent_indices = list(idempotent_indices)
         self.name = name or f"algebra(dim={self.dim})"
         self._opposite: Algebra | None = None
-        self._projectives: dict[int, tuple] = {}
-        self._hom_bases: dict[tuple, tuple] = {}
-        self._covers: dict[tuple, object] = {}
-        self._generators: dict[None, tuple] = {}
-        self._weights: dict[tuple, object] = {}
+        self._projectives, self._hom_bases, self._covers = _Memo(), _Memo(), _Memo()
+        self._generators, self._weights = _Memo(), _Memo()
+        self._zero, self._homology = _Memo(), _Memo()
         self._valid: dict[tuple, tuple] = {}
-        self._zero: dict[None, object] = {}
-        self._homology: dict[tuple, dict] = {}
         if self.mul_table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("structure constant tensor has wrong shape")
         if validate:

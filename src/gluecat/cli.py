@@ -16,7 +16,7 @@ Exit codes:
     3  invalid scenario: composite characteristic, a characteristic
        p >= 2^16, cyclic quiver, e at every vertex, non-stratifying
        idempotent, resolution cap exceeded, a repeated variant or menu
-       name, unknown functor or object
+       name, a menu name that no category has, unknown functor or object
     4  unexpected error (a bug, or a fault such as an unwritable report
        path); stderr then carries one JSON line {"error": type, "message": text}
 """
@@ -38,12 +38,13 @@ from .complexes import DerivedContext, homology_dims
 from .field import PrimeField
 from .modules import GlobalDimensionExceedsCapError, ResolutionExceedsCapError
 from .recollement import (
+    CATEGORY_TAGS,
     DefaultMenu,
     FunctorExpr,
     NotStratifyingError,
     VerificationReport,
     build_recollement,
-    default_menu,
+    default_menus,
     original_diagram,
     verify_axioms,
 )
@@ -125,16 +126,21 @@ def run_suite(
 
 
 def _resolve_menus(rec, scn: Scenario):
-    menus = {tag: default_menu(rec, tag) for tag in ("A", "B", "C")}
+    """The menu of each category: the whole default menu, or the named
+    entries of it, each built alone.  A name that no category has, or a
+    category left with no entry, is a :class:`ScenarioError`."""
     if scn.menu == "default":
-        return menus
+        return default_menus(rec)
+    menus = {tag: DefaultMenu(rec, tag) for tag in CATEGORY_TAGS}
+    names = {tag: set(menu.names()) for tag, menu in menus.items()}
+    unknown = [name for name in scn.menu if not any(name in known for known in names.values())]
+    if unknown:
+        raise ScenarioError(f"menu names {unknown} are in no category")
     out = {}
-    for tag, full in menus.items():
-        catalog = dict(full)
-        picked = [(name, catalog[name]) for name in scn.menu if name in catalog]
-        if not picked:
+    for tag, menu in menus.items():
+        out[tag] = [(name, menu.get(name)) for name in scn.menu if name in names[tag]]
+        if not out[tag]:
             raise ScenarioError(f"menu selects no objects in category {tag}")
-        out[tag] = picked
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra, _Memo, opposite
 from .field import PrimeField
 from .modules import (
     Bimodule,
@@ -27,7 +27,6 @@ from .modules import (
     ResolutionExceedsCapError,
     RightModule,
     TensorResult,
-    _memo,
     _operators,
     _restricted_action,
     _validate_once,
@@ -90,10 +89,12 @@ def _zeros(rows: int, cols: int) -> np.ndarray:
 class BoundedComplex:
     """A bounded cochain complex of right modules over one algebra.
 
-    ``key`` is its exact content: the algebra's identity, ``lo``/``hi``,
-    and the shape and bytes of every term action and differential.  The
-    differentials are read-only (so are the term actions), so the key
-    cannot go stale.  The name is not content.
+    ``key`` is its exact content: the algebra itself, ``lo``/``hi``, and
+    the shape and bytes of every term action and differential.  An
+    algebra equals only itself, and the key keeps it alive, so no other
+    algebra can take its place under that key.  The differentials are
+    read-only (so are the term actions), so the key cannot go stale.
+    The name is not content.
     """
 
     def __init__(
@@ -125,7 +126,7 @@ class BoundedComplex:
             self.diffs[n] = d
         self.name = name or "complex"
         self.key = (
-            id(algebra),
+            algebra,
             self.lo,
             self.hi,
             tuple(m.key for m in self.terms.values()),
@@ -320,7 +321,7 @@ def homology_dims(x: BoundedComplex) -> dict[int, int]:
     """Nonzero homology dimensions per degree, computed once per content
     of ``x`` (``Algebra._homology``); the caller gets its own copy."""
     dims = {n: x.term(n).dim for n in x.degrees()}
-    return dict(_memo(x.algebra._homology, x.key, lambda: _homology(x.field, dims, x.diff)))
+    return dict(x.algebra._homology.value(x.key, _homology, x.field, dims, x.diff))
 
 
 def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
@@ -574,41 +575,6 @@ class DerivedIsoCertificate:
         return "fail" if self.status == "not-isomorphic" else "not-certified"
 
 
-class _ContentMemo:
-    """Values built once per content of their key objects: the one memo
-    rule of the derived layer (see :class:`DerivedContext`).
-
-    The key objects are complexes and chain maps, and their ``key`` is
-    exact content, never a digest, so a hit means the inputs are equal.
-    ``get(objs, build)`` returns ``build(*objs)`` to the first objects of
-    a content and the identical value to every later request of that
-    content, whatever its objects.  Each entry keeps the objects it was
-    built from: a key holds the ``id`` of an algebra, which must not be
-    reused while the memo lives.  Builds may re-enter the memo.
-
-    ``builds`` counts the contents built, ``requests`` the values asked
-    for.
-    """
-
-    __slots__ = ("_entries", "requests")
-
-    def __init__(self):
-        self._entries: dict[tuple, tuple] = {}   # content -> (objs, value)
-        self.requests = 0
-
-    @property
-    def builds(self) -> int:
-        return len(self._entries)
-
-    def get(self, objs: tuple, build):
-        self.requests += 1
-        key = tuple(o.key for o in objs)
-        hit = self._entries.get(key)
-        if hit is None:
-            hit = self._entries.setdefault(key, (objs, build(*objs)))
-        return hit[1]
-
-
 def _same_content(a, b) -> bool:
     """Whether two complexes are equal: a memoised value sits on the
     first complexes of its content, which need not be the caller's.
@@ -635,29 +601,30 @@ class DerivedContext:
     below the rest of the derived layer.
 
     The cache rule: every derived construction is keyed by the content
-    of its inputs, as module constructions are.
+    of its inputs, as module constructions are, in a
+    :class:`~gluecat.algebra._Memo`.
 
     - ``dual``, ``replacement``, ``hom_space``, ``derived_hom_dims``,
-      ``hom_complex`` and ``lift_many_through_qis`` keep a
-      :class:`_ContentMemo` keyed by the exact ``key`` of their input
-      complexes and chain maps; so do the functor outputs
-      (:class:`~gluecat.recollement.Functor`) and the composite
-      adjunction matrices (:mod:`gluecat.reflect`).  An input equal to
-      an earlier one gets the identical value, built on the earlier
-      objects and named after them: the replacement's ``qis`` targets
-      the first ``x`` of its content, a hom space sits on the first
-      ``x`` and ``y``, and a lift on the first ``p`` and ``y``.  So the
-      guards that match complexes (:func:`compose_maps`,
-      :meth:`lift_many_through_qis`, :meth:`HomSpace.normalize`,
-      :func:`present_class`) compare content, not identity, and
-      ``replacement(x).p`` is one complex per content of ``x``; the last
-      two return a map out of the replacement itself, so every lift and
-      hom complex starts from a :class:`ProjectiveComplex`.  One
-      :class:`HomComplex` per content of ``(p, y)``, in Yoneda
-      coordinates, serves hom spaces, certificates and lifts; derived Hom
-      dimensions, keyed by the content of ``(replacement(x).p, y)``, rank
-      the differentials of one built outside the memo, so none is kept
-      for them.  Nothing mutates a memoised value.
+      ``hom_complex`` and ``lift_many_through_qis`` keep a memo keyed by
+      the exact ``key`` of their input complexes and chain maps; so do
+      the functor outputs (:class:`~gluecat.recollement.Functor`) and
+      the adjunction matrices.  A complex key holds its algebra, so no
+      entry keeps its input objects.  An input equal to an earlier one
+      gets the identical value, built on the earlier objects and named
+      after them: the replacement's ``qis`` targets the first ``x`` of
+      its content, a hom space sits on the first ``x`` and ``y``, and a
+      lift on the first ``p`` and ``y``.  So the guards that match
+      complexes (:func:`compose_maps`, :meth:`lift_many_through_qis`,
+      :meth:`HomSpace.normalize`, :func:`present_class`) compare
+      content, not identity, and ``replacement(x).p`` is one complex per
+      content of ``x``; the last two return a map out of the replacement
+      itself, so every lift and hom complex starts from a
+      :class:`ProjectiveComplex`.  One :class:`HomComplex` per content
+      of ``(p, y)``, in Yoneda coordinates, serves hom spaces,
+      certificates and lifts; derived Hom dimensions, keyed by the
+      content of ``(replacement(x).p, y)``, rank the differentials of
+      one built outside the memo, so none is kept for them.  Nothing
+      mutates a memoised value.
     - Module hom bases (for the menus only), weight bases, projective
       covers, tensor products and the zero module are memoised by
       content in :mod:`gluecat.modules`, on the object that owns the
@@ -674,12 +641,8 @@ class DerivedContext:
     """
 
     def __init__(self):
-        self._duals = _ContentMemo()
-        self._replacements = _ContentMemo()
-        self._hom_complexes = _ContentMemo()
-        self._hom_spaces = _ContentMemo()
-        self._hom_dims = _ContentMemo()
-        self._lifts = _ContentMemo()
+        self._duals, self._replacements, self._hom_complexes = _Memo(), _Memo(), _Memo()
+        self._hom_spaces, self._hom_dims, self._lifts = _Memo(), _Memo(), _Memo()
 
     def memo_counts(self) -> dict[str, tuple[int, int]]:
         """``(builds, requests)`` of each content memo."""
@@ -691,21 +654,21 @@ class DerivedContext:
             "derived_hom_dims": self._hom_dims,
             "lift": self._lifts,
         }
-        return {name: (m.builds, m.requests) for name, m in memos.items()}
+        return {name: (len(m), m.requests) for name, m in memos.items()}
 
     def built_replacements(self) -> list[Replacement]:
         """The replacement built for each content, in build order."""
-        return [rep for _, rep in self._replacements._entries.values()]
+        return list(self._replacements.values())
 
     # -- duality ---------------------------------------------------------
 
     def dual(self, x: BoundedComplex) -> BoundedComplex:
-        return self._duals.get((x,), dual_complex)
+        return self._duals.value(x.key, dual_complex, x)
 
     # -- replacement ------------------------------------------------------
 
     def replacement(self, x: BoundedComplex) -> Replacement:
-        return self._replacements.get((x,), self._build_replacement)
+        return self._replacements.value(x.key, self._build_replacement, x)
 
     def _build_replacement(self, x: BoundedComplex) -> Replacement:
         a = x.algebra
@@ -771,7 +734,8 @@ class DerivedContext:
         for f in fs:
             if not (_same_content(f.source, p) and _same_content(f.target, s.target)):
                 raise ValueError("lift_through_qis: mismatched complexes")
-        return self._lifts.get((p, s, *fs), self._solve_lifts)
+        key = (p.key, s.key, *[f.key for f in fs])
+        return self._lifts.value(key, self._solve_lifts, p, s, *fs)
 
     def _solve_lifts(self, p: ProjectiveComplex, s: ChainMap, *fs: ChainMap) -> list[ChainMap]:
         if not fs:
@@ -804,10 +768,10 @@ class DerivedContext:
     # -- hom complexes and spaces --------------------------------------
 
     def hom_complex(self, p: ProjectiveComplex, y: BoundedComplex) -> "HomComplex":
-        return self._hom_complexes.get((p, y), HomComplex)
+        return self._hom_complexes.value((p.key, y.key), HomComplex, p, y)
 
     def hom_space(self, x: BoundedComplex, y: BoundedComplex) -> "HomSpace":
-        return self._hom_spaces.get((x, y), functools.partial(HomSpace, self))
+        return self._hom_spaces.value((x.key, y.key), HomSpace, self, x, y)
 
     def derived_hom_dims(self, x: BoundedComplex, y: BoundedComplex) -> dict[int, int]:
         """Nonzero dim Hom_D(x, y[n]) per degree n.
@@ -816,7 +780,7 @@ class DerivedContext:
         computed once per content of ``(p, y)``.
         """
         p = self.replacement(x).p
-        return dict(self._hom_dims.get((p, y), self._build_hom_dims))
+        return dict(self._hom_dims.value((p.key, y.key), self._build_hom_dims, p, y))
 
     @staticmethod
     def _build_hom_dims(p: ProjectiveComplex, y: BoundedComplex) -> dict[int, int]:
@@ -957,25 +921,23 @@ class HomComplex:
                 for k in self._of_degree[i]:
                     _, v, off, _ = self._summands[k]
                     self._a_st[k] = (src, images[:, off:off + projective_module(a, v)[0].dim])
-        self._layouts: dict[int, tuple[list[slice], list[slice], int]] = {}
-        self._extensions: dict[tuple[int, int], np.ndarray] = {}
-        self.diffs: dict[int, np.ndarray] = {}
+        self._layouts, self._extensions, self.diffs = _Memo(), _Memo(), _Memo()
 
     def _layout(self, n: int) -> tuple[list[slice], list[slice], int]:
         """``(slices, blocks, dim)`` of Hom^n: the coordinates of each
         summand, their block in the weight basis of its y^{i+n}, and
         dim Hom^n."""
-        hit = self._layouts.get(n)
-        if hit is None:
-            slices, blocks, off = [], [], 0
-            for i, v, _, _ in self._summands:
-                w = self._weights.get(i + n)
-                start, size = (int(w.offsets[v]), int(w.sizes[v])) if w is not None else (0, 0)
-                slices.append(slice(off, off + size))
-                blocks.append(slice(start, start + size))
-                off += size
-            hit = self._layouts[n] = (slices, blocks, off)
-        return hit
+        return self._layouts.value(n, self._build_layout, n)
+
+    def _build_layout(self, n: int) -> tuple[list[slice], list[slice], int]:
+        slices, blocks, off = [], [], 0
+        for i, v, _, _ in self._summands:
+            w = self._weights.get(i + n)
+            start, size = (int(w.offsets[v]), int(w.sizes[v])) if w is not None else (0, 0)
+            slices.append(slice(off, off + size))
+            blocks.append(slice(start, start + size))
+            off += size
+        return slices, blocks, off
 
     def dim(self, n: int) -> int:
         return self._layout(n)[2]
@@ -984,13 +946,13 @@ class HomComplex:
         """``(r, dim y^j e_v, dim y^j)``: W b for the rows W of the
         ``block`` of the weight basis of y^j, a basis of y^j e_v, and each
         of the r basis rows b of e_v A, acting on y^j."""
-        hit = self._extensions.get((j, v))
-        if hit is None:
-            images = self.fld.matmul(self._weights[j].basis[block], self.y.term(j).action)
-            hit = _operators(projective_module(self.p.algebra, v)[1], images, self.fld.p)
-            hit.setflags(write=False)
-            self._extensions[j, v] = hit
-        return hit
+        return self._extensions.value((j, v), self._build_extension, j, v, block)
+
+    def _build_extension(self, j: int, v: int, block: slice) -> np.ndarray:
+        images = self.fld.matmul(self._weights[j].basis[block], self.y.term(j).action)
+        out = _operators(projective_module(self.p.algebra, v)[1], images, self.fld.p)
+        out.setflags(write=False)
+        return out
 
     def _expand(self, n: int, coeffs: np.ndarray) -> dict[int, np.ndarray]:
         """The components p^i -> y^{i+n} of the elements with degree-n
@@ -1046,21 +1008,21 @@ class HomComplex:
         return out
 
     def diff(self, n: int) -> np.ndarray:
-        d = self.diffs.get(n)
-        if d is None:
-            fld = self.fld
-            (rows, blocks, _), (cols, blocks1, _) = self._layout(n), self._layout(n + 1)
-            d = self._diagonal(n, self, n + 1, self._dy)
-            sign = 1 if n % 2 == 0 else -1
-            for k, (src, a_st) in self._a_st.items():
-                i, v, _, _ = self._summands[k]
-                if rows[k].stop > rows[k].start:
-                    ext = self._extension(i + n, v, blocks[k])
-                    images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[i + n].inverse)
-                    for t, image in zip(src, images):
-                        d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
-            d.setflags(write=False)
-            self.diffs[n] = d
+        return self.diffs.value(n, self._build_diff, n)
+
+    def _build_diff(self, n: int) -> np.ndarray:
+        fld = self.fld
+        (rows, blocks, _), (cols, blocks1, _) = self._layout(n), self._layout(n + 1)
+        d = self._diagonal(n, self, n + 1, self._dy)
+        sign = 1 if n % 2 == 0 else -1
+        for k, (src, a_st) in self._a_st.items():
+            i, v, _, _ = self._summands[k]
+            if rows[k].stop > rows[k].start:
+                ext = self._extension(i + n, v, blocks[k])
+                images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[i + n].inverse)
+                for t, image in zip(src, images):
+                    d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
+        d.setflags(write=False)
         return d
 
     def cycle_space(self, n: int) -> np.ndarray:

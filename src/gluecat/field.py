@@ -43,12 +43,13 @@ LIST_ENTRIES = 128
 # The validators of gluecat.algebra and gluecat.modules compare stacks of
 # products in blocks (see ``blocks``): each block's stack holds at most
 # STACK_ENTRIES int64 entries (256 KiB), or one item's worth when a single
-# item is larger.  The largest module stack of the benchmark's apply-cold
-# ops has 19,600 entries, so they all take one block, with the actions of
-# G in the same product.  Measured on a 2-core x86 host, the peak RSS of
-# one original-large pass (largest stack 91,260 entries) read 45.9 MB with
-# the all-pairs checks, and 43.4, 44.0 and 44.6 MB at bounds of 2**15,
-# 2**16 and 2**18 entries.
+# item is larger.  They run on ``path_algebra`` and on direct Algebra,
+# RightModule and Bimodule calls; proved constructions skip them, so no
+# benchmark op validates a module.  The bound was measured at commit
+# 3d2affc, when every module was validated, on a 2-core x86 host: the peak
+# RSS of one original-large pass (largest module stack 91,260 entries)
+# read 45.9 MB with the all-pairs checks, and 43.4, 44.0 and 44.6 MB at
+# bounds of 2**15, 2**16 and 2**18 entries.
 STACK_ENTRIES = 1 << 15
 
 
@@ -138,9 +139,6 @@ class PrimeField:
 
     def neg(self, a: np.ndarray) -> np.ndarray:
         return (-a) % self.p
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a + b) % self.p
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a - b) % self.p

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra, _Memo, opposite
 from .field import PrimeField, blocks
 
 __all__ = [
@@ -145,7 +145,7 @@ class Bimodule:
         self.right_action = np.asarray(right_action, dtype=np.int64) % p
         self.dim = int(self.right_action.shape[1])
         self.name = name or f"bimodule(dim={self.dim})"
-        self._tensors: dict[tuple, TensorResult] = {}
+        self._tensors = _Memo()
         self._flip: Bimodule | None = None
         if validate:
             self.validate()
@@ -263,25 +263,12 @@ def _operators(coords: np.ndarray, action: np.ndarray, p: int) -> np.ndarray:
 def _freeze(*arrays: np.ndarray) -> None:
     """Clear the write flag of each array.
 
-    Every builder behind :func:`_memo` freezes the arrays it creates, so
+    Every builder behind a module memo freezes the arrays it creates, so
     the value it stores can be shared; a :class:`RightModule` freezes its
     own action when it is built.
     """
     for arr in arrays:
         arr.setflags(write=False)
-
-
-def _memo(table: dict, key, build):
-    """``table[key]``, built by ``build()`` on the first request.
-
-    The value is read-only (see :func:`_freeze`), so every caller can
-    share it.  Keys are exact (a vertex, or the shapes and bytes of action
-    tensors), never digests, so a hit means the inputs are equal.
-    """
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = build()
-    return hit
 
 
 @dataclass
@@ -312,7 +299,7 @@ class _Generators:
 
 
 def _generators(a: Algebra) -> _Generators:
-    return _memo(a._generators, None, lambda: _build_generators(a))
+    return a._generators.value(None, _build_generators, a)
 
 
 def _build_generators(a: Algebra) -> _Generators:
@@ -400,7 +387,7 @@ class _Weights:
 
 
 def _weights(m: RightModule) -> _Weights:
-    return _memo(m.algebra._weights, m.key, lambda: _build_weights(m))
+    return m.algebra._weights.value(m.key, _build_weights, m)
 
 
 def _build_weights(m: RightModule) -> _Weights:
@@ -431,7 +418,7 @@ def _build_weights(m: RightModule) -> _Weights:
 def zero_module(a: Algebra) -> RightModule:
     """The zero module of ``a``; one shared object per algebra.  Proved:
     every law holds on the zero space."""
-    return _memo(a._zero, None, lambda: RightModule(a, np.zeros((a.dim, 0, 0), dtype=np.int64), name="0", validate=False))
+    return a._zero.value(None, lambda: RightModule(a, np.zeros((a.dim, 0, 0), int), "0", False))
 
 
 def regular_module(a: Algebra) -> RightModule:
@@ -470,7 +457,7 @@ def projective_module(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.n
     Built once per (algebra, vertex) and memoised on the algebra, so every
     caller shares the same tuple; its arrays are read-only.
     """
-    return _memo(a._projectives, v, lambda: _build_projective(a, v))
+    return a._projectives.value(v, _build_projective, a, v)
 
 
 def _build_projective(a: Algebra, v: int) -> tuple[RightModule, np.ndarray, np.ndarray]:
@@ -576,7 +563,7 @@ def hom_basis_matrices(m: RightModule, n: RightModule) -> list[np.ndarray]:
     that asks with the same pair of action tensors (``Algebra._hom_bases``)."""
     if m.algebra is not n.algebra:
         raise ValueError("hom_basis: modules over different algebras")
-    return _memo(m.algebra._hom_bases, m.key + n.key, lambda: _build_hom(m, n))
+    return m.algebra._hom_bases.value(m.key + n.key, _build_hom, m, n)
 
 
 def _build_hom(m: RightModule, n: RightModule) -> list[np.ndarray]:
@@ -686,7 +673,7 @@ def tensor_over(m: RightModule, w: Bimodule) -> TensorResult:
         raise ValueError(
             f"tensor_over: module over {m.algebra.name} but bimodule is left-{w.left_algebra.name}"
         )
-    return _memo(w._tensors, m.key, lambda: _build_tensor(m, w))
+    return w._tensors.value(m.key, _build_tensor, m, w)
 
 
 def _build_tensor(m: RightModule, w: Bimodule) -> TensorResult:
@@ -814,7 +801,7 @@ def projective_cover(m: RightModule) -> Cover:
     Memoised on the algebra by the content of M; the shared cover is
     read-only and its module keeps the name of the first build.
     """
-    return _memo(m.algebra._covers, m.key, lambda: _build_cover(m))
+    return m.algebra._covers.value(m.key, _build_cover, m)
 
 
 def _build_cover(m: RightModule) -> Cover:

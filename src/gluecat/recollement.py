@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import Algebra, corner, ideal_span, idempotent_quotient
+from .algebra import Algebra, _Memo, corner, ideal_span, idempotent_quotient
 from .modules import (
     Bimodule,
     RightModule,
@@ -59,7 +59,6 @@ from .complexes import (
     ChainMap,
     DerivedContext,
     Mor,
-    _ContentMemo,
     _same_content,
     compose_maps,
     cone,
@@ -138,10 +137,10 @@ class Functor:
 
     ``apply(x)`` is the output and ``aux(x)`` the data built with it (the
     termwise tensors, the complex before the last dual), kept together
-    in a :class:`_ContentMemo`.  Every input of one content gets the
-    identical output and aux, built for the first of them and named
-    ``f"{name}({x.name})"`` after it.  So aux holds content only, never
-    a map onto the input: the replacement of ``x`` is
+    in a :class:`~gluecat.algebra._Memo`.  Every input of one content
+    gets the identical output and aux, built for the first of them and
+    named ``f"{name}({x.name})"`` after it.  So aux holds content only,
+    never a map onto the input: the replacement of ``x`` is
     ``ctx.replacement(x)``.
     """
 
@@ -151,7 +150,7 @@ class Functor:
 
     def __init__(self, ctx: DerivedContext):
         self.ctx = ctx
-        self._outputs = _ContentMemo()   # x -> (output, aux data)
+        self._outputs = _Memo()   # x -> (output, aux data)
 
     def apply(self, x: BoundedComplex) -> BoundedComplex:
         return self._output(x)[0]
@@ -160,7 +159,7 @@ class Functor:
         return self._output(x)[1]
 
     def _output(self, x: BoundedComplex):
-        return self._outputs.get((x,), self._apply)
+        return self._outputs.value(x.key, self._apply, x)
 
     def _apply(self, x):
         raise NotImplementedError
@@ -293,8 +292,6 @@ class Recollement:
     quotient_algebra: Algebra
     corner_algebra: Algebra
     e_vertices: list[int]
-    projection: np.ndarray        # A-coords -> B-coords
-    section: np.ndarray
     eA: Bimodule                  # (C-left, A-right)
     Ae: Bimodule                  # (A-left, C-right)
     B_ba: Bimodule                # B as (B-left, A-right)
@@ -310,7 +307,7 @@ class Recollement:
     ctx: DerivedContext
     registry: dict[str, Functor] = dc_field(default_factory=dict)
     # expression -> its source algebra, for the expressions that checked
-    _sources: dict[FunctorExpr, Algebra] = dc_field(default_factory=dict, init=False, repr=False)
+    _sources: _Memo = dc_field(default_factory=_Memo, init=False, repr=False)
 
     def algebra_of(self, tag: str) -> Algebra:
         return {"A": self.algebra, "B": self.quotient_algebra, "C": self.corner_algebra}[tag]
@@ -326,9 +323,7 @@ class Recollement:
         return range(-w, w + 1)
 
     def apply_expr(self, expr: FunctorExpr, x: BoundedComplex) -> BoundedComplex:
-        src = self._sources.get(expr)
-        if src is None:
-            src = self._sources[expr] = self.algebra_of(expr.signature(self.registry)[0])
+        src = self._sources.value(expr, lambda: self.algebra_of(expr.signature(self.registry)[0]))
         if x.algebra is not src:
             raise TagMismatchError(
                 f"object over {x.algebra.name} fed to {expr.steps}"
@@ -364,7 +359,7 @@ def build_recollement(
     """
     fld = a.field
     ctx = ctx or DerivedContext()
-    b, projection, section = idempotent_quotient(a, e_vertices)
+    b, projection, _ = idempotent_quotient(a, e_vertices)
     c, corner_rows = corner(a, e_vertices)
     e = a.idempotent_sum(e_vertices)
 
@@ -418,8 +413,6 @@ def build_recollement(
         quotient_algebra=b,
         corner_algebra=c,
         e_vertices=sorted(set(e_vertices)),
-        projection=projection,
-        section=section,
         eA=eA,
         Ae=Ae,
         B_ba=B_ba,
@@ -544,19 +537,19 @@ def _evaluate(fld, rows: np.ndarray, ev: np.ndarray) -> np.ndarray:
 class PrimitiveAdjunction(AdjunctionProvider):
     """F -| G for two functors of the registry, named "(F, G)".  Each
     matrix is the coordinates of the images of a basis, in one
-    :class:`_ContentMemo` per direction."""
+    :class:`~gluecat.algebra._Memo` per direction."""
 
     def __init__(self, rec: Recollement, f: str, g: str):
         super().__init__(rec, FunctorExpr((f,)), FunctorExpr((g,)))
         self.name = f"({f}, {g})"
         self.F, self.G = rec.functor(f), rec.functor(g)
-        self._forward, self._backward = _ContentMemo(), _ContentMemo()  # (x, y) -> matrix
+        self._forward, self._backward = _Memo(), _Memo()  # (x, y) -> matrix
 
     def forward_matrix(self, x, y) -> np.ndarray:
-        return self._forward.get((x, y), self._build_forward)
+        return self._forward.value((x.key, y.key), self._build_forward, x, y)
 
     def backward_matrix(self, x, y) -> np.ndarray:
-        return self._backward.get((x, y), self._build_backward)
+        return self._backward.value((x.key, y.key), self._build_backward, x, y)
 
     def _build_forward(self, x, y) -> np.ndarray:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)
@@ -884,7 +877,7 @@ class DefaultMenu:
         self.algebra = rec.algebra_of(tag)
         n = self.algebra.n_idempotents
         self._stalks = {f"{kind}{v + 1}": (kind, v) for kind in _MENU_STALKS for v in range(n)}
-        self._built: dict[str, BoundedComplex] = {}
+        self._built = _Memo()
 
     def names(self) -> list[str]:
         """The entry names, in menu order."""
@@ -892,12 +885,7 @@ class DefaultMenu:
 
     def get(self, name: str) -> BoundedComplex | None:
         """The entry ``name``, or None if the menu has no such entry."""
-        if name not in self._built:
-            x = self._build(name)
-            if x is None:
-                return None
-            self._built[name] = x
-        return self._built[name]
+        return self._built.value(name, self._build, name)
 
     def _build(self, name: str) -> BoundedComplex | None:
         a, tag = self.algebra, self.tag

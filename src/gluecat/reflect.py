@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Mor, _ContentMemo
+from .algebra import _Memo
+from .complexes import Mor
 from .recollement import (
     NEW_ADJOINT_EXPRS,
     AdjunctionProvider,
@@ -75,7 +76,7 @@ class CompositeAdjunction(AdjunctionProvider):
         self.sd = sd
         self.right_serre = SERRE_FUNCTORS[prim.F.tgt_tag][0]
         self.left_serre = SERRE_FUNCTORS[prim.F.src_tag][1]
-        self._matrices = _ContentMemo()   # (x, y) -> (forward, backward)
+        self._matrices = _Memo()   # (x, y) -> (forward, backward)
 
     def _matrix_pair(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         sd, prim, fld = self.sd, self.primitive, x.field
@@ -100,10 +101,10 @@ class CompositeAdjunction(AdjunctionProvider):
         return (m, fld.inv(m)) if self.side == "left" else (fld.inv(m), m)
 
     def forward_matrix(self, x, y) -> np.ndarray:
-        return self._matrices.get((x, y), self._matrix_pair)[0]
+        return self._matrices.value((x.key, y.key), self._matrix_pair, x, y)[0]
 
     def backward_matrix(self, x, y) -> np.ndarray:
-        return self._matrices.get((x, y), self._matrix_pair)[1]
+        return self._matrices.value((x.key, y.key), self._matrix_pair, x, y)[1]
 
     def forward(self, x, y, mor: Mor) -> Mor:
         lhs, rhs = self.lhs_space(x, y), self.rhs_space(x, y)

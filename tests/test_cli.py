@@ -313,6 +313,34 @@ def test_verify_repeated_names_exit_three(tmp_path, f1_data, capsys, key, names)
     assert report.read_bytes() == b"an earlier report\n"
 
 
+def test_verify_menu_name_in_no_category_exits_three(tmp_path, f1_data, capsys):
+    # a misspelt menu name is refused, not dropped in silence
+    scn = _write_scenario(tmp_path, dict(f1_data, menu=["P1", "P9"]))
+    report = tmp_path / "r.json"
+    report.write_bytes(b"an earlier report\n")
+    assert main(["verify", scn, "--report", str(report), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and "'P9'" in err
+    assert report.read_bytes() == b"an earlier report\n"
+
+
+def test_named_menus_build_only_their_entries(monkeypatch):
+    # F2 with menu ["P1"] builds P1 in each of A, B and C, and nothing else
+    built = []
+    build = DefaultMenu._build
+
+    def counted(menu, name):
+        built.append((menu.tag, name))
+        return build(menu, name)
+
+    monkeypatch.setattr(DefaultMenu, "_build", counted)
+    scn = parse_scenario(dict(fixture_scenario("F2"), menu=["P1"]))
+    rec, _ = cli._build_workbench(scn)
+    menus = cli._resolve_menus(rec, scn)
+    assert built == [("A", "P1"), ("B", "P1"), ("C", "P1")]
+    assert [[name for name, _ in menus[tag]] for tag in "ABC"] == [["P1"]] * 3
+
+
 def test_main_builds_no_parser_per_call(tmp_path, f1_data, monkeypatch, capsys):
     # the parser is built once, at import: apply runs main many times
     built = []

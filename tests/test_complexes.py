@@ -21,7 +21,7 @@ from gluecat.complexes import (
     zero_complex,
     zero_map,
 )
-from gluecat.algebra import Quiver, path_algebra
+from gluecat.algebra import Quiver, _Memo, path_algebra
 from gluecat.field import PrimeField
 from gluecat.modules import (
     ResolutionExceedsCapError,
@@ -375,17 +375,17 @@ def test_guards_return_maps_out_of_the_replacement_itself(ctx, alg_a3):
 
 
 def test_memos_keep_the_algebras_of_their_keys_alive():
-    # a key holds id(algebra), so an entry must keep its algebra alive:
-    # a new algebra at the same id would otherwise hit the old entries
+    # a complex key holds its algebra, so an entry keeps the algebra
+    # alive: a new algebra at the same id can never hit the old entries
     import gc
     import weakref
 
-    ctx, memo = DerivedContext(), complexes._ContentMemo()
+    ctx, memo = DerivedContext(), _Memo()
     a = path_algebra(Quiver(2, ((0, 1),)), PrimeField(32003))
     alive = weakref.ref(a)
     x = stalk_complex(simple_module(a, 1))
     assert ctx.derived_hom_dims(x, x) == {0: 1}
-    memo.get((x,), lambda x: None)  # a value that holds nothing
+    memo.value(x.key, lambda: ())  # a value that holds nothing
     del a, x
     gc.collect()
     assert alive() is not None
@@ -395,6 +395,29 @@ def test_memos_keep_the_algebras_of_their_keys_alive():
     del memo
     gc.collect()
     assert alive() is None
+
+
+def test_memos_keep_no_input_objects():
+    # the key holds all the content, so an input that only a memo saw
+    # dies with its caller, and its content still hits: an input chain
+    # map of a lift, and an input complex of dual
+    import gc
+    import weakref
+
+    ctx = DerivedContext()
+    a = path_algebra(Quiver(2, ((0, 1),)), PrimeField(32003))
+    rep = ctx.replacement(stalk_complex(simple_module(a, 1)))
+    f = ChainMap(rep.p, rep.qis.target, dict(rep.qis.comps))
+    z = stalk_complex(simple_module(a, 0))
+    g, dz = ctx.lift_through_qis(rep.p, f, rep.qis), ctx.dual(z)
+    refs = [weakref.ref(f), weakref.ref(z)]
+    del f, z
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    f = ChainMap(rep.p, rep.qis.target, dict(rep.qis.comps))
+    assert ctx.lift_through_qis(rep.p, f, rep.qis) is g
+    assert ctx.dual(stalk_complex(simple_module(a, 0))) is dz
+    assert ctx.memo_counts()["lift"] == (1, 2) and ctx.memo_counts()["dual"] == (1, 2)
 
 
 def test_keyed_arrays_refuse_writes(ctx, alg_a3):
@@ -408,31 +431,54 @@ def test_keyed_arrays_refuse_writes(ctx, alg_a3):
             arr[...] = 1
 
 
-def test_every_memoised_complex_and_chain_map_is_valid_after_f1():
+def test_every_memoised_complex_and_chain_map_is_valid_after_f1(monkeypatch):
     # each content is validated once when built; here every complex and
-    # chain map the F1 suite left in the memos is checked again in full
+    # chain map that the F1 suite built a value of these four memos from,
+    # or left in them, is checked again in full.  Entries keep no inputs,
+    # so a spy on the memo type collects them as each value is built
     from gluecat.cli import run_suite
     from gluecat.complexes import HomSpace, Replacement
     from gluecat.scenarios import fixture_scenario, parse_scenario
 
     ctx = DerivedContext()
-    run_suite(parse_scenario(fixture_scenario("F1")), ctx)
-    found = {}
     memos = (ctx._replacements, ctx._hom_spaces, ctx._hom_dims, ctx._lifts)
+    items, value = [], _Memo.value
+
+    def spy(memo, key, build, *args):
+        if any(memo is m for m in memos):
+            return value(memo, key, lambda *a: items.extend(a) or build(*a), *args)
+        return value(memo, key, build, *args)
+
+    monkeypatch.setattr(_Memo, "value", spy)
+    run_suite(parse_scenario(fixture_scenario("F1")), ctx)
+    monkeypatch.undo()
     for memo in memos:
-        for objs, value in memo._entries.values():
-            items = list(objs)
-            if isinstance(value, Replacement):
-                items += [value.p, value.qis]
-            elif isinstance(value, HomSpace):
-                items += [value.p, value.p_qis, *value.basis_maps()]
-            elif isinstance(value, list):
-                items += value
-            found.update((id(o), o) for o in items if isinstance(o, (BoundedComplex, ChainMap)))
+        for stored in memo.values():
+            if isinstance(stored, Replacement):
+                items += [stored.p, stored.qis]
+            elif isinstance(stored, HomSpace):
+                items += [stored.p, stored.p_qis, *stored.basis_maps()]
+            elif isinstance(stored, list):
+                items += stored
+    found = {id(o): o for o in items if isinstance(o, (BoundedComplex, ChainMap))}
     kinds = {type(o) for o in found.values()}
     assert kinds == {BoundedComplex, ProjectiveComplex, ChainMap}
     for obj in found.values():
         obj.validate()
+
+
+def test_f1_memo_counts_are_pinned():
+    # the builds and requests of every derived memo over the F1 suite
+    ctx = DerivedContext()
+    run_suite(parse_scenario(fixture_scenario("F1")), ctx)
+    assert ctx.memo_counts() == {
+        "dual": (36, 563),
+        "replacement": (73, 3624),
+        "hom_complex": (93, 245),
+        "hom_space": (83, 1256),
+        "derived_hom_dims": (149, 2214),
+        "lift": (42, 268),
+    }
 
 
 def test_replacements_are_built_once_per_content_on_f1(monkeypatch):
@@ -1052,10 +1098,10 @@ def test_hom_complex_maps_see_the_signs(case, p):
                     return maps.get(i, np.zeros((k, px.term(i).dim, y.term(j).dim), dtype=np.int64))
 
                 for i in px.degrees():
-                    want = fld.add(
-                        fld.matmul(comp(h, i, i - 1), y.diff(i - 1)),
-                        fld.matmul(px.diff(i), comp(h, i + 1, i)),
-                    )
+                    want = (
+                        fld.matmul(comp(h, i, i - 1), y.diff(i - 1))
+                        + fld.matmul(px.diff(i), comp(h, i + 1, i))
+                    ) % fld.p
                     assert np.array_equal(comp(dh, i, i), want), (x.name, y.name, i)
                 homotopies += k
     assert cycles > 0 and homotopies > 0

@@ -412,7 +412,7 @@ def test_coords_in_rows_of_vectors_outside_the_span(p, eliminations):
         rows = rows[:rank]
         # a unit vector off the pivots is zero at them, so outside the span
         free = [c for c in range(6) if c not in pivots][0]
-        vecs = np.concatenate([rows[:1], fld.add(rows[:1], fld.unit_row(6, free))])
+        vecs = np.concatenate([rows[:1], (rows[:1] + fld.unit_row(6, free)) % p])
         before = eliminations[0]
         assert fld.coords_in_rows(rows, vecs) is None
         assert eliminations[0] == before

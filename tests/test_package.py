@@ -1,6 +1,7 @@
 """Package surface: every exported name exists, and every top-level
 function and class of the library, and every method of such a class, is
-used outside the tests, and report cells are made in one place."""
+used outside the tests, report cells are made in one place, and caches
+are built by one memo type."""
 
 import ast
 import importlib
@@ -89,3 +90,53 @@ def test_report_cells_are_made_in_one_place():
         for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")), "Cell")
     ]
     assert makers == ["recollement._Cells.check.record"]
+
+
+def _functions(node, scope=()):
+    """``(dotted scope, node)`` of every function in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, KINDS) else scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield ".".join(inner), child
+        yield from _functions(child, inner)
+
+
+def _memo_idiom(fn) -> bool:
+    """Whether ``fn`` looks a key up in a table (``t.get(k)`` or ``k in
+    t``) and fills the table under the same key (``t[k] = …`` or
+    ``t.setdefault(k, …)``): the get-then-set idiom of a hand-written
+    cache.  A table made inside ``fn`` outlives no call, and a constant
+    key registers one entry; neither is a cache."""
+    made = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    looked, filled = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+            pair = (node.func.value, node.args[0])
+            if node.func.attr == "get":
+                looked.add(pair)
+            elif node.func.attr == "setdefault":
+                filled.add(pair)
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            looked.add((node.comparators[0], node.left))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            filled.add((node.value, node.slice))
+
+    def tables(pairs):
+        return {(ast.unparse(t), ast.unparse(k)) for t, k in pairs
+                if not isinstance(k, ast.Constant) and getattr(t, "id", None) not in made}
+
+    return bool(tables(looked) & tables(filled))
+
+
+def test_the_memo_idiom_lives_in_the_memo_type():
+    # every cache is an algebra._Memo, so no other function looks a key
+    # up and then fills it in.  The one other table filled that way is
+    # the key interning of _validate_once, which files a key only once
+    # its validator has passed
+    found = [
+        f"{path.stem}.{scope}"
+        for path in sorted((ROOT / "src" / "gluecat").glob("*.py"))
+        for scope, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        if _memo_idiom(fn)
+    ]
+    assert found == ["algebra._Memo.value", "modules._validate_once"]
