@@ -132,13 +132,12 @@ def _resolve_menus(rec, scn: Scenario):
     if scn.menu == "default":
         return default_menus(rec)
     menus = {tag: DefaultMenu(rec, tag) for tag in CATEGORY_TAGS}
-    names = {tag: set(menu.names()) for tag, menu in menus.items()}
-    unknown = [name for name in scn.menu if not any(name in known for known in names.values())]
+    unknown = [name for name in scn.menu if not any(menu.has(name) for menu in menus.values())]
     if unknown:
         raise ScenarioError(f"menu names {unknown} are in no category")
     out = {}
     for tag, menu in menus.items():
-        out[tag] = [(name, menu.get(name)) for name in scn.menu if name in names[tag]]
+        out[tag] = [(name, menu.get(name)) for name in scn.menu if menu.has(name)]
         if not out[tag]:
             raise ScenarioError(f"menu selects no objects in category {tag}")
     return out

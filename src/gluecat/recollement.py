@@ -100,9 +100,7 @@ class TagMismatchError(ValueError):
 
 
 class NotStratifyingError(RuntimeError):
-    def __init__(self, msg, homology=None):
-        super().__init__(msg)
-        self.homology = homology
+    pass
 
 
 @dataclass(frozen=True)
@@ -174,10 +172,9 @@ class RestrictionFunctor(Functor):
     name = "i_*"
     src_tag, tgt_tag = "B", "A"
 
-    def __init__(self, ctx, a: Algebra, b: Algebra, projection: np.ndarray):
+    def __init__(self, ctx, a: Algebra, projection: np.ndarray):
         super().__init__(ctx)
         self.a = a
-        self.b = b
         self.projection = projection
 
     def _restrict_module(self, m: RightModule) -> RightModule:
@@ -397,8 +394,7 @@ def build_recollement(
     if got != expected:
         raise NotStratifyingError(
             f"multiplication Ae (x)_C eA -> AeA is not a quasi-isomorphism: "
-            f"homology {got}, expected {expected}",
-            homology=got,
+            f"homology {got}, expected {expected}"
         )
     ideal_mod, _ = submodule_from_rows(regular_module(a), ideal_rows, name="AeA")
     # degree 0 of the derived tensor is nonzero: its homology is AeA, and e lies in AeA
@@ -427,7 +423,7 @@ def build_recollement(
         stratifying_certificate=cert,
         ctx=ctx,
     )
-    rec.registry["i_*"] = RestrictionFunctor(ctx, a, b, projection)
+    rec.registry["i_*"] = RestrictionFunctor(ctx, a, projection)
     rec.registry["i^*"] = DerivedTensorFunctor(ctx, B_ab, "i^*", "A", "B")
     rec.registry["i^!"] = DualDerivedTensorFunctor(ctx, B_ba, "i^!", "A", "B")
     rec.registry["j^*"] = ExactTensorFunctor(ctx, Ae, "j^*", "A", "C")
@@ -882,6 +878,13 @@ class DefaultMenu:
     def names(self) -> list[str]:
         """The entry names, in menu order."""
         return [*self._stalks, "R", "P1[1]", self._cone[0]]
+
+    def has(self, name: str) -> bool:
+        """Whether the menu has an entry ``name``; only a cone name runs
+        the search for the cone's hom."""
+        if name.startswith("cone("):
+            return name == self._cone[0]
+        return name in self._stalks or name in ("R", "P1[1]")
 
     def get(self, name: str) -> BoundedComplex | None:
         """The entry ``name``, or None if the menu has no such entry."""

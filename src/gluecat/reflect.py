@@ -8,8 +8,8 @@ i_? and j^! are new right adjoints, of i^! and j_*.  Each is read off one
 primitive pair (F, G), a row of :data:`MIRROR_ROWS`, and one mirror rule
 gives every adjunction matrix.  Take x where F lands and y where F starts,
 R the right Serre functor of x's category and L the left Serre functor of
-y's, with Rgram and Lgram the Gram matrices of :func:`serre_pairing` and
-:func:`serre_left_pairing`:
+y's, with Rgram and Lgram the Gram matrices that :func:`serre_pairing`
+returns for R and for L:
 
     new left adjoint F' of F:   M = Lgram(y, G R x)^T fwd(y, R x)^T Rgram(x, F y)^-1
                                 maps Hom(F'x, y) -> Hom(x, F y); the pair is (M, M^-1)
@@ -36,7 +36,7 @@ from .recollement import (
     layout_diagram,
     mor_from_coords,
 )
-from .serre import SERRE_FUNCTORS, SerreData, serre_left_pairing, serre_pairing
+from .serre import SERRE_FUNCTORS, SerreData, serre_pairing
 
 __all__ = [
     "NEW_ADJOINT_EXPRS",
@@ -83,14 +83,14 @@ class CompositeAdjunction(AdjunctionProvider):
         right, left = self.right_serre, self.left_serre
         if self.side == "left":     # M: Hom(F'x, y) -> Hom(x, F y)
             rx = sd.serre_apply(right, x)
-            outer = serre_left_pairing(sd, left, y, prim.G.apply(rx)).gram
+            outer = serre_pairing(sd, left, y, prim.G.apply(rx))
             middle = prim.forward_matrix(y, rx)
-            inner = serre_pairing(sd, right, x, prim.F.apply(y)).gram
+            inner = serre_pairing(sd, right, x, prim.F.apply(y))
         else:                       # M: Hom(x, G'y) -> Hom(G x, y)
             ly = sd.serre_apply(left, y)
-            outer = serre_pairing(sd, right, prim.F.apply(ly), x).gram
+            outer = serre_pairing(sd, right, prim.F.apply(ly), x)
             middle = prim.backward_matrix(ly, x)
-            inner = serre_left_pairing(sd, left, prim.G.apply(x), y).gram
+            inner = serre_pairing(sd, left, prim.G.apply(x), y)
         if outer.shape != inner.shape:
             raise ValueError(
                 f"{self.name}: adjunction matrix not square: {(len(outer), len(inner))}"

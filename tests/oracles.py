@@ -373,8 +373,9 @@ def _pair_left_value(ctx, tt_functor, xp, yp, f, h) -> int:
 def gram_entrywise(sd, which: str, x, y):
     """Gram matrix of one Serre pairing on (x, y), one entry at a time.
 
-    ``which`` names the functor F of the pairing: "T", "S" and "U" give
-    :func:`serre_pairing`, "T~", "S~" and "U~" :func:`serre_left_pairing`.
+    ``which`` names the functor F of the pairing, as for
+    :func:`serre_pairing`: "T", "S" and "U" pair on the right, "T~", "S~"
+    and "U~" on the left.
     """
     rec, ctx = sd.rec, sd.ctx
     fs = ctx.hom_space(x, y).basis_mors()
@@ -420,37 +421,37 @@ def gram_entrywise(sd, which: str, x, y):
 
 def _lower_shriek_star(sd, x, y):
     """(i_!, i^*):  Hom_A(i_! x, y) ~= Hom_B(x, i^* y)."""
-    from gluecat.serre import serre_left_pairing, serre_pairing
+    from gluecat.serre import serre_pairing
 
     rec = sd.rec
     fld = x.field
     sx = sd.serre_apply("S", x)
     z = rec.functor("i_*").apply(sx)                            # i_* S x
     iy = rec.functor("i^*").apply(y)
-    g1 = serre_left_pairing(sd, "T~", y, z).gram
+    g1 = serre_pairing(sd, "T~", y, z)
     f1 = sd.adjunctions["(i^*, i_*)"].forward_matrix(y, sx)
-    g2 = serre_pairing(sd, "S", x, iy).gram
+    g2 = serre_pairing(sd, "S", x, iy)
     return fld.mul_chain(g1.T, f1.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
 
 
 def _question_shriek(sd, x, n_obj):
     """(j^?, j_!):  Hom_C(j^? x, n) ~= Hom_A(x, j_! n)."""
-    from gluecat.serre import serre_left_pairing, serre_pairing
+    from gluecat.serre import serre_pairing
 
     rec = sd.rec
     fld = x.field
     tx = rec.functor("T").apply(x)
     w = rec.functor("j^*").apply(tx)                             # j^* T x
     jn = rec.functor("j_!").apply(n_obj)
-    g1 = serre_left_pairing(sd, "U~", n_obj, w).gram
+    g1 = serre_pairing(sd, "U~", n_obj, w)
     f2 = sd.adjunctions["(j_!, j^*)"].forward_matrix(n_obj, tx)
-    g2 = serre_pairing(sd, "T", x, jn).gram
+    g2 = serre_pairing(sd, "T", x, jn)
     return fld.mul_chain(g1.T, f2.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[1], 0)
 
 
 def _shriek_question(sd, x, y):
     """(i^!, i_?):  Hom_B(i^! x, y) ~= Hom_A(x, i_? y)  (x over A)."""
-    from gluecat.serre import serre_left_pairing, serre_pairing
+    from gluecat.serre import serre_pairing
 
     # built in the backward direction Hom_A(x, i_? y) -> Hom_B(i^! x, y)
     rec = sd.rec
@@ -458,25 +459,25 @@ def _shriek_question(sd, x, y):
     sty = sd.serre_apply("S~", y)
     zp = rec.functor("i_*").apply(sty)                            # i_* S~ y
     ix = rec.functor("i^!").apply(x)
-    g1 = serre_pairing(sd, "T", zp, x).gram
+    g1 = serre_pairing(sd, "T", zp, x)
     f3 = sd.adjunctions["(i_*, i^!)"].backward_matrix(sty, x)
-    g2 = serre_left_pairing(sd, "S~", ix, y).gram
+    g2 = serre_pairing(sd, "S~", ix, y)
     back = fld.mul_chain(g1.T, f3.T, fld.inv(g2)) if g2.size else fld.zeros(g1.shape[0], 0)
     return fld.inv(back) if back.size else back.T.copy()
 
 
 def _star_shriek_up(sd, n_obj, y):
     """(j_*, j^!):  Hom_A(j_* n, y) ~= Hom_C(n, j^! y)."""
-    from gluecat.serre import serre_left_pairing, serre_pairing
+    from gluecat.serre import serre_pairing
 
     rec = sd.rec
     fld = y.field
     tty = rec.functor("T~").apply(y)
     wp = rec.functor("j^*").apply(tty)                            # j^* T~ y
     jn = rec.functor("j_*").apply(n_obj)
-    g1 = serre_left_pairing(sd, "T~", jn, y).gram
+    g1 = serre_pairing(sd, "T~", jn, y)
     f4 = sd.adjunctions["(j^*, j_*)"].forward_matrix(tty, n_obj)
-    g2 = serre_pairing(sd, "U", wp, n_obj).gram
+    g2 = serre_pairing(sd, "U", wp, n_obj)
     if not g2.size:
         return fld.zeros(g1.shape[0], 0)
     return fld.mul_chain(g1, f4.T, fld.inv(g2).T)

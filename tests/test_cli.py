@@ -325,20 +325,50 @@ def test_verify_menu_name_in_no_category_exits_three(tmp_path, f1_data, capsys):
 
 
 def test_named_menus_build_only_their_entries(monkeypatch):
-    # F2 with menu ["P1"] builds P1 in each of A, B and C, and nothing else
-    built = []
-    build = DefaultMenu._build
+    # F2 with menu ["P1"] builds P1 in each of A, B and C, and nothing
+    # else: a stalk name needs no search for the cone's hom
+    from gluecat import modules
+
+    built, homs = [], []
+    build, build_hom = DefaultMenu._build, modules._build_hom
 
     def counted(menu, name):
         built.append((menu.tag, name))
         return build(menu, name)
 
+    def counted_hom(m, n):
+        homs.append((m.name, n.name))
+        return build_hom(m, n)
+
     monkeypatch.setattr(DefaultMenu, "_build", counted)
     scn = parse_scenario(dict(fixture_scenario("F2"), menu=["P1"]))
     rec, _ = cli._build_workbench(scn)
+    monkeypatch.setattr(modules, "_build_hom", counted_hom)
     menus = cli._resolve_menus(rec, scn)
     assert built == [("A", "P1"), ("B", "P1"), ("C", "P1")]
+    assert homs == []
     assert [[name for name, _ in menus[tag]] for tag in "ABC"] == [["P1"]] * 3
+
+
+def _f2_menus(names):
+    scn = parse_scenario(dict(fixture_scenario("F2"), menu=names))
+    rec, _ = cli._build_workbench(scn)
+    return rec, cli._resolve_menus(rec, scn)
+
+
+def test_named_menus_resolve_a_cone_name():
+    listing, _ = _f2_menus(["P1"])
+    cone_name = DefaultMenu(listing, "A").names()[-1]
+    assert cone_name.startswith("cone(")
+    rec, menus = _f2_menus(["P1", cone_name])
+    assert [name for name, _ in menus["A"]] == ["P1", cone_name]
+    assert menus["A"][1][1].key == DefaultMenu(rec, "A").get(cone_name).key
+
+
+@pytest.mark.parametrize("name", ["P9", "cone(P9->P1)"])
+def test_named_menus_refuse_an_unknown_name(name):
+    with pytest.raises(ScenarioError, match="are in no category"):
+        _f2_menus(["P1", name])
 
 
 def test_main_builds_no_parser_per_call(tmp_path, f1_data, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Package surface: every exported name exists, and every top-level
 function and class of the library, and every method of such a class, is
-used outside the tests, report cells are made in one place, and caches
-are built by one memo type."""
+used outside the tests, every attribute a library class stores is read
+somewhere, report cells are made in one place, and caches are built by
+one memo type."""
 
 import ast
 import importlib
@@ -66,6 +67,39 @@ def test_every_library_definition_is_referenced():
         if node.name not in used
     ]
     assert not unused, f"referenced by nothing in {', '.join(USER_DIRS)}: {unused}"
+
+
+def _stored(cls):
+    """Names of the attributes ``cls`` stores: its dataclass fields and
+    every ``self.<name>`` assigned in its body."""
+    fields = []
+    if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        fields = [n.target.id for n in cls.body
+                  if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    assigned = [n.attr for n in ast.walk(cls)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and getattr(n.value, "id", None) == "self"]
+    return dict.fromkeys(fields + assigned)
+
+
+def test_every_stored_attribute_is_read():
+    # state that is written but never read by name is dead weight
+    read = {
+        node.attr
+        for d in USER_DIRS + ("tests",)
+        for path in sorted((ROOT / d).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{top.name}.{name}"
+        for path in sorted((ROOT / "src" / "gluecat").glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, ast.ClassDef)
+        for name in _stored(top)
+        if name not in read
+    ]
+    assert not unread, f"stored but read nowhere: {unread}"
 
 
 def _call_scopes(node, name, scope=()):
