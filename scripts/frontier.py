@@ -13,19 +13,20 @@ SHA-256 of the report, so two checkouts can be compared run for run:
 equal digests mean byte-identical reports.  :func:`run` verifies any
 scenario dict the same way (``scripts/sweep.py`` uses it).
 
-Wall times, each in one child on a 2-core host with 7.7 GB of RAM:
+Wall times at commit ``4801f1a``, each in one child on a 2-core host
+with 7.7 GB of RAM:
 
-- E6: 1→2→3→4→5 with 6→3, e = {3}; 4.1 s;
-- E7: 1→2→3→4→5→6 with 7→3, e = {4}; 6.8 s;
-- K3: three arrows 1→2, e = {2}; 2.3 s;
-- K4: four arrows 1→2, e = {2}; 37.4 s;
-- A8: 1→2→…→8, e = {4}; 14.3 s;
-- D6: 1→3←2 with 3→4→5→6, e = {4}; 3.4 s;
-- E8-e3 and E8-e5: 1→2→…→7 with 8→3, e = {3}; 26.4 s, and e = {5};
-  21.4 s;
-- K3-tail: three arrows 1→2 and one arrow 2→3, e = {2}; 14.8 s;
-- K5: five arrows 1→2, e = {2}; 393 s, at the 3 GB limit, with four
-  cells out of memory (exit 2).
+- E6: 1→2→3→4→5 with 6→3, e = {3}; 2.6 s;
+- E7: 1→2→3→4→5→6 with 7→3, e = {4}; 3.0 s;
+- K3: three arrows 1→2, e = {2}; 2.8 s;
+- K4: four arrows 1→2, e = {2}; 30.8 s;
+- A8: 1→2→…→8, e = {4}; 4.1 s;
+- D6: 1→3←2 with 3→4→5→6, e = {4}; 2.3 s;
+- E8-e3 and E8-e5: 1→2→…→7 with 8→3, e = {3}; 8.3 s, and e = {5};
+  6.3 s;
+- K3-tail: three arrows 1→2 and one arrow 2→3, e = {2}; 13.9 s;
+- K5: five arrows 1→2, e = {2}; 202 s, at the 3 GB limit, with four
+  cells out of memory (``MemoryError``, exit 2).
 """
 
 import hashlib

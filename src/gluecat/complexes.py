@@ -326,14 +326,13 @@ def homology_dims(x: BoundedComplex) -> dict[int, int]:
 
 def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
     """Nonzero ``dims[n] - rank d^n - rank d^{n-1}``, over consecutive
-    degrees ``dims``; each differential is ranked once."""
-    if not dims:
-        return {}
-    lo = min(dims)
-    ranks = {n: fld.rank(diff(n)) for n in range(lo - 1, lo + len(dims))}
+    degrees ``dims`` (the terms outside them are zero).  Only the
+    differentials between two nonzero terms are asked for, each once: a
+    map into or out of a zero term has rank 0."""
+    ranks = {n: fld.rank(diff(n)) for n, dim in dims.items() if dim and dims.get(n + 1)}
     out = {}
     for n, dim in dims.items():
-        h = dim - ranks[n] - ranks[n - 1]
+        h = dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
         if h:
             out[n] = h
     return out
@@ -623,8 +622,10 @@ class DerivedContext:
       of ``(p, y)``, in Yoneda coordinates, serves hom spaces,
       certificates and lifts; derived Hom dimensions, keyed by the
       content of ``(replacement(x).p, y)``, rank the differentials of
-      one built outside the memo, so none is kept for them.  Nothing
-      mutates a memoised value.
+      one built outside the memo, so none is kept for them, and only
+      those between two nonzero terms (:func:`_homology`): a
+      differential with a zero side is the shared zero, and builds no
+      block.  Nothing mutates a memoised value.
     - Module hom bases (for the menus only), weight bases, projective
       covers, tensor products and the zero module are memoised by
       content in :mod:`gluecat.modules`, on the object that owns the
@@ -886,17 +887,20 @@ class HomComplex:
     W_{v_s}(y^j) s^j Q^-1(x^j)[:, v_s]; both this block and the d_y
     block are placed by :meth:`_diagonal`.
 
-    Differentials and extensions are built on first use (a hom space
-    needs d^-1 and d^0, a lift d^0).
+    Differentials, extensions and the blocks they read are built on
+    first use (a hom space needs d^-1 and d^0, a lift d^0): the d_y
+    blocks of a degree of y and the a_st of a degree of p, by the first
+    differential between two nonzero terms that reads them.  A
+    differential with a zero side is the shared zero of its shape, and
+    builds nothing.
     """
 
     def __init__(self, p: ProjectiveComplex, y: BoundedComplex):
         if not isinstance(p, ProjectiveComplex):
             raise TypeError(f"hom complex out of {p.name}, which is not a ProjectiveComplex")
-        a, fld = p.algebra, p.field
         self.p = p
         self.y = y
-        self.fld = fld
+        self.fld = p.field
         if p.is_zero() or y.is_zero():
             self.lo, self.hi = 0, -1
         else:
@@ -909,19 +913,9 @@ class HomComplex:
             for v, off, gen in zip(summ.vertices, summ.offsets, summ.gens)
         ]
         self._of_degree = {i: [k for k, s in enumerate(self._summands) if s[0] == i] for i in p.degrees()}
-        w = self._weights = {j: _weights(y.term(j)) for j in y.degrees()}
-        self._dy = {j: fld.mul_chain(w[j].basis, y.diff(j), w[j + 1].inverse) for j in range(y.lo, y.hi)}
-        # summand k of p^i -> (the summands t of p^{i-1}, and the a_st in
-        # the basis rows of P_{v_s}, one per row)
-        self._a_st: dict[int, tuple[list[int], np.ndarray]] = {}
-        for i in range(p.lo + 1, p.hi + 1):
-            src = self._of_degree[i - 1]
-            if src and self._of_degree[i]:
-                images = fld.matmul(np.stack([self._summands[t][3] for t in src]), p.diff(i - 1))
-                for k in self._of_degree[i]:
-                    _, v, off, _ = self._summands[k]
-                    self._a_st[k] = (src, images[:, off:off + projective_module(a, v)[0].dim])
+        self._weights = {j: _weights(y.term(j)) for j in y.degrees()}
         self._layouts, self._extensions, self.diffs = _Memo(), _Memo(), _Memo()
+        self._dy, self._a_st = _Memo(), _Memo()
 
     def _layout(self, n: int) -> tuple[list[slice], list[slice], int]:
         """``(slices, blocks, dim)`` of Hom^n: the coordinates of each
@@ -1007,21 +1001,44 @@ class HomComplex:
                 out[rows[k], cols[k]] = mat[blocks[k], blocks1[k]]
         return out
 
+    def _build_dy(self, j: int) -> np.ndarray:
+        """W(y^j) d_y^j Q^-1(y^{j+1})."""
+        w = self._weights
+        return self.fld.mul_chain(w[j].basis, self.y.diff(j), w[j + 1].inverse)
+
+    def _build_a_st(self, i: int) -> list[tuple[int, list[int], np.ndarray]]:
+        """``(k, src, a_st)`` for each summand k of p^i: the summands t
+        of p^{i-1}, and the a_st in the basis rows of P_{v_s}, one per t."""
+        src = self._of_degree.get(i - 1)
+        if not src:
+            return []
+        images = self.fld.matmul(np.stack([self._summands[t][3] for t in src]), self.p.diff(i - 1))
+        out = []
+        for k in self._of_degree[i]:
+            _, v, off, _ = self._summands[k]
+            out.append((k, src, images[:, off:off + projective_module(self.p.algebra, v)[0].dim]))
+        return out
+
     def diff(self, n: int) -> np.ndarray:
+        rows, cols = self.dim(n), self.dim(n + 1)
+        if not (rows and cols):
+            return _zeros(rows, cols)
         return self.diffs.value(n, self._build_diff, n)
 
     def _build_diff(self, n: int) -> np.ndarray:
         fld = self.fld
         (rows, blocks, _), (cols, blocks1, _) = self._layout(n), self._layout(n + 1)
-        d = self._diagonal(n, self, n + 1, self._dy)
+        js = [i + n for i in self._of_degree if self.y.lo <= i + n < self.y.hi]
+        d = self._diagonal(n, self, n + 1, {j: self._dy.value(j, self._build_dy, j) for j in js})
         sign = 1 if n % 2 == 0 else -1
-        for k, (src, a_st) in self._a_st.items():
-            i, v, _, _ = self._summands[k]
-            if rows[k].stop > rows[k].start:
-                ext = self._extension(i + n, v, blocks[k])
-                images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[i + n].inverse)
-                for t, image in zip(src, images):
-                    d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
+        for i in self._of_degree:
+            for k, src, a_st in self._a_st.value(i, self._build_a_st, i):
+                _, v, _, _ = self._summands[k]
+                if rows[k].stop > rows[k].start:
+                    ext = self._extension(i + n, v, blocks[k])
+                    images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[i + n].inverse)
+                    for t, image in zip(src, images):
+                        d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
         d.setflags(write=False)
         return d
 

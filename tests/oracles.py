@@ -21,7 +21,9 @@ its coordinates as a sum of scaled basis maps (``scale_map``,
 ``add_maps``).
 ``hom_complex_dims`` is the reference for derived Hom dimensions: it
 ranks the differentials of the Hom complex in module-hom bases, not in
-the Yoneda coordinates of the library, and
+the Yoneda coordinates of the library, with ``homology_by_ranks``, which
+ranks every differential of the range, those into or out of a zero term
+too, and
 ``coords_one_by_one`` for homology coordinates: one class at a time.  The
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
@@ -294,7 +296,6 @@ def hom_complex_dims(p, y):
     are the derived Hom dimensions: the reference for the Yoneda
     coordinates of ``HomComplex``.  Nothing is asked of a context.
     """
-    from gluecat.complexes import _homology
     from gluecat.modules import hom_basis_matrices
 
     if p.is_zero() or y.is_zero():
@@ -329,7 +330,23 @@ def hom_complex_dims(p, y):
         return out
 
     dims = {n: term(n)[1] for n in range(y.lo - p.hi, y.hi - p.lo + 1)}
-    return _homology(fld, dims, diff)
+    return homology_by_ranks(fld, dims, diff)
+
+
+def homology_by_ranks(fld, dims, diff):
+    """Nonzero ``dims[n] - rank d^n - rank d^{n-1}`` over the consecutive
+    degrees ``dims``, ranking every differential from d^{lo-1} to d^{hi},
+    whatever the dimensions of its terms."""
+    if not dims:
+        return {}
+    lo, hi = min(dims), max(dims)
+    ranks = {n: fld.rank(diff(n)) for n in range(lo - 1, hi + 1)}
+    out = {}
+    for n in range(lo, hi + 1):
+        h = dims[n] - ranks[n] - ranks[n - 1]
+        if h:
+            out[n] = h
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gluecat import complexes
 from gluecat.complexes import (
@@ -47,6 +49,7 @@ from oracles import (
     hom_coords,
     hom_coords_by_elimination,
     hom_map_by_expansion,
+    homology_by_ranks,
     homotopy_witnesses,
     injectives,
     is_identity,
@@ -1008,6 +1011,99 @@ def test_derived_hom_invariant_under_replacement(ctx, alg_a2):
     p1 = stalk_complex(projective_module(alg_a2, 0)[0])
     assert ctx.derived_hom_dims(s2, p1) == ctx.derived_hom_dims(rep.p, p1)
     assert ctx.derived_hom_dims(p1, s2) == ctx.derived_hom_dims(p1, rep.p)
+
+
+def _f1_stalks(a):
+    return {m.name: stalk_complex(m) for m in projectives(a) + simples(a)}
+
+
+def _count_calls(monkeypatch, cls, names) -> dict[str, list]:
+    """The arguments of every call of each method ``names`` of ``cls``."""
+    calls = {name: [] for name in names}
+
+    def recording(method, record):
+        return lambda self, *args: record.append(args) or method(self, *args)
+
+    for name in names:
+        monkeypatch.setattr(cls, name, recording(getattr(cls, name), calls[name]))
+    return calls
+
+
+@pytest.mark.parametrize("pair", [("P1", "S2"), ("P1", "S1"), ("S2", "S2")])
+def test_hom_complex_in_one_degree_assembles_no_differential(monkeypatch, ctx, alg_a2, pair):
+    # F1 stalks whose hom complex is nonzero in at most one degree: every
+    # differential has a zero side, so neither the dimensions nor any
+    # diff(n) place a block or build an extension
+    x, y = (_f1_stalks(alg_a2)[name] for name in pair)
+    p = ctx.replacement(x).p
+    calls = _count_calls(monkeypatch, HomComplex, ("_diagonal", "_build_extension"))
+    assert ctx.derived_hom_dims(x, y) == hom_complex_dims(p, y)
+    hc = HomComplex(p, y)
+    assert sum(hc.dim(n) > 0 for n in range(hc.lo, hc.hi + 1)) <= 1
+    for n in range(hc.lo - 1, hc.hi + 1):
+        d = hc.diff(n)
+        assert d is complexes._zeros(hc.dim(n), hc.dim(n + 1))
+        assert d.shape == (hc.dim(n), hc.dim(n + 1)) and not d.flags.writeable
+    assert calls == {"_diagonal": [], "_build_extension": []}
+
+
+def test_derived_hom_dims_build_only_differentials_between_nonzero_terms(monkeypatch, ctx, alg_a2):
+    # Hom(S2, P2) has dimensions 1, 1 in degrees 0, 1: d^0 is the one
+    # differential ranked, and d^-1, d^1 are neither built nor laid out
+    x, y = (_f1_stalks(alg_a2)[name] for name in ("S2", "P2"))
+    p = ctx.replacement(x).p
+    calls = _count_calls(monkeypatch, HomComplex, ("_build_diff", "_build_layout"))
+    assert ctx.derived_hom_dims(x, y) == hom_complex_dims(p, y) == {}
+    assert calls == {"_build_diff": [(0,)], "_build_layout": [(0,), (1,)]}
+
+
+@st.composite
+def _complexes_with_zero_terms(draw):
+    """``(fld, dims, diffs, homology)``: a complex of GF(p) vector spaces
+    over ``dims``, with a zero term strictly inside the range.  Degree k
+    holds ``hom[k]`` homology and ``bnd[k]`` copies of k -> k into degree
+    k + 1, in a random basis G_k of each term: d^k = G_k^-1 D^k G_{k+1}."""
+    fld = PrimeField(draw(st.sampled_from([2, 3, 32003])))
+    lo, length = draw(st.integers(-3, 3)), draw(st.integers(3, 6))
+    hom = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    bnd = draw(st.lists(st.integers(0, 2), min_size=length - 1, max_size=length - 1)) + [0]
+    zero = draw(st.integers(1, length - 2))
+    hom[zero] = bnd[zero] = bnd[zero - 1] = 0
+    size = [hom[k] + bnd[k] + (bnd[k - 1] if k else 0) for k in range(length)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def basis(n):
+        low, up = (np.tril(rng.integers(0, fld.p, (n, n)), -1) for _ in range(2))
+        return fld.matmul(low + np.eye(n, dtype=np.int64), up.T + np.eye(n, dtype=np.int64))
+
+    bases = [basis(n) for n in size]
+    diffs = {}
+    for k in range(length - 1):
+        d = fld.zeros(size[k], size[k + 1])
+        src, dst = hom[k], hom[k + 1] + bnd[k + 1]
+        d[src:src + bnd[k], dst:dst + bnd[k]] = np.eye(bnd[k], dtype=np.int64)
+        diffs[lo + k] = fld.mul_chain(fld.inv(bases[k]), d, bases[k + 1])
+    dims = {lo + k: n for k, n in enumerate(size)}
+    return fld, dims, diffs, {lo + k: h for k, h in enumerate(hom) if h}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_complexes_with_zero_terms())
+def test_homology_ranks_only_between_nonzero_terms(case):
+    # the homology of a random complex with zero terms in its range,
+    # against the count that ranks every differential; only the
+    # differentials between two nonzero terms are asked for
+    fld, dims, diffs, homology = case
+    for n in diffs:
+        assert not fld.matmul(diffs[n], diffs.get(n + 1, fld.zeros(dims[n + 1], 0))).any()
+
+    def diff(n):
+        return diffs.get(n, fld.zeros(dims.get(n, 0), dims.get(n + 1, 0)))
+
+    asked = []
+    got = complexes._homology(fld, dims, lambda n: asked.append(n) or diff(n))
+    assert got == homology_by_ranks(fld, dims, diff) == homology
+    assert all(dims.get(n) and dims.get(n + 1) for n in asked)
 
 
 def _checked_hom_dims(ctx, x, y):
