@@ -127,6 +127,8 @@ class Algebra:
 
     - ``_projectives``: :func:`~gluecat.modules.projective_module`, one
       entry per vertex;
+    - ``_sums``: :func:`~gluecat.modules.projective_sum`, one entry per
+      vertex tuple: the only description of a sum of projectives;
     - ``_hom_bases``: :func:`~gluecat.modules.hom_basis_matrices`, keyed
       by the action tensors (shape and bytes) of both modules; only the
       default menus ask for these, as hom complexes are written in
@@ -177,7 +179,8 @@ class Algebra:
         self.idempotent_indices = list(idempotent_indices)
         self.name = name or f"algebra(dim={self.dim})"
         self._opposite: Algebra | None = None
-        self._projectives, self._hom_bases, self._covers = _Memo(), _Memo(), _Memo()
+        self._projectives, self._sums = _Memo(), _Memo()
+        self._hom_bases, self._covers = _Memo(), _Memo()
         self._generators, self._weights = _Memo(), _Memo()
         self._zero, self._homology = _Memo(), _Memo()
         self._valid: dict[tuple, tuple] = {}

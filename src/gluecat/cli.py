@@ -24,6 +24,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -184,6 +185,10 @@ def cmd_verify(args) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
+    # the workbench is garbage now, but its algebra memos form reference
+    # cycles: free it before the report is serialised, not whenever the
+    # cyclic collector next runs
+    gc.collect()
     payload = _report_payload(scn, reports)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(args.report, "w", encoding="utf-8") as fh:

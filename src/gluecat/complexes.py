@@ -35,6 +35,7 @@ from .modules import (
     k_dual,
     projective_cover,
     projective_module,
+    projective_sum,
     tensor_hom,
     tensor_over,
     zero_module,
@@ -44,7 +45,6 @@ __all__ = [
     "BoundedComplex",
     "ProjectiveComplex",
     "ChainMap",
-    "ProjSummands",
     "Replacement",
     "DerivedContext",
     "DerivedIsoCertificate",
@@ -66,15 +66,6 @@ __all__ = [
 class LiftSystemInconsistentError(RuntimeError):
     """The lifting system had no solution: the map was not a qis or the
     source not projective.  Always a logic error upstream."""
-
-
-@dataclass
-class ProjSummands:
-    """Decomposition of a projective term as an ordered sum of e_v A."""
-
-    vertices: list[int]
-    offsets: list[int]
-    gens: list[np.ndarray]  # generator coordinates inside the term
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,15 +174,18 @@ class BoundedComplex:
 
 
 class ProjectiveComplex(BoundedComplex):
-    """A complex of projectives with each term an ordered sum of e_v A:
-    ``summands[n]`` for every degree n, empty for a zero term.  The
-    decomposition is not content, so ``key`` is the complex's: it serves
-    every complex with the same content."""
+    """A complex of projectives given by the vertex tuple of each term:
+    term n is the sum of the e_v A for v in ``vertices[n]``, in order,
+    built by :func:`~gluecat.modules.projective_sum`, which also gives
+    its offsets and generators.  ``vertices[n]`` is set for every degree
+    n, and empty for a zero term.  The decomposition is not content, so
+    ``key`` is the complex's: it serves every complex with the same
+    content."""
 
-    def __init__(self, algebra: Algebra, terms: dict, diffs: dict, summands: dict[int, ProjSummands], name: str = ""):
+    def __init__(self, algebra: Algebra, vertices: dict[int, tuple[int, ...]], diffs: dict, name: str = ""):
+        terms = {n: projective_sum(algebra, vs)[0] for n, vs in vertices.items()}
         super().__init__(algebra, terms, diffs, name=name)
-        empty = ProjSummands([], [], [])
-        self.summands = {n: summands[n] if self.term(n).dim else empty for n in self.degrees()}
+        self.vertices = {n: vertices.get(n, ()) for n in self.degrees()}
 
 
 class ChainMap:
@@ -255,7 +249,7 @@ class ChainMap:
 
 
 def zero_complex(a: Algebra) -> ProjectiveComplex:
-    return ProjectiveComplex(a, {}, {}, {}, name="0")
+    return ProjectiveComplex(a, {}, {}, name="0")
 
 
 def stalk_complex(m: RightModule, degree: int = 0, name: str = "") -> BoundedComplex:
@@ -343,20 +337,21 @@ def _homology(fld: PrimeField, dims: dict[int, int], diff) -> dict[int, int]:
 # ----------------------------------------------------------------------
 
 
-def _top_columns(a: Algebra, summ: ProjSummands, dim: int) -> np.ndarray:
+def _top_columns(a: Algebra, vertices: tuple[int, ...]) -> np.ndarray:
     """``(dim, s)``: column j reads the e_v-coefficient of summand j = e_v A
-    off a term vector, from the idempotent coordinate of its A-rows."""
-    out = np.zeros((dim, len(summ.vertices)), dtype=np.int64)
-    for j, (v, off) in enumerate(zip(summ.vertices, summ.offsets)):
+    off a vector of the sum, from the idempotent coordinate of its A-rows."""
+    module, offsets, _ = projective_sum(a, vertices)
+    out = np.zeros((module.dim, len(vertices)), dtype=np.int64)
+    for j, (v, off) in enumerate(zip(vertices, offsets)):
         rows = projective_module(a, v)[1]
         out[off:off + len(rows), j] = rows[:, a.idempotent_indices[v]]
     return out
 
 
-def _owners(summ: ProjSummands, dim: int) -> np.ndarray:
-    """The summand of each coordinate of a term."""
-    sizes = np.diff([*summ.offsets, dim])
-    return np.repeat(np.arange(len(sizes)), sizes)
+def _owners(a: Algebra, vertices: tuple[int, ...]) -> np.ndarray:
+    """The summand of each coordinate of the sum of projectives."""
+    module, offsets, _ = projective_sum(a, vertices)
+    return np.repeat(np.arange(len(offsets)), np.diff([*offsets, module.dim]))
 
 
 def _minimize(p: ProjectiveComplex) -> tuple[ProjectiveComplex, ChainMap, ChainMap]:
@@ -388,18 +383,18 @@ def _minimize(p: ProjectiveComplex) -> tuple[ProjectiveComplex, ChainMap, ChainM
         d = diffs[n]
         if not d.any():
             continue
-        src, tgt = p.summands[n], p.summands[n + 1]
-        src_kept = kept.get(n, np.arange(len(src.vertices)))
+        src, tgt = p.vertices[n], p.vertices[n + 1]
+        src_kept = kept.get(n, np.arange(len(src)))
         src_coords = coords.get(n, np.arange(p.term(n).dim))
-        gens = np.stack(src.gens)[np.ix_(src_kept, src_coords)]
-        top = fld.matmul(fld.matmul(gens, d), _top_columns(a, tgt, d.shape[1]))
+        gens = projective_sum(a, src)[2][np.ix_(src_kept, src_coords)]
+        top = fld.matmul(fld.matmul(gens, d), _top_columns(a, tgt))
         if not top.any():
             continue
         rows = fld.row_rank_profile(top)
         cols = fld.row_rank_profile(top[rows].T)
-        gone = np.isin(_owners(src, p.term(n).dim)[src_coords], src_kept[rows])
+        gone = np.isin(_owners(a, src)[src_coords], src_kept[rows])
         s, k = np.flatnonzero(gone), np.flatnonzero(~gone)
-        gone = np.isin(_owners(tgt, d.shape[1]), cols)
+        gone = np.isin(_owners(a, tgt), cols)
         s1, k1 = np.flatnonzero(gone), np.flatnonzero(~gone)
         t_inv = fld.inv(d[np.ix_(s, s1)])
         ct = fld.matmul(d[np.ix_(k, s1)], t_inv)
@@ -416,25 +411,15 @@ def _minimize(p: ProjectiveComplex) -> tuple[ProjectiveComplex, ChainMap, ChainM
         prj[n + 1] = fld.identity(d.shape[1])[:, k1]
         prj[n + 1][s1] = fld.neg(tb)
         kept[n], coords[n] = np.delete(src_kept, rows), src_coords[k]
-        kept[n + 1], coords[n + 1] = np.delete(np.arange(len(tgt.vertices)), cols), k1
+        kept[n + 1], coords[n + 1] = np.delete(np.arange(len(tgt)), cols), k1
     ident = {n: fld.identity(p.term(n).dim) for n in p.degrees() if n not in coords}
     if not coords:
         same = ChainMap(p, p, ident, validate=False)
         return p, same, same
-    terms, summands = dict(p.terms), dict(p.summands)
-    for n, ix in coords.items():
-        m, summ = p.term(n), p.summands[n]
-        action = m.action[:, ix][:, :, ix]
-        # proved: ix is a union of summand blocks, on which a sum of
-        # projectives acts block-diagonally
-        terms[n] = RightModule(a, action, name=m.name, validate=False) if ix.size else zero_module(a)
-        sizes = np.diff([*summ.offsets, m.dim])[kept[n]]
-        summands[n] = ProjSummands(
-            [summ.vertices[j] for j in kept[n]],
-            (np.cumsum(sizes) - sizes).tolist(),
-            [summ.gens[j][ix] for j in kept[n]],
-        )
-    p_min = ProjectiveComplex(a, terms, diffs, summands, name=p.name)
+    # the kept coordinates are whole summand blocks, in order, so each
+    # kept part of a term is the sum of its kept summands
+    vertices = {**p.vertices, **{n: tuple(p.vertices[n][j] for j in kept[n]) for n in coords}}
+    p_min = ProjectiveComplex(a, vertices, diffs, name=p.name)
     iota = ChainMap(p_min, p, {**ident, **inc}, validate=False)
     proj = ChainMap(p, p_min, {**ident, **prj}, validate=False)
     return p_min, iota, proj
@@ -467,8 +452,7 @@ def _resolve(x: BoundedComplex) -> tuple[ProjectiveComplex, dict[int, np.ndarray
     ``tests/oracles.py::resolution_data``.
     """
     a, fld = x.algebra, x.field
-    terms: dict[int, RightModule] = {}
-    summands: dict[int, ProjSummands] = {}
+    vertices: dict[int, tuple[int, ...]] = {}
     diffs: dict[int, np.ndarray] = {}
     q: dict[int, np.ndarray] = {}
     up, q_up, d_up = zero_module(a), fld.zeros(0, 0), fld.zeros(0, 0)  # degree n + 1
@@ -492,12 +476,11 @@ def _resolve(x: BoundedComplex) -> tuple[ProjectiveComplex, dict[int, np.ndarray
         # proved: x^n + p^{n+1} is a direct sum, and K^n a stable span of it
         cov = projective_cover(RightModule(a, action, name=f"K{n}({x.name})", validate=False))
         image = fld.matmul(cov.surjection, rows)
-        terms[n] = cov.module
-        summands[n] = ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
+        vertices[n] = cov.summands
         q[n], diffs[n] = image[:, :m.dim], image[:, m.dim:]
         up, q_up, d_up = cov.module, q[n], diffs[n]
         n -= 1
-    return ProjectiveComplex(a, terms, diffs, summands, name=f"P({x.name})"), q
+    return ProjectiveComplex(a, vertices, diffs, name=f"P({x.name})"), q
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +562,7 @@ def _same_content(a, b) -> bool:
     first complexes of its content, which need not be the caller's.
     Equal complexes share one key object (``_validate_once``), so the
     comparison is cheap.  A plain complex may equal a
-    :class:`ProjectiveComplex`, which alone has summands."""
+    :class:`ProjectiveComplex`, which alone has vertex tuples."""
     return a is b or a.key == b.key
 
 
@@ -587,8 +570,9 @@ class DerivedContext:
     """Duals, replacements, hom complexes, hom spaces and lifts, built
     once per content.
 
-    Replacements are minimal :class:`ProjectiveComplex` es, whose e_v A
-    summands hom complexes, lifts and :func:`_minimize` read.  A complex with
+    Replacements are minimal :class:`ProjectiveComplex` es, whose vertex
+    tuples (the e_v A summands of each term, in order) hom complexes,
+    lifts and :func:`_minimize` read.  A complex with
     projective terms is moved onto its covers, and any other complex is
     resolved by covers from its top degree down (:func:`_resolve`); both
     routes then cancel, by :func:`_minimize`, every pair of summands
@@ -688,16 +672,12 @@ class DerivedContext:
         else:
             sigma = {n: cov.surjection for n, cov in covers.items()}
             sigma_inv = {n: fld.inv(s) if s.size else s for n, s in sigma.items()}
-            terms = {n: cov.module for n, cov in covers.items()}
-            summands = {
-                n: ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
-                for n, cov in covers.items()
-            }
+            vertices = {n: cov.summands for n, cov in covers.items()}
             diffs = {
                 n: fld.mul_chain(sigma[n], x.diff(n), sigma_inv[n + 1])
                 for n in range(x.lo, x.hi)
             }
-            p, iota, proj = _minimize(ProjectiveComplex(a, terms, diffs, summands, name=f"P({x.name})"))
+            p, iota, proj = _minimize(ProjectiveComplex(a, vertices, diffs, name=f"P({x.name})"))
             qis = {n: fld.matmul(c, sigma[n]) for n, c in iota.comps.items()}
             inverse = {n: fld.matmul(sigma_inv[n], c) for n, c in proj.comps.items()}
             return Replacement(p, ChainMap(p, x, qis), ChainMap(x, p, inverse))
@@ -868,8 +848,10 @@ class HomComplex:
     in Yoneda coordinates: no module-hom basis.  Any other p raises
     ``TypeError``.
 
-    Hom_A(e_v A, N) = N e_v, so term n is the sum over the summands s (at
-    vertex v_s, generator g_s) of each p^i of y^{i+n} e_{v_s}.  A map f
+    Hom_A(e_v A, N) = N e_v, so term n is the sum over the summands s of
+    each p^i of y^{i+n} e_{v_s}: s is at the vertex v_s of the vertex
+    tuple of p^i, with the offset and the generator g_s that
+    :func:`~gluecat.modules.projective_sum` gives it.  A map f
     has the coordinates of its generator images g_s f^i in the weight
     basis Q of y^{i+n} (:func:`~gluecat.modules._weights`), summand by
     summand (:meth:`_coords`); an image u extends to the summand through
@@ -909,8 +891,8 @@ class HomComplex:
         # indices of the summands of each degree
         self._summands = [
             (i, v, off, gen)
-            for i, summ in p.summands.items()
-            for v, off, gen in zip(summ.vertices, summ.offsets, summ.gens)
+            for i, vs in p.vertices.items()
+            for v, off, gen in zip(vs, *projective_sum(p.algebra, vs)[1:])
         ]
         self._of_degree = {i: [k for k, s in enumerate(self._summands) if s[0] == i] for i in p.degrees()}
         self._weights = {j: _weights(y.term(j)) for j in y.degrees()}
@@ -1012,11 +994,12 @@ class HomComplex:
         src = self._of_degree.get(i - 1)
         if not src:
             return []
-        images = self.fld.matmul(np.stack([self._summands[t][3] for t in src]), self.p.diff(i - 1))
+        a = self.p.algebra
+        images = self.fld.matmul(projective_sum(a, self.p.vertices[i - 1])[2], self.p.diff(i - 1))
         out = []
         for k in self._of_degree[i]:
             _, v, off, _ = self._summands[k]
-            out.append((k, src, images[:, off:off + projective_module(self.p.algebra, v)[0].dim]))
+            out.append((k, src, images[:, off:off + projective_module(a, v)[0].dim]))
         return out
 
     def diff(self, n: int) -> np.ndarray:

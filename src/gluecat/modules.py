@@ -31,6 +31,7 @@ __all__ = [
     "projective_module",
     "injective_module",
     "projectives",
+    "projective_sum",
     "direct_sum",
     "submodule_from_rows",
     "sub_bimodule",
@@ -500,6 +501,31 @@ def projectives(a: Algebra) -> list[RightModule]:
     return [projective_module(a, v)[0] for v in range(a.n_idempotents)]
 
 
+def projective_sum(a: Algebra, vertices: tuple[int, ...]) -> tuple[RightModule, np.ndarray, np.ndarray]:
+    """The sum of the P_v for the vertex tuple ``vertices``, in order:
+    ``(module, offsets, gens)``, with ``offsets[k]`` the first coordinate
+    of summand k and row k of ``gens`` its generator e_v.
+
+    The tuple is the only stored description of a sum of projectives:
+    every term of a :class:`~gluecat.complexes.ProjectiveComplex` and
+    every cover is built here, once per tuple, and memoised on the
+    algebra (``Algebra._sums``), so every caller shares the same tuple
+    and its arrays are read-only.  The empty tuple gives the zero module.
+    """
+    return a._sums.value(vertices, _build_sum, a, vertices)
+
+
+def _build_sum(a: Algebra, vertices: tuple[int, ...]) -> tuple[RightModule, np.ndarray, np.ndarray]:
+    parts = [projective_module(a, v) for v in vertices]
+    module, offsets = direct_sum([m for m, _, _ in parts]) if parts else (zero_module(a), [])
+    offsets = np.asarray(offsets, dtype=np.intp)
+    gens = np.zeros((len(parts), module.dim), dtype=np.int64)
+    for k, ((_, _, gen), off) in enumerate(zip(parts, offsets)):
+        gens[k, off:off + gen.size] = gen
+    _freeze(offsets, gens)
+    return module, offsets, gens
+
+
 def direct_sum(mods: list[RightModule], name: str = "") -> tuple[RightModule, list[int]]:
     """Block direct sum; returns the module and the block offsets.
     Proved: products act blockwise."""
@@ -785,10 +811,8 @@ def nakayama_bimodule(a: Algebra) -> Bimodule:
 
 @dataclass
 class Cover:
-    module: RightModule
-    summands: list[int]            # vertex index of each projective summand
-    offsets: list[int]             # coordinate offset of each summand
-    gen_coords: list[np.ndarray]   # generator of each summand, in module coords
+    module: RightModule            # projective_sum(algebra, summands)
+    summands: tuple[int, ...]      # vertex of each summand P_v, in order
     surjection: np.ndarray         # matrix P -> M
     kernel: np.ndarray             # rows spanning the left kernel of surjection
 
@@ -799,7 +823,8 @@ def projective_cover(m: RightModule) -> Cover:
     Valid for the basic algebras produced by :mod:`gluecat.algebra`,
     where the radical is spanned by the non-idempotent basis elements.
     Memoised on the algebra by the content of M; the shared cover is
-    read-only and its module keeps the name of the first build.
+    read-only, and its module is the :func:`projective_sum` of its
+    summands.
     """
     return m.algebra._covers.value(m.key, _build_cover, m)
 
@@ -810,7 +835,7 @@ def _build_cover(m: RightModule) -> Cover:
     if m.dim == 0:
         surj, kernel = fld.zeros(0, 0), fld.zeros(0, 0)
         _freeze(surj, kernel)
-        return Cover(zero_module(a), [], [], [], surj, kernel)
+        return Cover(zero_module(a), (), surj, kernel)
     rad_idx = a.radical_basis_indices()
     if rad_idx:
         rad_rows = np.concatenate([m.action[i] for i in rad_idx], axis=0)
@@ -827,28 +852,19 @@ def _build_cover(m: RightModule) -> Cover:
     keep = fld.row_rank_profile(fld.matmul(cands, pi_top))
     if len(keep) != top_dim:
         raise ValueError("projective cover: generators do not span the top")
-    chosen = [(int(vertex_of[k]), cands[k]) for k in keep]
-
-    summands = [v for (v, _) in chosen]
-    parts = [projective_module(a, v) for v in summands]
-    if parts:
-        p_mod, offsets = direct_sum([pm for (pm, _, _) in parts], name=f"cover({m.name})")
-    else:
-        p_mod, offsets = zero_module(a), []
+    summands = tuple(int(vertex_of[k]) for k in keep)
+    p_mod, offsets, _ = projective_sum(a, summands)
     surj = fld.zeros(p_mod.dim, m.dim)
-    gens = []
-    for k, ((v, gen_row), (pm, rows, gen)) in enumerate(zip(chosen, parts)):
+    for k, v, off in zip(keep, summands, offsets):
+        rows = projective_module(a, v)[1]
         # row r is the generator times the r-th basis path of P_v
-        surj[offsets[k]:offsets[k] + pm.dim] = fld.matmul(rows, fld.matmul(gen_row, m.action))
-        full = np.zeros(p_mod.dim, dtype=np.int64)
-        full[offsets[k]:offsets[k] + pm.dim] = gen
-        gens.append(full)
+        surj[off:off + len(rows)] = fld.matmul(rows, fld.matmul(cands[k], m.action))
     kernel = fld.left_kernel_basis(surj)
     # rank-nullity: the rank of surj is P.dim minus its nullity
     if p_mod.dim - kernel.shape[0] != m.dim:
         raise ValueError("projective cover: constructed map is not surjective")
-    _freeze(surj, kernel, *gens)
-    return Cover(p_mod, summands, offsets, gens, surj, kernel)
+    _freeze(surj, kernel)
+    return Cover(p_mod, summands, surj, kernel)
 
 
 def global_dimension(a: Algebra, cap: int) -> int:
@@ -872,10 +888,10 @@ def global_dimension(a: Algebra, cap: int) -> int:
     gens = _generators(a)
     if not gens.minimal.size:
         return 0
-    projs = [projective_module(a, int(t)) for t in gens.tgt[gens.minimal]]
+    tgts = tuple(int(t) for t in gens.tgt[gens.minimal])
     ops = a.left_mult_operator(gens.parts[gens.minimal])
     # row r of block g is g times the r-th basis path of P_t
-    surj = np.concatenate([fld.matmul(rows, op) for (_, rows, _), op in zip(projs, ops)])
+    surj = np.concatenate([fld.matmul(projective_module(a, t)[1], op) for t, op in zip(tgts, ops)])
     kernel = fld.left_kernel_basis(surj)
     # rank-nullity: the rank of surj is its row count minus its nullity,
     # and its image lies in rad A
@@ -886,8 +902,7 @@ def global_dimension(a: Algebra, cap: int) -> int:
     exceeds = f"{a.name}: global dimension exceeds cap {cap}"
     if cap < 2:
         raise GlobalDimensionExceedsCapError(exceeds)
-    cover, _ = direct_sum([m for (m, _, _) in projs], name=f"cover(rad {a.name})")
-    syzygy, _ = submodule_from_rows(cover, kernel, name=f"syz2({a.name})")
+    syzygy, _ = submodule_from_rows(projective_sum(a, tgts)[0], kernel, name=f"syz2({a.name})")
     length, cov = 2, projective_cover(syzygy)
     while cov.kernel.shape[0]:
         length += 1

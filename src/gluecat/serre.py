@@ -26,11 +26,12 @@ from .complexes import (
     BoundedComplex,
     DerivedContext,
     Mor,
+    ProjectiveComplex,
     compose_maps,
     homology_dims,
     stalk_complex,
 )
-from .modules import TensorResult, nakayama_bimodule, projective_module, projectives
+from .modules import TensorResult, nakayama_bimodule, projective_module, projective_sum, projectives
 from .recollement import (
     AdjunctionProvider,
     DerivedTensorFunctor,
@@ -103,33 +104,23 @@ def attach_serre(rec: Recollement) -> SerreData:
 # ----------------------------------------------------------------------
 
 
-def _stacked_inclusions(a: Algebra, summ) -> np.ndarray:
-    rows = [projective_module(a, v)[1] for v in summ.vertices]
-    if not rows:
-        return a.field.zeros(0, a.dim)
-    return np.concatenate(rows, axis=0)
-
-
-def _trace_functionals(a: Algebra, summ, tens: TensorResult) -> list[np.ndarray]:
-    """One functional per summand: evaluate the Nakayama component of a
+def _trace_functionals(a: Algebra, vertices: tuple[int, ...], tens: TensorResult) -> list[np.ndarray]:
+    """One functional per summand of the sum of projectives with the
+    vertex tuple ``vertices``: evaluate the Nakayama component of a
     tensor class at the summand's vertex idempotent."""
     fld = a.field
-    u_rows = _stacked_inclusions(a, summ)
     q_dim = tens.module.dim
     # section[q] indexed by (term coordinate r, D(A) coordinate rho)
     sec = tens.section.reshape(q_dim, tens.m_dim, a.dim)
     out = []
-    for s, v in enumerate(summ.vertices):
-        start = summ.offsets[s]
-        stop = start + projective_module(a, v)[0].dim
-        out.append(
-            fld.matmul(sec[:, start:stop].reshape(q_dim, -1), u_rows[start:stop].reshape(-1))
-        )
+    for v, start in zip(vertices, projective_sum(a, vertices)[1]):
+        rows = projective_module(a, v)[1]  # P_v in A-coordinates
+        out.append(fld.matmul(sec[:, start:start + len(rows)].reshape(q_dim, -1), rows.reshape(-1)))
     return out
 
 
 def _supertrace_factors(
-    p: BoundedComplex, tensors: dict[int, TensorResult]
+    p: ProjectiveComplex, tensors: dict[int, TensorResult]
 ) -> dict[int, tuple[int, np.ndarray, np.ndarray]]:
     """Per degree n, ``(sign, gens, funcs)`` with the supertrace of a chain
     map c equal to  sum_n sign * sum_s gens[s] @ c^n @ funcs[s].
@@ -142,9 +133,8 @@ def _supertrace_factors(
     for n in p.degrees():
         if n not in tensors or tensors[n].module.dim == 0:
             continue
-        summ = p.summands[n]
-        funcs = _trace_functionals(a, summ, tensors[n])
-        out[n] = (1 if n % 2 == 0 else -1, np.stack(summ.gens), np.stack(funcs))
+        funcs = _trace_functionals(a, p.vertices[n], tensors[n])
+        out[n] = (1 if n % 2 == 0 else -1, projective_sum(a, p.vertices[n])[2], np.stack(funcs))
     return out
 
 

@@ -28,6 +28,8 @@ too, and
 per-element module kernels below are the references for the batched
 module set-up: one solve per algebra basis element, ``np.kron`` relation
 systems, and generators chosen by a greedy rank test per candidate.
+``projective_sum_by_hand`` is the reference for ``projective_sum``: the
+sum of the projective modules, with each generator placed by hand.
 The entry-loop evaluation blocks are the references for the whole-array
 blocks of the four primitive adjunction witnesses.  The dense validators
 (``module_violation_dense``, ``bimodule_violation_dense``,
@@ -896,6 +898,28 @@ def cover_greedy(m):
             blocks.append(fld.matmul(gen_row.reshape(1, -1), operator(m, rows[r])))
     surj = np.concatenate(blocks, axis=0) if blocks else fld.zeros(0, m.dim)
     return [v for v, _ in chosen], surj
+
+
+def projective_sum_by_hand(a, vertices):
+    """``(action, offsets, gens)`` of the sum of the P_v for the vertex
+    tuple, in order: the ``direct_sum`` of the projective modules, the
+    running sum of their dimensions, and each e_v placed by hand at the
+    offset of its summand, one row per summand."""
+    from gluecat.modules import direct_sum, projective_module
+
+    parts = [projective_module(a, v) for v in vertices]
+    if parts:
+        action = direct_sum([m for m, _, _ in parts])[0].action
+    else:
+        action = np.zeros((a.dim, 0, 0), dtype=np.int64)
+    offsets, gens = [], np.zeros((len(parts), action.shape[1]), dtype=np.int64)
+    start = 0
+    for k, (m, _, gen) in enumerate(parts):
+        offsets.append(start)
+        for r in range(m.dim):
+            gens[k, start + r] = gen[r]
+        start += m.dim
+    return action, np.array(offsets, dtype=np.intp), gens
 
 
 def ideal_rows_loop(a, e_vertices):

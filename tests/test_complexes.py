@@ -11,7 +11,6 @@ from gluecat.complexes import (
     HomComplex,
     Mor,
     ProjectiveComplex,
-    ProjSummands,
     cone,
     compose_maps,
     dual_chain_map,
@@ -28,11 +27,11 @@ from gluecat.field import PrimeField
 from gluecat.modules import (
     ResolutionExceedsCapError,
     RightModule,
-    direct_sum,
     hom_basis_matrices,
     nakayama_bimodule,
     projective_cover,
     projective_module,
+    projective_sum,
     simple_module,
     projectives,
     regular_module,
@@ -246,7 +245,7 @@ def test_stalk_replacement_is_the_resolution_by_covers(ctx, gf, quiver):
         assert (rep.p.lo, rep.p.hi) == (-res.length, 0)
         for k, cov in enumerate(res.covers):
             assert rep.p.term(-k).key == cov.module.key
-            assert rep.p.summands[-k].vertices == cov.summands
+            assert rep.p.vertices[-k] == cov.summands
         for k, d in enumerate(res.diffs):
             assert np.array_equal(rep.p.diff(-k - 1), d)
         assert np.array_equal(rep.qis.comp(0), res.augmentation)
@@ -504,19 +503,8 @@ def test_replacements_are_built_once_per_content_on_f1(monkeypatch):
 
 def _projective_complex(a, degrees, diffs):
     """The :class:`ProjectiveComplex` with terms the sums of the P_v listed
-    per degree, its summands from the projective modules, and
-    differentials ``diffs``."""
-    terms, summands = {}, {}
-    for n, vs in degrees.items():
-        parts = [projective_module(a, v) for v in vs]
-        terms[n], offsets = direct_sum([m for m, _, _ in parts])
-        gens = []
-        for (m, _, gen), off in zip(parts, offsets):
-            full = np.zeros(terms[n].dim, dtype=np.int64)
-            full[off:off + m.dim] = gen
-            gens.append(full)
-        summands[n] = ProjSummands(list(vs), offsets, gens)
-    return ProjectiveComplex(a, terms, diffs, summands)
+    per degree and differentials ``diffs``."""
+    return ProjectiveComplex(a, {n: tuple(vs) for n, vs in degrees.items()}, diffs)
 
 
 def _hom(a, v, u):
@@ -547,7 +535,7 @@ def test_minimize_cancels_with_the_schur_complement(ctx, alg_a3):
     d = np.block([[fld.identity(dv), b], [c, fld.zeros(c.shape[0], b.shape[1])]])
     p = _projective_complex(alg_a3, {0: [v, w], 1: [v, u]}, {0: d})
     p_min, iota, proj = complexes._minimize(p)
-    assert [p_min.summands[n].vertices for n in (0, 1)] == [[w], [u]]
+    assert [p_min.vertices[n] for n in (0, 1)] == [(w,), (u,)]
     assert np.array_equal(p_min.diff(0), fld.neg(fld.matmul(c, b)))
     assert replacement_problems(ctx, [(p, p_min, iota, proj)]) == []
     assert nonminimal_degrees(p) == [0]
@@ -574,9 +562,11 @@ def test_identity_block_leaves_the_other_summand(ctx, alg_a3, order):
     dv = projective_module(alg_a3, v)[0].dim
     d = np.concatenate([fld.identity(dv), b] if order == "vu" else [b, fld.identity(dv)], axis=1)
     p = _projective_complex(alg_a3, {0: [v], 1: [v, u] if order == "vu" else [u, v]}, {0: d})
+    assert p.vertices[1] == ((v, u) if order == "vu" else (u, v))  # as given: "uv" is unsorted
     p_min, iota, proj = complexes._minimize(p)
     assert (p_min.lo, p_min.hi) == (1, 1)
-    assert p_min.summands[1].vertices == [u]
+    assert p_min.vertices[1] == (u,)
+    assert p_min.term(1) is projective_sum(alg_a3, (u,))[0]
     assert p_min.term(1).key == projective_module(alg_a3, u)[0].key
     assert replacement_problems(ctx, [(p, p_min, iota, proj)]) == []
     assert ctx.replacement(p).p.key == p_min.key
@@ -1250,7 +1240,7 @@ def test_derived_hom_dims_with_a_zero_weight_space():
     a = path_algebra(Quiver(3, ((0, 1), (1, 2))), PrimeField(3))
     ctx = DerivedContext()
     s1, s2, s3 = (stalk_complex(m) for m in simples(a))
-    assert [ctx.replacement(s2).p.summands[n].vertices for n in (-1, 0)] == [[0], [1]]
+    assert [ctx.replacement(s2).p.vertices[n] for n in (-1, 0)] == [(0,), (1,)]
     assert _checked_hom_dims(ctx, s2, s2) == {0: 1}
     assert _checked_hom_dims(ctx, s2, s1) == {1: 1}
     assert _checked_hom_dims(ctx, s2, s3) == {}
@@ -1283,7 +1273,7 @@ def test_derived_hom_dims_over_the_kronecker_quiver(p):
     ctx = DerivedContext()
     s2 = stalk_complex(simple_module(a, 1))
     rep = ctx.replacement(s2).p
-    assert rep.summands[-1].vertices == [0, 0] and rep.summands[0].vertices == [1]
+    assert rep.vertices[-1] == (0, 0) and rep.vertices[0] == (1,)
     p1, p2 = (stalk_complex(projective_module(a, v)[0]) for v in (0, 1))
     s1 = stalk_complex(simple_module(a, 0))
     assert _checked_hom_dims(ctx, s2, s1) == {1: 2}

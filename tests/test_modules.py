@@ -17,6 +17,7 @@ from gluecat.modules import (
     nakayama_bimodule,
     projective_cover,
     projective_module,
+    projective_sum,
     projectives,
     regular_module,
     simple_module,
@@ -37,6 +38,7 @@ from oracles import (
     operator,
     paths_with_source,
     paths_with_target,
+    projective_sum_by_hand,
     regular_bimodule,
     resolution_data,
     simples,
@@ -118,7 +120,7 @@ def test_shared_module_constructions_are_read_only(alg_a3):
     tens = tensor_over(s2, nakayama_bimodule(alg_a3))
     assert basis
     _assert_read_only(basis)
-    _assert_read_only([cov.module.action, cov.surjection, *cov.gen_coords])
+    _assert_read_only([cov.module.action, cov.surjection])
     _assert_read_only([tens.module.action, tens.pi, tens.section])
 
 
@@ -158,6 +160,35 @@ def test_every_memoised_array_is_read_only_after_verify_and_apply(monkeypatch, t
             assert flips == [sd.da._flip], argv
         assert any(a._covers for a in algebras), argv
         assert writable_memo_arrays(algebras, bimodules) == [], argv
+
+
+def test_every_sum_of_projectives_is_the_one_memoised_sum(monkeypatch):
+    # every vertex tuple memoised over an F1 suite, and the empty tuple,
+    # gives the sum built by hand, read-only; every term of every
+    # ProjectiveComplex of the run is the shared sum of its tuple
+    from gluecat.algebra import Algebra
+    from gluecat.cli import run_suite
+    from gluecat.complexes import ProjectiveComplex
+    from gluecat.scenarios import fixture_scenario, parse_scenario
+
+    algebras, complexes = [], []
+    for cls, seen in ((Algebra, algebras), (ProjectiveComplex, complexes)):
+        def spy(obj, *args, init=cls.__init__, seen=seen, **kwargs):
+            init(obj, *args, **kwargs)
+            seen.append(obj)
+        monkeypatch.setattr(cls, "__init__", spy)
+    run_suite(parse_scenario(fixture_scenario("F1")))
+    tuples = [(a, vs) for a in algebras for vs in [*a._sums, ()]]
+    assert complexes and any(len(vs) > 1 for _, vs in tuples)
+    for a, vs in tuples:
+        module, offsets, gens = projective_sum(a, vs)
+        action, ref_offsets, ref_gens = projective_sum_by_hand(a, vs)
+        assert np.array_equal(module.action, action), (a.name, vs)
+        assert np.array_equal(offsets, ref_offsets) and np.array_equal(gens, ref_gens), (a.name, vs)
+        _assert_read_only([module.action, offsets, gens])
+    for p in complexes:
+        for n in p.degrees():
+            assert p.term(n) is projective_sum(p.algebra, p.vertices[n])[0], (p.name, n)
 
 
 def test_module_memos_are_per_algebra(alg_a3):
@@ -352,7 +383,7 @@ def test_cover_of_projective_is_iso(alg_a3):
         p, _, _ = projective_module(alg_a3, v)
         cov = projective_cover(p)
         assert cov.module.dim == p.dim
-        assert cov.summands == [v]
+        assert cov.summands == (v,)
 
 
 def test_memoised_covers_carry_the_kernel_of_their_surjection(monkeypatch):
@@ -399,8 +430,8 @@ def test_a3_simple_s3_resolution(alg_a3):
     s3 = simple_module(alg_a3, 2)
     res = resolution_data(s3, cap=5)
     assert res.length == 1
-    assert res.covers[0].summands == [2]
-    assert res.covers[1].summands == [1]
+    assert res.covers[0].summands == (2,)
+    assert res.covers[1].summands == (1,)
 
 
 def test_s1_is_projective_in_a3(alg_a3):

@@ -50,10 +50,12 @@ def test_a_corrupted_direct_sum_block_fails_the_dense_check(monkeypatch):
     monkeypatch.setattr(modules, "direct_sum", corrupted)
     monkeypatch.setattr(complexes, "direct_sum", corrupted)
     # the run may stop at the corrupted module; the check must name it
-    # either way
+    # either way.  A sum of projectives is built once per vertex tuple
+    # (modules.projective_sum) and named after its summands: the first
+    # one is the sum of P1 alone.
     with contextlib.suppress(ValueError):
         _run_f1()
-    assert "RightModule cover(Ae (right C)): unit does not act as identity" in laws.violations()
+    assert "RightModule P1: unit does not act as identity" in laws.violations()
 
 
 def test_a_flip_with_a_transposed_action_fails_the_dense_check(monkeypatch):

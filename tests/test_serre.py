@@ -62,14 +62,13 @@ def test_module_trace_commutation(sd_f1):
     tp = tensor_over(p, da)
     tq = tensor_over(q, da)
 
-    from gluecat.complexes import ProjSummands, BoundedComplex
+    from gluecat.modules import projective_sum
     from gluecat.serre import _trace_functionals
 
     def trace(cov, tens, h):
-        summ = ProjSummands(cov.summands, cov.offsets, cov.gen_coords)
-        t_vecs = _trace_functionals(a, summ, tens)
+        t_vecs = _trace_functionals(a, cov.summands, tens)
         total = 0
-        for s, gen in enumerate(summ.gens):
+        for s, gen in enumerate(projective_sum(a, cov.summands)[2]):
             img = fld.matmul(gen.reshape(1, -1), h)[0]
             total = (total + int(img @ t_vecs[s])) % fld.p
         return total
