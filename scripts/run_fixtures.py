@@ -7,9 +7,11 @@ spaces, derived Hom dimension tables and lifts, how many were built
 against how many were asked for,
 as counted by the content memos of the derived context, the summed
 and the largest term dimension of the projective replacements built,
-and how many times the law checks of ``Algebra``, ``RightModule`` and
-``Bimodule`` ran.  The script counts those by wrapping the three
-``validate`` methods itself; the library keeps no counter.
+how many times the law checks of ``Algebra``, ``RightModule`` and
+``Bimodule`` ran, and how many ``ChainMap``s and ``HomSpace``s were
+constructed.  The script counts those by wrapping the three
+``validate`` methods and the two constructors itself; the library keeps
+no counter.
 """
 
 import sys
@@ -21,31 +23,38 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gluecat.algebra import Algebra
 from gluecat.cli import run_suite
-from gluecat.complexes import DerivedContext
+from gluecat.complexes import ChainMap, DerivedContext, HomSpace
 from gluecat.modules import Bimodule, RightModule
 from gluecat.scenarios import fixture_scenario, parse_scenario
 
 MEMOS = ("dual", "replacement", "hom_complex", "hom_space", "derived_hom_dims", "lift")
 VALIDATED = (Algebra, RightModule, Bimodule)
+CONSTRUCTED = (ChainMap, HomSpace)
 
 
-def count_validations() -> Counter:
-    """Wrap ``validate`` of each class of ``VALIDATED`` so that each run
-    is counted, by class name, in the returned counter."""
+def count_calls(classes, method: str) -> Counter:
+    """Wrap ``method`` of each class of ``classes`` so that each call is
+    counted, by class name, in the returned counter."""
     counts = Counter()
-    for cls in VALIDATED:
-        def counted(self, name=cls.__name__, check=cls.validate):
+
+    def counting(name, call):
+        def counted(self, *args, **kwargs):
             counts[name] += 1
-            return check(self)
-        cls.validate = counted
+            return call(self, *args, **kwargs)
+        return counted
+
+    for cls in classes:
+        setattr(cls, method, counting(cls.__name__, getattr(cls, method)))
     return counts
 
 
 def main():
     rows = []
-    validations = count_validations()
+    validations = count_calls(VALIDATED, "validate")
+    constructions = count_calls(CONSTRUCTED, "__init__")
     for name in ("F1", "F2", "F3"):
         validations.clear()
+        constructions.clear()
         data = fixture_scenario(name)
         ctx = DerivedContext()
         t0 = time.monotonic()
@@ -64,6 +73,7 @@ def main():
         print(f"    replacement term dimensions: summed {sum(sizes)}, "
               f"largest {max(sizes, default=0)}")
         print("    validate runs: " + ", ".join(f"{cls.__name__} {validations[cls.__name__]}" for cls in VALIDATED))
+        print("    constructed: " + ", ".join(f"{cls.__name__} {constructions[cls.__name__]}" for cls in CONSTRUCTED))
     print()
     print(f"{'fixture':<28} {'suite':<18} {'pass':>6} {'fail':>6} {'inconcl':>8}")
     for label, diagram, ok, bad, inc in rows:

@@ -13,6 +13,7 @@ exploit.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 from dataclasses import dataclass
@@ -590,20 +591,26 @@ class DerivedContext:
     - ``dual``, ``replacement``, ``hom_space``, ``derived_hom_dims``,
       ``hom_complex`` and ``lift_many_through_qis`` keep a memo keyed by
       the exact ``key`` of their input complexes and chain maps; so do
-      the functor outputs (:class:`~gluecat.recollement.Functor`) and
-      the adjunction matrices.  A complex key holds its algebra, so no
+      the functor outputs (:class:`~gluecat.recollement.Functor`), the
+      adjunction matrices and the primitive adjunction images of classes
+      (:class:`~gluecat.recollement.PrimitiveAdjunction`).  A complex key
+      holds its algebra, so no
       entry keeps its input objects.  An input equal to an earlier one
       gets the identical value, built on the earlier objects and named
       after them: the replacement's ``qis`` targets the first ``x`` of
       its content, a hom space sits on the first ``x`` and ``y``, and a
       lift on the first ``p`` and ``y``.  So the guards that match
       complexes (:func:`compose_maps`, :meth:`lift_many_through_qis`,
-      :meth:`HomSpace.normalize`, :func:`present_class`) compare
-      content, not identity, and ``replacement(x).p`` is one complex per
-      content of ``x``; the last two return a map out of the replacement
-      itself, so every lift and hom complex starts from a
-      :class:`ProjectiveComplex`.  One :class:`HomComplex` per content
-      of ``(p, y)``, in Yoneda coordinates, serves hom spaces,
+      :func:`present_class`, which :meth:`HomSpace.normalize` calls)
+      compare content, not identity, and ``replacement(x).p`` is one
+      complex per content of ``x``; :func:`present_class` returns a map
+      out of the replacement itself, so every lift and hom complex
+      starts from a :class:`ProjectiveComplex`.  It reads only
+      ``replacement(x)``, so presenting a class builds no hom space, and
+      a carrier already on a complex equal to the replacement is re-based
+      with its components and key shared.  A hom space builds its basis
+      chain maps once.  One :class:`HomComplex` per content of
+      ``(p, y)``, in Yoneda coordinates, serves hom spaces,
       certificates and lifts; derived Hom dimensions, keyed by the
       content of ``(replacement(x).p, y)``, rank the differentials of
       one built outside the memo, so none is kept for them, and only
@@ -1059,22 +1066,20 @@ class Mor:
     map: ChainMap
     src_qis: ChainMap
 
-    @staticmethod
-    def from_direct(x: BoundedComplex, y: BoundedComplex, m: ChainMap) -> "Mor":
-        return Mor(x, y, m, identity_map(x))
-
 
 class HomSpace:
-    """Derived Hom(x, y) with a chosen presentation and explicit basis."""
+    """Derived Hom(x, y) with a chosen presentation and explicit basis.
+
+    The basis chain maps are built once, on first use, and shared as a
+    read-only tuple by :meth:`basis_maps` and :meth:`basis_mors`.
+    """
 
     def __init__(self, ctx: DerivedContext, x: BoundedComplex, y: BoundedComplex):
         self.ctx = ctx
         self.x = x
         self.y = y
         # always present on the projective replacement: the hom complex
-        # then computes derived Hom for any second argument, and every
-        # carrier can be normalized here (maps from x precompose with the
-        # canonical qis; other carriers lift through their qis)
+        # then computes derived Hom for any second argument
         rep = ctx.replacement(x)
         self.p = rep.p
         self.p_qis = rep.qis
@@ -1092,8 +1097,12 @@ class HomSpace:
         bnd.setflags(write=False)
         self.h_reps.setflags(write=False)
 
-    def basis_maps(self) -> list[ChainMap]:
-        return [self.hc.vector_to_chain_map(row) for row in self.h_reps]
+    @functools.cached_property
+    def _basis(self) -> tuple[ChainMap, ...]:
+        return tuple(self.hc.vector_to_chain_map(row) for row in self.h_reps)
+
+    def basis_maps(self) -> tuple[ChainMap, ...]:
+        return self._basis
 
     def basis_mors(self) -> list[Mor]:
         return [Mor(self.x, self.y, m, self.p_qis) for m in self.basis_maps()]
@@ -1123,33 +1132,58 @@ class HomSpace:
         return self.reduce_vectors(self.hc.chain_maps_to_vectors([self.normalize(mor) for mor in mors]))
 
     def normalize(self, mor: Mor) -> ChainMap:
-        """Re-present a class as a chain map out of ``self.p`` itself."""
-        if not (_same_content(mor.x, self.x) and _same_content(mor.y, self.y)):
-            raise ValueError("coords_of: morphism belongs to a different hom space")
-        if _same_content(mor.map.source, self.p):
-            return mor.map if mor.map.source is self.p else ChainMap(self.p, mor.map.target, mor.map.comps)
-        if not _same_content(mor.src_qis.source, mor.map.source):
-            raise ValueError("Mor: src_qis does not match the carrier")
-        return present_class(self.ctx, mor, via=self.p_qis)
+        """Re-present a class of this space as a chain map out of
+        ``self.p`` itself: :func:`present_class` with this space's x and
+        y, which are its guards."""
+        return present_class(self.ctx, mor, self.x, self.y)
 
 
-def present_class(ctx: DerivedContext, mor: Mor, via: ChainMap | None = None) -> ChainMap:
-    """The class of ``mor`` as a chain map out of ``replacement(mor.x).p``.
+def _rebase(m: ChainMap, source: BoundedComplex) -> ChainMap:
+    """``m`` as a map out of ``source``, a complex equal to its own.  The
+    copy shares the read-only components and the key: its content is
+    ``m``'s, checked (or proved) when ``m`` was built, so nothing is
+    rebuilt or checked again."""
+    if m.source is source:
+        return m
+    out = copy.copy(m)
+    out.source = source
+    return out
 
-    With ``via``, a map p' -> mor.x, it is the class of ``via`` followed
-    by ``mor``, as a chain map out of p'.  A carrier on ``mor.x`` is
-    precomposed with ``via``; any other carrier first lifts ``via``
-    through its qis.  Without ``via`` it is the replacement's qis, and a
-    carrier on a complex equal to the replacement is returned as a map
-    out of the replacement itself.
+
+def present_class(
+    ctx: DerivedContext,
+    mor: Mor,
+    x: BoundedComplex | None = None,
+    y: BoundedComplex | None = None,
+    via: ChainMap | None = None,
+) -> ChainMap:
+    """The class of ``mor`` as a chain map out of ``replacement(x).p``.
+
+    ``x`` and ``y``, by default ``mor.x`` and ``mor.y``, are the objects
+    of the hom space the class must lie in: a class between other
+    contents raises ``ValueError``, and so does a ``src_qis`` that does
+    not start at the carrier.  Only ``ctx.replacement(x)`` is read, so
+    no hom space is built; :meth:`HomSpace.normalize` is this function.
+    A carrier on a complex equal to the replacement is returned as a map
+    out of the replacement itself, sharing its components and key.  A
+    carrier on x is precomposed with the replacement's qis; any other
+    carrier first lifts that qis through its ``src_qis``.  With ``via``,
+    a map p' -> x, it is the class of ``via`` followed by ``mor``, as a
+    chain map out of p', built the same way.
     """
+    x = mor.x if x is None else x
+    y = mor.y if y is None else y
+    if not (_same_content(mor.x, x) and _same_content(mor.y, y)):
+        raise ValueError("coords_of: morphism belongs to a different hom space")
     m = mor.map
     if via is None:
-        rep = ctx.replacement(mor.x)
+        rep = ctx.replacement(x)
         if _same_content(m.source, rep.p):
-            return m if m.source is rep.p else ChainMap(rep.p, m.target, m.comps)
+            return _rebase(m, rep.p)
         via = rep.qis
-    if _same_content(m.source, mor.x):
+    if not _same_content(mor.src_qis.source, m.source):
+        raise ValueError("Mor: src_qis does not match the carrier")
+    if _same_content(m.source, x):
         return compose_maps(via, m)
     ell = ctx.lift_through_qis(via.source, via, mor.src_qis)
     return compose_maps(ell, m)

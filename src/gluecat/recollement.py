@@ -471,9 +471,12 @@ class AdjunctionProvider:
     """Explicit Hom(Fx, y) ~= Hom(x, Gy) at the level of chosen bases,
     for the functor expressions ``f_expr`` -| ``g_expr``.  A subclass
     gives the classes (``forward``, ``backward``) and the matrices
-    (``forward_matrix``, ``backward_matrix``), each built once per
-    content of ``(x, y)`` and shared as it is: plain numbers in shared
-    bases."""
+    (``forward_matrix``, ``backward_matrix``).  The matrices are built
+    once per content of ``(x, y)`` and shared as they are: plain numbers
+    in shared bases.  The unit is the forward image of the identity of
+    F x and the counit the backward image of the identity of G y; one
+    identity map is both the carrier and the ``src_qis`` of that
+    class."""
 
     name = "?"
 
@@ -512,14 +515,14 @@ class AdjunctionProvider:
     def unit(self, x) -> Mor:
         """x -> G F x as the forward image of the identity."""
         fx = self.F_apply(x)
-        ident = Mor.from_direct(fx, fx, identity_map(fx))
-        return self.forward(x, fx, ident)
+        ident = identity_map(fx)
+        return self.forward(x, fx, Mor(fx, fx, ident, ident))
 
     def counit(self, y) -> Mor:
         """F G y -> y as the backward image of the identity."""
         gy = self.G_apply(y)
-        ident = Mor.from_direct(gy, gy, identity_map(gy))
-        return self.backward(gy, y, ident)
+        ident = identity_map(gy)
+        return self.backward(gy, y, Mor(gy, gy, ident, ident))
 
 
 def _evaluate(fld, rows: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -533,13 +536,33 @@ def _evaluate(fld, rows: np.ndarray, ev: np.ndarray) -> np.ndarray:
 class PrimitiveAdjunction(AdjunctionProvider):
     """F -| G for two functors of the registry, named "(F, G)".  Each
     matrix is the coordinates of the images of a basis, in one
-    :class:`~gluecat.algebra._Memo` per direction."""
+    :class:`~gluecat.algebra._Memo` per direction.
+
+    The image of a class is built once per content of ``(x, y)`` and of
+    its carrier and ``src_qis``, by ``_forward_image`` or
+    ``_backward_image``, in one memo with the units of a dual-shape
+    pair.  A builder reads its class through
+    :func:`~gluecat.complexes.present_class`, which builds no hom space.
+    A hit is handed out on the caller's own x (forward) or y (backward);
+    its chain maps sit on the objects it was built for, which the
+    content guards accept."""
 
     def __init__(self, rec: Recollement, f: str, g: str):
         super().__init__(rec, FunctorExpr((f,)), FunctorExpr((g,)))
         self.name = f"({f}, {g})"
         self.F, self.G = rec.functor(f), rec.functor(g)
         self._forward, self._backward = _Memo(), _Memo()  # (x, y) -> matrix
+        self._images = _Memo()  # (direction, x, y, carrier, src_qis) -> Mor; ("unit", x) -> ChainMap
+
+    def forward(self, x, y, mor: Mor) -> Mor:
+        key = ("forward", x.key, y.key, mor.map.key, mor.src_qis.key)
+        image = self._images.value(key, self._forward_image, x, y, mor)
+        return image if image.x is x else Mor(x, image.y, image.map, image.src_qis)
+
+    def backward(self, x, y, mor: Mor) -> Mor:
+        key = ("backward", x.key, y.key, mor.map.key, mor.src_qis.key)
+        image = self._images.value(key, self._backward_image, x, y, mor)
+        return image if image.y is y else Mor(image.x, y, image.map, image.src_qis)
 
     def forward_matrix(self, x, y) -> np.ndarray:
         return self._forward.value((x.key, y.key), self._build_forward, x, y)
@@ -567,10 +590,10 @@ class TensorShapeAdjunction(PrimitiveAdjunction):
     stack ``ev[v, w, :]`` = (basis vector v of (G y)^n) . w in y^n.
     """
 
-    def forward(self, x, y, mor):
+    def _forward_image(self, x, y, mor):
         ctx = self.ctx
         fx = self.F_apply(x)
-        phi = ctx.hom_space(fx, y).normalize(mor)  # R_{Fx} -> y
+        phi = present_class(ctx, mor, fx, y)  # R_{Fx} -> y
         inverse = ctx.replacement(fx).inverse
         if inverse is None:
             raise RuntimeError(f"{self.F.name}-output should have projective terms")
@@ -585,9 +608,9 @@ class TensorShapeAdjunction(PrimitiveAdjunction):
                 comps[n] = x.field.mul_chain(ins, inverse.comps[n], phi.comp(n), into_g)
         return Mor(x, gy, ChainMap(rep_x.p, gy, comps), rep_x.qis)
 
-    def backward(self, x, y, mor):
+    def _backward_image(self, x, y, mor):
         ctx = self.ctx
-        psi = ctx.hom_space(x, self.G_apply(y)).normalize(mor)  # R_x -> G y
+        psi = present_class(ctx, mor, x, self.G_apply(y))  # R_x -> G y
         fx = self.F_apply(x)
         tensors = self.F.aux(x)["tensors"]
         rep_fx = ctx.replacement(fx)
@@ -604,7 +627,8 @@ class DualShapeAdjunction(PrimitiveAdjunction):
     """F exact, G = D(D(-) (x)^L W) its dual derived tensor right adjoint.
 
     The unit x -> G F x is D(nu) of the evaluation pairing
-    nu: R_{D(Fx)} (x) W -> D(x); ``forward`` is the unit followed by
+    nu: R_{D(Fx)} (x) W -> D(x), built once per content of x;
+    ``forward`` is the unit followed by
     G(phi); ``backward`` lifts F(psi) . mu through D(q_{R_{Dy}}), where
     mu: F G y -> D(R_{Dy}) evaluates against R_{Dy} (x) W.  A pair
     supplies ``_evaluation``, the stack ``ev[v, w, :]`` of nu at degree
@@ -625,22 +649,21 @@ class DualShapeAdjunction(PrimitiveAdjunction):
         nu_map = ChainMap(aux["pre"], ctx.dual(x), nu)
         return dual_chain_map(nu_map, dual_source=out, dual_target=x)
 
-    def forward(self, x, y, mor):
+    def _forward_image(self, x, y, mor):
         ctx = self.ctx
         fx = self.F_apply(x)
-        phi_hat = ctx.hom_space(fx, y).normalize(mor)
-        eta = self._unit(x)
+        phi_hat = present_class(ctx, mor, fx, y)
+        eta = self._images.value(("unit", x.key), self._unit, x)
         g_phi = self.G_mor(Mor(fx, y, phi_hat, ctx.replacement(fx).qis))
         psi = compose_maps(eta, g_phi.map)
         return Mor(x, self.G_apply(y), psi, identity_map(x))
 
-    def backward(self, x, y, mor):
+    def _backward_image(self, x, y, mor):
         ctx = self.ctx
         gy = self.G_apply(y)
-        hs = ctx.hom_space(x, gy)
-        psi = hs.normalize(mor)  # R_x -> G y
+        psi = present_class(ctx, mor, x, gy)  # R_x -> G y
         fx, f_gy = self.F_apply(x), self.F.apply(gy)
-        f_psi = self.F.apply_mor(Mor(x, gy, psi, hs.p_qis))
+        f_psi = self.F.apply_mor(Mor(x, gy, psi, ctx.replacement(x).qis))
         tensors = self.G.aux(y)["tensors"]
         rep_dy = ctx.replacement(ctx.dual(y))
         d_rdy = ctx.dual(rep_dy.p)
@@ -649,7 +672,7 @@ class DualShapeAdjunction(PrimitiveAdjunction):
         # y == DD(y) on the nose, so D(q_{R_{Dy}}) runs y -> D(R_{Dy})
         s = dual_chain_map(rep_dy.qis, dual_source=d_rdy, dual_target=y)
         rep_fx = ctx.replacement(fx)
-        phi_pre = ctx.hom_space(fx, f_gy).normalize(f_psi)  # R_{Fx} -> F G y
+        phi_pre = present_class(ctx, f_psi, fx, f_gy)  # R_{Fx} -> F G y
         g = ctx.lift_through_qis(rep_fx.p, compose_maps(phi_pre, mu_map), s)
         return Mor(fx, y, g, rep_fx.qis)
 
@@ -735,8 +758,8 @@ def compose_mor(ctx: DerivedContext, m1: Mor, m2: Mor) -> Mor:
     """Class composition x --m1--> y --m2--> z."""
     if not _same_content(m1.y, m2.x):
         raise ValueError("compose_mor: middle objects differ")
-    hs = ctx.hom_space(m1.x, m1.y)
-    return Mor(m1.x, m2.y, present_class(ctx, m2, via=hs.normalize(m1)), hs.p_qis)
+    via = present_class(ctx, m1)
+    return Mor(m1.x, m2.y, present_class(ctx, m2, via=via), ctx.replacement(m1.x).qis)
 
 
 def mor_from_coords(hs, coords: np.ndarray) -> Mor:

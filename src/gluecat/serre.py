@@ -29,6 +29,7 @@ from .complexes import (
     ProjectiveComplex,
     compose_maps,
     homology_dims,
+    present_class,
     stalk_complex,
 )
 from .modules import TensorResult, nakayama_bimodule, projective_module, projective_sum, projectives
@@ -163,14 +164,13 @@ def _right_factors(
     """
     tx = t_functor.apply(xp)
     aux = t_functor.aux(xp)
-    hs_f, hs_g = ctx.hom_space(xp, yp), ctx.hom_space(yp, tx)
     p = ctx.replacement(xp).p
     lifts = ctx.lift_many_through_qis(
-        p, [hs_f.normalize(f) for f in fs], ctx.replacement(yp).qis
+        p, [present_class(ctx, f, xp, yp) for f in fs], ctx.replacement(yp).qis
     )
     factors = _supertrace_factors(p, aux["tensors"])
     lefts = [{n: ell.comp(n) for n in factors} for ell in lifts]
-    rights = [{n: hs_g.normalize(g).comp(n) for n in factors} for g in gs]
+    rights = [{n: present_class(ctx, g, yp, tx).comp(n) for n in factors} for g in gs]
     return factors, lefts, rights
 
 
@@ -192,14 +192,13 @@ def _left_factors(
     rep_ty = ctx.replacement(ty)
     if rep_ty.inverse is None:
         raise SingularPairingError("T~ output should have projective terms")
-    hs_f, hs_h = ctx.hom_space(xp, yp), ctx.hom_space(ty, xp)
     lifts = ctx.lift_many_through_qis(
-        rep_ty.p, [hs_h.normalize(h) for h in hs], ctx.replacement(xp).qis
+        rep_ty.p, [present_class(ctx, h, ty, xp) for h in hs], ctx.replacement(xp).qis
     )
     rep = ctx.replacement(ctx.dual(yp))
     p, qis = rep.p, rep.qis
     factors = _supertrace_factors(p, aux["tensors"])
-    f_hats = [hs_f.normalize(f) for f in fs]
+    f_hats = [present_class(ctx, f, xp, yp) for f in fs]
     lefts = [{n: fld.matmul(qis.comp(n), f.comp(-n).T) for n in factors} for f in f_hats]
     moved = [compose_maps(rep_ty.inverse, ell) for ell in lifts]  # ty -> rep of x'
     rights = [{n: c.comp(-n).T for n in factors} for c in moved]

@@ -376,6 +376,64 @@ def test_guards_return_maps_out_of_the_replacement_itself(ctx, alg_a3):
     assert hs.coords_of(mor).any()
 
 
+def test_rebasing_a_carrier_shares_its_components_and_key(ctx, alg_a3, monkeypatch):
+    # the carrier was validated when it was built, so moving it onto the
+    # content-equal replacement constructs no chain map
+    x = _twins(alg_a3)[0][0]
+    rep = ctx.replacement(x)
+    plain = BoundedComplex(alg_a3, dict(rep.p.terms), dict(rep.p.diffs))
+    carrier = ChainMap(plain, x, rep.qis.comps)
+    built = []
+    init = ChainMap.__init__
+    monkeypatch.setattr(ChainMap, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    g = complexes.present_class(ctx, Mor(x, x, carrier, carrier))
+    assert built == []
+    assert g.source is rep.p and g.target is carrier.target
+    assert g.comps is carrier.comps and g.key is carrier.key
+
+
+def test_presenting_a_class_builds_no_hom_space(ctx, alg_a3, monkeypatch):
+    x, x2 = _twins(alg_a3)[1]
+    hs = ctx.hom_space(x, x)
+    basis = hs.basis_mors()[0]
+    spaces = []
+    init = complexes.HomSpace.__init__
+    monkeypatch.setattr(complexes.HomSpace, "__init__", lambda self, *a: spaces.append(a) or init(self, *a))
+    shifted = shift(x, 1)
+    # a class of another hom space, by either object, and a qis that
+    # does not start at the carrier, are refused by normalize and by
+    # present_class with the same messages
+    foreign = [Mor(shifted, x, basis.map, basis.src_qis), Mor(x, shifted, basis.map, basis.src_qis)]
+    for mor in foreign:
+        with pytest.raises(ValueError, match="coords_of: morphism belongs to a different hom space"):
+            hs.normalize(mor)
+        with pytest.raises(ValueError, match="coords_of: morphism belongs to a different hom space"):
+            complexes.present_class(ctx, mor, x2, x2)
+    stray = Mor(x, x, identity_map(x), identity_map(shifted))
+    for present in (hs.normalize, lambda mor: complexes.present_class(ctx, mor, x2, x)):
+        with pytest.raises(ValueError, match="Mor: src_qis does not match the carrier"):
+            present(stray)
+    # a class of the space is presented as the space itself presents it
+    twin = Mor(x2, x2, ChainMap(x2, x2, identity_map(x).comps), identity_map(x2))
+    g = complexes.present_class(ctx, twin, x, x)
+    assert g.source is hs.p and g.key == hs.normalize(twin).key
+    assert spaces == []
+
+
+def test_hom_space_builds_its_basis_once(ctx, alg_a3, monkeypatch):
+    x = stalk_complex(regular_module(alg_a3))
+    hs = ctx.hom_space(x, x)
+    expanded = []
+    to_map = HomComplex.vector_to_chain_map
+    monkeypatch.setattr(HomComplex, "vector_to_chain_map", lambda self, v: expanded.append(v) or to_map(self, v))
+    maps = hs.basis_maps()
+    assert isinstance(maps, tuple) and len(maps) == hs.dim == len(expanded) > 1
+    mors = hs.basis_mors()
+    assert hs.basis_maps() is maps and [m.map for m in mors] == list(maps)
+    assert all(m.x is hs.x and m.y is hs.y and m.src_qis is hs.p_qis for m in mors)
+    assert len(expanded) == hs.dim
+
+
 def test_memos_keep_the_algebras_of_their_keys_alive():
     # a complex key holds its algebra, so an entry keeps the algebra
     # alive: a new algebra at the same id can never hit the old entries
@@ -474,12 +532,12 @@ def test_f1_memo_counts_are_pinned():
     ctx = DerivedContext()
     run_suite(parse_scenario(fixture_scenario("F1")), ctx)
     assert ctx.memo_counts() == {
-        "dual": (36, 563),
-        "replacement": (73, 3624),
-        "hom_complex": (93, 245),
-        "hom_space": (83, 1256),
+        "dual": (36, 261),
+        "replacement": (73, 3694),
+        "hom_complex": (87, 238),
+        "hom_space": (76, 689),
         "derived_hom_dims": (149, 2214),
-        "lift": (42, 268),
+        "lift": (42, 178),
     }
 
 

@@ -7,7 +7,7 @@ import pytest
 import gluecat.modules as modules
 import gluecat.recollement as recollement
 from gluecat.algebra import Quiver, path_algebra
-from gluecat.complexes import BoundedComplex, ChainMap, cone, homology_dims, stalk_complex
+from gluecat.complexes import BoundedComplex, ChainMap, Mor, cone, homology_dims, stalk_complex
 from gluecat.field import PrimeField
 from gluecat.modules import projective_module, regular_module, simple_module, tensor_over
 from gluecat.recollement import (
@@ -759,6 +759,89 @@ def test_adjunction_forward_resolves_its_own_input():
             assert image.x is obj and image.src_qis.target.key == obj.key
             assert image.src_qis is prov.ctx.replacement(obj).qis
             prov.rhs_space(obj, y).coords_of(image)
+
+
+def _moved(mor, x, y):
+    """``mor`` as a class of Hom(x, y), for x and y equal to its own
+    objects: the same content, on new chain-map objects."""
+    return Mor(
+        x, y,
+        ChainMap(mor.map.source, y, mor.map.comps),
+        ChainMap(mor.src_qis.source, x, mor.src_qis.comps),
+    )
+
+
+def test_primitive_images_are_built_once_per_content(monkeypatch):
+    # twin inputs, down to the chain maps of the class, share one image,
+    # handed out on the caller's own x (forward) or y (backward); a
+    # dual-shape pair builds its unit once per content of x
+    rec, _ = _fresh_f1()
+    builds, units = [], []
+    for cls in (recollement.TensorShapeAdjunction, recollement.DualShapeAdjunction):
+        for name in ("_forward_image", "_backward_image"):
+            monkeypatch.setattr(cls, name, _counting(getattr(cls, name), builds))
+    shape = recollement.DualShapeAdjunction
+    monkeypatch.setattr(shape, "_unit", _counting(shape._unit, units))
+    for prov in primitive_adjunctions(rec).values():
+        src, tgt = prov.f_expr.signature(rec.registry)
+        (x, x2), (y, y2) = _twins(rec, src), _twins(rec, tgt)
+        lhs, rhs = prov.lhs_space(x, y), prov.rhs_space(x, y)
+        assert lhs.dim and rhs.dim
+        builds.clear()
+        for mor in lhs.basis_mors():
+            image = prov.forward(x, y, mor)
+            twin = prov.forward(x2, y2, _moved(mor, mor.x, y2))
+            assert image.x is x and twin.x is x2 and twin.y is image.y
+            assert (twin.map, twin.src_qis) == (image.map, image.src_qis)
+            assert np.array_equal(rhs.coords_of(twin), rhs.coords_of(image))
+        assert builds == [prov.name] * lhs.dim
+        builds.clear()
+        for mor in rhs.basis_mors():
+            image = prov.backward(x, y, mor)
+            twin = prov.backward(x2, y2, _moved(mor, x2, mor.y))
+            assert image.y is y and twin.y is y2 and twin.x is image.x
+            assert (twin.map, twin.src_qis) == (image.map, image.src_qis)
+            assert np.array_equal(lhs.coords_of(twin), lhs.coords_of(image))
+        assert builds == [prov.name] * rhs.dim
+    assert units == ["(i_*, i^!)", "(j^*, j_*)"]
+
+
+def test_unit_and_counit_present_one_identity(monkeypatch):
+    rec, _ = _fresh_f1()
+    seen = []
+    for cls in (recollement.TensorShapeAdjunction, recollement.DualShapeAdjunction):
+        for name in ("_forward_image", "_backward_image"):
+            build = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, x, y, mor, build=build: seen.append(mor) or build(self, x, y, mor))
+    for prov in primitive_adjunctions(rec).values():
+        src, tgt = prov.f_expr.signature(rec.registry)
+        prov.unit(_twins(rec, src)[0])
+        prov.counit(_twins(rec, tgt)[0])
+    assert len(seen) == 8
+    assert all(mor.map is mor.src_qis and mor.x is mor.y is mor.map.source for mor in seen)
+
+
+def test_providers_refuse_a_foreign_class_without_a_hom_space(monkeypatch):
+    from gluecat.complexes import HomSpace, identity_map, zero_map
+
+    rec, _ = _fresh_f1()
+    spaces = []
+    init = HomSpace.__init__
+    monkeypatch.setattr(HomSpace, "__init__", lambda self, *a: spaces.append(a) or init(self, *a))
+    for prov in primitive_adjunctions(rec).values():
+        src, tgt = prov.f_expr.signature(rec.registry)
+        x, y = _twins(rec, src)[0], _twins(rec, tgt)[0]
+        # a class out of the zero object, where F x and x are not zero
+        zf, zx = _zero_twins(rec, tgt)[0], _zero_twins(rec, src)[0]
+        gy = prov.G_apply(y)
+        wrong = [
+            (prov.forward, Mor(zf, y, zero_map(zf, y), identity_map(zf))),
+            (prov.backward, Mor(zx, gy, zero_map(zx, gy), identity_map(zx))),
+        ]
+        for direction, mor in wrong:
+            with pytest.raises(ValueError, match="coords_of: morphism belongs to a different hom space"):
+                direction(x, y, mor)
+    assert spaces == []
 
 
 def test_suite_builds_each_functor_output_once_per_content(monkeypatch):
