@@ -13,13 +13,14 @@ SHA-256 of the report, so two checkouts can be compared run for run:
 equal digests mean byte-identical reports.  :func:`run` verifies any
 scenario dict the same way (``scripts/sweep.py`` uses it).
 
-Wall times at commit ``4801f1a``, each in one child on a 2-core host
-with 7.7 GB of RAM:
+Wall times, each in one child on a 2-core host with 7.7 GB of RAM.
+E6, E7, K3 and K4 are from the per-degree Hom complex (after
+``f188637``), two runs each; the others are from commit ``4801f1a``:
 
-- E6: 1→2→3→4→5 with 6→3, e = {3}; 2.6 s;
-- E7: 1→2→3→4→5→6 with 7→3, e = {4}; 3.0 s;
-- K3: three arrows 1→2, e = {2}; 2.8 s;
-- K4: four arrows 1→2, e = {2}; 30.8 s;
+- E6: 1→2→3→4→5 with 6→3, e = {3}; 1.4–1.8 s, 78 MB;
+- E7: 1→2→3→4→5→6 with 7→3, e = {4}; 2.1–2.3 s, 135 MB;
+- K3: three arrows 1→2, e = {2}; 1.5–2.0 s, 94–95 MB;
+- K4: four arrows 1→2, e = {2}; 18.7–20.9 s, 1,146 MB;
 - A8: 1→2→…→8, e = {4}; 4.1 s;
 - D6: 1→3←2 with 3→4→5→6, e = {4}; 2.3 s;
 - E8-e3 and E8-e5: 1→2→…→7 with 8→3, e = {3}; 8.3 s, and e = {5};

@@ -8,10 +8,15 @@ against how many were asked for,
 as counted by the content memos of the derived context, the summed
 and the largest term dimension of the projective replacements built,
 how many times the law checks of ``Algebra``, ``RightModule`` and
-``Bimodule`` ran, and how many ``ChainMap``s and ``HomSpace``s were
-constructed.  The script counts those by wrapping the three
-``validate`` methods and the two constructors itself; the library keeps
-no counter.
+``Bimodule`` ran, how many ``ChainMap``s and ``HomSpace``s were
+constructed, and, for ``HomComplex``, how many were constructed, how
+many summand tables they built (one per degree n of the complex whose
+summands a product or a differential read) and how many differentials
+they assembled.  Derived Hom dimensions read only the sizes of the
+weight blocks wherever no two adjacent degrees are nonzero, so most
+complexes build neither.  The script counts those by wrapping the three
+``validate`` methods, the constructors and the two ``HomComplex``
+builders itself; the library keeps no counter.
 """
 
 import sys
@@ -23,13 +28,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gluecat.algebra import Algebra
 from gluecat.cli import run_suite
-from gluecat.complexes import ChainMap, DerivedContext, HomSpace
+from gluecat.complexes import ChainMap, DerivedContext, HomComplex, HomSpace
 from gluecat.modules import Bimodule, RightModule
 from gluecat.scenarios import fixture_scenario, parse_scenario
 
 MEMOS = ("dual", "replacement", "hom_complex", "hom_space", "derived_hom_dims", "lift")
 VALIDATED = (Algebra, RightModule, Bimodule)
 CONSTRUCTED = (ChainMap, HomSpace)
+HOM_COMPLEX = {"constructed": "__init__", "summand tables": "_build_layout", "differentials": "_build_diff"}
 
 
 def count_calls(classes, method: str) -> Counter:
@@ -52,9 +58,12 @@ def main():
     rows = []
     validations = count_calls(VALIDATED, "validate")
     constructions = count_calls(CONSTRUCTED, "__init__")
+    hom_complexes = {label: count_calls([HomComplex], method) for label, method in HOM_COMPLEX.items()}
     for name in ("F1", "F2", "F3"):
         validations.clear()
         constructions.clear()
+        for counts in hom_complexes.values():
+            counts.clear()
         data = fixture_scenario(name)
         ctx = DerivedContext()
         t0 = time.monotonic()
@@ -74,6 +83,7 @@ def main():
               f"largest {max(sizes, default=0)}")
         print("    validate runs: " + ", ".join(f"{cls.__name__} {validations[cls.__name__]}" for cls in VALIDATED))
         print("    constructed: " + ", ".join(f"{cls.__name__} {constructions[cls.__name__]}" for cls in CONSTRUCTED))
+        print("    hom complexes: " + ", ".join(f"{label} {counts['HomComplex']}" for label, counts in hom_complexes.items()))
     print()
     print(f"{'fixture':<28} {'suite':<18} {'pass':>6} {'fail':>6} {'inconcl':>8}")
     for label, diagram, ok, bad, inc in rows:

@@ -616,7 +616,10 @@ class DerivedContext:
       one built outside the memo, so none is kept for them, and only
       those between two nonzero terms (:func:`_homology`): a
       differential with a zero side is the shared zero, and builds no
-      block.  Nothing mutates a memoised value.
+      block.  Its dimensions are sums of weight-block sizes
+      (:meth:`HomComplex._table`), so where no two adjacent degrees are
+      nonzero it lays out no summand and builds no differential.
+      Nothing mutates a memoised value.
     - Module hom bases (for the menus only), weight bases, projective
       covers, tensor products and the zero module are memoised by
       content in :mod:`gluecat.modules`, on the object that owns the
@@ -735,8 +738,8 @@ class DerivedContext:
         # s_* g + d h = f: (g, h) @ [[d^0, s_*], [0, d^-1]] == (0, f)
         # s_* in the weight bases: W(y^j) s^j Q^-1(x^j), one product per degree
         s_star = {
-            j: fld.mul_chain(hy._weights[j].basis, s.comp(j), hx._weights[j].inverse)
-            for j in p.degrees() if j in hy._weights and j in hx._weights
+            j: fld.mul_chain(hy._weights(j).basis, s.comp(j), hx._weights(j).inverse)
+            for j in p.degrees() if y.lo <= j <= y.hi and x.lo <= j <= x.hi
         }
         n0, n1 = hy.dim(0), hy.dim(1)
         system = fld.zeros(n0 + hx.dim(-1), n1 + hx.dim(0))
@@ -870,18 +873,29 @@ class HomComplex:
     -(-1)^n W_{v_s}(y^j) a_st Q^-1(y^j)[:, v_t], where W_v are the rows of
     Q at v and a_st in e_{v_s} A e_{v_t} is the s-block of g_t d_p^{i-1}:
     its coordinates in the basis rows b of P_{v_s} combine the
-    extensions W_{v_s}(y^j) b of :meth:`_extension`.  Its homology is
+    extensions W_{v_s}(y^j) b Q^-1(y^j)[:, v_t] of :meth:`_extension_at`,
+    which keeps the columns of the target vertex only.  Its homology is
     derived Hom degreewise.  A chain map s: y -> x sends Hom^n(p, y) to
     Hom^n(p, x) summand by summand, by the block
     W_{v_s}(y^j) s^j Q^-1(x^j)[:, v_s]; both this block and the d_y
     block are placed by :meth:`_diagonal`.
 
-    Differentials, extensions and the blocks they read are built on
-    first use (a hom space needs d^-1 and d^0, a lift d^0): the d_y
-    blocks of a degree of y and the a_st of a degree of p, by the first
-    differential between two nonzero terms that reads them.  A
-    differential with a zero side is the shared zero of its shape, and
-    builds nothing.
+    The constructor keeps p, y and the degree range; everything else is
+    built per degree by the first method that reads it.  :meth:`_table`
+    looks up, for each degree i of p, the size and the first row of the
+    weight block of y^{i+n} at each vertex of p^i; the sizes alone give
+    :meth:`dim`, so derived Hom dimensions build nothing more wherever
+    no two adjacent terms are nonzero.  :meth:`_layout` groups each p^i
+    into runs of equal consecutive vertices, whose summands share their
+    weight block, their extension and their size, and gives each run
+    its coordinates.  :meth:`_expand` and :meth:`_coords` make one
+    product per run; a differential makes one per degree, source vertex
+    and target vertex (:meth:`_extension_at`), and places its blocks
+    one source summand at a time.  Tuples are not sorted, so the
+    coordinates follow the summands as given.  Differentials,
+    extensions and the blocks they read are built on first use (a hom
+    space needs d^-1 and d^0, a lift d^0).  A differential with a zero
+    side is the shared zero of its shape, and builds nothing.
     """
 
     def __init__(self, p: ProjectiveComplex, y: BoundedComplex):
@@ -894,83 +908,125 @@ class HomComplex:
             self.lo, self.hi = 0, -1
         else:
             self.lo, self.hi = y.lo - p.hi, y.hi - p.lo
-        # (degree, vertex, offset, generator) of each summand of p, and the
-        # indices of the summands of each degree
-        self._summands = [
-            (i, v, off, gen)
-            for i, vs in p.vertices.items()
-            for v, off, gen in zip(vs, *projective_sum(p.algebra, vs)[1:])
-        ]
-        self._of_degree = {i: [k for k, s in enumerate(self._summands) if s[0] == i] for i in p.degrees()}
-        self._weights = {j: _weights(y.term(j)) for j in y.degrees()}
-        self._layouts, self._extensions, self.diffs = _Memo(), _Memo(), _Memo()
-        self._dy, self._a_st = _Memo(), _Memo()
+        self._tables, self._layouts, self._extensions = _Memo(), _Memo(), _Memo()
+        self.diffs, self._dy, self._a_st = _Memo(), _Memo(), _Memo()
 
-    def _layout(self, n: int) -> tuple[list[slice], list[slice], int]:
-        """``(slices, blocks, dim)`` of Hom^n: the coordinates of each
-        summand, their block in the weight basis of its y^{i+n}, and
-        dim Hom^n."""
-        return self._layouts.value(n, self._build_layout, n)
+    def _weights(self, j: int):
+        """The weight basis of y^j (:func:`~gluecat.modules._weights`)."""
+        return _weights(self.y.term(j))
 
-    def _build_layout(self, n: int) -> tuple[list[slice], list[slice], int]:
-        slices, blocks, off = [], [], 0
-        for i, v, _, _ in self._summands:
-            w = self._weights.get(i + n)
-            start, size = (int(w.offsets[v]), int(w.sizes[v])) if w is not None else (0, 0)
-            slices.append(slice(off, off + size))
-            blocks.append(slice(start, start + size))
-            off += size
-        return slices, blocks, off
+    def _block(self, j: int, v: int) -> slice:
+        """The rows of the weight basis of y^j at v."""
+        w = self._weights(j)
+        start = int(w.offsets[v])
+        return slice(start, start + int(w.sizes[v]))
+
+    def _table(self, n: int) -> tuple[dict[int, tuple[list[int], list[int]]], int]:
+        """``({i: (sizes, starts)}, dim Hom^n)``: for each degree i of p
+        with y^{i+n} inside y, the size and the first row of the weight
+        block of y^{i+n} at each vertex of p^i."""
+        return self._tables.value(n, self._build_table, n)
+
+    def _build_table(self, n: int) -> tuple[dict[int, tuple[list[int], list[int]]], int]:
+        y, table, dim = self.y, {}, 0
+        for i, vs in self.p.vertices.items():
+            if y.lo <= i + n <= y.hi:
+                w = self._weights(i + n)
+                sizes, starts = w.sizes.tolist(), w.offsets.tolist()
+                table[i] = [sizes[v] for v in vs], [starts[v] for v in vs]
+                dim += sum(table[i][0])
+        return table, dim
 
     def dim(self, n: int) -> int:
-        return self._layout(n)[2]
+        return self._table(n)[1]
 
-    def _extension(self, j: int, v: int, block: slice) -> np.ndarray:
-        """``(r, dim y^j e_v, dim y^j)``: W b for the rows W of the
-        ``block`` of the weight basis of y^j, a basis of y^j e_v, and each
-        of the r basis rows b of e_v A, acting on y^j."""
-        return self._extensions.value((j, v), self._build_extension, j, v, block)
+    def _layout(self, n: int) -> tuple[dict[int, list[tuple]], int]:
+        """``({i: runs}, dim Hom^n)``: for each degree i of :meth:`_table`,
+        ``(v, first, count, offset, lo, hi, block)`` for each run of
+        ``count`` equal consecutive vertices v of p^i, from summand
+        ``first`` on.  The run starts at row ``offset`` of p^i and has the
+        coordinates ``lo:hi`` of Hom^n, and each of its summands reads the
+        rows ``block`` of the weight basis of y^{i+n}."""
+        return self._layouts.value(n, self._build_layout, n)
 
-    def _build_extension(self, j: int, v: int, block: slice) -> np.ndarray:
-        images = self.fld.matmul(self._weights[j].basis[block], self.y.term(j).action)
+    def _build_layout(self, n: int) -> tuple[dict[int, list[tuple]], int]:
+        table, dim = self._table(n)
+        layout, lo = {}, 0
+        for i, (sizes, starts) in table.items():
+            vs = self.p.vertices[i]
+            offsets = projective_sum(self.p.algebra, vs)[1].tolist()
+            layout[i], first = [], 0
+            for k in range(1, len(vs) + 1):
+                if k == len(vs) or vs[k] != vs[first]:
+                    size, start, hi = sizes[first], starts[first], lo + (k - first) * sizes[first]
+                    block = slice(start, start + size)
+                    layout[i].append((vs[first], first, k - first, offsets[first], lo, hi, block))
+                    first, lo = k, hi
+        return layout, dim
+
+    def _extension(self, j: int, v: int) -> np.ndarray:
+        """``(r, dim y^j e_v, dim y^j)``: W b for the rows W of the weight
+        basis of y^j at v, a basis of y^j e_v, and each of the r basis
+        rows b of e_v A, acting on y^j."""
+        return self._extensions.value((j, v), self._build_extension, j, v)
+
+    def _build_extension(self, j: int, v: int) -> np.ndarray:
+        images = self.fld.matmul(self._weights(j).basis[self._block(j, v)], self.y.term(j).action)
         out = _operators(projective_module(self.p.algebra, v)[1], images, self.fld.p)
+        out.setflags(write=False)
+        return out
+
+    def _extension_at(self, j: int, v: int, u: int) -> np.ndarray:
+        """``(r, dim y^j e_v, dim y^j e_u)``: the :meth:`_extension` of v
+        in the weight coordinates of y^j at u, W b Q^-1(y^j)[:, u]."""
+        return self._extensions.value((j, v, u), self._build_extension_at, j, v, u)
+
+    def _build_extension_at(self, j: int, v: int, u: int) -> np.ndarray:
+        out = self.fld.matmul(self._extension(j, v), self._weights(j).inverse[:, self._block(j, u)])
         out.setflags(write=False)
         return out
 
     def _expand(self, n: int, coeffs: np.ndarray) -> dict[int, np.ndarray]:
         """The components p^i -> y^{i+n} of the elements with degree-n
         coordinates ``coeffs`` (one row each), for every degree i of p
-        where some coordinate is nonzero; the others are zero."""
-        slices, blocks, _ = self._layout(n)
-        owner = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
+        where some coordinate is nonzero; the others are zero.  One
+        product per run of p^i."""
+        layout, _ = self._layout(n)
+        live, count = coeffs.any(axis=0), len(coeffs)
         out = {}
-        for k in sorted(set(owner[coeffs.any(axis=0)].tolist())):
-            i, v, off, _ = self._summands[k]
-            if i not in out:
-                out[i] = np.zeros((len(coeffs), self.p.term(i).dim, self.y.term(i + n).dim), dtype=np.int64)
-            ext = self._extension(i + n, v, blocks[k])
-            out[i][:, off:off + len(ext)] = self.fld.matmul(coeffs[:, slices[k]], ext).transpose(1, 0, 2)
+        for i, runs in layout.items():
+            for v, _, r, off, lo, hi, _ in runs:
+                if not live[lo:hi].any():
+                    continue
+                if i not in out:
+                    out[i] = np.zeros((count, self.p.term(i).dim, self.y.term(i + n).dim), dtype=np.int64)
+                ext = self._extension(i + n, v)
+                rows, size, cols = ext.shape
+                # images[b, (element, summand)] is the image of the summand's row b
+                images = self.fld.matmul(coeffs[:, lo:hi].reshape(count * r, size), ext)
+                block = np.reshape(out[i][:, off:off + r * rows], (count, r, rows, cols), copy=False)
+                block[...] = images.reshape(rows, count, r, cols).transpose(1, 2, 0, 3)
         return out
 
     def _coords(self, n: int, count: int, stacks: dict[int, np.ndarray]) -> np.ndarray:
         """Degree-n coordinates of ``count`` elements given by blocks:
         ``stacks[i]`` holds their components p^i -> y^{i+n}.  Each block
         must be the extension of its generator images, which is the case
-        exactly when it is a module hom."""
+        exactly when it is a module hom.  One product per run of p^i."""
         fld = self.fld
-        slices, blocks, dim = self._layout(n)
+        layout, dim = self._layout(n)
         out = fld.zeros(count, dim)
         stacks = {i: stack % fld.p for i, stack in stacks.items()}
         for i, stack in stacks.items():
-            ks = [k for k in self._of_degree.get(i, []) if slices[k].stop > slices[k].start]
-            if not ks:
+            runs = [run for run in layout.get(i, ()) if run[4] < run[5]]
+            if not runs:
                 if stack.any():
                     raise ValueError("hom_coords: nonzero map in zero hom space")
                 continue
-            images = fld.matmul(np.stack([self._summands[k][3] for k in ks]), stack)
-            inverse = self._weights[i + n].inverse
-            for r, k in enumerate(ks):
-                out[:, slices[k]] = fld.matmul(images[:, r], inverse[:, blocks[k]])
+            images = fld.matmul(projective_sum(self.p.algebra, self.p.vertices[i])[2], stack)
+            inverse = self._weights(i + n).inverse
+            for _, first, r, _, lo, hi, block in runs:
+                out[:, lo:hi] = fld.matmul(images[:, first:first + r], inverse[:, block]).reshape(count, hi - lo)
         expanded = self._expand(n, out)
         for i, stack in stacks.items():
             if not np.array_equal(expanded.get(i, np.zeros_like(stack)), stack):
@@ -982,32 +1038,31 @@ class HomComplex:
         same p) that sends each summand of each p^i to itself, by the
         block of ``mats[i + n]`` at its vertex: ``mats[j]`` is a matrix in
         the weight bases of y^j and of ``target.y^{i+m}``."""
-        (rows, blocks, dim), (cols, blocks1, dim1) = self._layout(n), target._layout(m)
+        (rows, dim), (cols, dim1) = self._layout(n), target._layout(m)
         out = self.fld.zeros(dim, dim1)
-        for k, (i, _, _, _) in enumerate(self._summands):
-            mat = mats.get(i + n)
-            if mat is not None:
-                out[rows[k], cols[k]] = mat[blocks[k], blocks1[k]]
+        for i, runs in rows.items():
+            mat, runs1 = mats.get(i + n), cols.get(i)
+            if mat is None or runs1 is None:
+                continue
+            for (_, _, r, _, r0, r1, block), (_, _, _, _, c0, c1, block1) in zip(runs, runs1):
+                if r0 < r1 and c0 < c1:
+                    s, s1, sub = (r1 - r0) // r, (c1 - c0) // r, mat[block, block1]
+                    for q in range(r):
+                        out[r0 + q * s:r0 + (q + 1) * s, c0 + q * s1:c0 + (q + 1) * s1] = sub
         return out
 
     def _build_dy(self, j: int) -> np.ndarray:
         """W(y^j) d_y^j Q^-1(y^{j+1})."""
-        w = self._weights
-        return self.fld.mul_chain(w[j].basis, self.y.diff(j), w[j + 1].inverse)
+        return self.fld.mul_chain(self._weights(j).basis, self.y.diff(j), self._weights(j + 1).inverse)
 
-    def _build_a_st(self, i: int) -> list[tuple[int, list[int], np.ndarray]]:
-        """``(k, src, a_st)`` for each summand k of p^i: the summands t
-        of p^{i-1}, and the a_st in the basis rows of P_{v_s}, one per t."""
-        src = self._of_degree.get(i - 1)
+    def _build_a_st(self, i: int) -> np.ndarray | None:
+        """g_t d_p^{i-1} for each summand t of p^{i-1}, one row each: its
+        columns at summand s of p^i are a_st in the basis rows of P_{v_s}.
+        ``None`` when p^{i-1} is zero."""
+        src = self.p.vertices.get(i - 1)
         if not src:
-            return []
-        a = self.p.algebra
-        images = self.fld.matmul(projective_sum(a, self.p.vertices[i - 1])[2], self.p.diff(i - 1))
-        out = []
-        for k in self._of_degree[i]:
-            _, v, off, _ = self._summands[k]
-            out.append((k, src, images[:, off:off + projective_module(a, v)[0].dim]))
-        return out
+            return None
+        return self.fld.matmul(projective_sum(self.p.algebra, src)[2], self.p.diff(i - 1))
 
     def diff(self, n: int) -> np.ndarray:
         rows, cols = self.dim(n), self.dim(n + 1)
@@ -1017,18 +1072,30 @@ class HomComplex:
 
     def _build_diff(self, n: int) -> np.ndarray:
         fld = self.fld
-        (rows, blocks, _), (cols, blocks1, _) = self._layout(n), self._layout(n + 1)
-        js = [i + n for i in self._of_degree if self.y.lo <= i + n < self.y.hi]
+        (rows, _), (cols, _) = self._layout(n), self._layout(n + 1)
+        js = [i + n for i in rows if i + n < self.y.hi]
         d = self._diagonal(n, self, n + 1, {j: self._dy.value(j, self._build_dy, j) for j in js})
         sign = 1 if n % 2 == 0 else -1
-        for i in self._of_degree:
-            for k, src, a_st in self._a_st.value(i, self._build_a_st, i):
-                _, v, _, _ = self._summands[k]
-                if rows[k].stop > rows[k].start:
-                    ext = self._extension(i + n, v, blocks[k])
-                    images = fld.matmul(_operators(a_st, ext, fld.p), self._weights[i + n].inverse)
-                    for t, image in zip(src, images):
-                        d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
+        for i, runs in rows.items():
+            a_st, targets = self._a_st.value(i, self._build_a_st, i), cols.get(i - 1)
+            if a_st is None or targets is None:
+                continue
+            for v, _, r, off, r0, r1, _ in runs:
+                if r0 == r1:
+                    continue
+                size = projective_module(self.p.algebra, v)[0].dim
+                a_run = a_st[:, off:off + r * size].reshape(len(a_st), r, size)
+                for u, tfirst, tr, _, c0, c1, _ in targets:
+                    a = a_run[tfirst:tfirst + tr]
+                    if c0 == c1 or not a.any():
+                        continue
+                    s, s1 = (r1 - r0) // r, (c1 - c0) // tr
+                    ext = self._extension_at(i + n, v, u)
+                    view = np.reshape(d[r0:r1, c0:c1], (r, s, tr, s1), copy=False)
+                    for q in range(r):
+                        # one source summand at a time bounds the temporaries
+                        blocks = _operators(a[:, q], ext, fld.p)
+                        view[q] = (fld.neg(blocks) if sign > 0 else blocks).transpose(1, 0, 2)
         d.setflags(write=False)
         return d
 

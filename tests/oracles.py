@@ -19,6 +19,9 @@ system: it expands each basis element into dense components, multiplies
 them by s and reads them back, and ``mor_by_sum`` builds a class from
 its coordinates as a sum of scaled basis maps (``scale_map``,
 ``add_maps``).
+``HomComplexBySummand`` is the reference for the per-degree, per-run
+``HomComplex``: layout, expansion, coordinates and differentials one
+summand at a time, the differentials through the whole weight inverse.
 ``hom_complex_dims`` is the reference for derived Hom dimensions: it
 ranks the differentials of the Hom complex in module-hom bases, not in
 the Yoneda coordinates of the library, with ``homology_by_ranks``, which
@@ -245,7 +248,7 @@ def hom_map_by_expansion(hy, hx, s):
     p^i -> y^i, multiplied by s^i and read back with ``hx._coords``,
     which raises ``ValueError`` unless every product is a module hom."""
     fld = hy.fld
-    slices, _, dim = hy._layout(0)
+    slices, _, dim = HomComplexBySummand(hy.p, hy.y).layout(0)
     out = fld.zeros(dim, hx.dim(0))
     for rows in slices:
         if rows.stop > rows.start:
@@ -254,6 +257,109 @@ def hom_map_by_expansion(hy, hx, s):
             images = {i: fld.matmul(c, s.comp(i)) for i, c in hy._expand(0, unit).items()}
             out[rows] = hx._coords(0, len(unit), images)
     return out
+
+
+class HomComplexBySummand:
+    """The reference for ``HomComplex``, one summand at a time: the same
+    Yoneda coordinates of Hom(p, y), laid out summand by summand
+    (``layout``), with one product per summand in ``expand`` and
+    ``coords``, and a differential whose block (i, s) -> (i-1, t)
+    multiplies the extensions of s by the whole weight inverse of y^j and
+    then keeps the columns of t.  Nothing is memoised, and every
+    differential is assembled, those with a zero side too."""
+
+    def __init__(self, p, y):
+        from gluecat.modules import _weights, projective_sum
+
+        self.p, self.y, self.fld = p, y, p.field
+        self.summands = [
+            (i, v, off, gen)
+            for i, vs in p.vertices.items()
+            for v, off, gen in zip(vs, *projective_sum(p.algebra, vs)[1:])
+        ]
+        self.of_degree = {i: [k for k, s in enumerate(self.summands) if s[0] == i] for i in p.degrees()}
+        self.weights = {j: _weights(y.term(j)) for j in y.degrees()}
+
+    def layout(self, n):
+        """``(slices, blocks, dim)``: the coordinates of each summand in
+        Hom^n, their block in the weight basis of its y^{i+n}, and
+        dim Hom^n."""
+        slices, blocks, off = [], [], 0
+        for i, v, _, _ in self.summands:
+            w = self.weights.get(i + n)
+            start, size = (int(w.offsets[v]), int(w.sizes[v])) if w is not None else (0, 0)
+            slices.append(slice(off, off + size))
+            blocks.append(slice(start, start + size))
+            off += size
+        return slices, blocks, off
+
+    def dim(self, n):
+        return self.layout(n)[2]
+
+    def extension(self, j, v, block):
+        from gluecat.modules import _operators, projective_module
+
+        images = self.fld.matmul(self.weights[j].basis[block], self.y.term(j).action)
+        return _operators(projective_module(self.p.algebra, v)[1], images, self.fld.p)
+
+    def expand(self, n, coeffs):
+        slices, blocks, _ = self.layout(n)
+        owner = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
+        out = {}
+        for k in sorted(set(owner[coeffs.any(axis=0)].tolist())):
+            i, v, off, _ = self.summands[k]
+            if i not in out:
+                out[i] = np.zeros((len(coeffs), self.p.term(i).dim, self.y.term(i + n).dim), dtype=np.int64)
+            ext = self.extension(i + n, v, blocks[k])
+            out[i][:, off:off + len(ext)] = self.fld.matmul(coeffs[:, slices[k]], ext).transpose(1, 0, 2)
+        return out
+
+    def coords(self, n, count, stacks):
+        fld = self.fld
+        slices, blocks, dim = self.layout(n)
+        out = fld.zeros(count, dim)
+        stacks = {i: stack % fld.p for i, stack in stacks.items()}
+        for i, stack in stacks.items():
+            ks = [k for k in self.of_degree.get(i, []) if slices[k].stop > slices[k].start]
+            if not ks:
+                if stack.any():
+                    raise ValueError("hom_coords: nonzero map in zero hom space")
+                continue
+            images = fld.matmul(np.stack([self.summands[k][3] for k in ks]), stack)
+            inverse = self.weights[i + n].inverse
+            for r, k in enumerate(ks):
+                out[:, slices[k]] = fld.matmul(images[:, r], inverse[:, blocks[k]])
+        expanded = self.expand(n, out)
+        for i, stack in stacks.items():
+            if not np.array_equal(expanded.get(i, np.zeros_like(stack)), stack):
+                raise ValueError("hom_coords: matrix is not a module hom")
+        return out
+
+    def diff(self, n):
+        from gluecat.modules import _operators, projective_module, projective_sum
+
+        fld, w, a = self.fld, self.weights, self.p.algebra
+        (rows, blocks, dim), (cols, blocks1, dim1) = self.layout(n), self.layout(n + 1)
+        d = fld.zeros(dim, dim1)
+        for k, (i, _, _, _) in enumerate(self.summands):
+            if i + n in w and i + n + 1 in w:
+                dy = fld.mul_chain(w[i + n].basis, self.y.diff(i + n), w[i + n + 1].inverse)
+                d[rows[k], cols[k]] = dy[blocks[k], blocks1[k]]
+        sign = 1 if n % 2 == 0 else -1
+        for i in self.of_degree:
+            src = self.of_degree.get(i - 1)
+            if not src:
+                continue
+            images = fld.matmul(projective_sum(a, self.p.vertices[i - 1])[2], self.p.diff(i - 1))
+            for k in self.of_degree[i]:
+                _, v, off, _ = self.summands[k]
+                if rows[k].stop > rows[k].start:
+                    a_st = images[:, off:off + projective_module(a, v)[0].dim]
+                    ext = self.extension(i + n, v, blocks[k])
+                    products = fld.matmul(_operators(a_st, ext, fld.p), w[i + n].inverse)
+                    for t, image in zip(src, products):
+                        d[rows[k], cols[t]] = (-sign * image[:, blocks1[t]]) % fld.p
+        return d
 
 
 def add_maps(f, g):

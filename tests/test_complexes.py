@@ -42,6 +42,7 @@ from gluecat.recollement import build_recollement, default_menus
 from gluecat.scenarios import fixture_scenario, parse_scenario
 
 from oracles import (
+    HomComplexBySummand,
     euler_characteristic,
     ext_dims,
     hom_complex_dims,
@@ -1081,10 +1082,11 @@ def _count_calls(monkeypatch, cls, names) -> dict[str, list]:
 def test_hom_complex_in_one_degree_assembles_no_differential(monkeypatch, ctx, alg_a2, pair):
     # F1 stalks whose hom complex is nonzero in at most one degree: every
     # differential has a zero side, so neither the dimensions nor any
-    # diff(n) place a block or build an extension
+    # diff(n) build a summand table, a layout or a differential
     x, y = (_f1_stalks(alg_a2)[name] for name in pair)
     p = ctx.replacement(x).p
-    calls = _count_calls(monkeypatch, HomComplex, ("_diagonal", "_build_extension"))
+    names = ("_diagonal", "_build_extension", "_build_extension_at", "_build_layout", "_build_diff")
+    calls = _count_calls(monkeypatch, HomComplex, names)
     assert ctx.derived_hom_dims(x, y) == hom_complex_dims(p, y)
     hc = HomComplex(p, y)
     assert sum(hc.dim(n) > 0 for n in range(hc.lo, hc.hi + 1)) <= 1
@@ -1092,7 +1094,7 @@ def test_hom_complex_in_one_degree_assembles_no_differential(monkeypatch, ctx, a
         d = hc.diff(n)
         assert d is complexes._zeros(hc.dim(n), hc.dim(n + 1))
         assert d.shape == (hc.dim(n), hc.dim(n + 1)) and not d.flags.writeable
-    assert calls == {"_diagonal": [], "_build_extension": []}
+    assert calls == {name: [] for name in names}
 
 
 def test_derived_hom_dims_build_only_differentials_between_nonzero_terms(monkeypatch, ctx, alg_a2):
@@ -1103,6 +1105,79 @@ def test_derived_hom_dims_build_only_differentials_between_nonzero_terms(monkeyp
     calls = _count_calls(monkeypatch, HomComplex, ("_build_diff", "_build_layout"))
     assert ctx.derived_hom_dims(x, y) == hom_complex_dims(p, y) == {}
     assert calls == {"_build_diff": [(0,)], "_build_layout": [(0,), (1,)]}
+
+
+def _random_projective_complex(draw, a, rng) -> ProjectiveComplex:
+    """One or two terms with random vertex tuples (unsorted, repeated or
+    empty) and, for two, a random module hom between them."""
+    lo = draw(st.integers(-1, 1))
+    vertex = st.integers(0, a.n_idempotents - 1)
+    tuples = draw(st.lists(st.lists(vertex, max_size=4).map(tuple), min_size=1, max_size=2))
+    diffs = {}
+    if len(tuples) == 2:
+        basis = hom_basis_matrices(*(projective_sum(a, vs)[0] for vs in tuples))
+        if basis:
+            coeffs = rng.integers(0, a.field.p, len(basis))
+            diffs[lo] = sum(int(c) * b for c, b in zip(coeffs, basis)) % a.field.p
+    return ProjectiveComplex(a, {lo + k: vs for k, vs in enumerate(tuples)}, diffs)
+
+
+@st.composite
+def _hom_complex_pairs(draw):
+    """``(p, y)`` over A3 or the Kronecker quiver at p = 2, 3 or 32003: p a
+    random complex of projectives, and y another or the stalk of a simple,
+    so that weight spaces of y at the vertices of p are often zero."""
+    fld = PrimeField(draw(st.sampled_from([2, 3, 32003])))
+    quiver = draw(st.sampled_from([Quiver(3, ((0, 1), (1, 2))), Quiver(2, ((0, 1), (0, 1)))]))
+    a = path_algebra(quiver, fld)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = _random_projective_complex(draw, a, rng)
+    if draw(st.booleans()):
+        return p, _random_projective_complex(draw, a, rng)
+    return p, stalk_complex(simple_module(a, draw(st.integers(0, quiver.n - 1))), draw(st.integers(-1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_complex_pairs())
+def test_hom_complex_matches_the_per_summand_reference(pair):
+    # dimensions, layouts, expansions, coordinates and every differential
+    # built per degree and per run equal the summand-by-summand reference
+    p, y = pair
+    hc, ref = HomComplex(p, y), HomComplexBySummand(p, y)
+    fld = p.field
+    rng = np.random.default_rng(0)
+    for n in range(hc.lo - 1, hc.hi + 2):
+        slices, blocks, dim = ref.layout(n)
+        layout, dim1 = hc._layout(n)
+        assert hc.dim(n) == dim1 == dim
+        # the runs of p^i cover its summands in order, one run per stretch
+        # of equal consecutive vertices, each summand at its reference slice
+        k = 0
+        for i, vs in p.vertices.items():
+            runs = layout.get(i)
+            if runs is None:
+                assert all(slices[k + q].start == slices[k + q].stop for q in range(len(vs)))
+                k += len(vs)
+                continue
+            assert [v for v, *_ in runs] == [v for q, v in enumerate(vs) if q == 0 or vs[q - 1] != v]
+            start = k
+            for v, first, r, off, lo, hi, block in runs:
+                assert first == k - start and vs[first:first + r] == (v,) * r
+                assert off == projective_sum(p.algebra, vs)[1][first]
+                s = (hi - lo) // r
+                for q in range(r):
+                    assert slices[k] == slice(lo + q * s, lo + (q + 1) * s)
+                    assert s == 0 or block == blocks[k]
+                    k += 1
+        coeffs = rng.integers(0, fld.p, (3, dim))
+        coeffs[1] = 0
+        expanded, reference = hc._expand(n, coeffs), ref.expand(n, coeffs)
+        assert list(expanded) == list(reference)
+        assert all(np.array_equal(expanded[i], reference[i]) for i in reference)
+        coords = hc._coords(n, 3, reference)
+        assert np.array_equal(coords, ref.coords(n, 3, reference)) and np.array_equal(coords, coeffs)
+    for n in range(hc.lo - 1, hc.hi + 1):
+        assert np.array_equal(hc.diff(n), ref.diff(n))
 
 
 @st.composite
