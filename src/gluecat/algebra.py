@@ -129,10 +129,6 @@ class Algebra:
       entry per vertex;
     - ``_sums``: :func:`~gluecat.modules.projective_sum`, one entry per
       vertex tuple: the only description of a sum of projectives;
-    - ``_hom_bases``: :func:`~gluecat.modules.hom_basis_matrices`, keyed
-      by the action tensors (shape and bytes) of both modules; only the
-      default menus ask for these, as hom complexes are written in
-      Yoneda coordinates;
     - ``_covers``: :func:`~gluecat.modules.projective_cover`, keyed by
       the action tensor of the covered module;
     - ``_generators``: the generators besides the idempotents, split by
@@ -179,8 +175,7 @@ class Algebra:
         self.idempotent_indices = list(idempotent_indices)
         self.name = name or f"algebra(dim={self.dim})"
         self._opposite: Algebra | None = None
-        self._projectives, self._sums = _Memo(), _Memo()
-        self._hom_bases, self._covers = _Memo(), _Memo()
+        self._projectives, self._sums, self._covers = _Memo(), _Memo(), _Memo()
         self._generators, self._weights = _Memo(), _Memo()
         self._zero, self._homology = _Memo(), _Memo()
         self._valid: dict[tuple, tuple] = {}

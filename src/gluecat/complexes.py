@@ -620,11 +620,10 @@ class DerivedContext:
       (:meth:`HomComplex._table`), so where no two adjacent degrees are
       nonzero it lays out no summand and builds no differential.
       Nothing mutates a memoised value.
-    - Module hom bases (for the menus only), weight bases, projective
-      covers, tensor products and the zero module are memoised by
-      content in :mod:`gluecat.modules`, on the object that owns the
-      data (the algebra, or the bimodule for tensors);
-      :func:`homology_dims` is memoised on the algebra too.
+    - Weight bases, projective covers, tensor products and the zero
+      module are memoised by content in :mod:`gluecat.modules`, on the
+      object that owns the data (the algebra, or the bimodule for
+      tensors); :func:`homology_dims` is memoised on the algebra too.
     - Complexes and chain maps validate once per content per algebra
       (``Algebra._valid``), as modules do.
 

@@ -376,15 +376,13 @@ class _Weights:
 
     ``basis`` stacks a basis of each M e_v in vertex order, with
     ``sizes`` and ``offsets`` giving the blocks, and ``inverse`` is
-    Q^-1.  ``blocks[k]`` is the block of Q M_g Q^-1 from M e_s to M e_t
-    for the k-th generator part g: s -> t of :func:`_generators`.
+    Q^-1.
     """
 
     basis: np.ndarray
     inverse: np.ndarray
     sizes: np.ndarray
     offsets: np.ndarray
-    blocks: list[np.ndarray]
 
 
 def _weights(m: RightModule) -> _Weights:
@@ -392,23 +390,19 @@ def _weights(m: RightModule) -> _Weights:
 
 
 def _build_weights(m: RightModule) -> _Weights:
-    a, fld = m.algebra, m.field
-    rows, cols, pivots = [], [], []
-    for iv in a.idempotent_indices:
+    fld = m.field
+    rows, cols = [], []
+    for iv in m.algebra.idempotent_indices:
         # e_v acts as the projection onto M e_v: its rref rows are a basis
         # of M e_v, and its columns at their pivots give coordinates in it
         r, piv, rank = fld.rref(m.action[iv])
         rows.append(r[:rank])
         cols.append(m.action[iv][:, piv])
-        pivots.append(piv)
-    sizes = np.array([len(piv) for piv in pivots], dtype=np.intp)
-    gens = _generators(a)
-    acts = _operators(gens.parts, m.action, fld.p)
-    blocks = [fld.matmul(rows[s], acts[k])[:, pivots[t]] for k, (s, t) in enumerate(zip(gens.src, gens.tgt))]
+    sizes = np.array([len(r) for r in rows], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
     basis, inverse = np.concatenate(rows), np.concatenate(cols, axis=1)
-    _freeze(basis, inverse, sizes, offsets, *blocks)
-    return _Weights(basis, inverse, sizes, offsets, blocks)
+    _freeze(basis, inverse, sizes, offsets)
+    return _Weights(basis, inverse, sizes, offsets)
 
 
 # ----------------------------------------------------------------------
@@ -584,66 +578,35 @@ def sub_bimodule(
 # ----------------------------------------------------------------------
 
 
-def hom_basis_matrices(m: RightModule, n: RightModule) -> list[np.ndarray]:
-    """Basis of Hom_A(M, N) as read-only matrices, shared by every caller
-    that asks with the same pair of action tensors (``Algebra._hom_bases``)."""
-    if m.algebra is not n.algebra:
-        raise ValueError("hom_basis: modules over different algebras")
-    return m.algebra._hom_bases.value(m.key + n.key, _build_hom, m, n)
+def hom_basis_matrices(p: RightModule, n: RightModule) -> list[np.ndarray]:
+    """A basis of Hom_A(P_v, N) for P_v = e_v A of :func:`projective_module`,
+    read in Yoneda coordinates: Hom_A(e_v A, N) = N e_v, so each row w of
+    the weight basis of N at v gives the map b |-> w b.  A source with
+    other content raises ``ValueError``.
 
-
-def _build_hom(m: RightModule, n: RightModule) -> list[np.ndarray]:
-    fld = m.field
-    amb = m.dim * n.dim
-    if amb == 0:
-        return []
-    wm, wn = _weights(m), _weights(n)
-    cells = np.concatenate([[0], np.cumsum(wm.sizes * wn.sizes)])
-    graded = fld.kernel_basis(_graded_hom_system(m, n))
-    k = graded.shape[0]
-    # f = Q_M^-1 diag(f_v) Q_N in the coordinates of M and N
-    diag = np.zeros((k, m.dim, n.dim), dtype=np.int64)
-    for v, (mv, nv) in enumerate(zip(wm.sizes, wn.sizes)):
-        om, on = wm.offsets[v], wn.offsets[v]
-        diag[:, om:om + mv, on:on + nv] = graded[:, cells[v]:cells[v + 1]].reshape(k, mv, nv)
-    homs = fld.matmul(fld.matmul(wm.inverse, diag), wn.basis).reshape(k, amb)
-    # The basis with a 1 at each free column and 0 at the others is the
-    # rref of the hom space on the reversed columns: it depends on the
-    # space alone, so it is the kernel basis of the dense (dim A * m * n)
-    # system.  Columns that vanish on the whole space stay zero.
-    support = np.flatnonzero(homs.any(axis=0))[::-1]
-    rows = fld.rref(homs[:, support])[0]
-    flat = fld.zeros(k, amb)
-    flat[:, support] = rows[::-1]
-    _freeze(flat)
-    return [flat[i].reshape(m.dim, n.dim) for i in range(k)]
-
-
-def _graded_hom_system(m: RightModule, n: RightModule) -> np.ndarray:
-    """The equations of Hom_A(M, N) in the weight bases of M and N.
-
-    A hom is block-diagonal by vertex, so the unknowns are one block f_v
-    of size ``m_v * n_v`` per vertex, in vertex order.  It commutes with
-    the algebra once it commutes with each generator g: s -> t, whose
-    equations form one block ``M_g f_t - f_s N_g`` of ``m_s * n_t`` rows.
+    The basis returned has a 1 at each free column and 0 at the others:
+    the rref of the space on the reversed columns, which depends on the
+    space alone, so it is the kernel basis of the dense
+    ``(dim A * m * n) x (m * n)`` system.  Columns that vanish on the
+    whole space stay zero.
     """
-    fld = m.field
-    wm, wn = _weights(m), _weights(n)
-    gens = _generators(m.algebra)
-    src, tgt = gens.src, gens.tgt
-    cells = np.concatenate([[0], np.cumsum(wm.sizes * wn.sizes)])
-    eqs = np.concatenate([[0], np.cumsum(wm.sizes[src] * wn.sizes[tgt])])
-    out = fld.zeros(int(eqs[-1]), int(cells[-1]))
-    for g, (s, t) in enumerate(zip(src, tgt)):
-        ms, mt, ns, nt = wm.sizes[s], wm.sizes[t], wn.sizes[s], wn.sizes[t]
-        rows = slice(eqs[g], eqs[g + 1])
-        # (M_g f_t)[a, b] = sum_c M_g[a, c] f_t[c, b]
-        left = np.einsum("ac,bd->abcd", wm.blocks[g], np.eye(nt, dtype=np.int64))
-        out[rows, cells[t]:cells[t + 1]] += left.reshape(ms * nt, mt * nt)
-        # (f_s N_g)[a, b] = sum_d f_s[a, d] N_g[d, b]
-        right = np.einsum("ac,db->abcd", np.eye(ms, dtype=np.int64), wn.blocks[g])
-        out[rows, cells[s]:cells[s + 1]] -= right.reshape(ms * nt, ms * ns)
-    return out % fld.p
+    a, fld = p.algebra, p.field
+    if n.algebra is not a:
+        raise ValueError("hom_basis: modules over different algebras")
+    v = next((v for v in range(a.n_idempotents) if projective_module(a, v)[0].key == p.key), None)
+    if v is None:
+        raise ValueError(f"hom_basis: {p.name} is not a projective e_v A")
+    w = _weights(n)
+    at = w.basis[w.offsets[v]:w.offsets[v] + w.sizes[v]]
+    if not len(at):
+        return []
+    # row r of the map of w is w times the r-th basis path of P_v
+    ops = _operators(projective_module(a, v)[1], n.action, fld.p)
+    homs = fld.matmul(at, ops.transpose(1, 0, 2).reshape(n.dim, p.dim * n.dim))
+    support = np.flatnonzero(homs.any(axis=0))[::-1]
+    flat = fld.zeros(len(at), p.dim * n.dim)
+    flat[:, support] = fld.rref(homs[:, support])[0][::-1]
+    return [f.reshape(p.dim, n.dim) for f in flat]
 
 
 def k_dual(m: RightModule) -> RightModule:

@@ -885,10 +885,10 @@ class DefaultMenu:
     """The default menu of one category, built an entry at a time.
 
     Stalks of all projectives, simples and injectives, the regular
-    stalk, one shift and one cone of a nonzero hom.  Each entry is built
-    on first request and kept, so one entry builds only what it is made
-    of, and the whole menu builds each stalk once and searches for the
-    cone's hom once.
+    stalk, one shift and one cone of a nonzero hom between projectives.
+    Each entry is built on first request and kept, so one entry builds
+    only what it is made of, and the whole menu builds each stalk once
+    and chooses the cone's hom once.
     """
 
     def __init__(self, rec: Recollement, tag: str):
@@ -903,8 +903,8 @@ class DefaultMenu:
         return [*self._stalks, "R", "P1[1]", self._cone[0]]
 
     def has(self, name: str) -> bool:
-        """Whether the menu has an entry ``name``; only a cone name runs
-        the search for the cone's hom."""
+        """Whether the menu has an entry ``name``; only a cone name
+        chooses the cone's hom."""
         if name.startswith("cone("):
             return name == self._cone[0]
         return name in self._stalks or name in ("R", "P1[1]")
@@ -932,7 +932,9 @@ class DefaultMenu:
     @functools.cached_property
     def _cone(self) -> tuple[str, int, int, np.ndarray | None]:
         """``(name, i, j, f)`` for the first nonzero hom f: P_{i+1} ->
-        P_{j+1} with i != j; with none, the identity of P1 (f None)."""
+        P_{j+1} with i != j; with none, the identity of P1 (f None).
+        Hom(P_{i+1}, P_{j+1}) = P_{j+1} e_{i+1}, so a zero pair costs a
+        look at one weight size and no solve."""
         projs = projectives(self.algebra)
         for i, pi in enumerate(projs):
             for j, pj in enumerate(projs):

@@ -64,6 +64,7 @@ the replacement of a stalk complex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -147,7 +148,7 @@ def hom_coords_by_elimination(fld, basis, mats):
 
 def hom_coords(m, n, mats):
     """Coordinates of a module hom M -> N, or of a stack of them, in the
-    basis of ``hom_basis_matrices``, read off without a solve.
+    basis of ``hom_basis_dense``, read off without a solve.
 
     That basis is the rref of the hom space on the reversed columns, so
     each basis matrix has its last nonzero entry, a 1, at a column where
@@ -155,10 +156,8 @@ def hom_coords(m, n, mats):
     those free columns, and the product with the basis must give every
     hom back.
     """
-    from gluecat.modules import hom_basis_matrices
-
     fld = m.field
-    basis = hom_basis_matrices(m, n)
+    basis = hom_basis_dense(m, n)
     vecs = mats.reshape(mats.shape[:-2] + (m.dim * n.dim,)) % fld.p
     if not basis and np.any(vecs):
         raise ValueError("hom_coords: nonzero map in zero hom space")
@@ -184,13 +183,11 @@ def lifts_entrywise(p, s, fs):
     ``g^n s^n + d_p^n h^{n+1} + h^n d_x^{n-1} = f^n``.  Returns the
     components as dicts ``{n: matrix}`` over every degree of p.
     """
-    from gluecat.modules import hom_basis_matrices
-
     y, x = s.source, s.target
     fld = p.field
     degs = list(p.degrees())
-    g_bases = {n: hom_basis_matrices(p.term(n), y.term(n)) for n in degs}
-    h_bases = {n: hom_basis_matrices(p.term(n), x.term(n - 1)) for n in degs}
+    g_bases = {n: hom_basis_dense(p.term(n), y.term(n)) for n in degs}
+    h_bases = {n: hom_basis_dense(p.term(n), x.term(n - 1)) for n in degs}
     cols = [("g", n, k) for n in degs for k in range(len(g_bases[n]))]
     cols += [("h", n, k) for n in degs for k in range(len(h_bases[n]))]
     col_index = {c: i for i, c in enumerate(cols)}
@@ -397,24 +394,24 @@ def mor_by_sum(hs, coords):
 
 def hom_complex_dims(p, y):
     """Nonzero homology dimensions of the total Hom complex Hom(p, y),
-    built in module-hom bases: term n has one ``hom_basis_matrices`` basis
+    built in module-hom bases: term n has one ``hom_basis_dense`` basis
     per pair p^i, y^{i+n}, and the image of each basis matrix f under
     f |-> f d_y - (-1)^n d_p f is solved for in the bases of term n + 1
     (``hom_coords_by_elimination``).  For p with projective terms these
     are the derived Hom dimensions: the reference for the Yoneda
     coordinates of ``HomComplex``.  Nothing is asked of a context.
     """
-    from gluecat.modules import hom_basis_matrices
-
     if p.is_zero() or y.is_zero():
         return {}
     fld = p.field
 
+    @functools.cache
     def term(n):
-        """``{i: (offset, basis of Hom(p^i, y^{i+n}))}`` and the dimension."""
+        """``{i: (offset, basis of Hom(p^i, y^{i+n}))}`` and the dimension,
+        built once per call of the oracle."""
         out, off = {}, 0
         for i in p.degrees():
-            basis = hom_basis_matrices(p.term(i), y.term(i + n))
+            basis = hom_basis_dense(p.term(i), y.term(i + n))
             out[i] = (off, basis)
             off += len(basis)
         return out, off
@@ -1216,14 +1213,13 @@ def ext_dims(m, n, max_deg: int) -> list[int]:
     the replacements, :data:`gluecat.complexes.RESOLUTION_CAP`.
     """
     from gluecat import complexes
-    from gluecat.modules import hom_basis_matrices
 
     fld = m.field
     if m.dim == 0 or n.dim == 0:
         return [0] * (max_deg + 1)
     res = resolution_data(m, cap=complexes.RESOLUTION_CAP)
     terms = [c.module for c in res.covers][: max_deg + 2]
-    hom_bases = [hom_basis_matrices(t, n) for t in terms]
+    hom_bases = [hom_basis_dense(t, n) for t in terms]
     # delta_k : Hom(P_k, N) -> Hom(P_{k+1}, N), g -> d_{k+1} then g
     deltas = []
     for k in range(len(terms) - 1):
@@ -1357,9 +1353,7 @@ class ModuleHom:
 
 
 def hom_basis(m, n) -> list[ModuleHom]:
-    from gluecat.modules import hom_basis_matrices
-
-    return [ModuleHom(m, n, f) for f in hom_basis_matrices(m, n)]
+    return [ModuleHom(m, n, f) for f in hom_basis_dense(m, n)]
 
 
 def k_dual_hom(f: np.ndarray) -> np.ndarray:

@@ -7,12 +7,14 @@ cover generators by one rank profile.  The references in
 exactly, on the projectives, injectives, simples and syzygies of F1-F3,
 A4 and D4 and of their opposites.
 
-Hom bases come from the vertex-graded system, one unknown block per
-vertex and one equation block per generator; they must equal the kernel
-basis of the dense ``(dim A * m * n) x (m * n)`` system bit for bit,
-also over corners, quotients and in bases that do not respect the
-vertex grading.  The Yoneda coordinates of a hom complex out of e_v A
-must span the same space.  Tensor products are quotients of the weight-diagonal
+Hom(P_v, N) = N e_v is read in Yoneda coordinates; its basis must
+equal the kernel basis of the dense ``(dim A * m * n) x (m * n)``
+system bit for bit, also over corners, quotients and for N in bases
+that do not respect the vertex grading.  Between any two modules of
+those families, the degree-0 derived Hom of their stalks, in the Yoneda
+coordinates of a hom complex, must span the dense basis composed with
+the cover of the source, and out of e_v A the dense space itself.
+Tensor products are quotients of the weight-diagonal
 coordinates by one relation block per generator part; their ``pi``,
 ``section`` and kept coordinates must equal the quotient maps of the
 dense relations of every basis element, over GF(3) as well as GF(32003),
@@ -39,7 +41,6 @@ from gluecat.modules import (
     Bimodule,
     RightModule,
     _generators,
-    _graded_hom_system,
     direct_sum,
     hom_basis_matrices,
     injective_module,
@@ -200,7 +201,7 @@ def test_tensor_products_match_kron(case):
                 assert np.array_equal(t.insert_right(coords), insert_right_loop(t, coords))
         for m, t in zip(mods, ts):
             for n, u in zip(mods, ts):
-                for f in hom_basis_matrices(m, n):
+                for f in hom_basis_dense(m, n):
                     if t.module.dim and u.module.dim:
                         assert np.array_equal(tensor_hom(f, t, u), tensor_hom_kron(f, t, u))
 
@@ -252,14 +253,30 @@ def test_row_rank_profile_of_empty_and_zero_matrices(shape):
 
 
 # ----------------------------------------------------------------------
-# vertex-graded hom and generator relations
+# Yoneda homs and generator relations
 # ----------------------------------------------------------------------
 
 
-def _same_entry(m, n):
-    basis, d_basis = hom_basis_matrices(m, n), hom_basis_dense(m, n)
-    assert len(basis) == len(d_basis)
-    assert all(np.array_equal(b, d) and b.shape == (m.dim, n.dim) for b, d in zip(basis, d_basis))
+def _same_entry(p, n):
+    """The Yoneda basis of Hom(P_v, N) is the dense kernel basis, entry for entry."""
+    basis, d_basis = hom_basis_matrices(p, n), hom_basis_dense(p, n)
+    assert len(basis) == len(d_basis), (p.name, n.name)
+    assert all(np.array_equal(b, d) and b.shape == (p.dim, n.dim) for b, d in zip(basis, d_basis))
+
+
+def _same_hom_space(ctx, m, n):
+    """Hom_A(M, N) as the derived Hom^0 of the stalks, in Yoneda
+    coordinates on the replacement p of M: the degree-0 components of its
+    basis maps span the dense kernel basis composed with the cover
+    p^0 -> M, which is injective on homs."""
+    fld = m.field
+    hs = ctx.hom_space(stalk_complex(m), stalk_complex(n))
+    dense = hom_basis_dense(m, n)
+    assert hs.dim == len(dense), (m.name, n.name)
+    if dense:
+        yoneda = np.stack([g.comp(0) for g in hs.basis_maps()]).reshape(hs.dim, -1)
+        composed = fld.matmul(hs.p_qis.comp(0), np.stack(dense)).reshape(hs.dim, -1)
+        assert fld.rank(yoneda) == fld.rank(np.concatenate([yoneda, composed])) == hs.dim
 
 
 def _subalgebras(a):
@@ -275,21 +292,24 @@ def _subalgebras(a):
     return out
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_hom_entries_match_dense_kernel(case):
-    mods = _family(_algebra(case))
+def _same_hom_spaces(a):
+    ctx, mods = DerivedContext(), _family(a)
     for m in mods:
         for n in mods:
-            _same_entry(m, n)
+            _same_hom_space(ctx, m, n)
+        for p in projectives(a):
+            _same_entry(p, m)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_hom_entries_match_dense_kernel(case):
+    _same_hom_spaces(_algebra(case))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_corner_and_quotient_hom_entries_match_dense_kernel(case):
     for b in _subalgebras(_algebra(case)):
-        mods = _family(b)
-        for m in mods:
-            for n in mods:
-                _same_entry(m, n)
+        _same_hom_spaces(b)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -353,8 +373,8 @@ def test_generators_split_a_mixed_lift_into_vertex_parts():
             with pytest.raises(ValueError, match="not split by vertex"):
                 tensor_over(m, nakayama_bimodule(b))
             _same_tensor(m, split)
-        for n in mods:
-            _same_entry(m, n)
+        for p in projectives(b):
+            _same_entry(p, m)
 
 
 def _split_by_vertex(w):
@@ -398,8 +418,11 @@ def test_hom_entries_in_a_twisted_basis_match_dense_kernel():
     reg, _ = direct_sum(projectives(a))
     g = matrix(fld, np.random.default_rng(11).integers(0, fld.p, size=(reg.dim, reg.dim)))
     twisted = RightModule(a, np.stack([fld.mul_chain(fld.inv(g), op, g) for op in reg.action]))
+    ctx = DerivedContext()
     for m, n in [(twisted, twisted), (reg, twisted), (twisted, reg)] + [(twisted, s) for s in simples(a)]:
-        _same_entry(m, n)
+        _same_hom_space(ctx, m, n)
+    for p in projectives(a):
+        _same_entry(p, twisted)
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,8 +456,11 @@ def _twisted_pairs(draw):
 @given(_twisted_pairs())
 def test_hom_entries_after_random_base_change_match_dense_kernel(pair):
     twisted, n = pair
+    ctx = DerivedContext()
     for m, k in [(twisted, n), (n, twisted), (twisted, twisted)]:
-        _same_entry(m, k)
+        _same_hom_space(ctx, m, k)
+    for p in projectives(twisted.algebra):
+        _same_entry(p, twisted)
 
 
 def _tensor_mismatch(m, w, t):
@@ -478,26 +504,6 @@ def _same_tensors(a):
         for m in _family(c):
             if m.dim:
                 _same_tensor(m, ea)
-
-
-# E6: 1 -> 2 -> 3 -> 4 -> 5 and 6 -> 3
-E6 = Quiver(6, ((0, 1), (1, 2), (2, 3), (3, 4), (5, 2)))
-
-
-def test_e6_graded_system_has_one_block_per_vertex_and_per_arrow():
-    a = path_algebra(E6, PrimeField(32003))
-    m, _ = direct_sum(projectives(a) + injectives(a))
-    n, _ = direct_sum(injectives(a) + simples(a) + projectives(a))
-    fld = a.field
-    m_v = [fld.rank(m.action[i]) for i in a.idempotent_indices]
-    n_v = [fld.rank(n.action[i]) for i in a.idempotent_indices]
-    system = _graded_hom_system(m, n)
-    # the arrow a: u -> v is e_v a e_u, so its block is M_a f_u - f_v N_a
-    assert system.shape == (sum(m_v[v] * n_v[u] for (u, v) in E6.arrows), sum(x * y for x, y in zip(m_v, n_v)))
-    assert system.shape[1] < m.dim * n.dim // 5
-    assert len(hom_basis_matrices(m, n)) == sum(len(hom_basis_matrices(x, y))
-                                                for x in projectives(a) + injectives(a)
-                                                for y in injectives(a) + simples(a) + projectives(a))
 
 
 # The whole-array evaluation blocks of the primitive adjunction witnesses,

@@ -327,10 +327,10 @@ def test_verify_menu_name_in_no_category_exits_three(tmp_path, f1_data, capsys):
 def test_named_menus_build_only_their_entries(monkeypatch):
     # F2 with menu ["P1"] builds P1 in each of A, B and C, and nothing
     # else: a stalk name needs no search for the cone's hom
-    from gluecat import modules
+    from gluecat import recollement
 
     built, homs = [], []
-    build, build_hom = DefaultMenu._build, modules._build_hom
+    build, build_hom = DefaultMenu._build, recollement.hom_basis_matrices
 
     def counted(menu, name):
         built.append((menu.tag, name))
@@ -343,7 +343,7 @@ def test_named_menus_build_only_their_entries(monkeypatch):
     monkeypatch.setattr(DefaultMenu, "_build", counted)
     scn = parse_scenario(dict(fixture_scenario("F2"), menu=["P1"]))
     rec, _ = cli._build_workbench(scn)
-    monkeypatch.setattr(modules, "_build_hom", counted_hom)
+    monkeypatch.setattr(recollement, "hom_basis_matrices", counted_hom)
     menus = cli._resolve_menus(rec, scn)
     assert built == [("A", "P1"), ("B", "P1"), ("C", "P1")]
     assert homs == []

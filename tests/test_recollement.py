@@ -9,8 +9,17 @@ import gluecat.recollement as recollement
 from gluecat.algebra import Quiver, path_algebra
 from gluecat.complexes import BoundedComplex, ChainMap, Mor, cone, homology_dims, stalk_complex
 from gluecat.field import PrimeField
-from gluecat.modules import projective_module, regular_module, simple_module, tensor_over
+from gluecat.modules import (
+    hom_basis_matrices,
+    projective_module,
+    projectives,
+    regular_module,
+    simple_module,
+    tensor_over,
+)
 from gluecat.recollement import (
+    CATEGORY_TAGS,
+    DefaultMenu,
     FunctorExpr,
     NotStratifyingError,
     TagMismatchError,
@@ -26,6 +35,7 @@ from gluecat.scenarios import fixture_scenario, load_scenario, parse_scenario
 from oracles import (
     coords_one_by_one,
     global_dimension_by_simples,
+    hom_basis_dense,
     multiply,
     paths_between_sets,
     paths_through,
@@ -893,3 +903,33 @@ def test_homology_dims_hands_out_copies(rec_f1):
     dims = homology_dims(x)
     dims[7] = 1
     assert homology_dims(x) == {0: rec_f1.algebra.dim}
+
+
+@pytest.mark.parametrize("name", ["fixture F1", "fixture F2", "fixture F3"]
+                         + sorted(path.stem for path in SCENARIOS.glob("*.json")))
+def test_cone_hom_is_the_first_yoneda_hom_between_projectives(name):
+    # Hom(P_i, P_j) = P_j e_i: every ordered pair of A, B and C against the
+    # dense kernel, entry for entry, and the menu's cone on the first pair
+    # i != j with a nonzero hom, by its first basis map
+    if name.startswith("fixture "):
+        scn = parse_scenario(fixture_scenario(name.removeprefix("fixture ")))
+    else:
+        scn = load_scenario(str(SCENARIOS / f"{name}.json"))
+    a = path_algebra(Quiver(scn.vertices, tuple(scn.arrows)), PrimeField(scn.p))
+    rec = build_recollement(a, scn.e_vertices)
+    for tag in CATEGORY_TAGS:
+        a = rec.algebra_of(tag)
+        projs = projectives(a)
+        first = None
+        for i, pi in enumerate(projs):
+            for j, pj in enumerate(projs):
+                basis, dense = hom_basis_matrices(pi, pj), hom_basis_dense(pi, pj)
+                assert len(basis) == len(dense), (name, tag, i, j)
+                assert all(np.array_equal(b, d) for b, d in zip(basis, dense)), (name, tag, i, j)
+                if i != j and dense and first is None:
+                    first = (f"cone(P{i + 1}->P{j + 1})", i, j, dense[0])
+        cone_name, i, j, f = DefaultMenu(rec, tag)._cone
+        if first is None:
+            assert (cone_name, i, j, f) == ("cone(P1->P1)", 0, 0, None), (name, tag)
+        else:
+            assert (cone_name, i, j) == first[:3] and np.array_equal(f, first[3]), (name, tag)

@@ -5,7 +5,6 @@ from gluecat.algebra import Quiver, path_algebra
 from gluecat.complexes import homology_dims, stalk_complex
 from gluecat.field import PrimeField
 from gluecat.modules import (
-    hom_basis_matrices,
     nakayama_bimodule,
     projective_module,
     regular_module,
@@ -24,7 +23,7 @@ from gluecat.serre import (
     SingularPairingError,
 )
 
-from oracles import nakayama_supertrace
+from oracles import hom_basis_dense, nakayama_supertrace
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +73,8 @@ def test_module_trace_commutation(sd_f1):
         return total
 
     rng = random.Random(5)
-    alphas = hom_basis_matrices(p, q)
-    betas = hom_basis_matrices(q, tp.module)
+    alphas = hom_basis_dense(p, q)
+    betas = hom_basis_dense(q, tp.module)
     assert alphas and betas
     for _ in range(4):
         alpha = sum(
